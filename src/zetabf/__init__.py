@@ -28,7 +28,6 @@ from .complexes import (
     TwistedComplex,
     UnitaryRep,
     analytic_torsion,
-    betti_numbers,
     build_twisted_complex,
     character_rep,
     circle_complex,
@@ -43,11 +42,8 @@ from .complexes import (
 )
 from .graded import (
     FlatDetResult,
-    GradedOperator,
-    GradedVectorSpace,
     flat_det,
     mellin_f,
-    sdet,
 )
 from .observables import (
     DarbouxChart,

@@ -9,18 +9,28 @@ gauge cut out by a square-zero degree -1 map iota.  Partition functions are
 superdeterminants of the gauge-restricted action, corrected by the declared
 parametrisation Jacobian (|sdet d*| for the metric parametrisation B = d* eta,
 and 1 for normalised contractions).
+
+Shared factorisations: the metric gauge and the Hodge contraction read the
+same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
+vectors per differential, cut at the rank of the complex's spectral record),
+and random contractions take their ranks from that record.  A contraction
+factorises each iota_k once; its validation, gauge, sdet(iota o a) and Lie
+operator all reuse those kernel bases.  The SVDs of the restricted action
+blocks and of the isotropy cross pairing stay separate: they are the
+checks that the gauge-fixed side reproduces the torsion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from .complexes import TwistedComplex, RANK_TOL
+from .complexes import TwistedComplex, haar_unitary, nonzero_mask, read_only
 from .errors import (
     DegenerateContractionError,
     DegenerateGaugeError,
@@ -92,21 +102,6 @@ class BFFieldSpace:
             total += v.b[k] @ w.a[k] + sign * (w.b[k] @ v.a[k])
         return total
 
-    def pairing_perfection(self) -> float:
-        """Smallest singular value of each slot's duality pairing (min over k).
-
-        The pairing is the canonical evaluation, so this is 1 by construction;
-        evaluated anyway as the perfection certificate.
-        """
-        worst = np.inf
-        for k in range(self.n + 1):
-            if self.dims[k] == 0:
-                continue
-            pairing = np.eye(self.dims[k])
-            s = np.linalg.svd(pairing, compute_uv=False)
-            worst = min(worst, float(s[-1]))
-        return worst
-
 
 def build_bf_fields(tc: TwistedComplex) -> BFFieldSpace:
     """BV field space of BF theory over an acyclic complex."""
@@ -152,16 +147,6 @@ class GaugeSubspace:
     contraction: Optional["Contraction"] = None
 
 
-def _svd_split(d: np.ndarray):
-    """(exact basis of target, coexact basis of source, singular values)."""
-    u, s, vh = np.linalg.svd(d, full_matrices=False)
-    if s.size == 0:
-        keep = np.zeros(0, dtype=bool)
-    else:
-        keep = s > RANK_TOL * max(s[0], 1.0)
-    return u[:, keep], vh[keep, :].conj().T, s[keep]
-
-
 def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
     """Lagrangian cut out by coexactness of A and of B (in its own complex).
 
@@ -175,8 +160,7 @@ def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
     n = fs.n
     exact = [np.zeros((fs.dims[0], 0))]
     coexact = []
-    for k in range(n):
-        e_next, c_here, _ = _svd_split(base.diffs[k])
+    for e_next, c_here in base.hodge_bases:
         coexact.append(c_here)
         exact.append(e_next)
     coexact.append(np.zeros((fs.dims[n], 0)))
@@ -215,11 +199,17 @@ class Contraction:
     ``a_maps[k]`` injects C^k into C^(k+1) with iota o a = id on ker iota.
     The gauge-independence theorems of the test suite cover the unitary-
     normalised class a = iota^dagger (iota a partial isometry); the
-    normalisation sdet(iota o a) = 1 holds for every valid instance.
+    normalisation sdet(iota o a) = 1 holds for every valid instance.  The
+    contraction owns both families and marks their arrays read-only, so the
+    kernel bases, factorised once, cannot go stale.
     """
 
-    iota: List[np.ndarray]
-    a_maps: List[np.ndarray]
+    iota: Sequence[np.ndarray]
+    a_maps: Sequence[np.ndarray]
+
+    def __post_init__(self):
+        self.iota = tuple(read_only(np.asarray(m)) for m in self.iota)
+        self.a_maps = tuple(read_only(np.asarray(m)) for m in self.a_maps)
 
     def validate(self, dims: Sequence[int], tol: float = 1e-12):
         n = len(dims) - 1
@@ -242,16 +232,23 @@ class Contraction:
                     f"iota o a != id on ker iota at degree {k}"
                 )
 
+    @cached_property
+    def _kernels(self) -> Dict[int, np.ndarray]:
+        """ker(iota_k) for every k >= 1 with a nonzero target, one SVD each."""
+        out = {}
+        for k, m in enumerate(self.iota):
+            if k == 0 or m.shape[0] == 0:
+                continue
+            _, s, vh = np.linalg.svd(m, full_matrices=True)
+            rank = int(np.count_nonzero(nonzero_mask(s)))
+            out[k] = read_only(vh[rank:, :].conj().T)
+        return out
+
     def kernel_basis(self, k: int, dims: Sequence[int]) -> np.ndarray:
         """Orthonormal basis of ker(iota_k) in C^k."""
-        if k == 0:
-            return np.eye(dims[0])
-        m = self.iota[k]
-        if m.shape[0] == 0:
+        if k == 0 or self.iota[k].shape[0] == 0:
             return np.eye(dims[k])
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
-        rank = int(np.count_nonzero(s > RANK_TOL * max(s[0] if s.size else 1.0, 1.0)))
-        return vh[rank:, :].conj().T
+        return self._kernels[k]
 
     def sdet_iota_a(self, dims: Sequence[int]) -> float:
         """|sdet(iota o a)|: equals 1 for every normalised contraction."""
@@ -275,8 +272,7 @@ def hodge_contraction(tc: TwistedComplex) -> Contraction:
     iota = [np.zeros((0, 0))] + [None] * n
     a_maps = [None] * (n + 1)
     iota[0] = np.zeros((0, o.dims[0]))
-    for k in range(n):
-        e_next, c_here, _ = _svd_split(o.diffs[k])
+    for k, (e_next, c_here) in enumerate(o.hodge_bases):
         w = e_next @ c_here.conj().T          # partial isometry C^k -> C^(k+1)
         iota[k + 1] = w.conj().T
         a_maps[k] = w
@@ -294,21 +290,16 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contract
     n = o.top_degree
     m = [o.rank(k) for k in range(n)] + [0]
 
-    def haar(size):
-        z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        q, r = np.linalg.qr(z)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
     kernels = []
     perps = []
     for k in range(n + 1):
-        q = haar(o.dims[k])
+        q = haar_unitary(rng, o.dims[k])
         kernels.append(q[:, :m[k]])
         perps.append(q[:, m[k]:])
     iota = [np.zeros((0, o.dims[0]))]
     a_maps = []
     for k in range(1, n + 1):
-        u = haar(m[k - 1]) if m[k - 1] else np.zeros((0, 0))
+        u = haar_unitary(rng, m[k - 1]) if m[k - 1] else np.zeros((0, 0))
         iota.append(kernels[k - 1] @ u @ perps[k].conj().T)
     for k in range(n):
         a_maps.append(iota[k + 1].conj().T)
@@ -351,19 +342,18 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
     c.validate(base.dims)
     n = fs.n
     kernels = [c.kernel_basis(k, base.dims) for k in range(n + 1)]
+    perps = [_onb_complement(kernels[k], base.dims[k]) for k in range(n + 1)]
     slots = []
     for k in range(n + 1):
         a_basis = kernels[k]
-        perp = _onb_complement(kernels[k], base.dims[k])
-        b_basis = np.conj(perp)
+        b_basis = np.conj(perps[k])
         if k >= 1:
             b_param = np.conj(c.a_maps[k - 1] @ kernels[k - 1])
         else:
             b_param = b_basis[:, :0]
         slots.append(GaugeSlot(k, a_basis, b_basis, a_basis, b_param))
-    complement_a = [_onb_complement(kernels[k], base.dims[k]) for k in range(n + 1)]
     complement_b = [np.conj(kernels[k]) for k in range(n + 1)]
-    return GaugeSubspace("contraction", slots, complement_a, complement_b,
+    return GaugeSubspace("contraction", slots, perps, complement_b,
                          1.0, constraint="iota A = 0, iota B = 0",
                          contraction=c)
 

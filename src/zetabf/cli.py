@@ -27,6 +27,7 @@ import numpy as np
 
 from . import bv, complexes, orbits, verification, zeta
 from .errors import ParseError, ZetaBFError
+from .orbits import g17
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -41,10 +42,6 @@ class CLIUsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIUsageError(message)
-
-
-def g17(x) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass

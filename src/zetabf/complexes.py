@@ -12,6 +12,18 @@ det(d_k* d_k).  The resolution-based partition function assembles the
 resolution operators explicitly, with the second field tower living in the
 dual complex (transposed differentials), which is what the manifold picture
 degenerates to once Hodge duality is stripped away.
+
+Each complex factorises its orthonormalised differentials once, into a
+``SpectralRecord``: the values-only singular values and numerical rank of
+every d_k, and the eigenvalues of every Laplacian.  Ranks, Betti numbers,
+acyclicity, the coexact log dets, the Laplacian torsion route, the expected
+ranks of the Schwarz blocks and relation (3) all read it.  The record never
+mixes routes: the Laplacian route reads Laplacian eigenvalues, the coexact
+route the singular values of d_k.  Factorisations of other matrices stay
+separate because they are cross-checks: relation (1) takes its own SVD of
+d_k*, and the Schwarz resolution factorises the blocks it assembles.  The
+exact/coexact bases of the BV gauges come from a second, with-vectors SVD
+(``hodge_bases``), cut at the record's rank.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +46,7 @@ from .errors import (
     RelatorViolationError,
     ZetaBFError,
 )
+from .orbits import g17
 
 # Relative singular-value cutoff separating kernel from cokernel.
 RANK_TOL = 1e-9
@@ -44,6 +58,30 @@ Word = Tuple[int, ...]            # signed 1-based generator indices
 Entry = Tuple[Tuple[int, Word], ...]   # integer combination of words
 
 _EMPTY: Word = ()
+
+
+def nonzero_mask(x: np.ndarray) -> np.ndarray:
+    """The one rank decision: entries of ``x`` above RANK_TOL * max(max(x), 1).
+
+    Applied to singular values or to Hermitian eigenvalues, whichever a site
+    factorises.
+    """
+    if x.size == 0:
+        return np.zeros(0, dtype=bool)
+    return x > RANK_TOL * max(x.max(), 1.0)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it (for arrays that caches depend on)."""
+    a.setflags(write=False)
+    return a
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random n x n unitary (QR of a complex Ginibre matrix, phase-fixed)."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def fox_derivative(word: Word, gen: int) -> Entry:
@@ -158,12 +196,38 @@ def character_rep(assignments: Dict[str, complex]) -> UnitaryRep:
     return UnitaryRep(1, {k: np.array([[v]]) for k, v in assignments.items()})
 
 
+@dataclass(frozen=True)
+class SpectralRecord:
+    """Factorisations of an orthonormalised complex, computed once.
+
+    Per differential d_k: ``singular_values[k]`` from the values-only SVD,
+    ``ranks[k]`` the count above the rank cut and ``coexact_logdets[k]`` =
+    log det_flat(d_k* d_k), the sum of log sigma^2 over the kept values.  Per
+    degree k = 0..N: ``laplacian_eigenvalues[k]`` of Delta_k and
+    ``laplacian_logdets[k]`` = log det_flat(Delta_k).
+    """
+
+    singular_values: Tuple[np.ndarray, ...]
+    ranks: Tuple[int, ...]
+    coexact_logdets: Tuple[float, ...]
+    laplacian_eigenvalues: Tuple[np.ndarray, ...]
+    laplacian_logdets: Tuple[float, ...]
+
+
+def _logdet_kept_sq(s: np.ndarray) -> Tuple[float, int]:
+    """Sum of log(sigma^2) over the singular values above the cut, plus their count."""
+    keep = nonzero_mask(s)
+    return float(2.0 * np.sum(np.log(s[keep]))), int(np.count_nonzero(keep))
+
+
 class TwistedComplex:
     """Finite cochain complex with inner products, adjoints and Laplacians.
 
     ``diffs[k]`` maps C^k to C^(k+1).  Gram matrices default to the identity
     (combinatorial L2 in the cell basis); alternative Hermitian positive
-    matrices may be supplied to probe metric dependence.
+    matrices may be supplied to probe metric dependence.  Differentials and
+    Gram matrices are stored as read-only copies, so the cached spectral data
+    cannot go stale.
     """
 
     def __init__(self, diffs: Sequence[np.ndarray],
@@ -171,7 +235,7 @@ class TwistedComplex:
                  poincare_self_dual: bool = False,
                  meta: Optional[dict] = None,
                  d_square_tol: float = 1e-12):
-        self.diffs = [np.atleast_2d(np.asarray(d, dtype=complex)) for d in diffs]
+        self.diffs = tuple(read_only(np.array(d, dtype=complex, ndmin=2)) for d in diffs)
         if not self.diffs:
             raise ValueError("need at least one differential")
         dims = [self.diffs[0].shape[1]]
@@ -185,21 +249,20 @@ class TwistedComplex:
         self.meta = dict(meta or {})
 
         if grams is None:
-            self.grams = [None] * len(dims)
-        else:
-            if len(grams) != len(dims):
-                raise ValueError("need one Gram matrix per degree")
-            self.grams = []
-            for g, n in zip(grams, dims):
-                if g is None:
-                    self.grams.append(None)
-                    continue
-                g = np.asarray(g, dtype=complex)
+            grams = [None] * len(dims)
+        elif len(grams) != len(dims):
+            raise ValueError("need one Gram matrix per degree")
+        clean = []
+        for g, n in zip(grams, dims):
+            if g is not None:
+                g = read_only(np.array(g, dtype=complex))
                 if g.shape != (n, n) or np.linalg.norm(g - g.conj().T) > 1e-12:
                     raise ValueError("Gram matrices must be Hermitian of matching size")
                 if np.min(np.linalg.eigvalsh(g)) <= 0:
                     raise ValueError("Gram matrices must be positive definite")
-                self.grams.append(g)
+            clean.append(g)
+        self.grams = tuple(clean)
+        self._orthonormal: Optional[TwistedComplex] = None
 
         scale = max((np.linalg.norm(d) for d in self.diffs), default=1.0)
         for k in range(len(self.diffs) - 1):
@@ -239,18 +302,21 @@ class TwistedComplex:
     # -- ranks, Betti numbers, acyclicity ------------------------------------
 
     def orthonormalized(self) -> "TwistedComplex":
-        """Isometric presentation with identity Gram matrices."""
+        """Isometric presentation with identity Gram matrices (built once)."""
         if all(g is None for g in self.grams):
             return self
-        roots = []
-        for k in range(len(self.dims)):
-            g = self.gram(k)
-            w, v = np.linalg.eigh(g)
-            roots.append((v * np.sqrt(w)) @ v.conj().T)
-        diffs = [roots[k + 1] @ d @ np.linalg.inv(roots[k])
-                 for k, d in enumerate(self.diffs)]
-        return TwistedComplex(diffs, poincare_self_dual=self.poincare_self_dual,
-                              meta=self.meta, d_square_tol=1e-9)
+        if self._orthonormal is None:
+            roots = []
+            for k in range(len(self.dims)):
+                g = self.gram(k)
+                w, v = np.linalg.eigh(g)
+                roots.append((v * np.sqrt(w)) @ v.conj().T)
+            diffs = [roots[k + 1] @ d @ np.linalg.inv(roots[k])
+                     for k, d in enumerate(self.diffs)]
+            self._orthonormal = TwistedComplex(
+                diffs, poincare_self_dual=self.poincare_self_dual,
+                meta=self.meta, d_square_tol=1e-9)
+        return self._orthonormal
 
     def rotated(self, unitaries: Sequence[np.ndarray]) -> "TwistedComplex":
         """Unitary change of basis in each degree (identity Grams assumed)."""
@@ -259,21 +325,47 @@ class TwistedComplex:
         return TwistedComplex(diffs, meta=self.meta,
                               poincare_self_dual=self.poincare_self_dual)
 
+    @cached_property
+    def spectrum(self) -> SpectralRecord:
+        """Spectral record of the orthonormalised complex, computed on first use."""
+        o = self.orthonormalized()
+        if o is not self:
+            return o.spectrum
+        svals, ranks, coexact = [], [], []
+        for d in self.diffs:
+            s = np.linalg.svd(d, compute_uv=False)
+            logdet, rank = _logdet_kept_sq(s)
+            svals.append(read_only(s))
+            ranks.append(rank)
+            coexact.append(logdet)
+        eigs = [read_only(np.linalg.eigvalsh(self.laplacian(k)))
+                for k in range(self.top_degree + 1)]
+        lap = [float(np.sum(np.log(w[nonzero_mask(w)]))) for w in eigs]
+        return SpectralRecord(tuple(svals), tuple(ranks), tuple(coexact),
+                              tuple(eigs), tuple(lap))
+
+    @cached_property
+    def hodge_bases(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Per differential d_k of the orthonormalised complex: (orthonormal
+        basis of im d_k, of the coexact subspace of C^k), from one SVD with
+        vectors, cut at the spectral record's rank."""
+        o = self.orthonormalized()
+        if o is not self:
+            return o.hodge_bases
+        out = []
+        for d, rank in zip(self.diffs, self.spectrum.ranks):
+            u, _, vh = np.linalg.svd(d, full_matrices=False)
+            out.append((read_only(u[:, :rank].copy()), read_only(vh[:rank, :].conj().T)))
+        return tuple(out)
+
     def rank(self, k: int) -> int:
         if not (0 <= k < len(self.diffs)):
             return 0
-        o = self.orthonormalized()
-        s = np.linalg.svd(o.diffs[k], compute_uv=False)
-        if s.size == 0:
-            return 0
-        return int(np.count_nonzero(s > RANK_TOL * max(s[0], 1.0)))
+        return self.spectrum.ranks[k]
 
     def betti_numbers(self) -> Tuple[int, ...]:
         return tuple(self.dims[k] - self.rank(k) - self.rank(k - 1)
                      for k in range(self.top_degree + 1))
-
-    def is_acyclic(self) -> bool:
-        return all(b == 0 for b in self.betti_numbers())
 
     def require_acyclic(self):
         betti = self.betti_numbers()
@@ -309,10 +401,6 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
         raise NotAComplexError(f"bad labelling for {cc.name or 'cell complex'}: {exc}")
 
 
-def betti_numbers(tc: TwistedComplex) -> Tuple[int, ...]:
-    return tc.betti_numbers()
-
-
 # -- spectral bookkeeping -----------------------------------------------------
 
 
@@ -320,15 +408,7 @@ def _logdet_nonzero_sq(matrix: np.ndarray) -> Tuple[float, int]:
     """Sum of log(sigma^2) over nonzero singular values, plus their count."""
     if matrix.size == 0:
         return 0.0, 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    keep = s > RANK_TOL * max(s[0], 1.0)
-    return float(2.0 * np.sum(np.log(s[keep]))), int(np.count_nonzero(keep))
-
-
-def _coexact_logdets(tc: TwistedComplex) -> List[float]:
-    """log det_flat(d_k* d_k) for k = 0..N-1 on the orthonormalized complex."""
-    o = tc.orthonormalized()
-    return [_logdet_nonzero_sq(d)[0] for d in o.diffs]
+    return _logdet_kept_sq(np.linalg.svd(matrix, compute_uv=False))
 
 
 def torsion_routes(tc: TwistedComplex) -> Tuple[float, float]:
@@ -338,17 +418,15 @@ def torsion_routes(tc: TwistedComplex) -> Tuple[float, float]:
     Schwarz's prod_k det_flat(d_k* d_k)^((-1)^k/2).
     """
     tc.require_acyclic()
-    o = tc.orthonormalized()
+    spec = tc.spectrum
 
     log_coexact = 0.0
-    for k, ell in enumerate(_coexact_logdets(o)):
+    for k, ell in enumerate(spec.coexact_logdets):
         log_coexact += 0.5 * (-1) ** k * ell
 
     log_laplace = 0.0
-    for k in range(1, o.top_degree + 1):
-        w = np.linalg.eigvalsh(o.laplacian(k))
-        nonzero = w[w > RANK_TOL * max(w[-1], 1.0)]
-        log_laplace += 0.5 * k * (-1) ** (k + 1) * float(np.sum(np.log(nonzero)))
+    for k in range(1, tc.top_degree + 1):
+        log_laplace += 0.5 * k * (-1) ** (k + 1) * spec.laplacian_logdets[k]
     return math.exp(log_laplace), math.exp(log_coexact)
 
 
@@ -385,10 +463,9 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     n = o.top_degree
 
     if n == 1:
-        ell = _coexact_logdets(o)
-        return math.exp(0.5 * ell[0])
+        return math.exp(0.5 * o.spectrum.coexact_logdets[0])
 
-    ranks = [o.rank(k) for k in range(n)]
+    ranks = o.spectrum.ranks
     d = o.diffs
 
     def dual(k):
@@ -398,7 +475,7 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     # T^2 = diag(d_1* d_1, dual twin); log det_flat and a rank check.
     t_sq = block_diag(d[1].conj().T @ d[1], np.conj(d[1]) @ d[1].T)
     w = np.linalg.eigvalsh(t_sq)
-    keep = w > RANK_TOL * max(w[-1], 1.0)
+    keep = nonzero_mask(w)
     if int(np.count_nonzero(keep)) != 2 * ranks[1]:
         raise DegenerateResolutionError("action block T^2 has unexpected rank")
     log_z = -0.25 * float(np.sum(np.log(w[keep])))
@@ -443,7 +520,7 @@ def det_relations_report(tc: TwistedComplex) -> DetRelationsReport:
     tc.require_acyclic()
     o = tc.orthonormalized()
     n = o.top_degree
-    ell = _coexact_logdets(o)          # log det(d_k* d_k), k = 0..N-1
+    ell = o.spectrum.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
 
     res1 = 0.0
     for k, d in enumerate(o.diffs):
@@ -452,11 +529,8 @@ def det_relations_report(tc: TwistedComplex) -> DetRelationsReport:
 
     res3 = 0.0
     for k in range(n + 1):
-        w = np.linalg.eigvalsh(o.laplacian(k))
-        nonzero = w[w > RANK_TOL * max(w[-1], 1.0)]
-        log_lap = float(np.sum(np.log(nonzero)))
         target = (ell[k - 1] if k >= 1 else 0.0) + (ell[k] if k < n else 0.0)
-        res3 = max(res3, abs(log_lap - target))
+        res3 = max(res3, abs(o.spectrum.laplacian_logdets[k] - target))
 
     res2 = None
     if tc.poincare_self_dual:
@@ -600,12 +674,7 @@ def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
         prev = m
     dims.append(prev)
 
-    def haar(n):
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = np.linalg.qr(z)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    us = [haar(n) for n in dims]
+    us = [haar_unitary(rng, n) for n in dims]
     diffs = []
     for k, m in enumerate(ranks):
         s = rng.uniform(0.5, 2.0, size=m)
@@ -616,10 +685,6 @@ def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
 
 
 # -- file format ---------------------------------------------------------------
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def _word_to_str(word: Word, generators: Sequence[str]) -> str:
     if not word:
@@ -659,7 +724,7 @@ def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
         lines.append(f"rep {name}")
         mat = rep.images[name]
         for row in mat:
-            lines.append("  " + " ".join(f"{_fmt_float(z.real)},{_fmt_float(z.imag)}"
+            lines.append("  " + " ".join(f"{g17(z.real)},{g17(z.imag)}"
                                          for z in row))
     if grams is not None:
         for k, g in enumerate(grams):
@@ -667,7 +732,7 @@ def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
                 continue
             lines.append(f"gram {k}")
             for row in np.asarray(g, dtype=complex):
-                lines.append("  " + " ".join(f"{_fmt_float(z.real)},{_fmt_float(z.imag)}"
+                lines.append("  " + " ".join(f"{g17(z.real)},{g17(z.imag)}"
                                              for z in row))
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,18 +12,10 @@ class ZetaBFError(Exception):
     """Base class for all package-specific errors."""
 
 
-# -- graded linear algebra ---------------------------------------------------
+# -- flat determinants ------------------------------------------------------
 
 class ShapeMismatchError(ZetaBFError):
-    """A graded operator block has the wrong shape, or is not square."""
-
-
-class SingularBlockError(ZetaBFError):
-    """A superdeterminant block has vanishing determinant."""
-
-    def __init__(self, degree, message=None):
-        self.degree = degree
-        super().__init__(message or f"block in degree {degree} is singular")
+    """A matrix passed as an operator is not square."""
 
 
 class MellinDivergenceError(ZetaBFError):

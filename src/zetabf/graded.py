@@ -1,4 +1,4 @@
-"""Graded linear algebra: superdeterminants and flat determinants.
+"""Flat determinants of finite matrices.
 
 Two independent routes to the regularised determinant of a finite matrix are
 kept side by side.  The spectral route multiplies the nonzero eigenvalues of
@@ -14,7 +14,7 @@ two must agree; the disagreement is the package's basic quadrature diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -26,7 +26,6 @@ from .errors import (
     MellinDivergenceError,
     QuadratureFailureError,
     ShapeMismatchError,
-    SingularBlockError,
 )
 
 # Eigenvalues below this modulus are classified as kernel (the projector Pi).
@@ -38,96 +37,6 @@ _FD_STEP = 1e-4
 # Quadrature sizes: low resolution feeds the error estimate, high the value.
 _NODES_LO = 40
 _NODES_HI = 72
-
-
-@dataclass(frozen=True)
-class GradedVectorSpace:
-    """Finite direct sum of degree-indexed spaces with a parity shift.
-
-    The parity of a degree-k element is (k + shift) mod 2; shifting by one
-    swaps even and odd throughout.
-    """
-
-    dims: Mapping[int, int]
-    shift: int = 0
-
-    def __post_init__(self):
-        for k, n in self.dims.items():
-            if n < 0:
-                raise ValueError(f"negative dimension {n} in degree {k}")
-
-    def parity(self, degree: int) -> int:
-        return (degree + self.shift) % 2
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def shifted(self, by: int) -> "GradedVectorSpace":
-        return GradedVectorSpace(dict(self.dims), self.shift + by)
-
-
-class GradedOperator:
-    """Block family of complex matrices between graded spaces.
-
-    ``blocks[k]`` maps the degree-k component of ``source`` into degree
-    ``k + degree_shift`` of ``target``.
-    """
-
-    def __init__(self, blocks: Dict[int, np.ndarray], source: GradedVectorSpace,
-                 target: GradedVectorSpace, degree_shift: int = 0):
-        self.blocks = {k: np.asarray(b, dtype=complex) for k, b in blocks.items()}
-        self.source = source
-        self.target = target
-        self.degree_shift = degree_shift
-        for k, block in self.blocks.items():
-            rows = target.dims.get(k + degree_shift, 0)
-            cols = source.dims.get(k, 0)
-            if block.shape != (rows, cols):
-                raise ShapeMismatchError(
-                    f"block {k}: shape {block.shape}, expected {(rows, cols)}"
-                )
-
-    def compose(self, other: "GradedOperator") -> "GradedOperator":
-        """Return self o other."""
-        if other.target.dims != self.source.dims or other.target.shift != self.source.shift:
-            raise ShapeMismatchError("composition: intermediate spaces do not match")
-        blocks = {}
-        for k, right in other.blocks.items():
-            left = self.blocks.get(k + other.degree_shift)
-            if left is None:
-                continue
-            blocks[k] = left @ right
-        return GradedOperator(blocks, other.source, self.target,
-                              self.degree_shift + other.degree_shift)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-
-def sdet(op: GradedOperator) -> complex:
-    """Superdeterminant prod_k det(block_k)^(+-1) with mod-2 parities.
-
-    The exponent of the degree-k block is (-1)^((k + shift) mod 2), so a
-    shift by one inverts the result exactly.
-    """
-    if op.degree_shift != 0:
-        raise ShapeMismatchError("sdet requires a degree-preserving operator")
-    value = 1.0 + 0.0j
-    for k in sorted(op.blocks):
-        block = op.blocks[k]
-        if block.size == 0:
-            continue
-        if block.shape[0] != block.shape[1]:
-            raise ShapeMismatchError(f"block {k} is not square: {block.shape}")
-        det = complex(np.linalg.det(block))
-        if det == 0:
-            raise SingularBlockError(k)
-        if op.source.parity(k) == 0:
-            value *= det
-        else:
-            value /= det
-    return value
 
 
 @dataclass

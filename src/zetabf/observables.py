@@ -268,8 +268,6 @@ def random_observable(chart: DarbouxChart, rng: np.random.Generator,
         mono = PolyObservable.constant(chart, complex(rng.normal(), rng.normal()))
         for _ in range(n):
             mono = mono * PolyObservable.variable(chart, vars_[int(rng.integers(len(vars_)))])
-        if parity is not None and mono.parity() not in (parity, None):
-            continue
         if parity is not None and mono.parity() != parity:
             continue
         out = out + mono

@@ -9,9 +9,10 @@ computed orbit spectra (e.g. geodesic length spectra) with validation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,6 +143,10 @@ class OrbitRecord:
     period: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("length", "eig_expanding", "eig_contracting", "holonomy"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ValidationError(name, f"must be finite, got {value}")
         if self.length <= 0:
             raise ValidationError("length", f"must be positive, got {self.length}")
         if self.count < 1:
@@ -228,7 +233,8 @@ def poincare_data(aut: ToralAutomorphism, j: int, k: int) -> Tuple[int, int]:
 _HEADER = "# zetabf orbit spectrum v1: length primitive_flag hol_re hol_im eig1 eig2 count"
 
 
-def _g17(x: float) -> str:
+def g17(x: float) -> str:
+    """The package's one number format: 17 significant digits, round-trip exact."""
     return format(float(x), ".17g")
 
 
@@ -251,8 +257,8 @@ def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
         materialised.append((r, h))
     for r, h in sorted(materialised, key=lambda p: (p[0].length, np.angle(p[1]))):
         rows.append(" ".join([
-            _g17(r.length), "1", _g17(h.real), _g17(h.imag),
-            _g17(r.eig_expanding), _g17(r.eig_contracting), str(r.count),
+            g17(r.length), "1", g17(h.real), g17(h.imag),
+            g17(r.eig_expanding), g17(r.eig_contracting), str(r.count),
         ]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEADER + "\n")
@@ -285,14 +291,10 @@ def load_orbit_spectrum(path) -> OrbitData:
             records.append(OrbitRecord(length=length, count=count,
                                        eig_expanding=eig1, eig_contracting=eig2,
                                        holonomy=hol))
-    merged: List[OrbitRecord] = []
+    # insertion order keeps each merged record where it first appeared
+    merged: Dict[Tuple[float, complex, float, float], OrbitRecord] = {}
     for rec in records:
-        for i, prev in enumerate(merged):
-            if (prev.length == rec.length and prev.holonomy == rec.holonomy
-                    and prev.eig_expanding == rec.eig_expanding
-                    and prev.eig_contracting == rec.eig_contracting):
-                merged[i] = replace(prev, count=prev.count + rec.count)
-                break
-        else:
-            merged.append(rec)
-    return OrbitData(tuple(merged))
+        key = (rec.length, rec.holonomy, rec.eig_expanding, rec.eig_contracting)
+        prev = merged.get(key)
+        merged[key] = rec if prev is None else replace(prev, count=prev.count + rec.count)
+    return OrbitData(tuple(merged.values()))

@@ -37,10 +37,6 @@ class CriterionResult:
 # -- independent oracles -------------------------------------------------------
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -78,10 +74,10 @@ def lattice_fixed_point_count(aut: orbits.ToralAutomorphism, j: int) -> int:
                 continue
             if q > 0:
                 l = _ceil_div(alpha - base, q)
-                h = _floor_div(beta - base, q)
+                h = (beta - base) // q
             else:
                 l = _ceil_div(beta - base, q)
-                h = _floor_div(alpha - base, q)
+                h = (alpha - base) // q
             lo = l if lo is None else max(lo, l)
             hi = h if hi is None else min(hi, h)
         if not feasible:

@@ -23,7 +23,7 @@ from .errors import (
     NotAcyclicError,
     SupportTooWideError,
 )
-from .orbits import OrbitData, OrbitRecord, ToralAutomorphism
+from .orbits import OrbitData, OrbitRecord, ToralAutomorphism, g17
 
 _FD_STEP = 1e-4
 
@@ -310,10 +310,6 @@ def fried_residual(a_matrix, theta: float, sign: int = -1) -> float:
 GRID_HEADER = "re_lambda,im_lambda,k,re_log_zeta,im_log_zeta,tail_bound,J,status"
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def zeta_grid_rows(data: OrbitData, theta: float, lams, ks, J: int):
     """CSV-style rows over a lambda grid; divergent points are flagged rows."""
     rows = []
@@ -323,13 +319,13 @@ def zeta_grid_rows(data: OrbitData, theta: float, lams, ks, J: int):
                 ev = (log_zeta_full(data, theta, lam, J) if k == "full"
                       else log_zeta_k(data, theta, lam, k, J))
                 rows.append(",".join([
-                    _g17(lam.real), _g17(lam.imag), str(k),
-                    _g17(ev.value.real), _g17(ev.value.imag),
-                    _g17(ev.truncation_error_bound), str(J), "ok",
+                    g17(lam.real), g17(lam.imag), str(k),
+                    g17(ev.value.real), g17(ev.value.imag),
+                    g17(ev.truncation_error_bound), str(J), "ok",
                 ]))
             except DivergentRegionError:
                 rows.append(",".join([
-                    _g17(lam.real), _g17(lam.imag), str(k),
+                    g17(lam.real), g17(lam.imag), str(k),
                     "nan", "nan", "inf", str(J), "divergent",
                 ]))
     return rows

@@ -41,7 +41,6 @@ def test_field_space_degrees_circle():
     fs = build_bf_fields(circle_complex(math.pi))
     assert fs.dims == (1, 1)
     assert fs.a_degrees == (1, 0)
-    assert fs.pairing_perfection() == pytest.approx(1.0)
 
 
 def test_field_space_requires_acyclic():

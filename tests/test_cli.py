@@ -1,10 +1,16 @@
 """Command-line behaviour: reports, exit codes, determinism."""
 
+import cmath
 import io
 import math
+import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
-from zetabf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
+import numpy as np
+
+from zetabf import complexes
+from zetabf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, g17, main
 
 
 def run_cli(argv):
@@ -32,6 +38,40 @@ def test_torsion_file_input(tmp_path):
     code, out, _ = run_cli(["torsion", "--input", str(path)])
     assert code == EXIT_OK
     assert "torsion 2" in out
+
+
+def test_torsion_file_input_with_gram(tmp_path):
+    cc = complexes.torus_cell_complex()
+    rep = complexes.character_rep({"a": cmath.exp(0.7j), "b": cmath.exp(-1.3j)})
+    grams = [np.array([[3.0]]), np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.5]])]
+    path = tmp_path / "torus_gram.cplx"
+    complexes.write_complex_file(path, cc, rep, grams)
+    code, out, _ = run_cli(["torsion", "--input", str(path)])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "betti 0 0 0"
+    tc = complexes.build_twisted_complex(*complexes.read_complex_file(path))
+    assert lines[1] == f"torsion {g17(complexes.analytic_torsion(tc))}"
+
+
+def test_torsion_factorises_each_differential_once(monkeypatch):
+    # three differentials: one SVD each for the spectral record, three for
+    # relation (1) and one Schwarz block; four Laplacians and Schwarz's T^2
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "zetabf.complexes":
+                calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    code, _, _ = run_cli(["torsion", "--model", "cat", "--theta", "2.0"])
+    assert code == EXIT_OK
+    assert calls["svd"] <= 7
+    assert calls["eigvalsh"] <= 5
 
 
 def test_torsion_non_acyclic_exit_code():

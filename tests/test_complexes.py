@@ -9,7 +9,6 @@ import pytest
 from zetabf.complexes import (
     CellComplex,
     analytic_torsion,
-    betti_numbers,
     build_twisted_complex,
     character_rep,
     circle_cell_complex,
@@ -49,12 +48,12 @@ def test_circle_twisted_differential():
     tc = circle_complex(math.pi)
     assert tc.diffs[0].shape == (1, 1)
     assert tc.diffs[0][0, 0] == pytest.approx(-2.0)
-    assert betti_numbers(tc) == (0, 0)
+    assert tc.betti_numbers() == (0, 0)
 
 
 def test_circle_untwisted():
     tc = circle_complex(0.0)
-    assert betti_numbers(tc) == (1, 1)
+    assert tc.betti_numbers() == (1, 1)
 
 
 def test_torus_character_acyclic():
@@ -63,23 +62,23 @@ def test_torus_character_acyclic():
     r0 = np.linalg.matrix_rank(tc.diffs[0])
     r1 = np.linalg.matrix_rank(tc.diffs[1])
     assert (r0, r1) == (1, 1)
-    assert betti_numbers(tc) == (0, 0, 0)
+    assert tc.betti_numbers() == (0, 0, 0)
 
 
 def test_torus_untwisted_betti():
     tc = torus_complex(0.0, 0.0)
-    assert betti_numbers(tc) == (1, 2, 1)
+    assert tc.betti_numbers() == (1, 2, 1)
 
 
 def test_mapping_torus_betti():
     tc = mapping_torus_complex([[2, 1], [1, 1]], math.pi)
     assert tc.dims == (1, 3, 3, 1)
-    assert betti_numbers(tc) == (0, 0, 0, 0)
+    assert tc.betti_numbers() == (0, 0, 0, 0)
 
 
 def test_mapping_torus_not_acyclic_untwisted():
     tc = mapping_torus_complex([[2, 1], [1, 1]], 0.0)
-    assert betti_numbers(tc)[0] != 0
+    assert tc.betti_numbers()[0] != 0
 
 
 def test_mapping_torus_rejects_non_hyperbolic():
@@ -193,6 +192,17 @@ def test_det_relations_identity_cone():
     rep = det_relations_report(tc)
     assert rep.relation3 < 1e-14
     assert rep.relation1 < 1e-14
+
+
+def test_differentials_are_read_only_copies():
+    from zetabf.complexes import TwistedComplex
+    d = np.eye(2, dtype=complex)
+    tc = TwistedComplex([d])
+    assert tc.betti_numbers() == (0, 0)
+    d[0, 0] = 0.0                  # the caller's array stays its own
+    assert tc.betti_numbers() == (0, 0)
+    with pytest.raises(ValueError):
+        tc.diffs[0][0, 0] = 0.0
 
 
 def test_adjoint_property_with_gram():

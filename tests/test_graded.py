@@ -1,22 +1,15 @@
-"""Superdeterminant and flat-determinant contracts."""
+"""Flat-determinant contracts."""
 
 import math
 
 import numpy as np
 import pytest
 
-from zetabf.errors import (
-    MellinDivergenceError,
-    ShapeMismatchError,
-    SingularBlockError,
-)
+from zetabf.errors import MellinDivergenceError
 from zetabf.graded import (
-    GradedOperator,
-    GradedVectorSpace,
     flat_det,
     logdet_flat_mellin,
     mellin_f,
-    sdet,
 )
 
 
@@ -24,70 +17,6 @@ def spectral_zeta_oracle(matrix, s):
     """Independent oracle: sum of lambda^(-s) over the spectrum."""
     eigs = np.linalg.eigvals(np.atleast_2d(matrix))
     return complex(np.sum(eigs ** (-s)))
-
-
-def test_sdet_two_degrees():
-    v = GradedVectorSpace({0: 1, 1: 1})
-    op = GradedOperator({0: [[2.0]], 1: [[3.0]]}, v, v)
-    assert sdet(op) == pytest.approx(2.0 / 3.0)
-
-
-def test_sdet_identity_blocks():
-    v = GradedVectorSpace({0: 2, 1: 3, 2: 1})
-    op = GradedOperator({k: np.eye(n) for k, n in v.dims.items()}, v, v)
-    assert sdet(op) == pytest.approx(1.0)
-
-
-def test_sdet_triangular_and_shift():
-    v = GradedVectorSpace({0: 2, 1: 1})
-    blocks = {0: [[1, 1], [0, 1]], 1: [[5]]}
-    assert sdet(GradedOperator(blocks, v, v)) == pytest.approx(1 / 5)
-    shifted = v.shifted(1)
-    assert sdet(GradedOperator(blocks, shifted, shifted)) == pytest.approx(5.0)
-
-
-def test_sdet_shift_inverts():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        dims = {k: int(rng.integers(1, 5)) for k in range(int(rng.integers(1, 4)))}
-        v = GradedVectorSpace(dims)
-        blocks = {k: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                  for k, n in dims.items()}
-        op = GradedOperator(blocks, v, v)
-        w = v.shifted(1)
-        op_shift = GradedOperator(blocks, w, w)
-        assert sdet(op_shift) == pytest.approx(1.0 / sdet(op), rel=1e-12)
-
-
-def test_sdet_multiplicative():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        dims = {k: int(rng.integers(1, 5)) for k in range(int(rng.integers(1, 4)))}
-        v = GradedVectorSpace(dims, shift=int(rng.integers(0, 2)))
-
-        def rand_op():
-            return GradedOperator(
-                {k: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                 for k, n in dims.items()}, v, v)
-
-        a, b = rand_op(), rand_op()
-        lhs = sdet(a.compose(b))
-        rhs = sdet(a) * sdet(b)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_sdet_errors():
-    v = GradedVectorSpace({0: 1})
-    with pytest.raises(SingularBlockError) as err:
-        sdet(GradedOperator({0: [[0.0]]}, v, v))
-    assert err.value.degree == 0
-    w = GradedVectorSpace({0: 2, 1: 1})
-    with pytest.raises(ShapeMismatchError):
-        GradedOperator({0: [[1.0]]}, w, w)
-    op = GradedOperator({0: np.zeros((1, 2))}, GradedVectorSpace({0: 2}),
-                        GradedVectorSpace({0: 1}))
-    with pytest.raises(ShapeMismatchError):
-        sdet(op)
 
 
 def test_flat_det_ordinary_determinant():

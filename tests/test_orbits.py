@@ -127,13 +127,28 @@ def test_spectrum_negative_length(tmp_path):
         load_orbit_spectrum(path)
 
 
+@pytest.mark.parametrize("row", [
+    "nan 1 1.0 0.0 2.0 0.5 1\n",
+    "inf 1 1.0 0.0 2.0 0.5 1\n",
+    "1.0 1 1.0 0.0 nan 0.5 1\n",
+    "1.0 1 nan 0.0 2.0 0.5 1\n",
+], ids=["nan_length", "inf_length", "nan_eigenvalue", "nan_holonomy"])
+def test_spectrum_non_finite_rejected(tmp_path, row):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(row)
+    with pytest.raises(ValidationError):
+        load_orbit_spectrum(path)
+
+
 def test_spectrum_duplicates_merge(tmp_path):
     path = tmp_path / "dup.txt"
     row = "1.0 1 1.0 0.0 2.618033988749895 0.3819660112501051 1\n"
-    path.write_text(row + row)
+    other = "2.0 1 -1.0 0.0 6.854101966249685 0.14589803375031546 3\n"
+    path.write_text(row + other + row)
     data = load_orbit_spectrum(path)
-    assert len(data.records) == 1
+    assert len(data.records) == 2
     assert data.records[0].count == 2
+    assert (data.records[1].length, data.records[1].count) == (2.0, 3)
 
 
 def test_spectrum_parse_error(tmp_path):
