@@ -227,11 +227,10 @@ def cmd_zeta(cfg: RunConfig) -> int:
 
 def cmd_orbits(cfg: RunConfig) -> int:
     if cfg.input:
-        data = orbits.load_orbit_spectrum(cfg.input)
-        records = data.records
-        lines = [f"records {len(records)}",
-                 f"total_count {sum(r.count for r in records)}"]
-        _emit(lines, cfg)
+        records = orbits.load_orbit_spectrum(cfg.input).records
+        # the summary always goes to stdout; --out receives the merged spectrum
+        sys.stdout.write(f"records {len(records)}\n"
+                         f"total_count {sum(r.count for r in records)}\n")
         if cfg.out:
             orbits.write_orbit_spectrum(cfg.out, records)
         return EXIT_OK

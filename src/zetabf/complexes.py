@@ -112,6 +112,9 @@ class CellComplex:
     ``coboundaries[k][i][j]`` is the entry pairing the i-th (k+1)-cell with
     the j-th k-cell.  ``incidence(k)`` returns the integer augmentation (the
     plain CW incidence matrix), which must square to zero exactly.
+    ``self_dual`` declares Poincare self-duality (the ``self_dual=1`` field
+    of a complex file header); builders that know their model is self-dual
+    say so themselves.
     """
 
     counts: Tuple[int, ...]
@@ -120,6 +123,7 @@ class CellComplex:
     generator_labels: Dict[int, str] = field(default_factory=dict)
     relators: Tuple[Word, ...] = ()
     name: str = ""
+    self_dual: bool = False
 
     def __post_init__(self):
         n = len(self.counts)
@@ -392,7 +396,7 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
                 d[i * r:(i + 1) * r, j * r:(j + 1) * r] = acc
         diffs.append(d)
     if poincare_self_dual is None:
-        poincare_self_dual = bool(cc.name)
+        poincare_self_dual = cc.self_dual
     meta = {"cell_counts": cc.counts, "rank": r, "name": cc.name}
     try:
         return TwistedComplex(diffs, grams=grams, meta=meta,
@@ -709,7 +713,8 @@ def _entry_to_str(entry: Entry, generators: Sequence[str]) -> str:
 def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
                        grams: Optional[Sequence[Optional[np.ndarray]]] = None):
     """Canonical writer for the twisted-complex text format (bit-exact)."""
-    lines = [f"complex top={cc.top_degree} rank={rep.rank}"]
+    lines = [f"complex top={cc.top_degree} rank={rep.rank}"
+             + (" self_dual=1" if cc.self_dual else "")]
     lines.append("counts " + " ".join(str(c) for c in cc.counts))
     lines.append("generators " + " ".join(cc.generators))
     for idx in sorted(cc.generator_labels):
@@ -793,6 +798,7 @@ def read_complex_file(path):
         raw = fh.read().splitlines()
 
     top = rank = None
+    self_dual = False
     counts: Optional[Tuple[int, ...]] = None
     generators: List[str] = []
     labels: Dict[int, str] = {}
@@ -820,6 +826,8 @@ def read_complex_file(path):
                     top = int(f[4:])
                 elif f.startswith("rank="):
                     rank = int(f[5:])
+                elif f == "self_dual=1":
+                    self_dual = True
                 else:
                     raise ParseError(lineno, f"unknown header field {f!r}")
             section = None
@@ -885,7 +893,7 @@ def read_complex_file(path):
     relators = tuple(_parse_word(w, gen_index, 0) for w in relator_words)
     cc = CellComplex(counts=counts, coboundaries=tuple(cobs),
                      generators=tuple(generators), generator_labels=labels,
-                     relators=relators, name="file")
+                     relators=relators, name="file", self_dual=self_dual)
     try:
         rep = UnitaryRep(rank, images)
     except ValueError as exc:

@@ -9,11 +9,17 @@ A + lambda directly.  The Mellin route integrates the heat trace
 by quadrature (heat traces from scipy's expm, never from the spectral
 factorisation) and takes -d/ds at s = 0 numerically.  For finite matrices the
 two must agree; the disagreement is the package's basic quadrature diagnostic.
+
+Each quadrature rule evaluates its heat traces with one stacked expm call over
+all of its nodes (scipy runs the same per-slice algorithm, so the traces equal
+single-matrix calls bit for bit).  Gauss nodes and weights are built once per
+node count and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -54,6 +60,27 @@ class FlatDetResult:
     mellin_value: Optional[complex] = None
 
 
+# Matrix entries per stacked expm call; larger stacks are split to bound memory.
+_STACK_ENTRIES = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(rule, nodes: int):
+    """Read-only nodes and weights of ``rule`` (leggauss or laggauss)."""
+    x, w = rule(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _heat_traces(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """tr e^(-t m) at every node t, from stacked expm calls."""
+    step = max(1, _STACK_ENTRIES // max(m.size, 1))
+    return np.concatenate([
+        np.trace(expm(-ts[i:i + step, None, None] * m), axis1=1, axis2=2)
+        for i in range(0, len(ts), step)])
+
+
 def _as_square(matrix) -> np.ndarray:
     a = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -87,13 +114,13 @@ class _HeatQuadrature:
         self.c0 = n - kernel_dim
         self.c1 = -complex(np.trace(m))
 
-        x_gl, w_gl = leggauss(nodes)
+        x_gl, w_gl = _gauss_rule(leggauss, nodes)
         self.u = 0.5 * (x_gl + 1.0)
         self.w_gl = 0.5 * w_gl
         t_low = self.u ** 2
 
         if im_max <= 0.25 * alpha * nodes:
-            x_lag, w_lag = laggauss(nodes)
+            x_lag, w_lag = _gauss_rule(laggauss, nodes)
             self.t_high = 1.0 + x_lag / alpha
             # w * e^x assembled in log space; laggauss weights are positive
             self.w_high = np.exp(np.log(w_lag) + x_lag) / alpha
@@ -102,7 +129,7 @@ class _HeatQuadrature:
             t_end = 1.0 + 44.0 / alpha
             length = min(2.0 / alpha, 6.0 / im_max)
             panels = int(np.ceil((t_end - 1.0) / length))
-            xj, wj = leggauss(max(nodes // 4, 12))
+            xj, wj = _gauss_rule(leggauss, max(nodes // 4, 12))
             ts, ws = [], []
             for p in range(panels):
                 a, b = 1.0 + p * length, min(1.0 + (p + 1) * length, t_end)
@@ -111,12 +138,9 @@ class _HeatQuadrature:
             self.t_high = np.concatenate(ts)
             self.w_high = np.concatenate(ws)
 
-        def heat(t):
-            return complex(np.trace(expm(-t * m))) - kernel_dim
-
-        g_low = np.array([heat(t) for t in t_low])
-        self.h_low = g_low - self.c0 - self.c1 * t_low
-        self.g_high = np.array([heat(t) for t in self.t_high])
+        g = _heat_traces(m, np.concatenate([t_low, self.t_high])) - kernel_dim
+        self.h_low = g[:nodes] - self.c0 - self.c1 * t_low
+        self.g_high = g[nodes:]
 
     def f(self, s: complex) -> complex:
         i_low = 2.0 * np.sum(self.w_gl * self.u ** (2 * s - 1) * self.h_low)

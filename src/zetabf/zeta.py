@@ -282,12 +282,30 @@ def closed_form_suspension(aut: ToralAutomorphism, theta: float,
     return SuspensionZetas(z0, z1, z2, full)
 
 
+# A closed-form factor below this fraction of its largest term is a zero.
+ZETA_ZERO_TOL = 1e-12
+
+
 def zeta_value_at_zero(aut: ToralAutomorphism, theta: float) -> complex:
-    """|zeta(0)|-ready value of the continued suspension zeta at lambda = 0."""
-    if abs(cmath.exp(1j * theta) - 1.0) < 1e-12:
+    """|zeta(0)|-ready value of the continued suspension zeta at lambda = 0.
+
+    A vanishing factor zeta_0, zeta_1 or zeta_2 at lambda = 0 means the twisted
+    mapping torus is not acyclic; it raises NotAcyclicError, carrying the
+    Betti numbers that factor contributes, instead of a huge value.
+    """
+    if abs(cmath.exp(1j * theta) - 1.0) < ZETA_ZERO_TOL:
         raise NotAcyclicError((1,), "theta in 2*pi*Z: zeta_0 vanishes at 0, "
                                     "flat determinant undefined")
-    return closed_form_suspension(aut, theta, 0.0).full
+    zs = closed_form_suspension(aut, theta, 0.0)
+    mu, nu = abs(aut.expanding_eigenvalue), abs(aut.contracting_eigenvalue)
+    for name, value, scale, betti in (
+            ("zeta_1 = (1 - z mu)(1 - z nu)", zs.zeta1, mu * max(1.0, nu), (0, 1, 1, 0)),
+            ("zeta_2 = 1 - det(A) z", zs.zeta2, 1.0, (0, 0, 1, 1))):
+        if abs(value) < ZETA_ZERO_TOL * scale:
+            raise NotAcyclicError(betti, f"{name} vanishes at lambda = 0 for "
+                                         f"theta = {g17(theta)}: flat determinant "
+                                         "undefined")
+    return zs.full
 
 
 def fried_residual(a_matrix, theta: float, sign: int = -1) -> float:

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from zetabf.bv import (
+    ISOTROPY_TOL,
+    BFField,
     Contraction,
+    LagrangianReport,
     build_bf_fields,
     contraction_gauge,
     gauge_polarization,
@@ -166,16 +169,91 @@ def test_contraction_gauge_isotropy_random():
         assert rep.isotropy_subspace < 1e-12
 
 
+def _single_fields(fs, a_bases, b_bases):
+    """Basis columns as separate fields, A columns first, then B."""
+    out = []
+    for side, bases in (("a", a_bases), ("b", b_bases)):
+        for k, mat in enumerate(bases):
+            for j in range(mat.shape[1]):
+                f = fs.zero_field()
+                getattr(f, side)[k][:] = mat[:, j]
+                out.append(f)
+    return out
+
+
+def _reference_report(fs, gs):
+    """LagrangianReport from one single-field omega call per pair."""
+    sub = _single_fields(fs, [s.a_basis for s in gs.slots],
+                         [s.b_basis for s in gs.slots])
+    comp = _single_fields(fs, gs.complement_a, gs.complement_b)
+
+    def max_pairing(fields):
+        worst = 0.0
+        for i, v in enumerate(fields):
+            for w in fields[i:]:
+                worst = max(worst, abs(fs.omega(v, w)))
+        return worst
+
+    iso_sub, iso_comp = max_pairing(sub), max_pairing(comp)
+    dims_match = len(sub) == len(comp)
+    if dims_match and sub:
+        cross = np.array([[fs.omega(v, w) for w in comp] for v in sub])
+        min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
+    else:
+        min_sv = 0.0 if not dims_match else np.inf
+    ok = (iso_sub < ISOTROPY_TOL and iso_comp < ISOTROPY_TOL
+          and dims_match and min_sv > 1e-8)
+    return LagrangianReport(ok, iso_sub, iso_comp, min_sv, dims_match)
+
+
+def _skewed(fs, c):
+    """Contraction gauge deliberately skewed: B side set to conj(ker iota)
+    instead of the annihilator."""
+    gs = contraction_gauge(fs, c)
+    for k, slot in enumerate(gs.slots):
+        slot.b_basis = np.conj(c.kernel_basis(k, fs.base.dims))
+    return gs
+
+
 def test_skewed_subspace_is_not_lagrangian():
     tc = mapping_torus_complex(CAT, math.pi)
     fs = build_bf_fields(tc)
-    c = hodge_contraction(tc)
-    gs = contraction_gauge(fs, c)
-    # deliberately skew: B side set to conj(ker iota) instead of the annihilator
-    for k, slot in enumerate(gs.slots):
-        slot.b_basis = np.conj(c.kernel_basis(k, fs.base.dims))
+    gs = _skewed(fs, hodge_contraction(tc))
     rep = is_lagrangian(fs, gs)
     assert not rep.ok
+    assert rep == _reference_report(fs, gs)
+
+
+def test_is_lagrangian_matches_single_field_pairings():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        tc = random_twisted_complex(rng, top_degree=int(rng.integers(2, 5)),
+                                    max_cells=4, rank=int(rng.integers(1, 3)))
+        fs = build_bf_fields(tc)
+        hodge = hodge_contraction(tc)
+        family = unitary_contraction_family(tc, hodge, rng)
+        gauges = [metric_gauge(fs), contraction_gauge(fs, hodge),
+                  contraction_gauge(fs, random_contraction(tc, rng)),
+                  contraction_gauge(fs, family(0.6)), _skewed(fs, hodge)]
+        for gs in gauges:
+            assert is_lagrangian(fs, gs) == _reference_report(fs, gs)
+
+
+def test_stacked_omega_equals_pairwise():
+    rng = np.random.default_rng(9)
+    tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2)
+    fs = build_bf_fields(tc)
+    vs = [fs.random_field(rng) for _ in range(5)]
+    ws = [fs.random_field(rng) for _ in range(3)]
+
+    def stack(fields):
+        return BFField(tuple(np.column_stack([f.a[k] for f in fields]) for k in range(fs.n + 1)),
+                       tuple(np.column_stack([f.b[k] for f in fields]) for k in range(fs.n + 1)))
+
+    pairwise = np.array([[fs.omega(v, w) for w in ws] for v in vs])
+    stacked = fs.omega(stack(vs), stack(ws))
+    assert stacked.shape == (5, 3)
+    assert np.array_equal(stacked, pairwise)
 
 
 def test_partition_functions_match_torsion_models():

@@ -6,11 +6,16 @@ import math
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from zetabf import complexes
+from zetabf import complexes, orbits
 from zetabf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, g17, main
+
+GOLDEN = Path(__file__).parent / "golden"
+PI = "3.141592653589793"
 
 
 def run_cli(argv):
@@ -52,6 +57,36 @@ def test_torsion_file_input_with_gram(tmp_path):
     assert lines[0] == "betti 0 0 0"
     tc = complexes.build_twisted_complex(*complexes.read_complex_file(path))
     assert lines[1] == f"torsion {g17(complexes.analytic_torsion(tc))}"
+
+
+def _cat_torus_gram_file(tmp_path, self_dual):
+    cc = complexes.mapping_torus_cell_complex([[2, 1], [1, 1]])
+    cc.self_dual = self_dual
+    rep = complexes.character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(2.0j)})
+    rng = np.random.default_rng(5)
+    grams = []
+    for n in cc.counts:
+        z = rng.normal(size=(n, n))
+        grams.append(z @ z.T + n * np.eye(n))
+    path = tmp_path / f"cat_gram_{int(self_dual)}.cplx"
+    complexes.write_complex_file(path, cc, rep, grams)
+    return path
+
+
+def test_torsion_file_self_duality_is_declared(tmp_path):
+    # random Gram blocks break Poincare duality: relation (2) is not reported
+    plain = _cat_torus_gram_file(tmp_path, self_dual=False)
+    assert plain.read_text().splitlines()[0] == "complex top=3 rank=1"
+    code, out, _ = run_cli(["torsion", "--input", str(plain)])
+    assert code == EXIT_OK
+    assert "det_relation_1_residual" in out
+    assert "det_relation_2_residual" not in out
+    # a header declaring self_dual=1 asks for relation (2)
+    declared = _cat_torus_gram_file(tmp_path, self_dual=True)
+    assert declared.read_text().splitlines()[0] == "complex top=3 rank=1 self_dual=1"
+    code, out, _ = run_cli(["torsion", "--input", str(declared)])
+    assert code == EXIT_OK
+    assert "det_relation_2_residual" in out
 
 
 def test_torsion_factorises_each_differential_once(monkeypatch):
@@ -145,6 +180,19 @@ def test_orbits_listing_and_spectrum(tmp_path):
     assert "records 5" in out2
 
 
+def test_orbits_input_out_writes_spectrum_and_prints_summary(tmp_path):
+    src = tmp_path / "dups.txt"
+    row = "1.0 1 1.0 0.0 2.618033988749895 0.3819660112501051 1\n"
+    other = "2.0 1 -1.0 0.0 6.854101966249685 0.14589803375031546 3\n"
+    src.write_text(row + other + row)
+    merged = tmp_path / "merged.txt"
+    code, out, _ = run_cli(["orbits", "--input", str(src), "--out", str(merged)])
+    assert code == EXIT_OK
+    assert out == "records 2\ntotal_count 5\n"
+    records = orbits.load_orbit_spectrum(merged).records
+    assert [(r.length, r.count) for r in records] == [(1.0, 2), (2.0, 3)]
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = circle\ntheta = 3.141592653589793\nsigma = 1\n")
@@ -183,3 +231,23 @@ def test_verify_subset():
     assert code == EXIT_OK
     assert "[PASS] criterion  1" in out
     assert "2/2 criteria passed" in out
+
+
+GOLDEN_COMMANDS = {
+    "torsion_circle_pi.txt": ["torsion", "--model", "circle", "--theta", PI],
+    "bf_cat_pi.txt": ["bf", "--model", "cat", "--theta", PI, "--samples", "10"],
+    "zeta_grid_closed_form.txt": ["zeta", "--A", "2,1,1,1", "--theta", PI,
+                                  "--lambda-start", "2", "--lambda-stop", "5",
+                                  "--lambda-steps", "7", "--closed-form"],
+    "orbits_J12.txt": ["orbits", "--A", "2,1,1,1", "--J", "12"],
+    "bf_cat_2pi3_seed7.txt": ["bf", "--model", "cat", "--theta", "2.0943951023931953",
+                              "--samples", "6", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_stdout(name):
+    """README commands print byte-identical stdout to the recorded runs."""
+    code, out, _ = run_cli(GOLDEN_COMMANDS[name])
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / name).read_bytes()

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
+from zetabf import graded
 from zetabf.errors import MellinDivergenceError
 from zetabf.graded import (
     flat_det,
@@ -78,3 +81,40 @@ def test_mellin_mode_agreement_property():
         a = s @ d @ np.linalg.inv(s)
         r = flat_det(a)
         assert abs(r.mellin_value - r.value) < 1e-6 * abs(r.value)
+
+
+def test_flat_det_stacks_heat_traces(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(graded, "expm", counting)
+    a = np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]])
+    r = flat_det(a)
+    assert r.mellin_value == pytest.approx(r.value, rel=1e-6)
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("matrix, panels", [
+    (np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]]), False),
+    (np.diag([0.2 + 30j, 0.2 - 20j]) + 0.01 * np.array([[0, 1], [1, 0]]), True),
+])
+def test_heat_traces_equal_per_node_expm(matrix, panels):
+    """Stacked heat traces equal single-matrix expm traces bit for bit.
+
+    Both matrices are non-diagonal, so expm takes its Pade route; the second
+    is oscillatory enough for the composite-panel tail."""
+    for nodes in (graded._NODES_LO, graded._NODES_HI):
+        m, _, kdim, alpha, im_max = graded._mellin_setup(graded._as_square(matrix), 0.0)
+        quad = graded._HeatQuadrature(m, kdim, alpha, nodes, im_max)
+        assert (len(quad.t_high) != nodes) == panels
+
+        def heat(t):
+            return complex(np.trace(expm(-t * m))) - kdim
+
+        t_low = quad.u ** 2
+        h_low = np.array([heat(t) for t in t_low]) - quad.c0 - quad.c1 * t_low
+        assert np.array_equal(quad.h_low, h_low)
+        assert np.array_equal(quad.g_high, np.array([heat(t) for t in quad.t_high]))

@@ -179,6 +179,21 @@ def test_fried_requires_acyclic_twist():
         fried_residual([[2, 1], [1, 1]], 0.0)
 
 
+def test_vanishing_zeta2_raises():
+    # det A = -1, so zeta_2 = 1 - det(A) z = 1 + z vanishes at theta = pi
+    flip = ToralAutomorphism.from_matrix([[3, 1], [1, 0]])
+    with pytest.raises(NotAcyclicError) as err:
+        zeta_value_at_zero(flip, math.pi)
+    assert "zeta_2" in str(err.value)
+    assert err.value.betti == (0, 0, 1, 1)
+    with pytest.raises(NotAcyclicError) as err:
+        fried_residual([[3, 1], [1, 0]], math.pi)
+    assert "zeta_2" in str(err.value)
+    # away from the zero the value stays finite and Fried's identity holds
+    assert abs(zeta_value_at_zero(flip, 2.0)) < 10.0
+    assert fried_residual([[3, 1], [1, 0]], 2.0) < 1e-10
+
+
 def test_zeta_grid_rows_flag_divergence():
     rows = zeta_grid_rows(DATA, 0.0, [0.3 + 0j, 3.0 + 0j], [0, "full"], 20)
     assert len(rows) == 4
