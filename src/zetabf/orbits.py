@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,6 +157,11 @@ class OrbitRecord:
             raise ValidationError(
                 "poincare_eigs", f"eigenvalue product {prod} not of modulus 1"
             )
+        if not abs(self.eig_contracting) < 1.0 < abs(self.eig_expanding):
+            raise ValidationError(
+                "poincare_eigs", "need |eig_contracting| < 1 < |eig_expanding|, got "
+                f"{self.eig_expanding} and {self.eig_contracting}"
+            )
         if self.holonomy is not None and abs(abs(self.holonomy) - 1.0) > 1e-9:
             raise ValidationError("holonomy", f"|holonomy| = {abs(self.holonomy)} != 1")
         if self.holonomy is None and self.winding is None:
@@ -178,6 +184,11 @@ class OrbitData:
     def is_suspension(self) -> bool:
         return self.aut is not None
 
+    @cached_property
+    def term_tables(self) -> dict:
+        """The orbit-term tables of ``zetabf.zeta``, one per truncation J."""
+        return {}
+
 
 def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[OrbitRecord]:
     """Primitive-orbit records for periods <= j_max via Moebius inversion.
@@ -186,6 +197,9 @@ def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[Orbit
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    if j_max > _MAX_POWER:
+        raise ValidationError("J", f"periods above {_MAX_POWER} leave the guarded "
+                                   f"range of exact powers, got {j_max}")
     fixed = {j: count_fixed_points(aut, j) for j in range(1, j_max + 1)}
     mu = aut.expanding_eigenvalue
     records = []

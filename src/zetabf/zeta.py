@@ -6,15 +6,40 @@ trace of the transfer semigroup into a Dirichlet-type sum over orbit times and
 takes -d/ds at s = 0 numerically.  Continuation to lambda = 0 happens only
 through the closed-form resummation available for constant-roof suspensions,
 never by evaluating an Euler product outside its half-plane.
+
+Both orbit sums read one term table per (OrbitData, J), cached on the
+OrbitData: the record order and repetition cut-off, each term's record and
+repetition j, and per-record constants, with the holonomy powers of the
+last theta and the weights tr Lambda^k P^j / |det(I - P^j)| added per k on
+first use.  The table is read in blocks of _BLOCK terms.  Its values are bit
+for bit those of a term-by-term Python loop:
+
+* exp and pow are libm's, called once per term (math.exp, or cmath.exp when
+  lambda has a nonzero imaginary part, and pow); numpy's vectorised exp and
+  power differ from libm in the last bit on some machines;
+* complex products follow CPython's formula on real and imaginary arrays, a
+  real factor entering as (x, 0.0), and so does division by a real;
+* holonomies are raised to the power j by CPython's binary exponentiation for
+  j <= 100, and by scalar ** above;
+* sums run left to right with np.add.accumulate, carried across blocks, never
+  with the pairwise np.sum;
+* Poincare eigenvalue powers are scalar **, so exactly the inputs that
+  overflow term by term raise the same OverflowError.
+
+The mirrored arithmetic is that of CPython 3.10 to 3.13, in which a real
+operand of a complex product enters as (x, 0.0) and sum() adds complex numbers
+left to right; the identity was checked on 3.11.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+import numpy as np
 from scipy.special import rgamma
 
 from .complexes import analytic_torsion, mapping_torus_complex
@@ -104,42 +129,222 @@ def _record_tail(rec: OrbitRecord, lam: complex, k: DegreeSpec, j_min: int) -> f
     return rec.count * weight * ratio ** j_min / (j_min * (1.0 - ratio))
 
 
-def _terms(data: OrbitData, J: int):
-    """Deterministically ordered (record, repetition) terms.
-
-    For suspension data the repetition index is truncated by total winding
-    j * period <= J; for ingested spectra by j <= J.
-    """
-    out = []
-    for rec in sorted(data.records, key=lambda r: (r.length, r.count)):
-        if data.is_suspension and rec.period is not None:
-            reps = range(1, J // rec.period + 1)
-        else:
-            reps = range(1, J + 1)
-        for j in reps:
-            out.append((rec, j))
-    return out
-
-
-def _log_zeta(data: OrbitData, theta: float, lam: complex, k: DegreeSpec,
-              J: int) -> ZetaEvaluation:
+def _tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
+    """Truncation certificate of a J-term orbit sum; raises where it diverges."""
     if data.is_suspension:
         tail = _suspension_tail(data, lam, k, J)
     else:
         tail = sum(_record_tail(rec, lam, k, J + 1) for rec in data.records)
     if not math.isfinite(tail):
         raise DivergentRegionError(lam)
+    return tail
 
-    total = 0.0 + 0.0j
-    for rec, j in _terms(data, J):
-        hol = _holonomy(rec, theta) ** j
-        damp = cmath.exp(-lam * j * rec.length)
-        if k == "full":
-            weight = 1.0
-        else:
-            weight = _wedge_trace(rec, j, k) / abs(_det_i_minus_p(rec, j))
-        total += -rec.count * hol * damp * weight / j
-    return ZetaEvaluation(lam=lam, k=k, value=total, J=J,
+
+# -- the orbit-term table ---------------------------------------------------------
+
+# Terms per evaluation block; a table is read in slices of this size so the
+# temporaries stay small on long ingested spectra.
+_BLOCK = 1 << 12
+
+# CPython raises a complex number to an integer power up to this exponent by
+# binary exponentiation, and through exp/log above it.
+_POWI_MAX = 100
+
+
+def _mul(ar, ai, br, bi):
+    """CPython's complex product on (real, imag) arrays; a real x enters as (x, 0.0)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div_real(ar, ai, d):
+    """CPython's complex quotient by the real d > 0, entered as (d, 0.0)."""
+    return (ar + ai * 0.0) / d, (ai - ar * 0.0) / d
+
+
+def _powi(br, bi, j):
+    """b ** j for integers 1 <= j <= _POWI_MAX, by CPython's binary exponentiation."""
+    rr, ri = np.ones_like(br), np.zeros_like(br)
+    pr, pi = br, bi
+    bit, top = 1, int(j.max(initial=0))
+    while bit <= top:
+        hit = (j & bit) != 0
+        nr, ni = _mul(rr, ri, pr, pi)
+        rr, ri = np.where(hit, nr, rr), np.where(hit, ni, ri)
+        pr, pi = _mul(pr, pi, pr, pi)
+        bit <<= 1
+    return rr, ri
+
+
+def _exp_neg(lam: complex, *factors):
+    """exp(-lam * f1 * f2 * ...) per term, multiplied left to right as CPython does.
+
+    The exponentials are libm's, one Python call per term: numpy's vectorised
+    exp can differ in the last bit.
+    """
+    if isinstance(lam, complex):
+        zr, zi = -lam.real, -lam.imag
+        for f in factors:
+            zr, zi = _mul(zr, zi, f, 0.0)
+    else:
+        zr, zi = -lam, 0.0
+        for f in factors:
+            zr = zr * f
+    n = zr.size
+    if not np.any(zi):
+        # cmath.exp(x +- 0j) = (exp(x), exp(x) * +-0.0)
+        er = np.fromiter(map(math.exp, zr.tolist()), float, n)
+        return er, er * zi
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = zr, zi
+    e = np.fromiter(map(cmath.exp, z.tolist()), complex, n)
+    return e.real, e.imag
+
+
+def _part(x, s: slice):
+    """Block s of a per-term array; a scalar applies to every term."""
+    return x[s] if isinstance(x, np.ndarray) else x
+
+
+def _running_sum(carry: float, x: np.ndarray) -> float:
+    """carry + x[0] + x[1] + ... added left to right, as a Python loop adds.
+
+    np.sum adds pairwise and can differ in the last bit.
+    """
+    if x.size == 0:
+        return carry
+    return float(np.add.accumulate(np.concatenate(([carry], x)))[-1])
+
+
+class _TermTable:
+    """The (record, repetition) terms of one truncation J as flat arrays.
+
+    Records are sorted by (length, count); for suspension data the repetition
+    index is truncated by total winding j * period <= J, for ingested spectra
+    by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
+    The holonomy powers are kept for the last theta only, so a sweep over
+    theta holds one pair of arrays; the Poincare weights are added per degree
+    k on first use.
+    """
+
+    def __init__(self, data: OrbitData, J: int):
+        self.records = sorted(data.records, key=lambda r: (r.length, r.count))
+        reps = [max(0, J // r.period if data.is_suspension and r.period is not None
+                    else J) for r in self.records]
+        self.rec = np.repeat(np.arange(len(reps)), reps)
+        self.j = np.arange(self.rec.size) - np.repeat(np.cumsum(reps) - reps, reps) + 1
+        self.size = self.rec.size
+        self.length = np.array([r.length for r in self.records], dtype=float)
+        self.neg_count = np.array([float(-r.count) for r in self.records])
+        self.count_length = np.array([r.count * r.length for r in self.records],
+                                     dtype=float)
+        self._holonomy = (None, None)     # (theta, powers)
+        self._degrees = {}
+        self._poincare = None
+
+    def blocks(self):
+        """(slice, record index, float j) of each block of terms."""
+        for a in range(0, self.size, _BLOCK):
+            s = slice(a, a + _BLOCK)
+            yield s, self.rec[s], self.j[s].astype(float)
+
+    def holonomy_powers(self, theta: float):
+        """(re, im) of holonomy ** j per term, and the mask of terms whose
+        holonomy is a real number (None when every holonomy is complex)."""
+        last, hit = self._holonomy
+        if last != theta:
+            bases = [_holonomy(r, theta) for r in self.records]
+            b = np.array(bases, dtype=complex)
+            re, im = np.empty(self.size), np.empty(self.size)
+            for s, rec, _ in self.blocks():
+                re[s], im[s] = _powi(b.real[rec], b.imag[rec], self.j[s])
+            real = np.array([not isinstance(h, complex) for h in bases], dtype=bool)
+            for i in np.flatnonzero((self.j > _POWI_MAX) | real[self.rec]).tolist():
+                h = bases[self.rec[i]] ** int(self.j[i])
+                re[i], im[i] = h.real, h.imag
+            hit = (re, im, real[self.rec] if real.any() else None)
+            self._holonomy = (theta, hit)
+        return hit
+
+    def _times_holonomy(self, c, s, theta: float):
+        """c * holonomy ** j on block s, formed as CPython forms it."""
+        hr, hi, real = self.holonomy_powers(theta)
+        re, im = _mul(c, 0.0, hr[s], hi[s])
+        if real is not None:     # a real power multiplies as a float: (c * h, 0.0)
+            im = np.where(real[s], 0.0, im)
+        return re, im
+
+    def _poincare_powers(self, name: str) -> np.ndarray:
+        """Per term, the record's eigenvalue ``name`` to the power j, as scalar
+        ``**`` so that an overflow raises as it does term by term."""
+        eigs = [getattr(r, name) for r in self.records]
+        out = np.empty(self.size)
+        for s, rec, _ in self.blocks():
+            out[s] = np.fromiter(map(pow, map(eigs.__getitem__, rec.tolist()),
+                                     self.j[s].tolist()), float, rec.size)
+        return out
+
+    def degree(self, k: int):
+        """(tr Lambda^k P^j, |det(I - P^j)|, their quotient) per term; the
+        trace is the float 1.0 for k = 0, as it is term by term."""
+        hit = self._degrees.get(k)
+        if hit is None:
+            if self._poincare is None:
+                eu = self._poincare_powers("eig_expanding")
+                es = self._poincare_powers("eig_contracting")
+                self._poincare = (eu, es, np.abs((1.0 - eu) * (1.0 - es)))
+            eu, es, abs_det = self._poincare
+            wedge = (1.0, eu + es, eu * es)[k]
+            hit = self._degrees[k] = (wedge, abs_det, wedge / abs_det)
+        return hit
+
+    def log_zeta(self, theta: float, lam: complex, k: DegreeSpec) -> complex:
+        """-sum (1/j) count hol^j e^(-lam j l) weight over the table."""
+        weight = 1.0 if k == "full" else self.degree(k)[2]
+        total_re = total_im = 0.0
+        for s, rec, jf in self.blocks():
+            re, im = self._times_holonomy(self.neg_count[rec], s, theta)
+            re, im = _mul(re, im, *_exp_neg(lam, jf, self.length[rec]))
+            re, im = _mul(re, im, _part(weight, s), 0.0)
+            re, im = _div_real(re, im, jf)
+            total_re = _running_sum(total_re, re)
+            total_im = _running_sum(total_im, im)
+        return complex(total_re, total_im)
+
+    def mellin_sums(self, theta: float, lam: complex, k: int, exponents):
+        """sum amp * t^e over the table for each e, with t = j l and
+        amp = count l hol^j e^(-lam t) tr Lambda^k P^j / |det(I - P^j)|."""
+        wedge, abs_det, _ = self.degree(k)
+        sums = [[0.0, 0.0] for _ in exponents]
+        for s, rec, jf in self.blocks():
+            t = jf * self.length[rec]
+            re, im = self._times_holonomy(self.count_length[rec], s, theta)
+            re, im = _mul(re, im, *_exp_neg(lam, t))
+            re, im = _mul(re, im, _part(wedge, s), 0.0)
+            re, im = _div_real(re, im, abs_det[s])
+            times = t.tolist()
+            for acc, e in zip(sums, exponents):
+                p = np.fromiter(map(pow, times, itertools.repeat(e)), float, t.size)
+                pr, pi = _mul(re, im, p, 0.0)
+                acc[0] = _running_sum(acc[0], pr)
+                acc[1] = _running_sum(acc[1], pi)
+        # an empty Python sum is the integer 0
+        return [complex(*acc) if self.size else 0 for acc in sums]
+
+
+def _term_table(data: OrbitData, J: int) -> _TermTable:
+    """The term table of (data, J), built once and cached on ``data``."""
+    table = data.term_tables.get(J)
+    if table is None:
+        table = data.term_tables[J] = _TermTable(data, J)
+    return table
+
+
+def _log_zeta(data: OrbitData, theta: float, lam: complex, k: DegreeSpec,
+              J: int) -> ZetaEvaluation:
+    tail = _tail(data, lam, k, J)
+    with np.errstate(all="ignore"):
+        value = _term_table(data, J).log_zeta(theta, lam, k)
+    return ZetaEvaluation(lam=lam, k=k, value=value, J=J,
                           truncation_error_bound=tail)
 
 
@@ -230,24 +435,20 @@ def mellin_log_zeta(data: OrbitData, theta: float, lam: complex, k: int,
     """
     if not 0 <= k <= 2 * TRANSVERSE_RANK:
         raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
-    # reuse the tail certificate/divergence policing of the direct route
-    _log_zeta(data, theta, lam, k, J)
-
-    terms = []
-    for rec, j in _terms(data, J):
-        t = j * rec.length
-        amp = (rec.count * rec.length * _holonomy(rec, theta) ** j
-               * cmath.exp(-lam * t)
-               * _wedge_trace(rec, j, k) / abs(_det_i_minus_p(rec, j)))
-        terms.append((t, amp))
+    _tail(data, lam, k, J)      # divergence policing of the direct route
+    h = _FD_STEP
+    steps = (h / 2, -h / 2, h, -h)
+    with np.errstate(all="ignore"):
+        sums = _term_table(data, J).mellin_sums(theta, lam, k,
+                                                [s - 1.0 for s in steps])
+    sums = dict(zip(steps, sums))
 
     def f(s: float) -> complex:
-        return rgamma(s) * sum(amp * t ** (s - 1.0) for t, amp in terms)
+        return rgamma(s) * sums[s]
 
     def diff(step: float) -> complex:
         return (f(step) - f(-step)) / (2 * step)
 
-    h = _FD_STEP
     return -(4 * diff(h / 2) - diff(h)) / 3
 
 
@@ -291,11 +492,13 @@ def zeta_value_at_zero(aut: ToralAutomorphism, theta: float) -> complex:
 
     A vanishing factor zeta_0, zeta_1 or zeta_2 at lambda = 0 means the twisted
     mapping torus is not acyclic; it raises NotAcyclicError, carrying the
-    Betti numbers that factor contributes, instead of a huge value.
+    Betti numbers of that mapping torus, instead of a huge value.
     """
     if abs(cmath.exp(1j * theta) - 1.0) < ZETA_ZERO_TOL:
-        raise NotAcyclicError((1,), "theta in 2*pi*Z: zeta_0 vanishes at 0, "
-                                    "flat determinant undefined")
+        # the untwisted mapping torus: H^2 and H^3 survive only if A preserves orientation
+        betti = (1, 1, 1, 1) if aut.det == 1 else (1, 1, 0, 0)
+        raise NotAcyclicError(betti, "theta in 2*pi*Z: zeta_0 vanishes at 0, "
+                                     "flat determinant undefined")
     zs = closed_form_suspension(aut, theta, 0.0)
     mu, nu = abs(aut.expanding_eigenvalue), abs(aut.contracting_eigenvalue)
     for name, value, scale, betti in (

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetabf import complexes, orbits
+from zetabf import complexes, orbits, zeta
 from zetabf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, g17, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,6 +107,43 @@ def test_torsion_factorises_each_differential_once(monkeypatch):
     assert code == EXIT_OK
     assert calls["svd"] <= 7
     assert calls["eigvalsh"] <= 5
+
+
+def test_zeta_grid_builds_one_term_table(monkeypatch):
+    # the README grid: 7 lambdas x 4 degrees read one table of the orbit data
+    tables, evaluations = Counter(), Counter()
+    real_init = zeta._TermTable.__init__
+
+    def counting_init(self, data, J):
+        tables[J] += 1
+        real_init(self, data, J)
+
+    def counting(name):
+        real = getattr(zeta, name)
+
+        def wrapper(*args, **kwargs):
+            evaluations[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(zeta._TermTable, "__init__", counting_init)
+    for name in ("log_zeta_k", "log_zeta_full"):
+        monkeypatch.setattr(zeta, name, counting(name))
+    code, _, _ = run_cli(GOLDEN_COMMANDS["zeta_grid_closed_form.txt"])
+    assert code == EXIT_OK
+    assert evaluations == {"log_zeta_k": 21, "log_zeta_full": 7}
+    assert tables == {40: 1}
+
+
+@pytest.mark.parametrize("argv", [["zeta", "--A", "2,1,1,1", "--J", "80"],
+                                  ["orbits", "--A", "2,1,1,1", "--J", "70"]],
+                         ids=["zeta", "orbits"])
+def test_periods_above_64_are_a_domain_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "ValidationError" in err
+    assert "64" in err
 
 
 def test_torsion_non_acyclic_exit_code():
@@ -239,6 +276,14 @@ GOLDEN_COMMANDS = {
     "zeta_grid_closed_form.txt": ["zeta", "--A", "2,1,1,1", "--theta", PI,
                                   "--lambda-start", "2", "--lambda-stop", "5",
                                   "--lambda-steps", "7", "--closed-form"],
+    "zeta_grid_complex_J64.txt": ["zeta", "--A", "2,1,1,1", "--theta", PI,
+                                  "--lambda-start", "2", "--lambda-stop", "5",
+                                  "--lambda-steps", "7", "--closed-form",
+                                  "--lambda-imag", "0.5", "--J", "64"],
+    "zeta_grid_closed_form_json.txt": ["zeta", "--A", "2,1,1,1", "--theta", PI,
+                                       "--lambda-start", "2", "--lambda-stop", "5",
+                                       "--lambda-steps", "7", "--closed-form",
+                                       "--format", "json"],
     "orbits_J12.txt": ["orbits", "--A", "2,1,1,1", "--J", "12"],
     "bf_cat_2pi3_seed7.txt": ["bf", "--model", "cat", "--theta", "2.0943951023931953",
                               "--samples", "6", "--seed", "7"],

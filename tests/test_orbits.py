@@ -97,6 +97,30 @@ def test_orbit_record_validation():
                     eig_contracting=0.7, holonomy=1.0)
 
 
+@pytest.mark.parametrize("eigs", [(1 / 1.5, 1.5), (1.0, 1.0), (-1.0, -1.0)],
+                         ids=["swapped", "unit", "minus_unit"])
+def test_non_hyperbolic_poincare_eigenvalues_rejected(tmp_path, eigs):
+    # swapped eigenvalues give a tail certificate that is too small, and a
+    # unit eigenvalue makes det(I - P^j) vanish
+    eu, es = eigs
+    with pytest.raises(ValidationError) as err:
+        OrbitRecord(length=1.0, count=1, eig_expanding=eu, eig_contracting=es,
+                    holonomy=1.0 + 0j)
+    assert err.value.field == "poincare_eigs"
+    path = tmp_path / "eigs.txt"
+    path.write_text(f"1.0 1 1.0 0.0 {eu!r} {es!r} 1\n")
+    with pytest.raises(ValidationError) as err:
+        load_orbit_spectrum(path)
+    assert err.value.field == "poincare_eigs"
+
+
+def test_periods_beyond_exact_power_range_rejected():
+    assert len(enumerate_primitive_orbits(CAT, 64)) == 64
+    with pytest.raises(ValidationError) as err:
+        enumerate_primitive_orbits(CAT, 65)
+    assert "64" in str(err.value)
+
+
 def test_spectrum_roundtrip(tmp_path):
     records = enumerate_primitive_orbits(CAT, 4)
     path = tmp_path / "orbits.txt"

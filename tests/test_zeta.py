@@ -4,9 +4,19 @@ import cmath
 import math
 
 import pytest
+from scipy.special import rgamma
 
+from zetabf import zeta
+from zetabf.complexes import mapping_torus_complex
 from zetabf.errors import DivergentRegionError, NotAcyclicError, SupportTooWideError
-from zetabf.orbits import OrbitData, OrbitRecord, ToralAutomorphism, suspension_orbits
+from zetabf.orbits import (
+    OrbitData,
+    OrbitRecord,
+    ToralAutomorphism,
+    load_orbit_spectrum,
+    suspension_orbits,
+    write_orbit_spectrum,
+)
 from zetabf.zeta import (
     BumpSpec,
     closed_form_suspension,
@@ -154,6 +164,17 @@ def test_closed_form_degenerates_at_trivial_twist():
         zeta_value_at_zero(CAT, 0.0)
 
 
+@pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[3, 1], [1, 0]]],
+                         ids=["det_plus", "det_minus"])
+def test_vanishing_zeta0_reports_betti_numbers(matrix):
+    aut = ToralAutomorphism.from_matrix(matrix)
+    for theta in (0.0, 2 * math.pi):
+        with pytest.raises(NotAcyclicError) as err:
+            zeta_value_at_zero(aut, theta)
+        assert "zeta_0 vanishes" in str(err.value)
+        assert err.value.betti == mapping_torus_complex(matrix, theta).betti_numbers()
+
+
 def test_closed_form_matches_truncated_products():
     for lam in (3.0, 4.0):
         for theta in (0.0, math.pi / 2):
@@ -199,3 +220,173 @@ def test_zeta_grid_rows_flag_divergence():
     assert len(rows) == 4
     statuses = [r.split(",")[-1] for r in rows]
     assert statuses == ["ok", "divergent", "ok", "ok"]
+
+
+# -- the term table against a term-by-term loop -----------------------------------
+
+
+def reference_terms(data, J):
+    out = []
+    for rec in sorted(data.records, key=lambda r: (r.length, r.count)):
+        if data.is_suspension and rec.period is not None:
+            reps = range(1, J // rec.period + 1)
+        else:
+            reps = range(1, J + 1)
+        for j in reps:
+            out.append((rec, j))
+    return out
+
+
+def reference_log_zeta(data, theta, lam, k, J):
+    """The orbit sum as a plain Python loop: value and certificate."""
+    if data.is_suspension:
+        tail = zeta._suspension_tail(data, lam, k, J)
+    else:
+        tail = sum(zeta._record_tail(rec, lam, k, J + 1) for rec in data.records)
+    if not math.isfinite(tail):
+        raise DivergentRegionError(lam)
+    total = 0.0 + 0.0j
+    for rec, j in reference_terms(data, J):
+        hol = zeta._holonomy(rec, theta) ** j
+        damp = cmath.exp(-lam * j * rec.length)
+        if k == "full":
+            weight = 1.0
+        else:
+            weight = zeta._wedge_trace(rec, j, k) / abs(zeta._det_i_minus_p(rec, j))
+        total += -rec.count * hol * damp * weight / j
+    return total, tail
+
+
+def reference_mellin(data, theta, lam, k, J):
+    reference_log_zeta(data, theta, lam, k, J)
+    terms = []
+    for rec, j in reference_terms(data, J):
+        t = j * rec.length
+        amp = (rec.count * rec.length * zeta._holonomy(rec, theta) ** j
+               * cmath.exp(-lam * t)
+               * zeta._wedge_trace(rec, j, k) / abs(zeta._det_i_minus_p(rec, j)))
+        terms.append((t, amp))
+
+    def f(s):
+        return rgamma(s) * sum(amp * t ** (s - 1.0) for t, amp in terms)
+
+    def diff(step):
+        return (f(step) - f(-step)) / (2 * step)
+
+    h = zeta._FD_STEP
+    return -(4 * diff(h / 2) - diff(h)) / 3
+
+
+def bits(z):
+    """Float hex of both parts, so signed zeros count too."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, DivergentRegionError) as exc:
+        return type(exc)
+
+
+def check_table_against_loop(data, thetas, lams, Js):
+    for J in Js:
+        for theta in thetas:
+            for lam in lams:
+                for k in (0, 1, 2, "full"):
+                    want = outcome(reference_log_zeta, data, theta, lam, k, J)
+                    ev = outcome(zeta._log_zeta, data, theta, lam, k, J)
+                    if isinstance(want, type):
+                        assert ev is want, (J, theta, lam, k)
+                    else:
+                        assert bits(ev.value) == bits(want[0]), (J, theta, lam, k)
+                        assert ev.truncation_error_bound == want[1]
+                    if k == "full":
+                        continue
+                    want = outcome(reference_mellin, data, theta, lam, k, J)
+                    got = outcome(mellin_log_zeta, data, theta, lam, k, J)
+                    if isinstance(want, type):
+                        assert got is want, (J, theta, lam, k)
+                    else:
+                        assert bits(got) == bits(want), (J, theta, lam, k)
+
+
+POOL = [(2, 1, 1, 1), (3, 1, 2, 1), (3, 1, 1, 0), (4, 1, 1, 0)]
+THETAS = (0.0, math.pi / 2, math.pi)
+LAMS = (2.5 + 0j, 3 + 2j, 4.0, 0.5)
+
+
+@pytest.mark.parametrize("matrix", POOL, ids=[f"{m[0]}{m[1]}{m[2]}{m[3]}" for m in POOL])
+def test_term_table_matches_loop_on_suspensions(matrix):
+    # J = 130 runs repetitions above 100, where Python's complex ** switches
+    # from binary exponentiation to exp/log
+    aut = ToralAutomorphism(*matrix, roof=1.3)
+    check_table_against_loop(suspension_orbits(aut, 40), THETAS, LAMS, (12, 40))
+    check_table_against_loop(suspension_orbits(aut, 64), THETAS, LAMS, (64, 130))
+
+
+@pytest.mark.parametrize("matrix", POOL, ids=[f"{m[0]}{m[1]}{m[2]}{m[3]}" for m in POOL])
+def test_term_table_matches_loop_on_loaded_spectra(tmp_path, matrix):
+    # complex holonomies and no periods: every record repeats J times, and the
+    # Poincare powers overflow on the long truncations as they do term by term
+    path = tmp_path / "spectrum.txt"
+    write_orbit_spectrum(path, suspension_orbits(ToralAutomorphism(*matrix), 6).records,
+                         theta=2.2)
+    check_table_against_loop(load_orbit_spectrum(path), (0.0, 1.0), LAMS, (12, 40, 64, 130))
+
+
+# real-typed holonomies multiply as floats; windings twist with theta; the
+# short records keep repetitions above 100 significant in the sum
+HAND_RECORDS = (
+    OrbitRecord(length=1.7, count=3, eig_expanding=-3.0, eig_contracting=-1 / 3.0,
+                holonomy=-1.0),
+    OrbitRecord(length=0.9, count=2, eig_expanding=2.5, eig_contracting=0.4,
+                holonomy=0.6 - 0.8j),
+    OrbitRecord(length=2.2, count=1, eig_expanding=1.5, eig_contracting=1 / 1.5,
+                winding=3),
+    OrbitRecord(length=0.004, count=2, eig_expanding=1.004, eig_contracting=1 / 1.004,
+                holonomy=cmath.exp(0.3j)),
+    OrbitRecord(length=0.005, count=1, eig_expanding=1.003, eig_contracting=1 / 1.003,
+                holonomy=0.9999999995),
+)
+
+
+def test_term_table_matches_loop_on_hand_records():
+    check_table_against_loop(OrbitData(HAND_RECORDS), (0.0, -0.0, 2.5), LAMS, (12, 130))
+    check_table_against_loop(OrbitData(()), (0.0,), LAMS, (12,))
+
+
+def test_term_table_holonomy_factor_matches_scalar_power():
+    # -count * holonomy ** j per term, as Python forms it: binary
+    # exponentiation up to j = 100, exp/log above, float pow for a real holonomy
+    data = OrbitData(HAND_RECORDS)
+    table = zeta._TermTable(data, 130)
+    for theta in (0.0, 2.5):
+        re, im = table._times_holonomy(table.neg_count[table.rec], slice(None), theta)
+        for i, (rec, j) in enumerate(reference_terms(data, 130)):
+            want = -rec.count * zeta._holonomy(rec, theta) ** j
+            assert bits(complex(re[i], im[i])) == bits(want), (rec, j)
+
+
+def test_term_table_matches_loop_on_a_fine_grid():
+    # many distinct leading exponentials: numpy's exp differs from libm's in
+    # the last bit on a few percent of them
+    lams = [complex(x, y) for x in (2.0, 2.3, 2.7, 3.1, 3.6, 4.2, 5.5)
+            for y in (0.0, 0.7)]
+    data = suspension_orbits(ToralAutomorphism(3, 1, 1, 0, roof=0.37), 12)
+    check_table_against_loop(data, (0.0, 0.9, 2.0), lams, (12,))
+
+
+def test_term_table_blocks_match_loop(monkeypatch):
+    # a table longer than one block carries its sums across the blocks
+    monkeypatch.setattr(zeta, "_BLOCK", 7)
+    check_table_against_loop(suspension_orbits(CAT, 40), (1.0,), (3 + 2j, 2.0), (40,))
+
+
+def test_term_table_cached_per_truncation():
+    data = suspension_orbits(CAT, 20)
+    log_zeta_k(data, 0.5, 3.0, 1, J=20)
+    mellin_log_zeta(data, 0.5, 3.0 + 0j, 2, J=20)
+    log_zeta_full(data, 1.5, 2.0, J=12)
+    assert sorted(data.term_tables) == [12, 20]
