@@ -14,10 +14,13 @@ Shared factorisations: the metric gauge and the Hodge contraction read the
 same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
 vectors per differential, cut at the rank of the complex's spectral record),
 and random contractions take their ranks from that record.  A contraction
-factorises each iota_k once; its validation, gauge, sdet(iota o a) and Lie
-operator all reuse those kernel bases.  The SVDs of the restricted action
-blocks and of the isotropy cross pairing stay separate: they are the
-checks that the gauge-fixed side reproduces the torsion.
+reads its degree dimensions off the shapes of iota, validates itself once, on
+construction, and factorises each iota_k once; its validation, gauge,
+sdet(iota o a) and Lie operator all reuse those kernel bases.  The unitary-
+normalised constructors (Hodge, random, suspension, homotopy families) build
+only iota and leave a = iota^dagger to ``Contraction.unitary``.  The SVDs of
+the restricted action blocks and of the isotropy cross pairing stay separate:
+they are the checks that the gauge-fixed side reproduces the torsion.
 
 Fields may be stacked: a ``BFField`` whose slot components are d_k x N
 matrices holds N fields as columns, and ``omega`` of two stacked fields is the
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -69,18 +72,11 @@ class BFFieldSpace:
         self.base = base.orthonormalized()
         self.n = self.base.top_degree
         self.dims = self.base.dims
-        # degree bookkeeping; asserts the pairing carries degree -1
         self.a_degrees = tuple(1 - k for k in range(self.n + 1))
-        self.b_degrees = tuple(k - 2 for k in range(self.n + 1))
-        for da, db in zip(self.a_degrees, self.b_degrees):
-            if da + db != -1:
-                raise AssertionError("pairing does not have degree -1")
 
     def a_parity(self, k: int) -> int:
+        """Parity of the degree-k A slot; its B partner has the other one."""
         return self.a_degrees[k] % 2
-
-    def b_parity(self, k: int) -> int:
-        return self.b_degrees[k] % 2
 
     def zero_field(self) -> BFField:
         return BFField(tuple(np.zeros(d, dtype=complex) for d in self.dims),
@@ -145,7 +141,6 @@ class GaugeSlot:
     the coordinates the Gaussian integral is performed in.
     """
 
-    degree: int
     a_basis: np.ndarray
     b_basis: np.ndarray
     a_param: np.ndarray
@@ -156,9 +151,9 @@ class GaugeSlot:
 class GaugeSubspace:
     """A Lagrangian gauge-fixing subspace plus its declared parametrisation.
 
-    ``constraint`` records the cutting equations; ``jacobian_convention`` is
-    the declared super-volume factor of the parametrisation (|sdet d*| for
-    the metric parametrisation, 1 for normalised contractions).
+    ``jacobian_convention`` is the declared super-volume factor of the
+    parametrisation (|sdet d*| for the metric parametrisation, 1 for
+    normalised contractions).
     """
 
     kind: str
@@ -166,8 +161,6 @@ class GaugeSubspace:
     complement_a: List[np.ndarray]
     complement_b: List[np.ndarray]
     jacobian_convention: float
-    constraint: str = ""
-    contraction: Optional["Contraction"] = None
 
 
 def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
@@ -199,32 +192,37 @@ def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
         else:
             b_param = b_basis[:, :0]
         # Jacobian: super volume factor of the declared parametrisation
-        for mat, parity in ((a_param, fs.a_parity(k)), (b_param, fs.b_parity(k))):
+        a_par = fs.a_parity(k)
+        for mat, parity in ((a_param, a_par), (b_param, 1 - a_par)):
             if mat.shape[1] == 0:
                 continue
             gram = mat.conj().T @ mat
             sign, ld = np.linalg.slogdet(gram)
             eta = 1.0 if parity == 1 else -1.0
             log_jac += 0.5 * eta * ld
-        slots.append(GaugeSlot(k, a_basis, b_basis, a_param, b_param))
+        slots.append(GaugeSlot(a_basis, b_basis, a_param, b_param))
 
     complement_a = [exact[k] for k in range(n + 1)]
     complement_b = [np.conj(coexact[k]) for k in range(n + 1)]
     return GaugeSubspace("metric", slots, complement_a, complement_b,
-                         math.exp(log_jac), constraint="d* A = 0, d* B = 0")
+                         math.exp(log_jac))
 
 
 @dataclass
 class Contraction:
     """Square-zero degree -1 map with a normalised complement injection.
 
-    ``iota[k]`` maps C^k to C^(k-1) (entry 0 is the zero map out of C^0);
-    ``a_maps[k]`` injects C^k into C^(k+1) with iota o a = id on ker iota.
-    The gauge-independence theorems of the test suite cover the unitary-
-    normalised class a = iota^dagger (iota a partial isometry); the
-    normalisation sdet(iota o a) = 1 holds for every valid instance.  The
-    contraction owns both families and marks their arrays read-only, so the
-    kernel bases, factorised once, cannot go stale.
+    ``iota[k]`` maps C^k to C^(k-1) (entry 0 is the zero map out of C^0), so
+    the degree dimensions ``dims`` are read off its shapes; ``a_maps[k]``
+    injects C^k into C^(k+1) with iota o a = id on ker iota (entry n is the
+    zero map out of the top degree).  The gauge-independence theorems of the
+    test suite cover the unitary-normalised class a = iota^dagger (iota a
+    partial isometry), which ``Contraction.unitary`` builds from iota alone;
+    the normalisation sdet(iota o a) = 1 holds for every valid instance.  A
+    contraction validates itself once, on construction, and raises
+    DegenerateContractionError when invalid.  It owns both families and marks
+    their arrays read-only, so the kernel bases, factorised once, cannot go
+    stale.
     """
 
     iota: Sequence[np.ndarray]
@@ -233,24 +231,40 @@ class Contraction:
     def __post_init__(self):
         self.iota = tuple(read_only(np.asarray(m)) for m in self.iota)
         self.a_maps = tuple(read_only(np.asarray(m)) for m in self.a_maps)
+        self._validate()
 
-    def validate(self, dims: Sequence[int], tol: float = 1e-12):
+    @classmethod
+    def unitary(cls, iota: Sequence[np.ndarray]) -> "Contraction":
+        """The unitary-normalised contraction: a_k = iota_(k+1)^dagger."""
+        a_maps = [m.conj().T for m in iota[1:]]
+        a_maps.append(np.zeros((0, iota[-1].shape[1])))
+        return cls(iota, a_maps)
+
+    @property
+    def dims(self) -> Tuple[int, ...]:
+        return tuple(m.shape[1] for m in self.iota)
+
+    def _validate(self):
+        tol = 1e-12
+        dims = self.dims
         n = len(dims) - 1
-        if len(self.iota) != n + 1 or len(self.a_maps) != n + 1:
-            raise DegenerateContractionError("contraction has wrong arity")
+        # iota_k: C^k -> C^(k-1) and a_k: C^k -> C^(k+1), zero maps at the ends
+        below, above = (0,) + dims[:-1], dims[1:] + (0,)
+        if len(self.a_maps) != n + 1 or any(
+                (i.shape, a.shape) != ((lo, d), (hi, d))
+                for i, a, lo, d, hi in zip(self.iota, self.a_maps, below, dims, above)):
+            raise DegenerateContractionError("contraction has wrong arity or shapes")
         scale = max([1.0] + [float(np.linalg.norm(m)) for m in self.iota])
         for k in range(1, n):
             err = np.linalg.norm(self.iota[k] @ self.iota[k + 1])
             if err > tol * scale ** 2:
                 raise DegenerateContractionError(f"iota^2 != 0 at degree {k + 1}")
-        for k in range(n + 1):
-            ker = self.kernel_basis(k, dims)
+        for k in range(n):
+            ker = self.kernel_basis(k)
             if ker.shape[1] == 0:
                 continue
-            if k == n:
-                continue
             err = np.linalg.norm(self.iota[k + 1] @ (self.a_maps[k] @ ker) - ker)
-            if err > 1e-12 * max(1.0, scale):
+            if err > tol * max(1.0, scale):
                 raise DegenerateContractionError(
                     f"iota o a != id on ker iota at degree {k}"
                 )
@@ -267,18 +281,17 @@ class Contraction:
             out[k] = read_only(vh[rank:, :].conj().T)
         return out
 
-    def kernel_basis(self, k: int, dims: Sequence[int]) -> np.ndarray:
+    def kernel_basis(self, k: int) -> np.ndarray:
         """Orthonormal basis of ker(iota_k) in C^k."""
         if k == 0 or self.iota[k].shape[0] == 0:
-            return np.eye(dims[k])
+            return np.eye(self.dims[k])
         return self._kernels[k]
 
-    def sdet_iota_a(self, dims: Sequence[int]) -> float:
+    def sdet_iota_a(self) -> float:
         """|sdet(iota o a)|: equals 1 for every normalised contraction."""
         value = 1.0
-        n = len(dims) - 1
-        for k in range(n):
-            ker = self.kernel_basis(k, dims)
+        for k in range(len(self.iota) - 1):
+            ker = self.kernel_basis(k)
             if ker.shape[1] == 0:
                 continue
             block = ker.conj().T @ (self.iota[k + 1] @ (self.a_maps[k] @ ker))
@@ -291,18 +304,11 @@ def hodge_contraction(tc: TwistedComplex) -> Contraction:
     """Polar-isometry contraction: iota_(k+1) is the adjoint of the partial
     isometry part of d_k (initial space coexact, final space exact)."""
     o = tc.orthonormalized()
-    n = o.top_degree
-    iota = [np.zeros((0, 0))] + [None] * n
-    a_maps = [None] * (n + 1)
-    iota[0] = np.zeros((0, o.dims[0]))
-    for k, (e_next, c_here) in enumerate(o.hodge_bases):
+    iota = [np.zeros((0, o.dims[0]))]
+    for e_next, c_here in o.hodge_bases:
         w = e_next @ c_here.conj().T          # partial isometry C^k -> C^(k+1)
-        iota[k + 1] = w.conj().T
-        a_maps[k] = w
-    a_maps[n] = np.zeros((0, o.dims[n]))
-    c = Contraction(iota, a_maps)
-    c.validate(o.dims)
-    return c
+        iota.append(w.conj().T)
+    return Contraction.unitary(iota)
 
 
 def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contraction:
@@ -320,16 +326,10 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contract
         kernels.append(q[:, :m[k]])
         perps.append(q[:, m[k]:])
     iota = [np.zeros((0, o.dims[0]))]
-    a_maps = []
     for k in range(1, n + 1):
         u = haar_unitary(rng, m[k - 1]) if m[k - 1] else np.zeros((0, 0))
         iota.append(kernels[k - 1] @ u @ perps[k].conj().T)
-    for k in range(n):
-        a_maps.append(iota[k + 1].conj().T)
-    a_maps.append(np.zeros((0, o.dims[n])))
-    c = Contraction(iota, a_maps)
-    c.validate(o.dims)
-    return c
+    return Contraction.unitary(iota)
 
 
 def suspension_contraction(tc: TwistedComplex) -> Contraction:
@@ -339,18 +339,13 @@ def suspension_contraction(tc: TwistedComplex) -> Contraction:
     targets = tc.meta.get("suspension_targets")
     if split is None or targets is None:
         raise DegenerateContractionError("complex carries no suspension structure")
-    n = tc.top_degree
     iota = [np.zeros((0, tc.dims[0]))]
-    for k in range(1, n + 1):
+    for k in range(1, tc.top_degree + 1):
         m = np.zeros((tc.dims[k - 1], tc.dims[k]))
         for src, dst in zip(split[k][1], targets[k]):
             m[dst, src] = 1.0
         iota.append(m)
-    a_maps = [iota[k + 1].conj().T for k in range(n)]
-    a_maps.append(np.zeros((0, tc.dims[n])))
-    c = Contraction(iota, a_maps)
-    c.validate(tc.dims)
-    return c
+    return Contraction.unitary(iota)
 
 
 def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
@@ -361,11 +356,12 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
     The declared B parametrisation is y -> conj(a y) over ker(iota) one
     degree down, with Jacobian 1 (the sdet(iota o a) = 1 normalisation).
     """
-    base = fs.base
-    c.validate(base.dims)
+    if c.dims != fs.dims:
+        raise DegenerateContractionError(
+            f"contraction dims {c.dims} do not match the field space {fs.dims}")
     n = fs.n
-    kernels = [c.kernel_basis(k, base.dims) for k in range(n + 1)]
-    perps = [_onb_complement(kernels[k], base.dims[k]) for k in range(n + 1)]
+    kernels = [c.kernel_basis(k) for k in range(n + 1)]
+    perps = [_onb_complement(kernels[k], fs.dims[k]) for k in range(n + 1)]
     slots = []
     for k in range(n + 1):
         a_basis = kernels[k]
@@ -374,11 +370,9 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
             b_param = np.conj(c.a_maps[k - 1] @ kernels[k - 1])
         else:
             b_param = b_basis[:, :0]
-        slots.append(GaugeSlot(k, a_basis, b_basis, a_basis, b_param))
+        slots.append(GaugeSlot(a_basis, b_basis, a_basis, b_param))
     complement_b = [np.conj(kernels[k]) for k in range(n + 1)]
-    return GaugeSubspace("contraction", slots, perps, complement_b,
-                         1.0, constraint="iota A = 0, iota B = 0",
-                         contraction=c)
+    return GaugeSubspace("contraction", slots, perps, complement_b, 1.0)
 
 
 def _onb_complement(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -477,7 +471,7 @@ def partition_function(fs: BFFieldSpace, gs: GaugeSubspace) -> float:
 def lie_operator_on_kernel(fs: BFFieldSpace, c: Contraction, k: int) -> np.ndarray:
     """L = iota d + d iota compressed to ker(iota) in degree k."""
     base = fs.base
-    ker = c.kernel_basis(k, base.dims)
+    ker = c.kernel_basis(k)
     if k < fs.n:
         ld = c.iota[k + 1] @ (base.diffs[k] @ ker)
     else:
@@ -562,12 +556,9 @@ def unitary_contraction_family(tc: TwistedComplex, base: Contraction,
 
     def family(t: float) -> Contraction:
         us = [expm(t * g) for g in gens]
-        iota = [base.iota[0] @ us[0].conj().T if base.iota[0].size else
-                np.zeros((0, o.dims[0]))]
+        iota = [np.zeros((0, o.dims[0]))]
         for k in range(1, o.top_degree + 1):
             iota.append(us[k - 1] @ base.iota[k] @ us[k].conj().T)
-        a_maps = [iota[k + 1].conj().T for k in range(o.top_degree)]
-        a_maps.append(np.zeros((0, o.dims[o.top_degree])))
-        return Contraction(iota, a_maps)
+        return Contraction.unitary(iota)
 
     return family

@@ -77,7 +77,8 @@ class RunConfig:
             raise ParseError(0, "samples must be >= 2")
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# The subcommand comes from the command line only; a config file cannot set it.
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
 
 def load_config_file(path) -> dict:
@@ -90,7 +91,7 @@ def load_config_file(path) -> dict:
             if "=" not in stripped:
                 raise ParseError(lineno, f"expected key=value, got {stripped!r}")
             key, value = (s.strip() for s in stripped.split("=", 1))
-            if key not in _CONFIG_TYPES:
+            if key not in _CONFIG_KEYS:
                 raise ParseError(lineno, f"unknown config key {key!r}")
             out[key] = value
     return out
@@ -98,7 +99,7 @@ def load_config_file(path) -> dict:
 
 def _coerce(key: str, value: str):
     target = {"input": str, "model": str, "a_matrix": str, "out": str,
-              "fmt": str, "criteria": str, "command": str}.get(key)
+              "fmt": str, "criteria": str}.get(key)
     if target is str:
         return value
     if key in ("lambda_steps", "J", "sigma", "samples", "seed"):
@@ -309,13 +310,10 @@ _COMMANDS = {
 
 def make_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    cfg.command = args.command
     if getattr(args, "config", None):
         for key, raw in load_config_file(args.config).items():
             setattr(cfg, key, _coerce(key, raw))
     for f in fields(RunConfig):
-        if f.name == "command":
-            continue
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)

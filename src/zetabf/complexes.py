@@ -41,12 +41,11 @@ from .errors import (
     DegenerateResolutionError,
     NotAComplexError,
     NotAcyclicError,
-    NotHyperbolicError,
     ParseError,
     RelatorViolationError,
     ZetaBFError,
 )
-from .orbits import g17
+from .orbits import ToralAutomorphism, g17
 
 # Relative singular-value cutoff separating kernel from cokernel.
 RANK_TOL = 1e-9
@@ -593,17 +592,13 @@ def _power_word(gen: int, power: int) -> Word:
 
 
 def mapping_torus_cell_complex(a_matrix) -> CellComplex:
-    """CW complex (1,3,3,1 cells) of the mapping torus of A acting on T^2."""
-    a = np.asarray(a_matrix, dtype=object)
-    if a.shape != (2, 2) or any(int(x) != x for x in np.ravel(a)):
-        raise NotHyperbolicError("A must be an integer 2x2 matrix")
-    a = np.array([[int(a[0, 0]), int(a[0, 1])], [int(a[1, 0]), int(a[1, 1])]])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    tr = a[0, 0] + a[1, 1]
-    if abs(det) != 1:
-        raise NotHyperbolicError(f"|det A| = {abs(det)} != 1")
-    if abs(tr) <= 2:
-        raise NotHyperbolicError(f"|tr A| = {abs(tr)} <= 2: not hyperbolic")
+    """CW complex (1,3,3,1 cells) of the mapping torus of A acting on T^2.
+
+    A must be a hyperbolic element of GL(2,Z), as ``ToralAutomorphism``
+    decides; otherwise NotHyperbolicError.
+    """
+    aut = ToralAutomorphism.from_matrix(a_matrix)
+    a, det = aut.matrix, aut.det
 
     commutator: Word = (1, 2, -1, -2)
     # Images of the generators under A (columns give the words).

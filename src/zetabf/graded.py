@@ -37,8 +37,9 @@ from .errors import (
 # Eigenvalues below this modulus are classified as kernel (the projector Pi).
 KERNEL_TOL = 1e-10
 
-# Central finite-difference step for d/ds at s = 0, refined once by Richardson.
-_FD_STEP = 1e-4
+# Central finite-difference step for d/ds at s = 0, refined once by Richardson
+# (``neg_dds_at_zero``; the zeta Mellin route shares both).
+FD_STEP = 1e-4
 
 # Quadrature sizes: low resolution feeds the error estimate, high the value.
 _NODES_LO = 40
@@ -89,10 +90,25 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def _spectral_split(matrix: np.ndarray, lam: complex):
+    """(matrix + lam, its nonzero eigenvalues, kernel dimension): the one
+    eigensolve of a flat-determinant evaluation."""
     m = matrix + lam * np.eye(matrix.shape[0])
     eigs = np.linalg.eigvals(m)
     kernel = np.abs(eigs) < KERNEL_TOL
     return m, eigs[~kernel], int(np.count_nonzero(kernel))
+
+
+def neg_dds_at_zero(f) -> complex:
+    """-d/ds f(s) at s = 0: central differences at steps FD_STEP and
+    FD_STEP/2, combined by one Richardson step."""
+    h = FD_STEP
+
+    def diff(step):
+        return (f(step) - f(-step)) / (2 * step)
+
+    d1 = diff(h)
+    d2 = diff(h / 2)
+    return -(4 * d2 - d1) / 3
 
 
 class _HeatQuadrature:
@@ -105,11 +121,16 @@ class _HeatQuadrature:
     (max |Im| large against alpha) the tail switches to composite panels with
     oscillation-resolving length, truncated where the decay certifies a
     negligible remainder.  Heat traces come from expm; the spectrum enters
-    only kernel counting and quadrature scales.
+    only kernel counting, divergence policing and quadrature scales.
     """
 
-    def __init__(self, m: np.ndarray, kernel_dim: int, alpha: float,
-                 nodes: int, im_max: float = 0.0):
+    def __init__(self, m: np.ndarray, nonzero: np.ndarray, kernel_dim: int,
+                 nodes: int):
+        for ev in nonzero:
+            if ev.real <= KERNEL_TOL:
+                raise MellinDivergenceError(ev)
+        alpha = 0.9 * float(np.min(nonzero.real)) if nonzero.size else 1.0
+        im_max = float(np.max(np.abs(nonzero.imag))) if nonzero.size else 0.0
         n = m.shape[0]
         self.c0 = n - kernel_dim
         self.c1 = -complex(np.trace(m))
@@ -149,36 +170,13 @@ class _HeatQuadrature:
                 + self.c0 * rgamma(s + 1)
                 + self.c1 * rgamma(s) / (s + 1))
 
-    def neg_dds_at_zero(self) -> complex:
-        h = _FD_STEP
-
-        def diff(step):
-            return (self.f(step) - self.f(-step)) / (2 * step)
-
-        d1 = diff(h)
-        d2 = diff(h / 2)
-        return -(4 * d2 - d1) / 3
-
-
-def _mellin_setup(matrix: np.ndarray, lam: complex):
-    m, nonzero, kdim = _spectral_split(matrix, lam)
-    for ev in nonzero:
-        if ev.real <= KERNEL_TOL:
-            raise MellinDivergenceError(ev)
-    alpha = 0.9 * float(np.min(nonzero.real)) if nonzero.size else 1.0
-    im_max = float(np.max(np.abs(nonzero.imag))) if nonzero.size else 0.0
-    return m, nonzero, kdim, alpha, im_max
-
 
 def mellin_f(matrix, lam: complex, s: complex, nodes: int = _NODES_HI) -> complex:
     """Evaluate F(lambda, s) for a finite matrix by adaptive split quadrature.
 
     For a scalar [[a]] with a > 0 and lam = 0 this is a^(-s).
     """
-    a = _as_square(matrix)
-    m, _, kdim, alpha, im_max = _mellin_setup(a, lam)
-    quad = _HeatQuadrature(m, kdim, alpha, nodes, im_max)
-    return quad.f(s)
+    return _HeatQuadrature(*_spectral_split(_as_square(matrix), lam), nodes).f(s)
 
 
 def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
@@ -188,8 +186,7 @@ def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
     (default) also runs the Mellin route and checks that the two agree within
     the quadrature error estimate, raising QuadratureFailureError otherwise.
     """
-    a = _as_square(matrix)
-    _, nonzero, kdim = _spectral_split(a, lam)
+    m, nonzero, kdim = _spectral_split(_as_square(matrix), lam)
     value = complex(np.prod(nonzero)) if nonzero.size else 1.0 + 0.0j
 
     if mode == "spectral":
@@ -197,9 +194,8 @@ def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
     if mode != "both":
         raise ValueError(f"unknown mode {mode!r}")
 
-    m, _, _, alpha, im_max = _mellin_setup(a, lam)
-    log_lo = _HeatQuadrature(m, kdim, alpha, _NODES_LO, im_max).neg_dds_at_zero()
-    log_hi = _HeatQuadrature(m, kdim, alpha, _NODES_HI, im_max).neg_dds_at_zero()
+    log_lo = neg_dds_at_zero(_HeatQuadrature(m, nonzero, kdim, _NODES_LO).f)
+    log_hi = neg_dds_at_zero(_HeatQuadrature(m, nonzero, kdim, _NODES_HI).f)
     mellin_value = complex(np.exp(log_hi))
 
     scale = max(abs(value), 1e-30)
@@ -212,6 +208,5 @@ def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
 
 def logdet_flat_mellin(matrix, lam: complex = 0.0, nodes: int = _NODES_HI) -> complex:
     """log det_flat(matrix + lam) through the Mellin route alone."""
-    a = _as_square(matrix)
-    m, _, kdim, alpha, im_max = _mellin_setup(a, lam)
-    return _HeatQuadrature(m, kdim, alpha, nodes, im_max).neg_dds_at_zero()
+    split = _spectral_split(_as_square(matrix), lam)
+    return neg_dds_at_zero(_HeatQuadrature(*split, nodes).f)

@@ -109,9 +109,6 @@ class PolyObservable:
     def _prune(self):
         self.terms = {k: v for k, v in self.terms.items() if v != _ZERO_TOL}
 
-    def copy(self) -> "PolyObservable":
-        return PolyObservable(self.chart, dict(self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -175,12 +172,6 @@ class PolyObservable:
         return PolyObservable.constant(self.chart, other)
 
     # -- derivatives -------------------------------------------------------------
-
-    def left_derivative(self, name: str) -> "PolyObservable":
-        return self._derivative(self.chart.index(name), from_left=True)
-
-    def right_derivative(self, name: str) -> "PolyObservable":
-        return self._derivative(self.chart.index(name), from_left=False)
 
     def _derivative(self, idx: int, from_left: bool) -> "PolyObservable":
         out: Dict[Monomial, complex] = {}

@@ -48,9 +48,8 @@ from .errors import (
     NotAcyclicError,
     SupportTooWideError,
 )
+from .graded import FD_STEP, neg_dds_at_zero
 from .orbits import OrbitData, OrbitRecord, ToralAutomorphism, g17
-
-_FD_STEP = 1e-4
 
 # Transverse unstable/stable rank of the 3-dimensional suspension model.
 TRANSVERSE_RANK = 1
@@ -436,20 +435,13 @@ def mellin_log_zeta(data: OrbitData, theta: float, lam: complex, k: int,
     if not 0 <= k <= 2 * TRANSVERSE_RANK:
         raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
     _tail(data, lam, k, J)      # divergence policing of the direct route
-    h = _FD_STEP
+    h = FD_STEP
     steps = (h / 2, -h / 2, h, -h)
     with np.errstate(all="ignore"):
         sums = _term_table(data, J).mellin_sums(theta, lam, k,
                                                 [s - 1.0 for s in steps])
     sums = dict(zip(steps, sums))
-
-    def f(s: float) -> complex:
-        return rgamma(s) * sums[s]
-
-    def diff(step: float) -> complex:
-        return (f(step) - f(-step)) / (2 * step)
-
-    return -(4 * diff(h / 2) - diff(h)) / 3
+    return neg_dds_at_zero(lambda s: rgamma(s) * sums[s])
 
 
 @dataclass(frozen=True)

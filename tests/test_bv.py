@@ -144,17 +144,16 @@ def test_hodge_contraction_structure():
     rng = np.random.default_rng(3)
     tc = random_twisted_complex(rng, top_degree=4, max_cells=4, rank=1)
     c = hodge_contraction(tc)
-    dims = tc.dims
     scale = max(np.linalg.norm(m) for m in c.iota if m.size)
     for k in range(1, tc.top_degree):
         assert np.linalg.norm(c.iota[k] @ c.iota[k + 1]) < 1e-12 * scale ** 2
     # iota o a = id on ker iota and L = iota d is positive there
     for k in range(tc.top_degree):
-        ker = c.kernel_basis(k, dims)
+        ker = c.kernel_basis(k)
         if ker.shape[1] == 0:
             continue
         assert np.linalg.norm(c.iota[k + 1] @ (c.a_maps[k] @ ker) - ker) < 1e-12
-    assert c.sdet_iota_a(dims) == pytest.approx(1.0, rel=1e-12)
+    assert c.sdet_iota_a() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_contraction_gauge_isotropy_random():
@@ -211,7 +210,7 @@ def _skewed(fs, c):
     instead of the annihilator."""
     gs = contraction_gauge(fs, c)
     for k, slot in enumerate(gs.slots):
-        slot.b_basis = np.conj(c.kernel_basis(k, fs.base.dims))
+        slot.b_basis = np.conj(c.kernel_basis(k))
     return gs
 
 
@@ -308,6 +307,41 @@ def test_non_coisometric_normalised_contraction_deviates():
     c = Contraction(iota, a_maps)
     z = partition_function(fs, contraction_gauge(fs, c))
     assert abs(z / 2.0 - 1.0) > 0.3
+
+
+@pytest.mark.parametrize("a_maps", [
+    [np.array([[2.0]]), np.zeros((0, 1))],     # iota o a = 2 on ker iota_0 = C^1
+    [np.array([[1.0]]), np.zeros((0, 2))],     # top zero map out of C^2, not C^1
+    [np.array([[1.0]])],                        # one map short
+])
+def test_contraction_validates_on_construction(a_maps):
+    with pytest.raises(DegenerateContractionError):
+        Contraction([np.zeros((0, 1)), np.array([[1.0]])], a_maps)
+
+
+def test_contraction_gauge_rejects_mismatched_dims():
+    # a valid contraction of C^2 -> C^2 offered to the (1, 1) circle space:
+    # the arity matches, the shapes do not
+    fs = build_bf_fields(circle_complex(math.pi))
+    c = Contraction([np.zeros((0, 2)), np.eye(2)], [np.eye(2), np.zeros((0, 2))])
+    with pytest.raises(DegenerateContractionError):
+        contraction_gauge(fs, c)
+
+
+def test_contraction_validated_once(monkeypatch):
+    calls = []
+    validate = Contraction._validate
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Contraction, "_validate", counting)
+    tc = mapping_torus_complex(CAT, math.pi)
+    fs = build_bf_fields(tc)
+    z = partition_function(fs, contraction_gauge(fs, hodge_contraction(tc)))
+    assert z == pytest.approx(analytic_torsion(tc), rel=1e-10)
+    assert len(calls) == 1
 
 
 def test_gauge_independence_random():

@@ -250,6 +250,18 @@ def test_config_unknown_key(tmp_path):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("command", ["bogus", "verify"])
+def test_config_cannot_set_command(tmp_path, command):
+    """The subcommand comes from the command line; a config file naming one
+    is a parse error, not a crash or a silent switch to another command."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = circle\ncommand = {command}\n")
+    code, out, err = run_cli(["torsion", "--config", str(cfg)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "command" in err
+
+
 def test_usage_error_maps_to_parse_exit():
     code, _, _ = run_cli(["torsion", "--model", "nonsense"])
     assert code == EXIT_PARSE
@@ -287,6 +299,9 @@ GOLDEN_COMMANDS = {
     "orbits_J12.txt": ["orbits", "--A", "2,1,1,1", "--J", "12"],
     "bf_cat_2pi3_seed7.txt": ["bf", "--model", "cat", "--theta", "2.0943951023931953",
                               "--samples", "6", "--seed", "7"],
+    "bf_torus_1_05.txt": ["bf", "--model", "torus", "--alpha", "1.0", "--beta", "0.5"],
+    # cat-map mapping torus, theta = 2, with non-identity Gram matrices
+    "bf_cat_gram_input.txt": ["bf", "--input", str(GOLDEN / "cat_gram.cplx")],
 }
 
 

@@ -97,6 +97,20 @@ def test_flat_det_stacks_heat_traces(monkeypatch):
     assert len(calls) <= 4
 
 
+def test_flat_det_factorises_once(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    r = flat_det(np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]]))
+    assert r.mellin_value == pytest.approx(r.value, rel=1e-6)
+    assert calls == [(3, 3)]
+
+
 @pytest.mark.parametrize("matrix, panels", [
     (np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]]), False),
     (np.diag([0.2 + 30j, 0.2 - 20j]) + 0.01 * np.array([[0, 1], [1, 0]]), True),
@@ -107,8 +121,8 @@ def test_heat_traces_equal_per_node_expm(matrix, panels):
     Both matrices are non-diagonal, so expm takes its Pade route; the second
     is oscillatory enough for the composite-panel tail."""
     for nodes in (graded._NODES_LO, graded._NODES_HI):
-        m, _, kdim, alpha, im_max = graded._mellin_setup(graded._as_square(matrix), 0.0)
-        quad = graded._HeatQuadrature(m, kdim, alpha, nodes, im_max)
+        m, nonzero, kdim = graded._spectral_split(graded._as_square(matrix), 0.0)
+        quad = graded._HeatQuadrature(m, nonzero, kdim, nodes)
         assert (len(quad.t_high) != nodes) == panels
 
         def heat(t):

@@ -273,7 +273,7 @@ def reference_mellin(data, theta, lam, k, J):
     def diff(step):
         return (f(step) - f(-step)) / (2 * step)
 
-    h = zeta._FD_STEP
+    h = zeta.FD_STEP
     return -(4 * diff(h / 2) - diff(h)) / 3
 
 
