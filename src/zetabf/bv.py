@@ -24,9 +24,13 @@ they are the checks that the gauge-fixed side reproduces the torsion.
 
 Fields may be stacked: a ``BFField`` whose slot components are d_k x N
 matrices holds N fields as columns, and ``omega`` of two stacked fields is the
-matrix of their pairings.  ``is_lagrangian`` stacks the basis of a gauge
-subspace and of its complement this way and reads its three Gram blocks
-(isotropy of each side, cross pairing) from three ``omega`` calls.
+matrix of their pairings.  A gauge basis column lives in one slot only, so
+``is_lagrangian`` forms its three Gram matrices (isotropy of each side, cross
+pairing) from the slot-diagonal blocks alone: per slot, the B columns of one
+side against the A columns of the other, through the same slot term as
+``omega`` and written into a zero matrix.  Every off-slot term of ``omega`` is
+an exact zero, so the Gram matrices are bit-identical to stacked ``omega``
+calls.  ``homotopy_scan`` forms only the subspace block.
 """
 
 from __future__ import annotations
@@ -96,7 +100,8 @@ class BFFieldSpace:
         return total
 
     def omega(self, v: BFField, w: BFField):
-        """Odd symplectic pairing; sign convention fixed once.
+        """Odd symplectic pairing; sign convention fixed once, in
+        ``_slot_pairings``.
 
         Omega(v, w) = sum_k [ v.b_k(w.a_k) - (-1)^(p_k) w.b_k(v.a_k) ] with
         p_k the parity of the degree-k A slot.  For fields stacked as N and M
@@ -105,9 +110,14 @@ class BFFieldSpace:
         """
         total = 0.0 + 0.0j
         for k in range(self.n + 1):
-            sign = -1.0 if self.a_parity(k) == 0 else 1.0
-            total += _dots(v.b[k], w.a[k]) + sign * _dots(w.b[k], v.a[k]).T
+            ba, ab = self._slot_pairings(k, v.a[k], v.b[k], w.a[k], w.b[k])
+            total += ba + ab
         return total
+
+    def _slot_pairings(self, k: int, v_a, v_b, w_a, w_b):
+        """The two summands of slot k in Omega(v, w), from its components."""
+        sign = -1.0 if self.a_parity(k) == 0 else 1.0
+        return _dots(v_b, w_a), sign * _dots(w_b, v_a).T
 
 
 def _dots(x: np.ndarray, y: np.ndarray):
@@ -392,18 +402,29 @@ class LagrangianReport:
     dimension_match: bool
 
 
-def _stacked_basis(fs: BFFieldSpace, a_bases, b_bases) -> Tuple[BFField, int]:
-    """The basis columns of a subspace as one stacked field, A columns of
-    every slot first, then B; each column is zero outside its own slot."""
-    count = sum(m.shape[1] for m in a_bases) + sum(m.shape[1] for m in b_bases)
-    a = tuple(np.zeros((d, count), dtype=complex) for d in fs.dims)
-    b = tuple(np.zeros((d, count), dtype=complex) for d in fs.dims)
-    col = 0
-    for side, bases in ((a, a_bases), (b, b_bases)):
-        for k, mat in enumerate(bases):
-            side[k][:, col:col + mat.shape[1]] = mat
-            col += mat.shape[1]
-    return BFField(a, b), count
+def _gram(fs: BFFieldSpace, v, w) -> np.ndarray:
+    """Matrix of Omega between the columns of two gauge bases.
+
+    ``v`` and ``w`` are (a_bases, b_bases) pairs of per-slot column bases,
+    ordered A columns of every slot first, then B.  A column is zero outside
+    its own slot, so only the slot-diagonal A-B and B-A blocks are nonzero;
+    each is added into a zero matrix, and x + 0 = x keeps every entry
+    bit-identical to the stacked ``omega`` sum.
+    """
+    def layout(basis):
+        # complex, as in a stacked field: a real dot product may round differently
+        a, b = ([np.asarray(m, dtype=complex) for m in side] for side in basis)
+        starts = np.cumsum([0] + [m.shape[1] for m in a + b])
+        return a, b, starts[:len(a)], starts[len(a):-1], starts[-1]
+
+    va, vb, v_a0, v_b0, nv = layout(v)
+    wa, wb, w_a0, w_b0, nw = layout(w)
+    g = np.zeros((nv, nw), dtype=complex)
+    for k in range(fs.n + 1):
+        ba, ab = fs._slot_pairings(k, va[k], vb[k], wa[k], wb[k])
+        g[v_b0[k]:v_b0[k] + ba.shape[0], w_a0[k]:w_a0[k] + ba.shape[1]] += ba
+        g[v_a0[k]:v_a0[k] + ab.shape[0], w_b0[k]:w_b0[k] + ab.shape[1]] += ab
+    return g
 
 
 def _max_modulus_upper(g: np.ndarray) -> float:
@@ -411,19 +432,21 @@ def _max_modulus_upper(g: np.ndarray) -> float:
     return float(np.max(np.triu(np.hypot(g.real, g.imag)), initial=0.0))
 
 
+def _subspace_basis(gs: GaugeSubspace):
+    return [s.a_basis for s in gs.slots], [s.b_basis for s in gs.slots]
+
+
 def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     """Isotropy of the subspace and its declared complement, and perfection
-    of the pairing between them, from three stacked ``omega`` calls."""
-    sub, n_sub = _stacked_basis(fs, [s.a_basis for s in gs.slots],
-                                [s.b_basis for s in gs.slots])
-    comp, n_comp = _stacked_basis(fs, gs.complement_a, gs.complement_b)
+    of the pairing between them, from three slot-diagonal Gram matrices."""
+    sub = _subspace_basis(gs)
+    comp = (gs.complement_a, gs.complement_b)
+    g_sub, g_comp = _gram(fs, sub, sub), _gram(fs, comp, comp)
+    iso_sub, iso_comp = _max_modulus_upper(g_sub), _max_modulus_upper(g_comp)
 
-    iso_sub = _max_modulus_upper(fs.omega(sub, sub))
-    iso_comp = _max_modulus_upper(fs.omega(comp, comp))
-
-    dims_match = n_sub == n_comp
-    if dims_match and n_sub:
-        cross = fs.omega(sub, comp)
+    dims_match = len(g_sub) == len(g_comp)
+    if dims_match and len(g_sub):
+        cross = _gram(fs, sub, comp)
         min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
     else:
         min_sv = 0.0 if not dims_match else np.inf
@@ -509,7 +532,8 @@ def homotopy_scan(fs: BFFieldSpace, family: Callable[[float], Contraction],
             z = partition_function(fs, gs)
         except DegenerateContractionError as exc:
             raise DegenerateContractionError(str(exc), t=t)
-        residual = is_lagrangian(fs, gs).isotropy_subspace
+        sub = _subspace_basis(gs)
+        residual = _max_modulus_upper(_gram(fs, sub, sub))
         rows.append((t, z, residual))
         if z0 is None:
             z0 = z

@@ -93,20 +93,28 @@ def load_config_file(path) -> dict:
             key, value = (s.strip() for s in stripped.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ParseError(lineno, f"unknown config key {key!r}")
-            out[key] = value
+            out[key] = _coerce(lineno, key, value)
     return out
 
 
-def _coerce(key: str, value: str):
-    target = {"input": str, "model": str, "a_matrix": str, "out": str,
-              "fmt": str, "criteria": str}.get(key)
-    if target is str:
+_INT_KEYS = {"lambda_steps", "J", "sigma", "samples", "seed"}
+_STR_KEYS = {"input", "model", "a_matrix", "out", "fmt", "criteria"}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _coerce(lineno: int, key: str, value: str):
+    if key in _STR_KEYS:
         return value
-    if key in ("lambda_steps", "J", "sigma", "samples", "seed"):
-        return int(value)
     if key == "closed_form":
-        return value.lower() in ("1", "true", "yes")
-    return float(value)
+        if value.lower() not in _BOOLS:
+            raise ParseError(lineno, f"{key} must be one of 1/0/true/false/yes/no, "
+                                     f"got {value!r}")
+        return _BOOLS[value.lower()]
+    target, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+    try:
+        return target(value)
+    except ValueError:
+        raise ParseError(lineno, f"{key} must be {kind}, got {value!r}")
 
 
 def parse_matrix(text: str):
@@ -247,11 +255,23 @@ def cmd_orbits(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _criterion_indices(text: Optional[str]) -> Optional[List[int]]:
+    """The --criteria subset as indices in 1..len(ALL_CRITERIA); None for all."""
+    if not text:
+        return None
+    count = len(verification.ALL_CRITERIA)
+    try:
+        indices = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(0, f"criteria must be comma-separated integers, got {text!r}")
+    unknown = [i for i in indices if not 1 <= i <= count]
+    if unknown:
+        raise ParseError(0, f"criteria must lie in 1..{count}, got {unknown}")
+    return indices
+
+
 def cmd_verify(cfg: RunConfig) -> int:
-    indices = None
-    if cfg.criteria:
-        indices = [int(x) for x in cfg.criteria.split(",")]
-    results = verification.run_all(indices)
+    results = verification.run_all(_criterion_indices(cfg.criteria))
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -311,8 +331,8 @@ _COMMANDS = {
 def make_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        for key, raw in load_config_file(args.config).items():
-            setattr(cfg, key, _coerce(key, raw))
+        for key, value in load_config_file(args.config).items():
+            setattr(cfg, key, value)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

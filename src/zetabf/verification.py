@@ -37,22 +37,40 @@ class CriterionResult:
 # -- independent oracles -------------------------------------------------------
 
 
-def _ceil_div(a: int, b: int) -> int:
+def _ceil_div(a, b):
+    """ceil(a / b) for integers or int64 arrays; // floors for both."""
     return -((-a) // b)
+
+
+# First coordinates m1 per exact int64 block of the lattice oracle.
+_LATTICE_BLOCK = 1 << 13
+
+# Entries of A^j - I at or above this modulus could overflow an int64 product.
+_LATTICE_ENTRY_LIMIT = 1 << 31
 
 
 def lattice_fixed_point_count(aut: orbits.ToralAutomorphism, j: int) -> int:
     """Brute-force count of solutions (A^j - I)x in Z^2 with x in [0,1)^2.
 
     Enumerates integer vectors m in the image parallelogram M [0,1)^2 and
-    checks adj(M) m / det(M) in [0,1)^2 with exact integer inequalities.
-    Independent of the determinant formula it is used to check.
+    checks adj(M) m / det(M) in [0,1)^2 with exact integer inequalities: for
+    each first coordinate m1 the admissible m2 form one interval, whose ends
+    are ceil/floor bounds from the two adjugate rows.  The first coordinates
+    run in blocks of exact int64 arithmetic.  Independent of the determinant
+    formula it is used to check.
+
+    |det A| = 1 makes |det M| <= |tr A^j| + 2 linear in the entries of M, so
+    with entries below 2^31 every product and difference stays below 2^63;
+    larger entries raise ValueError.
     """
     a, b, c, d = aut.power(j)
     m00, m01, m10, m11 = a - 1, b, c, d - 1
     det = m00 * m11 - m01 * m10
     if det == 0:
         raise ValueError("A^j - I is singular; A is not hyperbolic")
+    if max(abs(m00), abs(m01), abs(m10), abs(m11)) >= _LATTICE_ENTRY_LIMIT:
+        raise ValueError(f"A^{j} - I has an entry of modulus >= 2^31; "
+                         "the int64 enumeration could overflow")
     adj = ((m11, -m01), (-m10, m00))
     if det > 0:
         alpha, beta = 0, det - 1
@@ -62,30 +80,24 @@ def lattice_fixed_point_count(aut: orbits.ToralAutomorphism, j: int) -> int:
     lo1 = min(0, m00, m01, m00 + m01)
     hi1 = max(0, m00, m01, m00 + m01)
     count = 0
-    for m1 in range(lo1, hi1 + 1):
-        lo, hi = None, None
-        feasible = True
+    for start in range(lo1, hi1 + 1, _LATTICE_BLOCK):
+        m1 = np.arange(start, min(start + _LATTICE_BLOCK, hi1 + 1), dtype=np.int64)
+        feasible = np.ones(m1.shape, dtype=bool)
+        lo = np.full(m1.shape, np.iinfo(np.int64).min)
+        hi = np.full(m1.shape, np.iinfo(np.int64).max)
         for (p, q) in adj:
             base = p * m1
             if q == 0:
-                if not (alpha <= base <= beta):
-                    feasible = False
-                    break
+                feasible &= (alpha <= base) & (base <= beta)
                 continue
             if q > 0:
-                l = _ceil_div(alpha - base, q)
-                h = (beta - base) // q
+                l, h = _ceil_div(alpha - base, q), (beta - base) // q
             else:
-                l = _ceil_div(beta - base, q)
-                h = (alpha - base) // q
-            lo = l if lo is None else max(lo, l)
-            hi = h if hi is None else min(hi, h)
-        if not feasible:
-            continue
-        if lo is None:
-            raise ValueError("adjugate row vanished; matrix not invertible")
-        if hi >= lo:
-            count += hi - lo + 1
+                l, h = _ceil_div(beta - base, q), (alpha - base) // q
+            lo, hi = np.maximum(lo, l), np.minimum(hi, h)
+        # clamp before subtracting: hi - lo of an empty interval may not fit
+        width = np.maximum(hi, lo - 1) - lo + 1
+        count += int(np.sum(width[feasible]))
     return count
 
 

@@ -1,6 +1,8 @@
 """BF field spaces, gauge fixing, partition functions, homotopy scans."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,8 +27,12 @@ from zetabf.bv import (
     unitary_contraction_family,
 )
 from zetabf.complexes import (
+    UnitaryRep,
     analytic_torsion,
+    build_twisted_complex,
     circle_complex,
+    haar_unitary,
+    mapping_torus_cell_complex,
     mapping_torus_complex,
     random_twisted_complex,
 )
@@ -223,6 +229,16 @@ def test_skewed_subspace_is_not_lagrangian():
     assert rep == _reference_report(fs, gs)
 
 
+def _cat_rank_twist(r, rng):
+    """Cat-map mapping torus twisted by a random rank-r unitary on t
+    (dimension 8r), with eigenphases kept away from 0."""
+    thetas = rng.uniform(0.3, 2 * math.pi - 0.3, size=r)
+    q = haar_unitary(rng, r)
+    eye = np.eye(r)
+    rep = UnitaryRep(r, {"a": eye, "b": eye, "t": (q * np.exp(1j * thetas)) @ q.conj().T})
+    return build_twisted_complex(mapping_torus_cell_complex(CAT), rep)
+
+
 def test_is_lagrangian_matches_single_field_pairings():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -236,6 +252,14 @@ def test_is_lagrangian_matches_single_field_pairings():
                   contraction_gauge(fs, family(0.6)), _skewed(fs, hodge)]
         for gs in gauges:
             assert is_lagrangian(fs, gs) == _reference_report(fs, gs)
+    # a rank-30 cat twist: dimension 240, many columns per slot
+    tc = _cat_rank_twist(30, rng)
+    fs = build_bf_fields(tc)
+    assert sum(fs.dims) == 240
+    for gs in (metric_gauge(fs), contraction_gauge(fs, hodge_contraction(tc))):
+        rep = is_lagrangian(fs, gs)
+        assert rep.ok
+        assert rep == _reference_report(fs, gs)
 
 
 def test_stacked_omega_equals_pairwise():
@@ -365,6 +389,43 @@ def test_homotopy_scan_constancy():
     scan = homotopy_scan(fs, fam, samples=10)
     assert scan.max_relative_deviation < 1e-9
     assert len(scan.samples) == 10
+
+
+def test_homotopy_scan_isotropy_is_the_lagrangian_report():
+    rng = np.random.default_rng(11)
+    for tc in (random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2),
+               mapping_torus_complex(CAT, 2.0), _cat_rank_twist(4, rng)):
+        fs = build_bf_fields(tc)
+        fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+        scan = homotopy_scan(fs, fam, samples=5)
+        for t, _, residual in scan.samples:
+            want = is_lagrangian(fs, contraction_gauge(fs, fam(t))).isotropy_subspace
+            assert residual.hex() == want.hex()
+
+
+def test_homotopy_scan_takes_no_cross_pairing_svd(monkeypatch):
+    # a scan factorises its gauges and partition functions, and nothing more
+    rng = np.random.default_rng(12)
+    tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2)
+    fs = build_bf_fields(tc)
+    fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+    calls = Counter()
+    real_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "zetabf.bv":
+            calls["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    ts = [i / 4 for i in range(5)]
+    for t in ts:
+        partition_function(fs, contraction_gauge(fs, fam(t)))
+    per_gauge = calls["svd"]
+    calls.clear()
+    homotopy_scan(fs, fam, samples=len(ts))
+    assert per_gauge > 0
+    assert calls["svd"] == per_gauge
 
 
 def test_homotopy_scan_constant_family():

@@ -262,6 +262,36 @@ def test_config_cannot_set_command(tmp_path, command):
     assert "command" in err
 
 
+@pytest.mark.parametrize("text", ["J = abc", "theta = pi", "samples = 2.5",
+                                  "closed_form = maybe"])
+def test_config_bad_value_is_parse_error(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = circle\n{text}\n")
+    code, out, err = run_cli(["torsion", "--config", str(cfg)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "line 2" in err
+    assert text.split()[0] in err
+
+
+@pytest.mark.parametrize("value, want", [("1", True), ("TRUE", True), ("Yes", True),
+                                         ("0", False), ("false", False), ("NO", False)])
+def test_config_closed_form_spellings(tmp_path, value, want):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"closed_form = {value}\n")
+    code, out, _ = run_cli(["zeta", "--config", str(cfg), "--lambda-steps", "1"])
+    assert code == EXIT_OK
+    assert ("closed_form_abs_zeta0_inverse" in out) is want
+
+
+@pytest.mark.parametrize("criteria", ["13", "0", "x", "1,13", "2,"])
+def test_verify_rejects_unknown_criteria(criteria):
+    code, out, err = run_cli(["verify", "--criteria", criteria])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "criteria" in err
+
+
 def test_usage_error_maps_to_parse_exit():
     code, _, _ = run_cli(["torsion", "--model", "nonsense"])
     assert code == EXIT_PARSE
@@ -302,6 +332,7 @@ GOLDEN_COMMANDS = {
     "bf_torus_1_05.txt": ["bf", "--model", "torus", "--alpha", "1.0", "--beta", "0.5"],
     # cat-map mapping torus, theta = 2, with non-identity Gram matrices
     "bf_cat_gram_input.txt": ["bf", "--input", str(GOLDEN / "cat_gram.cplx")],
+    "verify.txt": ["verify"],
 }
 
 

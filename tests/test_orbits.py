@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from zetabf import verification
 from zetabf.errors import NotHyperbolicError, ParseError, ValidationError
 from zetabf.orbits import (
     OrbitRecord,
@@ -19,12 +20,12 @@ from zetabf.verification import lattice_fixed_point_count
 
 CAT = ToralAutomorphism(2, 1, 1, 1)
 
-# frozen from the lattice brute-force oracle (re-verified below for j <= 8)
+# frozen from the lattice brute-force oracle (re-verified below)
 CAT_COUNTS = [1, 5, 16, 45, 121, 320, 841, 2205, 5776, 15125, 39601, 103680]
 
 
 def test_counts_match_lattice_oracle():
-    for j in range(1, 9):
+    for j in range(1, 13):
         assert lattice_fixed_point_count(CAT, j) == CAT_COUNTS[j - 1]
     for j in range(1, 13):
         assert count_fixed_points(CAT, j) == CAT_COUNTS[j - 1]
@@ -37,6 +38,71 @@ def test_counts_other_hyperbolic():
     aut2 = ToralAutomorphism(3, 1, 1, 0)     # trace 3, det -1
     for j in range(1, 7):
         assert count_fixed_points(aut2, j) == lattice_fixed_point_count(aut2, j)
+
+
+def _ceil_div(a, b):
+    return -((-a) // b)
+
+
+def _scalar_lattice_count(aut, j):
+    """The oracle's enumeration as a plain Python loop, one m1 at a time."""
+    a, b, c, d = aut.power(j)
+    m00, m01, m10, m11 = a - 1, b, c, d - 1
+    det = m00 * m11 - m01 * m10
+    adj = ((m11, -m01), (-m10, m00))
+    alpha, beta = (0, det - 1) if det > 0 else (det + 1, 0)
+    count = 0
+    for m1 in range(min(0, m00, m01, m00 + m01), max(0, m00, m01, m00 + m01) + 1):
+        lo, hi, feasible = None, None, True
+        for p, q in adj:
+            base = p * m1
+            if q == 0:
+                feasible = feasible and alpha <= base <= beta
+                continue
+            if q > 0:
+                l, h = _ceil_div(alpha - base, q), (beta - base) // q
+            else:
+                l, h = _ceil_div(beta - base, q), (alpha - base) // q
+            lo = l if lo is None else max(lo, l)
+            hi = h if hi is None else min(hi, h)
+        if feasible and hi >= lo:
+            count += hi - lo + 1
+    return count
+
+
+# both determinant signs; (1,2,2,3) has A - I = [[0,2],[2,2]], so an adjugate
+# row has q = 0
+LATTICE_MATRICES = [(2, 1, 1, 1), (3, 1, 2, 1), (1, 2, 2, 3), (3, 1, 1, 0),
+                    (0, 1, 1, 3), (-2, 1, 1, -1), (-1, 2, 2, -5)]
+
+
+@pytest.mark.parametrize("block", [None, 61])
+@pytest.mark.parametrize("entries", LATTICE_MATRICES, ids=str)
+def test_blocked_lattice_oracle_matches_scalar_loop(entries, block, monkeypatch):
+    if block is not None:
+        # small blocks: most ranges cross several block boundaries
+        monkeypatch.setattr(verification, "_LATTICE_BLOCK", block)
+    aut = ToralAutomorphism(*entries)
+    widest = 0
+    for j in range(1, 13):
+        a, b, _, _ = aut.power(j)
+        if max(map(abs, aut.power(j))) > 30_000:
+            break
+        widest = max(widest, max(0, a - 1, b, a - 1 + b) - min(0, a - 1, b, a - 1 + b) + 1)
+        assert lattice_fixed_point_count(aut, j) == _scalar_lattice_count(aut, j)
+    if aut == CAT:
+        # the cat map at j = 11 enumerates 46368 first coordinates
+        assert widest > 2 * verification._LATTICE_BLOCK
+
+
+@pytest.mark.parametrize("aut, j", [(CAT, 23), (ToralAutomorphism(2 ** 31 + 1, 1, 2 ** 31, 1), 1)],
+                         ids=["cat_j23", "entry_2^31"])
+def test_lattice_oracle_refuses_int64_overflow(aut, j):
+    # an entry of A^j - I of modulus >= 2^31 could overflow an int64 product
+    a, b, c, d = aut.power(j)
+    assert max(abs(a - 1), abs(b), abs(c), abs(d - 1)) >= 2 ** 31
+    with pytest.raises(ValueError, match="2\\^31"):
+        lattice_fixed_point_count(aut, j)
 
 
 def test_not_hyperbolic_rejected():
