@@ -43,7 +43,6 @@ from .complexes import (
 from .graded import (
     FlatDetResult,
     flat_det,
-    mellin_f,
 )
 from .observables import (
     DarbouxChart,

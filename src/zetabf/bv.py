@@ -146,14 +146,13 @@ class GaugeSlot:
 
     ``a_basis``/``b_basis`` hold column bases of the A-side subspace of C^k
     and the B-side subspace of the dual slot k (as plain vectors; a functional
-    acts by transposed multiplication).  ``a_param``/``b_param`` are the
-    declared parametrisation matrices whose columns present the subspace in
-    the coordinates the Gaussian integral is performed in.
+    acts by transposed multiplication).  The Gaussian integral is performed in
+    the coordinates of ``a_basis`` on the A side and of the declared
+    parametrisation matrix ``b_param`` on the B side.
     """
 
     a_basis: np.ndarray
     b_basis: np.ndarray
-    a_param: np.ndarray
     b_param: np.ndarray
 
 
@@ -196,21 +195,20 @@ def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
     for k in range(n + 1):
         a_basis = coexact[k]
         b_basis = np.conj(exact[k])
-        a_param = a_basis
         if k >= 1:
             b_param = np.conj(base.diffs[k - 1] @ coexact[k - 1])
         else:
             b_param = b_basis[:, :0]
         # Jacobian: super volume factor of the declared parametrisation
         a_par = fs.a_parity(k)
-        for mat, parity in ((a_param, a_par), (b_param, 1 - a_par)):
+        for mat, parity in ((a_basis, a_par), (b_param, 1 - a_par)):
             if mat.shape[1] == 0:
                 continue
             gram = mat.conj().T @ mat
             sign, ld = np.linalg.slogdet(gram)
             eta = 1.0 if parity == 1 else -1.0
             log_jac += 0.5 * eta * ld
-        slots.append(GaugeSlot(a_basis, b_basis, a_param, b_param))
+        slots.append(GaugeSlot(a_basis, b_basis, b_param))
 
     complement_a = [exact[k] for k in range(n + 1)]
     complement_b = [np.conj(coexact[k]) for k in range(n + 1)]
@@ -380,7 +378,7 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
             b_param = np.conj(c.a_maps[k - 1] @ kernels[k - 1])
         else:
             b_param = b_basis[:, :0]
-        slots.append(GaugeSlot(a_basis, b_basis, a_basis, b_param))
+        slots.append(GaugeSlot(a_basis, b_basis, b_param))
     complement_b = [np.conj(kernels[k]) for k in range(n + 1)]
     return GaugeSubspace("contraction", slots, perps, complement_b, 1.0)
 
@@ -457,10 +455,10 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
 
 def restricted_action_blocks(fs: BFFieldSpace, gs: GaugeSubspace) -> List[np.ndarray]:
     """Action compressions M_k pairing the slot-k A parameters with the
-    slot-(k+1) B parameters: M_k = b_param^T d_k a_param."""
+    slot-(k+1) B parameters: M_k = b_param^T d_k a_basis."""
     blocks = []
     for k in range(fs.n):
-        a_par = gs.slots[k].a_param
+        a_par = gs.slots[k].a_basis
         b_par = gs.slots[k + 1].b_param
         blocks.append(b_par.T @ (fs.base.diffs[k] @ a_par))
     return blocks

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bv, complexes, observables, orbits, zeta
 from .errors import ZetaBFError
+from .graded import flat_det
 
 CAT_MAP = ((2, 1), (1, 1))
 FRIED_MATRICES = (((2, 1), (1, 1)), ((3, 1), (2, 1)), ((4, 1), (3, 1)))
@@ -377,8 +378,6 @@ def criterion_11_fried() -> CriterionResult:
 
 
 def criterion_12_flat_det() -> CriterionResult:
-    from .graded import flat_det
-
     start = time.perf_counter()
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0

@@ -1,7 +1,5 @@
 """Flat-determinant contracts."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,17 +7,13 @@ from scipy.linalg import expm
 
 from zetabf import graded
 from zetabf.errors import MellinDivergenceError
-from zetabf.graded import (
-    flat_det,
-    logdet_flat_mellin,
-    mellin_f,
-)
+from zetabf.graded import flat_det
 
-
-def spectral_zeta_oracle(matrix, s):
-    """Independent oracle: sum of lambda^(-s) over the spectrum."""
-    eigs = np.linalg.eigvals(np.atleast_2d(matrix))
-    return complex(np.sum(eigs ** (-s)))
+# A fixed non-normal conjugation, so the heat traces see a non-diagonal matrix.
+S = np.array([[1.0, 0.4, -0.2, 0.1],
+              [0.3, 1.2, 0.5, -0.3],
+              [-0.1, 0.2, 0.9, 0.4],
+              [0.2, -0.5, 0.1, 1.1]])
 
 
 def test_flat_det_ordinary_determinant():
@@ -34,6 +28,8 @@ def test_flat_det_kernel_excluded():
     r = flat_det(np.diag([0.0, 2.0]))
     assert r.value == pytest.approx(2.0)
     assert r.kernel_dim == 1
+    r = flat_det(np.zeros((2, 2)))
+    assert (r.value, r.mellin_value, r.kernel_dim) == (1.0, 1.0, 2)
 
 
 def test_flat_det_shifted():
@@ -50,20 +46,41 @@ def test_flat_det_spectral_matches_det():
         assert r.value == pytest.approx(complex(np.linalg.det(a)), rel=1e-12)
 
 
-def test_mellin_f_scalar_closed_form():
-    assert mellin_f([[2.0]], 0.0, 0.5) == pytest.approx(2.0 ** -0.5, rel=1e-8)
-
-
-def test_mellin_f_matches_spectral_sum():
-    m = np.diag([1.0, 4.0])
-    expected = spectral_zeta_oracle(m, 1.0)   # 1 + 1/4
-    assert expected == pytest.approx(1.25)
-    assert mellin_f(m, 0.0, 1.0) == pytest.approx(expected, rel=1e-8)
-
-
 def test_mellin_derivative_is_log():
-    got = logdet_flat_mellin([[2.0]])
-    assert got == pytest.approx(math.log(2.0), rel=1e-8)
+    for matrix, det in (([[2.0]], 2.0), (np.diag([1.0, 4.0]), 4.0)):
+        r = flat_det(matrix)
+        assert r.mellin_value == pytest.approx(det, rel=1e-12)
+        assert abs(r.mellin_value - r.value) <= r.quadrature_error_estimate
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 3.0, 10.0])
+def test_mellin_accuracy_grid(sigma, r):
+    """Real, mildly and strongly oscillatory spectra at three scales, with a
+    50-sigma eigenvalue that the quadrature scales must not miss."""
+    eigs = sigma * np.array([1 + 1j * r, 1 - 1j * r, 3.0, 50.0])
+    a = S @ np.diag(eigs) @ np.linalg.inv(S)
+    exact = complex(np.prod(eigs))
+    res = flat_det(a)
+    assert abs(res.mellin_value - exact) <= 1e-10 * abs(exact)
+    assert abs(res.mellin_value - res.value) <= res.quadrature_error_estimate
+
+
+def test_mellin_wide_spectrum():
+    r = flat_det(np.diag([0.01, 1.0, 500.0]))
+    assert abs(r.mellin_value - 5.0) <= 1e-9 * 5.0
+    assert abs(r.mellin_value - r.value) <= r.quadrature_error_estimate
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_flat_det_kernel_cut_is_relative(scale):
+    a = np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]])
+    r = flat_det(scale * a)
+    det = scale ** 3 * float(np.linalg.det(a))
+    assert r.kernel_dim == 0
+    assert abs(r.value - det) <= 1e-12 * abs(det)
+    assert abs(r.mellin_value - r.value) <= r.quadrature_error_estimate
+    assert abs(r.mellin_value - r.value) <= 1e-10 * abs(det)
 
 
 def test_mellin_divergence_reports_eigenvalue():
@@ -94,7 +111,7 @@ def test_flat_det_stacks_heat_traces(monkeypatch):
     a = np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]])
     r = flat_det(a)
     assert r.mellin_value == pytest.approx(r.value, rel=1e-6)
-    assert len(calls) <= 4
+    assert calls == [(113, 3, 3)]
 
 
 def test_flat_det_factorises_once(monkeypatch):
@@ -116,19 +133,18 @@ def test_flat_det_factorises_once(monkeypatch):
     (np.diag([0.2 + 30j, 0.2 - 20j]) + 0.01 * np.array([[0, 1], [1, 0]]), True),
 ])
 def test_heat_traces_equal_per_node_expm(matrix, panels):
-    """Stacked heat traces equal single-matrix expm traces bit for bit.
+    """Stacked heat traces equal single-matrix expm traces bit for bit, and
+    the estimate's nodes are nested in the value's rule or disjoint from it.
 
     Both matrices are non-diagonal, so expm takes its Pade route; the second
-    is oscillatory enough for the composite-panel tail."""
-    for nodes in (graded._NODES_LO, graded._NODES_HI):
-        m, nonzero, kdim = graded._spectral_split(graded._as_square(matrix), 0.0)
-        quad = graded._HeatQuadrature(m, nonzero, kdim, nodes)
-        assert (len(quad.t_high) != nodes) == panels
-
-        def heat(t):
-            return complex(np.trace(expm(-t * m))) - kdim
-
-        t_low = quad.u ** 2
-        h_low = np.array([heat(t) for t in t_low]) - quad.c0 - quad.c1 * t_low
-        assert np.array_equal(quad.h_low, h_low)
-        assert np.array_equal(quad.g_high, np.array([heat(t) for t in quad.t_high]))
+    is oscillatory enough for the Gauss-Legendre panels."""
+    m, nonzero, _ = graded._spectral_split(graded._as_square(matrix), 0.0)
+    _, t, weights = graded._mellin_rule(nonzero)
+    assert (len(t) != 113) == panels
+    shared = np.all(weights != 0, axis=0)
+    if panels:
+        assert not shared.any()
+    else:
+        assert np.array_equal(shared, np.arange(113) % 2 == 0)
+    heat = np.array([np.trace(expm(-tt * m)) for tt in t])
+    assert np.array_equal(graded._heat_traces(m, t), heat)
