@@ -10,6 +10,10 @@ superdeterminants of the gauge-restricted action, corrected by the declared
 parametrisation Jacobian (|sdet d*| for the metric parametrisation B = d* eta,
 and 1 for normalised contractions).
 
+Everything here reads the base complex's stored differentials, which
+``TwistedComplex`` keeps in their isometric presentation, and the Reeb
+contraction of a mapping torus reads the complex's ``suspension`` pairs.
+
 Shared factorisations: the metric gauge and the Hodge contraction read the
 same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
 vectors per differential, cut at the rank of the complex's spectral record),
@@ -68,12 +72,13 @@ class BFFieldSpace:
 
     Degrees: the C^k component of A has degree 1 - k, its dual B slot has
     degree k - 2, so each conjugate pair has total degree -1 (the pairing has
-    degree -1 under the declared grading).
+    degree -1 under the declared grading).  ``base`` is the complex itself,
+    in its isometric presentation.
     """
 
     def __init__(self, base: TwistedComplex):
         base.require_acyclic()
-        self.base = base.orthonormalized()
+        self.base = base
         self.n = self.base.top_degree
         self.dims = self.base.dims
         self.a_degrees = tuple(1 - k for k in range(self.n + 1))
@@ -311,9 +316,8 @@ class Contraction:
 def hodge_contraction(tc: TwistedComplex) -> Contraction:
     """Polar-isometry contraction: iota_(k+1) is the adjoint of the partial
     isometry part of d_k (initial space coexact, final space exact)."""
-    o = tc.orthonormalized()
-    iota = [np.zeros((0, o.dims[0]))]
-    for e_next, c_here in o.hodge_bases:
+    iota = [np.zeros((0, tc.dims[0]))]
+    for e_next, c_here in tc.hodge_bases:
         w = e_next @ c_here.conj().T          # partial isometry C^k -> C^(k+1)
         iota.append(w.conj().T)
     return Contraction.unitary(iota)
@@ -323,17 +327,16 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contract
     """Random unitary-normalised contraction: random kernel subspaces K^k with
     dim K^k = rank d_k, iota mapping the orthogonal complement isometrically
     onto K^(k-1), and a = iota^dagger."""
-    o = tc.orthonormalized()
-    n = o.top_degree
-    m = [o.rank(k) for k in range(n)] + [0]
+    n = tc.top_degree
+    m = [tc.rank(k) for k in range(n)] + [0]
 
     kernels = []
     perps = []
     for k in range(n + 1):
-        q = haar_unitary(rng, o.dims[k])
+        q = haar_unitary(rng, tc.dims[k])
         kernels.append(q[:, :m[k]])
         perps.append(q[:, m[k]:])
-    iota = [np.zeros((0, o.dims[0]))]
+    iota = [np.zeros((0, tc.dims[0]))]
     for k in range(1, n + 1):
         u = haar_unitary(rng, m[k - 1]) if m[k - 1] else np.zeros((0, 0))
         iota.append(kernels[k - 1] @ u @ perps[k].conj().T)
@@ -342,15 +345,14 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contract
 
 def suspension_contraction(tc: TwistedComplex) -> Contraction:
     """The Reeb-direction contraction of a mapping-torus complex: iota kills
-    base cells and sends each (cell x I) to its base cell."""
-    split = tc.meta.get("suspension_split")
-    targets = tc.meta.get("suspension_targets")
-    if split is None or targets is None:
+    base cells and sends each (cell x I) to its base cell, as the complex's
+    ``suspension`` pairs them."""
+    if tc.suspension is None:
         raise DegenerateContractionError("complex carries no suspension structure")
     iota = [np.zeros((0, tc.dims[0]))]
     for k in range(1, tc.top_degree + 1):
         m = np.zeros((tc.dims[k - 1], tc.dims[k]))
-        for src, dst in zip(split[k][1], targets[k]):
+        for src, dst in tc.suspension[k]:
             m[dst, src] = 1.0
         iota.append(m)
     return Contraction.unitary(iota)
@@ -564,22 +566,21 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
 
 
 def unitary_contraction_family(tc: TwistedComplex, base: Contraction,
-                               rng: np.random.Generator,
-                               strength: float = 1.0) -> Callable[[float], Contraction]:
+                               rng: np.random.Generator) -> Callable[[float], Contraction]:
     """Family t -> U(t) base U(t)^dagger with U(t) = exp(t K), K random
-    skew-Hermitian per degree.  Stays inside the unitary-normalised class."""
-    o = tc.orthonormalized()
+    skew-Hermitian of unit Frobenius norm per degree.  Stays inside the
+    unitary-normalised class."""
     gens = []
-    for d in o.dims:
+    for d in tc.dims:
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         k = (z - z.conj().T) / 2.0
         norm = np.linalg.norm(k)
-        gens.append(strength * k / norm if norm > 0 else k)
+        gens.append(k / norm if norm > 0 else k)
 
     def family(t: float) -> Contraction:
         us = [expm(t * g) for g in gens]
-        iota = [np.zeros((0, o.dims[0]))]
-        for k in range(1, o.top_degree + 1):
+        iota = [np.zeros((0, tc.dims[0]))]
+        for k in range(1, tc.top_degree + 1):
             iota.append(us[k - 1] @ base.iota[k] @ us[k].conj().T)
         return Contraction.unitary(iota)
 

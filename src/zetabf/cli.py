@@ -99,10 +99,14 @@ def load_config_file(path) -> dict:
 
 _INT_KEYS = {"lambda_steps", "J", "sigma", "samples", "seed"}
 _STR_KEYS = {"input", "model", "a_matrix", "out", "fmt", "criteria"}
+_FORMATS = ("csv", "json", "text")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(lineno: int, key: str, value: str):
+    if key == "fmt" and value not in _FORMATS:
+        raise ParseError(lineno, f"fmt must be one of {'/'.join(_FORMATS)}, "
+                                 f"got {value!r}")
     if key in _STR_KEYS:
         return value
     if key == "closed_form":
@@ -185,7 +189,7 @@ def cmd_bf(cfg: RunConfig) -> int:
         f"Z_metric {g17(z_metric)}",
         f"Z_contraction {g17(z_contraction)}",
     ]
-    if "suspension_split" in tc.meta:
+    if tc.suspension is not None:
         sus = bv.suspension_contraction(tc)
         z_sus = bv.partition_function(fs, bv.contraction_gauge(fs, sus)) ** cfg.sigma
         lines.append(f"Z_reeb_contraction {g17(z_sus)}")
@@ -311,7 +315,7 @@ def build_parser() -> _Parser:
         p.add_argument("--closed-form", dest="closed_form", action="store_true",
                        default=None, help="include the lambda=0 closed form")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json", "text"])
+        p.add_argument("--format", dest="fmt", choices=_FORMATS)
         p.add_argument("--criteria", help="comma-separated criterion subset")
 
     for name in ("torsion", "bf", "zeta", "orbits", "verify"):

@@ -13,17 +13,20 @@ resolution operators explicitly, with the second field tower living in the
 dual complex (transposed differentials), which is what the manifold picture
 degenerates to once Hodge duality is stripped away.
 
-Each complex factorises its orthonormalised differentials once, into a
-``SpectralRecord``: the values-only singular values and numerical rank of
-every d_k, and the eigenvalues of every Laplacian.  Ranks, Betti numbers,
-acyclicity, the coexact log dets, the Laplacian torsion route, the expected
-ranks of the Schwarz blocks and relation (3) all read it.  The record never
-mixes routes: the Laplacian route reads Laplacian eigenvalues, the coexact
-route the singular values of d_k.  Factorisations of other matrices stay
-separate because they are cross-checks: relation (1) takes its own SVD of
-d_k*, and the Schwarz resolution factorises the blocks it assembles.  The
-exact/coexact bases of the BV gauges come from a second, with-vectors SVD
-(``hodge_bases``), cut at the record's rank.
+A complex with Gram matrices is stored in its isometric presentation
+G^(1/2) d G^(-1/2), the only way torsion and the partition functions see the
+metric, so every consumer reads identity inner products.  Each complex
+factorises its stored differentials once, into a ``SpectralRecord``: the
+values-only singular values and numerical rank of every d_k, and the
+eigenvalues of every Laplacian.  Ranks, Betti numbers, acyclicity, the
+coexact log dets, the Laplacian torsion route, the expected ranks of the
+Schwarz blocks and relation (3) all read it.  The record never mixes routes:
+the Laplacian route reads Laplacian eigenvalues, the coexact route the
+singular values of d_k.  Factorisations of other matrices stay separate
+because they are cross-checks: relation (1) takes its own SVD of d_k*, and
+the Schwarz resolution factorises the blocks it assembles.  The exact/coexact
+bases of the BV gauges come from a second, with-vectors SVD (``hodge_bases``),
+cut at the record's rank.
 """
 
 from __future__ import annotations
@@ -53,8 +56,18 @@ RANK_TOL = 1e-9
 # Agreement required between the two torsion routes.
 TORSION_XCHECK_TOL = 1e-10
 
+# Declared relators must map within this of the identity.
+RELATOR_TOL = 1e-10
+
+# d_(k+1) d_k must vanish to this fraction of max(max_k |d_k|^2, 1): in the
+# presentation a complex is given in, then in its isometric one.
+D_SQUARE_TOL = 1e-12
+ISOMETRIC_D_SQUARE_TOL = 1e-9
+
 Word = Tuple[int, ...]            # signed 1-based generator indices
 Entry = Tuple[Tuple[int, Word], ...]   # integer combination of words
+# per degree k, the (cell x I in C^k, base cell in C^(k-1)) index pairs
+Suspension = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 _EMPTY: Word = ()
 
@@ -164,7 +177,6 @@ class UnitaryRep:
 
     rank: int
     images: Dict[str, np.ndarray]
-    relator_tol: float = 1e-10
 
     def __post_init__(self):
         clean = {}
@@ -188,7 +200,7 @@ class UnitaryRep:
         eye = np.eye(self.rank)
         for word in cc.relators:
             err = np.linalg.norm(self.evaluate(word, cc.generators) - eye)
-            if err >= self.relator_tol:
+            if err >= RELATOR_TOL:
                 raise RelatorViolationError(
                     f"relator {word} maps {err:.3e} away from the identity"
                 )
@@ -201,7 +213,7 @@ def character_rep(assignments: Dict[str, complex]) -> UnitaryRep:
 
 @dataclass(frozen=True)
 class SpectralRecord:
-    """Factorisations of an orthonormalised complex, computed once.
+    """Factorisations of a complex's stored differentials, computed once.
 
     Per differential d_k: ``singular_values[k]`` from the values-only SVD,
     ``ranks[k]`` the count above the rank cut and ``coexact_logdets[k]`` =
@@ -223,117 +235,94 @@ def _logdet_kept_sq(s: np.ndarray) -> Tuple[float, int]:
     return float(2.0 * np.sum(np.log(s[keep]))), int(np.count_nonzero(keep))
 
 
-class TwistedComplex:
-    """Finite cochain complex with inner products, adjoints and Laplacians.
+def _gram_root(g: Optional[np.ndarray], n: int) -> np.ndarray:
+    """Hermitian square root of an n x n Gram matrix (None is the identity).
 
-    ``diffs[k]`` maps C^k to C^(k+1).  Gram matrices default to the identity
-    (combinatorial L2 in the cell basis); alternative Hermitian positive
-    matrices may be supplied to probe metric dependence.  Differentials and
-    Gram matrices are stored as read-only copies, so the cached spectral data
-    cannot go stale.
+    The one Gram validation: raises ValueError unless ``g`` is Hermitian to
+    1e-12, of shape (n, n) and positive definite.
+    """
+    if g is None:
+        g = np.eye(n)
+    else:
+        g = np.array(g, dtype=complex)
+        if g.shape != (n, n) or np.linalg.norm(g - g.conj().T) > 1e-12:
+            raise ValueError("Gram matrices must be Hermitian of matching size")
+    w, v = np.linalg.eigh(g)
+    if np.min(w, initial=np.inf) <= 0:
+        raise ValueError("Gram matrices must be positive definite")
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def _check_closes(diffs: Sequence[np.ndarray], tol: float):
+    """Raise NotAComplexError unless every d_(k+1) d_k vanishes to ``tol``."""
+    scale = max((np.linalg.norm(d) for d in diffs), default=1.0)
+    for k in range(len(diffs) - 1):
+        err = np.linalg.norm(diffs[k + 1] @ diffs[k])
+        if err > tol * max(scale ** 2, 1.0):
+            raise NotAComplexError(
+                f"d_{k+1} d_{k} has norm {err:.3e}; complex does not close"
+            )
+
+
+class TwistedComplex:
+    """Finite cochain complex in its isometric presentation, with Laplacians.
+
+    ``diffs[k]`` maps C^k to C^(k+1).  Optional Hermitian positive definite
+    Gram matrices (default: the identity, combinatorial L2 in the cell basis)
+    probe metric dependence.  They are consumed on construction: ``diffs[k]``
+    stores G_(k+1)^(1/2) d_k G_k^(-1/2), so every consumer works with
+    identity inner products.  d_(k+1) d_k must vanish to D_SQUARE_TOL as given
+    and to ISOMETRIC_D_SQUARE_TOL as stored.  The differentials are read-only
+    copies, so the cached spectral data cannot go stale.
+
+    ``suspension`` marks a mapping-torus complex: per degree k, the
+    (cell x I, base cell) index pairs that the Reeb contraction joins; None
+    for every other complex.
     """
 
     def __init__(self, diffs: Sequence[np.ndarray],
                  grams: Optional[Sequence[Optional[np.ndarray]]] = None,
-                 poincare_self_dual: bool = False,
-                 meta: Optional[dict] = None,
-                 d_square_tol: float = 1e-12):
-        self.diffs = tuple(read_only(np.array(d, dtype=complex, ndmin=2)) for d in diffs)
-        if not self.diffs:
+                 poincare_self_dual: bool = False):
+        diffs = [np.array(d, dtype=complex, ndmin=2) for d in diffs]
+        if not diffs:
             raise ValueError("need at least one differential")
-        dims = [self.diffs[0].shape[1]]
-        for d in self.diffs:
+        dims = [diffs[0].shape[1]]
+        for d in diffs:
             if d.shape[1] != dims[-1]:
                 raise ValueError("differential shapes do not chain")
             dims.append(d.shape[0])
         self.dims = tuple(dims)
         self.top_degree = len(dims) - 1
         self.poincare_self_dual = poincare_self_dual
-        self.meta = dict(meta or {})
+        self.suspension: Optional[Suspension] = None
 
-        if grams is None:
-            grams = [None] * len(dims)
-        elif len(grams) != len(dims):
+        _check_closes(diffs, D_SQUARE_TOL)
+        if grams is not None and len(grams) != len(dims):
             raise ValueError("need one Gram matrix per degree")
-        clean = []
-        for g, n in zip(grams, dims):
-            if g is not None:
-                g = read_only(np.array(g, dtype=complex))
-                if g.shape != (n, n) or np.linalg.norm(g - g.conj().T) > 1e-12:
-                    raise ValueError("Gram matrices must be Hermitian of matching size")
-                if np.min(np.linalg.eigvalsh(g)) <= 0:
-                    raise ValueError("Gram matrices must be positive definite")
-            clean.append(g)
-        self.grams = tuple(clean)
-        self._orthonormal: Optional[TwistedComplex] = None
-
-        scale = max((np.linalg.norm(d) for d in self.diffs), default=1.0)
-        for k in range(len(self.diffs) - 1):
-            err = np.linalg.norm(self.diffs[k + 1] @ self.diffs[k])
-            if err > d_square_tol * max(scale ** 2, 1.0):
-                raise NotAComplexError(
-                    f"d_{k+1} d_{k} has norm {err:.3e}; complex does not close"
-                )
+        if grams is not None and any(g is not None for g in grams):
+            roots = [_gram_root(g, n) for g, n in zip(grams, dims)]
+            diffs = [roots[k + 1] @ d @ np.linalg.inv(roots[k])
+                     for k, d in enumerate(diffs)]
+            _check_closes(diffs, ISOMETRIC_D_SQUARE_TOL)
+        self.diffs = tuple(read_only(d) for d in diffs)
 
     # -- basic operators ----------------------------------------------------
 
-    def gram(self, k: int) -> np.ndarray:
-        g = self.grams[k]
-        return np.eye(self.dims[k]) if g is None else g
-
-    def adjoint(self, k: int) -> np.ndarray:
-        """Gram-aware adjoint d_k*: C^(k+1) -> C^k."""
-        d = self.diffs[k]
-        gk = self.grams[k]
-        gk1 = self.grams[k + 1]
-        out = d.conj().T
-        if gk1 is not None:
-            out = out @ gk1
-        if gk is not None:
-            out = np.linalg.solve(gk, out)
-        return out
-
     def laplacian(self, k: int) -> np.ndarray:
+        """Delta_k = d_k* d_k + d_(k-1) d_(k-1)*, d* the conjugate transpose."""
         n = self.dims[k]
         lap = np.zeros((n, n), dtype=complex)
         if k < len(self.diffs):
-            lap += self.adjoint(k) @ self.diffs[k]
+            lap += self.diffs[k].conj().T @ self.diffs[k]
         if k > 0:
-            lap += self.diffs[k - 1] @ self.adjoint(k - 1)
+            lap += self.diffs[k - 1] @ self.diffs[k - 1].conj().T
         return lap
 
     # -- ranks, Betti numbers, acyclicity ------------------------------------
 
-    def orthonormalized(self) -> "TwistedComplex":
-        """Isometric presentation with identity Gram matrices (built once)."""
-        if all(g is None for g in self.grams):
-            return self
-        if self._orthonormal is None:
-            roots = []
-            for k in range(len(self.dims)):
-                g = self.gram(k)
-                w, v = np.linalg.eigh(g)
-                roots.append((v * np.sqrt(w)) @ v.conj().T)
-            diffs = [roots[k + 1] @ d @ np.linalg.inv(roots[k])
-                     for k, d in enumerate(self.diffs)]
-            self._orthonormal = TwistedComplex(
-                diffs, poincare_self_dual=self.poincare_self_dual,
-                meta=self.meta, d_square_tol=1e-9)
-        return self._orthonormal
-
-    def rotated(self, unitaries: Sequence[np.ndarray]) -> "TwistedComplex":
-        """Unitary change of basis in each degree (identity Grams assumed)."""
-        diffs = [unitaries[k + 1] @ d @ unitaries[k].conj().T
-                 for k, d in enumerate(self.diffs)]
-        return TwistedComplex(diffs, meta=self.meta,
-                              poincare_self_dual=self.poincare_self_dual)
-
     @cached_property
     def spectrum(self) -> SpectralRecord:
-        """Spectral record of the orthonormalised complex, computed on first use."""
-        o = self.orthonormalized()
-        if o is not self:
-            return o.spectrum
+        """Spectral record of the stored differentials, computed on first use."""
         svals, ranks, coexact = [], [], []
         for d in self.diffs:
             s = np.linalg.svd(d, compute_uv=False)
@@ -349,12 +338,9 @@ class TwistedComplex:
 
     @cached_property
     def hodge_bases(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """Per differential d_k of the orthonormalised complex: (orthonormal
-        basis of im d_k, of the coexact subspace of C^k), from one SVD with
-        vectors, cut at the spectral record's rank."""
-        o = self.orthonormalized()
-        if o is not self:
-            return o.hodge_bases
+        """Per differential d_k: (orthonormal basis of im d_k, of the coexact
+        subspace of C^k), from one SVD with vectors, cut at the spectral
+        record's rank."""
         out = []
         for d, rank in zip(self.diffs, self.spectrum.ranks):
             u, _, vh = np.linalg.svd(d, full_matrices=False)
@@ -396,9 +382,8 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
         diffs.append(d)
     if poincare_self_dual is None:
         poincare_self_dual = cc.self_dual
-    meta = {"cell_counts": cc.counts, "rank": r, "name": cc.name}
     try:
-        return TwistedComplex(diffs, grams=grams, meta=meta,
+        return TwistedComplex(diffs, grams=grams,
                               poincare_self_dual=poincare_self_dual)
     except NotAComplexError as exc:
         raise NotAComplexError(f"bad labelling for {cc.name or 'cell complex'}: {exc}")
@@ -462,14 +447,13 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     product is returned directly.
     """
     tc.require_acyclic()
-    o = tc.orthonormalized()
-    n = o.top_degree
+    n = tc.top_degree
 
     if n == 1:
-        return math.exp(0.5 * o.spectrum.coexact_logdets[0])
+        return math.exp(0.5 * tc.spectrum.coexact_logdets[0])
 
-    ranks = o.spectrum.ranks
-    d = o.diffs
+    ranks = tc.spectrum.ranks
+    d = tc.diffs
 
     def dual(k):
         """Differential of the dual tower Ĉ^(N-k-1) -> Ĉ^(N-k): transpose of d_k."""
@@ -521,19 +505,18 @@ class DetRelationsReport:
 
 def det_relations_report(tc: TwistedComplex) -> DetRelationsReport:
     tc.require_acyclic()
-    o = tc.orthonormalized()
-    n = o.top_degree
-    ell = o.spectrum.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
+    n = tc.top_degree
+    ell = tc.spectrum.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
 
     res1 = 0.0
-    for k, d in enumerate(o.diffs):
+    for k, d in enumerate(tc.diffs):
         dd_star, _ = _logdet_nonzero_sq(d.conj().T)
         res1 = max(res1, abs(dd_star - ell[k]))
 
     res3 = 0.0
     for k in range(n + 1):
         target = (ell[k - 1] if k >= 1 else 0.0) + (ell[k] if k < n else 0.0)
-        res3 = max(res3, abs(o.spectrum.laplacian_logdets[k] - target))
+        res3 = max(res3, abs(tc.spectrum.laplacian_logdets[k] - target))
 
     res2 = None
     if tc.poincare_self_dual:
@@ -639,12 +622,8 @@ def mapping_torus_complex(a_matrix, theta: float) -> TwistedComplex:
     cc = mapping_torus_cell_complex(a_matrix)
     rep = character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(1j * theta)})
     tc = build_twisted_complex(cc, rep, poincare_self_dual=True)
-    # Index split used by the suspension contraction:  (base cells, cells x I)
-    tc.meta["suspension_split"] = {
-        0: ([0], []), 1: ([0, 1], [2]), 2: ([0], [1, 2]), 3: ([], [0]),
-    }
-    # cells x I map down to these base cells (same order as the t-part lists)
-    tc.meta["suspension_targets"] = {1: [0], 2: [0, 1], 3: [0]}
+    # cells x I: t in degree 1, (a x I, b x I) in degree 2, F x I in degree 3
+    tc.suspension = ((), ((2, 0),), ((1, 0), (2, 1)), ((0, 0),))
     return tc
 
 
@@ -680,7 +659,7 @@ def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
         left = us[k + 1][:, :m]
         right = us[k][:, dims[k] - m:]
         diffs.append(left @ np.diag(s) @ right.conj().T)
-    return TwistedComplex(diffs, meta={"rank": rank})
+    return TwistedComplex(diffs)
 
 
 # -- file format ---------------------------------------------------------------
@@ -800,7 +779,7 @@ def read_complex_file(path):
     relator_words: List[str] = []
     boundary_rows: Dict[int, List[str]] = {}
     rep_rows: Dict[str, List[str]] = {}
-    gram_rows: Dict[int, List[str]] = {}
+    gram_rows: Dict[int, Tuple[int, List[str]]] = {}
     section = None
 
     for lineno, line in enumerate(raw, start=1):
@@ -849,8 +828,8 @@ def read_complex_file(path):
             section = ("rep", rep_rows[name])
         elif key == "gram":
             k = int(fields[1])
-            gram_rows[k] = []
-            section = ("gram", gram_rows[k])
+            gram_rows[k] = (lineno, [])
+            section = ("gram", gram_rows[k][1])
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
 
@@ -897,7 +876,16 @@ def read_complex_file(path):
     grams = None
     if gram_rows:
         grams = [None] * (top + 1)
-        for k, rows in gram_rows.items():
+        for k, (header, rows) in gram_rows.items():
+            if not 0 <= k <= top:
+                raise ParseError(header, f"gram {k}: degree outside 0..{top}")
+            n = counts[k] * rank
             mat = [_parse_complex_row(row, lineno) for lineno, row in rows]
+            if len(mat) != n or any(len(r) != n for r in mat):
+                raise ParseError(header, f"gram {k}: expected a {n}x{n} matrix")
+            try:
+                _gram_root(mat, n)
+            except ValueError as exc:
+                raise ParseError(header, f"gram {k}: {exc}")
             grams[k] = np.array(mat)
     return cc, rep, grams

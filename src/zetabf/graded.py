@@ -155,7 +155,7 @@ def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
     log_h, log_2h = c0 * np.log(sigma) - weights @ integrand
     mellin_value = complex(np.exp(log_h))
 
-    scale = max(abs(value), 1e-30)
+    scale = abs(value)
     estimate = scale * (10.0 * abs(log_h - log_2h) + 1e-9)
     residual = abs(mellin_value - value)
     if residual > max(estimate, 1e-6 * scale):

@@ -380,13 +380,16 @@ def decomposition_residual(data: OrbitData, theta: float, lam: complex,
     return abs((-1) ** TRANSVERSE_RANK * full - alternating)
 
 
+# A bump's support reaches this many widths either side of its centre.
+BUMP_SUPPORT_WIDTHS = 6.0
+
+
 @dataclass(frozen=True)
 class BumpSpec:
     """Peak-normalised Gaussian test function for flat-trace pairings."""
 
     center: float
     width: float
-    support_sigmas: float = 6.0
 
     def __post_init__(self):
         if self.width <= 0:
@@ -394,8 +397,8 @@ class BumpSpec:
 
     @property
     def support(self) -> Tuple[float, float]:
-        return (self.center - self.support_sigmas * self.width,
-                self.center + self.support_sigmas * self.width)
+        return (self.center - BUMP_SUPPORT_WIDTHS * self.width,
+                self.center + BUMP_SUPPORT_WIDTHS * self.width)
 
     def __call__(self, t: float) -> float:
         return math.exp(-0.5 * ((t - self.center) / self.width) ** 2)

@@ -35,6 +35,7 @@ from zetabf.complexes import (
     mapping_torus_cell_complex,
     mapping_torus_complex,
     random_twisted_complex,
+    torus_complex,
 )
 from zetabf.errors import (
     DegenerateContractionError,
@@ -305,6 +306,16 @@ def test_contraction_gauge_lagrangian_on_mapping_torus():
     rep = is_lagrangian(fs, gs)
     assert rep.ok
     assert rep.cross_pairing_min_sv > 1e-8
+
+
+@pytest.mark.parametrize("tc", [circle_complex(math.pi),
+                                torus_complex(1.0, 0.5),
+                                random_twisted_complex(np.random.default_rng(3))],
+                         ids=["circle", "torus", "random"])
+def test_suspension_contraction_needs_a_suspension(tc):
+    assert tc.suspension is None
+    with pytest.raises(DegenerateContractionError, match="suspension"):
+        suspension_contraction(tc)
 
 
 def test_suspension_contraction_reproduces_zeta_blocks():

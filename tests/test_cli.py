@@ -160,6 +160,23 @@ def test_torsion_malformed_file(tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("block", ["gram 7\n  0.5,0\n",
+                                   "gram 3\n  0.5,0 0,0\n  0,0 1,0\n",
+                                   "gram 3\n  -0.5,0\n",
+                                   "gram 3\n  0.5,0\n  0.5,0\n"],
+                         ids=["degree-out-of-range", "wrong-size", "indefinite",
+                              "extra-row"])
+def test_torsion_malformed_gram_block(tmp_path, block):
+    head, _ = (GOLDEN / "cat_gram.cplx").read_text().split("gram 3\n")
+    header_line = head.count("\n") + 1
+    path = tmp_path / "bad_gram.cplx"
+    path.write_text(head + block)
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"parse error: line {header_line}: gram" in err
+
+
 def test_bf_reports_both_gauges():
     code, out, _ = run_cli(["bf", "--model", "cat", "--theta", str(math.pi),
                             "--samples", "4", "--sigma", "-1"])
@@ -263,7 +280,7 @@ def test_config_cannot_set_command(tmp_path, command):
 
 
 @pytest.mark.parametrize("text", ["J = abc", "theta = pi", "samples = 2.5",
-                                  "closed_form = maybe"])
+                                  "closed_form = maybe", "fmt = xml"])
 def test_config_bad_value_is_parse_error(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"model = circle\n{text}\n")
@@ -332,6 +349,7 @@ GOLDEN_COMMANDS = {
     "bf_torus_1_05.txt": ["bf", "--model", "torus", "--alpha", "1.0", "--beta", "0.5"],
     # cat-map mapping torus, theta = 2, with non-identity Gram matrices
     "bf_cat_gram_input.txt": ["bf", "--input", str(GOLDEN / "cat_gram.cplx")],
+    "torsion_cat_gram_input.txt": ["torsion", "--input", str(GOLDEN / "cat_gram.cplx")],
     "verify.txt": ["verify"],
 }
 

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from zetabf.complexes import (
     CellComplex,
+    TwistedComplex,
     analytic_torsion,
     build_twisted_complex,
     character_rep,
@@ -128,7 +130,9 @@ def test_torsion_unitary_invariance():
         q, r = np.linalg.qr(z)
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    rotated = tc.rotated([haar(n) for n in tc.dims])
+    us = [haar(n) for n in tc.dims]
+    rotated = TwistedComplex([us[k + 1] @ d @ us[k].conj().T
+                              for k, d in enumerate(tc.diffs)])
     assert analytic_torsion(rotated) == pytest.approx(tau, rel=1e-10)
 
 
@@ -187,7 +191,6 @@ def test_det_relations_random():
 
 def test_det_relations_identity_cone():
     # cone of the identity map: 0 -> C^2 -> C^2 -> 0, relation (3) degreewise
-    from zetabf.complexes import TwistedComplex
     tc = TwistedComplex([np.eye(2)])
     rep = det_relations_report(tc)
     assert rep.relation3 < 1e-14
@@ -195,7 +198,6 @@ def test_det_relations_identity_cone():
 
 
 def test_differentials_are_read_only_copies():
-    from zetabf.complexes import TwistedComplex
     d = np.eye(2, dtype=complex)
     tc = TwistedComplex([d])
     assert tc.betti_numbers() == (0, 0)
@@ -205,21 +207,30 @@ def test_differentials_are_read_only_copies():
         tc.diffs[0][0, 0] = 0.0
 
 
-def test_adjoint_property_with_gram():
+def test_gram_complex_stores_isometric_presentation():
+    # diffs[k] = G_(k+1)^(1/2) d_k G_k^(-1/2), with G^(1/2) Hermitian positive
     rng = np.random.default_rng(9)
     tc = random_twisted_complex(rng, top_degree=2, max_cells=4, rank=1)
     grams = []
     for n in tc.dims:
-        z = rng.normal(size=(n, n))
-        grams.append(z @ z.T + n * np.eye(n))
-    from zetabf.complexes import TwistedComplex
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        grams.append(z @ z.conj().T + n * np.eye(n))
+    grams[1] = None                # identity in that degree
     tcg = TwistedComplex(tc.diffs, grams=grams)
-    for k in range(tcg.top_degree):
-        u = rng.normal(size=tcg.dims[k]) + 1j * rng.normal(size=tcg.dims[k])
-        v = rng.normal(size=tcg.dims[k + 1]) + 1j * rng.normal(size=tcg.dims[k + 1])
-        lhs = (tcg.diffs[k] @ u).conj() @ (tcg.gram(k + 1) @ v)
-        rhs = u.conj() @ (tcg.gram(k) @ (tcg.adjoint(k) @ v))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    roots = [sqrtm(g) if g is not None else np.eye(n)
+             for g, n in zip(grams, tc.dims)]
+    for k, d in enumerate(tc.diffs):
+        want = roots[k + 1] @ d @ np.linalg.inv(roots[k])
+        assert np.allclose(tcg.diffs[k], want, rtol=0, atol=1e-12 * np.linalg.norm(want))
+    assert not tcg.diffs[0].flags.writeable
+
+
+def test_gram_validation():
+    tc = circle_complex(math.pi)
+    for grams in ([np.array([[-1.0]]), None], [np.eye(2), None],
+                  [np.array([[1.0, 1j], [0.0, 1.0]]), None], [None]):
+        with pytest.raises(ValueError):
+            TwistedComplex(tc.diffs, grams=grams)
 
 
 def test_det_relations_dual_pairs():

@@ -81,6 +81,7 @@ def test_flat_det_kernel_cut_is_relative(scale):
     assert abs(r.value - det) <= 1e-12 * abs(det)
     assert abs(r.mellin_value - r.value) <= r.quadrature_error_estimate
     assert abs(r.mellin_value - r.value) <= 1e-10 * abs(det)
+    assert r.quadrature_error_estimate <= 1e-8 * abs(det)
 
 
 def test_mellin_divergence_reports_eigenvalue():
