@@ -19,8 +19,8 @@ same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
 vectors per differential, cut at the rank of the complex's spectral record),
 and random contractions take their ranks from that record.  A contraction
 reads its degree dimensions off the shapes of iota, validates itself once, on
-construction, and factorises each iota_k once; its validation, gauge,
-sdet(iota o a) and Lie operator all reuse those kernel bases.  The unitary-
+construction, and factorises each iota_k once; its validation, gauge and
+Lie operator all reuse those kernel bases.  The unitary-
 normalised constructors (Hodge, random, suspension, homotopy families) build
 only iota and leave a = iota^dagger to ``Contraction.unitary``.  The SVDs of
 the restricted action blocks and of the isotropy cross pairing stay separate:
@@ -231,7 +231,8 @@ class Contraction:
     zero map out of the top degree).  The gauge-independence theorems of the
     test suite cover the unitary-normalised class a = iota^dagger (iota a
     partial isometry), which ``Contraction.unitary`` builds from iota alone;
-    the normalisation sdet(iota o a) = 1 holds for every valid instance.  A
+    validation checks iota o a = id on ker iota, so the normalisation
+    sdet(iota o a) = 1 holds for every valid instance.  A
     contraction validates itself once, on construction, and raises
     DegenerateContractionError when invalid.  It owns both families and marks
     their arrays read-only, so the kernel bases, factorised once, cannot go
@@ -299,18 +300,6 @@ class Contraction:
         if k == 0 or self.iota[k].shape[0] == 0:
             return np.eye(self.dims[k])
         return self._kernels[k]
-
-    def sdet_iota_a(self) -> float:
-        """|sdet(iota o a)|: equals 1 for every normalised contraction."""
-        value = 1.0
-        for k in range(len(self.iota) - 1):
-            ker = self.kernel_basis(k)
-            if ker.shape[1] == 0:
-                continue
-            block = ker.conj().T @ (self.iota[k + 1] @ (self.a_maps[k] @ ker))
-            sign, ld = np.linalg.slogdet(block)
-            value *= math.exp(((-1) ** (k % 2)) * ld)
-        return abs(value)
 
 
 def hodge_contraction(tc: TwistedComplex) -> Contraction:

@@ -6,10 +6,13 @@ partition functions and homotopy scans), zeta (grid export and closed-form
 evaluation), orbits (enumeration and spectrum-file handling), verify (the
 acceptance suite).
 
-Configuration comes from a key=value text file (--config) with flags taking
-precedence; no environment variables are consulted.  All numbers print with
-17 significant digits and runs are deterministic: identical configuration
-gives byte-identical standard output (timing goes to stderr).
+Every option is one row of ``OPTIONS``: its flag, its default and one parse
+function that converts and checks a value.  argparse applies that function to
+the flag and ``load_config_file`` to the option's line in a key=value file
+(--config), so both meet the same checks; flags take precedence over the file
+and no environment variables are consulted.  All numbers print with 17
+significant digits and runs are deterministic: identical configuration gives
+byte-identical standard output (timing goes to stderr).
 
 Exit codes: 0 ok, 2 domain error, 3 parse error, 4 verification failure.
 """
@@ -20,8 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,44 +46,108 @@ class _Parser(argparse.ArgumentParser):
         raise CLIUsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str = ""
-    input: Optional[str] = None
-    model: str = "cat"
-    a_matrix: str = "2,1,1,1"
-    theta: float = math.pi
-    alpha: float = math.pi / 2
-    beta: float = 0.0
-    lambda_start: float = 2.0
-    lambda_stop: float = 5.0
-    lambda_steps: int = 7
-    lambda_imag: float = 0.0
-    J: int = 40
-    sigma: int = 1
-    samples: int = 10
-    seed: int = 20240801
-    closed_form: bool = False
-    out: Optional[str] = None
-    fmt: str = "csv"
-    criteria: Optional[str] = None
-
-    def validate(self):
-        if self.lambda_steps < 1:
-            raise ParseError(0, "lambda grid must be nonempty")
-        if self.J < 1:
-            raise ParseError(0, "J must be positive")
-        if self.sigma not in (1, -1):
-            raise ParseError(0, "sigma must be +1 or -1")
-        if self.samples < 2:
-            raise ParseError(0, "samples must be >= 2")
+# -- options --------------------------------------------------------------------
+# A parse function takes the text of a flag or config value and returns the
+# checked value, or raises argparse.ArgumentTypeError saying what it must be.
 
 
-# The subcommand comes from the command line only; a config file cannot set it.
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+def _number(kind, minimum=None):
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {'an integer' if kind is int else 'a number'}, got {text!r}")
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _choice(allowed, convert=str):
+    def parse(text):
+        value = convert(text)
+        if value not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"must be one of {'/'.join(map(str, allowed))}, got {text!r}")
+        return value
+    return parse
+
+
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _switch(text):
+    """An on/off config value; on the command line the bare flag means on."""
+    if text.lower() not in _SWITCH:
+        raise argparse.ArgumentTypeError(
+            f"must be one of 1/0/true/false/yes/no, got {text!r}")
+    return _SWITCH[text.lower()]
+
+
+def _matrix(text):
+    try:
+        a11, a12, a21, a22 = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be four comma-separated integers a11,a12,a21,a22, got {text!r}")
+    return ((a11, a12), (a21, a22))
+
+
+def _criteria(text):
+    """Indices in 1..len(ALL_CRITERIA); None, for all of them, on empty text."""
+    if not text:
+        return None
+    count = len(verification.ALL_CRITERIA)
+    index = _choice(range(1, count + 1), _number(int))
+    try:
+        return tuple(index(x) for x in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated indices in 1..{count}, got {text!r}")
+
+
+class Option(NamedTuple):
+    """One option: its flag, its default and the function parsing its text."""
+    flag: str
+    default: object
+    parse: Callable[[str], object]
+    help: Optional[str] = None
+
+
+# Keyed by config key, which is also the attribute of the parsed configuration.
+# The subcommand and --config are not options: a config file cannot set them.
+OPTIONS = {
+    "input": Option("--input", None, str, "input file (complex or orbit spectrum)"),
+    "model": Option("--model", "cat",
+                    _choice(("circle", "torus", "cat", "mapping-torus")),
+                    "circle, torus, cat or mapping-torus"),
+    "a_matrix": Option("--A", ((2, 1), (1, 1)), _matrix,
+                       "integer matrix a11,a12,a21,a22"),
+    "theta": Option("--theta", math.pi, _number(float), "holonomy angle"),
+    "alpha": Option("--alpha", math.pi / 2, _number(float),
+                    "torus character angle (first)"),
+    "beta": Option("--beta", 0.0, _number(float), "torus character angle (second)"),
+    "lambda_start": Option("--lambda-start", 2.0, _number(float)),
+    "lambda_stop": Option("--lambda-stop", 5.0, _number(float)),
+    "lambda_steps": Option("--lambda-steps", 7, _number(int, 1)),
+    "lambda_imag": Option("--lambda-imag", 0.0, _number(float)),
+    "J": Option("--J", 40, _number(int, 1), "orbit-sum truncation"),
+    "sigma": Option("--sigma", 1, _choice((1, -1), _number(int)),
+                    "torsion convention exponent"),
+    "samples": Option("--samples", 10, _number(int, 2), "homotopy scan samples"),
+    "seed": Option("--seed", 20240801, _number(int, 0)),
+    "closed_form": Option("--closed-form", False, _switch,
+                          "include the lambda=0 closed form"),
+    "out": Option("--out", None, str, "output path (default stdout)"),
+    "fmt": Option("--format", "csv", _choice(("csv", "json", "text")),
+                  "csv, json or text"),
+    "criteria": Option("--criteria", None, _criteria, "comma-separated criterion subset"),
+}
 
 
 def load_config_file(path) -> dict:
+    """Parsed values of the key=value lines of a config file."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -91,47 +157,16 @@ def load_config_file(path) -> dict:
             if "=" not in stripped:
                 raise ParseError(lineno, f"expected key=value, got {stripped!r}")
             key, value = (s.strip() for s in stripped.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in OPTIONS:
                 raise ParseError(lineno, f"unknown config key {key!r}")
-            out[key] = _coerce(lineno, key, value)
+            try:
+                out[key] = OPTIONS[key].parse(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ParseError(lineno, f"{key} {exc}")
     return out
 
 
-_INT_KEYS = {"lambda_steps", "J", "sigma", "samples", "seed"}
-_STR_KEYS = {"input", "model", "a_matrix", "out", "fmt", "criteria"}
-_FORMATS = ("csv", "json", "text")
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _coerce(lineno: int, key: str, value: str):
-    if key == "fmt" and value not in _FORMATS:
-        raise ParseError(lineno, f"fmt must be one of {'/'.join(_FORMATS)}, "
-                                 f"got {value!r}")
-    if key in _STR_KEYS:
-        return value
-    if key == "closed_form":
-        if value.lower() not in _BOOLS:
-            raise ParseError(lineno, f"{key} must be one of 1/0/true/false/yes/no, "
-                                     f"got {value!r}")
-        return _BOOLS[value.lower()]
-    target, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
-    try:
-        return target(value)
-    except ValueError:
-        raise ParseError(lineno, f"{key} must be {kind}, got {value!r}")
-
-
-def parse_matrix(text: str):
-    try:
-        vals = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ParseError(0, f"matrix must be four comma-separated integers: {text!r}")
-    if len(vals) != 4:
-        raise ParseError(0, "matrix must have four entries a11,a12,a21,a22")
-    return [[vals[0], vals[1]], [vals[2], vals[3]]]
-
-
-def _load_model(cfg: RunConfig):
+def _load_model(cfg: argparse.Namespace):
     if cfg.input:
         cc, rep, grams = complexes.read_complex_file(cfg.input)
         return complexes.build_twisted_complex(cc, rep, grams=grams)
@@ -139,12 +174,10 @@ def _load_model(cfg: RunConfig):
         return complexes.circle_complex(cfg.theta)
     if cfg.model == "torus":
         return complexes.torus_complex(cfg.alpha, cfg.beta)
-    if cfg.model in ("cat", "mapping-torus"):
-        return complexes.mapping_torus_complex(parse_matrix(cfg.a_matrix), cfg.theta)
-    raise ParseError(0, f"unknown model {cfg.model!r}")
+    return complexes.mapping_torus_complex(cfg.a_matrix, cfg.theta)
 
 
-def _emit(lines: List[str], cfg: RunConfig):
+def _emit(lines: List[str], cfg: argparse.Namespace):
     text = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -156,7 +189,7 @@ def _emit(lines: List[str], cfg: RunConfig):
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_torsion(cfg: RunConfig) -> int:
+def cmd_torsion(cfg: argparse.Namespace) -> int:
     tc = _load_model(cfg)
     lines = [f"betti {' '.join(str(b) for b in tc.betti_numbers())}"]
     tau = complexes.analytic_torsion(tc, sign=cfg.sigma)
@@ -176,7 +209,7 @@ def cmd_torsion(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bf(cfg: RunConfig) -> int:
+def cmd_bf(cfg: argparse.Namespace) -> int:
     tc = _load_model(cfg)
     fs = bv.build_bf_fields(tc)
     tau = complexes.analytic_torsion(tc, sign=cfg.sigma)
@@ -214,8 +247,8 @@ def cmd_bf(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_zeta(cfg: RunConfig) -> int:
-    aut = orbits.ToralAutomorphism.from_matrix(parse_matrix(cfg.a_matrix))
+def cmd_zeta(cfg: argparse.Namespace) -> int:
+    aut = orbits.ToralAutomorphism.from_matrix(cfg.a_matrix)
     lines = []
     if cfg.closed_form:
         zs = zeta.closed_form_suspension(aut, cfg.theta, 0.0)
@@ -238,7 +271,7 @@ def cmd_zeta(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_orbits(cfg: RunConfig) -> int:
+def cmd_orbits(cfg: argparse.Namespace) -> int:
     if cfg.input:
         records = orbits.load_orbit_spectrum(cfg.input).records
         # the summary always goes to stdout; --out receives the merged spectrum
@@ -247,7 +280,7 @@ def cmd_orbits(cfg: RunConfig) -> int:
         if cfg.out:
             orbits.write_orbit_spectrum(cfg.out, records)
         return EXIT_OK
-    aut = orbits.ToralAutomorphism.from_matrix(parse_matrix(cfg.a_matrix))
+    aut = orbits.ToralAutomorphism.from_matrix(cfg.a_matrix)
     records = orbits.enumerate_primitive_orbits(aut, cfg.J)
     if cfg.out:
         orbits.write_orbit_spectrum(cfg.out, records, theta=cfg.theta)
@@ -259,23 +292,8 @@ def cmd_orbits(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _criterion_indices(text: Optional[str]) -> Optional[List[int]]:
-    """The --criteria subset as indices in 1..len(ALL_CRITERIA); None for all."""
-    if not text:
-        return None
-    count = len(verification.ALL_CRITERIA)
-    try:
-        indices = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ParseError(0, f"criteria must be comma-separated integers, got {text!r}")
-    unknown = [i for i in indices if not 1 <= i <= count]
-    if unknown:
-        raise ParseError(0, f"criteria must lie in 1..{count}, got {unknown}")
-    return indices
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    results = verification.run_all(_criterion_indices(cfg.criteria))
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    results = verification.run_all(cfg.criteria)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -290,39 +308,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 # -- argument plumbing ---------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="zetabf", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--input", help="input file (complex or orbit spectrum)")
-        p.add_argument("--model", choices=["circle", "torus", "cat", "mapping-torus"])
-        p.add_argument("--A", dest="a_matrix", help="integer matrix a11,a12,a21,a22")
-        p.add_argument("--theta", type=float, help="holonomy angle")
-        p.add_argument("--alpha", type=float, help="torus character angle (first)")
-        p.add_argument("--beta", type=float, help="torus character angle (second)")
-        p.add_argument("--lambda-start", dest="lambda_start", type=float)
-        p.add_argument("--lambda-stop", dest="lambda_stop", type=float)
-        p.add_argument("--lambda-steps", dest="lambda_steps", type=int)
-        p.add_argument("--lambda-imag", dest="lambda_imag", type=float)
-        p.add_argument("--J", dest="J", type=int, help="orbit-sum truncation")
-        p.add_argument("--sigma", type=int, choices=[1, -1],
-                       help="torsion convention exponent")
-        p.add_argument("--samples", type=int, help="homotopy scan samples")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--closed-form", dest="closed_form", action="store_true",
-                       default=None, help="include the lambda=0 closed form")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=_FORMATS)
-        p.add_argument("--criteria", help="comma-separated criterion subset")
-
-    for name in ("torsion", "bf", "zeta", "orbits", "verify"):
-        add_common(sub.add_parser(name))
-    return parser
-
-
 _COMMANDS = {
     "torsion": cmd_torsion,
     "bf": cmd_bf,
@@ -332,17 +317,31 @@ _COMMANDS = {
 }
 
 
-def make_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    cfg.validate()
-    return cfg
+def build_parser() -> _Parser:
+    parser = _Parser(prog="zetabf", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        # flags not given stay unset, so they do not mask config-file values
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="key=value configuration file")
+        for key, opt in OPTIONS.items():
+            if opt.parse is _switch:
+                p.add_argument(opt.flag, dest=key, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, dest=key, type=opt.parse, help=opt.help)
+    return parser
+
+
+def make_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Every option's default, overridden by the --config file, overridden by
+    the flags given."""
+    given = vars(args)
+    cfg = {key: opt.default for key, opt in OPTIONS.items()}
+    if "config" in given:
+        cfg.update(load_config_file(given.pop("config")))
+    cfg.update(given)
+    return argparse.Namespace(**cfg)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -718,6 +718,20 @@ def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
         fh.write(text)
 
 
+def _integer(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(lineno, f"{what} must be an integer, got {text!r}")
+
+
+def _argument(fields: List[str], lineno: int) -> str:
+    """The one argument of a directive line such as ``boundary 0``."""
+    if len(fields) != 2:
+        raise ParseError(lineno, f"{fields[0]} takes one argument, got {len(fields) - 1}")
+    return fields[1]
+
+
 def _parse_word(token: str, gen_index: Dict[str, int], lineno: int) -> Word:
     if token == "1":
         return _EMPTY
@@ -746,7 +760,7 @@ def _parse_entry(text: str, gen_index: Dict[str, int], lineno: int) -> Entry:
             tok = tok[1:]
         if "*" in tok:
             num, word = tok.split("*", 1)
-            coeff = sign * int(num)
+            coeff = sign * _integer(num, lineno, "coefficient")
             terms.append((coeff, _parse_word(word, gen_index, lineno)))
         else:
             raise ParseError(lineno, f"malformed term {tok!r}")
@@ -797,37 +811,39 @@ def read_complex_file(path):
         if key == "complex":
             for f in fields[1:]:
                 if f.startswith("top="):
-                    top = int(f[4:])
+                    top = _integer(f[4:], lineno, "top")
                 elif f.startswith("rank="):
-                    rank = int(f[5:])
+                    rank = _integer(f[5:], lineno, "rank")
                 elif f == "self_dual=1":
                     self_dual = True
                 else:
                     raise ParseError(lineno, f"unknown header field {f!r}")
             section = None
         elif key == "counts":
-            counts = tuple(int(x) for x in fields[1:])
+            counts = tuple(_integer(x, lineno, "counts") for x in fields[1:])
             section = None
         elif key == "generators":
             generators = list(fields[1:])
             section = None
         elif key == "label":
-            idx, name = fields[1].split(":", 1)
-            labels[int(idx)] = name
+            idx, colon, name = _argument(fields, lineno).partition(":")
+            if not colon:
+                raise ParseError(lineno, "label must read index:name")
+            labels[_integer(idx, lineno, "label index")] = name
             section = None
         elif key == "relator":
-            relator_words.append(fields[1])
+            relator_words.append(_argument(fields, lineno))
             section = None
         elif key == "boundary":
-            k = int(fields[1])
+            k = _integer(_argument(fields, lineno), lineno, "boundary degree")
             boundary_rows[k] = []
             section = ("boundary", boundary_rows[k])
         elif key == "rep":
-            name = fields[1]
+            name = _argument(fields, lineno)
             rep_rows[name] = []
             section = ("rep", rep_rows[name])
         elif key == "gram":
-            k = int(fields[1])
+            k = _integer(_argument(fields, lineno), lineno, "gram degree")
             gram_rows[k] = (lineno, [])
             section = ("gram", gram_rows[k][1])
         else:

@@ -1,9 +1,11 @@
 """Acceptance suite: every headline identity checked at its stated tolerance.
 
-Each criterion is a function returning a CriterionResult; ``run_all`` executes
-them in order.  Oracles that play against package code (the lattice
-fixed-point count, the Milnor-style mapping-torus torsion, closed-form zeta
-values) are implemented here independently of the code paths they check.
+Each criterion is a function returning ``(name, passed, detail)``.
+``run_all`` is the one place that numbers the criteria, runs them in order,
+times each and turns a ``ZetaBFError`` into a failed result.  Oracles that
+play against package code (the lattice fixed-point count, the Milnor-style
+mapping-torus torsion, closed-form zeta values) are implemented here
+independently of the code paths they check.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +35,10 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+
+
+# What a criterion returns: its name, whether it passed and a one-line detail.
+Outcome = Tuple[str, bool, str]
 
 
 # -- independent oracles -------------------------------------------------------
@@ -132,12 +138,7 @@ def closed_zeta_oracle(aut: orbits.ToralAutomorphism, theta: float,
 # -- criteria -------------------------------------------------------------------
 
 
-def _result(index, name, passed, detail, start) -> CriterionResult:
-    return CriterionResult(index, name, bool(passed), detail, time.perf_counter() - start)
-
-
-def criterion_1_lefschetz() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_1_lefschetz() -> Outcome:
     aut = orbits.ToralAutomorphism(2, 1, 1, 1)
     worst = None
     counts = []
@@ -150,11 +151,10 @@ def criterion_1_lefschetz() -> CriterionResult:
             break
     ok = worst is None and counts[:3] == [1, 5, 16]
     detail = f"counts j<=12: {counts}" if ok else f"mismatch {worst}"
-    return _result(1, "lefschetz counts vs lattice oracle", ok, detail, start)
+    return "lefschetz counts vs lattice oracle", ok, detail
 
 
-def criterion_2_per_orbit_identity() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_2_per_orbit_identity() -> Outcome:
     aut = orbits.ToralAutomorphism(2, 1, 1, 1)
     worst = 0.0
     for j in range(1, 13):
@@ -164,24 +164,20 @@ def criterion_2_per_orbit_identity() -> CriterionResult:
         rhs = traces[0] - traces[1] + traces[2]
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-12
-    return _result(2, "per-orbit linear-algebra identity", ok,
-                   f"max residual {worst:.3e}", start)
+    return "per-orbit linear-algebra identity", ok, f"max residual {worst:.3e}"
 
 
-def criterion_3_decomposition() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_3_decomposition() -> Outcome:
     aut = orbits.ToralAutomorphism(2, 1, 1, 1)
     data = orbits.suspension_orbits(aut, 30)
     worst = 0.0
     for lam in (2.0, 3.0, 3 + 2j):
         worst = max(worst, zeta.decomposition_residual(data, 0.9, lam, J=30))
     ok = worst < 1e-12
-    return _result(3, "zeta decomposition identity", ok,
-                   f"max residual {worst:.3e} at J=30", start)
+    return "zeta decomposition identity", ok, f"max residual {worst:.3e} at J=30"
 
 
-def criterion_4_euler_vs_closed() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_4_euler_vs_closed() -> Outcome:
     aut = orbits.ToralAutomorphism(2, 1, 1, 1)
     data = orbits.suspension_orbits(aut, 40)
     worst = 0.0
@@ -196,13 +192,11 @@ def criterion_4_euler_vs_closed() -> CriterionResult:
                 if err > ev.truncation_error_bound + 1e-13:
                     certified = False
     ok = worst < 1e-8 and certified
-    return _result(4, "euler products vs closed forms", ok,
-                   f"max |truncated-closed| {worst:.3e}, certified={certified}",
-                   start)
+    return ("euler products vs closed forms", ok,
+            f"max |truncated-closed| {worst:.3e}, certified={certified}")
 
 
-def criterion_5_mellin_route() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_5_mellin_route() -> Outcome:
     aut = orbits.ToralAutomorphism(2, 1, 1, 1)
     data = orbits.suspension_orbits(aut, 40)
     worst = 0.0
@@ -213,8 +207,7 @@ def criterion_5_mellin_route() -> CriterionResult:
                 mellin = zeta.mellin_log_zeta(data, theta, lam, k, J=40)
                 worst = max(worst, abs(direct - mellin))
     ok = worst < 1e-8
-    return _result(5, "mellin route vs direct log zeta_k", ok,
-                   f"max deviation {worst:.3e}", start)
+    return "mellin route vs direct log zeta_k", ok, f"max deviation {worst:.3e}"
 
 
 def _random_complexes(count: int, rng: np.random.Generator):
@@ -227,8 +220,7 @@ def _random_complexes(count: int, rng: np.random.Generator):
     return out
 
 
-def criterion_6_schwarz_equals_torsion() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_6_schwarz_equals_torsion() -> Outcome:
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for tc in _random_complexes(100, rng):
@@ -236,12 +228,11 @@ def criterion_6_schwarz_equals_torsion() -> CriterionResult:
         z = complexes.schwarz_partition(tc)
         worst = max(worst, abs(z / tau - 1.0))
     ok = worst < 1e-10
-    return _result(6, "schwarz resolution = analytic torsion (100 random)",
-                   ok, f"max relative error {worst:.3e}", start)
+    return ("schwarz resolution = analytic torsion (100 random)",
+            ok, f"max relative error {worst:.3e}")
 
 
-def criterion_7_det_relations() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_7_det_relations() -> Outcome:
     rng = np.random.default_rng(SEED + 1)
     worst13 = 0.0
     for tc in _random_complexes(100, rng):
@@ -255,12 +246,11 @@ def criterion_7_det_relations() -> CriterionResult:
         rep = complexes.det_relations_report(tc)
         worst2 = max(worst2, rep.relation2)
     ok = worst13 < 1e-10 and worst2 < 1e-10
-    return _result(7, "determinant relations (1),(3) random; (2) dual pairs",
-                   ok, f"max (1)/(3) {worst13:.3e}; max (2) {worst2:.3e}", start)
+    return ("determinant relations (1),(3) random; (2) dual pairs",
+            ok, f"max (1)/(3) {worst13:.3e}; max (2) {worst2:.3e}")
 
 
-def criterion_8_gauge_independence() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_8_gauge_independence() -> Outcome:
     rng = np.random.default_rng(SEED + 2)
     worst = 0.0
     for tc in _random_complexes(20, rng):
@@ -273,13 +263,12 @@ def criterion_8_gauge_independence() -> CriterionResult:
             z = bv.partition_function(fs, bv.contraction_gauge(fs, c))
             worst = max(worst, abs(z / tau - 1.0))
     ok = worst < 1e-9
-    return _result(8, "gauge independence: Z(metric)=Z(contraction)=torsion",
-                   ok, f"max relative deviation {worst:.3e} "
-                       "(100 contractions / 20 complexes)", start)
+    return ("gauge independence: Z(metric)=Z(contraction)=torsion",
+            ok, f"max relative deviation {worst:.3e} "
+                "(100 contractions / 20 complexes)")
 
 
-def criterion_9_homotopy_constancy() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_9_homotopy_constancy() -> Outcome:
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     for _ in range(20):
@@ -291,12 +280,11 @@ def criterion_9_homotopy_constancy() -> CriterionResult:
         scan = bv.homotopy_scan(fs, family, samples=10)
         worst = max(worst, scan.max_relative_deviation)
     ok = worst < 1e-8
-    return _result(9, "lagrangian homotopy constancy (20 paths x 10 samples)",
-                   ok, f"max relative deviation {worst:.3e}", start)
+    return ("lagrangian homotopy constancy (20 paths x 10 samples)",
+            ok, f"max relative deviation {worst:.3e}")
 
 
-def criterion_10_bv_identities() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_10_bv_identities() -> Outcome:
     chart = observables.DarbouxChart(
         (("x", "xi"), ("c", "cb"), ("y", "eta")), (0, 1, -2),
         max_word_length=12)
@@ -336,9 +324,9 @@ def criterion_10_bv_identities() -> CriterionResult:
                 g_obs, on_vars, weight, return_scale=True)
             worst_int = max(worst_int, abs(val) / max(scale, 1.0))
     ok = exact and worst_alg < 1e-12 and worst_int < 1e-10
-    return _result(10, "BV identities: Delta^2=0, algebra relations, int Delta h = 0",
-                   ok, f"Delta^2 exact={exact}; algebra {worst_alg:.3e}; "
-                       f"damped integrals {worst_int:.3e}", start)
+    return ("BV identities: Delta^2=0, algebra relations, int Delta h = 0",
+            ok, f"Delta^2 exact={exact}; algebra {worst_alg:.3e}; "
+                f"damped integrals {worst_int:.3e}")
 
 
 def _damping_weight(chart, on_vars, rng) -> "observables.PolyObservable":
@@ -359,8 +347,7 @@ def _damping_weight(chart, on_vars, rng) -> "observables.PolyObservable":
     return q
 
 
-def criterion_11_fried() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_11_fried() -> Outcome:
     worst = 0.0
     for a in FRIED_MATRICES:
         for theta in FRIED_THETAS:
@@ -372,13 +359,12 @@ def criterion_11_fried() -> CriterionResult:
     anchors = (abs(anchor_zeta - 0.8) < 1e-12 and abs(anchor_tau - 1.25) < 1e-12)
     oracle = milnor_mapping_torus_torsion(CAT_MAP, math.pi)
     ok = worst < 1e-8 and anchors and abs(oracle - 1.25) < 1e-12
-    return _result(11, "discrete Fried identity (zeta(0) vs mapping-torus torsion)",
-                   ok, f"max residual {worst:.3e}; anchor |zeta(0)|^-1={anchor_zeta}"
-                       f", tau^(-1)={anchor_tau}", start)
+    return ("discrete Fried identity (zeta(0) vs mapping-torus torsion)",
+            ok, f"max residual {worst:.3e}; anchor |zeta(0)|^-1={anchor_zeta}"
+                f", tau^(-1)={anchor_tau}")
 
 
-def criterion_12_flat_det() -> CriterionResult:
-    start = time.perf_counter()
+def criterion_12_flat_det() -> Outcome:
     rng = np.random.default_rng(SEED + 5)
     worst = 0.0
     for trial in range(50):
@@ -405,11 +391,11 @@ def criterion_12_flat_det() -> CriterionResult:
         r = flat_det(a)
         worst = max(worst, abs(r.mellin_value - r.value) / abs(r.value))
     ok = worst < 1e-6
-    return _result(12, "flat determinant: Mellin vs spectral (50 random)",
-                   ok, f"max relative error {worst:.3e}", start)
+    return ("flat determinant: Mellin vs spectral (50 random)",
+            ok, f"max relative error {worst:.3e}")
 
 
-ALL_CRITERIA: Sequence[Callable[[], CriterionResult]] = (
+ALL_CRITERIA: Sequence[Callable[[], Outcome]] = (
     criterion_1_lefschetz,
     criterion_2_per_orbit_identity,
     criterion_3_decomposition,
@@ -426,13 +412,18 @@ ALL_CRITERIA: Sequence[Callable[[], CriterionResult]] = (
 
 
 def run_all(indices: Optional[Sequence[int]] = None) -> List[CriterionResult]:
+    """Run the criteria numbered (from 1) in ``indices``, all of them when
+    None or empty, in order; a criterion that raises a ZetaBFError fails."""
     results = []
     for i, crit in enumerate(ALL_CRITERIA, start=1):
         if indices and i not in indices:
             continue
+        start = time.perf_counter()
         try:
-            results.append(crit())
+            name, passed, detail = crit()
         except ZetaBFError as exc:
-            results.append(CriterionResult(i, crit.__name__, False,
-                                           f"raised {type(exc).__name__}: {exc}", 0.0))
+            name, passed = crit.__name__, False
+            detail = f"raised {type(exc).__name__}: {exc}"
+        results.append(CriterionResult(i, name, bool(passed), detail,
+                                       time.perf_counter() - start))
     return results

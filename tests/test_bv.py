@@ -160,7 +160,6 @@ def test_hodge_contraction_structure():
         if ker.shape[1] == 0:
             continue
         assert np.linalg.norm(c.iota[k + 1] @ (c.a_maps[k] @ ker) - ker) < 1e-12
-    assert c.sdet_iota_a() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_contraction_gauge_isotropy_random():

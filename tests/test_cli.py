@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from zetabf import complexes, orbits, zeta
-from zetabf.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, g17, main
+from zetabf.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, OPTIONS, build_parser, g17,
+                        main, make_config)
 
 GOLDEN = Path(__file__).parent / "golden"
 PI = "3.141592653589793"
@@ -177,6 +178,29 @@ def test_torsion_malformed_gram_block(tmp_path, block):
     assert f"parse error: line {header_line}: gram" in err
 
 
+@pytest.mark.parametrize("old, new", [("gram 3", "gram x"),
+                                      ("counts 1 3 3 1", "counts 1 3 3 one"),
+                                      ("complex top=3 rank=1", "complex top=x rank=1"),
+                                      ("complex top=3 rank=1", "complex top=3 rank=one"),
+                                      ("boundary 0", "boundary"),
+                                      ("gram 3", "gram"),
+                                      ("rep a", "rep"),
+                                      ("relator a.b.a'.b'", "relator"),
+                                      ("label 0:a", "label 0a"),
+                                      ("label 0:a", "label x:a"),
+                                      ("  +1*a -1*1", "  +x*a -1*1")])
+def test_torsion_malformed_directive(tmp_path, old, new):
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    edited = lines.index(old)
+    lines[edited] = new
+    path = tmp_path / "bad.cplx"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"parse error: line {edited + 1}:" in err
+
+
 def test_bf_reports_both_gauges():
     code, out, _ = run_cli(["bf", "--model", "cat", "--theta", str(math.pi),
                             "--samples", "4", "--sigma", "-1"])
@@ -280,7 +304,10 @@ def test_config_cannot_set_command(tmp_path, command):
 
 
 @pytest.mark.parametrize("text", ["J = abc", "theta = pi", "samples = 2.5",
-                                  "closed_form = maybe", "fmt = xml"])
+                                  "closed_form = maybe", "fmt = xml", "model = foo",
+                                  "sigma = 2", "criteria = 13", "a_matrix = 1,2",
+                                  "lambda_steps = 0", "J = 0", "samples = 1",
+                                  "seed = -1"])
 def test_config_bad_value_is_parse_error(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"model = circle\n{text}\n")
@@ -289,6 +316,29 @@ def test_config_bad_value_is_parse_error(tmp_path, text):
     assert out == ""
     assert "line 2" in err
     assert text.split()[0] in err
+
+
+# A value other than the default for every option, as a flag would give it.
+OPTION_SAMPLES = {
+    "input": "my.cplx", "model": "torus", "a_matrix": "3,2,1,1", "theta": "0.25",
+    "alpha": "-1.5", "beta": "2e-3", "lambda_start": "1", "lambda_stop": "9.5",
+    "lambda_steps": "3", "lambda_imag": "0.5", "J": "12", "sigma": "-1",
+    "samples": "4", "seed": "7", "closed_form": None, "out": "x.txt", "fmt": "json",
+    "criteria": "2,5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_flag_and_config_line_parse_alike(tmp_path, key):
+    """Each option's flag and config line yield the same value, not the default."""
+    flag, text = OPTIONS[key].flag, OPTION_SAMPLES[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {'yes' if text is None else text}\n")
+    argv = [flag] if text is None else [flag, text]
+    from_flag = make_config(build_parser().parse_args(["torsion"] + argv))
+    from_file = make_config(build_parser().parse_args(["torsion", "--config", str(cfg)]))
+    assert getattr(from_flag, key) == getattr(from_file, key)
+    assert getattr(from_flag, key) != OPTIONS[key].default
 
 
 @pytest.mark.parametrize("value, want", [("1", True), ("TRUE", True), ("Yes", True),
