@@ -4,11 +4,15 @@ The field space doubles an acyclic twisted complex: A components live in the
 complex itself with degree 1 - k, B components in the dual complex (slot k
 pairs canonically with the degree-k A component, carrying degree k - 2), so
 the odd symplectic pairing is perfect by construction.  Gauge subspaces come
-in two kinds: the metric gauge cut out by coexactness and the contraction
-gauge cut out by a square-zero degree -1 map iota.  Partition functions are
-superdeterminants of the gauge-restricted action, corrected by the declared
-parametrisation Jacobian (|sdet d*| for the metric parametrisation B = d* eta,
-and 1 for normalised contractions).
+in two kinds, the metric gauge cut out by coexactness and the contraction
+gauge cut out by a square-zero degree -1 map iota, and one constructor builds
+both: per degree k the A side is a subspace K^k of C^k, the B side is its
+annihilator conj(K^perp) in the dual slot, and B is parametrised through one
+map (d for the metric gauge, the complement injection a for a contraction).
+The declared complement of a gauge is its side swap and is not stored.
+Partition functions are superdeterminants of the gauge-restricted action,
+corrected by the declared parametrisation Jacobian (|sdet d*| for the metric
+parametrisation B = d* eta, and 1 for normalised contractions).
 
 Everything here reads the base complex's stored differentials, which
 ``TwistedComplex`` keeps in their isometric presentation, and the Reeb
@@ -87,16 +91,6 @@ class BFFieldSpace:
         """Parity of the degree-k A slot; its B partner has the other one."""
         return self.a_degrees[k] % 2
 
-    def zero_field(self) -> BFField:
-        return BFField(tuple(np.zeros(d, dtype=complex) for d in self.dims),
-                       tuple(np.zeros(d, dtype=complex) for d in self.dims))
-
-    def random_field(self, rng: np.random.Generator) -> BFField:
-        def rand(d):
-            return rng.normal(size=d) + 1j * rng.normal(size=d)
-        return BFField(tuple(rand(d) for d in self.dims),
-                       tuple(rand(d) for d in self.dims))
-
     def action(self, f: BFField) -> complex:
         """S_BF = sum_k B_(k+1)(d_k A_k)."""
         total = 0.0 + 0.0j
@@ -146,35 +140,37 @@ def build_bf_fields(tc: TwistedComplex) -> BFFieldSpace:
 
 
 @dataclass
-class GaugeSlot:
-    """Per-degree data of a gauge subspace.
-
-    ``a_basis``/``b_basis`` hold column bases of the A-side subspace of C^k
-    and the B-side subspace of the dual slot k (as plain vectors; a functional
-    acts by transposed multiplication).  The Gaussian integral is performed in
-    the coordinates of ``a_basis`` on the A side and of the declared
-    parametrisation matrix ``b_param`` on the B side.
-    """
-
-    a_basis: np.ndarray
-    b_basis: np.ndarray
-    b_param: np.ndarray
-
-
-@dataclass
 class GaugeSubspace:
     """A Lagrangian gauge-fixing subspace plus its declared parametrisation.
 
-    ``jacobian_convention`` is the declared super-volume factor of the
-    parametrisation (|sdet d*| for the metric parametrisation, 1 for
-    normalised contractions).
+    Per degree k, ``a_bases[k]`` is a column basis of the A-side subspace
+    K^k of C^k and ``b_bases[k]`` one of the B-side annihilator conj(K^perp)
+    in the dual slot k (as plain vectors; a functional acts by transposed
+    multiplication).  The Gaussian integral runs in the coordinates of
+    ``a_bases[k]`` on the A side and of the declared parametrisation matrix
+    ``b_params[k]`` on the B side.  The declared complement is the side swap,
+    conj(b_bases[k]) = K^perp on the A side and conj(a_bases[k]) on the B
+    side, so it is not stored.  ``jacobian_convention`` is the declared
+    super-volume factor of the parametrisation (|sdet d*| for the metric
+    parametrisation, 1 for normalised contractions).
     """
 
     kind: str
-    slots: List[GaugeSlot]
-    complement_a: List[np.ndarray]
-    complement_b: List[np.ndarray]
+    a_bases: List[np.ndarray]
+    b_bases: List[np.ndarray]
+    b_params: List[np.ndarray]
     jacobian_convention: float
+
+
+def _lagrangian(kind: str, sub, perp, maps, jacobian) -> GaugeSubspace:
+    """The gauge with A side ``sub[k]``, B side conj(``perp[k]``) and B
+    parametrised by conj(maps[k-1] @ sub[k-1]) (empty in degree 0);
+    ``jacobian`` maps (a_bases, b_params) to the declared Jacobian."""
+    a_bases = list(sub)
+    b_bases = [np.conj(p) for p in perp]
+    b_params = [b_bases[0][:, :0]]
+    b_params += [np.conj(m @ s) for m, s in zip(maps, a_bases[:-1])]
+    return GaugeSubspace(kind, a_bases, b_bases, b_params, jacobian(a_bases, b_params))
 
 
 def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
@@ -186,39 +182,25 @@ def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
     coordinates, B = d* eta with eta ranging over coexact forms, contributing
     the Jacobian |sdet(d*)|.
     """
-    base = fs.base
-    n = fs.n
-    exact = [np.zeros((fs.dims[0], 0))]
-    coexact = []
-    for e_next, c_here in base.hodge_bases:
-        coexact.append(c_here)
-        exact.append(e_next)
-    coexact.append(np.zeros((fs.dims[n], 0)))
+    bases = fs.base.hodge_bases
+    exact = [np.zeros((fs.dims[0], 0))] + [e for e, _ in bases]
+    coexact = [c for _, c in bases] + [np.zeros((fs.dims[fs.n], 0))]
 
-    slots = []
-    log_jac = 0.0
-    for k in range(n + 1):
-        a_basis = coexact[k]
-        b_basis = np.conj(exact[k])
-        if k >= 1:
-            b_param = np.conj(base.diffs[k - 1] @ coexact[k - 1])
-        else:
-            b_param = b_basis[:, :0]
-        # Jacobian: super volume factor of the declared parametrisation
-        a_par = fs.a_parity(k)
-        for mat, parity in ((a_basis, a_par), (b_param, 1 - a_par)):
-            if mat.shape[1] == 0:
-                continue
-            gram = mat.conj().T @ mat
-            sign, ld = np.linalg.slogdet(gram)
-            eta = 1.0 if parity == 1 else -1.0
-            log_jac += 0.5 * eta * ld
-        slots.append(GaugeSlot(a_basis, b_basis, b_param))
+    def jacobian(a_bases, b_params):
+        # super volume factor of the declared parametrisation
+        log_jac = 0.0
+        for k in range(fs.n + 1):
+            a_par = fs.a_parity(k)
+            for mat, parity in ((a_bases[k], a_par), (b_params[k], 1 - a_par)):
+                if mat.shape[1] == 0:
+                    continue
+                gram = mat.conj().T @ mat
+                _, ld = np.linalg.slogdet(gram)
+                eta = 1.0 if parity == 1 else -1.0
+                log_jac += 0.5 * eta * ld
+        return math.exp(log_jac)
 
-    complement_a = [exact[k] for k in range(n + 1)]
-    complement_b = [np.conj(coexact[k]) for k in range(n + 1)]
-    return GaugeSubspace("metric", slots, complement_a, complement_b,
-                         math.exp(log_jac))
+    return _lagrangian("metric", coexact, exact, fs.base.diffs, jacobian)
 
 
 @dataclass
@@ -358,20 +340,9 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
     if c.dims != fs.dims:
         raise DegenerateContractionError(
             f"contraction dims {c.dims} do not match the field space {fs.dims}")
-    n = fs.n
-    kernels = [c.kernel_basis(k) for k in range(n + 1)]
-    perps = [_onb_complement(kernels[k], fs.dims[k]) for k in range(n + 1)]
-    slots = []
-    for k in range(n + 1):
-        a_basis = kernels[k]
-        b_basis = np.conj(perps[k])
-        if k >= 1:
-            b_param = np.conj(c.a_maps[k - 1] @ kernels[k - 1])
-        else:
-            b_param = b_basis[:, :0]
-        slots.append(GaugeSlot(a_basis, b_basis, b_param))
-    complement_b = [np.conj(kernels[k]) for k in range(n + 1)]
-    return GaugeSubspace("contraction", slots, perps, complement_b, 1.0)
+    kernels = [c.kernel_basis(k) for k in range(fs.n + 1)]
+    perps = [_onb_complement(ker, d) for ker, d in zip(kernels, fs.dims)]
+    return _lagrangian("contraction", kernels, perps, c.a_maps, lambda a, b: 1.0)
 
 
 def _onb_complement(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -421,15 +392,12 @@ def _max_modulus_upper(g: np.ndarray) -> float:
     return float(np.max(np.triu(np.hypot(g.real, g.imag)), initial=0.0))
 
 
-def _subspace_basis(gs: GaugeSubspace):
-    return [s.a_basis for s in gs.slots], [s.b_basis for s in gs.slots]
-
-
 def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     """Isotropy of the subspace and its declared complement, and perfection
-    of the pairing between them, from three slot-diagonal Gram matrices."""
-    sub = _subspace_basis(gs)
-    comp = (gs.complement_a, gs.complement_b)
+    of the pairing between them, from three slot-diagonal Gram matrices.
+    The declared complement is the side swap of the subspace."""
+    sub = (gs.a_bases, gs.b_bases)
+    comp = ([np.conj(b) for b in gs.b_bases], [np.conj(a) for a in gs.a_bases])
     g_sub, g_comp = _gram(fs, sub, sub), _gram(fs, comp, comp)
     iso_sub, iso_comp = _max_modulus_upper(g_sub), _max_modulus_upper(g_comp)
 
@@ -446,13 +414,9 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
 
 def restricted_action_blocks(fs: BFFieldSpace, gs: GaugeSubspace) -> List[np.ndarray]:
     """Action compressions M_k pairing the slot-k A parameters with the
-    slot-(k+1) B parameters: M_k = b_param^T d_k a_basis."""
-    blocks = []
-    for k in range(fs.n):
-        a_par = gs.slots[k].a_basis
-        b_par = gs.slots[k + 1].b_param
-        blocks.append(b_par.T @ (fs.base.diffs[k] @ a_par))
-    return blocks
+    slot-(k+1) B parameters: M_k = b_params[k+1]^T d_k a_bases[k]."""
+    return [gs.b_params[k + 1].T @ (d @ gs.a_bases[k])
+            for k, d in enumerate(fs.base.diffs)]
 
 
 def partition_function(fs: BFFieldSpace, gs: GaugeSubspace) -> float:
@@ -521,7 +485,7 @@ def homotopy_scan(fs: BFFieldSpace, family: Callable[[float], Contraction],
             z = partition_function(fs, gs)
         except DegenerateContractionError as exc:
             raise DegenerateContractionError(str(exc), t=t)
-        sub = _subspace_basis(gs)
+        sub = (gs.a_bases, gs.b_bases)
         residual = _max_modulus_upper(_gram(fs, sub, sub))
         rows.append((t, z, residual))
         if z0 is None:
@@ -544,9 +508,8 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
 
     chart = bf_darboux_chart(fs, max_word_length)
     names = []
-    for k, slot in enumerate(gs.slots):
-        na = slot.a_basis.shape[1]
-        nb = slot.b_basis.shape[1]
+    for k, (a_basis, b_basis) in enumerate(zip(gs.a_bases, gs.b_bases)):
+        na, nb = a_basis.shape[1], b_basis.shape[1]
         if na + nb != fs.dims[k]:
             raise DegenerateGaugeError(k, "gauge subspace is not half-dimensional")
         names.extend(f"a{k}_{i}" for i in range(na))

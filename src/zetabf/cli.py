@@ -58,6 +58,8 @@ def _number(kind, minimum=None):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"must be {'an integer' if kind is int else 'a number'}, got {text!r}")
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
@@ -209,7 +211,12 @@ def cmd_torsion(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SCAN_COLUMNS = ("t", "Z", "isotropy_residual")
+
+
 def cmd_bf(cfg: argparse.Namespace) -> int:
+    """Torsion, gauge-fixed partition functions and a homotopy scan, as one
+    list of (key, value) rows that both output formats render."""
     tc = _load_model(cfg)
     fs = bv.build_bf_fields(tc)
     tau = complexes.analytic_torsion(tc, sign=cfg.sigma)
@@ -217,32 +224,29 @@ def cmd_bf(cfg: argparse.Namespace) -> int:
     hodge = bv.hodge_contraction(tc)
     z_contraction = bv.partition_function(fs, bv.contraction_gauge(fs, hodge)) ** cfg.sigma
 
-    lines = [
-        f"torsion {g17(tau)}",
-        f"Z_metric {g17(z_metric)}",
-        f"Z_contraction {g17(z_contraction)}",
-    ]
+    rows = [("torsion", tau), ("Z_metric", z_metric), ("Z_contraction", z_contraction)]
     if tc.suspension is not None:
         sus = bv.suspension_contraction(tc)
         z_sus = bv.partition_function(fs, bv.contraction_gauge(fs, sus)) ** cfg.sigma
-        lines.append(f"Z_reeb_contraction {g17(z_sus)}")
+        rows.append(("Z_reeb_contraction", z_sus))
 
     rng = np.random.default_rng(cfg.seed)
     family = bv.unitary_contraction_family(tc, hodge, rng)
     scan = bv.homotopy_scan(fs, family, samples=cfg.samples)
+    rows.append(("scan", [(t, z ** cfg.sigma, r) for t, z, r in scan.samples]))
+    rows.append(("max_relative_deviation", scan.max_relative_deviation))
     if cfg.fmt == "json":
-        payload = {
-            "torsion": tau, "Z_metric": z_metric, "Z_contraction": z_contraction,
-            "scan": [{"t": t, "Z": z, "isotropy_residual": r}
-                     for t, z, r in scan.samples],
-            "max_relative_deviation": scan.max_relative_deviation,
-        }
+        payload = dict(rows)
+        payload["scan"] = [dict(zip(_SCAN_COLUMNS, row)) for row in payload["scan"]]
         lines = [json.dumps(payload, sort_keys=True)]
     else:
-        lines.append("scan t Z isotropy_residual")
-        for t, z, r in scan.samples:
-            lines.append(f"  {g17(t)} {g17(z ** cfg.sigma)} {g17(r)}")
-        lines.append(f"max_relative_deviation {g17(scan.max_relative_deviation)}")
+        lines = []
+        for key, value in rows:
+            if key == "scan":
+                lines.append(" ".join(("scan",) + _SCAN_COLUMNS))
+                lines.extend("  " + " ".join(map(g17, row)) for row in value)
+            else:
+                lines.append(f"{key} {g17(value)}")
     _emit(lines, cfg)
     return EXIT_OK
 

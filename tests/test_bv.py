@@ -47,6 +47,17 @@ from zetabf.zeta import closed_form_suspension
 CAT = [[2, 1], [1, 1]]
 
 
+def _zero_field(fs):
+    return BFField(tuple(np.zeros(d, dtype=complex) for d in fs.dims),
+                   tuple(np.zeros(d, dtype=complex) for d in fs.dims))
+
+
+def _random_field(fs, rng):
+    def rand(d):
+        return rng.normal(size=d) + 1j * rng.normal(size=d)
+    return BFField(tuple(rand(d) for d in fs.dims), tuple(rand(d) for d in fs.dims))
+
+
 def test_field_space_degrees_circle():
     fs = build_bf_fields(circle_complex(math.pi))
     assert fs.dims == (1, 1)
@@ -62,7 +73,7 @@ def test_action_vanishes_on_closed_fields():
     rng = np.random.default_rng(0)
     tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=1)
     fs = build_bf_fields(tc)
-    f = fs.zero_field()
+    f = _zero_field(fs)
     # exact A (hence closed, by acyclicity dA = 0 iff A is d of something... )
     prev = rng.normal(size=tc.dims[0]) + 1j * rng.normal(size=tc.dims[0])
     f.a[1][:] = tc.diffs[0] @ prev
@@ -77,10 +88,10 @@ def test_action_shift_symmetry():
     rng = np.random.default_rng(1)
     tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=1)
     fs = build_bf_fields(tc)
-    v = fs.random_field(rng)
+    v = _random_field(fs, rng)
     s0 = fs.action(v)
 
-    shifted = fs.random_field(rng)
+    shifted = _random_field(fs, rng)
     for k in range(fs.n + 1):
         shifted.a[k][:] = v.a[k]
         shifted.b[k][:] = v.b[k]
@@ -91,7 +102,7 @@ def test_action_shift_symmetry():
     assert fs.action(shifted) == pytest.approx(s0, rel=1e-10)
 
     # shift B by an exact form of the dual complex: b_(k+1) += d_(k+1)^T beta
-    shifted2 = fs.random_field(rng)
+    shifted2 = _random_field(fs, rng)
     for k in range(fs.n + 1):
         shifted2.a[k][:] = v.a[k]
         shifted2.b[k][:] = v.b[k]
@@ -105,8 +116,8 @@ def test_metric_gauge_circle_line():
     tc = circle_complex(math.pi)
     fs = build_bf_fields(tc)
     gs = metric_gauge(fs)
-    assert gs.slots[0].a_basis.shape == (1, 1)    # coexact line in C^0
-    assert gs.slots[1].b_basis.shape == (1, 1)
+    assert gs.a_bases[0].shape == (1, 1)    # coexact line in C^0
+    assert gs.b_bases[1].shape == (1, 1)
     rep = is_lagrangian(fs, gs)
     assert rep.ok and rep.isotropy_subspace < 1e-12
 
@@ -119,7 +130,7 @@ def test_metric_gauge_restricted_action_is_dstar_d():
     for k, m in enumerate(blocks):
         if m.size == 0:
             continue
-        coex = gs.slots[k].a_basis
+        coex = gs.a_bases[k]
         target = coex.conj().T @ (fs.base.diffs[k].conj().T @ (fs.base.diffs[k] @ coex))
         assert np.allclose(m, target, atol=1e-12)
 
@@ -180,7 +191,7 @@ def _single_fields(fs, a_bases, b_bases):
     for side, bases in (("a", a_bases), ("b", b_bases)):
         for k, mat in enumerate(bases):
             for j in range(mat.shape[1]):
-                f = fs.zero_field()
+                f = _zero_field(fs)
                 getattr(f, side)[k][:] = mat[:, j]
                 out.append(f)
     return out
@@ -188,9 +199,9 @@ def _single_fields(fs, a_bases, b_bases):
 
 def _reference_report(fs, gs):
     """LagrangianReport from one single-field omega call per pair."""
-    sub = _single_fields(fs, [s.a_basis for s in gs.slots],
-                         [s.b_basis for s in gs.slots])
-    comp = _single_fields(fs, gs.complement_a, gs.complement_b)
+    sub = _single_fields(fs, gs.a_bases, gs.b_bases)
+    comp = _single_fields(fs, [np.conj(b) for b in gs.b_bases],
+                          [np.conj(a) for a in gs.a_bases])
 
     def max_pairing(fields):
         worst = 0.0
@@ -215,8 +226,8 @@ def _skewed(fs, c):
     """Contraction gauge deliberately skewed: B side set to conj(ker iota)
     instead of the annihilator."""
     gs = contraction_gauge(fs, c)
-    for k, slot in enumerate(gs.slots):
-        slot.b_basis = np.conj(c.kernel_basis(k))
+    for k in range(fs.n + 1):
+        gs.b_bases[k] = np.conj(c.kernel_basis(k))
     return gs
 
 
@@ -262,12 +273,35 @@ def test_is_lagrangian_matches_single_field_pairings():
         assert rep == _reference_report(fs, gs)
 
 
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+def test_metric_gauge_is_hodge_contraction_lagrangian():
+    """The metric gauge is the Hodge contraction's Lagrangian with the d*
+    parametrisation: same A side in every degree, and both pass the check."""
+    rng = np.random.default_rng(10)
+    complexes = [random_twisted_complex(rng, top_degree=int(rng.integers(2, 5)),
+                                        max_cells=4, rank=int(rng.integers(1, 3)))
+                 for _ in range(10)]
+    complexes += [mapping_torus_complex(CAT, theta)
+                  for theta in (math.pi, 2.0, 0.3, 1e-2, 1e-3)]
+    complexes += [_cat_rank_twist(3, rng)]
+    for tc in complexes:
+        fs = build_bf_fields(tc)
+        metric, hodge = metric_gauge(fs), contraction_gauge(fs, hodge_contraction(tc))
+        for a_metric, a_hodge in zip(metric.a_bases, hodge.a_bases):
+            assert np.linalg.norm(_projector(a_metric) - _projector(a_hodge)) < 1e-12
+        assert is_lagrangian(fs, metric).ok
+        assert is_lagrangian(fs, hodge).ok
+
+
 def test_stacked_omega_equals_pairwise():
     rng = np.random.default_rng(9)
     tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2)
     fs = build_bf_fields(tc)
-    vs = [fs.random_field(rng) for _ in range(5)]
-    ws = [fs.random_field(rng) for _ in range(3)]
+    vs = [_random_field(fs, rng) for _ in range(5)]
+    ws = [_random_field(fs, rng) for _ in range(3)]
 
     def stack(fields):
         return BFField(tuple(np.column_stack([f.a[k] for f in fields]) for k in range(fs.n + 1)),

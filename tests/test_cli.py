@@ -2,6 +2,7 @@
 
 import cmath
 import io
+import json
 import math
 import sys
 from collections import Counter
@@ -341,6 +342,22 @@ def test_flag_and_config_line_parse_alike(tmp_path, key):
     assert getattr(from_flag, key) != OPTIONS[key].default
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("key", sorted(k for k, opt in OPTIONS.items()
+                                       if isinstance(opt.default, float)))
+def test_non_finite_float_is_parse_error(tmp_path, key, value):
+    """A non-finite float option exits 3, as a flag and as a config line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for argv, where in (([f"{OPTIONS[key].flag}={value}"], OPTIONS[key].flag),
+                        (["--config", str(cfg)], "line 1")):
+        code, out, err = run_cli(["torsion", "--model", "circle"] + argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "must be finite" in err
+        assert where in err
+
+
 @pytest.mark.parametrize("value, want", [("1", True), ("TRUE", True), ("Yes", True),
                                          ("0", False), ("false", False), ("NO", False)])
 def test_config_closed_form_spellings(tmp_path, value, want):
@@ -379,6 +396,34 @@ def test_verify_subset():
     assert "2/2 criteria passed" in out
 
 
+def _bf_text_values(out):
+    """bf text output as {key: float} and a list of float scan rows."""
+    values, scan = {}, []
+    for line in out.splitlines():
+        if line.startswith("  "):
+            scan.append(tuple(float(x) for x in line.split()))
+        elif not line.startswith("scan "):
+            key, value = line.split()
+            values[key] = float(value)
+    return values, scan
+
+
+@pytest.mark.parametrize("sigma", ["1", "-1"])
+@pytest.mark.parametrize("model", ["cat", "torus"])
+def test_bf_json_matches_text(model, sigma):
+    """Both bf formats report the same keys and floats, scan rows included."""
+    argv = ["bf", "--model", model, "--samples", "3", "--sigma", sigma]
+    code, text, _ = run_cli(argv)
+    assert code == EXIT_OK
+    code, js, _ = run_cli(argv + ["--format", "json"])
+    assert code == EXIT_OK
+    values, scan = _bf_text_values(text)
+    payload = json.loads(js)
+    assert [(r["t"], r["Z"], r["isotropy_residual"]) for r in payload.pop("scan")] == scan
+    assert payload == values
+    assert ("Z_reeb_contraction" in payload) is (model == "cat")
+
+
 GOLDEN_COMMANDS = {
     "torsion_circle_pi.txt": ["torsion", "--model", "circle", "--theta", PI],
     "bf_cat_pi.txt": ["bf", "--model", "cat", "--theta", PI, "--samples", "10"],
@@ -397,6 +442,8 @@ GOLDEN_COMMANDS = {
     "bf_cat_2pi3_seed7.txt": ["bf", "--model", "cat", "--theta", "2.0943951023931953",
                               "--samples", "6", "--seed", "7"],
     "bf_torus_1_05.txt": ["bf", "--model", "torus", "--alpha", "1.0", "--beta", "0.5"],
+    "bf_cat_2_sigma_minus1.txt": ["bf", "--model", "cat", "--theta", "2.0", "--samples", "4",
+                                  "--sigma", "-1"],
     # cat-map mapping torus, theta = 2, with non-identity Gram matrices
     "bf_cat_gram_input.txt": ["bf", "--input", str(GOLDEN / "cat_gram.cplx")],
     "torsion_cat_gram_input.txt": ["torsion", "--input", str(GOLDEN / "cat_gram.cplx")],
