@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,35 +188,67 @@ def _emit(lines: List[str], cfg: argparse.Namespace):
         sys.stdout.write(text)
 
 
+class _Table(NamedTuple):
+    """A row value holding a table: its column names and its rows."""
+    columns: Tuple[str, ...]
+    rows: list
+
+
+def _emit_rows(rows, cfg: argparse.Namespace):
+    """Render (key, value) rows: one JSON object with --format json, else one
+    line per row.  A value is a number, a tuple of integers or a _Table, which
+    prints as a header line and one indented line per row."""
+    if cfg.fmt == "json":
+        payload = {key: [dict(zip(value.columns, row)) for row in value.rows]
+                   if isinstance(value, _Table) else value for key, value in rows}
+        _emit([json.dumps(payload, sort_keys=True)], cfg)
+        return
+    lines = []
+    for key, value in rows:
+        if isinstance(value, _Table):
+            lines.append(" ".join((key,) + value.columns))
+            lines.extend("  " + " ".join(map(g17, row)) for row in value.rows)
+        elif isinstance(value, tuple):
+            lines.append(" ".join((key,) + tuple(map(str, value))))
+        else:
+            lines.append(f"{key} {g17(value)}")
+    _emit(lines, cfg)
+
+
+def _no_json(cfg: argparse.Namespace):
+    if cfg.fmt == "json":
+        raise CLIUsageError(f"{cfg.command} has no JSON output; drop --format json")
+
+
 # -- commands ---------------------------------------------------------------------
 
 
 def cmd_torsion(cfg: argparse.Namespace) -> int:
+    """Betti numbers, torsion by both routes, Schwarz's partition function and
+    the determinant-relation residuals, as (key, value) rows."""
     tc = _load_model(cfg)
-    lines = [f"betti {' '.join(str(b) for b in tc.betti_numbers())}"]
     tau = complexes.analytic_torsion(tc, sign=cfg.sigma)
     laplace, coexact = complexes.torsion_routes(tc)
-    lines.append(f"torsion {g17(tau)}")
-    lines.append(f"torsion_laplacian_route {g17(laplace ** cfg.sigma)}")
-    lines.append(f"torsion_coexact_route {g17(coexact ** cfg.sigma)}")
-    lines.append(f"torsion_reciprocal {g17(1.0 / tau)}")
-    z_sch = complexes.schwarz_partition(tc) ** cfg.sigma
-    lines.append(f"schwarz {g17(z_sch)}")
+    rows = [
+        ("betti", tc.betti_numbers()),
+        ("torsion", tau),
+        ("torsion_laplacian_route", laplace ** cfg.sigma),
+        ("torsion_coexact_route", coexact ** cfg.sigma),
+        ("torsion_reciprocal", 1.0 / tau),
+        ("schwarz", complexes.schwarz_partition(tc) ** cfg.sigma),
+    ]
     rep = complexes.det_relations_report(tc)
-    lines.append(f"det_relation_1_residual {g17(rep.relation1)}")
-    lines.append(f"det_relation_3_residual {g17(rep.relation3)}")
+    rows += [("det_relation_1_residual", rep.relation1),
+             ("det_relation_3_residual", rep.relation3)]
     if rep.relation2 is not None:
-        lines.append(f"det_relation_2_residual {g17(rep.relation2)}")
-    _emit(lines, cfg)
+        rows.append(("det_relation_2_residual", rep.relation2))
+    _emit_rows(rows, cfg)
     return EXIT_OK
 
 
-_SCAN_COLUMNS = ("t", "Z", "isotropy_residual")
-
-
 def cmd_bf(cfg: argparse.Namespace) -> int:
-    """Torsion, gauge-fixed partition functions and a homotopy scan, as one
-    list of (key, value) rows that both output formats render."""
+    """Torsion, gauge-fixed partition functions and a homotopy scan, as
+    (key, value) rows."""
     tc = _load_model(cfg)
     fs = bv.build_bf_fields(tc)
     tau = complexes.analytic_torsion(tc, sign=cfg.sigma)
@@ -233,21 +265,10 @@ def cmd_bf(cfg: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     family = bv.unitary_contraction_family(tc, hodge, rng)
     scan = bv.homotopy_scan(fs, family, samples=cfg.samples)
-    rows.append(("scan", [(t, z ** cfg.sigma, r) for t, z, r in scan.samples]))
+    rows.append(("scan", _Table(("t", "Z", "isotropy_residual"),
+                                [(t, z ** cfg.sigma, r) for t, z, r in scan.samples])))
     rows.append(("max_relative_deviation", scan.max_relative_deviation))
-    if cfg.fmt == "json":
-        payload = dict(rows)
-        payload["scan"] = [dict(zip(_SCAN_COLUMNS, row)) for row in payload["scan"]]
-        lines = [json.dumps(payload, sort_keys=True)]
-    else:
-        lines = []
-        for key, value in rows:
-            if key == "scan":
-                lines.append(" ".join(("scan",) + _SCAN_COLUMNS))
-                lines.extend("  " + " ".join(map(g17, row)) for row in value)
-            else:
-                lines.append(f"{key} {g17(value)}")
-    _emit(lines, cfg)
+    _emit_rows(rows, cfg)
     return EXIT_OK
 
 
@@ -276,6 +297,7 @@ def cmd_zeta(cfg: argparse.Namespace) -> int:
 
 
 def cmd_orbits(cfg: argparse.Namespace) -> int:
+    _no_json(cfg)
     if cfg.input:
         records = orbits.load_orbit_spectrum(cfg.input).records
         # the summary always goes to stdout; --out receives the merged spectrum
@@ -297,6 +319,7 @@ def cmd_orbits(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    _no_json(cfg)
     results = verification.run_all(cfg.criteria)
     failed = 0
     for r in results:

@@ -42,6 +42,17 @@ class QuadratureFailureError(ZetaBFError):
         )
 
 
+class DeterminantRangeError(ZetaBFError):
+    """The product of the nonzero eigenvalues leaves the normal double range."""
+
+    def __init__(self, log10_abs, message=None):
+        self.log10_abs = log10_abs
+        super().__init__(
+            message
+            or f"determinant leaves double range: log10 |det| = {log10_abs:.6g}"
+        )
+
+
 # -- twisted complexes -------------------------------------------------------
 
 class NotAComplexError(ZetaBFError):

@@ -22,13 +22,19 @@ Two node sets cover (0, 45/sigma]:
 
 The error estimate is ten times the gap to a coarser rule: the even-indexed
 exp-sinh nodes (step 2h, so no extra heat traces), or 12 against 18 nodes per
-panel.  The heat traces at the nodes
-of both come from stacked expm calls, one for the exp-sinh rule (scipy runs
-the same per-slice algorithm, so the traces equal single-matrix calls bit for
-bit), never from the spectral factorisation: the spectrum enters only the
-kernel count, divergence policing and the quadrature scales.  For finite
-matrices the two routes must agree; the disagreement is the package's basic
-quadrature diagnostic.
+panel.
+
+The heat traces come from one scaling-and-squaring Pade-13 kernel (Higham
+2005) shared by every node, never from the spectral factorisation: the
+spectrum enters only the kernel count, divergence policing and the quadrature
+scales.  Every node's matrix -t A is a multiple of M = A / ||A||_1, so the
+powers M^0..M^13 are formed once; node t is scaled by 2^(-s) with
+s = max(0, ceil(log2(t ||A||_1 / theta_13))), its Pade numerator and
+denominator are combinations of those powers, and it is squared s times.  The
+nodes run in chunks of ``_CHUNK_ENTRIES`` matrix entries, which bounds the
+kernel's memory.  A diagonal A takes the exact sum of exp(-t a_ii).  For
+finite matrices the two routes must agree; the disagreement is the package's
+basic quadrature diagnostic.
 """
 
 from __future__ import annotations
@@ -38,12 +44,13 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import block_diag, expm
 
 from .errors import (
+    DeterminantRangeError,
     MellinDivergenceError,
     QuadratureFailureError,
     ShapeMismatchError,
+    ValidationError,
 )
 
 # Eigenvalues below this fraction of the largest modulus are classified as
@@ -60,8 +67,9 @@ _EXP_SINH_WEIGHTS = np.outer([1.0, 2.0], 0.5 * np.pi * np.cosh(_X) * _H)
 _EXP_SINH_WEIGHTS[1, 1::2] = 0.0
 _EXP_SINH_WEIGHTS.flags.writeable = False
 
-# Gauss-Legendre panels: nodes per panel of the value and of the estimate.
-_PANEL_NODES = (18, 12)
+# Gauss-Legendre panels: the (nodes, weights) on [-1, 1] of the value's rule
+# (18 per panel) and of the estimate's (12 per panel).
+_PANEL_RULES = tuple(leggauss(k) for k in (18, 12))
 _SIGMA_T_END = 45.0
 
 
@@ -80,22 +88,67 @@ class FlatDetResult:
     mellin_value: Optional[complex] = None
 
 
-# Matrix entries per stacked expm call; larger stacks are split to bound memory.
-_STACK_ENTRIES = 1 << 15
+# Pade-13 coefficients b_0..b_13 and the largest ||X||_1 at which the [13/13]
+# approximant of e^X is accurate to double precision (Higham 2005, SIAM J.
+# Matrix Anal. Appl. 26(4), Table 2.3).
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])
+_THETA13 = 5.371920351148152
+
+# Matrix entries per kernel chunk.  A chunk holds several complex arrays of
+# this many entries (numerators, denominators, solutions, squares), so the
+# chunk size, not the node count, bounds the kernel's memory.
+_CHUNK_ENTRIES = 1 << 12
 
 
 def _heat_traces(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """tr e^(-t m) at every node t, from stacked expm calls."""
-    step = max(1, _STACK_ENTRIES // max(m.size, 1))
-    return np.concatenate([
-        np.trace(expm(-ts[i:i + step, None, None] * m), axis1=1, axis2=2)
-        for i in range(0, len(ts), step)])
+    """tr e^(-t m) at every node t (all t > 0)."""
+    diag = np.diagonal(m)
+    if not np.any(m - np.diag(diag)):
+        return np.exp(-np.outer(ts, diag)).sum(axis=1)
+    n = m.shape[0]
+    norm = np.linalg.norm(m, 1)
+    # b_k M^k for M = m / ||m||_1: no power can overflow
+    terms = np.empty((14, n, n), dtype=complex)
+    terms[0] = np.eye(n)
+    terms[1] = m / norm
+    for k in range(2, 14):
+        terms[k] = terms[k - 1] @ terms[1]
+    terms *= _PADE13[:, None, None]
+    step = max(1, _CHUNK_ENTRIES // m.size)
+    return np.concatenate([_heat_trace_chunk(terms, norm * ts[i:i + step])
+                           for i in range(0, len(ts), step)])
+
+
+def _heat_trace_chunk(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """tr e^(-x M) at every x > 0, given ``terms[k]`` = b_k M^k (k = 0..13)
+    with ||M||_1 = 1."""
+    n = terms.shape[1]
+    s = np.maximum(0, np.ceil(np.log2(xs / _THETA13))).astype(int)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    c = np.ldexp(-xs[order], -s)
+    # sum_k b_k c^k M^k is V + U at c and V - U at -c
+    num, den = (np.vander(np.concatenate([c, -c]), 14, increasing=True)
+                @ terms.reshape(14, n * n)).reshape(2, len(xs), n, n)
+    e = np.linalg.solve(den, num)
+    # nodes are sorted by s: the ones still to square form a suffix
+    for j in range(1, s[-1] + 1):
+        k = np.searchsorted(s, j)
+        e[k:] = e[k:] @ e[k:]
+    traces = np.empty(len(xs), dtype=complex)
+    traces[order] = np.trace(e, axis1=1, axis2=2)
+    return traces
 
 
 def _as_square(matrix) -> np.ndarray:
     a = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix", "entries must be finite")
     return a
 
 
@@ -126,12 +179,11 @@ def _mellin_rule(nonzero: np.ndarray):
     length = min(2.0 / sigma, 6.0 / top)
     left = length * np.arange(int(np.ceil(end / length)))[:, None]
     half = 0.5 * (np.minimum(left + length, end) - left)
-    ts, ws = [], []
-    for x, w in map(leggauss, _PANEL_NODES):
-        t = (left + half * (x + 1.0)).ravel()
-        ts.append(t)
-        ws.append((half * w).ravel() / t)
-    return sigma, np.concatenate(ts), block_diag(*ws)
+    ts = [(left + half * (x + 1.0)).ravel() for x, _ in _PANEL_RULES]
+    ws = [(half * w).ravel() / t for (_, w), t in zip(_PANEL_RULES, ts)]
+    weights = np.zeros((2, len(ts[0]) + len(ts[1])))
+    weights[0, :len(ts[0])], weights[1, len(ts[0]):] = ws
+    return sigma, np.concatenate(ts), weights
 
 
 def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
@@ -140,9 +192,14 @@ def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
     ``mode="spectral"`` returns the direct product only.  ``mode="both"``
     (default) also runs the Mellin route and checks that the two agree within
     the quadrature error estimate, raising QuadratureFailureError otherwise.
+    A product that overflows or falls below the normal double range raises
+    DeterminantRangeError; a non-finite entry raises ValidationError.
     """
     m, nonzero, kdim = _spectral_split(_as_square(matrix), lam)
-    value = complex(np.prod(nonzero)) if nonzero.size else 1.0 + 0.0j
+    with np.errstate(over="ignore"):
+        value = complex(np.prod(nonzero)) if nonzero.size else 1.0 + 0.0j
+    if not np.isfinite(value) or abs(value) < np.finfo(float).tiny:
+        raise DeterminantRangeError(float(np.sum(np.log10(np.abs(nonzero)))))
 
     if mode == "spectral":
         return FlatDetResult(value, kdim, 0.0)

@@ -364,9 +364,9 @@ def criterion_11_fried() -> Outcome:
                 f", tau^(-1)={anchor_tau}")
 
 
-def criterion_12_flat_det() -> Outcome:
+def _criterion_12_matrices():
+    """The 50 seeded matrices of criterion 12, in order."""
     rng = np.random.default_rng(SEED + 5)
-    worst = 0.0
     for trial in range(50):
         n = int(rng.integers(2, 9))
         kind = trial % 4
@@ -376,11 +376,11 @@ def criterion_12_flat_det() -> Outcome:
             s = rng.normal(size=(n, n)) + 0.1 * np.eye(n)
             while abs(np.linalg.det(s)) < 1e-3:
                 s = rng.normal(size=(n, n)) + 0.1 * np.eye(n)
-            a = s @ d @ np.linalg.inv(s)
+            yield s @ d @ np.linalg.inv(s)
         elif kind == 2:
             # hermitian positive definite
             z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            a = z @ z.conj().T / n + 0.3 * np.eye(n)
+            yield z @ z.conj().T / n + 0.3 * np.eye(n)
         else:
             # complex spectrum in the right half plane
             a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
@@ -388,6 +388,12 @@ def criterion_12_flat_det() -> Outcome:
             shift = np.min(np.linalg.eigvals(a).real)
             if shift < 0.1:
                 a = a + (0.2 - shift) * np.eye(n)
+            yield a
+
+
+def criterion_12_flat_det() -> Outcome:
+    worst = 0.0
+    for a in _criterion_12_matrices():
         r = flat_det(a)
         worst = max(worst, abs(r.mellin_value - r.value) / abs(r.value))
     ok = worst < 1e-6

@@ -424,6 +424,33 @@ def test_bf_json_matches_text(model, sigma):
     assert ("Z_reeb_contraction" in payload) is (model == "cat")
 
 
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--model", "circle", "--theta", "2"],
+    ["torsion", "--model", "cat", "--sigma", "-1"],
+    ["torsion", "--input", str(GOLDEN / "cat_gram.cplx")],
+])
+def test_torsion_json_matches_text(argv):
+    """Both torsion formats report the same keys and values."""
+    code, text, _ = run_cli(argv)
+    assert code == EXIT_OK
+    code, js, _ = run_cli(argv + ["--format", "json"])
+    assert code == EXIT_OK
+    values = dict(line.split(" ", 1) for line in text.splitlines())
+    payload = json.loads(js)
+    assert payload.pop("betti") == [int(b) for b in values.pop("betti").split()]
+    assert payload == {key: float(value) for key, value in values.items()}
+
+
+@pytest.mark.parametrize("argv", [["orbits", "--J", "3"], ["verify", "--criteria", "1"]])
+def test_json_refused_without_json_output(argv, tmp_path):
+    code, out, err = run_cli(argv + ["--format", "json"])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "no JSON output" in err
+    config = tmp_path / "fmt.conf"
+    config.write_text("fmt = json\n")
+    assert run_cli(argv + ["--config", str(config)])[:2] == (EXIT_PARSE, "")
+
+
 GOLDEN_COMMANDS = {
     "torsion_circle_pi.txt": ["torsion", "--model", "circle", "--theta", PI],
     "bf_cat_pi.txt": ["bf", "--model", "cat", "--theta", PI, "--samples", "10"],

@@ -1,12 +1,19 @@
 """Flat-determinant contracts."""
 
+import functools
+
+import mpmath
 import numpy as np
 import pytest
-
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from zetabf import graded
-from zetabf.errors import MellinDivergenceError
+from zetabf import graded, verification
+from zetabf.errors import (
+    DeterminantRangeError,
+    MellinDivergenceError,
+    ValidationError,
+)
 from zetabf.graded import flat_det
 
 # A fixed non-normal conjugation, so the heat traces see a non-diagonal matrix.
@@ -103,16 +110,17 @@ def test_mellin_mode_agreement_property():
 
 def test_flat_det_stacks_heat_traces(monkeypatch):
     calls = []
+    chunk = graded._heat_trace_chunk
 
-    def counting(a):
-        calls.append(a.shape)
-        return expm(a)
+    def counting(terms, xs):
+        calls.append(len(xs))
+        return chunk(terms, xs)
 
-    monkeypatch.setattr(graded, "expm", counting)
+    monkeypatch.setattr(graded, "_heat_trace_chunk", counting)
     a = np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]])
     r = flat_det(a)
     assert r.mellin_value == pytest.approx(r.value, rel=1e-6)
-    assert calls == [(113, 3, 3)]
+    assert calls == [113]
 
 
 def test_flat_det_factorises_once(monkeypatch):
@@ -129,15 +137,31 @@ def test_flat_det_factorises_once(monkeypatch):
     assert calls == [(3, 3)]
 
 
+def _exact_heat_traces(m, t):
+    """tr e^(-t m) at every node from 40-digit eigenvalues of m: the trace is
+    the sum of exp(-t lambda) over the spectrum, for any matrix."""
+    with mpmath.workdps(40):
+        eigs = mpmath.eig(mpmath.matrix(m.tolist()), left=False, right=False)
+        return np.array([complex(mpmath.fsum(mpmath.exp(-mpmath.mpf(tt) * ev)
+                                             for ev in eigs)) for tt in t])
+
+
+OSCILLATORY = np.diag([0.2 + 30j, 0.2 - 20j]) + 0.01 * np.array([[0, 1], [1, 0]])
+A3 = np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]])
+
+
 @pytest.mark.parametrize("matrix, panels", [
-    (np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]]), False),
-    (np.diag([0.2 + 30j, 0.2 - 20j]) + 0.01 * np.array([[0, 1], [1, 0]]), True),
+    (A3, False),
+    (OSCILLATORY, True),
+    # criterion 12's worst case: eigenvector condition number about 392
+    (list(verification._criterion_12_matrices())[8], False),
 ])
 def test_heat_traces_equal_per_node_expm(matrix, panels):
-    """Stacked heat traces equal single-matrix expm traces bit for bit, and
-    the estimate's nodes are nested in the value's rule or disjoint from it.
+    """The batched heat traces are as accurate as per-node expm against a
+    40-digit oracle, and the estimate's nodes are nested in the value's rule
+    or disjoint from it.
 
-    Both matrices are non-diagonal, so expm takes its Pade route; the second
+    Every matrix is non-diagonal, so both take their Pade route; the second
     is oscillatory enough for the Gauss-Legendre panels."""
     m, nonzero, _ = graded._spectral_split(graded._as_square(matrix), 0.0)
     _, t, weights = graded._mellin_rule(nonzero)
@@ -147,5 +171,43 @@ def test_heat_traces_equal_per_node_expm(matrix, panels):
         assert not shared.any()
     else:
         assert np.array_equal(shared, np.arange(113) % 2 == 0)
-    heat = np.array([np.trace(expm(-tt * m)) for tt in t])
-    assert np.array_equal(graded._heat_traces(m, t), heat)
+    exact = _exact_heat_traces(m, t)
+    # scipy's expm runs its single-matrix algorithm on each slice of a stack
+    per_node = np.trace(expm(-t[:, None, None] * m), axis1=1, axis2=2)
+    scipy_error = np.max(np.abs(per_node - exact))
+    assert np.max(np.abs(graded._heat_traces(m, t) - exact)) <= 2 * scipy_error + 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_flat_det_out_of_double_range(scale):
+    with pytest.raises(DeterminantRangeError) as err:
+        flat_det(scale * A3, mode="spectral")
+    assert err.value.log10_abs == pytest.approx(
+        3 * np.log10(scale) + np.log10(np.linalg.det(A3)))
+    with pytest.raises(DeterminantRangeError):
+        flat_det(scale * A3)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_flat_det_rejects_non_finite_entries(entry):
+    a = A3.astype(complex)
+    a[1, 2] = entry
+    with pytest.raises(ValidationError):
+        flat_det(a)
+
+
+@functools.cache
+def _log_mellin_value(name, s=1.0):
+    return np.log(flat_det(s * {"3x3": A3, "oscillatory": OSCILLATORY}[name]).mellin_value)
+
+
+@pytest.mark.parametrize("name, n", [("3x3", 3), ("oscillatory", 2)])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(log10_s=st.floats(-8.0, 8.0))
+@example(log10_s=-8.0)
+@example(log10_s=8.0)
+def test_mellin_value_scale_covariant(name, n, log10_s):
+    """log det(sA) = log det(A) + n log s on the Mellin route."""
+    s = 10.0 ** log10_s
+    shift = _log_mellin_value(name, s) - _log_mellin_value(name)
+    assert abs(shift - n * np.log(s)) <= 1e-12
