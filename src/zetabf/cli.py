@@ -10,9 +10,10 @@ Every option is one row of ``OPTIONS``: its flag, its default and one parse
 function that converts and checks a value.  argparse applies that function to
 the flag and ``load_config_file`` to the option's line in a key=value file
 (--config), so both meet the same checks; flags take precedence over the file
-and no environment variables are consulted.  All numbers print with 17
-significant digits and runs are deterministic: identical configuration gives
-byte-identical standard output (timing goes to stderr).
+and no environment variables are consulted.  A subcommand accepts, as flags
+and as config keys, only the options ``_COMMANDS`` declares it reads.  Numbers
+print with 17 significant digits; identical configuration gives byte-identical
+standard output (timing goes to stderr).
 
 Exit codes: 0 ok, 2 domain error, 3 parse error, 4 verification failure.
 """
@@ -148,8 +149,8 @@ OPTIONS = {
 }
 
 
-def load_config_file(path) -> dict:
-    """Parsed values of the key=value lines of a config file."""
+def load_config_file(path, command: str) -> dict:
+    """Parsed values of the key=value lines of a config file for ``command``."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -159,8 +160,8 @@ def load_config_file(path) -> dict:
             if "=" not in stripped:
                 raise ParseError(lineno, f"expected key=value, got {stripped!r}")
             key, value = (s.strip() for s in stripped.split("=", 1))
-            if key not in OPTIONS:
-                raise ParseError(lineno, f"unknown config key {key!r}")
+            if key not in _COMMANDS[command][1]:
+                raise ParseError(lineno, f"{command} reads no config key {key!r}")
             try:
                 out[key] = OPTIONS[key].parse(value)
             except argparse.ArgumentTypeError as exc:
@@ -213,11 +214,6 @@ def _emit_rows(rows, cfg: argparse.Namespace):
         else:
             lines.append(f"{key} {g17(value)}")
     _emit(lines, cfg)
-
-
-def _no_json(cfg: argparse.Namespace):
-    if cfg.fmt == "json":
-        raise CLIUsageError(f"{cfg.command} has no JSON output; drop --format json")
 
 
 # -- commands ---------------------------------------------------------------------
@@ -297,7 +293,6 @@ def cmd_zeta(cfg: argparse.Namespace) -> int:
 
 
 def cmd_orbits(cfg: argparse.Namespace) -> int:
-    _no_json(cfg)
     if cfg.input:
         records = orbits.load_orbit_spectrum(cfg.input).records
         # the summary always goes to stdout; --out receives the merged spectrum
@@ -319,15 +314,12 @@ def cmd_orbits(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    _no_json(cfg)
     results = verification.run_all(cfg.criteria)
-    failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"[{status}] criterion {r.index:2d}: {r.name} -- {r.detail}\n")
         sys.stderr.write(f"criterion {r.index} took {r.seconds:.2f}s\n")
-        if not r.passed:
-            failed += 1
+    failed = sum(not r.passed for r in results)
     sys.stdout.write(f"{len(results) - failed}/{len(results)} criteria passed\n")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
@@ -335,12 +327,17 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 # -- argument plumbing ---------------------------------------------------------------
 
 
+# the options _load_model reads
+MODEL = ("input", "model", "a_matrix", "theta", "alpha", "beta")
+
+# Each subcommand's function and the options it reads, the only ones it accepts.
 _COMMANDS = {
-    "torsion": cmd_torsion,
-    "bf": cmd_bf,
-    "zeta": cmd_zeta,
-    "orbits": cmd_orbits,
-    "verify": cmd_verify,
+    "torsion": (cmd_torsion, MODEL + ("sigma", "out", "fmt")),
+    "bf": (cmd_bf, MODEL + ("sigma", "samples", "seed", "out", "fmt")),
+    "zeta": (cmd_zeta, ("a_matrix", "theta", "lambda_start", "lambda_stop", "lambda_steps",
+                        "lambda_imag", "J", "sigma", "closed_form", "out", "fmt")),
+    "orbits": (cmd_orbits, ("input", "a_matrix", "J", "theta", "out")),
+    "verify": (cmd_verify, ("criteria",)),
 }
 
 
@@ -348,11 +345,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="zetabf", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, keys) in _COMMANDS.items():
         # flags not given stay unset, so they do not mask config-file values
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value configuration file")
-        for key, opt in OPTIONS.items():
+        for key in keys:
+            opt = OPTIONS[key]
             if opt.parse is _switch:
                 p.add_argument(opt.flag, dest=key, action="store_true", help=opt.help)
             else:
@@ -361,12 +359,12 @@ def build_parser() -> _Parser:
 
 
 def make_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Every option's default, overridden by the --config file, overridden by
-    the flags given."""
+    """The default of each option the command reads, overridden by the
+    --config file, overridden by the flags given."""
     given = vars(args)
-    cfg = {key: opt.default for key, opt in OPTIONS.items()}
+    cfg = {key: OPTIONS[key].default for key in _COMMANDS[args.command][1]}
     if "config" in given:
-        cfg.update(load_config_file(given.pop("config")))
+        cfg.update(load_config_file(given.pop("config"), args.command))
     cfg.update(given)
     return argparse.Namespace(**cfg)
 
@@ -376,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = make_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except CLIUsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_PARSE

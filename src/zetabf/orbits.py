@@ -39,8 +39,7 @@ def _mobius(n: int) -> int:
 
 
 def _divisors(n: int) -> List[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class OrbitRecord:
 
     ``winding`` is the homology winding in the suspension direction (equal to
     the primitive period for suspension orbits); file-based records carry an
-    explicit holonomy instead.
+    explicit holonomy instead, stored as a complex number.
     """
 
     length: float
@@ -162,6 +161,8 @@ class OrbitRecord:
                 "poincare_eigs", "need |eig_contracting| < 1 < |eig_expanding|, got "
                 f"{self.eig_expanding} and {self.eig_contracting}"
             )
+        if self.holonomy is not None:      # one type for every holonomy
+            object.__setattr__(self, "holonomy", complex(self.holonomy))
         if self.holonomy is not None and abs(abs(self.holonomy) - 1.0) > 1e-9:
             raise ValidationError("holonomy", f"|holonomy| = {abs(self.holonomy)} != 1")
         if self.holonomy is None and self.winding is None:
@@ -174,11 +175,17 @@ class OrbitData:
 
     ``aut`` is set for complete suspension spectra, in which case sharp
     collapsed tail bounds (via the Lefschetz counts) are available.
+    ``complete_to``, required with ``aut``, is the period up to which the records
+    are complete; the certificate of ``zetabf.zeta`` reads it.
     """
 
     records: Tuple[OrbitRecord, ...]
     aut: Optional[ToralAutomorphism] = None
     complete_to: Optional[int] = None
+
+    def __post_init__(self):
+        if self.aut is not None and self.complete_to is None:
+            raise ValidationError("complete_to", "required for a suspension spectrum")
 
     @property
     def is_suspension(self) -> bool:

@@ -96,7 +96,8 @@ def _det_i_minus_p(rec: OrbitRecord, j: int) -> float:
 
 
 def _suspension_tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
-    """Geometric tail bound over windings m > J for a complete suspension list.
+    """Geometric tail bound over windings m > min(J, data.complete_to) for a
+    suspension list: windings above complete_to may miss primitive orbits.
 
     Uses |tr Lambda^k A^m| <= 2*mu^m for k = 1 (and <= 1 for k in {0,2}), and
     for the full zeta the crude orbit-count bound F(m) <= 4*mu^m.
@@ -112,7 +113,8 @@ def _suspension_tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> fl
         ratio, prefactor = q, 1.0
     if ratio >= 1.0:
         raise DivergentRegionError(lam)
-    return prefactor * ratio ** (J + 1) / ((J + 1) * (1.0 - ratio))
+    m = min(J, data.complete_to) + 1
+    return prefactor * ratio ** m / (m * (1.0 - ratio))
 
 
 def _record_tail(rec: OrbitRecord, lam: complex, k: DegreeSpec, j_min: int) -> float:
@@ -250,30 +252,23 @@ class _TermTable:
             yield s, self.rec[s], self.j[s].astype(float)
 
     def holonomy_powers(self, theta: float):
-        """(re, im) of holonomy ** j per term, and the mask of terms whose
-        holonomy is a real number (None when every holonomy is complex)."""
-        last, hit = self._holonomy
-        if last != theta:
+        """(re, im) of holonomy ** j per term."""
+        if self._holonomy[0] != theta:
             bases = [_holonomy(r, theta) for r in self.records]
             b = np.array(bases, dtype=complex)
             re, im = np.empty(self.size), np.empty(self.size)
             for s, rec, _ in self.blocks():
                 re[s], im[s] = _powi(b.real[rec], b.imag[rec], self.j[s])
-            real = np.array([not isinstance(h, complex) for h in bases], dtype=bool)
-            for i in np.flatnonzero((self.j > _POWI_MAX) | real[self.rec]).tolist():
+            for i in np.flatnonzero(self.j > _POWI_MAX).tolist():
                 h = bases[self.rec[i]] ** int(self.j[i])
                 re[i], im[i] = h.real, h.imag
-            hit = (re, im, real[self.rec] if real.any() else None)
-            self._holonomy = (theta, hit)
-        return hit
+            self._holonomy = (theta, (re, im))
+        return self._holonomy[1]
 
     def _times_holonomy(self, c, s, theta: float):
         """c * holonomy ** j on block s, formed as CPython forms it."""
-        hr, hi, real = self.holonomy_powers(theta)
-        re, im = _mul(c, 0.0, hr[s], hi[s])
-        if real is not None:     # a real power multiplies as a float: (c * h, 0.0)
-            im = np.where(real[s], 0.0, im)
-        return re, im
+        hr, hi = self.holonomy_powers(theta)
+        return _mul(c, 0.0, hr[s], hi[s])
 
     def _poincare_powers(self, name: str) -> np.ndarray:
         """Per term, the record's eigenvalue ``name`` to the power j, as scalar

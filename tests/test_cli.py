@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from zetabf import complexes, orbits, zeta
-from zetabf.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, OPTIONS, build_parser, g17,
-                        main, make_config)
+from zetabf.errors import ParseError
+from zetabf.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, OPTIONS, CLIUsageError,
+                        build_parser, g17, main, make_config)
 
 GOLDEN = Path(__file__).parent / "golden"
 PI = "3.141592653589793"
@@ -304,19 +305,44 @@ def test_config_cannot_set_command(tmp_path, command):
     assert "command" in err
 
 
+# The options each subcommand reads: it accepts these and no others.
+MODEL = ("input", "model", "a_matrix", "theta", "alpha", "beta")
+READS = {
+    "torsion": MODEL + ("sigma", "out", "fmt"),
+    "bf": MODEL + ("sigma", "samples", "seed", "out", "fmt"),
+    "zeta": ("a_matrix", "theta", "lambda_start", "lambda_stop", "lambda_steps",
+             "lambda_imag", "J", "sigma", "closed_form", "out", "fmt"),
+    "orbits": ("input", "a_matrix", "J", "theta", "out"),
+    "verify": ("criteria",),
+}
+
+
+def reader(key):
+    """The first subcommand that reads option ``key``."""
+    return next(command for command, keys in READS.items() if key in keys)
+
+
+# A valid config line for each subcommand, to put ahead of the line under test.
+SETTING = {"torsion": "model = circle", "bf": "model = circle", "zeta": "J = 12",
+           "orbits": "J = 12", "verify": "criteria = 1"}
+
+
 @pytest.mark.parametrize("text", ["J = abc", "theta = pi", "samples = 2.5",
                                   "closed_form = maybe", "fmt = xml", "model = foo",
                                   "sigma = 2", "criteria = 13", "a_matrix = 1,2",
                                   "lambda_steps = 0", "J = 0", "samples = 1",
                                   "seed = -1"])
 def test_config_bad_value_is_parse_error(tmp_path, text):
+    key = text.split()[0]
+    command = reader(key)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"model = circle\n{text}\n")
-    code, out, err = run_cli(["torsion", "--config", str(cfg)])
+    cfg.write_text(f"{SETTING[command]}\n{text}\n")
+    code, out, err = run_cli([command, "--config", str(cfg)])
     assert code == EXIT_PARSE
     assert out == ""
     assert "line 2" in err
-    assert text.split()[0] in err
+    assert key in err
+    assert "reads no config key" not in err
 
 
 # A value other than the default for every option, as a flag would give it.
@@ -329,17 +355,84 @@ OPTION_SAMPLES = {
 }
 
 
+def sample_settings(key, tmp_path):
+    """Option ``key`` set to its sample value as flag arguments and as a config file."""
+    text = OPTION_SAMPLES[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {'yes' if text is None else text}\n")
+    flag = OPTIONS[key].flag
+    return ([flag] if text is None else [flag, text]), ["--config", str(cfg)]
+
+
 @pytest.mark.parametrize("key", sorted(OPTIONS))
 def test_flag_and_config_line_parse_alike(tmp_path, key):
     """Each option's flag and config line yield the same value, not the default."""
-    flag, text = OPTIONS[key].flag, OPTION_SAMPLES[key]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {'yes' if text is None else text}\n")
-    argv = [flag] if text is None else [flag, text]
-    from_flag = make_config(build_parser().parse_args(["torsion"] + argv))
-    from_file = make_config(build_parser().parse_args(["torsion", "--config", str(cfg)]))
+    command = reader(key)
+    flag_args, config_args = sample_settings(key, tmp_path)
+    from_flag = make_config(build_parser().parse_args([command] + flag_args))
+    from_file = make_config(build_parser().parse_args([command] + config_args))
     assert getattr(from_flag, key) == getattr(from_file, key)
     assert getattr(from_flag, key) != OPTIONS[key].default
+
+
+def accepts(command, args):
+    """Whether ``command`` accepts the option arguments ``args``; a refusal must
+    be a parse error, raised before the command runs."""
+    try:
+        make_config(build_parser().parse_args([command] + args))
+    except (CLIUsageError, ParseError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_command_accepts_exactly_the_options_it_reads(tmp_path, command, key):
+    """A declared option parses as a flag and as a config line, to a value
+    other than the default; any other exits 3 with empty stdout either way."""
+    flag_args, config_args = sample_settings(key, tmp_path)
+    if key in READS[command]:
+        for args in (flag_args, config_args):
+            cfg = make_config(build_parser().parse_args([command] + args))
+            assert getattr(cfg, key) != OPTIONS[key].default
+        return
+    code, out, err = run_cli([command] + flag_args)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert f"unrecognized arguments: {OPTIONS[key].flag}" in err
+    code, out, err = run_cli([command] + config_args)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert f"line 1: {command} reads no config key {key!r}" in err
+
+
+def test_accepted_option_pairs_are_counted(tmp_path):
+    """37 of the 90 (command, option) pairs are accepted; a config key is
+    accepted exactly when its flag is."""
+    as_flag, as_key = set(), set()
+    for key in OPTIONS:
+        flag_args, config_args = sample_settings(key, tmp_path)
+        for command in READS:
+            if accepts(command, flag_args):
+                as_flag.add((command, key))
+            if accepts(command, config_args):
+                as_key.add((command, key))
+    assert len(READS) * len(OPTIONS) == 90
+    assert len(as_flag) == 37
+    assert as_key == as_flag
+    assert as_flag == {(command, key) for command, keys in READS.items() for key in keys}
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--input", "spectrum.txt"],
+    ["verify", "--criteria", "1", "--out", "v.txt"],
+    ["torsion", "--J", "5", "--samples", "3", "--closed-form", "--criteria", "4"],
+], ids=["zeta-input", "verify-out", "torsion-extras"])
+def test_options_a_command_ignores_are_refused(tmp_path, argv):
+    """Options a command would not read exit 3 rather than being dropped."""
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
@@ -347,11 +440,12 @@ def test_flag_and_config_line_parse_alike(tmp_path, key):
                                        if isinstance(opt.default, float)))
 def test_non_finite_float_is_parse_error(tmp_path, key, value):
     """A non-finite float option exits 3, as a flag and as a config line."""
+    command = reader(key)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     for argv, where in (([f"{OPTIONS[key].flag}={value}"], OPTIONS[key].flag),
                         (["--config", str(cfg)], "line 1")):
-        code, out, err = run_cli(["torsion", "--model", "circle"] + argv)
+        code, out, err = run_cli([command] + argv)
         assert code == EXIT_PARSE
         assert out == ""
         assert "must be finite" in err
@@ -443,12 +537,15 @@ def test_torsion_json_matches_text(argv):
 
 @pytest.mark.parametrize("argv", [["orbits", "--J", "3"], ["verify", "--criteria", "1"]])
 def test_json_refused_without_json_output(argv, tmp_path):
+    # orbits and verify have no --format: the flag and the config key are refused
     code, out, err = run_cli(argv + ["--format", "json"])
     assert (code, out) == (EXIT_PARSE, "")
-    assert "no JSON output" in err
+    assert "unrecognized arguments: --format json" in err
     config = tmp_path / "fmt.conf"
     config.write_text("fmt = json\n")
-    assert run_cli(argv + ["--config", str(config)])[:2] == (EXIT_PARSE, "")
+    code, out, err = run_cli(argv + ["--config", str(config)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert f"line 1: {argv[0]} reads no config key 'fmt'" in err
 
 
 GOLDEN_COMMANDS = {

@@ -7,6 +7,7 @@ import pytest
 from zetabf import verification
 from zetabf.errors import NotHyperbolicError, ParseError, ValidationError
 from zetabf.orbits import (
+    OrbitData,
     OrbitRecord,
     ToralAutomorphism,
     count_fixed_points,
@@ -254,3 +255,18 @@ def test_suspension_orbits_metadata():
     assert data.is_suspension
     assert data.complete_to == 10
     assert all(r.winding == r.period for r in data.records)
+
+
+def test_suspension_data_needs_complete_to():
+    # the truncation certificate reads complete_to whenever aut is set
+    with pytest.raises(ValidationError) as err:
+        OrbitData(suspension_orbits(CAT, 3).records, aut=CAT)
+    assert err.value.field == "complete_to"
+
+
+@pytest.mark.parametrize("holonomy", [1, -1.0, 0.6 - 0.8j])
+def test_holonomy_is_stored_complex(holonomy):
+    rec = OrbitRecord(length=1.0, count=1, eig_expanding=2.0, eig_contracting=0.5,
+                      holonomy=holonomy)
+    assert type(rec.holonomy) is complex
+    assert rec.holonomy == holonomy

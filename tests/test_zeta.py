@@ -113,6 +113,19 @@ def test_tail_bound_certifies_truncation():
             assert abs(coarse.value - exact) <= coarse.truncation_error_bound + 1e-13
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, "full"])
+@pytest.mark.parametrize("complete_to, J", [(5, 40), (5, 5), (12, 64), (1, 12)])
+def test_tail_bound_covers_orbits_above_complete_to(k, complete_to, J):
+    # J above complete_to sums no primitive orbit of period in (complete_to, J]:
+    # the certificate bounds the windings above complete_to
+    data = suspension_orbits(CAT, complete_to)
+    theta, lam = 0.9, 3.0
+    zs = closed_form_suspension(CAT, theta, lam)
+    exact = cmath.log({0: zs.zeta0, 1: zs.zeta1, 2: zs.zeta2, "full": zs.full}[k])
+    ev = log_zeta_full(data, theta, lam, J) if k == "full" else log_zeta_k(data, theta, lam, k, J)
+    assert abs(ev.value - exact) <= ev.truncation_error_bound + 1e-13
+
+
 def test_flat_trace_bump_at_first_orbit():
     val = flat_trace_pairing(DATA, 0.0, 0, BumpSpec(1.0, 0.05))
     assert val == pytest.approx(1.0, abs=1e-12)
@@ -336,8 +349,8 @@ def test_term_table_matches_loop_on_loaded_spectra(tmp_path, matrix):
     check_table_against_loop(load_orbit_spectrum(path), (0.0, 1.0), LAMS, (12, 40, 64, 130))
 
 
-# real-typed holonomies multiply as floats; windings twist with theta; the
-# short records keep repetitions above 100 significant in the sum
+# real holonomies are stored as complex numbers; windings twist with theta;
+# the short records keep repetitions above 100 significant in the sum
 HAND_RECORDS = (
     OrbitRecord(length=1.7, count=3, eig_expanding=-3.0, eig_contracting=-1 / 3.0,
                 holonomy=-1.0),
@@ -359,7 +372,7 @@ def test_term_table_matches_loop_on_hand_records():
 
 def test_term_table_holonomy_factor_matches_scalar_power():
     # -count * holonomy ** j per term, as Python forms it: binary
-    # exponentiation up to j = 100, exp/log above, float pow for a real holonomy
+    # exponentiation up to j = 100, exp/log above
     data = OrbitData(HAND_RECORDS)
     table = zeta._TermTable(data, 130)
     for theta in (0.0, 2.5):
