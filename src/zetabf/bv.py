@@ -23,10 +23,16 @@ same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
 vectors per differential, cut at the rank of the complex's spectral record),
 and random contractions take their ranks from that record.  A contraction
 reads its degree dimensions off the shapes of iota, validates itself once, on
-construction, and factorises each iota_k once; its validation, gauge and
-Lie operator all reuse those kernel bases.  The unitary-
-normalised constructors (Hodge, random, suspension, homotopy families) build
-only iota and leave a = iota^dagger to ``Contraction.unitary``.  The SVDs of
+construction, and finds each kernel of iota_k and its orthogonal complement
+once; its validation, gauge and Lie operator all reuse those bases.  The
+unitary-normalised constructors (Hodge, random, suspension, homotopy
+families) build only iota and leave a = iota^dagger to
+``Contraction.unitary``.  A random contraction is drawn from Haar-random
+kernel splits and hands them over, so neither iota_k nor its kernel is
+factorised; the Hodge, Reeb and homotopy-family contractions carry no split
+and keep one SVD of iota_k for the kernel and one of the kernel for the
+complement, the factorisations behind the Z and isotropy digits that ``bf``
+prints.  The SVDs of
 the restricted action blocks and of the isotropy cross pairing stay separate:
 they are the checks that the gauge-fixed side reproduces the torsion.
 
@@ -45,11 +51,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .complexes import TwistedComplex, haar_unitary, nonzero_mask, read_only
 from .errors import (
@@ -203,6 +207,9 @@ def metric_gauge(fs: BFFieldSpace) -> GaugeSubspace:
     return _lagrangian("metric", coexact, exact, fs.base.diffs, jacobian)
 
 
+Split = Tuple[np.ndarray, np.ndarray]
+
+
 @dataclass
 class Contraction:
     """Square-zero degree -1 map with a normalised complement injection.
@@ -212,29 +219,45 @@ class Contraction:
     injects C^k into C^(k+1) with iota o a = id on ker iota (entry n is the
     zero map out of the top degree).  The gauge-independence theorems of the
     test suite cover the unitary-normalised class a = iota^dagger (iota a
-    partial isometry), which ``Contraction.unitary`` builds from iota alone;
+    partial isometry), which ``Contraction.unitary`` builds from iota;
     validation checks iota o a = id on ker iota, so the normalisation
     sdet(iota o a) = 1 holds for every valid instance.  A
     contraction validates itself once, on construction, and raises
     DegenerateContractionError when invalid.  It owns both families and marks
-    their arrays read-only, so the kernel bases, factorised once, cannot go
-    stale.
+    their arrays read-only, so the kernel and complement bases, found once,
+    cannot go stale.
+
+    ``splits``, when given, holds per degree an orthonormal pair (K^k, P^k)
+    with K^k spanning ker(iota_k) and P^k its orthogonal complement, on which
+    iota_k must be isometric; validation checks this with matrix products and
+    the bases are used as given.  Without it, ker(iota_k) comes from one SVD of
+    iota_k and its complement from one SVD of that kernel basis, each on first
+    use (no SVD where the kernel is all of C^k or empty).
     """
 
     iota: Sequence[np.ndarray]
     a_maps: Sequence[np.ndarray]
+    splits: Optional[Sequence[Split]] = None
 
     def __post_init__(self):
         self.iota = tuple(read_only(np.asarray(m)) for m in self.iota)
         self.a_maps = tuple(read_only(np.asarray(m)) for m in self.a_maps)
+        self._kernels: Dict[int, np.ndarray] = {}
+        self._complements: Dict[int, np.ndarray] = {}
+        if self.splits is not None:
+            self.splits = tuple((read_only(np.asarray(ker)), read_only(np.asarray(perp)))
+                                for ker, perp in self.splits)
+            self._kernels.update(enumerate(ker for ker, _ in self.splits))
+            self._complements.update(enumerate(perp for _, perp in self.splits))
         self._validate()
 
     @classmethod
-    def unitary(cls, iota: Sequence[np.ndarray]) -> "Contraction":
+    def unitary(cls, iota: Sequence[np.ndarray],
+                splits: Optional[Sequence[Split]] = None) -> "Contraction":
         """The unitary-normalised contraction: a_k = iota_(k+1)^dagger."""
         a_maps = [m.conj().T for m in iota[1:]]
         a_maps.append(np.zeros((0, iota[-1].shape[1])))
-        return cls(iota, a_maps)
+        return cls(iota, a_maps, splits)
 
     @property
     def dims(self) -> Tuple[int, ...]:
@@ -255,6 +278,8 @@ class Contraction:
             err = np.linalg.norm(self.iota[k] @ self.iota[k + 1])
             if err > tol * scale ** 2:
                 raise DegenerateContractionError(f"iota^2 != 0 at degree {k + 1}")
+        if self.splits is not None:
+            self._check_splits(tol, scale)
         for k in range(n):
             ker = self.kernel_basis(k)
             if ker.shape[1] == 0:
@@ -265,28 +290,60 @@ class Contraction:
                     f"iota o a != id on ker iota at degree {k}"
                 )
 
-    @cached_property
-    def _kernels(self) -> Dict[int, np.ndarray]:
-        """ker(iota_k) for every k >= 1 with a nonzero target, one SVD each."""
-        out = {}
-        for k, m in enumerate(self.iota):
-            if k == 0 or m.shape[0] == 0:
-                continue
-            _, s, vh = np.linalg.svd(m, full_matrices=True)
-            rank = int(np.count_nonzero(nonzero_mask(s)))
-            out[k] = read_only(vh[rank:, :].conj().T)
-        return out
+    def _check_splits(self, tol: float, scale: float):
+        """[K P] unitary, iota K = 0 and iota isometric on P, so that K spans
+        exactly ker(iota), from matrix products alone; each residual is held
+        to ``tol`` times the size of its product (d, |iota|, |iota|^2)."""
+        if len(self.splits) != len(self.iota):
+            raise DegenerateContractionError("kernel splits have the wrong arity")
+        for k, ((ker, perp), m) in enumerate(zip(self.splits, self.iota)):
+            d = m.shape[1]
+            if ker.ndim != 2 or perp.ndim != 2 or (ker.shape[0], perp.shape[0],
+                                                   ker.shape[1] + perp.shape[1]) != (d, d, d):
+                raise DegenerateContractionError(f"kernel split has wrong shapes at degree {k}")
+            q = np.hstack([ker, perp])
+            if np.linalg.norm(q.conj().T @ q - np.eye(d)) > tol * max(1.0, d):
+                raise DegenerateContractionError(
+                    f"kernel split is not orthonormal at degree {k}")
+            if np.linalg.norm(m @ ker) > tol * scale:
+                raise DegenerateContractionError(
+                    f"kernel split is not killed by iota at degree {k}")
+            image = m @ perp
+            if np.linalg.norm(image.conj().T @ image - np.eye(perp.shape[1])) > tol * scale ** 2:
+                raise DegenerateContractionError(
+                    f"iota is not isometric on the kernel complement at degree {k}")
 
     def kernel_basis(self, k: int) -> np.ndarray:
         """Orthonormal basis of ker(iota_k) in C^k."""
-        if k == 0 or self.iota[k].shape[0] == 0:
-            return np.eye(self.dims[k])
+        if k not in self._kernels:
+            m = self.iota[k]
+            if m.shape[0] == 0:
+                ker = np.eye(self.dims[k])
+            else:
+                _, s, vh = np.linalg.svd(m, full_matrices=True)
+                rank = int(np.count_nonzero(nonzero_mask(s)))
+                ker = vh[rank:, :].conj().T
+            self._kernels[k] = read_only(ker)
         return self._kernels[k]
+
+    def complement_basis(self, k: int) -> np.ndarray:
+        """Orthonormal basis of the orthogonal complement of ker(iota_k)."""
+        if k not in self._complements:
+            ker = self.kernel_basis(k)
+            if ker.shape[1] == 0:
+                perp = np.eye(self.dims[k])
+            elif ker.shape[1] == self.dims[k]:
+                perp = ker[:, :0]
+            else:
+                perp = np.linalg.svd(ker, full_matrices=True)[0][:, ker.shape[1]:]
+            self._complements[k] = read_only(perp)
+        return self._complements[k]
 
 
 def hodge_contraction(tc: TwistedComplex) -> Contraction:
     """Polar-isometry contraction: iota_(k+1) is the adjoint of the partial
     isometry part of d_k (initial space coexact, final space exact)."""
+    tc.require_acyclic()
     iota = [np.zeros((0, tc.dims[0]))]
     for e_next, c_here in tc.hodge_bases:
         w = e_next @ c_here.conj().T          # partial isometry C^k -> C^(k+1)
@@ -298,6 +355,7 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contract
     """Random unitary-normalised contraction: random kernel subspaces K^k with
     dim K^k = rank d_k, iota mapping the orthogonal complement isometrically
     onto K^(k-1), and a = iota^dagger."""
+    tc.require_acyclic()
     n = tc.top_degree
     m = [tc.rank(k) for k in range(n)] + [0]
 
@@ -311,7 +369,10 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contract
     for k in range(1, n + 1):
         u = haar_unitary(rng, m[k - 1]) if m[k - 1] else np.zeros((0, 0))
         iota.append(kernels[k - 1] @ u @ perps[k].conj().T)
-    return Contraction.unitary(iota)
+    # iota_0 is the zero map, so its kernel is all of C^0
+    d0 = tc.dims[0]
+    splits = [(np.eye(d0), np.zeros((d0, 0)))] + list(zip(kernels[1:], perps[1:]))
+    return Contraction.unitary(iota, splits)
 
 
 def suspension_contraction(tc: TwistedComplex) -> Contraction:
@@ -340,17 +401,9 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
     if c.dims != fs.dims:
         raise DegenerateContractionError(
             f"contraction dims {c.dims} do not match the field space {fs.dims}")
-    kernels = [c.kernel_basis(k) for k in range(fs.n + 1)]
-    perps = [_onb_complement(ker, d) for ker, d in zip(kernels, fs.dims)]
-    return _lagrangian("contraction", kernels, perps, c.a_maps, lambda a, b: 1.0)
-
-
-def _onb_complement(basis: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span."""
-    if basis.shape[1] == 0:
-        return np.eye(dim)
-    full = np.linalg.svd(basis, full_matrices=True)[0]
-    return full[:, basis.shape[1]:]
+    degrees = range(fs.n + 1)
+    return _lagrangian("contraction", [c.kernel_basis(k) for k in degrees],
+                       [c.complement_basis(k) for k in degrees], c.a_maps, lambda a, b: 1.0)
 
 
 @dataclass
@@ -515,6 +568,13 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
         names.extend(f"a{k}_{i}" for i in range(na))
         names.extend(f"b{k}_{i}" for i in range(na, na + nb))
     return chart, tuple(names)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first call: scipy stays off the import
+    path of every command that draws no unitary family."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def unitary_contraction_family(tc: TwistedComplex, base: Contraction,

@@ -11,9 +11,10 @@ function that converts and checks a value.  argparse applies that function to
 the flag and ``load_config_file`` to the option's line in a key=value file
 (--config), so both meet the same checks; flags take precedence over the file
 and no environment variables are consulted.  A subcommand accepts, as flags
-and as config keys, only the options ``_COMMANDS`` declares it reads.  Numbers
-print with 17 significant digits; identical configuration gives byte-identical
-standard output (timing goes to stderr).
+and as config keys, only the options ``_COMMANDS`` declares it reads, and
+with --input none of those the input file replaces (``_REPLACED_BY_INPUT``).
+Numbers print with 17 significant digits; identical configuration gives
+byte-identical standard output (timing goes to stderr).
 
 Exit codes: 0 ok, 2 domain error, 3 parse error, 4 verification failure.
 """
@@ -340,6 +341,14 @@ _COMMANDS = {
     "verify": (cmd_verify, ("criteria",)),
 }
 
+# The options a subcommand reads only without --input: the input file replaces
+# them, so giving one together with --input is a usage error.
+_REPLACED_BY_INPUT = {
+    "torsion": MODEL[1:],
+    "bf": MODEL[1:],
+    "orbits": ("a_matrix", "J", "theta"),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="zetabf", description=__doc__,
@@ -363,9 +372,18 @@ def make_config(args: argparse.Namespace) -> argparse.Namespace:
     --config file, overridden by the flags given."""
     given = vars(args)
     cfg = {key: OPTIONS[key].default for key in _COMMANDS[args.command][1]}
+    from_file = {}
     if "config" in given:
-        cfg.update(load_config_file(given.pop("config"), args.command))
+        from_file = load_config_file(given.pop("config"), args.command)
+    cfg.update(from_file)
     cfg.update(given)
+    if cfg.get("input"):
+        clash = [OPTIONS[key].flag if key in given else f"config key {key!r}"
+                 for key in _REPLACED_BY_INPUT.get(args.command, ())
+                 if key in given or key in from_file]
+        if clash:
+            raise CLIUsageError(f"{args.command} --input reads no {', '.join(clash)}: "
+                                "the input file replaces them")
     return argparse.Namespace(**cfg)
 
 

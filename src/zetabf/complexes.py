@@ -38,7 +38,6 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     DegenerateResolutionError,
@@ -87,6 +86,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it (for arrays that caches depend on)."""
     a.setflags(write=False)
     return a
+
+
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of 2-D blocks, in the dtype they promote to."""
+    rows, cols = (sum(b.shape[i] for b in blocks) for i in (0, 1))
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -460,7 +470,7 @@ def schwarz_partition(tc: TwistedComplex) -> float:
         return d[k].T
 
     # T^2 = diag(d_1* d_1, dual twin); log det_flat and a rank check.
-    t_sq = block_diag(d[1].conj().T @ d[1], np.conj(d[1]) @ d[1].T)
+    t_sq = _block_diag(d[1].conj().T @ d[1], np.conj(d[1]) @ d[1].T)
     w = np.linalg.eigvalsh(t_sq)
     keep = nonzero_mask(w)
     if int(np.count_nonzero(keep)) != 2 * ranks[1]:
@@ -473,7 +483,7 @@ def schwarz_partition(tc: TwistedComplex) -> float:
             blocks = [d[0]]
             if n >= 3:
                 blocks.append(dual(2))
-            t_k = block_diag(*blocks)
+            t_k = _block_diag(*blocks)
             expected = ranks[0] + (ranks[2] if n >= 3 else 0)
         else:
             if k + 1 > n - 1:

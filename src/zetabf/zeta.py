@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import rgamma
 
 from .complexes import analytic_torsion, mapping_torus_complex
 from .errors import (
@@ -433,6 +432,8 @@ def mellin_log_zeta(data: OrbitData, theta: float, lam: complex, k: int,
     Mellin integral; orbit times are bounded away from zero) and returns
     -d/ds F at s = 0 by central differences with one Richardson step.
     """
+    from scipy.special import rgamma    # scipy loads only on this route
+
     if not 0 <= k <= 2 * TRANSVERSE_RANK:
         raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
     _tail(data, lam, k, J)      # divergence policing of the direct route

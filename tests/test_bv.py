@@ -42,6 +42,7 @@ from zetabf.errors import (
     NotAcyclicError,
 )
 from zetabf.orbits import ToralAutomorphism
+from zetabf.verification import SEED, _random_complexes
 from zetabf.zeta import closed_form_suspension
 
 CAT = [[2, 1], [1, 1]]
@@ -410,6 +411,94 @@ def test_contraction_validated_once(monkeypatch):
     z = partition_function(fs, contraction_gauge(fs, hodge_contraction(tc)))
     assert z == pytest.approx(analytic_torsion(tc), rel=1e-10)
     assert len(calls) == 1
+
+
+NOT_ACYCLIC = [circle_complex(0.0), torus_complex(0.0, 0.0), mapping_torus_complex(CAT, 0.0)]
+
+
+@pytest.mark.parametrize("tc", NOT_ACYCLIC, ids=["circle", "torus", "cat"])
+def test_contractions_need_an_acyclic_complex(tc):
+    with pytest.raises(NotAcyclicError):
+        random_contraction(tc, np.random.default_rng(0))
+    with pytest.raises(NotAcyclicError):
+        hodge_contraction(tc)
+
+
+def _bad_split(splits, k, how):
+    """The random contraction's kernel splits with degree k's broken."""
+    ker, perp = splits[k]
+    if how == "kernel not killed":          # swap a kernel and a complement vector
+        ker, perp = (np.hstack([perp[:, :1], ker[:, 1:]]),
+                     np.hstack([ker[:, :1], perp[:, 1:]]))
+    elif how == "not orthonormal":
+        ker = 1.001 * ker
+    else:                                   # a kernel vector moved to the complement
+        ker, perp = ker[:, 1:], np.hstack([ker[:, :1], perp])
+    return splits[:k] + ((ker, perp),) + splits[k + 1:]
+
+
+@pytest.mark.parametrize("how, message", [
+    ("kernel not killed", "not killed by iota"),
+    ("not orthonormal", "not orthonormal"),
+    ("complement not isometric", "not isometric"),
+])
+def test_bad_kernel_split_is_refused(how, message):
+    tc = mapping_torus_complex(CAT, 2.0)
+    c = random_contraction(tc, np.random.default_rng(3))
+    k = 1                                   # kernel and complement both nonempty here
+    assert 0 < c.splits[k][0].shape[1] < tc.dims[k]
+    with pytest.raises(DegenerateContractionError, match=message):
+        Contraction.unitary(c.iota, _bad_split(c.splits, k, how))
+
+
+def _split_matches_svd_path(tc, c):
+    """Kernel and complement projectors and Z of a random contraction against
+    the same iota factorised by SVD."""
+    by_svd = Contraction.unitary(c.iota)
+    assert by_svd.splits is None
+    for k in range(tc.top_degree + 1):
+        for basis in (Contraction.kernel_basis, Contraction.complement_basis):
+            given, found = basis(c, k), basis(by_svd, k)
+            assert given.shape == found.shape
+            assert np.linalg.norm(given @ given.conj().T - found @ found.conj().T) < 1e-12
+    fs = build_bf_fields(tc)
+    z_given = partition_function(fs, contraction_gauge(fs, c))
+    z_found = partition_function(fs, contraction_gauge(fs, by_svd))
+    assert abs(z_given / z_found - 1.0) < 1e-13
+
+
+def test_random_contraction_split_matches_svd_path():
+    # criterion 8's complexes and draws, then a rank-40 cat twist (dimension 320)
+    rng = np.random.default_rng(SEED + 2)
+    for tc in _random_complexes(20, rng):
+        for _ in range(5):
+            _split_matches_svd_path(tc, random_contraction(tc, rng))
+    rng = np.random.default_rng(40)
+    tc = _cat_rank_twist(40, rng)
+    assert sum(tc.dims) == 320
+    _split_matches_svd_path(tc, random_contraction(tc, rng))
+
+
+def test_split_contraction_gauge_takes_no_svd(monkeypatch):
+    rng = np.random.default_rng(13)
+    tc = random_twisted_complex(rng, top_degree=4, max_cells=4, rank=2)
+    fs = build_bf_fields(tc)              # the spectral record is factorised here
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    gs = contraction_gauge(fs, random_contraction(tc, rng))
+    assert calls == []
+    assert is_lagrangian(fs, gs).ok
+    # without a split, a kernel that fills C^0 still gets its complement free
+    hodge = hodge_contraction(tc)
+    calls.clear()
+    assert hodge.complement_basis(0).shape == (tc.dims[0], 0)
+    assert calls == []
 
 
 def test_gauge_independence_random():

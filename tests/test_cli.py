@@ -4,6 +4,8 @@ import cmath
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -433,6 +435,58 @@ def test_options_a_command_ignores_are_refused(tmp_path, argv):
     assert (code, out) == (EXIT_PARSE, "")
     assert "unrecognized arguments" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, replaced", [
+    ("torsion", {"model": "circle", "theta": "0"}),
+    ("bf", {"model": "circle", "a_matrix": "3,2,1,1", "theta": "0", "alpha": "1",
+            "beta": "2"}),
+    ("orbits", {"a_matrix": "3,2,1,1", "J": "1", "theta": "9"}),
+])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_input_refuses_the_options_it_replaces(tmp_path, command, replaced, where):
+    """With --input, each option the file replaces exits 3 before the command
+    runs, named in the message, as a flag and as a config line."""
+    if command == "orbits":
+        spectrum = tmp_path / "s.txt"
+        assert run_cli(["orbits", "--J", "4", "--out", str(spectrum)])[0] == EXIT_OK
+        source = ["--input", str(spectrum)]
+        alone = (EXIT_OK, "records 4\ntotal_count 18\n", "")
+    else:
+        source = ["--input", str(GOLDEN / "cat_gram.cplx")]
+        alone = run_cli([command] + source)
+    assert alone[0] == EXIT_OK and run_cli([command] + source) == alone
+    cfg = tmp_path / "run.cfg"
+    cases = [{key: value} for key, value in replaced.items()] + [replaced]
+    for given in cases:
+        if where == "flag":
+            argv = [a for key, value in given.items() for a in (OPTIONS[key].flag, value)]
+            named = [OPTIONS[key].flag for key in given]
+        else:
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in given.items()))
+            argv, named = ["--config", str(cfg)], [f"config key {key!r}" for key in given]
+        code, out, err = run_cli([command] + source + argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert f"{command} --input reads no {', '.join(named)}:" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    """The anchor torsion run never imports scipy (its import is most of the
+    start-up time); only the unitary scan and the Mellin route load it."""
+    script = ("import runpy, sys\n"
+              "sys.argv = ['zetabf', 'torsion', '--model', 'cat', '--theta', '2.0']\n"
+              "try:\n"
+              "    runpy.run_module('zetabf', run_name='__main__')\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[0] == "betti 0 0 0 0"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
