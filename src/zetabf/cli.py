@@ -11,8 +11,9 @@ function that converts and checks a value.  argparse applies that function to
 the flag and ``load_config_file`` to the option's line in a key=value file
 (--config), so both meet the same checks; flags take precedence over the file
 and no environment variables are consulted.  A subcommand accepts, as flags
-and as config keys, only the options ``_COMMANDS`` declares it reads, and
-with --input none of those the input file replaces (``_REPLACED_BY_INPUT``).
+and as config keys, only the options ``_COMMANDS`` declares it reads; with
+--input none of those the input file replaces (``_REPLACED_BY_INPUT``), and
+without it no model option the chosen --model ignores (``_MODEL_READS``).
 Numbers print with 17 significant digits; identical configuration gives
 byte-identical standard output (timing goes to stderr).
 
@@ -350,6 +351,16 @@ _REPLACED_BY_INPUT = {
 }
 
 
+# The model options each --model reads; without --input, giving another one
+# is a usage error, since the model would ignore it.
+_MODEL_READS = {
+    "circle": ("theta",),
+    "torus": ("alpha", "beta"),
+    "cat": ("a_matrix", "theta"),
+    "mapping-torus": ("a_matrix", "theta"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="zetabf", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -377,13 +388,20 @@ def make_config(args: argparse.Namespace) -> argparse.Namespace:
         from_file = load_config_file(given.pop("config"), args.command)
     cfg.update(from_file)
     cfg.update(given)
+
+    def named(keys):
+        return ", ".join(OPTIONS[key].flag if key in given else f"config key {key!r}"
+                         for key in keys if key in given or key in from_file)
+
     if cfg.get("input"):
-        clash = [OPTIONS[key].flag if key in given else f"config key {key!r}"
-                 for key in _REPLACED_BY_INPUT.get(args.command, ())
-                 if key in given or key in from_file]
+        clash = named(_REPLACED_BY_INPUT.get(args.command, ()))
         if clash:
-            raise CLIUsageError(f"{args.command} --input reads no {', '.join(clash)}: "
+            raise CLIUsageError(f"{args.command} --input reads no {clash}: "
                                 "the input file replaces them")
+    elif "model" in cfg:
+        unread = named(key for key in MODEL[2:] if key not in _MODEL_READS[cfg["model"]])
+        if unread:
+            raise CLIUsageError(f"{args.command} --model {cfg['model']} reads no {unread}")
     return argparse.Namespace(**cfg)
 
 

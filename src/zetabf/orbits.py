@@ -94,16 +94,22 @@ class ToralAutomorphism:
     def contracting_eigenvalue(self) -> float:
         return self.det / self.expanding_eigenvalue
 
+    def powers(self, j_max: int):
+        """Exact entries of A^1, ..., A^j_max (Python integers), one product each."""
+        m = (1, 0, 0, 1)
+        e, f, g, h = self.a11, self.a12, self.a21, self.a22
+        for _ in range(j_max):
+            a, b, c, d = m
+            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            yield m
+
     def power(self, j: int) -> Tuple[int, int, int, int]:
         """Exact entries of A^j (Python integers, j >= 0)."""
         if not 0 <= j <= _MAX_POWER:
             raise ValueError(f"power {j} outside guarded range [0, {_MAX_POWER}]")
         m = (1, 0, 0, 1)
-        base = (self.a11, self.a12, self.a21, self.a22)
-        for _ in range(j):
-            a, b, c, d = m
-            e, f, g, h = base
-            m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        for m in self.powers(j):
+            pass
         return m
 
     def trace_power(self, j: int) -> int:
@@ -117,12 +123,17 @@ class ToralAutomorphism:
         return cur
 
 
+def _fixed_points(m: Tuple[int, int, int, int]) -> int:
+    """|det(M - I)| of the 2x2 integer matrix with entries m."""
+    a, b, c, d = m
+    return abs((a - 1) * (d - 1) - b * c)
+
+
 def count_fixed_points(aut: ToralAutomorphism, j: int) -> int:
     """|det(A^j - I)| in exact integer arithmetic (Lefschetz count)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    a, b, c, d = aut.power(j)
-    return abs((a - 1) * (d - 1) - b * c)
+    return _fixed_points(aut.power(j))
 
 
 @dataclass(frozen=True)
@@ -196,18 +207,27 @@ class OrbitData:
         """The orbit-term tables of ``zetabf.zeta``, one per truncation J."""
         return {}
 
+    @cached_property
+    def record_tails(self):
+        """The per-record tail arrays of ``zetabf.zeta``, built on first use."""
+        from .zeta import RecordTails
+        return RecordTails(self.records)
+
 
 def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[OrbitRecord]:
     """Primitive-orbit records for periods <= j_max via Moebius inversion.
 
-    The counts N(j) satisfy sum_(d|j) d*N(d) = |det(A^j - I)| exactly.
+    The counts N(j) satisfy sum_(d|j) d*N(d) = |det(A^j - I)| exactly.  The
+    fixed-point counts |det(A^j - I)| read one sweep of exact powers
+    A^j = A^(j-1) A, j = 1..j_max, rather than a fresh power per j as
+    ``count_fixed_points`` forms it.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if j_max > _MAX_POWER:
         raise ValidationError("J", f"periods above {_MAX_POWER} leave the guarded "
                                    f"range of exact powers, got {j_max}")
-    fixed = {j: count_fixed_points(aut, j) for j in range(1, j_max + 1)}
+    fixed = {j: _fixed_points(m) for j, m in enumerate(aut.powers(j_max), start=1)}
     mu = aut.expanding_eigenvalue
     records = []
     for j in range(1, j_max + 1):

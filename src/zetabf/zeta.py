@@ -11,8 +11,18 @@ Both orbit sums read one term table per (OrbitData, J), cached on the
 OrbitData: the record order and repetition cut-off, each term's record and
 repetition j, and per-record constants, with the holonomy powers of the
 last theta and the weights tr Lambda^k P^j / |det(I - P^j)| added per k on
-first use.  The table is read in blocks of _BLOCK terms.  Its values are bit
-for bit those of a term-by-term Python loop:
+first use.  Each route also keeps the amplitude of its last (theta, lambda),
+the part of a term that no k changes: -count hol^j e^(-lambda j l) for the
+direct sums, count l hol^j e^(-lambda t) with t = j l for the Mellin route;
+a k = 0, 1, 2, full sweep forms it once and applies only the weight and the
+divide per k.  The key is the exact bits of theta and of both parts of
+lambda, and whether lambda is a complex: a float lambda takes the real
+exponential path and a complex one with zero imaginary part the complex
+product, and the two amplitudes can differ in the signs of their zeros, as
+can those of imaginary parts +0.0 and -0.0.  The Mellin powers t^e are kept
+per exponent tuple, formed once per table.  The table is read in blocks of
+_BLOCK terms.  Its values are bit for bit those of a term-by-term Python
+loop:
 
 * exp and pow are libm's, called once per term (math.exp, or cmath.exp when
   lambda has a nonzero imaginary part, and pow); numpy's vectorised exp and
@@ -24,7 +34,14 @@ for bit those of a term-by-term Python loop:
 * sums run left to right with np.add.accumulate, carried across blocks, never
   with the pairwise np.sum;
 * Poincare eigenvalue powers are scalar **, so exactly the inputs that
-  overflow term by term raise the same OverflowError.
+  overflow term by term raise the same OverflowError; the weights of a
+  degree k are formed before its amplitude is used, so a failing degree
+  raises on every call.
+
+The tail certificate of an ingested spectrum reads per-record arrays built
+once per OrbitData (``OrbitData.record_tails``), with libm exp and pow per
+record and the terms added by sum() in record order, as the scalar loop
+adds them.
 
 The mirrored arithmetic is that of CPython 3.10 to 3.13, in which a real
 operand of a complex product enters as (x, 0.0) and sum() adds complex numbers
@@ -36,6 +53,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -116,20 +134,55 @@ def _suspension_tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> fl
     return prefactor * ratio ** m / (m * (1.0 - ratio))
 
 
-def _record_tail(rec: OrbitRecord, lam: complex, k: DegreeSpec, j_min: int) -> float:
-    """Tail of the repetition sum j >= j_min for one record."""
-    eu, es = abs(rec.eig_expanding), abs(rec.eig_contracting)
-    inv_det = 1.0 / ((eu - 1.0) * (1.0 - es))
-    q = math.exp(-lam.real * rec.length)
-    if k == "full":
-        ratio, weight = q, 1.0
-    elif k == 1:
-        ratio, weight = q * eu, 2.0 * inv_det
-    else:
-        ratio, weight = q, inv_det
-    if ratio >= 1.0:
-        raise DivergentRegionError(lam)
-    return rec.count * weight * ratio ** j_min / (j_min * (1.0 - ratio))
+class RecordTails:
+    """The repetition tails of an ingested spectrum, one per record, as arrays.
+
+    Per record, in record order: |eig_expanding|, 1/((|eu| - 1)(1 - |es|)),
+    the length and the count.  A tail is the Python loop's value bit for bit:
+    exp and pow are libm's, one call per record, and the terms are added by
+    sum() in record order.  Counts beyond the float range stay integers and
+    are converted where the loop would multiply them, raising as it does.
+    """
+
+    def __init__(self, records):
+        self.eu = np.array([abs(r.eig_expanding) for r in records], dtype=float)
+        es = np.array([abs(r.eig_contracting) for r in records], dtype=float)
+        self.inv_det = 1.0 / ((self.eu - 1.0) * (1.0 - es))
+        self.length = np.array([r.length for r in records], dtype=float)
+        counts = [r.count for r in records]
+        try:
+            self.count = np.array(counts, dtype=float)
+        except OverflowError:
+            self.count = counts
+
+    def tail(self, lam: complex, k: DegreeSpec, j_min: int) -> float:
+        """Sum over records of count * weight * ratio^j_min / (j_min (1 - ratio)),
+        the tail of the repetition sums j >= j_min."""
+        n = self.length.size
+        x = -lam.real * self.length
+        # exp(709) >= 1 already marks a record divergent; the clip keeps
+        # math.exp from overflowing on a record the loop never reaches
+        q = np.fromiter(map(math.exp, np.minimum(x, 709.0).tolist()), float, n)
+        if k == "full":
+            ratio, weight = q, 1.0
+        elif k == 1:
+            with np.errstate(over="ignore"):        # inf marks a divergent record
+                ratio, weight = q * self.eu, 2.0 * self.inv_det
+        else:
+            ratio, weight = q, self.inv_det
+        # the loop forms the terms before the first divergent record, then stops
+        hit = np.flatnonzero(ratio >= 1.0)
+        stop = int(hit[0]) if hit.size else n
+        r = ratio[:stop]
+        count = np.asarray(self.count[:stop], dtype=float)
+        power = np.fromiter(map(pow, r.tolist(), itertools.repeat(j_min)), float, stop)
+        numer = count * _part(weight, slice(stop)) * power
+        # Python's division, so that a zero j_min raises as the loop does
+        terms = list(map(operator.truediv, numer.tolist(), (j_min * (1.0 - r)).tolist()))
+        if stop < n:
+            math.exp(x[stop])       # overflows where the loop's exp would
+            raise DivergentRegionError(lam)
+        return sum(terms)
 
 
 def _tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
@@ -137,7 +190,7 @@ def _tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
     if data.is_suspension:
         tail = _suspension_tail(data, lam, k, J)
     else:
-        tail = sum(_record_tail(rec, lam, k, J + 1) for rec in data.records)
+        tail = data.record_tails.tail(lam, k, J + 1)
     if not math.isfinite(tail):
         raise DivergentRegionError(lam)
     return tail
@@ -218,15 +271,24 @@ def _running_sum(carry: float, x: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([carry], x)))[-1])
 
 
+def _exact_key(theta: float, lam: complex):
+    """(theta, lambda) by their bits: a float and a complex lambda take
+    different _exp_neg paths, and the sign of a zero imaginary part reaches
+    the signs of zeros in an amplitude."""
+    return (float(theta).hex(), isinstance(lam, complex),
+            float(lam.real).hex(), float(lam.imag).hex())
+
+
 class _TermTable:
     """The (record, repetition) terms of one truncation J as flat arrays.
 
     Records are sorted by (length, count); for suspension data the repetition
     index is truncated by total winding j * period <= J, for ingested spectra
     by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
-    The holonomy powers are kept for the last theta only, so a sweep over
-    theta holds one pair of arrays; the Poincare weights are added per degree
-    k on first use.
+    The holonomy powers are kept for the last theta, and each route's
+    amplitude for its last (theta, lambda), so a sweep holds one array pair
+    per route; the Poincare weights are added per degree k on first use, and
+    the Mellin powers t^e per exponent tuple.
     """
 
     def __init__(self, data: OrbitData, J: int):
@@ -240,7 +302,9 @@ class _TermTable:
         self.neg_count = np.array([float(-r.count) for r in self.records])
         self.count_length = np.array([r.count * r.length for r in self.records],
                                      dtype=float)
-        self._holonomy = (None, None)     # (theta, powers)
+        self._holonomy = (None, None)     # (theta key, powers)
+        self._amplitudes = {}             # route: ((theta, lambda) key, amplitude)
+        self._powers = (None, None)       # (exponents, powers)
         self._degrees = {}
         self._poincare = None
 
@@ -252,7 +316,8 @@ class _TermTable:
 
     def holonomy_powers(self, theta: float):
         """(re, im) of holonomy ** j per term."""
-        if self._holonomy[0] != theta:
+        key = float(theta).hex()
+        if self._holonomy[0] != key:
             bases = [_holonomy(r, theta) for r in self.records]
             b = np.array(bases, dtype=complex)
             re, im = np.empty(self.size), np.empty(self.size)
@@ -261,13 +326,43 @@ class _TermTable:
             for i in np.flatnonzero(self.j > _POWI_MAX).tolist():
                 h = bases[self.rec[i]] ** int(self.j[i])
                 re[i], im[i] = h.real, h.imag
-            self._holonomy = (theta, (re, im))
+            self._holonomy = (key, (re, im))
         return self._holonomy[1]
 
     def _times_holonomy(self, c, s, theta: float):
         """c * holonomy ** j on block s, formed as CPython forms it."""
         hr, hi = self.holonomy_powers(theta)
         return _mul(c, 0.0, hr[s], hi[s])
+
+    def amplitude(self, route: str, theta: float, lam: complex):
+        """(re, im) per term of the weight-free part of a route's terms, formed
+        as CPython forms it: -count hol^j e^(-lam j l) for "log", and
+        count l hol^j e^(-lam t), t = j l, for "mellin"."""
+        key = _exact_key(theta, lam)
+        hit = self._amplitudes.get(route)
+        if hit is None or hit[0] != key:
+            re, im = np.empty(self.size), np.empty(self.size)
+            for s, rec, jf in self.blocks():
+                if route == "log":
+                    c, damp = self.neg_count[rec], _exp_neg(lam, jf, self.length[rec])
+                else:
+                    c, damp = self.count_length[rec], _exp_neg(lam, jf * self.length[rec])
+                re[s], im[s] = _mul(*self._times_holonomy(c, s, theta), *damp)
+            hit = self._amplitudes[route] = (key, (re, im))
+        return hit[1]
+
+    def mellin_powers(self, exponents):
+        """t^e per term for each exponent e, t = j l, by libm's pow."""
+        exponents = tuple(exponents)
+        if self._powers[0] != exponents:
+            powers = [np.empty(self.size) for _ in exponents]
+            for s, rec, jf in self.blocks():
+                times = (jf * self.length[rec]).tolist()
+                for p, e in zip(powers, exponents):
+                    p[s] = np.fromiter(map(pow, times, itertools.repeat(e)), float,
+                                       rec.size)
+            self._powers = (exponents, powers)
+        return self._powers[1]
 
     def _poincare_powers(self, name: str) -> np.ndarray:
         """Per term, the record's eigenvalue ``name`` to the power j, as scalar
@@ -296,11 +391,10 @@ class _TermTable:
     def log_zeta(self, theta: float, lam: complex, k: DegreeSpec) -> complex:
         """-sum (1/j) count hol^j e^(-lam j l) weight over the table."""
         weight = 1.0 if k == "full" else self.degree(k)[2]
+        ar, ai = self.amplitude("log", theta, lam)
         total_re = total_im = 0.0
-        for s, rec, jf in self.blocks():
-            re, im = self._times_holonomy(self.neg_count[rec], s, theta)
-            re, im = _mul(re, im, *_exp_neg(lam, jf, self.length[rec]))
-            re, im = _mul(re, im, _part(weight, s), 0.0)
+        for s, _, jf in self.blocks():
+            re, im = _mul(ar[s], ai[s], _part(weight, s), 0.0)
             re, im = _div_real(re, im, jf)
             total_re = _running_sum(total_re, re)
             total_im = _running_sum(total_im, im)
@@ -310,17 +404,14 @@ class _TermTable:
         """sum amp * t^e over the table for each e, with t = j l and
         amp = count l hol^j e^(-lam t) tr Lambda^k P^j / |det(I - P^j)|."""
         wedge, abs_det, _ = self.degree(k)
-        sums = [[0.0, 0.0] for _ in exponents]
-        for s, rec, jf in self.blocks():
-            t = jf * self.length[rec]
-            re, im = self._times_holonomy(self.count_length[rec], s, theta)
-            re, im = _mul(re, im, *_exp_neg(lam, t))
-            re, im = _mul(re, im, _part(wedge, s), 0.0)
+        ar, ai = self.amplitude("mellin", theta, lam)
+        powers = self.mellin_powers(exponents)
+        sums = [[0.0, 0.0] for _ in powers]
+        for s, _, _ in self.blocks():
+            re, im = _mul(ar[s], ai[s], _part(wedge, s), 0.0)
             re, im = _div_real(re, im, abs_det[s])
-            times = t.tolist()
-            for acc, e in zip(sums, exponents):
-                p = np.fromiter(map(pow, times, itertools.repeat(e)), float, t.size)
-                pr, pi = _mul(re, im, p, 0.0)
+            for acc, p in zip(sums, powers):
+                pr, pi = _mul(re, im, p[s], 0.0)
                 acc[0] = _running_sum(acc[0], pr)
                 acc[1] = _running_sum(acc[1], pi)
         # an empty Python sum is the integer 0

@@ -451,9 +451,27 @@ def test_bad_kernel_split_is_refused(how, message):
         Contraction.unitary(c.iota, _bad_split(c.splits, k, how))
 
 
+# Constant of the first-order rounding bound on Z below.  Forming a block M
+# and its SVD leave backward errors of a few eps ||M||_2 at these dimensions,
+# and each moves log|det M| by at most ||dM||_2 sum_i 1/s_i(M).  On criterion
+# 8's 100 draws and the rank-40 twist the observed difference stays below
+# 0.06 of the bound, at one BLAS thread and at two.
+Z_ROUNDING_C = 10.0
+
+
+def _log_det_condition(fs, gs):
+    """sum over the restricted action blocks M of ||M||_2 sum_i 1/s_i(M)."""
+    total = 0.0
+    for m in restricted_action_blocks(fs, gs):
+        if m.size:
+            s = np.linalg.svd(m, compute_uv=False)
+            total += s[0] * float(np.sum(1.0 / s))
+    return total
+
+
 def _split_matches_svd_path(tc, c):
     """Kernel and complement projectors and Z of a random contraction against
-    the same iota factorised by SVD."""
+    the same iota factorised by SVD, Z within the rounding of both gauges."""
     by_svd = Contraction.unitary(c.iota)
     assert by_svd.splits is None
     for k in range(tc.top_degree + 1):
@@ -462,9 +480,11 @@ def _split_matches_svd_path(tc, c):
             assert given.shape == found.shape
             assert np.linalg.norm(given @ given.conj().T - found @ found.conj().T) < 1e-12
     fs = build_bf_fields(tc)
-    z_given = partition_function(fs, contraction_gauge(fs, c))
-    z_found = partition_function(fs, contraction_gauge(fs, by_svd))
-    assert abs(z_given / z_found - 1.0) < 1e-13
+    gauges = contraction_gauge(fs, c), contraction_gauge(fs, by_svd)
+    z_given, z_found = (partition_function(fs, gs) for gs in gauges)
+    bound = Z_ROUNDING_C * np.finfo(float).eps * sum(_log_det_condition(fs, gs)
+                                                     for gs in gauges)
+    assert abs(z_given / z_found - 1.0) < bound
 
 
 def test_random_contraction_split_matches_svd_path():

@@ -357,20 +357,30 @@ OPTION_SAMPLES = {
 }
 
 
-def sample_settings(key, tmp_path):
-    """Option ``key`` set to its sample value as flag arguments and as a config file."""
+# The model that reads each model option the default model (cat) does not.
+MODEL_OF = {"alpha": "torus", "beta": "torus"}
+
+
+def sample_settings(key, tmp_path, command):
+    """Option ``key`` set to its sample value as flag arguments and as a config
+    file, after the --model that reads it where ``command`` has a --model."""
     text = OPTION_SAMPLES[key]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {'yes' if text is None else text}\n")
     flag = OPTIONS[key].flag
-    return ([flag] if text is None else [flag, text]), ["--config", str(cfg)]
+    flag_args = [flag] if text is None else [flag, text]
+    lines = [f"{key} = {'yes' if text is None else text}\n"]
+    if key in MODEL_OF and "model" in READS[command]:
+        flag_args = ["--model", MODEL_OF[key]] + flag_args
+        lines.insert(0, f"model = {MODEL_OF[key]}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(lines))
+    return flag_args, ["--config", str(cfg)]
 
 
 @pytest.mark.parametrize("key", sorted(OPTIONS))
 def test_flag_and_config_line_parse_alike(tmp_path, key):
     """Each option's flag and config line yield the same value, not the default."""
     command = reader(key)
-    flag_args, config_args = sample_settings(key, tmp_path)
+    flag_args, config_args = sample_settings(key, tmp_path, command)
     from_flag = make_config(build_parser().parse_args([command] + flag_args))
     from_file = make_config(build_parser().parse_args([command] + config_args))
     assert getattr(from_flag, key) == getattr(from_file, key)
@@ -392,7 +402,7 @@ def accepts(command, args):
 def test_command_accepts_exactly_the_options_it_reads(tmp_path, command, key):
     """A declared option parses as a flag and as a config line, to a value
     other than the default; any other exits 3 with empty stdout either way."""
-    flag_args, config_args = sample_settings(key, tmp_path)
+    flag_args, config_args = sample_settings(key, tmp_path, command)
     if key in READS[command]:
         for args in (flag_args, config_args):
             cfg = make_config(build_parser().parse_args([command] + args))
@@ -411,8 +421,8 @@ def test_accepted_option_pairs_are_counted(tmp_path):
     accepted exactly when its flag is."""
     as_flag, as_key = set(), set()
     for key in OPTIONS:
-        flag_args, config_args = sample_settings(key, tmp_path)
         for command in READS:
+            flag_args, config_args = sample_settings(key, tmp_path, command)
             if accepts(command, flag_args):
                 as_flag.add((command, key))
             if accepts(command, config_args):
@@ -468,6 +478,60 @@ def test_input_refuses_the_options_it_replaces(tmp_path, command, replaced, wher
         code, out, err = run_cli([command] + source + argv)
         assert (code, out) == (EXIT_PARSE, "")
         assert f"{command} --input reads no {', '.join(named)}:" in err
+
+
+# Per --model, the model options it does not read.
+UNREAD_BY_MODEL = {
+    "circle": {"a_matrix": "3,2,1,1", "alpha": "1", "beta": "0.3"},
+    "torus": {"a_matrix": "3,2,1,1", "theta": "2"},
+    "cat": {"alpha": "1", "beta": "0.3"},
+    "mapping-torus": {"alpha": "1", "beta": "0.3"},
+}
+
+
+@pytest.mark.parametrize("model", sorted(UNREAD_BY_MODEL))
+@pytest.mark.parametrize("command", ["torsion", "bf"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_model_refuses_the_options_it_does_not_read(tmp_path, model, command, where):
+    """A model option the chosen model ignores exits 3 with empty stdout, named
+    in the message, as a flag and as a config line, --model given either way."""
+    cfg = tmp_path / "run.cfg"
+    unread = UNREAD_BY_MODEL[model]
+    for given in [{key: value} for key, value in unread.items()] + [unread]:
+        if where == "flag":
+            argv = ["--model", model]
+            argv += [a for key, value in given.items() for a in (OPTIONS[key].flag, value)]
+            named = [OPTIONS[key].flag for key in given]
+        else:
+            cfg.write_text(f"model = {model}\n" + "".join(
+                f"{key} = {value}\n" for key, value in given.items()))
+            argv, named = ["--config", str(cfg)], [f"config key {key!r}" for key in given]
+        code, out, err = run_cli([command] + argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert f"{command} --model {model} reads no {', '.join(named)}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--model", "circle", "--theta", "2", "--alpha", "1", "--A", "3,2,1,1"],
+    ["torsion", "--model", "cat", "--theta", "2", "--beta", "0.3"],
+    ["torsion", "--alpha", "1"],          # the default model is cat
+])
+def test_model_option_reproductions_are_refused(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "reads no" in err
+
+
+def test_model_reads_its_own_options(tmp_path):
+    """Options the chosen model reads are accepted, from a flag or a config line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = torus\nalpha = 1.0\nbeta = 0.5\n")
+    by_flags = run_cli(["torsion", "--model", "torus", "--alpha", "1.0", "--beta", "0.5"])
+    assert by_flags[0] == EXIT_OK
+    assert run_cli(["torsion", "--config", str(cfg)]) == by_flags
+    for argv in (["--model", "circle", "--theta", "2"],
+                 ["--model", "mapping-torus", "--A", "3,2,1,1", "--theta", "2"]):
+        assert run_cli(["torsion"] + argv)[0] == EXIT_OK
 
 
 def test_cli_import_leaves_scipy_out():

@@ -129,6 +129,27 @@ def test_mobius_consistency():
         assert total == count_fixed_points(CAT, j)
 
 
+# Hyperbolic elements of GL(2,Z) with small entries, both determinants (the
+# matrix pool of the zeta_cli benchmark).
+MATRIX_POOL = (
+    (2, 1, 1, 1), (3, 1, 2, 1), (4, 1, 3, 1), (3, 2, 1, 1), (2, 3, 1, 2),
+    (5, 2, 2, 1), (3, 1, 1, 0), (2, 1, 3, 1), (4, 1, 1, 0), (1, 2, 2, 3),
+)
+
+
+@pytest.mark.parametrize("matrix", MATRIX_POOL,
+                         ids=["".join(map(str, m)) for m in MATRIX_POOL])
+def test_power_sweep_matches_fixed_point_counts(matrix):
+    # one sweep of powers A^j against count_fixed_points' own A^j, j <= 64
+    aut = ToralAutomorphism(*matrix)
+    records = enumerate_primitive_orbits(aut, 64)
+    by_period = {r.period: r.count for r in records}
+    assert [r.period for r in records] == sorted(by_period)
+    for j in range(1, 65):
+        total = sum(d * by_period.get(d, 0) for d in range(1, j + 1) if j % d == 0)
+        assert total == count_fixed_points(aut, j)
+
+
 def test_poincare_data_exact():
     assert poincare_data(CAT, 1, 0) == (1, -1)
     assert poincare_data(CAT, 1, 1) == (3, -1)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 
 import pytest
 from scipy.special import rgamma
@@ -250,12 +251,28 @@ def reference_terms(data, J):
     return out
 
 
+def reference_record_tail(rec, lam, k, j_min):
+    """Tail of the repetition sum j >= j_min for one record."""
+    eu, es = abs(rec.eig_expanding), abs(rec.eig_contracting)
+    inv_det = 1.0 / ((eu - 1.0) * (1.0 - es))
+    q = math.exp(-lam.real * rec.length)
+    if k == "full":
+        ratio, weight = q, 1.0
+    elif k == 1:
+        ratio, weight = q * eu, 2.0 * inv_det
+    else:
+        ratio, weight = q, inv_det
+    if ratio >= 1.0:
+        raise DivergentRegionError(lam)
+    return rec.count * weight * ratio ** j_min / (j_min * (1.0 - ratio))
+
+
 def reference_log_zeta(data, theta, lam, k, J):
     """The orbit sum as a plain Python loop: value and certificate."""
     if data.is_suspension:
         tail = zeta._suspension_tail(data, lam, k, J)
     else:
-        tail = sum(zeta._record_tail(rec, lam, k, J + 1) for rec in data.records)
+        tail = sum(reference_record_tail(rec, lam, k, J + 1) for rec in data.records)
     if not math.isfinite(tail):
         raise DivergentRegionError(lam)
     total = 0.0 + 0.0j
@@ -370,6 +387,29 @@ def test_term_table_matches_loop_on_hand_records():
     check_table_against_loop(OrbitData(()), (0.0,), LAMS, (12,))
 
 
+def test_record_tails_match_loop(tmp_path):
+    # a 100-record spectrum; lambdas where no, some (k = 1) or all records
+    # diverge, and where exp overflows beyond the first divergent record
+    records = []
+    for i, matrix in enumerate(POOL):
+        aut = ToralAutomorphism(*matrix, roof=1.0 + 0.37 * i)
+        records += suspension_orbits(aut, 25).records
+    path = tmp_path / "spectrum.txt"
+    write_orbit_spectrum(path, records, theta=0.7)
+    data = load_orbit_spectrum(path)
+    assert len(data.records) == 100
+    for lam in (5.0, 2.5 + 1j, 1.2, 0.3, -300.0, -800.0):
+        for k in (0, 1, 2, "full"):
+            for J in (1, 12, 40):
+                want = outcome(lambda: sum(reference_record_tail(rec, lam, k, J + 1)
+                                           for rec in data.records))
+                got = outcome(data.record_tails.tail, lam, k, J + 1)
+                if isinstance(want, type):
+                    assert got is want, (lam, k, J)
+                else:
+                    assert got.hex() == want.hex(), (lam, k, J)
+
+
 def test_term_table_holonomy_factor_matches_scalar_power():
     # -count * holonomy ** j per term, as Python forms it: binary
     # exponentiation up to j = 100, exp/log above
@@ -395,6 +435,64 @@ def test_term_table_blocks_match_loop(monkeypatch):
     # a table longer than one block carries its sums across the blocks
     monkeypatch.setattr(zeta, "_BLOCK", 7)
     check_table_against_loop(suspension_orbits(CAT, 40), (1.0,), (3 + 2j, 2.0), (40,))
+
+
+def test_term_table_caches_follow_any_call_order(monkeypatch):
+    # one table per data across k sweeps, theta switches, float and complex
+    # lambda and both signs of a zero imaginary part, in blocks of 7 terms
+    monkeypatch.setattr(zeta, "_BLOCK", 7)
+    lams = (3.0, 3 + 0j, complex(3.0, -0.0), 3 + 2j, 3.0, complex(3.0, -0.0), 2.5 - 1j)
+    thetas = (1.0, 0.0, -0.0, 1.0)
+    for data in (suspension_orbits(CAT, 40), OrbitData(HAND_RECORDS)):
+        check_table_against_loop(data, thetas, lams, (40, 12, 40))
+        check_table_against_loop(data, thetas[::-1], lams[::-1], (12,))
+    # the kept amplitudes themselves, signs of zeros included, against fresh
+    # tables: a float and a complex lambda, and imaginary parts +0.0 and -0.0,
+    # differ there for real holonomies
+    data = OrbitData(HAND_RECORDS + (
+        OrbitRecord(length=1.3, count=1, eig_expanding=3.0, eig_contracting=1 / 3.0,
+                    holonomy=complex(-1.0, -0.0)),))
+    table = zeta._term_table(data, 40)
+    for theta in thetas:
+        for lam in lams:
+            for route in ("log", "mellin"):
+                got = table.amplitude(route, theta, lam)
+                want = zeta._TermTable(data, 40).amplitude(route, theta, lam)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_term_table_computes_each_value_once(monkeypatch):
+    # a k = 0, 1, 2, full sweep at one (theta, lambda) forms one amplitude per
+    # route; the Mellin powers, like the Poincare powers, are formed once per table
+    calls = Counter()
+    exp_neg = zeta._exp_neg
+
+    def counting_exp_neg(*args):
+        calls["exp_neg"] += 1
+        return exp_neg(*args)
+
+    def counting_pow(*args):
+        calls["pow"] += 1
+        return pow(*args)
+
+    monkeypatch.setattr(zeta, "_exp_neg", counting_exp_neg)
+    monkeypatch.setattr(zeta, "pow", counting_pow, raising=False)
+    data = suspension_orbits(CAT, 40)
+    table = zeta._term_table(data, 40)
+    assert table.size <= zeta._BLOCK
+    pows = []
+    for theta, lam in ((0.5, 3.0 + 0j), (1.5, 2.5 + 1j), (1.5, 2.5 + 1j)):
+        calls.clear()
+        for k in (0, 1, 2, "full"):
+            if k == "full":
+                log_zeta_full(data, theta, lam, J=40)
+            else:
+                log_zeta_k(data, theta, lam, k, J=40)
+                mellin_log_zeta(data, theta, lam, k, J=40)
+        pows.append(calls["pow"])
+        assert calls["exp_neg"] == (2 if len(pows) < 3 else 0)
+    # two Poincare and four Mellin powers per term, all in the first sweep
+    assert pows == [6 * table.size, 0, 0]
 
 
 def test_term_table_cached_per_truncation():
