@@ -29,22 +29,34 @@ unitary-normalised constructors (Hodge, random, suspension, homotopy
 families) build only iota and leave a = iota^dagger to
 ``Contraction.unitary``.  A random contraction is drawn from Haar-random
 kernel splits and hands them over, so neither iota_k nor its kernel is
-factorised; the Hodge, Reeb and homotopy-family contractions carry no split
-and keep one SVD of iota_k for the kernel and one of the kernel for the
-complement, the factorisations behind the Z and isotropy digits that ``bf``
+factorised; the Hodge and Reeb contractions carry no split and keep one SVD
+of iota_k for the kernel and one of the kernel for the complement, and a
+homotopy family's stack takes those two SVDs once per degree for all its
+samples: the factorisations behind the Z and isotropy digits that ``bf``
 prints.  The SVDs of
 the restricted action blocks and of the isotropy cross pairing stay separate:
 they are the checks that the gauge-fixed side reproduces the torsion.
 
+Stacked scans: every map of a contraction may carry one leading sample axis,
+and the contraction, its gauge, ``partition_function`` and the isotropy
+residual then work per member in the same code, through stacked products,
+SVDs (LAPACK runs once per member, as for a lone matrix) and 1-D per-member
+sums.  ``homotopy_scan`` asks its family for all samples at once, so per
+degree it takes one stacked ``expm``, one SVD for the kernels, one for the
+complements and one per restricted action block, and each sample's digits
+are those of its own single contraction, bit for bit.
+
 Fields may be stacked: a ``BFField`` whose slot components are d_k x N
 matrices holds N fields as columns, and ``omega`` of two stacked fields is the
 matrix of their pairings.  A gauge basis column lives in one slot only, so
-``is_lagrangian`` forms its three Gram matrices (isotropy of each side, cross
-pairing) from the slot-diagonal blocks alone: per slot, the B columns of one
-side against the A columns of the other, through the same slot term as
-``omega`` and written into a zero matrix.  Every off-slot term of ``omega`` is
-an exact zero, so the Gram matrices are bit-identical to stacked ``omega``
-calls.  ``homotopy_scan`` forms only the subspace block.
+``is_lagrangian`` forms its cross-pairing Gram matrix from the slot-diagonal
+blocks alone: per slot, the B columns of one side against the A columns of
+the other, through the same slot term as ``omega`` and written into a zero
+matrix.  Every off-slot term of ``omega`` is an exact zero, so the Gram matrix
+is bit-identical to stacked ``omega`` calls.  The isotropy of a side, in
+``is_lagrangian`` and in the scan, is one helper, ``_isotropy``: the largest
+modulus of the per-slot blocks, the only nonzero part of the upper triangle of
+that side's Gram matrix, which is never formed.
 """
 
 from __future__ import annotations
@@ -62,6 +74,10 @@ from .errors import (
 )
 
 ISOTROPY_TOL = 1e-12
+# Degree-summed matrix entries of one homotopy-scan stack (samples times
+# sum_k dim_k^2).  A stack's heap peak was measured at 65 bytes per entry,
+# about 70 MB at this bound, so longer scans run in several stacked passes.
+SCAN_STACK_ENTRIES = 2 ** 20
 
 
 @dataclass
@@ -125,14 +141,54 @@ class BFFieldSpace:
 
 def _dots(x: np.ndarray, y: np.ndarray):
     """x . y for vectors; for d x N and d x M matrices the N x M matrix of
-    column dot products.  Each entry is one BLAS dot product over contiguous
-    columns, the kernel 1-D ``@`` calls, so stacked and single-field
-    pairings agree bit for bit (a GEMM would reorder the sums)."""
+    column dot products, per member for matrices with a leading sample axis.
+    Each entry is one BLAS dot product over contiguous columns, the kernel
+    1-D ``@`` calls, so stacked and single-field pairings agree bit for bit
+    (a GEMM would reorder the sums)."""
     if x.ndim == 1:
         return x @ y
-    xt = np.ascontiguousarray(x.T)
-    yt = np.ascontiguousarray(y.T)
-    return (xt[:, None, None, :] @ yt[None, :, :, None])[..., 0, 0]
+    xt = np.ascontiguousarray(x.swapaxes(-1, -2))
+    yt = np.ascontiguousarray(y.swapaxes(-1, -2))
+    return (xt[..., :, None, None, :] @ yt[..., None, :, :, None])[..., 0, 0]
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def _norm(m: np.ndarray):
+    """Frobenius norm of the last two axes, one per member (a lone matrix
+    takes numpy's BLAS-dot norm, cheaper than the per-axis reduction a stack
+    needs)."""
+    return np.linalg.norm(m) if m.ndim == 2 else np.linalg.norm(m, axis=(-2, -1))
+
+
+def _refuse(bad, message=None, **kwargs):
+    """Raise DegenerateContractionError where ``bad`` holds; for a stacked
+    contraction it names the first failing member.  A lone contraction's
+    check is one truth test (``.any()`` of a numpy scalar costs microseconds,
+    and validation runs a few dozen checks)."""
+    if bad.ndim == 0:
+        if bad:
+            raise DegenerateContractionError(message, **kwargs)
+    elif bad.any():
+        raise DegenerateContractionError(message, member=int(np.flatnonzero(bad)[0]), **kwargs)
+
+
+def _each(fn: Callable[[float], float], x):
+    """``fn`` of each member's value, one scalar call each (libm ``exp``, as
+    for a single gauge, where numpy's vector loop may round differently); a
+    float when ``x`` has no sample axis."""
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    return np.array([fn(float(v)) for v in x])
+
+
+def _row_sums(x: np.ndarray):
+    """Sums over the last axis, one 1-D sum per member: a single gauge's
+    pairwise summation, which a 2-D reduction need not repeat."""
+    return float(np.sum(x)) if x.ndim == 1 else np.array([np.sum(r) for r in x])
 
 
 def build_bf_fields(tc: TwistedComplex) -> BFFieldSpace:
@@ -172,7 +228,7 @@ def _lagrangian(kind: str, sub, perp, maps, jacobian) -> GaugeSubspace:
     ``jacobian`` maps (a_bases, b_params) to the declared Jacobian."""
     a_bases = list(sub)
     b_bases = [np.conj(p) for p in perp]
-    b_params = [b_bases[0][:, :0]]
+    b_params = [b_bases[0][..., :0]]
     b_params += [np.conj(m @ s) for m, s in zip(maps, a_bases[:-1])]
     return GaugeSubspace(kind, a_bases, b_bases, b_params, jacobian(a_bases, b_params))
 
@@ -227,6 +283,13 @@ class Contraction:
     their arrays read-only, so the kernel and complement bases, found once,
     cannot go stale.
 
+    Every map may carry one leading sample axis of a common length: the
+    contraction is then a stack of members (a homotopy family at several
+    parameters), validated and factorised together by stacked products and
+    one stacked SVD per basis.  The members must share their kernel ranks; a
+    member whose rank differs from the first one's, or that fails
+    validation, raises with its index as ``member``.
+
     ``splits``, when given, holds per degree an orthonormal pair (K^k, P^k)
     with K^k spanning ker(iota_k) and P^k its orthogonal complement, on which
     iota_k must be isometric; validation checks this with matrix products and
@@ -255,74 +318,78 @@ class Contraction:
     def unitary(cls, iota: Sequence[np.ndarray],
                 splits: Optional[Sequence[Split]] = None) -> "Contraction":
         """The unitary-normalised contraction: a_k = iota_(k+1)^dagger."""
-        a_maps = [m.conj().T for m in iota[1:]]
-        a_maps.append(np.zeros((0, iota[-1].shape[1])))
+        a_maps = [_adjoint(m) for m in iota[1:]]
+        a_maps.append(np.zeros(iota[-1].shape[:-2] + (0, iota[-1].shape[-1])))
         return cls(iota, a_maps, splits)
 
     @property
     def dims(self) -> Tuple[int, ...]:
-        return tuple(m.shape[1] for m in self.iota)
+        return tuple(m.shape[-1] for m in self.iota)
+
+    @property
+    def sample_shape(self) -> Tuple[int, ...]:
+        """() for a single contraction, (N,) for a stack of N members."""
+        return self.iota[0].shape[:-2]
 
     def _validate(self):
         tol = 1e-12
-        dims = self.dims
+        dims, lead = self.dims, self.sample_shape
         n = len(dims) - 1
         # iota_k: C^k -> C^(k-1) and a_k: C^k -> C^(k+1), zero maps at the ends
         below, above = (0,) + dims[:-1], dims[1:] + (0,)
-        if len(self.a_maps) != n + 1 or any(
-                (i.shape, a.shape) != ((lo, d), (hi, d))
+        if len(lead) > 1 or len(self.a_maps) != n + 1 or any(
+                (i.shape, a.shape) != (lead + (lo, d), lead + (hi, d))
                 for i, a, lo, d, hi in zip(self.iota, self.a_maps, below, dims, above)):
             raise DegenerateContractionError("contraction has wrong arity or shapes")
-        scale = max([1.0] + [float(np.linalg.norm(m)) for m in self.iota])
+        scale = np.maximum.reduce([np.ones(lead)] + [_norm(m) for m in self.iota])
         for k in range(1, n):
-            err = np.linalg.norm(self.iota[k] @ self.iota[k + 1])
-            if err > tol * scale ** 2:
-                raise DegenerateContractionError(f"iota^2 != 0 at degree {k + 1}")
+            _refuse(_norm(self.iota[k] @ self.iota[k + 1]) > tol * scale ** 2,
+                    f"iota^2 != 0 at degree {k + 1}")
         if self.splits is not None:
             self._check_splits(tol, scale)
         for k in range(n):
             ker = self.kernel_basis(k)
-            if ker.shape[1] == 0:
+            if ker.shape[-1] == 0:
                 continue
-            err = np.linalg.norm(self.iota[k + 1] @ (self.a_maps[k] @ ker) - ker)
-            if err > tol * max(1.0, scale):
-                raise DegenerateContractionError(
-                    f"iota o a != id on ker iota at degree {k}"
-                )
+            err = _norm(self.iota[k + 1] @ (self.a_maps[k] @ ker) - ker)
+            _refuse(err > tol * scale, f"iota o a != id on ker iota at degree {k}")
 
-    def _check_splits(self, tol: float, scale: float):
+    def _check_splits(self, tol: float, scale):
         """[K P] unitary, iota K = 0 and iota isometric on P, so that K spans
         exactly ker(iota), from matrix products alone; each residual is held
         to ``tol`` times the size of its product (d, |iota|, |iota|^2)."""
         if len(self.splits) != len(self.iota):
             raise DegenerateContractionError("kernel splits have the wrong arity")
         for k, ((ker, perp), m) in enumerate(zip(self.splits, self.iota)):
-            d = m.shape[1]
-            if ker.ndim != 2 or perp.ndim != 2 or (ker.shape[0], perp.shape[0],
-                                                   ker.shape[1] + perp.shape[1]) != (d, d, d):
+            column = self.sample_shape + (m.shape[-1],)
+            if (ker.shape[:-1], perp.shape[:-1]) != (column, column) or \
+                    ker.shape[-1] + perp.shape[-1] != column[-1]:
                 raise DegenerateContractionError(f"kernel split has wrong shapes at degree {k}")
-            q = np.hstack([ker, perp])
-            if np.linalg.norm(q.conj().T @ q - np.eye(d)) > tol * max(1.0, d):
-                raise DegenerateContractionError(
+            q = np.concatenate([ker, perp], axis=-1)
+            _refuse(_norm(_adjoint(q) @ q - np.eye(column[-1])) > tol * max(1.0, column[-1]),
                     f"kernel split is not orthonormal at degree {k}")
-            if np.linalg.norm(m @ ker) > tol * scale:
-                raise DegenerateContractionError(
+            _refuse(_norm(m @ ker) > tol * scale,
                     f"kernel split is not killed by iota at degree {k}")
             image = m @ perp
-            if np.linalg.norm(image.conj().T @ image - np.eye(perp.shape[1])) > tol * scale ** 2:
-                raise DegenerateContractionError(
+            _refuse(_norm(_adjoint(image) @ image - np.eye(perp.shape[-1])) > tol * scale ** 2,
                     f"iota is not isometric on the kernel complement at degree {k}")
+
+    def _identity(self, k: int) -> np.ndarray:
+        d = self.dims[k]
+        return np.broadcast_to(np.eye(d), self.sample_shape + (d, d))
 
     def kernel_basis(self, k: int) -> np.ndarray:
         """Orthonormal basis of ker(iota_k) in C^k."""
         if k not in self._kernels:
             m = self.iota[k]
-            if m.shape[0] == 0:
-                ker = np.eye(self.dims[k])
+            if m.shape[-2] == 0:
+                ker = self._identity(k)
             else:
                 _, s, vh = np.linalg.svd(m, full_matrices=True)
-                rank = int(np.count_nonzero(nonzero_mask(s)))
-                ker = vh[rank:, :].conj().T
+                ranks = nonzero_mask(s).sum(axis=-1)
+                rank = int(np.ravel(ranks)[0])
+                _refuse(ranks != rank, f"rank of iota changes across the stack at degree {k}")
+                ker = _adjoint(vh[..., rank:, :])
             self._kernels[k] = read_only(ker)
         return self._kernels[k]
 
@@ -330,12 +397,12 @@ class Contraction:
         """Orthonormal basis of the orthogonal complement of ker(iota_k)."""
         if k not in self._complements:
             ker = self.kernel_basis(k)
-            if ker.shape[1] == 0:
-                perp = np.eye(self.dims[k])
-            elif ker.shape[1] == self.dims[k]:
-                perp = ker[:, :0]
+            if ker.shape[-1] == 0:
+                perp = self._identity(k)
+            elif ker.shape[-1] == self.dims[k]:
+                perp = ker[..., :0]
             else:
-                perp = np.linalg.svd(ker, full_matrices=True)[0][:, ker.shape[1]:]
+                perp = np.linalg.svd(ker, full_matrices=True)[0][..., ker.shape[-1]:]
             self._complements[k] = read_only(perp)
         return self._complements[k]
 
@@ -440,22 +507,39 @@ def _gram(fs: BFFieldSpace, v, w) -> np.ndarray:
     return g
 
 
-def _max_modulus_upper(g: np.ndarray) -> float:
-    """max |g_ij| over i <= j (0 when empty); hypot matches scalar abs."""
-    return float(np.max(np.triu(np.hypot(g.real, g.imag)), initial=0.0))
+def _isotropy(a_bases, b_bases):
+    """max |Omega(u, v)| over pairs of columns of one side (A columns
+    ``a_bases``, B columns ``b_bases``), per member for stacked bases.
+
+    This is the largest modulus in the upper triangle of the side's Gram
+    matrix (``_gram`` of the side with itself).  With every A column ordered
+    before every B column, that triangle is zero but for one block per slot,
+    the slot term sign * _dots(b_k, a_k)^T, and the sign and the transpose
+    leave its moduli as they are; so the largest |entry| of the blocks
+    _dots(b_k, a_k) is bit-identical to it, and the Gram matrix is never
+    formed.  Moduli come from hypot, as scalar abs does.
+    """
+    worst = 0.0
+    for a, b in zip(a_bases, b_bases):
+        # complex, as in a stacked field: a real dot product may round differently
+        block = _dots(np.asarray(b, dtype=complex), np.asarray(a, dtype=complex))
+        worst = np.maximum(worst, np.max(np.hypot(block.real, block.imag),
+                                         axis=(-2, -1), initial=0.0))
+    return float(worst) if np.ndim(worst) == 0 else worst
 
 
 def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
-    """Isotropy of the subspace and its declared complement, and perfection
-    of the pairing between them, from three slot-diagonal Gram matrices.
-    The declared complement is the side swap of the subspace."""
+    """Isotropy of the subspace and its declared complement, one per-slot
+    block each (``_isotropy``), and perfection of the pairing between them,
+    from their slot-diagonal cross Gram matrix.  The declared complement is
+    the side swap of the subspace."""
     sub = (gs.a_bases, gs.b_bases)
     comp = ([np.conj(b) for b in gs.b_bases], [np.conj(a) for a in gs.a_bases])
-    g_sub, g_comp = _gram(fs, sub, sub), _gram(fs, comp, comp)
-    iso_sub, iso_comp = _max_modulus_upper(g_sub), _max_modulus_upper(g_comp)
+    iso_sub, iso_comp = _isotropy(*sub), _isotropy(*comp)
 
-    dims_match = len(g_sub) == len(g_comp)
-    if dims_match and len(g_sub):
+    n_sub, n_comp = (sum(m.shape[1] for side in basis for m in side) for basis in (sub, comp))
+    dims_match = n_sub == n_comp
+    if dims_match and n_sub:
         cross = _gram(fs, sub, comp)
         min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
     else:
@@ -468,8 +552,32 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
 def restricted_action_blocks(fs: BFFieldSpace, gs: GaugeSubspace) -> List[np.ndarray]:
     """Action compressions M_k pairing the slot-k A parameters with the
     slot-(k+1) B parameters: M_k = b_params[k+1]^T d_k a_bases[k]."""
-    return [gs.b_params[k + 1].T @ (d @ gs.a_bases[k])
+    return [gs.b_params[k + 1].swapaxes(-1, -2) @ (d @ gs.a_bases[k])
             for k, d in enumerate(fs.base.diffs)]
+
+
+def _fixed_action(fs: BFFieldSpace, gs: GaugeSubspace):
+    """(Z, smallest singular value over the restricted action blocks), per
+    member for a stacked gauge; the second is the number the degeneracy test
+    reads, the gauge's distance to a degenerate one."""
+    lead = gs.a_bases[0].shape[:-2]
+    log_z, smallest = np.zeros(lead), np.full(lead, np.inf)
+    for k, m in enumerate(restricted_action_blocks(fs, gs)):
+        if m.shape[-2] != m.shape[-1]:
+            raise DegenerateGaugeError(k, f"action block {k} is not square "
+                                          f"({m.shape[-2:]}): gauge is not Lagrangian")
+        if m.shape[-1] == 0:
+            continue
+        s = np.linalg.svd(m, compute_uv=False)
+        degenerate = s[..., -1] <= 1e-10 * np.maximum(s[..., 0], 1.0)
+        if gs.kind == "contraction":
+            _refuse(degenerate, degree=k)
+        elif degenerate:
+            raise DegenerateGaugeError(k)
+        # sum of log singular values = log|det|; Z is reported as a modulus
+        log_z = log_z + (-1) ** k * _row_sums(np.log(s))
+        smallest = np.minimum(smallest, s[..., -1])
+    return _each(math.exp, log_z) / gs.jacobian_convention, smallest
 
 
 def partition_function(fs: BFFieldSpace, gs: GaugeSubspace) -> float:
@@ -478,23 +586,9 @@ def partition_function(fs: BFFieldSpace, gs: GaugeSubspace) -> float:
     Exponent signs follow the shifted parities: the (A_k, B_(k+1)) pair is
     odd exactly when k is even.  Metric gauge: equals the analytic torsion of
     the base.  Contraction gauge: equals |sdet(L restricted to ker iota)| with
-    L = iota d + d iota.
+    L = iota d + d iota.  A stacked contraction gauge gives one Z per member.
     """
-    log_z = 0.0
-    for k, m in enumerate(restricted_action_blocks(fs, gs)):
-        if m.shape[0] != m.shape[1]:
-            raise DegenerateGaugeError(k, f"action block {k} is not square "
-                                          f"({m.shape}): gauge is not Lagrangian")
-        if m.size == 0:
-            continue
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= 1e-10 * max(s[0], 1.0):
-            if gs.kind == "contraction":
-                raise DegenerateContractionError(degree=k)
-            raise DegenerateGaugeError(k)
-        # sum of log singular values = log|det|; Z is reported as a modulus
-        log_z += (-1) ** k * float(np.sum(np.log(s)))
-    return math.exp(log_z) / gs.jacobian_convention
+    return _fixed_action(fs, gs)[0]
 
 
 def lie_operator_on_kernel(fs: BFFieldSpace, c: Contraction, k: int) -> np.ndarray:
@@ -513,39 +607,72 @@ def lie_operator_on_kernel(fs: BFFieldSpace, c: Contraction, k: int) -> np.ndarr
 
 @dataclass
 class ScanResult:
-    """Structured gauge-scan records: t, Z(t), isotropy residual."""
+    """Structured gauge-scan records: t, Z(t), isotropy residual; and per
+    sample the smallest singular value over its restricted action blocks,
+    its distance to the degeneracy test."""
 
     samples: List[Tuple[float, float, float]]
     max_relative_deviation: float
+    action_min_sv: List[float]
 
 
-def homotopy_scan(fs: BFFieldSpace, family: Callable[[float], Contraction],
+def _scanned_gauge(fs: BFFieldSpace, family: Callable[[np.ndarray], Contraction],
+                   ts: List[float]):
+    """The stacked contraction gauge of ``family`` at ``ts`` and its
+    ``_fixed_action``.  A degenerate member raises DegenerateContractionError
+    with the first failing t.  The stack is validated before any action
+    block is factorised, so after a failure at member i the members before
+    it are scanned again: one of them may fail at a later stage."""
+    failure, stop = None, len(ts)
+    while stop:
+        try:
+            c = family(np.array(ts[:stop]))
+            if c.sample_shape != (stop,):
+                raise ValueError(f"family gave members of shape {c.sample_shape} "
+                                 f"for {stop} samples: it must stack one member per t")
+            gs = contraction_gauge(fs, c)
+            fixed = _fixed_action(fs, gs)
+        except DegenerateContractionError as exc:
+            failure, stop = exc, exc.member or 0
+            continue
+        if failure is None:
+            return gs, fixed
+        break
+    raise DegenerateContractionError(str(failure), t=ts[failure.member or 0])
+
+
+def homotopy_scan(fs: BFFieldSpace, family: Callable[[np.ndarray], Contraction],
                   samples: int = 10) -> ScanResult:
     """Evaluate the contraction-gauge partition function along a family.
 
-    Returns max |Z(t)/Z(0) - 1|; a degenerate member raises
+    ``family`` maps a 1-D array of parameters t to the contraction with one
+    member per t along a leading sample axis, as the families of
+    ``unitary_contraction_family`` do; the whole scan is then one stacked
+    pass: per degree one SVD for the kernels, one for the complements and
+    one per restricted action block, with each member's digits bit-identical
+    to those of its own single contraction.  A stack holds at most
+    SCAN_STACK_ENTRIES // sum_k dim_k^2 samples, so a long scan of a large
+    complex takes several passes.  The isotropy residual is
+    ``_isotropy`` of the subspace.  Returns max |Z(t)/Z(0) - 1|; a degenerate
+    member, or one whose kernel ranks differ from the first member's, raises
     DegenerateContractionError identifying the first failing sample.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     ts = [i / (samples - 1) for i in range(samples)]
-    rows = []
-    z0 = None
+    per_pass = max(1, SCAN_STACK_ENTRIES // sum(d * d for d in fs.dims))
+    rows, smallest = [], []
+    for start in range(0, samples, per_pass):
+        part = ts[start:start + per_pass]
+        gs, (zs, low) = _scanned_gauge(fs, family, part)
+        residuals = _isotropy(gs.a_bases, gs.b_bases)
+        rows += [(t, float(z), float(r)) for t, z, r in zip(part, zs, residuals)]
+        smallest += [float(x) for x in low]
+    z0 = rows[0][1]
     worst = 0.0
-    for t in ts:
-        try:
-            gs = contraction_gauge(fs, family(t))
-            z = partition_function(fs, gs)
-        except DegenerateContractionError as exc:
-            raise DegenerateContractionError(str(exc), t=t)
-        sub = (gs.a_bases, gs.b_bases)
-        residual = _max_modulus_upper(_gram(fs, sub, sub))
-        rows.append((t, z, residual))
-        if z0 is None:
-            z0 = z
-        else:
-            worst = max(worst, abs(z / z0 - 1.0))
-    return ScanResult(rows, worst)
+    for _, z, _ in rows[1:]:
+        worst = max(worst, abs(z / z0 - 1.0))
+    return ScanResult(rows, worst, smallest)
 
 
 def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
@@ -572,16 +699,24 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
 
 def expm(a: np.ndarray) -> np.ndarray:
     """scipy.linalg.expm, imported on first call: scipy stays off the import
-    path of every command that draws no unitary family."""
+    path of every command that draws no unitary family.  A stack of matrices
+    is exponentiated slice by slice, each as it would be alone."""
     from scipy.linalg import expm as scipy_expm
     return scipy_expm(a)
 
 
 def unitary_contraction_family(tc: TwistedComplex, base: Contraction,
-                               rng: np.random.Generator) -> Callable[[float], Contraction]:
+                               rng: np.random.Generator) -> Callable[[np.ndarray], Contraction]:
     """Family t -> U(t) base U(t)^dagger with U(t) = exp(t K), K random
     skew-Hermitian of unit Frobenius norm per degree.  Stays inside the
-    unitary-normalised class."""
+    unitary-normalised class.
+
+    The family takes a float t, giving one contraction, or a 1-D array of
+    them, giving the stacked contraction of all members: per degree one
+    stacked ``expm`` and stacked products, each member bit-identical to the
+    contraction at its own t.  Members carry no kernel split, so each keeps
+    its SVD of iota_k; the stack takes that SVD once per degree.
+    """
     gens = []
     for d in tc.dims:
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -589,11 +724,12 @@ def unitary_contraction_family(tc: TwistedComplex, base: Contraction,
         norm = np.linalg.norm(k)
         gens.append(k / norm if norm > 0 else k)
 
-    def family(t: float) -> Contraction:
+    def family(t) -> Contraction:
+        t = np.asarray(t, dtype=float)[..., None, None]
         us = [expm(t * g) for g in gens]
-        iota = [np.zeros((0, tc.dims[0]))]
+        iota = [np.zeros(t.shape[:-2] + (0, tc.dims[0]))]
         for k in range(1, tc.top_degree + 1):
-            iota.append(us[k - 1] @ base.iota[k] @ us[k].conj().T)
+            iota.append(us[k - 1] @ base.iota[k] @ _adjoint(us[k]))
         return Contraction.unitary(iota)
 
     return family

@@ -23,6 +23,7 @@ Exit codes: 0 ok, 2 domain error, 3 parse error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -361,7 +362,10 @@ _MODEL_READS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call reuses it."""
     parser = _Parser(prog="zetabf", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -75,11 +75,11 @@ def nonzero_mask(x: np.ndarray) -> np.ndarray:
     """The one rank decision: entries of ``x`` above RANK_TOL * max(max(x), 1).
 
     Applied to singular values or to Hermitian eigenvalues, whichever a site
-    factorises.
+    factorises; for stacked values (one row per member), per row.
     """
     if x.size == 0:
-        return np.zeros(0, dtype=bool)
-    return x > RANK_TOL * max(x.max(), 1.0)
+        return np.zeros(x.shape, dtype=bool)
+    return x > RANK_TOL * np.maximum(x.max(axis=-1, keepdims=True), 1.0)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

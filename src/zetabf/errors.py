@@ -80,9 +80,11 @@ class DegenerateResolutionError(ZetaBFError):
 class DegenerateContractionError(ZetaBFError):
     """The operator iota*d + d*iota is singular on ker(iota)."""
 
-    def __init__(self, message=None, t=None, degree=None):
+    def __init__(self, message=None, t=None, degree=None, member=None):
         self.t = t
         self.degree = degree
+        # index of the first failing member of a stacked contraction
+        self.member = member
         detail = message or "contraction is degenerate"
         if t is not None:
             detail += f" at family parameter t={t}"

@@ -64,6 +64,7 @@ from .errors import (
     DivergentRegionError,
     NotAcyclicError,
     SupportTooWideError,
+    ValidationError,
 )
 from .orbits import OrbitData, OrbitRecord, ToralAutomorphism, g17
 
@@ -186,7 +187,10 @@ class RecordTails:
 
 
 def _tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
-    """Truncation certificate of a J-term orbit sum; raises where it diverges."""
+    """Truncation certificate of a J-term orbit sum; raises where it diverges.
+    Every truncated sum reads it first, so it also refuses J < 1."""
+    if J < 1:
+        raise ValidationError("J", f"truncation must be >= 1, got {J}")
     if data.is_suspension:
         tail = _suspension_tail(data, lam, k, J)
     else:

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from zetabf import bv
 from zetabf.bv import (
     ISOTROPY_TOL,
     BFField,
@@ -26,7 +27,9 @@ from zetabf.bv import (
     suspension_contraction,
     unitary_contraction_family,
 )
+from zetabf.bv import _gram
 from zetabf.complexes import (
+    TwistedComplex,
     UnitaryRep,
     analytic_torsion,
     build_twisted_complex,
@@ -544,6 +547,71 @@ def test_homotopy_scan_constancy():
     assert len(scan.samples) == 10
 
 
+def _max_modulus_upper(g):
+    """max |g_ij| over i <= j (0 when empty); hypot matches scalar abs."""
+    return float(np.max(np.triu(np.hypot(g.real, g.imag)), initial=0.0))
+
+
+def _reference_scan(fs, family, samples):
+    """The scan one sample at a time, each through its own single contraction,
+    with the isotropy residual read off the full subspace Gram matrix."""
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    ts = [i / (samples - 1) for i in range(samples)]
+    rows = []
+    z0 = None
+    worst = 0.0
+    for t in ts:
+        try:
+            gs = contraction_gauge(fs, family(t))
+            z = partition_function(fs, gs)
+        except DegenerateContractionError as exc:
+            raise DegenerateContractionError(str(exc), t=t)
+        sub = (gs.a_bases, gs.b_bases)
+        residual = _max_modulus_upper(_gram(fs, sub, sub))
+        rows.append((t, z, residual))
+        if z0 is None:
+            z0 = z
+        else:
+            worst = max(worst, abs(z / z0 - 1.0))
+    return rows, worst
+
+
+def _assert_scan_matches_reference(tc, rng, samples):
+    fs = build_bf_fields(tc)
+    fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+    scan = homotopy_scan(fs, fam, samples=samples)
+    rows, worst = _reference_scan(fs, fam, samples)
+    assert [tuple(x.hex() for x in row) for row in scan.samples] == \
+        [tuple(x.hex() for x in row) for row in rows]
+    assert scan.max_relative_deviation.hex() == worst.hex()
+
+
+def _golden_bf_scans():
+    """(complex, seed, samples) of every golden ``bf`` command."""
+    from test_cli import GOLDEN_COMMANDS
+    from zetabf.cli import _load_model, build_parser, make_config
+    for argv in GOLDEN_COMMANDS.values():
+        if argv[0] == "bf":
+            cfg = make_config(build_parser().parse_args(argv))
+            yield _load_model(cfg), cfg.seed, cfg.samples
+
+
+def test_homotopy_scan_matches_per_sample_reference():
+    golden = list(_golden_bf_scans())
+    assert len(golden) == 5
+    for tc, seed, samples in golden:
+        _assert_scan_matches_reference(tc, np.random.default_rng(seed), samples)
+    # criterion 9's 20 paths, drawn as it draws them
+    rng = np.random.default_rng(SEED + 3)
+    for _ in range(20):
+        tc = random_twisted_complex(rng, top_degree=int(rng.integers(2, 5)), max_cells=4,
+                                    rank=int(rng.integers(1, 3)))
+        _assert_scan_matches_reference(tc, rng, 10)
+    rng = np.random.default_rng(14)
+    _assert_scan_matches_reference(_cat_rank_twist(4, rng), rng, 7)
+
+
 def test_homotopy_scan_isotropy_is_the_lagrangian_report():
     rng = np.random.default_rng(11)
     for tc in (random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2),
@@ -556,8 +624,59 @@ def test_homotopy_scan_isotropy_is_the_lagrangian_report():
             assert residual.hex() == want.hex()
 
 
+def test_homotopy_scan_records_distance_to_degeneracy():
+    # per sample, the smallest singular value over the member's action blocks
+    rng = np.random.default_rng(15)
+    for tc in (mapping_torus_complex(CAT, 2.0), _cat_rank_twist(3, rng)):
+        fs = build_bf_fields(tc)
+        fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+        scan = homotopy_scan(fs, fam, samples=6)
+        assert len(scan.action_min_sv) == 6
+        for (t, _, _), smallest in zip(scan.samples, scan.action_min_sv):
+            blocks = restricted_action_blocks(fs, contraction_gauge(fs, fam(t)))
+            want = min(np.linalg.svd(m, compute_uv=False)[-1] for m in blocks if m.size)
+            assert smallest.hex() == want.hex()
+
+
+def test_stacked_contraction_is_its_members():
+    rng = np.random.default_rng(16)
+    tc = _cat_rank_twist(2, rng)
+    fs = build_bf_fields(tc)
+    fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+    ts = np.array([0.0, 0.4, 1.0])
+    stacked = fam(ts)
+    assert stacked.sample_shape == (3,)
+    gs = contraction_gauge(fs, stacked)
+    zs = partition_function(fs, gs)
+    assert zs.shape == (3,)
+    for i, t in enumerate(ts):
+        single = fam(float(t))
+        assert single.sample_shape == ()
+        for k in range(fs.n + 1):
+            assert np.array_equal(stacked.iota[k][i], single.iota[k])
+            assert np.array_equal(stacked.kernel_basis(k)[i], single.kernel_basis(k))
+            assert np.array_equal(stacked.complement_basis(k)[i], single.complement_basis(k))
+        assert zs[i].hex() == partition_function(fs, contraction_gauge(fs, single)).hex()
+    # explicit a_maps and kernel splits stack too
+    draws = [random_contraction(tc, rng) for _ in range(2)]
+    iota = [np.stack(m) for m in zip(*(c.iota for c in draws))]
+    a_maps = [np.stack(m) for m in zip(*(c.a_maps for c in draws))]
+    splits = [tuple(np.stack(b) for b in zip(*pairs)) for pairs in zip(*(c.splits for c in draws))]
+    stacked = Contraction(iota, a_maps, splits)
+    zs = partition_function(fs, contraction_gauge(fs, stacked))
+    for z, c in zip(zs, draws):
+        assert z.hex() == partition_function(fs, contraction_gauge(fs, c)).hex()
+    # a broken split in the second member only names that member
+    ker, perp = splits[1]
+    ker = ker * np.array([1.0, 1.001])[:, None, None]
+    with pytest.raises(DegenerateContractionError, match="not orthonormal") as err:
+        Contraction(iota, a_maps, splits[:1] + [(ker, perp)] + splits[2:])
+    assert err.value.member == 1
+
+
 def test_homotopy_scan_takes_no_cross_pairing_svd(monkeypatch):
-    # a scan factorises its gauges and partition functions, and nothing more
+    # a stacked scan factorises as often as one gauge does, whatever the
+    # sample count, and takes no cross-pairing SVD
     rng = np.random.default_rng(12)
     tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2)
     fs = build_bf_fields(tc)
@@ -571,44 +690,102 @@ def test_homotopy_scan_takes_no_cross_pairing_svd(monkeypatch):
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    ts = [i / 4 for i in range(5)]
-    for t in ts:
-        partition_function(fs, contraction_gauge(fs, fam(t)))
+    partition_function(fs, contraction_gauge(fs, fam(0.5)))
     per_gauge = calls["svd"]
-    calls.clear()
-    homotopy_scan(fs, fam, samples=len(ts))
     assert per_gauge > 0
-    assert calls["svd"] == per_gauge
+    for samples in (5, 21):
+        calls.clear()
+        homotopy_scan(fs, fam, samples=samples)
+        assert calls["svd"] == per_gauge
+
+
+def test_long_scan_runs_in_bounded_passes(monkeypatch):
+    # three samples per pass: the digits and the first failing t across
+    # passes stay those of the per-sample scan
+    rng = np.random.default_rng(17)
+    tc = mapping_torus_complex(CAT, 2.0)
+    monkeypatch.setattr(bv, "SCAN_STACK_ENTRIES", 3 * sum(d * d for d in tc.dims))
+    _assert_scan_matches_reference(tc, rng, 10)
+    fs = _rotating_fields()
+    monkeypatch.setattr(bv, "SCAN_STACK_ENTRIES", 3 * sum(d * d for d in fs.dims))
+    with pytest.raises(DegenerateContractionError) as err:
+        homotopy_scan(fs, _rotating_family, samples=9)     # passes 0-0.25, 0.375-0.625, 0.75-1
+    assert err.value.t == 0.75
+
+
+def _stack(c, ts):
+    """The constant family's members at ``ts``: ``c`` repeated along a sample axis."""
+    return Contraction.unitary([np.broadcast_to(m, np.shape(ts) + m.shape) for m in c.iota])
 
 
 def test_homotopy_scan_constant_family():
     tc = mapping_torus_complex(CAT, math.pi)
     fs = build_bf_fields(tc)
     c = hodge_contraction(tc)
-    scan = homotopy_scan(fs, lambda t: c, samples=5)
+    scan = homotopy_scan(fs, lambda ts: _stack(c, ts), samples=5)
     assert scan.max_relative_deviation == 0.0
+    # a family that does not stack its members is refused
+    with pytest.raises(ValueError, match="one member per t"):
+        homotopy_scan(fs, lambda ts: c, samples=5)
+
+
+def _rotating_family(ts):
+    """(1,2,1) acyclic complex with a rotating contraction that crosses a
+    degenerate direction: L|ker vanishes when tan(angle) = -a/b."""
+    phi = np.asarray(ts) * math.pi        # crosses phi = 3*pi/4 where cos+sin = 0
+    row = np.stack([np.cos(phi), np.sin(phi)], axis=-1)[..., None, :]
+    ker = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)[..., :, None]
+    iota = [np.zeros(phi.shape + (0, 1)), row, ker]   # iota_2 maps C^2 onto ker(iota_1)
+    a_maps = [np.conj(m).swapaxes(-1, -2) for m in iota[1:]] + [np.zeros(phi.shape + (0, 1))]
+    return Contraction(iota, a_maps)
+
+
+def _rotating_fields():
+    return build_bf_fields(TwistedComplex([np.array([[1.0], [1.0]]), np.array([[-1.0, 1.0]])]))
 
 
 def test_homotopy_scan_degenerate_crossing():
-    # (1,2,1) acyclic complex with a rotating contraction that crosses a
-    # degenerate direction: L|ker vanishes when tan(angle) = -a/b
-    d0 = np.array([[1.0], [1.0]])
-    d1 = np.array([[-1.0, 1.0]])
-    from zetabf.complexes import TwistedComplex
-    tc = TwistedComplex([d0, d1])
-    fs = build_bf_fields(tc)
-
-    def family(t):
-        phi = t * math.pi        # crosses phi = 3*pi/4 where cos+sin = 0
-        row = np.array([[math.cos(phi), math.sin(phi)]])
-        ker = np.array([[-math.sin(phi)], [math.cos(phi)]])
-        iota = [np.zeros((0, 1)), row, ker]   # iota_2 maps C^2 onto ker(iota_1)
-        a_maps = [iota[1].conj().T, iota[2].conj().T, np.zeros((0, 1))]
-        return Contraction(iota, a_maps)
-
+    fs = _rotating_fields()
     with pytest.raises(DegenerateContractionError) as err:
-        homotopy_scan(fs, family, samples=5)
-    assert err.value.t is not None
+        homotopy_scan(fs, _rotating_family, samples=5)
+    assert err.value.t == 0.75
+    with pytest.raises(DegenerateContractionError) as err:
+        _reference_scan(fs, _rotating_family, 5)
+    assert err.value.t == 0.75
+
+
+def _scaled_from(t_bad, row_scale, a_scale):
+    """The rotating family with, from ``t_bad`` on, iota_1 scaled by
+    ``row_scale`` and a_0 by ``a_scale``."""
+    def family(ts):
+        c = _rotating_family(ts)
+        late = (np.asarray(ts) >= t_bad)[..., None, None]
+        iota = list(c.iota)
+        iota[1] = np.where(late, row_scale * iota[1], iota[1])
+        a_maps = list(c.a_maps)
+        a_maps[0] = np.where(late, a_scale * a_maps[0], a_maps[0])
+        return Contraction(iota, a_maps)
+    return family
+
+
+@pytest.mark.parametrize("t_bad, row_scale, a_scale, t_named, message", [
+    # invalid (iota o a = 2) after the crossing at 0.75: the crossing is named
+    (1.0, 1.0, 2.0, 0.75, "degenerate"),
+    (0.5, 1.0, 2.0, 0.5, "iota o a != id"),
+    # iota_1 below the rank cut: its kernel grows, which a stack cannot hold
+    (0.25, 1e-13, 1e13, 0.25, "rank of iota changes"),
+])
+def test_homotopy_scan_names_the_first_failing_sample(t_bad, row_scale, a_scale, t_named,
+                                                      message):
+    fs = _rotating_fields()
+    family = _scaled_from(t_bad, row_scale, a_scale)
+    with pytest.raises(DegenerateContractionError, match=message) as err:
+        homotopy_scan(fs, family, 5)
+    assert err.value.t == t_named
+    # as the scan one sample at a time names it
+    with pytest.raises(DegenerateContractionError) as err:
+        _reference_scan(fs, family, 5)
+    assert err.value.t == t_named
 
 
 def test_gauge_polarization_names():

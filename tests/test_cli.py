@@ -653,6 +653,38 @@ def test_torsion_json_matches_text(argv):
     assert payload == {key: float(value) for key, value in values.items()}
 
 
+def test_reused_parser_runs_like_a_fresh_one(tmp_path):
+    """main builds its parser once per process; good and refused argument
+    lists, interleaved through the one parser, each print and exit as they
+    do with a parser of their own."""
+    config = tmp_path / "alpha.conf"
+    config.write_text("alpha = 1\n")
+    interleaved = [
+        ["verify", "--criteria", "2"],
+        ["verify", "--criteria", "x"],
+        ["torsion", "--model", "circle", "--theta", "2"],
+        ["torsion", "--model", "circle", "--theta", "2", "--alpha", "1"],
+        ["torsion", "--model", "circle", "--config", str(config)],
+        ["bf", "--model", "torus", "--alpha", "1.0", "--beta", "0.5", "--samples", "3"],
+        ["orbits", "--J", "0"],
+        ["zeta", "--A", "2,1,1,1", "--lambda-steps", "2", "--format", "json"],
+        ["verify", "--criteria", "2"],
+        ["nonsense"],
+        ["torsion", "--model", "circle", "--theta", "2"],
+    ]
+    build_parser.cache_clear()
+    reused = [run_cli(argv) for argv in interleaved]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in interleaved:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_PARSE,
+                                               EXIT_PARSE, EXIT_OK, EXIT_PARSE, EXIT_OK,
+                                               EXIT_OK, EXIT_PARSE, EXIT_OK]
+
+
 @pytest.mark.parametrize("argv", [["orbits", "--J", "3"], ["verify", "--criteria", "1"]])
 def test_json_refused_without_json_output(argv, tmp_path):
     # orbits and verify have no --format: the flag and the config key are refused

@@ -9,7 +9,8 @@ from scipy.special import rgamma
 
 from zetabf import zeta
 from zetabf.complexes import mapping_torus_complex
-from zetabf.errors import DivergentRegionError, NotAcyclicError, SupportTooWideError
+from zetabf.errors import (DivergentRegionError, NotAcyclicError, SupportTooWideError,
+                           ValidationError)
 from zetabf.orbits import (
     OrbitData,
     OrbitRecord,
@@ -501,3 +502,17 @@ def test_term_table_cached_per_truncation():
     mellin_log_zeta(data, 0.5, 3.0 + 0j, 2, J=20)
     log_zeta_full(data, 1.5, 2.0, J=12)
     assert sorted(data.term_tables) == [12, 20]
+
+
+@pytest.mark.parametrize("J", [0, -1, -2])
+@pytest.mark.parametrize("route", [
+    lambda J: zeta.log_zeta_k(DATA, 0.5, 3.0, 1, J=J),
+    lambda J: zeta.log_zeta_full(DATA, 0.5, 3.0, J=J),
+    lambda J: zeta.mellin_log_zeta(DATA, 0.5, 3.0, 1, J=J),
+    lambda J: zeta.decomposition_residual(DATA, 0.5, 3.0, J=J),
+], ids=["log_zeta_k", "log_zeta_full", "mellin_log_zeta", "decomposition_residual"])
+def test_truncation_below_one_is_refused(route, J):
+    # J = -2 used to return 0 with a negative certificate, J = -1 to divide by zero
+    with pytest.raises(ValidationError, match="J: truncation must be >= 1"):
+        route(J)
+    assert route(1) is not None
