@@ -66,6 +66,7 @@ from .zeta import (
     BumpSpec,
     ZetaEvaluation,
     closed_form_suspension,
+    cycle_zeta,
     decomposition_residual,
     flat_trace_pairing,
     fried_residual,

@@ -479,7 +479,6 @@ class LagrangianReport:
     isotropy_subspace: float
     isotropy_complement: float
     cross_pairing_min_sv: float
-    dimension_match: bool
 
 
 def _gram(fs: BFFieldSpace, v, w) -> np.ndarray:
@@ -537,16 +536,13 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     comp = ([np.conj(b) for b in gs.b_bases], [np.conj(a) for a in gs.a_bases])
     iso_sub, iso_comp = _isotropy(*sub), _isotropy(*comp)
 
-    n_sub, n_comp = (sum(m.shape[1] for side in basis for m in side) for basis in (sub, comp))
-    dims_match = n_sub == n_comp
-    if dims_match and n_sub:
-        cross = _gram(fs, sub, comp)
-        min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
+    # the swap keeps the column count, so the cross Gram matrix is square
+    if any(m.shape[1] for side in sub for m in side):
+        min_sv = float(np.linalg.svd(_gram(fs, sub, comp), compute_uv=False)[-1])
     else:
-        min_sv = 0.0 if not dims_match else np.inf
-    ok = (iso_sub < ISOTROPY_TOL and iso_comp < ISOTROPY_TOL
-          and dims_match and min_sv > 1e-8)
-    return LagrangianReport(ok, iso_sub, iso_comp, min_sv, dims_match)
+        min_sv = np.inf
+    ok = iso_sub < ISOTROPY_TOL and iso_comp < ISOTROPY_TOL and min_sv > 1e-8
+    return LagrangianReport(ok, iso_sub, iso_comp, min_sv)
 
 
 def restricted_action_blocks(fs: BFFieldSpace, gs: GaugeSubspace) -> List[np.ndarray]:

@@ -196,18 +196,18 @@ def criterion_4_euler_vs_closed() -> Outcome:
             f"max |truncated-closed| {worst:.3e}, certified={certified}")
 
 
-def criterion_5_mellin_route() -> Outcome:
-    aut = orbits.ToralAutomorphism(2, 1, 1, 1)
-    data = orbits.suspension_orbits(aut, 40)
+def criterion_5_fried_from_orbits() -> Outcome:
     worst = 0.0
-    for theta in (0.0, math.pi / 2, math.pi):
-        for lam in (3.0, 3.5, 4.25, 5.0):
-            for k in (0, 1, 2):
-                direct = zeta.log_zeta_k(data, theta, lam, k, J=40).value
-                mellin = zeta.mellin_log_zeta(data, theta, lam, k, J=40)
-                worst = max(worst, abs(direct - mellin))
+    for a, theta in ((CAT_MAP, math.pi), (CAT_MAP, 2.0), (CAT_MAP, 0.3),
+                     (((3, 2), (1, 1)), 0.7), (((5, 2), (2, 1)), 1.1)):
+        aut = orbits.ToralAutomorphism.from_matrix(a)
+        cycle = zeta.cycle_zeta(orbits.suspension_orbits(aut, 12), theta, 0.0)
+        tau = complexes.analytic_torsion(complexes.mapping_torus_complex(a, theta))
+        worst = max(worst, abs(cycle.alternating * zeta.zeta_value_at_zero(aut, theta) - 1),
+                    abs(abs(cycle.alternating) / tau - 1), cycle.recurrence_residual)
     ok = worst < 1e-8
-    return "mellin route vs direct log zeta_k", ok, f"max deviation {worst:.3e}"
+    return ("Fried from orbits alone (cycle expansion vs closed form and torsion)",
+            ok, f"max deviation {worst:.3e}")
 
 
 def _random_complexes(count: int, rng: np.random.Generator):
@@ -406,7 +406,7 @@ ALL_CRITERIA: Sequence[Callable[[], Outcome]] = (
     criterion_2_per_orbit_identity,
     criterion_3_decomposition,
     criterion_4_euler_vs_closed,
-    criterion_5_mellin_route,
+    criterion_5_fried_from_orbits,
     criterion_6_schwarz_equals_torsion,
     criterion_7_det_relations,
     criterion_8_gauge_independence,

@@ -1,28 +1,24 @@
 """Twisted Ruelle zeta functions from periodic-orbit data.
 
 Euler products and their k-form factors are evaluated as truncated orbit sums
-with certified geometric tail bounds; the Mellin route collapses the flat
-trace of the transfer semigroup into a Dirichlet-type sum over orbit times and
-takes -d/ds at s = 0 numerically.  Continuation to lambda = 0 happens only
-through the closed-form resummation available for constant-roof suspensions,
-never by evaluating an Euler product outside its half-plane.
+with certified geometric tail bounds.  For constant-roof suspensions,
+lambda = 0 is reached by the closed-form resummation (A's eigenvalues) and by
+the cycle expansion of ``cycle_zeta`` (the orbit terms alone), never by an
+Euler product outside its half-plane.
 
-Both orbit sums read one term table per (OrbitData, J), cached on the
+The orbit sums read one term table per (OrbitData, J), cached on the
 OrbitData: the record order and repetition cut-off, each term's record and
-repetition j, and per-record constants, with the holonomy powers of the
-last theta and the weights tr Lambda^k P^j / |det(I - P^j)| added per k on
-first use.  Each route also keeps the amplitude of its last (theta, lambda),
-the part of a term that no k changes: -count hol^j e^(-lambda j l) for the
-direct sums, count l hol^j e^(-lambda t) with t = j l for the Mellin route;
-a k = 0, 1, 2, full sweep forms it once and applies only the weight and the
-divide per k.  The key is the exact bits of theta and of both parts of
-lambda, and whether lambda is a complex: a float lambda takes the real
-exponential path and a complex one with zero imaginary part the complex
-product, and the two amplitudes can differ in the signs of their zeros, as
-can those of imaginary parts +0.0 and -0.0.  The Mellin powers t^e are kept
-per exponent tuple, formed once per table.  The table is read in blocks of
-_BLOCK terms.  Its values are bit for bit those of a term-by-term Python
-loop:
+repetition j, and per-record constants, with the holonomy powers of the last
+theta and the weights w_k = tr Lambda^k P^j / |det(I - P^j)| added per k on
+first use.  The table also keeps the amplitude of its last (theta, lambda), the
+part of a term that no k changes, -count hol^j e^(-lambda j l); a k = 0, 1,
+2, full sweep forms it once and applies only the weight and the divide per
+k.  The key is the exact bits of theta and of both parts of lambda, and
+whether lambda is a complex: a float lambda takes the real exponential path
+and a complex one with zero imaginary part the complex product, and the two
+amplitudes can differ in the signs of their zeros, as can those of imaginary
+parts +0.0 and -0.0.  The table is read in blocks of _BLOCK terms.  Its
+values are bit for bit those of a term-by-term Python loop:
 
 * exp and pow are libm's, called once per term (math.exp, or cmath.exp when
   lambda has a nonzero imaginary part, and pow); numpy's vectorised exp and
@@ -70,10 +66,6 @@ from .orbits import OrbitData, OrbitRecord, ToralAutomorphism, g17
 
 # Transverse unstable/stable rank of the 3-dimensional suspension model.
 TRANSVERSE_RANK = 1
-
-# Central finite-difference step of ``mellin_log_zeta``'s d/ds at s = 0, taken
-# at FD_STEP and FD_STEP/2 and combined by one Richardson step.
-FD_STEP = 1e-4
 
 DegreeSpec = Union[int, str]
 
@@ -289,10 +281,9 @@ class _TermTable:
     Records are sorted by (length, count); for suspension data the repetition
     index is truncated by total winding j * period <= J, for ingested spectra
     by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
-    The holonomy powers are kept for the last theta, and each route's
-    amplitude for its last (theta, lambda), so a sweep holds one array pair
-    per route; the Poincare weights are added per degree k on first use, and
-    the Mellin powers t^e per exponent tuple.
+    The holonomy powers are kept for the last theta and the amplitude for the
+    last (theta, lambda), so a sweep holds one array pair; the Poincare
+    weights are added per degree k on first use.
     """
 
     def __init__(self, data: OrbitData, J: int):
@@ -304,11 +295,8 @@ class _TermTable:
         self.size = self.rec.size
         self.length = np.array([r.length for r in self.records], dtype=float)
         self.neg_count = np.array([float(-r.count) for r in self.records])
-        self.count_length = np.array([r.count * r.length for r in self.records],
-                                     dtype=float)
         self._holonomy = (None, None)     # (theta key, powers)
-        self._amplitudes = {}             # route: ((theta, lambda) key, amplitude)
-        self._powers = (None, None)       # (exponents, powers)
+        self._amplitude = (None, None)    # ((theta, lambda) key, amplitude)
         self._degrees = {}
         self._poincare = None
 
@@ -338,35 +326,18 @@ class _TermTable:
         hr, hi = self.holonomy_powers(theta)
         return _mul(c, 0.0, hr[s], hi[s])
 
-    def amplitude(self, route: str, theta: float, lam: complex):
-        """(re, im) per term of the weight-free part of a route's terms, formed
-        as CPython forms it: -count hol^j e^(-lam j l) for "log", and
-        count l hol^j e^(-lam t), t = j l, for "mellin"."""
+    def amplitude(self, theta: float, lam: complex):
+        """(re, im) per term of -count hol^j e^(-lam j l), the weight-free part
+        of a term, formed as CPython forms it."""
         key = _exact_key(theta, lam)
-        hit = self._amplitudes.get(route)
-        if hit is None or hit[0] != key:
+        if self._amplitude[0] != key:
             re, im = np.empty(self.size), np.empty(self.size)
             for s, rec, jf in self.blocks():
-                if route == "log":
-                    c, damp = self.neg_count[rec], _exp_neg(lam, jf, self.length[rec])
-                else:
-                    c, damp = self.count_length[rec], _exp_neg(lam, jf * self.length[rec])
-                re[s], im[s] = _mul(*self._times_holonomy(c, s, theta), *damp)
-            hit = self._amplitudes[route] = (key, (re, im))
-        return hit[1]
-
-    def mellin_powers(self, exponents):
-        """t^e per term for each exponent e, t = j l, by libm's pow."""
-        exponents = tuple(exponents)
-        if self._powers[0] != exponents:
-            powers = [np.empty(self.size) for _ in exponents]
-            for s, rec, jf in self.blocks():
-                times = (jf * self.length[rec]).tolist()
-                for p, e in zip(powers, exponents):
-                    p[s] = np.fromiter(map(pow, times, itertools.repeat(e)), float,
-                                       rec.size)
-            self._powers = (exponents, powers)
-        return self._powers[1]
+                damp = _exp_neg(lam, jf, self.length[rec])
+                re[s], im[s] = _mul(*self._times_holonomy(self.neg_count[rec], s, theta),
+                                    *damp)
+            self._amplitude = (key, (re, im))
+        return self._amplitude[1]
 
     def _poincare_powers(self, name: str) -> np.ndarray:
         """Per term, the record's eigenvalue ``name`` to the power j, as scalar
@@ -395,7 +366,7 @@ class _TermTable:
     def log_zeta(self, theta: float, lam: complex, k: DegreeSpec) -> complex:
         """-sum (1/j) count hol^j e^(-lam j l) weight over the table."""
         weight = 1.0 if k == "full" else self.degree(k)[2]
-        ar, ai = self.amplitude("log", theta, lam)
+        ar, ai = self.amplitude(theta, lam)
         total_re = total_im = 0.0
         for s, _, jf in self.blocks():
             re, im = _mul(ar[s], ai[s], _part(weight, s), 0.0)
@@ -403,23 +374,6 @@ class _TermTable:
             total_re = _running_sum(total_re, re)
             total_im = _running_sum(total_im, im)
         return complex(total_re, total_im)
-
-    def mellin_sums(self, theta: float, lam: complex, k: int, exponents):
-        """sum amp * t^e over the table for each e, with t = j l and
-        amp = count l hol^j e^(-lam t) tr Lambda^k P^j / |det(I - P^j)|."""
-        wedge, abs_det, _ = self.degree(k)
-        ar, ai = self.amplitude("mellin", theta, lam)
-        powers = self.mellin_powers(exponents)
-        sums = [[0.0, 0.0] for _ in powers]
-        for s, _, _ in self.blocks():
-            re, im = _mul(ar[s], ai[s], _part(wedge, s), 0.0)
-            re, im = _div_real(re, im, abs_det[s])
-            for acc, p in zip(sums, powers):
-                pr, pi = _mul(re, im, p[s], 0.0)
-                acc[0] = _running_sum(acc[0], pr)
-                acc[1] = _running_sum(acc[1], pi)
-        # an empty Python sum is the integer 0
-        return [complex(*acc) if self.size else 0 for acc in sums]
 
 
 def _term_table(data: OrbitData, J: int) -> _TermTable:
@@ -520,26 +474,16 @@ def flat_trace_pairing(data: OrbitData, theta: float, k: int,
 
 def mellin_log_zeta(data: OrbitData, theta: float, lam: complex, k: int,
                     J: int = 40) -> complex:
-    """log zeta_k through the regularised-determinant route.
-
-    Writes F(lam, s) = 1/Gamma(s) * sum over orbit times of
-    l * (j l)^(s-1) e^(-lam j l) * weights (the Dirac comb collapses the
-    Mellin integral; orbit times are bounded away from zero) and returns
-    -d/ds F at s = 0 by central differences with one Richardson step.
+    """log zeta_k by the regularised-determinant route: -d/ds F at s = 0 with
+    F(s) = S(s)/Gamma(s), S(s) = sum count l (j l)^(s-1) hol^j e^(-lam j l) w_k
+    over the orbit terms, where the Dirac comb collapses the Mellin integral.
+    Since 1/Gamma(s) = s + gamma s^2 + O(s^3), that derivative is exactly
+    S(0), and l (j l)^(-1) = 1/j makes -S(0) the direct sum term for term:
+    the value and the errors are those of ``log_zeta_k``.
     """
-    from scipy.special import rgamma    # scipy loads only on this route
-
     if not 0 <= k <= 2 * TRANSVERSE_RANK:
         raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
-    _tail(data, lam, k, J)      # divergence policing of the direct route
-    h = FD_STEP
-    steps = (h / 2, -h / 2, h, -h)
-    with np.errstate(all="ignore"):
-        sums = _term_table(data, J).mellin_sums(theta, lam, k,
-                                                [s - 1.0 for s in steps])
-    f = {s: rgamma(s) * total for s, total in zip(steps, sums)}
-    d1, d2 = ((f[s] - f[-s]) / (2 * s) for s in (h, h / 2))
-    return -(4 * d2 - d1) / 3
+    return _log_zeta(data, theta, lam, k, J).value
 
 
 @dataclass(frozen=True)
@@ -571,6 +515,58 @@ def closed_form_suspension(aut: ToralAutomorphism, theta: float,
     # zeta_0 zeros are poles of the continued zeta (non-regular twists)
     full = 1.0 / alternating if alternating != 0 else complex(math.inf)
     return SuspensionZetas(z0, z1, z2, full)
+
+
+@dataclass(frozen=True)
+class CycleZetas:
+    """The suspension zeta factors at one lambda from the orbit terms alone."""
+
+    zeta0: complex
+    zeta1: complex
+    zeta2: complex
+    alternating: complex            # zeta_0 zeta_2 / zeta_1
+    recurrence_residual: float
+
+
+def cycle_zeta(data: OrbitData, theta: float, lam: complex) -> CycleZetas:
+    """zeta_k = det(I - x e^(i theta) Lambda^k A), x = e^(-lam roof), lambda = 0
+    included, by the cycle expansion of a suspension spectrum.
+
+    Grouped by topological length n = period j, the terms of the table with
+    J = complete_to give c_n = sum count period hol^j w_k =
+    tr (e^(i theta) Lambda^k A)^n.  Newton's identities
+    m a_m = -(c_m + a_1 c_(m-1) + ... + a_(m-1) c_1) give the coefficients of
+    the polynomial in x, of degree d = C(2, k).  Its higher coefficients
+    vanish, so the certificate is the largest relative residual
+    |sum_m a_m c_(n-m)| / sum_m |a_m c_(n-m)| for d < n <= complete_to.
+    """
+    if data.aut is None or any(r.period is None for r in data.records):
+        raise ValidationError("aut", "a cycle expansion needs a suspension "
+                                     "spectrum with periods")
+    top, rank = data.complete_to, 2 * TRANSVERSE_RANK
+    if top <= rank:
+        raise ValidationError("complete_to", f"the recurrence needs periods up to "
+                                             f"at least {rank + 1}, got {top}")
+    table = _term_table(data, top)
+    period = np.array([r.period for r in table.records], dtype=int)
+    n = period[table.rec] * table.j
+    count_period = np.array([float(r.count * r.period) for r in table.records])
+    hr, hi = table.holonomy_powers(theta)
+    unweighted = count_period[table.rec] * (hr + 1j * hi)
+    x = cmath.exp(-lam * data.aut.roof)
+    factors, residual = [], 0.0
+    for k in range(rank + 1):
+        amp = unweighted * table.degree(k)[2]
+        c = np.bincount(n, amp.real, top + 1) + 1j * np.bincount(n, amp.imag, top + 1)
+        a = [1.0]
+        for m in range(1, math.comb(rank, k) + 1):
+            a.append(-sum(a[i] * c[m - i] for i in range(m)) / m)
+        for m in range(len(a), top + 1):
+            terms = [a[i] * c[m - i] for i in range(len(a))]
+            residual = max(residual, abs(sum(terms)) / sum(map(abs, terms)))
+        factors.append(sum(coef * x ** m for m, coef in enumerate(a)))
+    z0, z1, z2 = factors
+    return CycleZetas(z0, z1, z2, z0 * z2 / z1, residual)
 
 
 # A closed-form factor below this fraction of its largest term is a zero.

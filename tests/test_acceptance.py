@@ -40,7 +40,7 @@ def test_criterion_04_euler_product_vs_closed_form():
     assert r.seconds < 5.0
 
 
-def test_criterion_05_mellin_determinant_route():
+def test_criterion_05_fried_from_orbits():
     r = _run(5)
     assert r.seconds < 10.0
 

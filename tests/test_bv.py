@@ -215,15 +215,15 @@ def _reference_report(fs, gs):
         return worst
 
     iso_sub, iso_comp = max_pairing(sub), max_pairing(comp)
-    dims_match = len(sub) == len(comp)
-    if dims_match and sub:
+    # the declared complement is the side swap: it has as many columns
+    assert len(sub) == len(comp)
+    if sub:
         cross = np.array([[fs.omega(v, w) for w in comp] for v in sub])
         min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
     else:
-        min_sv = 0.0 if not dims_match else np.inf
-    ok = (iso_sub < ISOTROPY_TOL and iso_comp < ISOTROPY_TOL
-          and dims_match and min_sv > 1e-8)
-    return LagrangianReport(ok, iso_sub, iso_comp, min_sv, dims_match)
+        min_sv = np.inf
+    ok = iso_sub < ISOTROPY_TOL and iso_comp < ISOTROPY_TOL and min_sv > 1e-8
+    return LagrangianReport(ok, iso_sub, iso_comp, min_sv)
 
 
 def _skewed(fs, c):

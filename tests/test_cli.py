@@ -535,22 +535,29 @@ def test_model_reads_its_own_options(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    """The anchor torsion run never imports scipy (its import is most of the
-    start-up time); only the unitary scan and the Mellin route load it."""
-    script = ("import runpy, sys\n"
-              "sys.argv = ['zetabf', 'torsion', '--model', 'cat', '--theta', '2.0']\n"
-              "try:\n"
-              "    runpy.run_module('zetabf', run_name='__main__')\n"
-              "except SystemExit as exc:\n"
-              "    assert exc.code == 0, exc.code\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    """The anchor torsion run, criterion 5 of verify and the README zeta grid
+    never import scipy (its import is most of the start-up time); only the
+    unitary scans load it."""
+    runs = ((["torsion", "--model", "cat", "--theta", "2.0"], "betti 0 0 0 0"),
+            (["verify", "--criteria", "5"], "[PASS] criterion  5: "),
+            (["zeta", "--A", "2,1,1,1", "--theta", "3.141592653589793",
+              "--lambda-start", "2", "--lambda-stop", "5", "--lambda-steps", "7",
+              "--closed-form"], "closed_form_abs_zeta0_inverse 0.8"))
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "[]"
-    assert done.stdout.splitlines()[0] == "betti 0 0 0 0"
+    for argv, first in runs:
+        script = ("import runpy, sys\n"
+                  f"sys.argv = {['zetabf'] + argv!r}\n"
+                  "try:\n"
+                  "    runpy.run_module('zetabf', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "[]", argv
+        assert done.stdout.splitlines()[0].startswith(first), argv
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])

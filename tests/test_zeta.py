@@ -151,10 +151,36 @@ def test_flat_trace_support_guard():
 
 
 def test_mellin_route_matches_direct():
-    for lam, k in ((2.0, 0), (4.0, 1), (3.0, 2)):
-        direct = log_zeta_k(DATA, 0.0, lam, k, J=40).value
-        mellin = mellin_log_zeta(DATA, 0.0, lam, k, J=40)
-        assert abs(direct - mellin) < 1e-8
+    """The finite-difference Mellin route lands on the direct sum.
+
+    F(s) = S(s)/Gamma(s), S(s) = sum amp t^(s-1), is entire.  On |s| = 1/2,
+    |S| <= M = sum |amp| max(t^(-1/2), t^(-3/2)) and |1/Gamma| <= 0.62 (it
+    peaks at 0.6199, by mpmath), so Cauchy's estimate gives
+    |F^(m)(0)| / m! <= 0.62 M 2^m.  The Richardson step
+    (4 D(h/2) - D(h)) / 3 of central differences D is F'(0) plus
+    sum_(odd m >= 5) c_m F^(m)(0) h^(m-1) / m! with |c_m| <= 1/3: a
+    truncation of at most 0.62 M 2^5 h^4 / (3 (1 - 4 h^2)).  Rounding: each
+    term of S(+-sigma), sigma in {h, h/2}, and of the direct sum, is within
+    about (2 log2 J + 10) eps of exact (hol^j by binary exponentiation, then
+    a handful of products, exp, pow and a division), and a left-to-right sum
+    of n terms adds n eps, relative to R = sum |amp| max(t^(h-1), t^(-h-1)).
+    The classical eps |F| / h is eps R here, since |F(+-sigma)| carries
+    |1/Gamma(sigma)| <= 1.0001 sigma; the weights 4/3 and 1/3 add at most
+    5/3.  With the direct sum's own rounding: (5/3 + 1) (n + 2 log2 J + 12) eps R.
+    """
+    h, J = 1e-4, 40
+    for data in (DATA, OrbitData(HAND_RECORDS)):
+        for theta, lam in ((0.0, 2.0), (0.0, 4.0), (2.5, 3 + 2j)):
+            for k in (0, 1, 2):
+                terms = mellin_terms(data, theta, lam, k, J)
+                m = sum(abs(amp) * max(t ** -0.5, t ** -1.5) for t, amp in terms)
+                r = sum(abs(amp) * max(t ** (h - 1), t ** (-h - 1)) for t, amp in terms)
+                bound = (0.62 * m * 2 ** 5 * h ** 4 / (3 * (1 - 4 * h ** 2))
+                         + 8 / 3 * (len(terms) + 2 * math.log2(J) + 12) * 2.0 ** -52 * r)
+                direct = log_zeta_k(data, theta, lam, k, J).value
+                assert abs(reference_mellin(data, theta, lam, k, J) - direct) <= bound
+                assert bound < 1e-12 * max(1.0, abs(direct))
+                assert bits(mellin_log_zeta(data, theta, lam, k, J)) == bits(direct)
     assert mellin_log_zeta(DATA, 0.0, 2.0, 0, J=40) == pytest.approx(
         math.log(1 - math.exp(-2.0)), abs=1e-8)
 
@@ -288,8 +314,8 @@ def reference_log_zeta(data, theta, lam, k, J):
     return total, tail
 
 
-def reference_mellin(data, theta, lam, k, J):
-    reference_log_zeta(data, theta, lam, k, J)
+def mellin_terms(data, theta, lam, k, J):
+    """(t, amp) per orbit term of S(s) = sum amp t^(s-1), t = j l."""
     terms = []
     for rec, j in reference_terms(data, J):
         t = j * rec.length
@@ -297,6 +323,13 @@ def reference_mellin(data, theta, lam, k, J):
                * cmath.exp(-lam * t)
                * zeta._wedge_trace(rec, j, k) / abs(zeta._det_i_minus_p(rec, j)))
         terms.append((t, amp))
+    return terms
+
+
+def reference_mellin(data, theta, lam, k, J, h=1e-4):
+    """-d/ds [S(s)/Gamma(s)] at s = 0 by central differences at h and h/2
+    and one Richardson step: the finite-difference Mellin route."""
+    terms = mellin_terms(data, theta, lam, k, J)
 
     def f(s):
         return rgamma(s) * sum(amp * t ** (s - 1.0) for t, amp in terms)
@@ -304,7 +337,6 @@ def reference_mellin(data, theta, lam, k, J):
     def diff(step):
         return (f(step) - f(-step)) / (2 * step)
 
-    h = zeta.FD_STEP
     return -(4 * diff(h / 2) - diff(h)) / 3
 
 
@@ -335,12 +367,11 @@ def check_table_against_loop(data, thetas, lams, Js):
                         assert ev.truncation_error_bound == want[1]
                     if k == "full":
                         continue
-                    want = outcome(reference_mellin, data, theta, lam, k, J)
                     got = outcome(mellin_log_zeta, data, theta, lam, k, J)
                     if isinstance(want, type):
                         assert got is want, (J, theta, lam, k)
                     else:
-                        assert bits(got) == bits(want), (J, theta, lam, k)
+                        assert bits(got) == bits(ev.value), (J, theta, lam, k)
 
 
 POOL = [(2, 1, 1, 1), (3, 1, 2, 1), (3, 1, 1, 0), (4, 1, 1, 0)]
@@ -456,15 +487,14 @@ def test_term_table_caches_follow_any_call_order(monkeypatch):
     table = zeta._term_table(data, 40)
     for theta in thetas:
         for lam in lams:
-            for route in ("log", "mellin"):
-                got = table.amplitude(route, theta, lam)
-                want = zeta._TermTable(data, 40).amplitude(route, theta, lam)
-                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            got = table.amplitude(theta, lam)
+            want = zeta._TermTable(data, 40).amplitude(theta, lam)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_term_table_computes_each_value_once(monkeypatch):
-    # a k = 0, 1, 2, full sweep at one (theta, lambda) forms one amplitude per
-    # route; the Mellin powers, like the Poincare powers, are formed once per table
+    # a k = 0, 1, 2, full sweep at one (theta, lambda) forms one amplitude,
+    # which the Mellin route shares; the Poincare powers are formed once per table
     calls = Counter()
     exp_neg = zeta._exp_neg
 
@@ -491,9 +521,9 @@ def test_term_table_computes_each_value_once(monkeypatch):
                 log_zeta_k(data, theta, lam, k, J=40)
                 mellin_log_zeta(data, theta, lam, k, J=40)
         pows.append(calls["pow"])
-        assert calls["exp_neg"] == (2 if len(pows) < 3 else 0)
-    # two Poincare and four Mellin powers per term, all in the first sweep
-    assert pows == [6 * table.size, 0, 0]
+        assert calls["exp_neg"] == (1 if len(pows) < 3 else 0)
+    # two Poincare powers per term, all in the first sweep
+    assert pows == [2 * table.size, 0, 0]
 
 
 def test_term_table_cached_per_truncation():
@@ -516,3 +546,41 @@ def test_truncation_below_one_is_refused(route, J):
     with pytest.raises(ValidationError, match="J: truncation must be >= 1"):
         route(J)
     assert route(1) is not None
+
+
+# -- the cycle expansion ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 2, 1, 1), (5, 2, 2, 1)])
+def test_cycle_zeta_matches_closed_form(matrix):
+    # zeta_0 = 1 - e^(i theta) x keeps only |1 - e^(i theta)| of its relative
+    # accuracy near lambda = 0, so the bound scales by the inverse; the rest
+    # is a few ulps of the power sums and of the cancellation in
+    # a_2 = (c_1^2 - c_2) / 2, within 32 eps at these traces
+    aut = ToralAutomorphism(*matrix)
+    data = suspension_orbits(aut, 12)
+    for theta in (math.pi, 0.4, 1e-3):
+        bound = 32 * 2.0 ** -52 / abs(1 - cmath.exp(1j * theta))
+        for lam in (0.0, 1.5 + 0.5j, 4.0):
+            got = zeta.cycle_zeta(data, theta, lam)
+            want = closed_form_suspension(aut, theta, lam)
+            for name in ("zeta0", "zeta1", "zeta2"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert abs(g - w) <= bound * abs(w), (theta, lam, name)
+            assert got.alternating == got.zeta0 * got.zeta2 / got.zeta1
+            assert got.recurrence_residual <= 1e-13
+    # the power sums come from the one table of J = complete_to
+    assert sorted(data.term_tables) == [12]
+
+
+def test_cycle_zeta_refuses_what_it_cannot_expand(tmp_path):
+    # a loaded spectrum has no automorphism and no periods
+    path = tmp_path / "spectrum.txt"
+    write_orbit_spectrum(path, suspension_orbits(CAT, 6).records, theta=0.5)
+    with pytest.raises(ValidationError, match="aut"):
+        zeta.cycle_zeta(load_orbit_spectrum(path), 0.5, 0.0)
+    # below period 3 no recurrence row is left to certify the k = 1 factor
+    for top in (1, 2):
+        with pytest.raises(ValidationError, match="complete_to"):
+            zeta.cycle_zeta(suspension_orbits(CAT, top), 0.5, 0.0)
+    assert zeta.cycle_zeta(suspension_orbits(CAT, 3), 0.5, 0.0).recurrence_residual <= 1e-13
