@@ -23,19 +23,19 @@ same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
 vectors per differential, cut at the rank of the complex's spectral record),
 and random contractions take their ranks from that record.  A contraction
 reads its degree dimensions off the shapes of iota, validates itself once, on
-construction, and finds each kernel of iota_k and its orthogonal complement
-once; its validation, gauge and Lie operator all reuse those bases.  The
-unitary-normalised constructors (Hodge, random, suspension, homotopy
-families) build only iota and leave a = iota^dagger to
-``Contraction.unitary``.  A random contraction is drawn from Haar-random
-kernel splits and hands them over, so neither iota_k nor its kernel is
-factorised; the Hodge and Reeb contractions carry no split and keep one SVD
-of iota_k for the kernel and one of the kernel for the complement, and a
-homotopy family's stack takes those two SVDs once per degree for all its
-samples: the factorisations behind the Z and isotropy digits that ``bf``
-prints.  The SVDs of
-the restricted action blocks and of the isotropy cross pairing stay separate:
-they are the checks that the gauge-fixed side reproduces the torsion.
+construction, and carries its kernel splits: per degree the kernel of iota_k
+and its orthogonal complement, which its validation and gauge read.  The
+unitary-normalised constructors (Hodge, random, suspension, homotopy families)
+build only iota and leave a = iota^dagger to ``Contraction.unitary``.  A
+random contraction hands over the Haar-random splits it is drawn from, so
+neither iota_k nor its kernel is factorised; the Hodge and Reeb contractions
+find theirs on construction, by one SVD of iota_k for the kernel and one of
+the kernel for the complement, and a homotopy family's stack takes those two
+SVDs once per degree for all its samples: the factorisations behind the Z and
+isotropy digits that ``bf`` prints.  The restricted action blocks are
+L = iota d + d iota on ker iota (for a Reeb contraction, the zeta factors);
+their SVDs and that of the isotropy cross pairing stay separate: they are the
+checks that the gauge-fixed side reproduces the torsion.
 
 Stacked scans: every map of a contraction may carry one leading sample axis,
 and the contraction, its gauge, ``partition_function`` and the isotropy
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,9 +279,8 @@ class Contraction:
     validation checks iota o a = id on ker iota, so the normalisation
     sdet(iota o a) = 1 holds for every valid instance.  A
     contraction validates itself once, on construction, and raises
-    DegenerateContractionError when invalid.  It owns both families and marks
-    their arrays read-only, so the kernel and complement bases, found once,
-    cannot go stale.
+    DegenerateContractionError when invalid.  It owns both families and its
+    splits and marks their arrays read-only, so the splits cannot go stale.
 
     Every map may carry one leading sample axis of a common length: the
     contraction is then a stack of members (a homotopy family at several
@@ -290,12 +289,10 @@ class Contraction:
     member whose rank differs from the first one's, or that fails
     validation, raises with its index as ``member``.
 
-    ``splits``, when given, holds per degree an orthonormal pair (K^k, P^k)
-    with K^k spanning ker(iota_k) and P^k its orthogonal complement, on which
-    iota_k must be isometric; validation checks this with matrix products and
-    the bases are used as given.  Without it, ker(iota_k) comes from one SVD of
-    iota_k and its complement from one SVD of that kernel basis, each on first
-    use (no SVD where the kernel is all of C^k or empty).
+    ``splits`` holds per degree an orthonormal pair (K^k, P^k) with K^k
+    spanning ker(iota_k) and P^k its orthogonal complement, on which iota_k
+    must be isometric.  A given split is checked with matrix products and used
+    as given; without one, construction finds each by ``_split``.
     """
 
     iota: Sequence[np.ndarray]
@@ -305,13 +302,9 @@ class Contraction:
     def __post_init__(self):
         self.iota = tuple(read_only(np.asarray(m)) for m in self.iota)
         self.a_maps = tuple(read_only(np.asarray(m)) for m in self.a_maps)
-        self._kernels: Dict[int, np.ndarray] = {}
-        self._complements: Dict[int, np.ndarray] = {}
         if self.splits is not None:
             self.splits = tuple((read_only(np.asarray(ker)), read_only(np.asarray(perp)))
                                 for ker, perp in self.splits)
-            self._kernels.update(enumerate(ker for ker, _ in self.splits))
-            self._complements.update(enumerate(perp for _, perp in self.splits))
         self._validate()
 
     @classmethod
@@ -345,10 +338,12 @@ class Contraction:
         for k in range(1, n):
             _refuse(_norm(self.iota[k] @ self.iota[k + 1]) > tol * scale ** 2,
                     f"iota^2 != 0 at degree {k + 1}")
-        if self.splits is not None:
+        if self.splits is None:
+            self.splits = tuple(self._split(k) for k in range(n + 1))
+        else:
             self._check_splits(tol, scale)
         for k in range(n):
-            ker = self.kernel_basis(k)
+            ker = self.splits[k][0]
             if ker.shape[-1] == 0:
                 continue
             err = _norm(self.iota[k + 1] @ (self.a_maps[k] @ ker) - ker)
@@ -378,33 +373,26 @@ class Contraction:
         d = self.dims[k]
         return np.broadcast_to(np.eye(d), self.sample_shape + (d, d))
 
-    def kernel_basis(self, k: int) -> np.ndarray:
-        """Orthonormal basis of ker(iota_k) in C^k."""
-        if k not in self._kernels:
-            m = self.iota[k]
-            if m.shape[-2] == 0:
-                ker = self._identity(k)
-            else:
-                _, s, vh = np.linalg.svd(m, full_matrices=True)
-                ranks = nonzero_mask(s).sum(axis=-1)
-                rank = int(np.ravel(ranks)[0])
-                _refuse(ranks != rank, f"rank of iota changes across the stack at degree {k}")
-                ker = _adjoint(vh[..., rank:, :])
-            self._kernels[k] = read_only(ker)
-        return self._kernels[k]
-
-    def complement_basis(self, k: int) -> np.ndarray:
-        """Orthonormal basis of the orthogonal complement of ker(iota_k)."""
-        if k not in self._complements:
-            ker = self.kernel_basis(k)
-            if ker.shape[-1] == 0:
-                perp = self._identity(k)
-            elif ker.shape[-1] == self.dims[k]:
-                perp = ker[..., :0]
-            else:
-                perp = np.linalg.svd(ker, full_matrices=True)[0][..., ker.shape[-1]:]
-            self._complements[k] = read_only(perp)
-        return self._complements[k]
+    def _split(self, k: int) -> Split:
+        """(orthonormal basis of ker(iota_k), of its orthogonal complement):
+        the kernel from one SVD of iota_k, the complement from one SVD of that
+        kernel basis, with no SVD where the kernel is all of C^k or empty."""
+        m = self.iota[k]
+        if m.shape[-2] == 0:
+            ker = self._identity(k)
+        else:
+            _, s, vh = np.linalg.svd(m, full_matrices=True)
+            ranks = nonzero_mask(s).sum(axis=-1)
+            rank = int(np.ravel(ranks)[0])
+            _refuse(ranks != rank, f"rank of iota changes across the stack at degree {k}")
+            ker = _adjoint(vh[..., rank:, :])
+        if ker.shape[-1] == 0:
+            perp = self._identity(k)
+        elif ker.shape[-1] == self.dims[k]:
+            perp = ker[..., :0]
+        else:
+            perp = np.linalg.svd(ker, full_matrices=True)[0][..., ker.shape[-1]:]
+        return read_only(ker), read_only(perp)
 
 
 def hodge_contraction(tc: TwistedComplex) -> Contraction:
@@ -468,9 +456,8 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
     if c.dims != fs.dims:
         raise DegenerateContractionError(
             f"contraction dims {c.dims} do not match the field space {fs.dims}")
-    degrees = range(fs.n + 1)
-    return _lagrangian("contraction", [c.kernel_basis(k) for k in degrees],
-                       [c.complement_basis(k) for k in degrees], c.a_maps, lambda a, b: 1.0)
+    kernels, perps = zip(*c.splits)
+    return _lagrangian("contraction", kernels, perps, c.a_maps, lambda a, b: 1.0)
 
 
 @dataclass
@@ -582,20 +569,11 @@ def partition_function(fs: BFFieldSpace, gs: GaugeSubspace) -> float:
     Exponent signs follow the shifted parities: the (A_k, B_(k+1)) pair is
     odd exactly when k is even.  Metric gauge: equals the analytic torsion of
     the base.  Contraction gauge: equals |sdet(L restricted to ker iota)| with
-    L = iota d + d iota.  A stacked contraction gauge gives one Z per member.
+    L = iota d + d iota, whose degree-k block is restricted_action_blocks[k]
+    for a unitary-normalised contraction.  A stacked contraction gauge gives
+    one Z per member.
     """
     return _fixed_action(fs, gs)[0]
-
-
-def lie_operator_on_kernel(fs: BFFieldSpace, c: Contraction, k: int) -> np.ndarray:
-    """L = iota d + d iota compressed to ker(iota) in degree k."""
-    base = fs.base
-    ker = c.kernel_basis(k)
-    if k < fs.n:
-        ld = c.iota[k + 1] @ (base.diffs[k] @ ker)
-    else:
-        ld = np.zeros((base.dims[k], ker.shape[1]))
-    return ker.conj().T @ ld
 
 
 # -- homotopy scans -------------------------------------------------------------
@@ -710,8 +688,8 @@ def unitary_contraction_family(tc: TwistedComplex, base: Contraction,
     The family takes a float t, giving one contraction, or a 1-D array of
     them, giving the stacked contraction of all members: per degree one
     stacked ``expm`` and stacked products, each member bit-identical to the
-    contraction at its own t.  Members carry no kernel split, so each keeps
-    its SVD of iota_k; the stack takes that SVD once per degree.
+    contraction at its own t.  Members are given no kernel split, so each
+    finds its own by SVD; the stack takes those SVDs once per degree.
     """
     gens = []
     for d in tc.dims:

@@ -13,7 +13,8 @@ the flag and ``load_config_file`` to the option's line in a key=value file
 and no environment variables are consulted.  A subcommand accepts, as flags
 and as config keys, only the options ``_COMMANDS`` declares it reads; with
 --input none of those the input file replaces (``_REPLACED_BY_INPUT``), and
-without it no model option the chosen --model ignores (``_MODEL_READS``).
+without it no model option the chosen --model ignores (``_MODELS``, which
+also builds each model).
 Numbers print with 17 significant digits; identical configuration gives
 byte-identical standard output (timing goes to stderr).
 
@@ -113,6 +114,19 @@ def _criteria(text):
             f"must be comma-separated indices in 1..{count}, got {text!r}")
 
 
+# Each --model: (the function building its complex from the configuration,
+# the model options it reads).  Without --input, giving another model option
+# is a usage error, since the model would ignore it.
+_MAPPING_TORUS = (lambda cfg: complexes.mapping_torus_complex(cfg.a_matrix, cfg.theta),
+                  ("a_matrix", "theta"))
+_MODELS = {
+    "circle": (lambda cfg: complexes.circle_complex(cfg.theta), ("theta",)),
+    "torus": (lambda cfg: complexes.torus_complex(cfg.alpha, cfg.beta), ("alpha", "beta")),
+    "cat": _MAPPING_TORUS,
+    "mapping-torus": _MAPPING_TORUS,
+}
+
+
 class Option(NamedTuple):
     """One option: its flag, its default and the function parsing its text."""
     flag: str
@@ -125,8 +139,7 @@ class Option(NamedTuple):
 # The subcommand and --config are not options: a config file cannot set them.
 OPTIONS = {
     "input": Option("--input", None, str, "input file (complex or orbit spectrum)"),
-    "model": Option("--model", "cat",
-                    _choice(("circle", "torus", "cat", "mapping-torus")),
+    "model": Option("--model", "cat", _choice(tuple(_MODELS)),
                     "circle, torus, cat or mapping-torus"),
     "a_matrix": Option("--A", ((2, 1), (1, 1)), _matrix,
                        "integer matrix a11,a12,a21,a22"),
@@ -176,11 +189,7 @@ def _load_model(cfg: argparse.Namespace):
     if cfg.input:
         cc, rep, grams = complexes.read_complex_file(cfg.input)
         return complexes.build_twisted_complex(cc, rep, grams=grams)
-    if cfg.model == "circle":
-        return complexes.circle_complex(cfg.theta)
-    if cfg.model == "torus":
-        return complexes.torus_complex(cfg.alpha, cfg.beta)
-    return complexes.mapping_torus_complex(cfg.a_matrix, cfg.theta)
+    return _MODELS[cfg.model][0](cfg)
 
 
 def _emit(lines: List[str], cfg: argparse.Namespace):
@@ -352,16 +361,6 @@ _REPLACED_BY_INPUT = {
 }
 
 
-# The model options each --model reads; without --input, giving another one
-# is a usage error, since the model would ignore it.
-_MODEL_READS = {
-    "circle": ("theta",),
-    "torus": ("alpha", "beta"),
-    "cat": ("a_matrix", "theta"),
-    "mapping-torus": ("a_matrix", "theta"),
-}
-
-
 @functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it as it
@@ -403,7 +402,7 @@ def make_config(args: argparse.Namespace) -> argparse.Namespace:
             raise CLIUsageError(f"{args.command} --input reads no {clash}: "
                                 "the input file replaces them")
     elif "model" in cfg:
-        unread = named(key for key in MODEL[2:] if key not in _MODEL_READS[cfg["model"]])
+        unread = named(key for key in MODEL[2:] if key not in _MODELS[cfg["model"]][1])
         if unread:
             raise CLIUsageError(f"{args.command} --model {cfg['model']} reads no {unread}")
     return argparse.Namespace(**cfg)

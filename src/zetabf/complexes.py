@@ -17,8 +17,9 @@ A complex with Gram matrices is stored in its isometric presentation
 G^(1/2) d G^(-1/2), the only way torsion and the partition functions see the
 metric, so every consumer reads identity inner products.  Each complex
 factorises its stored differentials once, into a ``SpectralRecord``: the
-values-only singular values and numerical rank of every d_k, and the
-eigenvalues of every Laplacian.  Ranks, Betti numbers, acyclicity, the
+rank and coexact log det of every d_k, from its values-only SVD, and the log
+det of every Laplacian, from its eigenvalues, each log det read off the kept
+values by ``_kept_log``.  Ranks, Betti numbers, acyclicity, the
 coexact log dets, the Laplacian torsion route, the expected ranks of the
 Schwarz blocks and relation (3) all read it.  The record never mixes routes:
 the Laplacian route reads Laplacian eigenvalues, the coexact route the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -142,7 +143,6 @@ class CellComplex:
     counts: Tuple[int, ...]
     coboundaries: Tuple[Tuple[Tuple[Entry, ...], ...], ...]
     generators: Tuple[str, ...]
-    generator_labels: Dict[int, str] = field(default_factory=dict)
     relators: Tuple[Word, ...] = ()
     name: str = ""
     self_dual: bool = False
@@ -225,24 +225,27 @@ def character_rep(assignments: Dict[str, complex]) -> UnitaryRep:
 class SpectralRecord:
     """Factorisations of a complex's stored differentials, computed once.
 
-    Per differential d_k: ``singular_values[k]`` from the values-only SVD,
-    ``ranks[k]`` the count above the rank cut and ``coexact_logdets[k]`` =
-    log det_flat(d_k* d_k), the sum of log sigma^2 over the kept values.  Per
-    degree k = 0..N: ``laplacian_eigenvalues[k]`` of Delta_k and
-    ``laplacian_logdets[k]`` = log det_flat(Delta_k).
+    Per differential d_k, from its values-only SVD: ``ranks[k]``, the count of
+    singular values above the rank cut, and ``coexact_logdets[k]`` =
+    log det_flat(d_k* d_k).  Per degree k = 0..N, from the eigenvalues of
+    Delta_k: ``laplacian_logdets[k]`` = log det_flat(Delta_k).
     """
 
-    singular_values: Tuple[np.ndarray, ...]
     ranks: Tuple[int, ...]
     coexact_logdets: Tuple[float, ...]
-    laplacian_eigenvalues: Tuple[np.ndarray, ...]
     laplacian_logdets: Tuple[float, ...]
 
 
-def _logdet_kept_sq(s: np.ndarray) -> Tuple[float, int]:
-    """Sum of log(sigma^2) over the singular values above the cut, plus their count."""
-    keep = nonzero_mask(s)
-    return float(2.0 * np.sum(np.log(s[keep]))), int(np.count_nonzero(keep))
+def _kept_log(x: np.ndarray) -> Tuple[float, int]:
+    """(sum of log x over the values of x above the rank cut, their count)."""
+    keep = nonzero_mask(x)
+    return float(np.sum(np.log(x[keep]))), int(np.count_nonzero(keep))
+
+
+def _logdet_nonzero_sq(matrix: np.ndarray) -> Tuple[float, int]:
+    """Sum of log(sigma^2) over nonzero singular values, plus their count."""
+    log_s, count = _kept_log(np.linalg.svd(matrix, compute_uv=False))
+    return 2.0 * log_s, count
 
 
 def _gram_root(g: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -333,18 +336,10 @@ class TwistedComplex:
     @cached_property
     def spectrum(self) -> SpectralRecord:
         """Spectral record of the stored differentials, computed on first use."""
-        svals, ranks, coexact = [], [], []
-        for d in self.diffs:
-            s = np.linalg.svd(d, compute_uv=False)
-            logdet, rank = _logdet_kept_sq(s)
-            svals.append(read_only(s))
-            ranks.append(rank)
-            coexact.append(logdet)
-        eigs = [read_only(np.linalg.eigvalsh(self.laplacian(k)))
-                for k in range(self.top_degree + 1)]
-        lap = [float(np.sum(np.log(w[nonzero_mask(w)]))) for w in eigs]
-        return SpectralRecord(tuple(svals), tuple(ranks), tuple(coexact),
-                              tuple(eigs), tuple(lap))
+        coexact, ranks = zip(*map(_logdet_nonzero_sq, self.diffs))
+        lap = tuple(_kept_log(np.linalg.eigvalsh(self.laplacian(k)))[0]
+                    for k in range(self.top_degree + 1))
+        return SpectralRecord(ranks, coexact, lap)
 
     @cached_property
     def hodge_bases(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
@@ -400,13 +395,6 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
 
 
 # -- spectral bookkeeping -----------------------------------------------------
-
-
-def _logdet_nonzero_sq(matrix: np.ndarray) -> Tuple[float, int]:
-    """Sum of log(sigma^2) over nonzero singular values, plus their count."""
-    if matrix.size == 0:
-        return 0.0, 0
-    return _logdet_kept_sq(np.linalg.svd(matrix, compute_uv=False))
 
 
 def torsion_routes(tc: TwistedComplex) -> Tuple[float, float]:
@@ -465,31 +453,19 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     ranks = tc.spectrum.ranks
     d = tc.diffs
 
-    def dual(k):
-        """Differential of the dual tower Ĉ^(N-k-1) -> Ĉ^(N-k): transpose of d_k."""
-        return d[k].T
-
     # T^2 = diag(d_1* d_1, dual twin); log det_flat and a rank check.
     t_sq = _block_diag(d[1].conj().T @ d[1], np.conj(d[1]) @ d[1].T)
-    w = np.linalg.eigvalsh(t_sq)
-    keep = nonzero_mask(w)
-    if int(np.count_nonzero(keep)) != 2 * ranks[1]:
+    log_w, count = _kept_log(np.linalg.eigvalsh(t_sq))
+    if count != 2 * ranks[1]:
         raise DegenerateResolutionError("action block T^2 has unexpected rank")
-    log_z = -0.25 * float(np.sum(np.log(w[keep])))
+    log_z = -0.25 * log_w
 
-    # Ghost towers: T_1 = diag(d_0, d_2^T), T_k = d_(k+1)^T for k >= 2.
-    for k in range(1, n + 1):
-        if k == 1:
-            blocks = [d[0]]
-            if n >= 3:
-                blocks.append(dual(2))
-            t_k = _block_diag(*blocks)
-            expected = ranks[0] + (ranks[2] if n >= 3 else 0)
-        else:
-            if k + 1 > n - 1:
-                break
-            t_k = dual(k + 1)
-            expected = ranks[k + 1]
+    # Ghost towers (T_k, expected rank), the dual tower's differentials d^T:
+    # T_1 = diag(d_0, d_2^T) (d_2^T for N >= 3), T_k = d_(k+1)^T for 2 <= k <= N-2.
+    towers = [(_block_diag(d[0], d[2].T), ranks[0] + ranks[2]) if n >= 3
+              else (_block_diag(d[0]), ranks[0])]
+    towers += [(d[k + 1].T, ranks[k + 1]) for k in range(2, n - 1)]
+    for k, (t_k, expected) in enumerate(towers, start=1):
         ld, count = _logdet_nonzero_sq(t_k)
         if count != expected:
             raise DegenerateResolutionError(f"resolution block T_{k} has unexpected rank")
@@ -546,7 +522,6 @@ def circle_cell_complex() -> CellComplex:
         counts=(1, 1),
         coboundaries=(((entry,),),),
         generators=("g",),
-        generator_labels={0: "g"},
         name="circle",
     )
 
@@ -567,7 +542,6 @@ def torus_cell_complex() -> CellComplex:
         counts=(1, 2, 1),
         coboundaries=(d0, d1),
         generators=("a", "b"),
-        generator_labels={0: "a", 1: "b"},
         relators=(commutator,),
         name="torus",
     )
@@ -620,7 +594,6 @@ def mapping_torus_cell_complex(a_matrix) -> CellComplex:
         counts=(1, 3, 3, 1),
         coboundaries=(d0, d1, d2),
         generators=("a", "b", "t"),
-        generator_labels={0: "a", 1: "b", 2: "t"},
         relators=(commutator, r_a, r_b),
         name="mapping_torus",
     )
@@ -701,8 +674,6 @@ def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
              + (" self_dual=1" if cc.self_dual else "")]
     lines.append("counts " + " ".join(str(c) for c in cc.counts))
     lines.append("generators " + " ".join(cc.generators))
-    for idx in sorted(cc.generator_labels):
-        lines.append(f"label {idx}:{cc.generator_labels[idx]}")
     for word in cc.relators:
         lines.append("relator " + _word_to_str(word, cc.generators))
     for k, block in enumerate(cc.coboundaries):
@@ -799,7 +770,6 @@ def read_complex_file(path):
     self_dual = False
     counts: Optional[Tuple[int, ...]] = None
     generators: List[str] = []
-    labels: Dict[int, str] = {}
     relator_words: List[str] = []
     boundary_rows: Dict[int, List[str]] = {}
     rep_rows: Dict[str, List[str]] = {}
@@ -835,11 +805,11 @@ def read_complex_file(path):
         elif key == "generators":
             generators = list(fields[1:])
             section = None
-        elif key == "label":
-            idx, colon, name = _argument(fields, lineno).partition(":")
+        elif key == "label":        # checked, then ignored: generators names them
+            idx, colon, _ = _argument(fields, lineno).partition(":")
             if not colon:
                 raise ParseError(lineno, "label must read index:name")
-            labels[_integer(idx, lineno, "label index")] = name
+            _integer(idx, lineno, "label index")
             section = None
         elif key == "relator":
             relator_words.append(_argument(fields, lineno))
@@ -892,8 +862,8 @@ def read_complex_file(path):
 
     relators = tuple(_parse_word(w, gen_index, 0) for w in relator_words)
     cc = CellComplex(counts=counts, coboundaries=tuple(cobs),
-                     generators=tuple(generators), generator_labels=labels,
-                     relators=relators, name="file", self_dual=self_dual)
+                     generators=tuple(generators), relators=relators, name="file",
+                     self_dual=self_dual)
     try:
         rep = UnitaryRep(rank, images)
     except ValueError as exc:

@@ -42,6 +42,14 @@ class QuadratureFailureError(ZetaBFError):
         )
 
 
+class QuadratureBudgetError(ZetaBFError):
+    """The Mellin quadrature would need more nodes than its budget."""
+
+    def __init__(self, nodes, budget):
+        self.nodes, self.budget = nodes, budget
+        super().__init__(f"Mellin quadrature needs {nodes} nodes, over its budget of {budget}")
+
+
 class DeterminantRangeError(ZetaBFError):
     """The product of the nonzero eigenvalues leaves the normal double range."""
 

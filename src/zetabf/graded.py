@@ -48,6 +48,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (
     DeterminantRangeError,
     MellinDivergenceError,
+    QuadratureBudgetError,
     QuadratureFailureError,
     ShapeMismatchError,
     ValidationError,
@@ -71,6 +72,12 @@ _EXP_SINH_WEIGHTS.flags.writeable = False
 # (18 per panel) and of the estimate's (12 per panel).
 _PANEL_RULES = tuple(leggauss(k) for k in (18, 12))
 _SIGMA_T_END = 45.0
+
+# Most panel nodes (30 a panel) one Mellin evaluation may take; panels grow
+# like max |lambda| / min Re lambda.  Criterion 12 takes at most 1,140 nodes,
+# the test suite 37,530; diag(0.02+30j, 0.02-20j) + 0.01 [[0,1],[1,0]] would
+# take 375,030 (2.9 s on 2 vCPUs), and 3,750,000 at real part 2e-3.
+MELLIN_NODE_BUDGET = 10 ** 5
 
 
 @dataclass
@@ -165,7 +172,8 @@ def _mellin_rule(nonzero: np.ndarray):
     """(sigma, nodes t, dt/t weights): row 0 of the weights gives the value,
     row 1 the estimate.
 
-    Raises MellinDivergenceError for an eigenvalue off the right half-plane.
+    Raises MellinDivergenceError for an eigenvalue off the right half-plane,
+    and QuadratureBudgetError for panels of more than MELLIN_NODE_BUDGET nodes.
     """
     top = float(np.max(np.abs(nonzero), initial=0.0))
     for ev in nonzero:
@@ -177,7 +185,11 @@ def _mellin_rule(nonzero: np.ndarray):
 
     end = _SIGMA_T_END / sigma
     length = min(2.0 / sigma, 6.0 / top)
-    left = length * np.arange(int(np.ceil(end / length)))[:, None]
+    panels = int(np.ceil(end / length))
+    nodes = panels * sum(len(x) for x, _ in _PANEL_RULES)
+    if nodes > MELLIN_NODE_BUDGET:
+        raise QuadratureBudgetError(nodes, MELLIN_NODE_BUDGET)
+    left = length * np.arange(panels)[:, None]
     half = 0.5 * (np.minimum(left + length, end) - left)
     ts = [(left + half * (x + 1.0)).ravel() for x, _ in _PANEL_RULES]
     ws = [(half * w).ravel() / t for (_, w), t in zip(_PANEL_RULES, ts)]
@@ -191,7 +203,8 @@ def flat_det(matrix, lam: complex = 0.0, mode: str = "both") -> FlatDetResult:
 
     ``mode="spectral"`` returns the direct product only.  ``mode="both"``
     (default) also runs the Mellin route and checks that the two agree within
-    the quadrature error estimate, raising QuadratureFailureError otherwise.
+    the quadrature error estimate, raising QuadratureFailureError otherwise,
+    or QuadratureBudgetError where its panels would need too many nodes.
     A product that overflows or falls below the normal double range raises
     DeterminantRangeError; a non-finite entry raises ValidationError.
     """

@@ -24,8 +24,6 @@ from .errors import DegreeOverflowError, IndefiniteWeightError
 # monomial key: (evens, odds) with evens = ((var, exp), ...) and odds = (var, ...)
 Monomial = Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]
 
-_ZERO_TOL = 0.0   # exact pruning; cancellations of like terms are exact
-
 
 @dataclass(frozen=True)
 class DarbouxChart:
@@ -83,11 +81,9 @@ class PolyObservable:
 
     def __init__(self, chart: DarbouxChart, terms: Optional[Dict[Monomial, complex]] = None):
         self.chart = chart
-        self.terms: Dict[Monomial, complex] = {}
-        for key, coeff in (terms or {}).items():
-            if coeff != 0:
-                self.terms[key] = self.terms.get(key, 0.0) + coeff
-        self._prune()
+        # zero coefficients are dropped; 0.0 + coeff turns a -0.0 real part into +0.0
+        self.terms: Dict[Monomial, complex] = {
+            key: 0.0 + coeff for key, coeff in (terms or {}).items() if coeff != 0}
 
     # -- constructors --------------------------------------------------------
 
@@ -105,9 +101,6 @@ class PolyObservable:
         return cls(chart, {key: 1.0 + 0.0j})
 
     # -- bookkeeping ----------------------------------------------------------
-
-    def _prune(self):
-        self.terms = {k: v for k, v in self.terms.items() if v != _ZERO_TOL}
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -140,16 +140,15 @@ def count_fixed_points(aut: ToralAutomorphism, j: int) -> int:
 class OrbitRecord:
     """One group of primitive orbits sharing length, holonomy and linearisation.
 
-    ``winding`` is the homology winding in the suspension direction (equal to
-    the primitive period for suspension orbits); file-based records carry an
-    explicit holonomy instead, stored as a complex number.
+    ``period`` is the primitive period of a suspension orbit, its turns round
+    the suspension direction, so theta twists it by e^(i theta period);
+    file-based records carry an explicit holonomy instead, a complex number.
     """
 
     length: float
     count: int
     eig_expanding: float
     eig_contracting: float
-    winding: Optional[int] = None
     holonomy: Optional[complex] = None
     period: Optional[int] = None
 
@@ -176,8 +175,8 @@ class OrbitRecord:
             object.__setattr__(self, "holonomy", complex(self.holonomy))
         if self.holonomy is not None and abs(abs(self.holonomy) - 1.0) > 1e-9:
             raise ValidationError("holonomy", f"|holonomy| = {abs(self.holonomy)} != 1")
-        if self.holonomy is None and self.winding is None:
-            raise ValidationError("holonomy", "record needs a holonomy or a winding")
+        if self.holonomy is None and self.period is None:
+            raise ValidationError("holonomy", "record needs a holonomy or a period")
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,6 @@ def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[Orbit
             count=n_j,
             eig_expanding=mu ** j,
             eig_contracting=(aut.det / mu) ** j,
-            winding=j,
             period=j,
         ))
     return records
@@ -283,8 +281,8 @@ def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
                          theta: Optional[float] = None):
     """Canonical writer; rows sorted by (length, holonomy phase).
 
-    Suspension records carry a winding rather than a holonomy; pass ``theta``
-    to materialise it as e^(i*theta*winding).
+    Suspension records carry a period rather than a holonomy; pass ``theta``
+    to materialise it as e^(i*theta*period).
     """
     rows = []
     materialised = []
@@ -293,8 +291,8 @@ def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
         if h is None:
             if theta is None:
                 raise ValidationError("holonomy",
-                                      "winding-only record needs theta to be written")
-            h = complex(np.exp(1j * theta * r.winding))
+                                      "period-only record needs theta to be written")
+            h = complex(np.exp(1j * theta * r.period))
         materialised.append((r, h))
     for r, h in sorted(materialised, key=lambda p: (p[0].length, np.angle(p[1]))):
         rows.append(" ".join([

@@ -9,16 +9,16 @@ Euler product outside its half-plane.
 The orbit sums read one term table per (OrbitData, J), cached on the
 OrbitData: the record order and repetition cut-off, each term's record and
 repetition j, and per-record constants, with the holonomy powers of the last
-theta and the weights w_k = tr Lambda^k P^j / |det(I - P^j)| added per k on
-first use.  The table also keeps the amplitude of its last (theta, lambda), the
-part of a term that no k changes, -count hol^j e^(-lambda j l); a k = 0, 1,
-2, full sweep forms it once and applies only the weight and the divide per
-k.  The key is the exact bits of theta and of both parts of lambda, and
-whether lambda is a complex: a float lambda takes the real exponential path
-and a complex one with zero imaginary part the complex product, and the two
-amplitudes can differ in the signs of their zeros, as can those of imaginary
-parts +0.0 and -0.0.  The table is read in blocks of _BLOCK terms.  Its
-values are bit for bit those of a term-by-term Python loop:
+theta and, per k on first use, only the weights
+w_k = tr Lambda^k P^j / |det(I - P^j)|.  The table also keeps the amplitude of
+its last (theta, lambda), the part of a term that no k changes, -count hol^j
+e^(-lambda j l); a k = 0, 1, 2, full sweep forms it once and applies only the
+weight and the divide per k.  The key is the exact bits of theta and of both
+parts of lambda, and whether lambda is a complex: a float lambda takes the
+real exponential path and a complex one with zero imaginary part the complex
+product, and the two amplitudes can differ in the signs of their zeros, as can
+those of imaginary parts +0.0 and -0.0.  The table is read in blocks of _BLOCK
+terms.  Its values are bit for bit those of a term-by-term Python loop:
 
 * exp and pow are libm's, called once per term (math.exp, or cmath.exp when
   lambda has a nonzero imaginary part, and pow); numpy's vectorised exp and
@@ -82,8 +82,8 @@ class ZetaEvaluation:
 
 
 def _holonomy(rec: OrbitRecord, theta: float) -> complex:
-    if rec.winding is not None:
-        return cmath.exp(1j * theta * rec.winding)
+    if rec.holonomy is None:
+        return cmath.exp(1j * theta * rec.period)
     return rec.holonomy
 
 
@@ -106,8 +106,8 @@ def _det_i_minus_p(rec: OrbitRecord, j: int) -> float:
 
 
 def _suspension_tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
-    """Geometric tail bound over windings m > min(J, data.complete_to) for a
-    suspension list: windings above complete_to may miss primitive orbits.
+    """Geometric tail bound over total periods m > min(J, data.complete_to)
+    for a suspension list: periods above complete_to may miss primitive orbits.
 
     Uses |tr Lambda^k A^m| <= 2*mu^m for k = 1 (and <= 1 for k in {0,2}), and
     for the full zeta the crude orbit-count bound F(m) <= 4*mu^m.
@@ -279,7 +279,7 @@ class _TermTable:
     """The (record, repetition) terms of one truncation J as flat arrays.
 
     Records are sorted by (length, count); for suspension data the repetition
-    index is truncated by total winding j * period <= J, for ingested spectra
+    index is truncated by total period j * period <= J, for ingested spectra
     by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
     The holonomy powers are kept for the last theta and the amplitude for the
     last (theta, lambda), so a sweep holds one array pair; the Poincare
@@ -297,7 +297,7 @@ class _TermTable:
         self.neg_count = np.array([float(-r.count) for r in self.records])
         self._holonomy = (None, None)     # (theta key, powers)
         self._amplitude = (None, None)    # ((theta, lambda) key, amplitude)
-        self._degrees = {}
+        self._weights = {}
         self._poincare = None
 
     def blocks(self):
@@ -349,23 +349,22 @@ class _TermTable:
                                      self.j[s].tolist()), float, rec.size)
         return out
 
-    def degree(self, k: int):
-        """(tr Lambda^k P^j, |det(I - P^j)|, their quotient) per term; the
-        trace is the float 1.0 for k = 0, as it is term by term."""
-        hit = self._degrees.get(k)
+    def weight(self, k: int) -> np.ndarray:
+        """w_k = tr Lambda^k P^j / |det(I - P^j)| per term; the trace is the
+        float 1.0 for k = 0, as it is term by term."""
+        hit = self._weights.get(k)
         if hit is None:
             if self._poincare is None:
                 eu = self._poincare_powers("eig_expanding")
                 es = self._poincare_powers("eig_contracting")
                 self._poincare = (eu, es, np.abs((1.0 - eu) * (1.0 - es)))
             eu, es, abs_det = self._poincare
-            wedge = (1.0, eu + es, eu * es)[k]
-            hit = self._degrees[k] = (wedge, abs_det, wedge / abs_det)
+            hit = self._weights[k] = (1.0, eu + es, eu * es)[k] / abs_det
         return hit
 
     def log_zeta(self, theta: float, lam: complex, k: DegreeSpec) -> complex:
         """-sum (1/j) count hol^j e^(-lam j l) weight over the table."""
-        weight = 1.0 if k == "full" else self.degree(k)[2]
+        weight = 1.0 if k == "full" else self.weight(k)
         ar, ai = self.amplitude(theta, lam)
         total_re = total_im = 0.0
         for s, _, jf in self.blocks():
@@ -556,7 +555,7 @@ def cycle_zeta(data: OrbitData, theta: float, lam: complex) -> CycleZetas:
     x = cmath.exp(-lam * data.aut.roof)
     factors, residual = [], 0.0
     for k in range(rank + 1):
-        amp = unweighted * table.degree(k)[2]
+        amp = unweighted * table.weight(k)
         c = np.bincount(n, amp.real, top + 1) + 1j * np.bincount(n, amp.imag, top + 1)
         a = [1.0]
         for m in range(1, math.comb(rank, k) + 1):

@@ -19,7 +19,6 @@ from zetabf.bv import (
     hodge_contraction,
     homotopy_scan,
     is_lagrangian,
-    lie_operator_on_kernel,
     metric_gauge,
     partition_function,
     random_contraction,
@@ -171,7 +170,7 @@ def test_hodge_contraction_structure():
         assert np.linalg.norm(c.iota[k] @ c.iota[k + 1]) < 1e-12 * scale ** 2
     # iota o a = id on ker iota and L = iota d is positive there
     for k in range(tc.top_degree):
-        ker = c.kernel_basis(k)
+        ker = c.splits[k][0]
         if ker.shape[1] == 0:
             continue
         assert np.linalg.norm(c.iota[k + 1] @ (c.a_maps[k] @ ker) - ker) < 1e-12
@@ -231,7 +230,7 @@ def _skewed(fs, c):
     instead of the annihilator."""
     gs = contraction_gauge(fs, c)
     for k in range(fs.n + 1):
-        gs.b_bases[k] = np.conj(c.kernel_basis(k))
+        gs.b_bases[k] = np.conj(c.splits[k][0])
     return gs
 
 
@@ -359,8 +358,9 @@ def test_suspension_contraction_reproduces_zeta_blocks():
     tc = mapping_torus_complex(CAT, math.pi)
     fs = build_bf_fields(tc)
     c = suspension_contraction(tc)
-    dets = [abs(np.linalg.det(lie_operator_on_kernel(fs, c, k)))
-            for k in range(3)]
+    # the restricted action blocks are L = iota d + d iota on ker iota
+    dets = [abs(np.linalg.det(m))
+            for m in restricted_action_blocks(fs, contraction_gauge(fs, c))]
     zs = closed_form_suspension(ToralAutomorphism(2, 1, 1, 1), math.pi, 0.0)
     assert dets[0] == pytest.approx(abs(zs.zeta0), rel=1e-12)
     assert dets[1] == pytest.approx(abs(zs.zeta1), rel=1e-12)
@@ -472,14 +472,50 @@ def _log_det_condition(fs, gs):
     return total
 
 
+def _assert_found_splits_pass_checks(c):
+    """The splits that ``c`` found by SVD pass the product checks a given
+    split must pass, at the same tolerances: [K P] orthonormal, iota K = 0 and
+    iota isometric on P; and ``c``'s maps accept them as given splits."""
+    tol = 1e-12
+
+    def norm(m):
+        return np.linalg.norm(m, axis=(-2, -1))
+
+    scale = np.maximum.reduce([np.ones(c.sample_shape)] + [norm(m) for m in c.iota])
+    assert len(c.splits) == len(c.iota)
+    for (ker, perp), m in zip(c.splits, c.iota):
+        d = m.shape[-1]
+        q = np.concatenate([ker, perp], axis=-1)
+        assert np.all(norm(q.conj().swapaxes(-1, -2) @ q - np.eye(d)) <= tol * max(1.0, d))
+        assert np.all(norm(m @ ker) <= tol * scale)
+        image = m @ perp
+        gram = image.conj().swapaxes(-1, -2) @ image
+        assert np.all(norm(gram - np.eye(perp.shape[-1])) <= tol * scale ** 2)
+    Contraction(c.iota, c.a_maps, c.splits)
+
+
+def test_found_splits_pass_the_given_split_checks():
+    rng = np.random.default_rng(17)
+    for tc in (mapping_torus_complex(CAT, math.pi), mapping_torus_complex(CAT, 0.3),
+               random_twisted_complex(rng, top_degree=4, max_cells=4, rank=2)):
+        hodge = hodge_contraction(tc)
+        _assert_found_splits_pass_checks(hodge)
+        _assert_found_splits_pass_checks(Contraction.unitary(random_contraction(tc, rng).iota))
+        fam = unitary_contraction_family(tc, hodge, rng)
+        stack = fam(np.linspace(0.0, 1.0, 10))
+        assert stack.sample_shape == (10,)
+        _assert_found_splits_pass_checks(stack)
+        if tc.suspension is not None:
+            _assert_found_splits_pass_checks(suspension_contraction(tc))
+
+
 def _split_matches_svd_path(tc, c):
     """Kernel and complement projectors and Z of a random contraction against
     the same iota factorised by SVD, Z within the rounding of both gauges."""
     by_svd = Contraction.unitary(c.iota)
-    assert by_svd.splits is None
-    for k in range(tc.top_degree + 1):
-        for basis in (Contraction.kernel_basis, Contraction.complement_basis):
-            given, found = basis(c, k), basis(by_svd, k)
+    _assert_found_splits_pass_checks(by_svd)
+    for pairs in zip(c.splits, by_svd.splits):
+        for given, found in zip(*pairs):
             assert given.shape == found.shape
             assert np.linalg.norm(given @ given.conj().T - found @ found.conj().T) < 1e-12
     fs = build_bf_fields(tc)
@@ -517,11 +553,15 @@ def test_split_contraction_gauge_takes_no_svd(monkeypatch):
     gs = contraction_gauge(fs, random_contraction(tc, rng))
     assert calls == []
     assert is_lagrangian(fs, gs).ok
-    # without a split, a kernel that fills C^0 still gets its complement free
-    hodge = hodge_contraction(tc)
+    # without a split, two SVDs per degree find it: none in degree 0, whose
+    # kernel fills C^0, and no complement SVD in the top degree, whose kernel
+    # is empty
+    tc.hodge_bases                        # the Hodge iota's own SVDs
     calls.clear()
-    assert hodge.complement_basis(0).shape == (tc.dims[0], 0)
-    assert calls == []
+    hodge = hodge_contraction(tc)
+    assert hodge.splits[0][1].shape == (tc.dims[0], 0)
+    assert hodge.splits[-1][0].shape == (tc.dims[-1], 0)
+    assert len(calls) == 2 * tc.top_degree - 1
 
 
 def test_gauge_independence_random():
@@ -654,8 +694,8 @@ def test_stacked_contraction_is_its_members():
         assert single.sample_shape == ()
         for k in range(fs.n + 1):
             assert np.array_equal(stacked.iota[k][i], single.iota[k])
-            assert np.array_equal(stacked.kernel_basis(k)[i], single.kernel_basis(k))
-            assert np.array_equal(stacked.complement_basis(k)[i], single.complement_basis(k))
+            for found, alone in zip(stacked.splits[k], single.splits[k]):
+                assert np.array_equal(found[i], alone)
         assert zs[i].hex() == partition_function(fs, contraction_gauge(fs, single)).hex()
     # explicit a_maps and kernel splits stack too
     draws = [random_contraction(tc, rng) for _ in range(2)]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +298,22 @@ def test_complex_file_roundtrip_bit_exact(tmp_path):
     tc1 = build_twisted_complex(cc, rep)
     tc2 = build_twisted_complex(cc2, rep2)
     for d1, d2 in zip(tc1.diffs, tc2.diffs):
+        assert np.array_equal(d1, d2)
+
+
+def test_complex_file_label_lines_are_checked_and_dropped(tmp_path):
+    # the generators line names the generators; label lines only repeat it
+    golden = Path(__file__).parent / "golden" / "cat_gram.cplx"
+    cc, rep, grams = read_complex_file(golden)
+    path = tmp_path / "cat_gram.cplx"
+    write_complex_file(path, cc, rep, grams)
+    lines = golden.read_text().splitlines()
+    assert any(line.startswith("label ") for line in lines)
+    assert path.read_text().splitlines() == [line for line in lines
+                                             if not line.startswith("label ")]
+    tc1 = build_twisted_complex(cc, rep, grams=grams)
+    tc2 = build_twisted_complex(*read_complex_file(path))
+    for d1, d2 in zip(tc1.diffs, tc2.diffs, strict=True):
         assert np.array_equal(d1, d2)
 
 

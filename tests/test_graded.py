@@ -12,6 +12,7 @@ from zetabf import graded, verification
 from zetabf.errors import (
     DeterminantRangeError,
     MellinDivergenceError,
+    QuadratureBudgetError,
     ValidationError,
 )
 from zetabf.graded import flat_det
@@ -29,6 +30,16 @@ def test_flat_det_ordinary_determinant():
     assert r.kernel_dim == 0
     assert abs(r.mellin_value - r.value) <= max(r.quadrature_error_estimate,
                                                 1e-6 * abs(r.value))
+
+
+def test_flat_det_refuses_a_mellin_rule_over_budget():
+    # an oscillatory spectrum close to the imaginary axis: 12,501 panels
+    a = np.diag([0.02 + 30j, 0.02 - 20j]) + 0.01 * np.array([[0, 1], [1, 0]])
+    with pytest.raises(QuadratureBudgetError) as err:
+        flat_det(a)
+    assert err.value.nodes == 375_030 > err.value.budget == graded.MELLIN_NODE_BUDGET
+    value = flat_det(a, mode="spectral").value
+    assert value == pytest.approx(np.linalg.det(a), rel=1e-12)
 
 
 def test_flat_det_kernel_excluded():

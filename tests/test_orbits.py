@@ -185,6 +185,14 @@ def test_orbit_record_validation():
                     eig_contracting=0.7, holonomy=1.0)
 
 
+def test_orbit_record_needs_a_holonomy_or_a_period():
+    with pytest.raises(ValidationError) as err:
+        OrbitRecord(length=1.0, count=1, eig_expanding=2.0, eig_contracting=0.5)
+    assert err.value.field == "holonomy"
+    for given in ({"holonomy": 1.0}, {"period": 1}):
+        OrbitRecord(length=1.0, count=1, eig_expanding=2.0, eig_contracting=0.5, **given)
+
+
 @pytest.mark.parametrize("eigs", [(1 / 1.5, 1.5), (1.0, 1.0), (-1.0, -1.0)],
                          ids=["swapped", "unit", "minus_unit"])
 def test_non_hyperbolic_poincare_eigenvalues_rejected(tmp_path, eigs):
@@ -275,7 +283,8 @@ def test_suspension_orbits_metadata():
     data = suspension_orbits(CAT, 10)
     assert data.is_suspension
     assert data.complete_to == 10
-    assert all(r.winding == r.period for r in data.records)
+    # a suspension record carries its period, which twists it, and no holonomy
+    assert all(r.holonomy is None and r.length == r.period for r in data.records)
 
 
 def test_suspension_data_needs_complete_to():

@@ -398,7 +398,7 @@ def test_term_table_matches_loop_on_loaded_spectra(tmp_path, matrix):
     check_table_against_loop(load_orbit_spectrum(path), (0.0, 1.0), LAMS, (12, 40, 64, 130))
 
 
-# real holonomies are stored as complex numbers; windings twist with theta;
+# real holonomies are stored as complex numbers; periods twist with theta;
 # the short records keep repetitions above 100 significant in the sum
 HAND_RECORDS = (
     OrbitRecord(length=1.7, count=3, eig_expanding=-3.0, eig_contracting=-1 / 3.0,
@@ -406,7 +406,7 @@ HAND_RECORDS = (
     OrbitRecord(length=0.9, count=2, eig_expanding=2.5, eig_contracting=0.4,
                 holonomy=0.6 - 0.8j),
     OrbitRecord(length=2.2, count=1, eig_expanding=1.5, eig_contracting=1 / 1.5,
-                winding=3),
+                period=3),
     OrbitRecord(length=0.004, count=2, eig_expanding=1.004, eig_contracting=1 / 1.004,
                 holonomy=cmath.exp(0.3j)),
     OrbitRecord(length=0.005, count=1, eig_expanding=1.003, eig_contracting=1 / 1.003,
