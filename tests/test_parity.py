@@ -6,6 +6,12 @@ criteria read only through a tolerance, and compares, per group, the count
 and the SHA-256 of the float.hex values with ``golden/parity.txt``.  A change
 meant to be bit for bit must leave every line of that file as it is.
 
+The ``flat_trace``, ``loaded_spectrum`` and ``poincare`` groups cover the
+flat-trace pairing, a written-then-loaded suspension spectrum and the exact
+Poincare data; they were generated at commit 5599507, before the Poincare
+weight, the suspension holonomy and the trace of A^j were each reduced to one
+definition, and that change left them as they were.
+
 Regenerate the file (only for a change meant to move digits) with
 
     PYTHONPATH=src python tests/test_parity.py > tests/golden/parity.txt
@@ -14,6 +20,7 @@ Regenerate the file (only for a change meant to move digits) with
 import hashlib
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +39,10 @@ GOLDEN = Path(__file__).parent / "golden" / "parity.txt"
 # criterion 5's (A, theta) pairs
 CYCLE_CASES = ((CAT_MAP, math.pi), (CAT_MAP, 2.0), (CAT_MAP, 0.3),
                (((3, 2), (1, 1)), 0.7), (((5, 2), (2, 1)), 1.1))
+
+# flat-trace test functions, inside criterion 4's complete periods
+BUMPS = (zeta.BumpSpec(2.0, 0.1), zeta.BumpSpec(5.0, 0.5),
+         zeta.BumpSpec(7.3, 0.8), zeta.BumpSpec(12.0, 1.5))
 
 
 def _hexes(values):
@@ -59,7 +70,8 @@ def _gauge_values(fs, gs, groups):
 def parity_groups():
     """Group name -> the numbers of that group, in a fixed order."""
     groups = {name: [] for name in ("torsion_routes", "schwarz", "det_relations", "Z",
-                                    "is_lagrangian", "scan", "log_zeta_k", "cycle_zeta")}
+                                    "is_lagrangian", "scan", "log_zeta_k", "cycle_zeta",
+                                    "flat_trace", "loaded_spectrum", "poincare")}
     tori = _mapping_tori()
 
     # criteria 6 and 7: torsion routes, Schwarz and the determinant relations
@@ -118,6 +130,31 @@ def parity_groups():
         groups["cycle_zeta"] += [c.zeta0, c.zeta1, c.zeta2, c.alternating,
                                  c.recurrence_residual,
                                  zeta.zeta_value_at_zero(cyc, theta)]
+
+    # the flat-trace pairing on criterion 4's spectrum
+    for theta in (0.0, math.pi / 2, math.pi):
+        for bump in BUMPS:
+            for k in (0, 1, 2):
+                groups["flat_trace"].append(zeta.flat_trace_pairing(data, theta, k, bump))
+
+    # criterion 4's records written at theta = pi/2 and loaded back; J stays
+    # below the repetition count at which the Poincare powers overflow
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spectrum.txt"
+        orbits.write_orbit_spectrum(path, data.records, theta=math.pi / 2)
+        loaded = orbits.load_orbit_spectrum(path)
+    for J in (8, 16):
+        for lam in (3.0, 3.5 + 1j):
+            evs = [zeta.log_zeta_k(loaded, 0.0, lam, k, J) for k in (0, 1, 2)]
+            for ev in evs + [zeta.log_zeta_full(loaded, 0.0, lam, J)]:
+                groups["loaded_spectrum"] += [ev.value, ev.truncation_error_bound]
+
+    # exact Poincare data
+    for matrix in ((2, 1, 1, 1), (3, 1, 2, 1)):
+        poincare_aut = orbits.ToralAutomorphism(*matrix)
+        for j in range(13):
+            for k in (0, 1, 2):
+                groups["poincare"] += orbits.poincare_data(poincare_aut, j, k)
     return groups
 
 
