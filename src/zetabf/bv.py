@@ -30,9 +30,10 @@ build only iota and leave a = iota^dagger to ``Contraction.unitary``.  A
 random contraction hands over the Haar-random splits it is drawn from, so
 neither iota_k nor its kernel is factorised; the Hodge and Reeb contractions
 find theirs on construction, by one SVD of iota_k for the kernel and one of
-the kernel for the complement, and a homotopy family's stack takes those two
-SVDs once per degree for all its samples: the factorisations behind the Z and
-isotropy digits that ``bf`` prints.  The restricted action blocks are
+the kernel for the complement.  A homotopy family rotates the Hodge iota
+(``_hodge_iota``) without building the Hodge contraction, and its stack takes
+those two SVDs once per degree for all its samples: the factorisations behind
+the Z and isotropy digits that ``bf`` prints.  The restricted action blocks are
 L = iota d + d iota on ker iota (for a Reeb contraction, the zeta factors);
 their SVDs and that of the isotropy cross pairing stay separate: they are the
 checks that the gauge-fixed side reproduces the torsion.
@@ -48,15 +49,12 @@ are those of its own single contraction, bit for bit.
 
 Fields may be stacked: a ``BFField`` whose slot components are d_k x N
 matrices holds N fields as columns, and ``omega`` of two stacked fields is the
-matrix of their pairings.  A gauge basis column lives in one slot only, so
-``is_lagrangian`` forms its cross-pairing Gram matrix from the slot-diagonal
-blocks alone: per slot, the B columns of one side against the A columns of
-the other, through the same slot term as ``omega`` and written into a zero
-matrix.  Every off-slot term of ``omega`` is an exact zero, so the Gram matrix
-is bit-identical to stacked ``omega`` calls.  The isotropy of a side, in
-``is_lagrangian`` and in the scan, is one helper, ``_isotropy``: the largest
-modulus of the per-slot blocks, the only nonzero part of the upper triangle of
-that side's Gram matrix, which is never formed.
+matrix of their pairings.  ``is_lagrangian`` stacks each side's basis columns
+as one field, each column zero outside its own slot, and takes its cross
+Gram matrix from ``omega``, the one statement of the pairing.  The isotropy
+of a side, in ``is_lagrangian`` and in the scan, is one helper,
+``_isotropy``: the largest modulus of the per-slot blocks, the only nonzero
+part of the upper triangle of that side's Gram matrix, which is never formed.
 """
 
 from __future__ import annotations
@@ -119,8 +117,8 @@ class BFFieldSpace:
         return total
 
     def omega(self, v: BFField, w: BFField):
-        """Odd symplectic pairing; sign convention fixed once, in
-        ``_slot_pairings``.
+        """Odd symplectic pairing, the package's one statement of its sign
+        convention.
 
         Omega(v, w) = sum_k [ v.b_k(w.a_k) - (-1)^(p_k) w.b_k(v.a_k) ] with
         p_k the parity of the degree-k A slot.  For fields stacked as N and M
@@ -129,14 +127,9 @@ class BFFieldSpace:
         """
         total = 0.0 + 0.0j
         for k in range(self.n + 1):
-            ba, ab = self._slot_pairings(k, v.a[k], v.b[k], w.a[k], w.b[k])
-            total += ba + ab
+            sign = -1.0 if self.a_parity(k) == 0 else 1.0
+            total += _dots(v.b[k], w.a[k]) + sign * _dots(w.b[k], v.a[k]).T
         return total
-
-    def _slot_pairings(self, k: int, v_a, v_b, w_a, w_b):
-        """The two summands of slot k in Omega(v, w), from its components."""
-        sign = -1.0 if self.a_parity(k) == 0 else 1.0
-        return _dots(v_b, w_a), sign * _dots(w_b, v_a).T
 
 
 def _dots(x: np.ndarray, y: np.ndarray):
@@ -395,15 +388,21 @@ class Contraction:
         return read_only(ker), read_only(perp)
 
 
-def hodge_contraction(tc: TwistedComplex) -> Contraction:
-    """Polar-isometry contraction: iota_(k+1) is the adjoint of the partial
-    isometry part of d_k (initial space coexact, final space exact)."""
+def _hodge_iota(tc: TwistedComplex) -> List[np.ndarray]:
+    """The maps iota_k of ``hodge_contraction``, from the complex's
+    ``hodge_bases``; no contraction is built or validated."""
     tc.require_acyclic()
     iota = [np.zeros((0, tc.dims[0]))]
     for e_next, c_here in tc.hodge_bases:
         w = e_next @ c_here.conj().T          # partial isometry C^k -> C^(k+1)
         iota.append(w.conj().T)
-    return Contraction.unitary(iota)
+    return iota
+
+
+def hodge_contraction(tc: TwistedComplex) -> Contraction:
+    """Polar-isometry contraction: iota_(k+1) is the adjoint of the partial
+    isometry part of d_k (initial space coexact, final space exact)."""
+    return Contraction.unitary(_hodge_iota(tc))
 
 
 def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contraction:
@@ -468,29 +467,16 @@ class LagrangianReport:
     cross_pairing_min_sv: float
 
 
-def _gram(fs: BFFieldSpace, v, w) -> np.ndarray:
-    """Matrix of Omega between the columns of two gauge bases.
-
-    ``v`` and ``w`` are (a_bases, b_bases) pairs of per-slot column bases,
-    ordered A columns of every slot first, then B.  A column is zero outside
-    its own slot, so only the slot-diagonal A-B and B-A blocks are nonzero;
-    each is added into a zero matrix, and x + 0 = x keeps every entry
-    bit-identical to the stacked ``omega`` sum.
-    """
-    def layout(basis):
-        # complex, as in a stacked field: a real dot product may round differently
-        a, b = ([np.asarray(m, dtype=complex) for m in side] for side in basis)
-        starts = np.cumsum([0] + [m.shape[1] for m in a + b])
-        return a, b, starts[:len(a)], starts[len(a):-1], starts[-1]
-
-    va, vb, v_a0, v_b0, nv = layout(v)
-    wa, wb, w_a0, w_b0, nw = layout(w)
-    g = np.zeros((nv, nw), dtype=complex)
-    for k in range(fs.n + 1):
-        ba, ab = fs._slot_pairings(k, va[k], vb[k], wa[k], wb[k])
-        g[v_b0[k]:v_b0[k] + ba.shape[0], w_a0[k]:w_a0[k] + ba.shape[1]] += ba
-        g[v_a0[k]:v_a0[k] + ab.shape[0], w_b0[k]:w_b0[k] + ab.shape[1]] += ab
-    return g
+def _stacked_field(a_bases, b_bases) -> BFField:
+    """The columns of one gauge side as one stacked field: the A columns of
+    every slot, then the B columns, each zero outside its own slot (complex,
+    so that every pairing is a complex dot product)."""
+    bases = list(a_bases) + list(b_bases)
+    starts = np.cumsum([0] + [m.shape[1] for m in bases])
+    slots = [np.zeros((m.shape[0], starts[-1]), dtype=complex) for m in bases]
+    for i, m in enumerate(bases):
+        slots[i][:, starts[i]:starts[i + 1]] = m
+    return BFField(tuple(slots[:len(a_bases)]), tuple(slots[len(a_bases):]))
 
 
 def _isotropy(a_bases, b_bases):
@@ -498,12 +484,12 @@ def _isotropy(a_bases, b_bases):
     ``a_bases``, B columns ``b_bases``), per member for stacked bases.
 
     This is the largest modulus in the upper triangle of the side's Gram
-    matrix (``_gram`` of the side with itself).  With every A column ordered
-    before every B column, that triangle is zero but for one block per slot,
-    the slot term sign * _dots(b_k, a_k)^T, and the sign and the transpose
-    leave its moduli as they are; so the largest |entry| of the blocks
-    _dots(b_k, a_k) is bit-identical to it, and the Gram matrix is never
-    formed.  Moduli come from hypot, as scalar abs does.
+    matrix, ``omega`` of its ``_stacked_field`` with itself.  With every A
+    column ordered before every B column, that triangle is zero but for one
+    block per slot, the slot term sign * _dots(b_k, a_k)^T, and the sign and
+    the transpose leave its moduli as they are; so the largest |entry| of
+    the blocks _dots(b_k, a_k) is bit-identical to it, and the Gram matrix
+    is never formed.  Moduli come from hypot, as scalar abs does.
     """
     worst = 0.0
     for a, b in zip(a_bases, b_bases):
@@ -516,16 +502,18 @@ def _isotropy(a_bases, b_bases):
 
 def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     """Isotropy of the subspace and its declared complement, one per-slot
-    block each (``_isotropy``), and perfection of the pairing between them,
-    from their slot-diagonal cross Gram matrix.  The declared complement is
-    the side swap of the subspace."""
+    block each (``_isotropy``), and perfection of the pairing between them:
+    the smallest singular value of their cross Gram matrix, ``omega`` of the
+    two sides' stacked fields.  The declared complement is the side swap of
+    the subspace."""
     sub = (gs.a_bases, gs.b_bases)
     comp = ([np.conj(b) for b in gs.b_bases], [np.conj(a) for a in gs.a_bases])
     iso_sub, iso_comp = _isotropy(*sub), _isotropy(*comp)
 
     # the swap keeps the column count, so the cross Gram matrix is square
     if any(m.shape[1] for side in sub for m in side):
-        min_sv = float(np.linalg.svd(_gram(fs, sub, comp), compute_uv=False)[-1])
+        cross = fs.omega(_stacked_field(*sub), _stacked_field(*comp))
+        min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
     else:
         min_sv = np.inf
     ok = iso_sub < ISOTROPY_TOL and iso_comp < ISOTROPY_TOL and min_sv > 1e-8
@@ -679,18 +667,21 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def unitary_contraction_family(tc: TwistedComplex, base: Contraction,
+def unitary_contraction_family(tc: TwistedComplex,
                                rng: np.random.Generator) -> Callable[[np.ndarray], Contraction]:
-    """Family t -> U(t) base U(t)^dagger with U(t) = exp(t K), K random
-    skew-Hermitian of unit Frobenius norm per degree.  Stays inside the
-    unitary-normalised class.
+    """Family t -> U(t) iota U(t)^dagger of the Hodge contraction's iota,
+    with U(t) = exp(t K), K random skew-Hermitian of unit Frobenius norm per
+    degree.  Stays inside the unitary-normalised class, and starts at the
+    Hodge contraction.
 
     The family takes a float t, giving one contraction, or a 1-D array of
     them, giving the stacked contraction of all members: per degree one
     stacked ``expm`` and stacked products, each member bit-identical to the
     contraction at its own t.  Members are given no kernel split, so each
     finds its own by SVD; the stack takes those SVDs once per degree.
+    Drawing the family takes none.
     """
+    base = _hodge_iota(tc)
     gens = []
     for d in tc.dims:
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -703,7 +694,7 @@ def unitary_contraction_family(tc: TwistedComplex, base: Contraction,
         us = [expm(t * g) for g in gens]
         iota = [np.zeros(t.shape[:-2] + (0, tc.dims[0]))]
         for k in range(1, tc.top_degree + 1):
-            iota.append(us[k - 1] @ base.iota[k] @ _adjoint(us[k]))
+            iota.append(us[k - 1] @ base[k] @ _adjoint(us[k]))
         return Contraction.unitary(iota)
 
     return family

@@ -271,7 +271,7 @@ def cmd_bf(cfg: argparse.Namespace) -> int:
         rows.append(("Z_reeb_contraction", z_sus))
 
     rng = np.random.default_rng(cfg.seed)
-    family = bv.unitary_contraction_family(tc, hodge, rng)
+    family = bv.unitary_contraction_family(tc, rng)
     scan = bv.homotopy_scan(fs, family, samples=cfg.samples)
     rows.append(("scan", _Table(("t", "Z", "isotropy_residual"),
                                 [(t, z ** cfg.sigma, r) for t, z, r in scan.samples])))
@@ -287,7 +287,7 @@ def cmd_zeta(cfg: argparse.Namespace) -> int:
         zs = zeta.closed_form_suspension(aut, cfg.theta, 0.0)
         value = abs(zs.full) ** (-1)
         lines.append(f"closed_form_abs_zeta0_inverse {g17(value)}")
-        lines.append(f"fried_residual {g17(zeta.fried_residual(aut.matrix, cfg.theta, sign=-cfg.sigma))}")
+        lines.append(f"fried_residual {g17(zeta.fried_residual(cfg.a_matrix, cfg.theta, sign=-cfg.sigma))}")
     data = orbits.suspension_orbits(aut, cfg.J)
     lams = [complex(x, cfg.lambda_imag) for x in
             np.linspace(cfg.lambda_start, cfg.lambda_stop, cfg.lambda_steps)]

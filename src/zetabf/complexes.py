@@ -770,9 +770,10 @@ def read_complex_file(path):
     self_dual = False
     counts: Optional[Tuple[int, ...]] = None
     generators: List[str] = []
-    relator_words: List[str] = []
-    boundary_rows: Dict[int, List[str]] = {}
-    rep_rows: Dict[str, List[str]] = {}
+    # relators as (line, word); blocks as (header line, rows)
+    relator_words: List[Tuple[int, str]] = []
+    boundary_rows: Dict[int, Tuple[int, List[str]]] = {}
+    rep_rows: Dict[str, Tuple[int, List[str]]] = {}
     gram_rows: Dict[int, Tuple[int, List[str]]] = {}
     section = None
 
@@ -812,16 +813,16 @@ def read_complex_file(path):
             _integer(idx, lineno, "label index")
             section = None
         elif key == "relator":
-            relator_words.append(_argument(fields, lineno))
+            relator_words.append((lineno, _argument(fields, lineno)))
             section = None
         elif key == "boundary":
             k = _integer(_argument(fields, lineno), lineno, "boundary degree")
-            boundary_rows[k] = []
-            section = ("boundary", boundary_rows[k])
+            boundary_rows[k] = (lineno, [])
+            section = ("boundary", boundary_rows[k][1])
         elif key == "rep":
             name = _argument(fields, lineno)
-            rep_rows[name] = []
-            section = ("rep", rep_rows[name])
+            rep_rows[name] = (lineno, [])
+            section = ("rep", rep_rows[name][1])
         elif key == "gram":
             k = _integer(_argument(fields, lineno), lineno, "gram degree")
             gram_rows[k] = (lineno, [])
@@ -839,8 +840,8 @@ def read_complex_file(path):
     for k in range(top):
         if k not in boundary_rows:
             raise ParseError(0, f"missing boundary {k} block")
-        rows = []
-        for lineno, row in boundary_rows[k]:
+        header, rows = boundary_rows[k][0], []
+        for lineno, row in boundary_rows[k][1]:
             entries = [
                 _parse_entry(cell, gen_index, lineno) for cell in row.split(";")
             ]
@@ -848,26 +849,27 @@ def read_complex_file(path):
                 raise ParseError(lineno, f"expected {counts[k]} entries per row")
             rows.append(tuple(entries))
         if len(rows) != counts[k + 1]:
-            raise ParseError(0, f"boundary {k}: expected {counts[k + 1]} rows")
+            raise ParseError(header, f"boundary {k}: expected {counts[k + 1]} rows")
         cobs.append(tuple(rows))
 
     images = {}
     for name in generators:
         if name not in rep_rows:
             raise ParseError(0, f"missing rep block for generator {name!r}")
-        mat = [_parse_complex_row(row, lineno) for lineno, row in rep_rows[name]]
+        header, rows = rep_rows[name]
+        mat = [_parse_complex_row(row, lineno) for lineno, row in rows]
         if len(mat) != rank or any(len(r) != rank for r in mat):
-            raise ParseError(0, f"rep {name}: expected a {rank}x{rank} matrix")
-        images[name] = np.array(mat)
+            raise ParseError(header, f"rep {name}: expected a {rank}x{rank} matrix")
+        try:
+            images.update(UnitaryRep(rank, {name: mat}).images)
+        except ValueError as exc:
+            raise ParseError(header, str(exc))
 
-    relators = tuple(_parse_word(w, gen_index, 0) for w in relator_words)
+    relators = tuple(_parse_word(w, gen_index, lineno) for lineno, w in relator_words)
     cc = CellComplex(counts=counts, coboundaries=tuple(cobs),
                      generators=tuple(generators), relators=relators, name="file",
                      self_dual=self_dual)
-    try:
-        rep = UnitaryRep(rank, images)
-    except ValueError as exc:
-        raise ParseError(0, str(exc))
+    rep = UnitaryRep(rank, images)
 
     grams = None
     if gram_rows:

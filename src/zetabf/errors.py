@@ -148,8 +148,10 @@ class ParseError(ZetaBFError):
 
 
 class ValidationError(ZetaBFError):
-    """Semantic error in otherwise well-formed input data."""
+    """Semantic error in otherwise well-formed input data; ``line`` names the
+    input line for data read from a file."""
 
-    def __init__(self, field, message):
-        self.field = field
-        super().__init__(f"{field}: {message}")
+    def __init__(self, field, message, line=None):
+        self.field, self.detail, self.line = field, message, line
+        where = "" if line is None else f"line {line}: "
+        super().__init__(f"{where}{field}: {message}")

@@ -343,8 +343,8 @@ def _quadratic_data(weight: PolyObservable, even_vars: List[int], odd_vars: List
 
 
 def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
-                         weight: PolyObservable, return_scale: bool = False):
-    """Normalised expectation of p over the coordinate Lagrangian.
+                         weight: PolyObservable):
+    """(normalised expectation of p over the coordinate Lagrangian, scale).
 
     The Lagrangian is the span of ``lagrangian_vars`` (the conjugate
     coordinates are set to zero).  Even coordinates integrate against
@@ -352,8 +352,8 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     odd coordinates by Berezin rules with e^(-weight_odd) expanded; a
     degenerate odd pairing makes the normalisation vanish and raises.
 
-    With ``return_scale`` the magnitude of the largest intermediate moment is
-    returned alongside, for relative-error reporting.
+    The scale is the magnitude of the largest intermediate moment, for
+    relative-error reporting.
     """
     chart = p.chart
     on = [chart.index(v) for v in lagrangian_vars]
@@ -399,9 +399,7 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     if abs(z_odd) < 1e-300:
         raise IndefiniteWeightError("odd part of the weight is degenerate")
     value, scale = integrate(damped)
-    if return_scale:
-        return value / z_odd, scale / abs(z_odd)
-    return value / z_odd
+    return value / z_odd, scale / abs(z_odd)
 
 
 def monomial_basis(chart: DarbouxChart, max_degree: int) -> List[PolyObservable]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -112,16 +113,6 @@ class ToralAutomorphism:
             pass
         return m
 
-    def trace_power(self, j: int) -> int:
-        """tr(A^j) by the exact recurrence t_j = t*t_(j-1) - det*t_(j-2)."""
-        if j == 0:
-            return 2
-        t, d = self.trace, self.det
-        prev, cur = 2, t
-        for _ in range(j - 1):
-            prev, cur = cur, t * cur - d * prev
-        return cur
-
 
 def _fixed_points(m: Tuple[int, int, int, int]) -> int:
     """|det(M - I)| of the 2x2 integer matrix with entries m."""
@@ -140,9 +131,10 @@ def count_fixed_points(aut: ToralAutomorphism, j: int) -> int:
 class OrbitRecord:
     """One group of primitive orbits sharing length, holonomy and linearisation.
 
-    ``period`` is the primitive period of a suspension orbit, its turns round
-    the suspension direction, so theta twists it by e^(i theta period);
-    file-based records carry an explicit holonomy instead, a complex number.
+    ``period`` is the primitive period of a suspension orbit, a positive
+    integer: its turns round the suspension direction, so theta twists it by
+    e^(i theta period); file-based records carry an explicit holonomy
+    instead, a complex number.
     """
 
     length: float
@@ -177,6 +169,16 @@ class OrbitRecord:
             raise ValidationError("holonomy", f"|holonomy| = {abs(self.holonomy)} != 1")
         if self.holonomy is None and self.period is None:
             raise ValidationError("holonomy", "record needs a holonomy or a period")
+        if self.period is not None and not (isinstance(self.period, numbers.Integral)
+                                            and self.period >= 1):
+            raise ValidationError("period", f"must be a positive integer, got {self.period!r}")
+
+    def holonomy_at(self, theta: float) -> complex:
+        """The holonomy under the twist theta: the stored one, or
+        e^(i theta period) for a suspension record."""
+        if self.holonomy is None:
+            return cmath.exp(1j * theta * self.period)
+        return self.holonomy
 
 
 @dataclass(frozen=True)
@@ -253,10 +255,13 @@ def suspension_orbits(aut: ToralAutomorphism, j_max: int) -> OrbitData:
 
 def poincare_data(aut: ToralAutomorphism, j: int, k: int) -> Tuple[int, int]:
     """(tr Lambda^k P^j, det(I - P^j)) as exact integers, with the per-orbit
-    identity (-1)^n |det(I - P^j)| = sum_k (-1)^k tr Lambda^k P^j verified."""
+    identity (-1)^n |det(I - P^j)| = sum_k (-1)^k tr Lambda^k P^j verified.
+    P^j is read off the exact power A^j, so j outside [0, 64] raises
+    ValueError."""
     if not 0 <= k <= 2:
         raise ValueError("k must be in {0, 1, 2}")
-    t_j = aut.trace_power(j)
+    a, _, _, d = aut.power(j)
+    t_j = a + d
     det_j = aut.det ** j
     traces = (1, t_j, det_j)
     det_i_minus = 1 - t_j + det_j
@@ -282,23 +287,14 @@ def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
     """Canonical writer; rows sorted by (length, holonomy phase).
 
     Suspension records carry a period rather than a holonomy; pass ``theta``
-    to materialise it as e^(i*theta*period).
+    to materialise it as ``OrbitRecord.holonomy_at(theta)``.
     """
-    rows = []
-    materialised = []
-    for r in records:
-        h = r.holonomy
-        if h is None:
-            if theta is None:
-                raise ValidationError("holonomy",
-                                      "period-only record needs theta to be written")
-            h = complex(np.exp(1j * theta * r.period))
-        materialised.append((r, h))
-    for r, h in sorted(materialised, key=lambda p: (p[0].length, np.angle(p[1]))):
-        rows.append(" ".join([
-            g17(r.length), "1", g17(h.real), g17(h.imag),
-            g17(r.eig_expanding), g17(r.eig_contracting), str(r.count),
-        ]))
+    if theta is None and any(r.holonomy is None for r in records):
+        raise ValidationError("holonomy", "period-only record needs theta to be written")
+    materialised = [(r, r.holonomy_at(theta)) for r in records]
+    rows = [" ".join([g17(r.length), "1", g17(h.real), g17(h.imag),
+                      g17(r.eig_expanding), g17(r.eig_contracting), str(r.count)])
+            for r, h in sorted(materialised, key=lambda p: (p[0].length, np.angle(p[1])))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEADER + "\n")
         fh.write("\n".join(rows) + ("\n" if rows else ""))
@@ -325,11 +321,14 @@ def load_orbit_spectrum(path) -> OrbitData:
             except ValueError as exc:
                 raise ParseError(lineno, f"malformed number: {exc}")
             if flag != 1:
-                raise ValidationError("primitive_flag",
-                                      "only primitive records are supported")
-            records.append(OrbitRecord(length=length, count=count,
-                                       eig_expanding=eig1, eig_contracting=eig2,
-                                       holonomy=hol))
+                raise ValidationError("primitive_flag", "only primitive records are supported",
+                                      line=lineno)
+            try:
+                records.append(OrbitRecord(length=length, count=count,
+                                           eig_expanding=eig1, eig_contracting=eig2,
+                                           holonomy=hol))
+            except ValidationError as exc:
+                raise ValidationError(exc.field, exc.detail, line=lineno) from None
     # insertion order keeps each merged record where it first appeared
     merged: Dict[Tuple[float, complex, float, float], OrbitRecord] = {}
     for rec in records:

@@ -276,7 +276,7 @@ def criterion_9_homotopy_constancy() -> Outcome:
             rng, top_degree=int(rng.integers(2, 5)), max_cells=4,
             rank=int(rng.integers(1, 3)))
         fs = bv.build_bf_fields(tc)
-        family = bv.unitary_contraction_family(tc, bv.hodge_contraction(tc), rng)
+        family = bv.unitary_contraction_family(tc, rng)
         scan = bv.homotopy_scan(fs, family, samples=10)
         worst = max(worst, scan.max_relative_deviation)
     ok = worst < 1e-8
@@ -320,8 +320,7 @@ def criterion_10_bv_identities() -> Outcome:
         for _ in range(25):
             h = observables.random_observable(chart_g, rng, degree=3, terms=5)
             g_obs = observables.bv_laplacian(h, weight=weight)
-            val, scale = observables.gaussian_expectation(
-                g_obs, on_vars, weight, return_scale=True)
+            val, scale = observables.gaussian_expectation(g_obs, on_vars, weight)
             worst_int = max(worst_int, abs(val) / max(scale, 1.0))
     ok = exact and worst_alg < 1e-12 and worst_int < 1e-10
     return ("BV identities: Delta^2=0, algebra relations, int Delta h = 0",

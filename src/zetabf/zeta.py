@@ -10,15 +10,16 @@ The orbit sums read one term table per (OrbitData, J), cached on the
 OrbitData: the record order and repetition cut-off, each term's record and
 repetition j, and per-record constants, with the holonomy powers of the last
 theta and, per k on first use, only the weights
-w_k = tr Lambda^k P^j / |det(I - P^j)|.  The table also keeps the amplitude of
-its last (theta, lambda), the part of a term that no k changes, -count hol^j
-e^(-lambda j l); a k = 0, 1, 2, full sweep forms it once and applies only the
-weight and the divide per k.  The key is the exact bits of theta and of both
-parts of lambda, and whether lambda is a complex: a float lambda takes the
-real exponential path and a complex one with zero imaginary part the complex
-product, and the two amplitudes can differ in the signs of their zeros, as can
-those of imaginary parts +0.0 and -0.0.  The table is read in blocks of _BLOCK
-terms.  Its values are bit for bit those of a term-by-term Python loop:
+w_k = tr Lambda^k P^j / |det(I - P^j)|, from ``_poincare_weight`` as in the
+flat trace.  The table also keeps the amplitude of its last (theta, lambda),
+the part of a term that no k changes, -count hol^j e^(-lambda j l); a k = 0,
+1, 2, full sweep forms it once and applies only the weight and the divide
+per k.  The key is the exact bits of theta and of both parts of lambda, and
+whether lambda is a complex: a float lambda takes the real exponential path
+and a complex one with zero imaginary part the complex product, and the two
+amplitudes can differ in the signs of their zeros, as can those of imaginary
+parts +0.0 and -0.0.  The table is read in blocks of _BLOCK terms.  Its
+values are bit for bit those of a term-by-term Python loop:
 
 * exp and pow are libm's, called once per term (math.exp, or cmath.exp when
   lambda has a nonzero imaginary part, and pow); numpy's vectorised exp and
@@ -62,7 +63,7 @@ from .errors import (
     SupportTooWideError,
     ValidationError,
 )
-from .orbits import OrbitData, OrbitRecord, ToralAutomorphism, g17
+from .orbits import OrbitData, ToralAutomorphism, g17
 
 # Transverse unstable/stable rank of the 3-dimensional suspension model.
 TRANSVERSE_RANK = 1
@@ -81,28 +82,18 @@ class ZetaEvaluation:
     truncation_error_bound: float
 
 
-def _holonomy(rec: OrbitRecord, theta: float) -> complex:
-    if rec.holonomy is None:
-        return cmath.exp(1j * theta * rec.period)
-    return rec.holonomy
+def _degree(k: int) -> int:
+    """k, checked to be a form degree of the transverse bundle."""
+    if not 0 <= k <= 2 * TRANSVERSE_RANK:
+        raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
+    return k
 
 
-def _wedge_trace(rec: OrbitRecord, j: int, k: int) -> float:
-    eu = rec.eig_expanding ** j
-    es = rec.eig_contracting ** j
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return eu + es
-    if k == 2:
-        return eu * es
-    raise ValueError("k must be in {0, 1, 2}")
-
-
-def _det_i_minus_p(rec: OrbitRecord, j: int) -> float:
-    eu = rec.eig_expanding ** j
-    es = rec.eig_contracting ** j
-    return (1.0 - eu) * (1.0 - es)
+def _poincare_weight(eu, es, k: int):
+    """w_k = tr Lambda^k P^j / |det(I - P^j)| of a checked degree k from the
+    powers eu = eig_expanding^j, es = eig_contracting^j: floats or arrays, by
+    the same IEEE operations; the trace is the float 1.0 for k = 0."""
+    return (1.0, eu + es, eu * es)[k] / abs((1.0 - eu) * (1.0 - es))
 
 
 def _suspension_tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
@@ -310,7 +301,7 @@ class _TermTable:
         """(re, im) of holonomy ** j per term."""
         key = float(theta).hex()
         if self._holonomy[0] != key:
-            bases = [_holonomy(r, theta) for r in self.records]
+            bases = [r.holonomy_at(theta) for r in self.records]
             b = np.array(bases, dtype=complex)
             re, im = np.empty(self.size), np.empty(self.size)
             for s, rec, _ in self.blocks():
@@ -350,16 +341,13 @@ class _TermTable:
         return out
 
     def weight(self, k: int) -> np.ndarray:
-        """w_k = tr Lambda^k P^j / |det(I - P^j)| per term; the trace is the
-        float 1.0 for k = 0, as it is term by term."""
+        """``_poincare_weight`` per term."""
         hit = self._weights.get(k)
         if hit is None:
             if self._poincare is None:
-                eu = self._poincare_powers("eig_expanding")
-                es = self._poincare_powers("eig_contracting")
-                self._poincare = (eu, es, np.abs((1.0 - eu) * (1.0 - es)))
-            eu, es, abs_det = self._poincare
-            hit = self._weights[k] = (1.0, eu + es, eu * es)[k] / abs_det
+                self._poincare = (self._poincare_powers("eig_expanding"),
+                                  self._poincare_powers("eig_contracting"))
+            hit = self._weights[k] = _poincare_weight(*self._poincare, k)
         return hit
 
     def log_zeta(self, theta: float, lam: complex, k: DegreeSpec) -> complex:
@@ -399,9 +387,7 @@ def log_zeta_k(data: OrbitData, theta: float, lam: complex, k: int,
     log zeta_k = -sum_gamma sum_j (1/j) e^(-lam j l) tr(rho^j)
                  tr Lambda^k P^j / |det(I - P^j)|.
     """
-    if not 0 <= k <= 2 * TRANSVERSE_RANK:
-        raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
-    return _log_zeta(data, theta, lam, k, J)
+    return _log_zeta(data, theta, lam, _degree(k), J)
 
 
 def log_zeta_full(data: OrbitData, theta: float, lam: complex,
@@ -453,6 +439,7 @@ def flat_trace_pairing(data: OrbitData, theta: float, k: int,
     The trace formula collapses to a weighted sum over orbit times j*l(gamma);
     only times inside the bump's support contribute.
     """
+    k = _degree(k)
     lo, hi = bump.support
     if lo <= 0.0:
         raise SupportTooWideError(
@@ -464,9 +451,9 @@ def flat_trace_pairing(data: OrbitData, theta: float, k: int,
         while j * rec.length <= hi:
             t = j * rec.length
             if t >= lo:
-                weight = _wedge_trace(rec, j, k) / abs(_det_i_minus_p(rec, j))
+                weight = _poincare_weight(rec.eig_expanding ** j, rec.eig_contracting ** j, k)
                 total += (rec.count * rec.length * bump(t)
-                          * _holonomy(rec, theta) ** j * weight)
+                          * rec.holonomy_at(theta) ** j * weight)
             j += 1
     return total
 
@@ -480,9 +467,7 @@ def mellin_log_zeta(data: OrbitData, theta: float, lam: complex, k: int,
     S(0), and l (j l)^(-1) = 1/j makes -S(0) the direct sum term for term:
     the value and the errors are those of ``log_zeta_k``.
     """
-    if not 0 <= k <= 2 * TRANSVERSE_RANK:
-        raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
-    return _log_zeta(data, theta, lam, k, J).value
+    return _log_zeta(data, theta, lam, _degree(k), J).value
 
 
 @dataclass(frozen=True)
@@ -603,8 +588,7 @@ def fried_residual(a_matrix, theta: float, sign: int = -1) -> float:
     from the combinatorial mapping-torus complex; the convention exponent
     sign = -1 was frozen on the theta = pi cat-map anchor (4/5 vs 5/4).
     """
-    aut = a_matrix if isinstance(a_matrix, ToralAutomorphism) \
-        else ToralAutomorphism.from_matrix(a_matrix)
+    aut = ToralAutomorphism.from_matrix(a_matrix)
     zeta0 = zeta_value_at_zero(aut, theta)
     zeta_side = abs(zeta0) ** ((-1) ** TRANSVERSE_RANK)
     tau = analytic_torsion(mapping_torus_complex(aut.matrix, theta))

@@ -26,7 +26,6 @@ from zetabf.bv import (
     suspension_contraction,
     unitary_contraction_family,
 )
-from zetabf.bv import _gram
 from zetabf.complexes import (
     TwistedComplex,
     UnitaryRep,
@@ -59,6 +58,12 @@ def _random_field(fs, rng):
     def rand(d):
         return rng.normal(size=d) + 1j * rng.normal(size=d)
     return BFField(tuple(rand(d) for d in fs.dims), tuple(rand(d) for d in fs.dims))
+
+
+def _stacked(fs, fields):
+    """The fields as the columns of one stacked field."""
+    return BFField(tuple(np.column_stack([f.a[k] for f in fields]) for k in range(fs.n + 1)),
+                   tuple(np.column_stack([f.b[k] for f in fields]) for k in range(fs.n + 1)))
 
 
 def test_field_space_degrees_circle():
@@ -260,7 +265,7 @@ def test_is_lagrangian_matches_single_field_pairings():
                                     max_cells=4, rank=int(rng.integers(1, 3)))
         fs = build_bf_fields(tc)
         hodge = hodge_contraction(tc)
-        family = unitary_contraction_family(tc, hodge, rng)
+        family = unitary_contraction_family(tc, rng)
         gauges = [metric_gauge(fs), contraction_gauge(fs, hodge),
                   contraction_gauge(fs, random_contraction(tc, rng)),
                   contraction_gauge(fs, family(0.6)), _skewed(fs, hodge)]
@@ -305,13 +310,8 @@ def test_stacked_omega_equals_pairwise():
     fs = build_bf_fields(tc)
     vs = [_random_field(fs, rng) for _ in range(5)]
     ws = [_random_field(fs, rng) for _ in range(3)]
-
-    def stack(fields):
-        return BFField(tuple(np.column_stack([f.a[k] for f in fields]) for k in range(fs.n + 1)),
-                       tuple(np.column_stack([f.b[k] for f in fields]) for k in range(fs.n + 1)))
-
     pairwise = np.array([[fs.omega(v, w) for w in ws] for v in vs])
-    stacked = fs.omega(stack(vs), stack(ws))
+    stacked = fs.omega(_stacked(fs, vs), _stacked(fs, ws))
     assert stacked.shape == (5, 3)
     assert np.array_equal(stacked, pairwise)
 
@@ -501,7 +501,7 @@ def test_found_splits_pass_the_given_split_checks():
         hodge = hodge_contraction(tc)
         _assert_found_splits_pass_checks(hodge)
         _assert_found_splits_pass_checks(Contraction.unitary(random_contraction(tc, rng).iota))
-        fam = unitary_contraction_family(tc, hodge, rng)
+        fam = unitary_contraction_family(tc, rng)
         stack = fam(np.linspace(0.0, 1.0, 10))
         assert stack.sample_shape == (10,)
         _assert_found_splits_pass_checks(stack)
@@ -581,7 +581,7 @@ def test_homotopy_scan_constancy():
     rng = np.random.default_rng(6)
     tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=1)
     fs = build_bf_fields(tc)
-    fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+    fam = unitary_contraction_family(tc, rng)
     scan = homotopy_scan(fs, fam, samples=10)
     assert scan.max_relative_deviation < 1e-9
     assert len(scan.samples) == 10
@@ -607,8 +607,8 @@ def _reference_scan(fs, family, samples):
             z = partition_function(fs, gs)
         except DegenerateContractionError as exc:
             raise DegenerateContractionError(str(exc), t=t)
-        sub = (gs.a_bases, gs.b_bases)
-        residual = _max_modulus_upper(_gram(fs, sub, sub))
+        side = _stacked(fs, _single_fields(fs, gs.a_bases, gs.b_bases))
+        residual = _max_modulus_upper(fs.omega(side, side))
         rows.append((t, z, residual))
         if z0 is None:
             z0 = z
@@ -619,7 +619,7 @@ def _reference_scan(fs, family, samples):
 
 def _assert_scan_matches_reference(tc, rng, samples):
     fs = build_bf_fields(tc)
-    fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+    fam = unitary_contraction_family(tc, rng)
     scan = homotopy_scan(fs, fam, samples=samples)
     rows, worst = _reference_scan(fs, fam, samples)
     assert [tuple(x.hex() for x in row) for row in scan.samples] == \
@@ -657,7 +657,7 @@ def test_homotopy_scan_isotropy_is_the_lagrangian_report():
     for tc in (random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2),
                mapping_torus_complex(CAT, 2.0), _cat_rank_twist(4, rng)):
         fs = build_bf_fields(tc)
-        fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+        fam = unitary_contraction_family(tc, rng)
         scan = homotopy_scan(fs, fam, samples=5)
         for t, _, residual in scan.samples:
             want = is_lagrangian(fs, contraction_gauge(fs, fam(t))).isotropy_subspace
@@ -669,7 +669,7 @@ def test_homotopy_scan_records_distance_to_degeneracy():
     rng = np.random.default_rng(15)
     for tc in (mapping_torus_complex(CAT, 2.0), _cat_rank_twist(3, rng)):
         fs = build_bf_fields(tc)
-        fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+        fam = unitary_contraction_family(tc, rng)
         scan = homotopy_scan(fs, fam, samples=6)
         assert len(scan.action_min_sv) == 6
         for (t, _, _), smallest in zip(scan.samples, scan.action_min_sv):
@@ -682,7 +682,7 @@ def test_stacked_contraction_is_its_members():
     rng = np.random.default_rng(16)
     tc = _cat_rank_twist(2, rng)
     fs = build_bf_fields(tc)
-    fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+    fam = unitary_contraction_family(tc, rng)
     ts = np.array([0.0, 0.4, 1.0])
     stacked = fam(ts)
     assert stacked.sample_shape == (3,)
@@ -714,13 +714,30 @@ def test_stacked_contraction_is_its_members():
     assert err.value.member == 1
 
 
+def test_drawing_a_family_takes_no_svd(monkeypatch):
+    # the family rotates the Hodge iota and builds no Hodge contraction
+    rng = np.random.default_rng(18)
+    tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2)
+    assert tc.hodge_bases     # the complex's one factorisation, found before counting
+    calls = Counter()
+    real_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    unitary_contraction_family(tc, rng)
+    assert calls["svd"] == 0
+
+
 def test_homotopy_scan_takes_no_cross_pairing_svd(monkeypatch):
     # a stacked scan factorises as often as one gauge does, whatever the
     # sample count, and takes no cross-pairing SVD
     rng = np.random.default_rng(12)
     tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2)
     fs = build_bf_fields(tc)
-    fam = unitary_contraction_family(tc, hodge_contraction(tc), rng)
+    fam = unitary_contraction_family(tc, rng)
     calls = Counter()
     real_svd = np.linalg.svd
 

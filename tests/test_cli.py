@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from zetabf import complexes, orbits, zeta
-from zetabf.errors import ParseError
+from zetabf.errors import ParseError, ValidationError
 from zetabf.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, OPTIONS, CLIUsageError,
                         build_parser, g17, main, make_config)
 
@@ -203,6 +203,47 @@ def test_torsion_malformed_directive(tmp_path, old, new):
     assert code == EXIT_PARSE
     assert out == ""
     assert f"parse error: line {edited + 1}:" in err
+
+
+BOUNDARY_2_ROW = "  +1*t -1*1 ; -1*1 +1*a.b.a' ; -1*a +1*a.b.a'.b'"
+
+
+@pytest.mark.parametrize("anchor, offset, new", [
+    ("relator t.b.t'.b'.a'", 0, "relator t.b.t'.c'.a'"),
+    ("rep b", 1, "  1,0 0,0"),
+    ("rep b", 1, "  2,0"),
+    ("boundary 2", 1, BOUNDARY_2_ROW + "\n" + BOUNDARY_2_ROW),
+], ids=["relator-unknown-generator", "rep-wrong-size", "rep-not-unitary",
+        "boundary-extra-row"])
+def test_complex_file_errors_name_their_line(tmp_path, anchor, offset, new):
+    # the relator line, or the header line of the faulty block
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    named = lines.index(anchor)
+    lines[named + offset] = new
+    path = tmp_path / "bad.cplx"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"parse error: line {named + 1}:" in err
+
+
+@pytest.mark.parametrize("row, field", [
+    ("1.0 1 1.0 0.0 2.0 0.4 1", "poincare_eigs"),
+    ("1.0 1 1.0 0.0 2.0 0.5 0", "count"),
+    ("1.0 1 0.5 0.0 2.0 0.5 1", "holonomy"),
+    ("1.0 2 1.0 0.0 2.0 0.5 1", "primitive_flag"),
+], ids=["eigenvalue-product", "count", "holonomy-modulus", "primitive-flag"])
+def test_spectrum_record_errors_name_their_line(tmp_path, row, field):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# two records\n2.0 1 1.0 0.0 4.0 0.25 1\n{row}\n")
+    with pytest.raises(ValidationError) as exc:
+        orbits.load_orbit_spectrum(path)
+    assert (exc.value.field, exc.value.line) == (field, 3)
+    code, out, err = run_cli(["orbits", "--input", str(path)])
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert f"domain error (ValidationError): line 3: {field}:" in err
 
 
 def test_bf_reports_both_gauges():

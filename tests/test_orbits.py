@@ -163,6 +163,15 @@ def test_poincare_data_exact():
         assert tr0 - tr1 + tr2 == -abs(det)
 
 
+@pytest.mark.parametrize("j", [-2, -1, 65])
+def test_poincare_data_refuses_powers_outside_the_exact_range(j):
+    # j = -2 used to read tr A^-2 as 3 (it is 7) and det(I - A^-2) as -1
+    with pytest.raises(ValueError, match="guarded range"):
+        poincare_data(CAT, j, 1)
+    a, _, _, d = CAT.power(64)
+    assert poincare_data(CAT, 64, 1)[0] == a + d
+
+
 def test_eigen_vs_integer_counts():
     mu = CAT.expanding_eigenvalue
     for j in range(1, 13):
@@ -191,6 +200,16 @@ def test_orbit_record_needs_a_holonomy_or_a_period():
     assert err.value.field == "holonomy"
     for given in ({"holonomy": 1.0}, {"period": 1}):
         OrbitRecord(length=1.0, count=1, eig_expanding=2.0, eig_contracting=0.5, **given)
+
+
+@pytest.mark.parametrize("period", [0, -2, 1.5])
+def test_orbit_period_must_be_a_positive_integer(period):
+    # with aut set these failed late: a ZeroDivisionError, a silent 0j and a
+    # numpy TypeError
+    with pytest.raises(ValidationError) as err:
+        OrbitRecord(length=1.0, count=1, eig_expanding=2.0, eig_contracting=0.5,
+                    period=period)
+    assert err.value.field == "period"
 
 
 @pytest.mark.parametrize("eigs", [(1 / 1.5, 1.5), (1.0, 1.0), (-1.0, -1.0)],
@@ -226,6 +245,19 @@ def test_spectrum_roundtrip(tmp_path):
     path2 = tmp_path / "orbits2.txt"
     write_orbit_spectrum(path2, data.records)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("theta", [0.37, math.pi / 2, 2.0, -1.3])
+def test_written_holonomies_are_holonomy_at(tmp_path, theta):
+    records = enumerate_primitive_orbits(ToralAutomorphism(3, 1, 2, 1), 20)
+    path = tmp_path / "orbits.txt"
+    write_orbit_spectrum(path, records, theta=theta)
+    loaded = {r.length: r.holonomy for r in load_orbit_spectrum(path).records}
+    assert len(loaded) == len(records)
+    for r in records:
+        want = r.holonomy_at(theta)
+        got = loaded[r.length]
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 def test_spectrum_well_formed(tmp_path):

@@ -106,7 +106,7 @@ def parity_groups():
             rng, top_degree=int(rng.integers(2, 5)), max_cells=4,
             rank=int(rng.integers(1, 3)))
         fs = bv.build_bf_fields(tc)
-        family = bv.unitary_contraction_family(tc, bv.hodge_contraction(tc), rng)
+        family = bv.unitary_contraction_family(tc, rng)
         scan = bv.homotopy_scan(fs, family, samples=10)
         groups["scan"] += [x for row in scan.samples for x in row]
         groups["scan"] += scan.action_min_sv + [scan.max_relative_deviation]

@@ -145,6 +145,18 @@ def test_flat_trace_bump_at_two():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1, 3, 5])
+@pytest.mark.parametrize("route", [
+    lambda k: flat_trace_pairing(suspension_orbits(CAT, 8), 0.3, k, BumpSpec(0.5, 0.04)),
+    lambda k: log_zeta_k(DATA, 0.3, 3.0, k),
+    lambda k: mellin_log_zeta(DATA, 0.3, 3.0, k),
+], ids=["flat_trace_pairing", "log_zeta_k", "mellin_log_zeta"])
+def test_degree_outside_the_forms_is_refused(route, k):
+    # the bump at 0.5 holds no orbit time, so no term would check k
+    with pytest.raises(ValueError, match="k must lie in"):
+        route(k)
+
+
 def test_flat_trace_support_guard():
     with pytest.raises(SupportTooWideError):
         flat_trace_pairing(DATA, 0.0, 0, BumpSpec(0.2, 0.05))
@@ -278,6 +290,21 @@ def reference_terms(data, J):
     return out
 
 
+def reference_holonomy(rec, theta):
+    """A record's holonomy under the twist theta, written out for the loops."""
+    if rec.holonomy is None:
+        return cmath.exp(1j * theta * rec.period)
+    return rec.holonomy
+
+
+def reference_weight(rec, j, k):
+    """tr Lambda^k P^j / |det(I - P^j)| of one term, written out for the loops."""
+    eu = rec.eig_expanding ** j
+    es = rec.eig_contracting ** j
+    trace = (1.0, eu + es, eu * es)[k]
+    return trace / abs((1.0 - eu) * (1.0 - es))
+
+
 def reference_record_tail(rec, lam, k, j_min):
     """Tail of the repetition sum j >= j_min for one record."""
     eu, es = abs(rec.eig_expanding), abs(rec.eig_contracting)
@@ -304,12 +331,9 @@ def reference_log_zeta(data, theta, lam, k, J):
         raise DivergentRegionError(lam)
     total = 0.0 + 0.0j
     for rec, j in reference_terms(data, J):
-        hol = zeta._holonomy(rec, theta) ** j
+        hol = reference_holonomy(rec, theta) ** j
         damp = cmath.exp(-lam * j * rec.length)
-        if k == "full":
-            weight = 1.0
-        else:
-            weight = zeta._wedge_trace(rec, j, k) / abs(zeta._det_i_minus_p(rec, j))
+        weight = 1.0 if k == "full" else reference_weight(rec, j, k)
         total += -rec.count * hol * damp * weight / j
     return total, tail
 
@@ -319,9 +343,8 @@ def mellin_terms(data, theta, lam, k, J):
     terms = []
     for rec, j in reference_terms(data, J):
         t = j * rec.length
-        amp = (rec.count * rec.length * zeta._holonomy(rec, theta) ** j
-               * cmath.exp(-lam * t)
-               * zeta._wedge_trace(rec, j, k) / abs(zeta._det_i_minus_p(rec, j)))
+        amp = (rec.count * rec.length * reference_holonomy(rec, theta) ** j
+               * cmath.exp(-lam * t) * reference_weight(rec, j, k))
         terms.append((t, amp))
     return terms
 
@@ -450,7 +473,7 @@ def test_term_table_holonomy_factor_matches_scalar_power():
     for theta in (0.0, 2.5):
         re, im = table._times_holonomy(table.neg_count[table.rec], slice(None), theta)
         for i, (rec, j) in enumerate(reference_terms(data, 130)):
-            want = -rec.count * zeta._holonomy(rec, theta) ** j
+            want = -rec.count * reference_holonomy(rec, theta) ** j
             assert bits(complex(re[i], im[i])) == bits(want), (rec, j)
 
 
