@@ -10,7 +10,12 @@ The ``flat_trace``, ``loaded_spectrum`` and ``poincare`` groups cover the
 flat-trace pairing, a written-then-loaded suspension spectrum and the exact
 Poincare data; they were generated at commit 5599507, before the Poincare
 weight, the suspension holonomy and the trace of A^j were each reduced to one
-definition, and that change left them as they were.
+definition, and that change left them as they were.  The ``primitive_orbits``
+and ``chart`` groups cover the primitive-orbit records at periods <= 64
+(period and count as exact decimal strings, which float.hex would round) and
+the gauge polarization's Darboux chart; they were generated at commit b9a6de1,
+before the orbit counts became a divisor-sum recursion and the chart got one
+builder.
 
 Regenerate the file (only for a change meant to move digits) with
 
@@ -40,6 +45,12 @@ GOLDEN = Path(__file__).parent / "golden" / "parity.txt"
 CYCLE_CASES = ((CAT_MAP, math.pi), (CAT_MAP, 2.0), (CAT_MAP, 0.3),
                (((3, 2), (1, 1)), 0.7), (((5, 2), (2, 1)), 1.1))
 
+# the perfbench matrix pool and two matrices of negative trace, for the
+# primitive-orbit counts at two roofs
+ORBIT_MATRICES = ((2, 1, 1, 1), (3, 1, 2, 1), (4, 1, 3, 1), (3, 2, 1, 1), (2, 3, 1, 2),
+                  (5, 2, 2, 1), (3, 1, 1, 0), (2, 1, 3, 1), (4, 1, 1, 0), (1, 2, 2, 3),
+                  (-2, -1, -1, -1), (-3, 1, 1, 0))
+
 # flat-trace test functions, inside criterion 4's complete periods
 BUMPS = (zeta.BumpSpec(2.0, 0.1), zeta.BumpSpec(5.0, 0.5),
          zeta.BumpSpec(7.3, 0.8), zeta.BumpSpec(12.0, 1.5))
@@ -48,7 +59,9 @@ BUMPS = (zeta.BumpSpec(2.0, 0.1), zeta.BumpSpec(5.0, 0.5),
 def _hexes(values):
     out = []
     for v in values:
-        if isinstance(v, complex):
+        if isinstance(v, str):
+            out.append(v)
+        elif isinstance(v, complex):
             out += [v.real.hex(), v.imag.hex()]
         else:
             out.append(float(v).hex())
@@ -71,7 +84,8 @@ def parity_groups():
     """Group name -> the numbers of that group, in a fixed order."""
     groups = {name: [] for name in ("torsion_routes", "schwarz", "det_relations", "Z",
                                     "is_lagrangian", "scan", "log_zeta_k", "cycle_zeta",
-                                    "flat_trace", "loaded_spectrum", "poincare")}
+                                    "flat_trace", "loaded_spectrum", "poincare",
+                                    "primitive_orbits", "chart")}
     tori = _mapping_tori()
 
     # criteria 6 and 7: torsion routes, Schwarz and the determinant relations
@@ -155,6 +169,27 @@ def parity_groups():
         for j in range(13):
             for k in (0, 1, 2):
                 groups["poincare"] += orbits.poincare_data(poincare_aut, j, k)
+
+    # primitive-orbit records; period and count as exact decimal strings
+    for matrix in ORBIT_MATRICES:
+        for roof in (1.0, 1.3):
+            aut = orbits.ToralAutomorphism(*matrix, roof=roof)
+            for r in orbits.enumerate_primitive_orbits(aut, 64):
+                groups["primitive_orbits"] += [str(r.period), str(r.count), r.length,
+                                               r.eig_expanding, r.eig_contracting]
+
+    # the gauge polarization's chart for the metric and Hodge gauges
+    rng = np.random.default_rng(SEED + 4)
+    for tc in (complexes.mapping_torus_complex(CAT_MAP, math.pi),
+               complexes.circle_complex(math.pi),
+               complexes.random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2),
+               complexes.random_twisted_complex(rng, top_degree=4, max_cells=3, rank=1)):
+        fs = bv.build_bf_fields(tc)
+        for gs in (bv.metric_gauge(fs), bv.contraction_gauge(fs, bv.hodge_contraction(tc))):
+            chart, names = bv.gauge_polarization(fs, gs)
+            groups["chart"] += [v for pair in chart.pairs for v in pair]
+            groups["chart"] += list(chart.field_degrees) + [chart.max_word_length]
+            groups["chart"] += list(names)
     return groups
 
 
