@@ -646,17 +646,19 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
     coordinates together with the B coordinates dual to the complement.
     Returns (chart, lagrangian_variable_names).
     """
-    from .observables import bf_darboux_chart
+    from .observables import DarbouxChart
 
-    chart = bf_darboux_chart(fs, max_word_length)
-    names = []
+    pairs, degrees, names = [], [], []
     for k, (a_basis, b_basis) in enumerate(zip(gs.a_bases, gs.b_bases)):
         na, nb = a_basis.shape[1], b_basis.shape[1]
         if na + nb != fs.dims[k]:
             raise DegenerateGaugeError(k, "gauge subspace is not half-dimensional")
-        names.extend(f"a{k}_{i}" for i in range(na))
-        names.extend(f"b{k}_{i}" for i in range(na, na + nb))
-    return chart, tuple(names)
+        # one pair (a_k_i, b_k_i) per cell coordinate: field degree 1 - k, antifield k - 2
+        slot = [(f"a{k}_{i}", f"b{k}_{i}") for i in range(fs.dims[k])]
+        pairs += slot
+        degrees += [1 - k] * fs.dims[k]
+        names += [a for a, _ in slot[:na]] + [b for _, b in slot[na:]]
+    return DarbouxChart(tuple(pairs), tuple(degrees), max_word_length), tuple(names)
 
 
 def expm(a: np.ndarray) -> np.ndarray:

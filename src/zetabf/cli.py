@@ -284,8 +284,7 @@ def cmd_zeta(cfg: argparse.Namespace) -> int:
     aut = orbits.ToralAutomorphism.from_matrix(cfg.a_matrix)
     lines = []
     if cfg.closed_form:
-        zs = zeta.closed_form_suspension(aut, cfg.theta, 0.0)
-        value = abs(zs.full) ** (-1)
+        value = abs(zeta.zeta_value_at_zero(aut, cfg.theta)) ** -1
         lines.append(f"closed_form_abs_zeta0_inverse {g17(value)}")
         lines.append(f"fried_residual {g17(zeta.fried_residual(cfg.a_matrix, cfg.theta, sign=-cfg.sigma))}")
     data = orbits.suspension_orbits(aut, cfg.J)
@@ -293,13 +292,10 @@ def cmd_zeta(cfg: argparse.Namespace) -> int:
             np.linspace(cfg.lambda_start, cfg.lambda_stop, cfg.lambda_steps)]
     rows = zeta.zeta_grid_rows(data, cfg.theta, lams, [0, 1, 2, "full"], cfg.J)
     if cfg.fmt == "json":
-        keys = zeta.GRID_HEADER.split(",")
-        payload = {"summary": lines,
-                   "grid": [dict(zip(keys, r.split(","))) for r in rows]}
+        payload = {"summary": lines, "grid": [dict(zip(zeta.GRID_HEADER, r)) for r in rows]}
         lines = [json.dumps(payload, sort_keys=True)]
     else:
-        lines.append(zeta.GRID_HEADER)
-        lines.extend(rows)
+        lines.extend(",".join(r) for r in [zeta.GRID_HEADER, *rows])
     _emit(lines, cfg)
     return EXIT_OK
 

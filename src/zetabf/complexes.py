@@ -769,6 +769,7 @@ def read_complex_file(path):
     top = rank = None
     self_dual = False
     counts: Optional[Tuple[int, ...]] = None
+    counts_line = None
     generators: List[str] = []
     # relators as (line, word); blocks as (header line, rows)
     relator_words: List[Tuple[int, str]] = []
@@ -802,7 +803,7 @@ def read_complex_file(path):
             section = None
         elif key == "counts":
             counts = tuple(_integer(x, lineno, "counts") for x in fields[1:])
-            section = None
+            counts_line, section = lineno, None
         elif key == "generators":
             generators = list(fields[1:])
             section = None
@@ -831,15 +832,15 @@ def read_complex_file(path):
             raise ParseError(lineno, f"unknown directive {key!r}")
 
     if top is None or rank is None or counts is None or not generators:
-        raise ParseError(0, "missing complex header, counts or generators")
+        raise ParseError(None, "missing complex header, counts or generators")
     if len(counts) != top + 1:
-        raise ParseError(0, f"counts has {len(counts)} entries, expected {top + 1}")
+        raise ParseError(counts_line, f"counts has {len(counts)} entries, expected {top + 1}")
 
     gen_index = {name: i + 1 for i, name in enumerate(generators)}
     cobs = []
     for k in range(top):
         if k not in boundary_rows:
-            raise ParseError(0, f"missing boundary {k} block")
+            raise ParseError(None, f"missing boundary {k} block")
         header, rows = boundary_rows[k][0], []
         for lineno, row in boundary_rows[k][1]:
             entries = [
@@ -855,7 +856,7 @@ def read_complex_file(path):
     images = {}
     for name in generators:
         if name not in rep_rows:
-            raise ParseError(0, f"missing rep block for generator {name!r}")
+            raise ParseError(None, f"missing rep block for generator {name!r}")
         header, rows = rep_rows[name]
         mat = [_parse_complex_row(row, lineno) for lineno, row in rows]
         if len(mat) != rank or any(len(r) != rank for r in mat):

@@ -21,25 +21,19 @@ class ShapeMismatchError(ZetaBFError):
 class MellinDivergenceError(ZetaBFError):
     """The heat-trace Mellin integral diverges for the given spectrum."""
 
-    def __init__(self, eigenvalue, message=None):
+    def __init__(self, eigenvalue):
         self.eigenvalue = eigenvalue
-        super().__init__(
-            message
-            or f"Mellin integral diverges: eigenvalue {eigenvalue} has "
-            "non-positive real part off the kernel"
-        )
+        super().__init__(f"Mellin integral diverges: eigenvalue {eigenvalue} has "
+                         "non-positive real part off the kernel")
 
 
 class QuadratureFailureError(ZetaBFError):
     """The quadrature result disagrees with its own error estimate."""
 
-    def __init__(self, residual, estimate, message=None):
+    def __init__(self, residual, estimate):
         self.residual = residual
         self.estimate = estimate
-        super().__init__(
-            message
-            or f"quadrature residual {residual:.3e} exceeds estimate {estimate:.3e}"
-        )
+        super().__init__(f"quadrature residual {residual:.3e} exceeds estimate {estimate:.3e}")
 
 
 class QuadratureBudgetError(ZetaBFError):
@@ -53,12 +47,9 @@ class QuadratureBudgetError(ZetaBFError):
 class DeterminantRangeError(ZetaBFError):
     """The product of the nonzero eigenvalues leaves the normal double range."""
 
-    def __init__(self, log10_abs, message=None):
+    def __init__(self, log10_abs):
         self.log10_abs = log10_abs
-        super().__init__(
-            message
-            or f"determinant leaves double range: log10 |det| = {log10_abs:.6g}"
-        )
+        super().__init__(f"determinant leaves double range: log10 |det| = {log10_abs:.6g}")
 
 
 # -- twisted complexes -------------------------------------------------------
@@ -124,27 +115,27 @@ class NotHyperbolicError(ZetaBFError):
 
 
 class SupportTooWideError(ZetaBFError):
-    """A test function's support reaches t <= 0."""
+    """A test function's support reaches outside the orbit times the data covers."""
 
 
 class DivergentRegionError(ZetaBFError):
     """The orbit sum has an infinite tail bound at the requested parameter."""
 
-    def __init__(self, lam, message=None):
+    def __init__(self, lam):
         self.lam = lam
-        super().__init__(
-            message or f"orbit sum diverges at lambda={lam}: tail bound infinite"
-        )
+        super().__init__(f"orbit sum diverges at lambda={lam}: tail bound infinite")
 
 
 # -- file formats ------------------------------------------------------------
 
 class ParseError(ZetaBFError):
-    """Syntactic error in an input file."""
+    """Syntactic error in an input file; ``line`` names the offending line,
+    or is None for an error of the file as a whole."""
 
     def __init__(self, line, message):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        where = "" if line is None else f"line {line}: "
+        super().__init__(f"{where}{message}")
 
 
 class ValidationError(ZetaBFError):

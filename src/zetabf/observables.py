@@ -64,18 +64,6 @@ class DarbouxChart:
         return [(2 * i, 2 * i + 1) for i in range(len(self.pairs))]
 
 
-def bf_darboux_chart(fs, max_word_length: int = 8) -> DarbouxChart:
-    """Chart of a BF field space: one pair (a_k_i, b_k_i) per cell coordinate,
-    with field degree 1 - k (the antifield then has degree k - 2)."""
-    pairs = []
-    degrees = []
-    for k in range(fs.n + 1):
-        for i in range(fs.dims[k]):
-            pairs.append((f"a{k}_{i}", f"b{k}_{i}"))
-            degrees.append(1 - k)
-    return DarbouxChart(tuple(pairs), tuple(degrees), max_word_length)
-
-
 class PolyObservable:
     """Complex polynomial in the chart's graded coordinates."""
 

@@ -2,9 +2,10 @@
 
 Orbit counts are exact: fixed points of A^j on the 2-torus are counted as
 |det(A^j - I)| with unbounded Python integers, primitive orbits come out of
-Moebius inversion, and the exterior-power traces of the linearised Poincare
-maps are integer recurrences.  A plain text format ingests externally
-computed orbit spectra (e.g. geodesic length spectra) with validation.
+the divisor-sum recursion j N(j) = F(j) - sum_(d|j, d<j) d N(d), and the
+exterior-power traces of the linearised Poincare maps are read off exact
+powers of A.  A plain text format ingests externally computed orbit spectra
+(e.g. geodesic length spectra) with validation.
 """
 
 from __future__ import annotations
@@ -22,25 +23,15 @@ from .errors import NotHyperbolicError, ParseError, ValidationError
 
 _MAX_POWER = 64   # guarded range for exact integer powers
 
-
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out, p, m = 1, 2, n
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
+# Transverse unstable/stable rank of the 3-dimensional suspension model.
+TRANSVERSE_RANK = 1
 
 
-def _divisors(n: int) -> List[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def form_degree(k: int) -> int:
+    """k, checked to be a form degree of the transverse bundle."""
+    if not 0 <= k <= 2 * TRANSVERSE_RANK:
+        raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
+    return k
 
 
 @dataclass(frozen=True)
@@ -216,26 +207,29 @@ class OrbitData:
 
 
 def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[OrbitRecord]:
-    """Primitive-orbit records for periods <= j_max via Moebius inversion.
+    """Primitive-orbit records for periods <= j_max by the divisor-sum recursion.
 
-    The counts N(j) satisfy sum_(d|j) d*N(d) = |det(A^j - I)| exactly.  The
-    fixed-point counts |det(A^j - I)| read one sweep of exact powers
-    A^j = A^(j-1) A, j = 1..j_max, rather than a fresh power per j as
-    ``count_fixed_points`` forms it.
+    The counts N(j) satisfy sum_(d|j) d*N(d) = F(j) = |det(A^j - I)| exactly,
+    so j N(j) = F(j) - sum_(d|j, d<j) d N(d); each j N(j), once known, is
+    added into the sums of its multiples.  The fixed-point counts F(j) read
+    one sweep of exact powers A^j = A^(j-1) A, j = 1..j_max, rather than a
+    fresh power per j as ``count_fixed_points`` forms it.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if j_max > _MAX_POWER:
         raise ValidationError("J", f"periods above {_MAX_POWER} leave the guarded "
                                    f"range of exact powers, got {j_max}")
-    fixed = {j: _fixed_points(m) for j, m in enumerate(aut.powers(j_max), start=1)}
     mu = aut.expanding_eigenvalue
+    proper = [0] * (j_max + 1)    # sum_(d|j, d<j) d N(d), filled in as d passes
     records = []
-    for j in range(1, j_max + 1):
-        total = sum(_mobius(j // d) * fixed[d] for d in _divisors(j))
-        if total % j != 0:
-            raise ZeroDivisionError("Moebius inversion produced a non-integer count")
-        n_j = total // j
+    for j, m in enumerate(aut.powers(j_max), start=1):
+        rest = _fixed_points(m) - proper[j]
+        if rest % j != 0:
+            raise ZeroDivisionError("divisor-sum recursion produced a non-integer count")
+        for multiple in range(2 * j, j_max + 1, j):
+            proper[multiple] += rest
+        n_j = rest // j
         if n_j == 0:
             continue
         records.append(OrbitRecord(
@@ -254,22 +248,13 @@ def suspension_orbits(aut: ToralAutomorphism, j_max: int) -> OrbitData:
 
 
 def poincare_data(aut: ToralAutomorphism, j: int, k: int) -> Tuple[int, int]:
-    """(tr Lambda^k P^j, det(I - P^j)) as exact integers, with the per-orbit
-    identity (-1)^n |det(I - P^j)| = sum_k (-1)^k tr Lambda^k P^j verified.
-    P^j is read off the exact power A^j, so j outside [0, 64] raises
-    ValueError."""
-    if not 0 <= k <= 2:
-        raise ValueError("k must be in {0, 1, 2}")
+    """(tr Lambda^k P^j, det(I - P^j)) as exact integers.  P^j is read off
+    the exact power A^j, so j outside [0, 64] raises ValueError, as does a
+    k outside the form degrees."""
+    k = form_degree(k)
     a, _, _, d = aut.power(j)
-    t_j = a + d
-    det_j = aut.det ** j
-    traces = (1, t_j, det_j)
-    det_i_minus = 1 - t_j + det_j
-    alternating = traces[0] - traces[1] + traces[2]
-    # n = 1 for the 3-dimensional suspension; exact in integer arithmetic.
-    if alternating != -abs(det_i_minus):   # pragma: no cover
-        raise AssertionError("per-orbit linear-algebra identity failed")
-    return traces[k], det_i_minus
+    t_j, det_j = a + d, aut.det ** j
+    return (1, t_j, det_j)[k], 1 - t_j + det_j
 
 
 # -- orbit-spectrum file format -------------------------------------------------

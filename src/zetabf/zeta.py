@@ -63,10 +63,7 @@ from .errors import (
     SupportTooWideError,
     ValidationError,
 )
-from .orbits import OrbitData, ToralAutomorphism, g17
-
-# Transverse unstable/stable rank of the 3-dimensional suspension model.
-TRANSVERSE_RANK = 1
+from .orbits import TRANSVERSE_RANK, OrbitData, ToralAutomorphism, form_degree, g17
 
 DegreeSpec = Union[int, str]
 
@@ -80,13 +77,6 @@ class ZetaEvaluation:
     value: complex
     J: int
     truncation_error_bound: float
-
-
-def _degree(k: int) -> int:
-    """k, checked to be a form degree of the transverse bundle."""
-    if not 0 <= k <= 2 * TRANSVERSE_RANK:
-        raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
-    return k
 
 
 def _poincare_weight(eu, es, k: int):
@@ -387,7 +377,7 @@ def log_zeta_k(data: OrbitData, theta: float, lam: complex, k: int,
     log zeta_k = -sum_gamma sum_j (1/j) e^(-lam j l) tr(rho^j)
                  tr Lambda^k P^j / |det(I - P^j)|.
     """
-    return _log_zeta(data, theta, lam, _degree(k), J)
+    return _log_zeta(data, theta, lam, form_degree(k), J)
 
 
 def log_zeta_full(data: OrbitData, theta: float, lam: complex,
@@ -400,7 +390,9 @@ def decomposition_residual(data: OrbitData, theta: float, lam: complex,
                            J: int = 30) -> float:
     """|(-1)^n log zeta - sum_k (-1)^k log zeta_k| at identical truncation.
 
-    The identity holds per orbit, so the residual is pure floating error.
+    The identity (-1)^n |det(I - P^j)| = sum_k (-1)^k tr Lambda^k P^j holds
+    per orbit only where det(I - P^j) < 0, which means tr A > 0; there the
+    residual is pure floating error.
     """
     full = log_zeta_full(data, theta, lam, J).value
     alternating = sum((-1) ** k * log_zeta_k(data, theta, lam, k, J).value
@@ -437,13 +429,20 @@ def flat_trace_pairing(data: OrbitData, theta: float, k: int,
     """Pair the distributional flat trace of e^(-t L_k) with a bump function.
 
     The trace formula collapses to a weighted sum over orbit times j*l(gamma);
-    only times inside the bump's support contribute.
+    only times inside the bump's support contribute.  On a suspension
+    spectrum those times must stay below the first period whose primitive
+    orbits the records may miss, (complete_to + 1) * roof.
     """
-    k = _degree(k)
+    k = form_degree(k)
     lo, hi = bump.support
     if lo <= 0.0:
         raise SupportTooWideError(
             f"support [{lo:.3g}, {hi:.3g}] reaches t <= 0"
+        )
+    if data.aut is not None and hi >= (data.complete_to + 1) * data.aut.roof:
+        raise SupportTooWideError(
+            f"support [{lo:.3g}, {hi:.3g}] reaches period {data.complete_to + 1}, "
+            f"beyond the orbits complete to period {data.complete_to}"
         )
     total = 0.0 + 0.0j
     for rec in sorted(data.records, key=lambda r: (r.length, r.count)):
@@ -467,7 +466,7 @@ def mellin_log_zeta(data: OrbitData, theta: float, lam: complex, k: int,
     S(0), and l (j l)^(-1) = 1/j makes -S(0) the direct sum term for term:
     the value and the errors are those of ``log_zeta_k``.
     """
-    return _log_zeta(data, theta, lam, _degree(k), J).value
+    return _log_zeta(data, theta, lam, form_degree(k), J).value
 
 
 @dataclass(frozen=True)
@@ -597,25 +596,23 @@ def fried_residual(a_matrix, theta: float, sign: int = -1) -> float:
 
 # -- zeta grid export -----------------------------------------------------------
 
-GRID_HEADER = "re_lambda,im_lambda,k,re_log_zeta,im_log_zeta,tail_bound,J,status"
+GRID_HEADER = ("re_lambda", "im_lambda", "k", "re_log_zeta", "im_log_zeta", "tail_bound",
+               "J", "status")
 
 
 def zeta_grid_rows(data: OrbitData, theta: float, lams, ks, J: int):
-    """CSV-style rows over a lambda grid; divergent points are flagged rows."""
+    """Rows over a lambda grid, each a tuple of the GRID_HEADER fields as
+    strings; divergent points are flagged rows."""
     rows = []
     for lam in lams:
         for k in ks:
             try:
                 ev = (log_zeta_full(data, theta, lam, J) if k == "full"
                       else log_zeta_k(data, theta, lam, k, J))
-                rows.append(",".join([
-                    g17(lam.real), g17(lam.imag), str(k),
-                    g17(ev.value.real), g17(ev.value.imag),
-                    g17(ev.truncation_error_bound), str(J), "ok",
-                ]))
+                value = (g17(ev.value.real), g17(ev.value.imag),
+                         g17(ev.truncation_error_bound))
+                status = "ok"
             except DivergentRegionError:
-                rows.append(",".join([
-                    g17(lam.real), g17(lam.imag), str(k),
-                    "nan", "nan", "inf", str(J), "divergent",
-                ]))
+                value, status = ("nan", "nan", "inf"), "divergent"
+            rows.append((g17(lam.real), g17(lam.imag), str(k), *value, str(J), status))
     return rows

@@ -205,6 +205,38 @@ def test_torsion_malformed_directive(tmp_path, old, new):
     assert f"parse error: line {edited + 1}:" in err
 
 
+@pytest.mark.parametrize("first, last, message", [
+    ("complex top=3 rank=1", "complex top=3 rank=1",
+     "missing complex header, counts or generators"),
+    ("boundary 1", "  -1*t.b.t'.b'.a' ; +1*t -1*t.b.t'.b' ; +1*1 -1*t.b.t'",
+     "missing boundary 1 block"),
+    ("rep t", "  -0.41614683654714241,0.90929742682568171",
+     "missing rep block for generator 't'"),
+], ids=["header", "boundary", "rep"])
+def test_file_level_parse_errors_name_no_line(tmp_path, first, last, message):
+    # an error of the file as a whole used to read "line 0: ..."
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    del lines[lines.index(first):lines.index(last) + 1]
+    path = tmp_path / "bad.cplx"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        complexes.read_complex_file(path)
+    assert exc.value.line is None
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
+
+
+def test_counts_of_the_wrong_length_name_their_line(tmp_path):
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    named = lines.index("counts 1 3 3 1")
+    lines[named] = "counts 1 3 3"
+    path = tmp_path / "bad.cplx"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"parse error: line {named + 1}: counts has 3 entries, expected 4\n"
+
+
 BOUNDARY_2_ROW = "  +1*t -1*1 ; -1*1 +1*a.b.a' ; -1*a +1*a.b.a'.b'"
 
 
@@ -282,6 +314,13 @@ def test_zeta_grid_and_closed_form(tmp_path):
     assert "fried_residual" in text
     assert "re_lambda,im_lambda,k" in text
     assert text.count("\n") >= 13
+
+
+def test_zeta_closed_form_at_an_untwisted_theta_is_a_domain_error():
+    code, out, err = run_cli(["zeta", "--closed-form", "--theta", "0"])
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == ("domain error (NotAcyclicError): theta in 2*pi*Z: zeta_0 vanishes "
+                   "at 0, flat determinant undefined\n")
 
 
 def test_zeta_flags_divergent_rows():

@@ -172,6 +172,23 @@ def test_poincare_data_refuses_powers_outside_the_exact_range(j):
     assert poincare_data(CAT, 64, 1)[0] == a + d
 
 
+@pytest.mark.parametrize("matrix", [(-2, -1, -1, -1), (-3, 1, 1, 0)],
+                         ids=["neg-trace-det1", "neg-trace-det-1"])
+def test_poincare_data_of_negative_trace(matrix):
+    # det(I - P^j) > 0 at odd j, e.g. (1, 5) for j = 1, k = 0 on the first
+    # matrix, so (-1)^n |det(I - P^j)| = sum_k (-1)^k tr Lambda^k P^j fails:
+    # the exact data are returned all the same, with no identity asserted
+    aut = ToralAutomorphism(*matrix)
+    a, b, c, d = matrix
+    m = (1, 0, 0, 1)
+    for j in range(13):
+        tr_j, det_j = m[0] + m[3], aut.det ** j
+        assert [poincare_data(aut, j, k) for k in (0, 1, 2)] == [
+            (t, 1 - tr_j + det_j) for t in (1, tr_j, det_j)]
+        m = (m[0] * a + m[1] * c, m[0] * b + m[1] * d,
+             m[2] * a + m[3] * c, m[2] * b + m[3] * d)
+
+
 def test_eigen_vs_integer_counts():
     mu = CAT.expanding_eigenvalue
     for j in range(1, 13):

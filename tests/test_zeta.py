@@ -16,10 +16,12 @@ from zetabf.orbits import (
     OrbitRecord,
     ToralAutomorphism,
     load_orbit_spectrum,
+    poincare_data,
     suspension_orbits,
     write_orbit_spectrum,
 )
 from zetabf.zeta import (
+    GRID_HEADER,
     BumpSpec,
     closed_form_suspension,
     decomposition_residual,
@@ -150,7 +152,8 @@ def test_flat_trace_bump_at_two():
     lambda k: flat_trace_pairing(suspension_orbits(CAT, 8), 0.3, k, BumpSpec(0.5, 0.04)),
     lambda k: log_zeta_k(DATA, 0.3, 3.0, k),
     lambda k: mellin_log_zeta(DATA, 0.3, 3.0, k),
-], ids=["flat_trace_pairing", "log_zeta_k", "mellin_log_zeta"])
+    lambda k: poincare_data(CAT, 1, k),
+], ids=["flat_trace_pairing", "log_zeta_k", "mellin_log_zeta", "poincare_data"])
 def test_degree_outside_the_forms_is_refused(route, k):
     # the bump at 0.5 holds no orbit time, so no term would check k
     with pytest.raises(ValueError, match="k must lie in"):
@@ -160,6 +163,21 @@ def test_degree_outside_the_forms_is_refused(route, k):
 def test_flat_trace_support_guard():
     with pytest.raises(SupportTooWideError):
         flat_trace_pairing(DATA, 0.0, 0, BumpSpec(0.2, 0.05))
+
+
+def test_flat_trace_refuses_times_beyond_the_complete_periods(tmp_path):
+    # the bump reaches t = 18: the period-8 spectrum misses the primitive
+    # orbits of periods 9..18, and used to give -0.00459 - 0.00128i in silence
+    bump = BumpSpec(12.0, 1.0)
+    with pytest.raises(SupportTooWideError, match="complete to period 8"):
+        flat_trace_pairing(suspension_orbits(CAT, 8), 0.3, 0, bump)
+    val = flat_trace_pairing(suspension_orbits(CAT, 20), 0.3, 0, bump)
+    assert val == pytest.approx(-2.148929420133712 - 1.0604251739217383j, abs=1e-12)
+    # an ingested spectrum carries no completeness claim and is paired as it is
+    path = tmp_path / "spectrum.txt"
+    write_orbit_spectrum(path, suspension_orbits(CAT, 8).records, theta=0.3)
+    val = flat_trace_pairing(load_orbit_spectrum(path), 0.3, 0, bump)
+    assert val == pytest.approx(-0.004593896480999609 - 0.0012808678013834847j, abs=1e-15)
 
 
 def test_mellin_route_matches_direct():
@@ -271,7 +289,8 @@ def test_vanishing_zeta2_raises():
 def test_zeta_grid_rows_flag_divergence():
     rows = zeta_grid_rows(DATA, 0.0, [0.3 + 0j, 3.0 + 0j], [0, "full"], 20)
     assert len(rows) == 4
-    statuses = [r.split(",")[-1] for r in rows]
+    assert all(len(r) == len(GRID_HEADER) for r in rows)
+    statuses = [r[-1] for r in rows]
     assert statuses == ["ok", "divergent", "ok", "ok"]
 
 
