@@ -15,7 +15,13 @@ and ``chart`` groups cover the primitive-orbit records at periods <= 64
 (period and count as exact decimal strings, which float.hex would round) and
 the gauge polarization's Darboux chart; they were generated at commit b9a6de1,
 before the orbit counts became a divisor-sum recursion and the chart got one
-builder.
+builder.  The ``rank_cut`` group covers inputs whose smallest singular values
+sit near the rank cut (cat-map twists at small theta, a cat complex and
+seeded random complexes scaled by small and large factors), through every
+consumer of the ranks: both torsion routes, Schwarz, the determinant
+relations, the Laplacian log dets, the metric, Hodge and Reeb gauges and a
+short homotopy scan; it was generated at commit ceae494, before each of those
+consumers took its count from the spectral record instead of cutting again.
 
 Regenerate the file (only for a change meant to move digits) with
 
@@ -73,6 +79,27 @@ def _mapping_tori():
     return [complexes.mapping_torus_complex(a, t) for a, t in cases]
 
 
+def _scaled(tc, s):
+    """``tc`` with every differential multiplied by ``s``."""
+    return complexes.TwistedComplex([s * d for d in tc.diffs],
+                                    poincare_self_dual=tc.poincare_self_dual)
+
+
+def _rank_cut_complexes():
+    """Inputs near the rank cut: the cat map twisted by theta = 1e-3 and 1e-4,
+    the theta = 2 cat complex scaled by 1e-3, and five seeded random
+    complexes scaled by 1e-4 and by 1e4."""
+    out = [complexes.mapping_torus_complex(CAT_MAP, t) for t in (1e-3, 1e-4)]
+    out.append(_scaled(complexes.mapping_torus_complex(CAT_MAP, 2.0), 1e-3))
+    rng = np.random.default_rng(SEED + 6)
+    for _ in range(5):
+        tc = complexes.random_twisted_complex(
+            rng, top_degree=int(rng.integers(2, 5)), max_cells=4,
+            rank=int(rng.integers(1, 3)))
+        out += [_scaled(tc, 1e-4), _scaled(tc, 1e4)]
+    return out
+
+
 def _gauge_values(fs, gs, groups):
     groups["Z"].append(bv.partition_function(fs, gs))
     rep = bv.is_lagrangian(fs, gs)
@@ -85,7 +112,7 @@ def parity_groups():
     groups = {name: [] for name in ("torsion_routes", "schwarz", "det_relations", "Z",
                                     "is_lagrangian", "scan", "log_zeta_k", "cycle_zeta",
                                     "flat_trace", "loaded_spectrum", "poincare",
-                                    "primitive_orbits", "chart")}
+                                    "primitive_orbits", "chart", "rank_cut")}
     tori = _mapping_tori()
 
     # criteria 6 and 7: torsion routes, Schwarz and the determinant relations
@@ -190,6 +217,24 @@ def parity_groups():
             groups["chart"] += [v for pair in chart.pairs for v in pair]
             groups["chart"] += list(chart.field_degrees) + [chart.max_word_length]
             groups["chart"] += list(names)
+
+    # every rank consumer on inputs near the cut
+    for tc in _rank_cut_complexes():
+        values = list(complexes.torsion_routes(tc)) + [complexes.schwarz_partition(tc)]
+        rep = complexes.det_relations_report(tc)
+        values += [rep.relation1, rep.relation3, *rep.coexact_logdets]
+        if rep.relation2 is not None:
+            values.append(rep.relation2)
+        values += tc.spectrum.laplacian_logdets
+        fs = bv.build_bf_fields(tc)
+        gauges = [bv.metric_gauge(fs), bv.contraction_gauge(fs, bv.hodge_contraction(tc))]
+        if tc.suspension is not None:
+            gauges.append(bv.contraction_gauge(fs, bv.suspension_contraction(tc)))
+        values += [bv.partition_function(fs, gs) for gs in gauges]
+        family = bv.unitary_contraction_family(tc, np.random.default_rng(SEED + 7))
+        scan = bv.homotopy_scan(fs, family, samples=5)
+        values += [x for _, z, r in scan.samples for x in (z, r)] + scan.action_min_sv
+        groups["rank_cut"] += values
     return groups
 
 
