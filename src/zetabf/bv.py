@@ -36,7 +36,10 @@ those two SVDs once per degree for all its samples: the factorisations behind
 the Z and isotropy digits that ``bf`` prints.  The restricted action blocks are
 L = iota d + d iota on ker iota (for a Reeb contraction, the zeta factors);
 their SVDs and that of the isotropy cross pairing stay separate: they are the
-checks that the gauge-fixed side reproduces the torsion.
+checks that the gauge-fixed side reproduces the torsion.  The metric gauge's
+blocks (d_k c_k)* d_k c_k, c_k the record's coexact basis, have the record's
+kept s_i^2 as singular values; ``nonzero_mask`` cuts only what the record
+does not fix, the kernels of iota and the contraction gauges' blocks.
 
 Stacked scans: every map of a contraction may carry one leading sample axis,
 and the contraction, its gauge, ``partition_function`` and the isotropy
@@ -529,8 +532,10 @@ def restricted_action_blocks(fs: BFFieldSpace, gs: GaugeSubspace) -> List[np.nda
 
 def _fixed_action(fs: BFFieldSpace, gs: GaugeSubspace):
     """(Z, smallest singular value over the restricted action blocks), per
-    member for a stacked gauge; the second is the number the degeneracy test
-    reads, the gauge's distance to a degenerate one."""
+    member for a stacked gauge.  A contraction gauge block with a singular
+    value below the rank cut raises DegenerateContractionError, so the second
+    is the gauge's distance to a degenerate one; the metric gauge's blocks
+    have the record's kept s_i^2 as values and are not cut again."""
     lead = gs.a_bases[0].shape[:-2]
     log_z, smallest = np.zeros(lead), np.full(lead, np.inf)
     for k, m in enumerate(restricted_action_blocks(fs, gs)):
@@ -540,11 +545,8 @@ def _fixed_action(fs: BFFieldSpace, gs: GaugeSubspace):
         if m.shape[-1] == 0:
             continue
         s = np.linalg.svd(m, compute_uv=False)
-        degenerate = s[..., -1] <= 1e-10 * np.maximum(s[..., 0], 1.0)
         if gs.kind == "contraction":
-            _refuse(degenerate, degree=k)
-        elif degenerate:
-            raise DegenerateGaugeError(k)
+            _refuse(~nonzero_mask(s)[..., -1], degree=k)
         # sum of log singular values = log|det|; Z is reported as a modulus
         log_z = log_z + (-1) ** k * _row_sums(np.log(s))
         smallest = np.minimum(smallest, s[..., -1])
@@ -559,7 +561,7 @@ def partition_function(fs: BFFieldSpace, gs: GaugeSubspace) -> float:
     the base.  Contraction gauge: equals |sdet(L restricted to ker iota)| with
     L = iota d + d iota, whose degree-k block is restricted_action_blocks[k]
     for a unitary-normalised contraction.  A stacked contraction gauge gives
-    one Z per member.
+    one Z per member; only a contraction gauge is tested for degeneracy.
     """
     return _fixed_action(fs, gs)[0]
 

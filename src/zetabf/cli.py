@@ -235,7 +235,7 @@ def cmd_torsion(cfg: argparse.Namespace) -> int:
     """Betti numbers, torsion by both routes, Schwarz's partition function and
     the determinant-relation residuals, as (key, value) rows."""
     tc = _load_model(cfg)
-    tau = complexes.analytic_torsion(tc, sign=cfg.sigma)
+    tau = complexes.analytic_torsion(tc) ** cfg.sigma
     laplace, coexact = complexes.torsion_routes(tc)
     rows = [
         ("betti", tc.betti_numbers()),
@@ -259,7 +259,7 @@ def cmd_bf(cfg: argparse.Namespace) -> int:
     (key, value) rows."""
     tc = _load_model(cfg)
     fs = bv.build_bf_fields(tc)
-    tau = complexes.analytic_torsion(tc, sign=cfg.sigma)
+    tau = complexes.analytic_torsion(tc) ** cfg.sigma
     z_metric = bv.partition_function(fs, bv.metric_gauge(fs)) ** cfg.sigma
     hodge = bv.hodge_contraction(tc)
     z_contraction = bv.partition_function(fs, bv.contraction_gauge(fs, hodge)) ** cfg.sigma

@@ -18,16 +18,16 @@ G^(1/2) d G^(-1/2), the only way torsion and the partition functions see the
 metric, so every consumer reads identity inner products.  Each complex
 factorises its stored differentials once, into a ``SpectralRecord``: the
 rank and coexact log det of every d_k, from its values-only SVD, and the log
-det of every Laplacian, from its eigenvalues, each log det read off the kept
-values by ``_kept_log``.  Ranks, Betti numbers, acyclicity, the
-coexact log dets, the Laplacian torsion route, the expected ranks of the
-Schwarz blocks and relation (3) all read it.  The record never mixes routes:
-the Laplacian route reads Laplacian eigenvalues, the coexact route the
-singular values of d_k.  Factorisations of other matrices stay separate
-because they are cross-checks: relation (1) takes its own SVD of d_k*, and
-the Schwarz resolution factorises the blocks it assembles.  The exact/coexact
-bases of the BV gauges come from a second, with-vectors SVD (``hodge_bases``),
-cut at the record's rank.
+det of every Laplacian, from its eigenvalues.  Its cut of the singular
+values of each d_k (``nonzero_mask``) is the complex's one rank decision:
+Betti numbers, acyclicity, both torsion routes, the Schwarz blocks, relations
+(1) and (3) and the bases of the BV gauges read its ranks.  Factorisations of
+other matrices stay separate because they are cross-checks (relation (1)
+takes its own SVD of d_k*, the Schwarz resolution factorises the blocks it
+assembles), but each keeps its largest values, as many as the record's ranks
+give it, and cuts nothing again.  The exact/coexact bases of the BV gauges
+come from a second, with-vectors SVD (``hodge_bases``), cut at the record's
+rank.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    DegenerateResolutionError,
     NotAComplexError,
     NotAcyclicError,
     ParseError,
@@ -73,10 +72,11 @@ _EMPTY: Word = ()
 
 
 def nonzero_mask(x: np.ndarray) -> np.ndarray:
-    """The one rank decision: entries of ``x`` above RANK_TOL * max(max(x), 1).
+    """The rank cut: entries of ``x`` above RANK_TOL * max(max(x), 1).
 
-    Applied to singular values or to Hermitian eigenvalues, whichever a site
-    factorises; for stacked values (one row per member), per row.
+    For stacked values (one row per member), per row.  A complex cuts only
+    the singular values of its d_k, in ``SpectralRecord``; ``bv`` cuts the
+    contraction maps, which the record does not factorise.
     """
     if x.size == 0:
         return np.zeros(x.shape, dtype=bool)
@@ -228,7 +228,8 @@ class SpectralRecord:
     Per differential d_k, from its values-only SVD: ``ranks[k]``, the count of
     singular values above the rank cut, and ``coexact_logdets[k]`` =
     log det_flat(d_k* d_k).  Per degree k = 0..N, from the eigenvalues of
-    Delta_k: ``laplacian_logdets[k]`` = log det_flat(Delta_k).
+    Delta_k: ``laplacian_logdets[k]`` = log det_flat(Delta_k), over its
+    largest rank d_k + rank d_(k-1) eigenvalues.
     """
 
     ranks: Tuple[int, ...]
@@ -236,16 +237,14 @@ class SpectralRecord:
     laplacian_logdets: Tuple[float, ...]
 
 
-def _kept_log(x: np.ndarray) -> Tuple[float, int]:
-    """(sum of log x over the values of x above the rank cut, their count)."""
-    keep = nonzero_mask(x)
-    return float(np.sum(np.log(x[keep]))), int(np.count_nonzero(keep))
+def _log_sum(x: np.ndarray) -> float:
+    """Sum of log x."""
+    return float(np.sum(np.log(x)))
 
 
-def _logdet_nonzero_sq(matrix: np.ndarray) -> Tuple[float, int]:
-    """Sum of log(sigma^2) over nonzero singular values, plus their count."""
-    log_s, count = _kept_log(np.linalg.svd(matrix, compute_uv=False))
-    return 2.0 * log_s, count
+def _logdet_top_sq(matrix: np.ndarray, count: int) -> float:
+    """Sum of log(sigma^2) over the largest ``count`` singular values."""
+    return 2.0 * _log_sum(np.linalg.svd(matrix, compute_uv=False)[:count])
 
 
 def _gram_root(g: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -336,9 +335,13 @@ class TwistedComplex:
     @cached_property
     def spectrum(self) -> SpectralRecord:
         """Spectral record of the stored differentials, computed on first use."""
-        coexact, ranks = zip(*map(_logdet_nonzero_sq, self.diffs))
-        lap = tuple(_kept_log(np.linalg.eigvalsh(self.laplacian(k)))[0]
-                    for k in range(self.top_degree + 1))
+        # SVD values descend and eigvalsh ascends: keep a head, resp. a tail
+        svals = [np.linalg.svd(d, compute_uv=False) for d in self.diffs]
+        ranks = tuple(int(np.count_nonzero(nonzero_mask(s))) for s in svals)
+        coexact = tuple(2.0 * _log_sum(s[:r]) for s, r in zip(svals, ranks))
+        kept = [a + b for a, b in zip((0,) + ranks, ranks + (0,))]   # rank d_(k-1) + rank d_k
+        lap = tuple(_log_sum(np.linalg.eigvalsh(self.laplacian(k))[n - c:])
+                    for k, (n, c) in enumerate(zip(self.dims, kept)))
         return SpectralRecord(ranks, coexact, lap)
 
     @cached_property
@@ -416,12 +419,12 @@ def torsion_routes(tc: TwistedComplex) -> Tuple[float, float]:
     return math.exp(log_laplace), math.exp(log_coexact)
 
 
-def analytic_torsion(tc: TwistedComplex, sign: int = 1) -> float:
+def analytic_torsion(tc: TwistedComplex) -> float:
     """Analytic torsion prod_k det_flat(Delta_k)^(k/2 * (-1)^(k+1)).
 
     Also evaluates Schwarz's coexact form prod_k det_flat(d_k* d_k)^((-1)^k/2)
-    and insists the two agree to 1e-10; ``sign=-1`` reports the reciprocal
-    convention.
+    and insists the two agree to 1e-10; the reciprocal convention is the
+    caller's ``** -1``.
     """
     laplace, coexact = torsion_routes(tc)
     if abs(math.log(laplace) - math.log(coexact)) > \
@@ -430,7 +433,7 @@ def analytic_torsion(tc: TwistedComplex, sign: int = 1) -> float:
             "torsion cross-check failed: laplacian route "
             f"{laplace!r} vs coexact route {coexact!r}"
         )
-    return coexact ** sign
+    return coexact
 
 
 def schwarz_partition(tc: TwistedComplex) -> float:
@@ -442,7 +445,8 @@ def schwarz_partition(tc: TwistedComplex) -> float:
         det_flat(T^2)^(-1/4) * prod_k det_flat(T_k T_k*)^((-1)^(k+1)/2).
 
     For a one-degree complex the resolution degenerates and the coexact
-    product is returned directly.
+    product is returned directly.  Each block keeps its largest values, as
+    many as the spectral record's ranks give it.
     """
     tc.require_acyclic()
     n = tc.top_degree
@@ -453,23 +457,18 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     ranks = tc.spectrum.ranks
     d = tc.diffs
 
-    # T^2 = diag(d_1* d_1, dual twin); log det_flat and a rank check.
+    # T^2 = diag(d_1* d_1, dual twin): eigvalsh ascends, so the kept values
+    # are its last 2 rank d_1.
     t_sq = _block_diag(d[1].conj().T @ d[1], np.conj(d[1]) @ d[1].T)
-    log_w, count = _kept_log(np.linalg.eigvalsh(t_sq))
-    if count != 2 * ranks[1]:
-        raise DegenerateResolutionError("action block T^2 has unexpected rank")
-    log_z = -0.25 * log_w
+    log_z = -0.25 * _log_sum(np.linalg.eigvalsh(t_sq)[len(t_sq) - 2 * ranks[1]:])
 
-    # Ghost towers (T_k, expected rank), the dual tower's differentials d^T:
+    # Ghost towers (T_k, rank), the dual tower's differentials d^T:
     # T_1 = diag(d_0, d_2^T) (d_2^T for N >= 3), T_k = d_(k+1)^T for 2 <= k <= N-2.
     towers = [(_block_diag(d[0], d[2].T), ranks[0] + ranks[2]) if n >= 3
               else (_block_diag(d[0]), ranks[0])]
     towers += [(d[k + 1].T, ranks[k + 1]) for k in range(2, n - 1)]
-    for k, (t_k, expected) in enumerate(towers, start=1):
-        ld, count = _logdet_nonzero_sq(t_k)
-        if count != expected:
-            raise DegenerateResolutionError(f"resolution block T_{k} has unexpected rank")
-        log_z += 0.5 * (-1) ** (k + 1) * ld
+    for k, (t_k, rank) in enumerate(towers, start=1):
+        log_z += 0.5 * (-1) ** (k + 1) * _logdet_top_sq(t_k, rank)
     return math.exp(log_z)
 
 
@@ -490,26 +489,18 @@ class DetRelationsReport:
 
 
 def det_relations_report(tc: TwistedComplex) -> DetRelationsReport:
+    """Every det read off the spectral record, but relation (1)'s det(d_k d_k*):
+    from its own SVD of d_k*, over its largest rank d_k singular values."""
     tc.require_acyclic()
-    n = tc.top_degree
-    ell = tc.spectrum.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
-
-    res1 = 0.0
-    for k, d in enumerate(tc.diffs):
-        dd_star, _ = _logdet_nonzero_sq(d.conj().T)
-        res1 = max(res1, abs(dd_star - ell[k]))
-
-    res3 = 0.0
-    for k in range(n + 1):
-        target = (ell[k - 1] if k >= 1 else 0.0) + (ell[k] if k < n else 0.0)
-        res3 = max(res3, abs(tc.spectrum.laplacian_logdets[k] - target))
-
-    res2 = None
-    if tc.poincare_self_dual:
-        res2 = 0.0
-        for k in range(1, n + 1):
-            res2 = max(res2, abs(ell[k - 1] - ell[n - k]))
-
+    n, spec = tc.top_degree, tc.spectrum
+    ell = spec.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
+    res1 = max(0.0, *(abs(_logdet_top_sq(d.conj().T, r) - e)
+                      for d, r, e in zip(tc.diffs, spec.ranks, ell)))
+    ends = (0.0,) + ell + (0.0,)        # ends[k] + ends[k + 1]: relation (3)'s target at k
+    res3 = max(0.0, *(abs(lap - (ends[k] + ends[k + 1]))
+                      for k, lap in enumerate(spec.laplacian_logdets)))
+    res2 = (max(0.0, *(abs(ell[k - 1] - ell[n - k]) for k in range(1, n + 1)))
+            if tc.poincare_self_dual else None)
     return DetRelationsReport(res1, res3, res2, tuple(ell))
 
 
@@ -762,21 +753,28 @@ def _parse_complex_row(text: str, lineno: int) -> List[complex]:
 
 
 def read_complex_file(path):
-    """Parse the twisted-complex format; returns (CellComplex, UnitaryRep, grams)."""
+    """Parse the twisted-complex format; returns (CellComplex, UnitaryRep, grams).
+    A repeated directive, block or generator name is a ParseError at its line
+    that names the line of the first."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
 
     top = rank = None
     self_dual = False
     counts: Optional[Tuple[int, ...]] = None
-    counts_line = None
     generators: List[str] = []
     # relators as (line, word); blocks as (header line, rows)
     relator_words: List[Tuple[int, str]] = []
     boundary_rows: Dict[int, Tuple[int, List[str]]] = {}
     rep_rows: Dict[str, Tuple[int, List[str]]] = {}
     gram_rows: Dict[int, Tuple[int, List[str]]] = {}
+    first_lines: Dict[str, int] = {}      # "counts", "rep t", "generator a", ... -> line
     section = None
+
+    def once(what: str, lineno: int):
+        if what in first_lines:
+            raise ParseError(lineno, f"repeated {what!r}, first at line {first_lines[what]}")
+        first_lines[what] = lineno
 
     for lineno, line in enumerate(raw, start=1):
         stripped = line.strip()
@@ -789,7 +787,9 @@ def read_complex_file(path):
             section[1].append((lineno, stripped))
             continue
         fields = stripped.split()
-        key = fields[0]
+        key, section = fields[0], None      # a block directive opens a new section
+        if key in ("complex", "counts", "generators"):
+            once(key, lineno)
         if key == "complex":
             for f in fields[1:]:
                 if f.startswith("top="):
@@ -800,32 +800,32 @@ def read_complex_file(path):
                     self_dual = True
                 else:
                     raise ParseError(lineno, f"unknown header field {f!r}")
-            section = None
         elif key == "counts":
             counts = tuple(_integer(x, lineno, "counts") for x in fields[1:])
-            counts_line, section = lineno, None
         elif key == "generators":
             generators = list(fields[1:])
-            section = None
+            for name in generators:
+                once(f"generator {name}", lineno)
         elif key == "label":        # checked, then ignored: generators names them
             idx, colon, _ = _argument(fields, lineno).partition(":")
             if not colon:
                 raise ParseError(lineno, "label must read index:name")
             _integer(idx, lineno, "label index")
-            section = None
         elif key == "relator":
             relator_words.append((lineno, _argument(fields, lineno)))
-            section = None
         elif key == "boundary":
             k = _integer(_argument(fields, lineno), lineno, "boundary degree")
+            once(f"boundary {k}", lineno)
             boundary_rows[k] = (lineno, [])
             section = ("boundary", boundary_rows[k][1])
         elif key == "rep":
             name = _argument(fields, lineno)
+            once(f"rep {name}", lineno)
             rep_rows[name] = (lineno, [])
             section = ("rep", rep_rows[name][1])
         elif key == "gram":
             k = _integer(_argument(fields, lineno), lineno, "gram degree")
+            once(f"gram {k}", lineno)
             gram_rows[k] = (lineno, [])
             section = ("gram", gram_rows[k][1])
         else:
@@ -834,7 +834,8 @@ def read_complex_file(path):
     if top is None or rank is None or counts is None or not generators:
         raise ParseError(None, "missing complex header, counts or generators")
     if len(counts) != top + 1:
-        raise ParseError(counts_line, f"counts has {len(counts)} entries, expected {top + 1}")
+        raise ParseError(first_lines["counts"],
+                         f"counts has {len(counts)} entries, expected {top + 1}")
 
     gen_index = {name: i + 1 for i, name in enumerate(generators)}
     cobs = []

@@ -70,10 +70,6 @@ class NotAcyclicError(ZetaBFError):
         super().__init__(message or f"complex is not acyclic: betti={self.betti}")
 
 
-class DegenerateResolutionError(ZetaBFError):
-    """A block of the Schwarz resolution is degenerate."""
-
-
 # -- BV gauge fixing ---------------------------------------------------------
 
 class DegenerateContractionError(ZetaBFError):

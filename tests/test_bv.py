@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zetabf import bv
 from zetabf.bv import (
@@ -36,6 +37,7 @@ from zetabf.complexes import (
     mapping_torus_cell_complex,
     mapping_torus_complex,
     random_twisted_complex,
+    schwarz_partition,
     torus_complex,
 )
 from zetabf.errors import (
@@ -414,6 +416,48 @@ def test_contraction_validated_once(monkeypatch):
     z = partition_function(fs, contraction_gauge(fs, hodge_contraction(tc)))
     assert z == pytest.approx(analytic_torsion(tc), rel=1e-10)
     assert len(calls) == 1
+
+
+def test_contraction_gauge_degeneracy_is_the_rank_cut():
+    # |iota| = 4e9 and a = 1/4e9: the one action block is 2 / 4e9 = 5e-10,
+    # below RANK_TOL * max(5e-10, 1)
+    fs = build_bf_fields(circle_complex(math.pi))
+    c = Contraction([np.zeros((0, 1)), np.array([[4e9]])],
+                    [np.array([[1 / 4e9]]), np.zeros((0, 1))])
+    with pytest.raises(DegenerateContractionError) as err:
+        partition_function(fs, contraction_gauge(fs, c))
+    assert err.value.degree == 0
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-6, 1e-7])
+def test_gauges_of_a_cat_twist_near_the_rank_cut(theta):
+    tc = mapping_torus_complex(CAT, theta)
+    q = 4.0 * math.sin(theta / 2) ** 2
+    fs = build_bf_fields(tc)
+    for gs in (metric_gauge(fs), contraction_gauge(fs, hodge_contraction(tc)),
+               contraction_gauge(fs, suspension_contraction(tc))):
+        assert partition_function(fs, gs) == pytest.approx(q / (1.0 + q), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), log10_s=st.floats(-8.0, 8.0))
+@example(seed=0, log10_s=-8.0)
+@example(seed=0, log10_s=8.0)
+def test_torsion_and_gauges_are_scale_covariant(seed, log10_s):
+    """log tau(s d) = log tau(d) + sum_k (-1)^k rank d_k log s, and Schwarz,
+    Z_metric and Z_Hodge follow tau."""
+    rng = np.random.default_rng(seed)
+    tc = random_twisted_complex(rng, top_degree=int(rng.integers(2, 5)), max_cells=4,
+                                rank=int(rng.integers(1, 3)))
+    s = 10.0 ** log10_s
+    scaled = TwistedComplex([s * d for d in tc.diffs])
+    tau = analytic_torsion(scaled)
+    weight = sum((-1) ** k * tc.rank(k) for k in range(tc.top_degree))
+    assert abs(math.log(tau) - math.log(analytic_torsion(tc)) - weight * math.log(s)) <= 1e-12
+    fs = build_bf_fields(scaled)
+    for value in (schwarz_partition(scaled), partition_function(fs, metric_gauge(fs)),
+                  partition_function(fs, contraction_gauge(fs, hodge_contraction(scaled)))):
+        assert value / tau == pytest.approx(1.0, abs=1e-12)
 
 
 NOT_ACYCLIC = [circle_complex(0.0), torus_complex(0.0, 0.0), mapping_torus_complex(CAT, 0.0)]

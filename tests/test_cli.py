@@ -240,6 +240,38 @@ def test_counts_of_the_wrong_length_name_their_line(tmp_path):
 BOUNDARY_2_ROW = "  +1*t -1*1 ; -1*1 +1*a.b.a' ; -1*a +1*a.b.a'.b'"
 
 
+@pytest.mark.parametrize("first, repeat, what", [
+    ("complex top=3 rank=1", "complex top=3 rank=1", "complex"),
+    ("counts 1 3 3 1", "counts 1 3 3 1", "counts"),
+    ("generators a b t", "generators a b t", "generators"),
+    ("boundary 2", "boundary 2\n" + BOUNDARY_2_ROW, "boundary 2"),
+    ("rep t", "rep t\n  1,0", "rep t"),
+    ("gram 0", "gram 0\n  3,0", "gram 0"),
+], ids=["header", "counts", "generators", "boundary", "rep", "gram"])
+def test_repeated_directive_is_a_parse_error(tmp_path, first, repeat, what):
+    # a repeat used to replace the first silently: a second gram 0 moved the
+    # torsion, a second rep t made the complex non-acyclic
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    path = tmp_path / "repeated.cplx"
+    path.write_text("\n".join(lines + [repeat]) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (f"parse error: line {len(lines) + 1}: "
+                   f"repeated {what!r}, first at line {lines.index(first) + 1}\n")
+
+
+def test_repeated_generator_name_is_a_parse_error(tmp_path):
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    named = lines.index("generators a b t")
+    lines[named] = "generators a b t t"
+    path = tmp_path / "repeated.cplx"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (f"parse error: line {named + 1}: "
+                   f"repeated 'generator t', first at line {named + 1}\n")
+
+
 @pytest.mark.parametrize("anchor, offset, new", [
     ("relator t.b.t'.b'.a'", 0, "relator t.b.t'.c'.a'"),
     ("rep b", 1, "  1,0 0,0"),
@@ -292,6 +324,28 @@ def test_bf_reports_both_gauges():
     zs = {r[1] for r in rows}
     assert ts == sorted(ts)
     assert len(zs) <= 2      # identical up to printing of last-digit jitter
+
+
+def test_cat_twist_near_the_rank_cut_reports_its_torsion():
+    theta = 1e-5
+    q = 4.0 * math.sin(theta / 2) ** 2
+    exact = q / (1.0 + q)
+    code, out, _ = run_cli(["torsion", "--model", "cat", "--theta", str(theta)])
+    assert code == EXIT_OK
+    rows = dict(line.split(" ", 1) for line in out.splitlines())
+    for key in ("torsion", "torsion_laplacian_route", "torsion_coexact_route", "schwarz"):
+        assert float(rows[key]) == pytest.approx(exact, rel=1e-12)
+    assert float(rows["det_relation_3_residual"]) < 1e-10
+    code, out, _ = run_cli(["bf", "--model", "cat", "--theta", str(theta), "--samples", "3"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    rows = dict(line.split(" ", 1) for line in lines if not line.startswith(" "))
+    zs = [float(rows[key]) for key in ("torsion", "Z_metric", "Z_contraction",
+                                       "Z_reeb_contraction")]
+    zs += [float(line.split()[1]) for line in lines if line.startswith(" ")]
+    assert len(zs) == 7
+    for z in zs:
+        assert z == pytest.approx(exact, rel=1e-12)
 
 
 def test_bf_default_sigma_face():

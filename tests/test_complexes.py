@@ -21,6 +21,7 @@ from zetabf.complexes import (
     random_twisted_complex,
     read_complex_file,
     schwarz_partition,
+    torsion_routes,
     torus_complex,
     torus_cell_complex,
     write_complex_file,
@@ -102,7 +103,7 @@ def test_mapping_torus_torsion_conventions():
     tc = mapping_torus_complex([[2, 1], [1, 1]], math.pi)
     tau = analytic_torsion(tc)
     assert tau == pytest.approx(4.0 / 5.0, rel=1e-12)
-    assert analytic_torsion(tc, sign=-1) == pytest.approx(5.0 / 4.0, rel=1e-12)
+    assert analytic_torsion(tc) ** -1 == pytest.approx(5.0 / 4.0, rel=1e-12)
     # the cohomological oracle gives the reciprocal normalisation
     assert milnor_oracle([[2, 1], [1, 1]], math.pi) == pytest.approx(1.25)
     assert tau * milnor_oracle([[2, 1], [1, 1]], math.pi) == pytest.approx(1.0, rel=1e-12)
@@ -111,7 +112,7 @@ def test_mapping_torus_torsion_conventions():
 def test_mapping_torus_torsion_quarter_turn():
     a = [[2, 1], [1, 1]]
     tc = mapping_torus_complex(a, math.pi / 2)
-    assert analytic_torsion(tc, sign=-1) == pytest.approx(
+    assert analytic_torsion(tc) ** -1 == pytest.approx(
         milnor_oracle(a, math.pi / 2), rel=1e-12)
 
 
@@ -170,6 +171,34 @@ def test_schwarz_equals_torsion_random():
 def test_schwarz_requires_acyclic():
     with pytest.raises(NotAcyclicError):
         schwarz_partition(circle_complex(0.0))
+
+
+def cat_torsion_oracle(theta):
+    """Torsion of the cat-map mapping torus twisted by e^(i theta)."""
+    q = 4.0 * math.sin(theta / 2) ** 2
+    return q / (1.0 + q)
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-6, 1e-7])
+def test_cat_twist_near_the_rank_cut(theta):
+    # d_k keeps singular values near theta whose squares, the Laplacian
+    # eigenvalues, lie below the cut: every route counts by the record's ranks
+    tc = mapping_torus_complex([[2, 1], [1, 1]], theta)
+    exact = cat_torsion_oracle(theta)
+    for value in (*torsion_routes(tc), schwarz_partition(tc), analytic_torsion(tc)):
+        assert value == pytest.approx(exact, rel=1e-12)
+    assert det_relations_report(tc).relation3 < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9])
+def test_scaled_cat_complex_keeps_its_torsion(scale):
+    # ranks (1, 2, 1): log tau moves by (1 - 2 + 1) log(scale) = 0
+    tc = mapping_torus_complex([[2, 1], [1, 1]], 2.0)
+    scaled = TwistedComplex([scale * d for d in tc.diffs])
+    assert scaled.betti_numbers() == (0, 0, 0, 0)
+    tau = analytic_torsion(tc)
+    for value in (*torsion_routes(scaled), schwarz_partition(scaled)):
+        assert value == pytest.approx(tau, rel=1e-12)
 
 
 def test_det_relations_circle():
