@@ -22,6 +22,13 @@ consumer of the ranks: both torsion routes, Schwarz, the determinant
 relations, the Laplacian log dets, the metric, Hodge and Reeb gauges and a
 short homotopy scan; it was generated at commit ceae494, before each of those
 consumers took its count from the spectral record instead of cutting again.
+The ``twists`` group covers rank-1 and rank-3 cat twists built from the cell
+complex with a seeded unitary on ``t`` (its image listed first, so generators
+are matched by name) and the det A = -1 mapping tori, through both torsion
+routes, Schwarz, relations (1) and (3), and the metric, Hodge, one random and,
+on the mapping tori, the Reeb gauge; it was generated at commit 283ed5a,
+before the builder paired each generator with its image once and carried the
+cell complex's Reeb pairs to every twist.
 
 Regenerate the file (only for a change meant to move digits) with
 
@@ -100,6 +107,24 @@ def _rank_cut_complexes():
     return out
 
 
+def _twisted_complexes():
+    """(complex, whether to read its Reeb gauge): cat twists of rank 1 and 3
+    by U = Q diag(e^(i theta_j)) Q^H on ``t``, built from the cell complex,
+    then the det A = -1 mapping tori at theta = 0.9 and 2."""
+    rng = np.random.default_rng(SEED + 8)
+    cc = complexes.mapping_torus_cell_complex(CAT_MAP)
+    out = []
+    for r in (1, 3):
+        q = complexes.haar_unitary(rng, r)
+        u = (q * np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=r))) @ q.conj().T
+        eye = np.eye(r)
+        rep = complexes.UnitaryRep(r, {"t": u, "a": eye, "b": eye})
+        out.append((complexes.build_twisted_complex(cc, rep), False))
+    for a in (((3, 1), (1, 0)), ((4, 1), (1, 0))):
+        out += [(complexes.mapping_torus_complex(a, t), True) for t in (0.9, 2.0)]
+    return out
+
+
 def _gauge_values(fs, gs, groups):
     groups["Z"].append(bv.partition_function(fs, gs))
     rep = bv.is_lagrangian(fs, gs)
@@ -112,7 +137,8 @@ def parity_groups():
     groups = {name: [] for name in ("torsion_routes", "schwarz", "det_relations", "Z",
                                     "is_lagrangian", "scan", "log_zeta_k", "cycle_zeta",
                                     "flat_trace", "loaded_spectrum", "poincare",
-                                    "primitive_orbits", "chart", "rank_cut")}
+                                    "primitive_orbits", "chart", "rank_cut",
+                                    "twists")}
     tori = _mapping_tori()
 
     # criteria 6 and 7: torsion routes, Schwarz and the determinant relations
@@ -235,6 +261,22 @@ def parity_groups():
         scan = bv.homotopy_scan(fs, family, samples=5)
         values += [x for _, z, r in scan.samples for x in (z, r)] + scan.action_min_sv
         groups["rank_cut"] += values
+
+    # twists built from the cell complex, and the det A = -1 tori; relation
+    # (2) is left out
+    rng = np.random.default_rng(SEED + 9)
+    for tc, reeb in _twisted_complexes():
+        values = list(complexes.torsion_routes(tc)) + [complexes.schwarz_partition(tc)]
+        rep = complexes.det_relations_report(tc)
+        values += [rep.relation1, rep.relation3, *rep.coexact_logdets]
+        fs = bv.build_bf_fields(tc)
+        contractions = [bv.hodge_contraction(tc), bv.random_contraction(tc, rng)]
+        if reeb:
+            contractions.append(bv.suspension_contraction(tc))
+        values.append(bv.partition_function(fs, bv.metric_gauge(fs)))
+        values += [bv.partition_function(fs, bv.contraction_gauge(fs, c))
+                   for c in contractions]
+        groups["twists"] += values
     return groups
 
 
