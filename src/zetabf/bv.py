@@ -16,7 +16,8 @@ parametrisation B = d* eta, and 1 for normalised contractions).
 
 Everything here reads the base complex's stored differentials, which
 ``TwistedComplex`` keeps in their isometric presentation, and the Reeb
-contraction of a mapping torus reads the complex's ``suspension`` pairs.
+contraction of a mapping torus reads the complex's ``suspension`` pairs, which
+``build_twisted_complex`` carries from the cell complex at any rank.
 
 Shared factorisations: the metric gauge and the Hodge contraction read the
 same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
@@ -435,7 +436,7 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contract
 def suspension_contraction(tc: TwistedComplex) -> Contraction:
     """The Reeb-direction contraction of a mapping-torus complex: iota kills
     base cells and sends each (cell x I) to its base cell, as the complex's
-    ``suspension`` pairs them."""
+    ``suspension`` pairs them (the cell complex's pairs, at the twist's rank)."""
     if tc.suspension is None:
         raise DegenerateContractionError("complex carries no suspension structure")
     iota = [np.zeros((0, tc.dims[0]))]

@@ -4,7 +4,9 @@ A cell complex stores its coboundary entries as integer combinations of words
 in abstract generators (entries of the equivariant chain complex); applying a
 unitary representation to each word produces the twisted differentials.  A
 circle with the loop labelled g therefore twists to d_0 = rho(g) - 1 even
-though its plain integer incidence matrix is zero.
+though its plain integer incidence matrix is zero.  ``build_twisted_complex``
+is where the two meet, once: it also carries a mapping-torus cell complex's
+Reeb pairs into the twist, at any rank.
 
 Torsion is computed two ways and cross-checked: the alternating product of
 flat determinants of the Laplacians, and Schwarz's coexact product over
@@ -35,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,7 +139,8 @@ class CellComplex:
     plain CW incidence matrix), which must square to zero exactly.
     ``self_dual`` declares Poincare self-duality (the ``self_dual=1`` field
     of a complex file header); builders that know their model is self-dual
-    say so themselves.
+    say so themselves.  ``suspension`` holds a mapping torus's Reeb pairs:
+    per degree k, the (cell x I in C^k, base cell in C^(k-1)) cell indices.
     """
 
     counts: Tuple[int, ...]
@@ -146,6 +149,7 @@ class CellComplex:
     relators: Tuple[Word, ...] = ()
     name: str = ""
     self_dual: bool = False
+    suspension: Optional[Suspension] = None
 
     def __post_init__(self):
         n = len(self.counts)
@@ -198,22 +202,6 @@ class UnitaryRep:
                 raise ValueError(f"image of {name} is not unitary to 1e-12")
             clean[name] = u
         self.images = clean
-
-    def evaluate(self, word: Word, generators: Sequence[str]) -> np.ndarray:
-        out = np.eye(self.rank, dtype=complex)
-        for letter in word:
-            u = self.images[generators[abs(letter) - 1]]
-            out = out @ (u if letter > 0 else u.conj().T)
-        return out
-
-    def check_relators(self, cc: CellComplex):
-        eye = np.eye(self.rank)
-        for word in cc.relators:
-            err = np.linalg.norm(self.evaluate(word, cc.generators) - eye)
-            if err >= RELATOR_TOL:
-                raise RelatorViolationError(
-                    f"relator {word} maps {err:.3e} away from the identity"
-                )
 
 
 def character_rep(assignments: Dict[str, complex]) -> UnitaryRep:
@@ -288,13 +276,15 @@ class TwistedComplex:
     copies, so the cached spectral data cannot go stale.
 
     ``suspension`` marks a mapping-torus complex: per degree k, the
-    (cell x I, base cell) index pairs that the Reeb contraction joins; None
-    for every other complex.
+    (cell x I, base cell) index pairs that the Reeb contraction joins, which
+    ``build_twisted_complex`` carries from the cell complex; None for every
+    other complex.
     """
 
     def __init__(self, diffs: Sequence[np.ndarray],
                  grams: Optional[Sequence[Optional[np.ndarray]]] = None,
-                 poincare_self_dual: bool = False):
+                 poincare_self_dual: bool = False,
+                 suspension: Optional[Suspension] = None):
         diffs = [np.array(d, dtype=complex, ndmin=2) for d in diffs]
         if not diffs:
             raise ValueError("need at least one differential")
@@ -306,7 +296,7 @@ class TwistedComplex:
         self.dims = tuple(dims)
         self.top_degree = len(dims) - 1
         self.poincare_self_dual = poincare_self_dual
-        self.suspension: Optional[Suspension] = None
+        self.suspension = suspension
 
         _check_closes(diffs, D_SQUARE_TOL)
         if grams is not None and len(grams) != len(dims):
@@ -373,9 +363,28 @@ class TwistedComplex:
 def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
                           grams: Optional[Sequence[Optional[np.ndarray]]] = None,
                           poincare_self_dual: Optional[bool] = None) -> TwistedComplex:
-    """Assemble the twisted differentials by applying ``rep`` to each entry word."""
-    rep.check_relators(cc)
+    """Assemble the twisted differentials by applying ``rep`` to each entry word.
+
+    ``rep`` must image exactly the complex's generators (else ValueError);
+    each signed letter is paired with its image (u, or u* if inverse) once.
+    Reeb pairs go to rank r as the blocks do: cell i spans i*r .. i*r + r - 1.
+    """
+    if set(rep.images) != set(cc.generators):
+        raise ValueError(f"rep images {sorted(rep.images)} do not match the "
+                         f"generators {sorted(cc.generators)}")
+    letters = {}
+    for i, name in enumerate(cc.generators, start=1):
+        letters[i], letters[-i] = rep.images[name], rep.images[name].conj().T
     r = rep.rank
+
+    def evaluate(word: Word) -> np.ndarray:        # I @ u1 @ u2 ...
+        return reduce(np.matmul, (letters[x] for x in word), np.eye(r, dtype=complex))
+
+    for word in cc.relators:
+        err = np.linalg.norm(evaluate(word) - np.eye(r))
+        if err >= RELATOR_TOL:
+            raise RelatorViolationError(
+                f"relator {word} maps {err:.3e} away from the identity")
     diffs = []
     for k, block in enumerate(cc.coboundaries):
         rows = cc.counts[k + 1] * r
@@ -385,14 +394,17 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
             for j, entry in enumerate(row):
                 acc = np.zeros((r, r), dtype=complex)
                 for coeff, word in entry:
-                    acc += coeff * rep.evaluate(word, cc.generators)
+                    acc += coeff * evaluate(word)
                 d[i * r:(i + 1) * r, j * r:(j + 1) * r] = acc
         diffs.append(d)
     if poincare_self_dual is None:
         poincare_self_dual = cc.self_dual
+    suspension = None if cc.suspension is None else tuple(
+        tuple((i * r + c, j * r + c) for i, j in pairs for c in range(r))
+        for pairs in cc.suspension)
     try:
-        return TwistedComplex(diffs, grams=grams,
-                              poincare_self_dual=poincare_self_dual)
+        return TwistedComplex(diffs, grams=grams, poincare_self_dual=poincare_self_dual,
+                              suspension=suspension)
     except NotAComplexError as exc:
         raise NotAComplexError(f"bad labelling for {cc.name or 'cell complex'}: {exc}")
 
@@ -587,18 +599,20 @@ def mapping_torus_cell_complex(a_matrix) -> CellComplex:
         generators=("a", "b", "t"),
         relators=(commutator, r_a, r_b),
         name="mapping_torus",
+        # cells x I: t in degree 1, (a x I, b x I) in degree 2, F x I in degree 3
+        suspension=((), ((2, 0),), ((1, 0), (2, 1)), ((0, 0),)),
     )
 
 
 def mapping_torus_complex(a_matrix, theta: float) -> TwistedComplex:
-    """Mapping torus of a hyperbolic A in SL(2,Z) twisted by e^(i theta) on
-    the suspension generator; acyclic for theta not in 2*pi*Z."""
-    cc = mapping_torus_cell_complex(a_matrix)
+    """Mapping torus of a hyperbolic A in GL(2,Z) twisted by e^(i theta) on
+    the suspension generator; acyclic for theta not in 2*pi*Z.  Declared
+    Poincare self-dual only for det A = 1: a non-orientable total space
+    pairs the twist with its conjugate times the orientation character."""
     rep = character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(1j * theta)})
-    tc = build_twisted_complex(cc, rep, poincare_self_dual=True)
-    # cells x I: t in degree 1, (a x I, b x I) in degree 2, F x I in degree 3
-    tc.suspension = ((), ((2, 0),), ((1, 0), (2, 1)), ((0, 0),))
-    return tc
+    return build_twisted_complex(
+        mapping_torus_cell_complex(a_matrix), rep,
+        poincare_self_dual=ToralAutomorphism.from_matrix(a_matrix).det == 1)
 
 
 def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
@@ -638,23 +652,17 @@ def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
 
 # -- file format ---------------------------------------------------------------
 
-def _word_to_str(word: Word, generators: Sequence[str]) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for letter in word:
-        name = generators[abs(letter) - 1]
-        parts.append(name if letter > 0 else name + "'")
-    return ".".join(parts)
+def _word_to_str(word: Word, names: Dict[int, str]) -> str:
+    return ".".join(names[letter] for letter in word) or "1"
 
 
-def _entry_to_str(entry: Entry, generators: Sequence[str]) -> str:
+def _entry_to_str(entry: Entry, names: Dict[int, str]) -> str:
     if not entry:
         return "0"
     parts = []
     for coeff, word in entry:
         sign = "+" if coeff >= 0 else "-"
-        parts.append(f"{sign}{abs(coeff)}*{_word_to_str(word, generators)}")
+        parts.append(f"{sign}{abs(coeff)}*{_word_to_str(word, names)}")
     return " ".join(parts)
 
 
@@ -665,12 +673,15 @@ def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
              + (" self_dual=1" if cc.self_dual else "")]
     lines.append("counts " + " ".join(str(c) for c in cc.counts))
     lines.append("generators " + " ".join(cc.generators))
+    names = {}                                  # signed letter -> its text
+    for i, name in enumerate(cc.generators, start=1):
+        names[i], names[-i] = name, name + "'"
     for word in cc.relators:
-        lines.append("relator " + _word_to_str(word, cc.generators))
+        lines.append("relator " + _word_to_str(word, names))
     for k, block in enumerate(cc.coboundaries):
         lines.append(f"boundary {k}")
         for row in block:
-            lines.append("  " + " ; ".join(_entry_to_str(e, cc.generators) for e in row))
+            lines.append("  " + " ; ".join(_entry_to_str(e, names) for e in row))
     for name in cc.generators:
         lines.append(f"rep {name}")
         mat = rep.images[name]
@@ -792,6 +803,7 @@ def read_complex_file(path):
             once(key, lineno)
         if key == "complex":
             for f in fields[1:]:
+                once(f"header field {f.partition('=')[0]}", lineno)
                 if f.startswith("top="):
                     top = _integer(f[4:], lineno, "top")
                 elif f.startswith("rank="):
@@ -854,6 +866,9 @@ def read_complex_file(path):
             raise ParseError(header, f"boundary {k}: expected {counts[k + 1]} rows")
         cobs.append(tuple(rows))
 
+    for name, (header, _) in rep_rows.items():
+        if name not in gen_index:
+            raise ParseError(header, f"rep {name}: {name!r} is not a generator")
     images = {}
     for name in generators:
         if name not in rep_rows:

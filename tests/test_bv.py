@@ -371,6 +371,34 @@ def test_suspension_contraction_reproduces_zeta_blocks():
     assert z == pytest.approx(abs(zs.full) ** (-1), rel=1e-10)
 
 
+# the cat complex's Reeb pairs at rank r: cell i spans indices i*r .. i*r + r - 1
+REEB_PAIRS = {
+    1: ((), ((2, 0),), ((1, 0), (2, 1)), ((0, 0),)),
+    3: ((), ((6, 0), (7, 1), (8, 2)),
+        ((3, 0), (4, 1), (5, 2), (6, 3), (7, 4), (8, 5)), ((0, 0), (1, 1), (2, 2))),
+}
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_rank_r_twist_has_a_reeb_gauge_with_the_zeta_factors(r):
+    # a twist built from the cell complex carries its Reeb pairs at any rank:
+    # Z = tau, and per degree |det L_k| = prod_j |zeta_k(theta_j)(0)|
+    rng = np.random.default_rng(40 + r)
+    thetas = rng.uniform(0.3, 2 * math.pi - 0.3, size=r)
+    q = haar_unitary(rng, r)
+    eye = np.eye(r)
+    rep = UnitaryRep(r, {"t": (q * np.exp(1j * thetas)) @ q.conj().T, "a": eye, "b": eye})
+    tc = build_twisted_complex(mapping_torus_cell_complex(CAT), rep)
+    assert tc.suspension == REEB_PAIRS[r]
+    fs = build_bf_fields(tc)
+    gs = contraction_gauge(fs, suspension_contraction(tc))
+    assert abs(partition_function(fs, gs) / analytic_torsion(tc) - 1.0) < 1e-12
+    zs = [closed_form_suspension(ToralAutomorphism(2, 1, 1, 1), t, 0.0) for t in thetas]
+    for k, m in enumerate(restricted_action_blocks(fs, gs)):
+        want = math.prod(abs((z.zeta0, z.zeta1, z.zeta2)[k]) for z in zs)
+        assert abs(abs(np.linalg.det(m)) / want - 1.0) < 1e-12
+
+
 def test_non_coisometric_normalised_contraction_deviates():
     # iota a = id holds but |iota| != 1: outside the unitary-normalised class,
     # the declared Jacobian 1 no longer matches the parametrisation volume

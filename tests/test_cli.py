@@ -272,6 +272,44 @@ def test_repeated_generator_name_is_a_parse_error(tmp_path):
                    f"repeated 'generator t', first at line {named + 1}\n")
 
 
+@pytest.mark.parametrize("header, field", [
+    ("complex top=3 rank=1 top=2", "top"),
+    ("complex top=3 rank=1 self_dual=1 self_dual=1", "self_dual"),
+], ids=["top", "self_dual"])
+def test_repeated_header_field_is_a_parse_error(tmp_path, header, field):
+    # a second top= used to replace the first, and the counts line took the blame
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    lines[0] = header
+    path = tmp_path / "repeated.cplx"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"parse error: line 1: repeated 'header field {field}', first at line 1\n"
+
+
+def test_rep_block_of_an_unknown_generator_is_a_parse_error(tmp_path):
+    # a non-unitary image of a name outside generators used to be ignored
+    lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
+    path = tmp_path / "extra_rep.cplx"
+    path.write_text("\n".join(lines + ["rep z", "  5,0"]) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"parse error: line {len(lines) + 1}: rep z: 'z' is not a generator\n"
+
+
+@pytest.mark.parametrize("a, flag", [(((3, 1), (1, 0)), "--A=3,1,1,0"),
+                                     (((4, 1), (1, 0)), "--A=4,1,1,0")])
+def test_det_minus_one_mapping_torus_reports_no_relation_2(a, flag):
+    # a non-orientable mapping torus pairs rho with conj(rho) times the
+    # orientation character, not with itself: relation (2) read 1.455
+    tc = complexes.mapping_torus_complex(a, 0.9)
+    assert complexes.det_relations_report(tc).relation2 is None
+    code, out, _ = run_cli(["torsion", flag, "--theta", "0.9"])
+    assert code == EXIT_OK
+    assert "det_relation_3_residual" in out
+    assert "det_relation_2_residual" not in out
+
+
 @pytest.mark.parametrize("anchor, offset, new", [
     ("relator t.b.t'.b'.a'", 0, "relator t.b.t'.c'.a'"),
     ("rep b", 1, "  1,0 0,0"),

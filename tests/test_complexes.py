@@ -292,6 +292,14 @@ def test_bad_labelling_raises():
         build_twisted_complex(bad, rep)
 
 
+@pytest.mark.parametrize("images", [{"h": 1j}, {"g": -1.0, "h": 1j}],
+                         ids=["missing", "extra"])
+def test_build_refuses_a_rep_not_matching_the_generators(images):
+    # a missing image used to raise a bare KeyError, an extra one was ignored
+    with pytest.raises(ValueError, match="generators"):
+        build_twisted_complex(circle_cell_complex(), character_rep(images))
+
+
 def test_relator_violation():
     cc = torus_cell_complex()
     rep = character_rep({"a": 1j, "b": 1.0})
