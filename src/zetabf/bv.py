@@ -42,14 +42,17 @@ blocks (d_k c_k)* d_k c_k, c_k the record's coexact basis, have the record's
 kept s_i^2 as singular values; ``nonzero_mask`` cuts only what the record
 does not fix, the kernels of iota and the contraction gauges' blocks.
 
-Stacked scans: every map of a contraction may carry one leading sample axis,
-and the contraction, its gauge, ``partition_function`` and the isotropy
-residual then work per member in the same code, through stacked products,
-SVDs (LAPACK runs once per member, as for a lone matrix) and 1-D per-member
-sums.  ``homotopy_scan`` asks its family for all samples at once, so per
-degree it takes one stacked ``expm``, one SVD for the kernels, one for the
-complements and one per restricted action block, and each sample's digits
-are those of its own single contraction, bit for bit.
+Stacked draws and scans: every map of a contraction may carry one leading
+sample axis, and the contraction, its gauge, ``partition_function`` and the
+isotropy residual then work per member in the same code, through stacked
+products, SVDs (LAPACK runs once per member, as for a lone matrix) and 1-D
+per-member sums.  ``random_contraction(..., samples=N)`` draws N random
+contractions as one stack, with the RNG calls in the lone calls' order and
+one stacked QR per Haar slot.  ``homotopy_scan`` asks its family for all
+samples at once, so per degree it takes one stacked ``expm``, one SVD for
+the kernels, one for the complements and one per restricted action block.
+Either way each member's digits are those of its own single contraction,
+bit for bit.
 
 Fields may be stacked: a ``BFField`` whose slot components are d_k x N
 matrices holds N fields as columns, and ``omega`` of two stacked fields is the
@@ -69,7 +72,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .complexes import TwistedComplex, haar_unitary, nonzero_mask, read_only
+from .complexes import TwistedComplex, ginibre, nonzero_mask, phase_fixed_qr, read_only
 from .errors import (
     DegenerateContractionError,
     DegenerateGaugeError,
@@ -409,28 +412,44 @@ def hodge_contraction(tc: TwistedComplex) -> Contraction:
     return Contraction.unitary(_hodge_iota(tc))
 
 
-def random_contraction(tc: TwistedComplex, rng: np.random.Generator) -> Contraction:
+def random_contraction(tc: TwistedComplex, rng: np.random.Generator,
+                       samples: Optional[int] = None) -> Contraction:
     """Random unitary-normalised contraction: random kernel subspaces K^k with
     dim K^k = rank d_k, iota mapping the orthogonal complement isometrically
-    onto K^(k-1), and a = iota^dagger."""
+    onto K^(k-1), and a = iota^dagger.
+
+    With ``samples=N`` it is the stacked contraction of N members, member i
+    the i-th of N consecutive lone calls on ``rng``, which ends in the same
+    state.  The Ginibre matrices are drawn in the lone calls' order, and each
+    slot (the Q of a degree, or a U) is factorised in one stacked QR as soon
+    as its last member is drawn, so a lone call holds one at a time.
+    """
     tc.require_acyclic()
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be a positive count")
     n = tc.top_degree
     m = [tc.rank(k) for k in range(n)] + [0]
+    count, lead = (1, ()) if samples is None else (samples, (samples,))
 
-    kernels = []
-    perps = []
-    for k in range(n + 1):
-        q = haar_unitary(rng, tc.dims[k])
-        kernels.append(q[:, :m[k]])
-        perps.append(q[:, m[k]:])
-    iota = [np.zeros((0, tc.dims[0]))]
+    # per member: the Q of each degree, then the U of each nonzero rank
+    sizes = list(tc.dims) + [r for r in m if r]
+    slots: list = [[] for _ in sizes]
+    for i in range(count):
+        for j, size in enumerate(sizes):
+            slots[j].append(ginibre(rng, size))
+            if i == count - 1:
+                slots[j] = phase_fixed_qr(np.stack(slots[j]) if lead else slots[j][0])
+    qs, us = slots[:n + 1], iter(slots[n + 1:])
+    kernels = [q[..., :r] for q, r in zip(qs, m)]
+    perps = [q[..., r:] for q, r in zip(qs, m)]
+    iota = [np.zeros(lead + (0, tc.dims[0]))]
     for k in range(1, n + 1):
-        u = haar_unitary(rng, m[k - 1]) if m[k - 1] else np.zeros((0, 0))
-        iota.append(kernels[k - 1] @ u @ perps[k].conj().T)
+        u = next(us) if m[k - 1] else np.zeros(lead + (0, 0))
+        iota.append(kernels[k - 1] @ u @ _adjoint(perps[k]))
     # iota_0 is the zero map, so its kernel is all of C^0
     d0 = tc.dims[0]
-    splits = [(np.eye(d0), np.zeros((d0, 0)))] + list(zip(kernels[1:], perps[1:]))
-    return Contraction.unitary(iota, splits)
+    splits = [(np.broadcast_to(np.eye(d0), lead + (d0, d0)), np.zeros(lead + (d0, 0)))]
+    return Contraction.unitary(iota, splits + list(zip(kernels[1:], perps[1:])))
 
 
 def suspension_contraction(tc: TwistedComplex) -> Contraction:

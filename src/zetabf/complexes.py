@@ -38,7 +38,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,11 +102,26 @@ def _block_diag(*blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-random n x n unitary (QR of a complex Ginibre matrix, phase-fixed)."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n x n complex Ginibre matrix: real, then imaginary parts, from ``rng``."""
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary of a Ginibre matrix ``z``: Q of z = QR, each column
+    times the phase of its diagonal entry of R.  ``z`` may carry a leading
+    stack axis: one stacked QR then factorises every member, each exactly as
+    it would be alone."""
     q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random n x n unitary: ``phase_fixed_qr`` of a ``ginibre`` draw
+    (Mezzadri, "How to generate random matrices from the classical compact
+    groups", Notices AMS 54, 2007, arXiv:math-ph/0609050)."""
+    return phase_fixed_qr(ginibre(rng, n))
 
 
 def fox_derivative(word: Word, gen: int) -> Entry:
@@ -562,7 +577,8 @@ def _power_word(gen: int, power: int) -> Word:
 
 
 def mapping_torus_cell_complex(a_matrix) -> CellComplex:
-    """CW complex (1,3,3,1 cells) of the mapping torus of A acting on T^2.
+    """CW complex (1,3,3,1 cells) of the mapping torus of A acting on T^2,
+    with its Reeb pairs, declared Poincare self-dual exactly when det A = 1.
 
     A must be a hyperbolic element of GL(2,Z), as ``ToralAutomorphism``
     decides; otherwise NotHyperbolicError.
@@ -599,6 +615,9 @@ def mapping_torus_cell_complex(a_matrix) -> CellComplex:
         generators=("a", "b", "t"),
         relators=(commutator, r_a, r_b),
         name="mapping_torus",
+        # a non-orientable total space (det A = -1) pairs the twist with its
+        # conjugate times the orientation character, not with itself
+        self_dual=det == 1,
         # cells x I: t in degree 1, (a x I, b x I) in degree 2, F x I in degree 3
         suspension=((), ((2, 0),), ((1, 0), (2, 1)), ((0, 0),)),
     )
@@ -606,13 +625,54 @@ def mapping_torus_cell_complex(a_matrix) -> CellComplex:
 
 def mapping_torus_complex(a_matrix, theta: float) -> TwistedComplex:
     """Mapping torus of a hyperbolic A in GL(2,Z) twisted by e^(i theta) on
-    the suspension generator; acyclic for theta not in 2*pi*Z.  Declared
-    Poincare self-dual only for det A = 1: a non-orientable total space
-    pairs the twist with its conjugate times the orientation character."""
+    the suspension generator; acyclic for theta not in 2*pi*Z.  Poincare
+    self-dual as its cell complex declares: for det A = 1 only."""
     rep = character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(1j * theta)})
-    return build_twisted_complex(
-        mapping_torus_cell_complex(a_matrix), rep,
-        poincare_self_dual=ToralAutomorphism.from_matrix(a_matrix).det == 1)
+    return build_twisted_complex(mapping_torus_cell_complex(a_matrix), rep)
+
+
+def random_twisted_complexes(rng: np.random.Generator,
+                             shapes: Iterable[Tuple[int, int, int]]) -> List[TwistedComplex]:
+    """One random acyclic twisted complex per (top_degree, max_cells, rank)
+    of ``shapes``, each drawn as ``random_twisted_complex`` draws it.
+
+    The draws of every complex come first, in the order of one call per
+    shape; ``shapes`` is read lazily, just before each complex's draws, so it
+    may draw from ``rng`` itself.  Then the Ginibre matrices of each size are
+    factorised in one stacked QR, and released, and the complexes are
+    assembled: each is bit-identical to its lone call, and ``rng`` ends in
+    the same state.
+    """
+    draws, by_size = [], {}
+    for top_degree, max_cells, rank in shapes:
+        if top_degree < 1:
+            raise ValueError("top_degree must be >= 1")
+        cap = max(2, max_cells * rank)
+        ranks = []
+        prev = 0
+        for _ in range(top_degree):
+            hi = max(1, cap - prev)
+            m = int(rng.integers(1, hi + 1))
+            ranks.append(m)
+            prev = m
+        dims = [a + b for a, b in zip([0] + ranks, ranks + [0])]
+        slots = []                      # (size, index in that size's stack)
+        for n in dims:
+            slots.append((n, len(by_size.setdefault(n, []))))
+            by_size[n].append(ginibre(rng, n))
+        svals = [rng.uniform(0.5, 2.0, size=m) for m in ranks]
+        draws.append((ranks, dims, slots, svals))
+    unitaries = {n: phase_fixed_qr(np.stack(by_size.pop(n))) for n in list(by_size)}
+    out = []
+    for ranks, dims, slots, svals in draws:
+        us = [unitaries[n][i] for n, i in slots]
+        diffs = []
+        for k, (m, s) in enumerate(zip(ranks, svals)):
+            left = us[k + 1][:, :m]
+            right = us[k][:, dims[k] - m:]
+            diffs.append(left @ np.diag(s) @ right.conj().T)
+        out.append(TwistedComplex(diffs))
+    return out
 
 
 def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
@@ -621,33 +681,10 @@ def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
 
     Dimensions are cells-per-degree times the twist rank; the differentials
     are random unitary mixtures with singular values in [0.5, 2], so every
-    generated complex is exactly acyclic and well conditioned.
+    generated complex is exactly acyclic and well conditioned.  The batch of
+    one of ``random_twisted_complexes``.
     """
-    if top_degree < 1:
-        raise ValueError("top_degree must be >= 1")
-    cap = max(2, max_cells * rank)
-    ranks = []
-    prev = 0
-    for _ in range(top_degree):
-        hi = max(1, cap - prev)
-        m = int(rng.integers(1, hi + 1))
-        ranks.append(m)
-        prev = m
-    dims = []
-    prev = 0
-    for m in ranks:
-        dims.append(prev + m)
-        prev = m
-    dims.append(prev)
-
-    us = [haar_unitary(rng, n) for n in dims]
-    diffs = []
-    for k, m in enumerate(ranks):
-        s = rng.uniform(0.5, 2.0, size=m)
-        left = us[k + 1][:, :m]
-        right = us[k][:, dims[k] - m:]
-        diffs.append(left @ np.diag(s) @ right.conj().T)
-    return TwistedComplex(diffs)
+    return random_twisted_complexes(rng, [(top_degree, max_cells, rank)])[0]
 
 
 # -- file format ---------------------------------------------------------------

@@ -7,7 +7,9 @@ through ``run_all``, asserts that it passes and prints its one-line summary.
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
-from zetabf import cli, verification
+import numpy as np
+
+from zetabf import bv, cli, complexes, verification
 from zetabf.errors import DegenerateGaugeError
 
 
@@ -58,6 +60,67 @@ def test_criterion_07_determinant_relations():
 def test_criterion_08_gauge_independence():
     r = _run(8)
     assert r.seconds < 60.0
+
+
+def _lone_complexes(count, rng):
+    """``count`` random complexes of criteria 6-8, one lone call each."""
+    out = []
+    for _ in range(count):
+        top, rank = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        out.append(complexes.random_twisted_complex(rng, top_degree=top, max_cells=6,
+                                                    rank=rank))
+    return out
+
+
+def test_criteria_6_to_8_keep_their_full_draw(monkeypatch):
+    # record each criterion's generator and every Z that criterion 8 takes
+    generators, recorded = [], []
+    real_rng, real_z = np.random.default_rng, bv.partition_function
+
+    def recording_rng(seed):
+        generators.append(real_rng(seed))
+        return generators[-1]
+
+    def recording_z(fs, gs):
+        z = real_z(fs, gs)
+        recorded.append((gs.kind, [float(v) for v in np.atleast_1d(z)]))
+        return z
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(bv, "partition_function", recording_z)
+    results = verification.run_all([6, 7, 8])
+    monkeypatch.undo()
+    assert all(r.passed for r in results)
+    assert len(generators) == 3
+
+    # criteria 6 and 7: 100 complexes each, drawn one at a time
+    for seed, gen in zip((verification.SEED, verification.SEED + 1), generators):
+        rng = real_rng(seed)
+        _lone_complexes(100, rng)
+        assert gen.bit_generator.state == rng.bit_generator.state
+
+    # criterion 8: 20 complexes, then per complex its metric gauge and 5 lone
+    # random contractions
+    rng = real_rng(verification.SEED + 2)
+    taus, lone = [], []
+    for tc in _lone_complexes(20, rng):
+        fs = bv.build_bf_fields(tc)
+        taus.append(complexes.analytic_torsion(tc))
+        lone.append(("metric", [bv.partition_function(fs, bv.metric_gauge(fs))]))
+        lone.append(("contraction", [
+            bv.partition_function(fs, bv.contraction_gauge(fs, bv.random_contraction(tc, rng)))
+            for _ in range(5)]))
+    assert generators[2].bit_generator.state == rng.bit_generator.state
+    kinds = [kind for kind, _ in recorded]
+    assert kinds == ["metric", "contraction"] * 20
+    assert sum(len(zs) for kind, zs in recorded if kind == "contraction") == 100
+    hexes = [[z.hex() for z in zs] for _, zs in recorded]
+    assert hexes == [[z.hex() for z in zs] for _, zs in lone]
+
+    def worst(rows):
+        return max(abs(z / taus[i // 2] - 1.0) for i, (_, zs) in enumerate(rows) for z in zs)
+    assert worst(recorded).hex() == worst(lone).hex()
+    assert f"max relative deviation {worst(lone):.3e} " in results[2].detail
 
 
 def test_criterion_09_lagrangian_homotopy_constancy():

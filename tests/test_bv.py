@@ -786,6 +786,48 @@ def test_stacked_contraction_is_its_members():
     assert err.value.member == 1
 
 
+def _zero_middle_complex(rng):
+    """(2,2,3,3) acyclic complex whose middle differential d_1 is zero."""
+    return TwistedComplex([haar_unitary(rng, 2), np.zeros((3, 2)), haar_unitary(rng, 3)])
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+def test_stacked_random_draw_is_the_lone_draws(samples):
+    rng = np.random.default_rng(23)
+    cases = _random_complexes(4, rng) + [_cat_rank_twist(3, rng), _zero_middle_complex(rng)]
+    assert cases[-1].rank(1) == 0
+    for seed, tc in enumerate(cases):
+        rng = np.random.default_rng(seed)
+        stacked = random_contraction(tc, rng, samples=samples)
+        state = rng.bit_generator.state
+        assert stacked.sample_shape == (samples,)
+        rng = np.random.default_rng(seed)
+        for i in range(samples):
+            lone = random_contraction(tc, rng)
+            assert lone.sample_shape == ()
+            for got, want in zip(stacked.iota + stacked.a_maps, lone.iota + lone.a_maps):
+                assert np.array_equal(got[i], want) and got[i].shape == want.shape
+            for got, want in zip(stacked.splits, lone.splits):
+                for g, w in zip(got, want):
+                    assert np.array_equal(g[i], w) and g[i].shape == w.shape
+        assert rng.bit_generator.state == state
+
+
+def test_stacked_random_draw_names_its_degenerate_member():
+    fs = _rotating_fields()
+    drawn = random_contraction(fs.base, np.random.default_rng(8), samples=5)
+    degenerate = _rotating_family(0.75)       # its one action block vanishes
+    iota = [np.array(m) for m in drawn.iota]
+    for m, bad in zip(iota, degenerate.iota):
+        m[3] = bad
+    stacked = Contraction.unitary(iota)
+    with pytest.raises(DegenerateContractionError) as err:
+        partition_function(fs, contraction_gauge(fs, stacked))
+    assert err.value.member == 3
+    with pytest.raises(DegenerateContractionError):
+        partition_function(fs, contraction_gauge(fs, degenerate))
+
+
 def test_drawing_a_family_takes_no_svd(monkeypatch):
     # the family rotates the Hodge iota and builds no Hodge contraction
     rng = np.random.default_rng(18)

@@ -16,8 +16,13 @@ from zetabf.complexes import (
     character_rep,
     circle_cell_complex,
     circle_complex,
+    UnitaryRep,
     det_relations_report,
+    ginibre,
+    haar_unitary,
+    mapping_torus_cell_complex,
     mapping_torus_complex,
+    phase_fixed_qr,
     random_twisted_complex,
     read_complex_file,
     schwarz_partition,
@@ -33,6 +38,7 @@ from zetabf.errors import (
     ParseError,
     RelatorViolationError,
 )
+from zetabf.verification import SEED, _random_complexes
 
 
 def circle_torsion_oracle(theta):
@@ -269,6 +275,51 @@ def test_det_relations_dual_pairs():
                mapping_torus_complex([[2, 1], [1, 1]], math.pi)):
         rep = det_relations_report(tc)
         assert rep.relation2 is not None and rep.relation2 < 1e-10
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_rank_r_cat_twists_report_relation_2(r):
+    # the cell complex declares self-duality, so a twist built from it at any
+    # rank reports relation (2); a det A = -1 torus declares none
+    rng = np.random.default_rng(r)
+    q = haar_unitary(rng, r)
+    u = (q * np.exp(1j * rng.uniform(0.3, 2 * math.pi - 0.3, size=r))) @ q.conj().T
+    eye = np.eye(r)
+    cc = mapping_torus_cell_complex([[2, 1], [1, 1]])
+    assert cc.self_dual
+    tc = build_twisted_complex(cc, UnitaryRep(r, {"a": eye, "b": eye, "t": u}))
+    assert det_relations_report(tc).relation2 < 1e-14
+    for a in ([[3, 1], [1, 0]], [[4, 1], [1, 0]]):
+        assert not mapping_torus_cell_complex(a).self_dual
+        assert det_relations_report(mapping_torus_complex(a, 0.9)).relation2 is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 40])
+def test_stacked_phase_fixed_qr_is_haar_unitary(n):
+    rng = np.random.default_rng(n)
+    lone = [haar_unitary(rng, n) for _ in range(4)]
+    state = rng.bit_generator.state
+    rng = np.random.default_rng(n)
+    stacked = phase_fixed_qr(np.stack([ginibre(rng, n) for _ in range(4)]))
+    assert rng.bit_generator.state == state
+    assert stacked.shape == (4, n, n)
+    for got, want in zip(stacked, lone):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [SEED, SEED + 1, SEED + 2])
+def test_batched_random_complexes_are_the_lone_draws(seed):
+    rng = np.random.default_rng(seed)
+    batch = _random_complexes(100, rng)
+    state = rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    for tc in batch:
+        top, rank = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        lone = random_twisted_complex(rng, top_degree=top, max_cells=6, rank=rank)
+        assert len(tc.diffs) == len(lone.diffs) == top
+        for got, want in zip(tc.diffs, lone.diffs):
+            assert np.array_equal(got, want)
+    assert rng.bit_generator.state == state
 
 
 def test_bad_labelling_raises():
