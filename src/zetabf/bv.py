@@ -422,7 +422,10 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator,
     the i-th of N consecutive lone calls on ``rng``, which ends in the same
     state.  The Ginibre matrices are drawn in the lone calls' order, and each
     slot (the Q of a degree, or a U) is factorised in one stacked QR as soon
-    as its last member is drawn, so a lone call holds one at a time.
+    as its last member is drawn, so a lone call holds one at a time.  A lone
+    call factorises its matrices unstacked: drawn as stacks of one, the lone
+    draws of rank-r twists (n up to 3r = 120) made a whole rank ladder about
+    1.6% slower.
     """
     tc.require_acyclic()
     if samples is not None and samples < 1:

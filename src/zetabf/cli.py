@@ -188,7 +188,9 @@ def load_config_file(path, command: str) -> dict:
 def _load_model(cfg: argparse.Namespace):
     if cfg.input:
         cc, rep, grams = complexes.read_complex_file(cfg.input)
-        return complexes.build_twisted_complex(cc, rep, grams=grams)
+        # the file's header declares self-duality at the file's own metric
+        return complexes.build_twisted_complex(cc, rep, grams=grams,
+                                               poincare_self_dual=cc.self_dual)
     return _MODELS[cfg.model][0](cfg)
 
 

@@ -38,7 +38,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,10 +152,11 @@ class CellComplex:
     ``coboundaries[k][i][j]`` is the entry pairing the i-th (k+1)-cell with
     the j-th k-cell.  ``incidence(k)`` returns the integer augmentation (the
     plain CW incidence matrix), which must square to zero exactly.
-    ``self_dual`` declares Poincare self-duality (the ``self_dual=1`` field
-    of a complex file header); builders that know their model is self-dual
-    say so themselves.  ``suspension`` holds a mapping torus's Reeb pairs:
-    per degree k, the (cell x I in C^k, base cell in C^(k-1)) cell indices.
+    ``self_dual`` declares Poincare self-duality at the unit metric (a Gram
+    metric may break it); read from a file, it is the header's ``self_dual=1``
+    field, which declares it at the file's metric.  ``suspension`` holds a
+    mapping torus's Reeb pairs: per degree k, the (cell x I in C^k, base cell
+    in C^(k-1)) cell indices.
     """
 
     counts: Tuple[int, ...]
@@ -375,6 +376,10 @@ class TwistedComplex:
             raise NotAcyclicError(betti)
 
 
+def _unit_metric(grams: Optional[Sequence[Optional[np.ndarray]]]) -> bool:
+    return grams is None or all(g is None for g in grams)
+
+
 def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
                           grams: Optional[Sequence[Optional[np.ndarray]]] = None,
                           poincare_self_dual: Optional[bool] = None) -> TwistedComplex:
@@ -383,6 +388,8 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
     ``rep`` must image exactly the complex's generators (else ValueError);
     each signed letter is paired with its image (u, or u* if inverse) once.
     Reeb pairs go to rank r as the blocks do: cell i spans i*r .. i*r + r - 1.
+    ``poincare_self_dual`` defaults to ``cc.self_dual`` at the unit metric and
+    to False under Gram blocks, which only the caller can declare dual.
     """
     if set(rep.images) != set(cc.generators):
         raise ValueError(f"rep images {sorted(rep.images)} do not match the "
@@ -413,7 +420,7 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
                 d[i * r:(i + 1) * r, j * r:(j + 1) * r] = acc
         diffs.append(d)
     if poincare_self_dual is None:
-        poincare_self_dual = cc.self_dual
+        poincare_self_dual = cc.self_dual and _unit_metric(grams)
     suspension = None if cc.suspension is None else tuple(
         tuple((i * r + c, j * r + c) for i, j in pairs for c in range(r))
         for pairs in cc.suspension)
@@ -578,7 +585,8 @@ def _power_word(gen: int, power: int) -> Word:
 
 def mapping_torus_cell_complex(a_matrix) -> CellComplex:
     """CW complex (1,3,3,1 cells) of the mapping torus of A acting on T^2,
-    with its Reeb pairs, declared Poincare self-dual exactly when det A = 1.
+    with its Reeb pairs, declared Poincare self-dual (at the unit metric)
+    exactly when det A = 1.
 
     A must be a hyperbolic element of GL(2,Z), as ``ToralAutomorphism``
     decides; otherwise NotHyperbolicError.
@@ -631,20 +639,22 @@ def mapping_torus_complex(a_matrix, theta: float) -> TwistedComplex:
     return build_twisted_complex(mapping_torus_cell_complex(a_matrix), rep)
 
 
-def random_twisted_complexes(rng: np.random.Generator,
-                             shapes: Iterable[Tuple[int, int, int]]) -> List[TwistedComplex]:
-    """One random acyclic twisted complex per (top_degree, max_cells, rank)
-    of ``shapes``, each drawn as ``random_twisted_complex`` draws it.
+def random_twisted_complexes(rng: np.random.Generator, count: int,
+                             shape: Callable[[np.random.Generator], Tuple[int, int, int]]
+                             ) -> List[TwistedComplex]:
+    """``count`` random acyclic twisted complexes, each drawn as
+    ``random_twisted_complex(rng, *shape(rng))`` would draw it.
 
-    The draws of every complex come first, in the order of one call per
-    shape; ``shapes`` is read lazily, just before each complex's draws, so it
-    may draw from ``rng`` itself.  Then the Ginibre matrices of each size are
+    ``shape(rng)`` gives each complex's (top_degree, max_cells, rank) just
+    before that complex's draws.  Every draw comes first, in the order of
+    ``count`` lone calls; then the Ginibre matrices of each size are
     factorised in one stacked QR, and released, and the complexes are
     assembled: each is bit-identical to its lone call, and ``rng`` ends in
     the same state.
     """
     draws, by_size = [], {}
-    for top_degree, max_cells, rank in shapes:
+    for _ in range(count):
+        top_degree, max_cells, rank = shape(rng)
         if top_degree < 1:
             raise ValueError("top_degree must be >= 1")
         cap = max(2, max_cells * rank)
@@ -682,9 +692,10 @@ def random_twisted_complex(rng: np.random.Generator, top_degree: int = 3,
     Dimensions are cells-per-degree times the twist rank; the differentials
     are random unitary mixtures with singular values in [0.5, 2], so every
     generated complex is exactly acyclic and well conditioned.  The batch of
-    one of ``random_twisted_complexes``.
+    one of ``random_twisted_complexes``; its callers draw matrices at most
+    2 * max_cells * rank wide, where a stack of one costs nothing measurable.
     """
-    return random_twisted_complexes(rng, [(top_degree, max_cells, rank)])[0]
+    return random_twisted_complexes(rng, 1, lambda _: (top_degree, max_cells, rank))[0]
 
 
 # -- file format ---------------------------------------------------------------
@@ -704,10 +715,18 @@ def _entry_to_str(entry: Entry, names: Dict[int, str]) -> str:
 
 
 def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
-                       grams: Optional[Sequence[Optional[np.ndarray]]] = None):
-    """Canonical writer for the twisted-complex text format (bit-exact)."""
+                       grams: Optional[Sequence[Optional[np.ndarray]]] = None,
+                       self_dual: Optional[bool] = None):
+    """Canonical writer for the twisted-complex text format (bit-exact).
+
+    ``self_dual`` is the header's declaration; it defaults to the one that
+    ``build_twisted_complex(cc, rep, grams)`` makes, so a file with Gram
+    blocks is declared self-dual only when the caller says so.
+    """
+    if self_dual is None:
+        self_dual = cc.self_dual and _unit_metric(grams)
     lines = [f"complex top={cc.top_degree} rank={rep.rank}"
-             + (" self_dual=1" if cc.self_dual else "")]
+             + (" self_dual=1" if self_dual else "")]
     lines.append("counts " + " ".join(str(c) for c in cc.counts))
     lines.append("generators " + " ".join(cc.generators))
     names = {}                                  # signed letter -> its text
@@ -803,7 +822,10 @@ def _parse_complex_row(text: str, lineno: int) -> List[complex]:
 def read_complex_file(path):
     """Parse the twisted-complex format; returns (CellComplex, UnitaryRep, grams).
     A repeated directive, block or generator name is a ParseError at its line
-    that names the line of the first."""
+    that names the line of the first.  A ``self_dual=1`` header declares the
+    complex self-dual at the file's metric, Gram blocks included: pass
+    ``cc.self_dual`` on as ``build_twisted_complex``'s ``poincare_self_dual``
+    (and ``write_complex_file``'s ``self_dual``) to keep that declaration."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
 

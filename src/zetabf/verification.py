@@ -213,8 +213,8 @@ def criterion_5_fried_from_orbits() -> Outcome:
 def _random_complexes(count: int, rng: np.random.Generator):
     """``count`` random complexes, each with its top degree and rank drawn
     just before it, assembled as one batch (one stacked QR per matrix size)."""
-    shapes = ((int(rng.integers(2, 6)), 6, int(rng.integers(1, 3))) for _ in range(count))
-    return complexes.random_twisted_complexes(rng, shapes)
+    return complexes.random_twisted_complexes(
+        rng, count, lambda r: (int(r.integers(2, 6)), 6, int(r.integers(1, 3))))
 
 
 def criterion_6_schwarz_equals_torsion() -> Outcome:

@@ -64,17 +64,20 @@ def test_torsion_file_input_with_gram(tmp_path):
     assert lines[1] == f"torsion {g17(complexes.analytic_torsion(tc))}"
 
 
-def _cat_torus_gram_file(tmp_path, self_dual):
+def _cat_torus_gram_file(tmp_path, self_dual, gram_seed=5):
+    # self_dual=None leaves the header to the writer; gram_seed=None writes
+    # the unit metric
     cc = complexes.mapping_torus_cell_complex([[2, 1], [1, 1]])
-    cc.self_dual = self_dual
     rep = complexes.character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(2.0j)})
-    rng = np.random.default_rng(5)
-    grams = []
-    for n in cc.counts:
-        z = rng.normal(size=(n, n))
-        grams.append(z @ z.T + n * np.eye(n))
-    path = tmp_path / f"cat_gram_{int(self_dual)}.cplx"
-    complexes.write_complex_file(path, cc, rep, grams)
+    grams = None
+    if gram_seed is not None:
+        rng = np.random.default_rng(gram_seed)
+        grams = []
+        for n in cc.counts:
+            z = rng.normal(size=(n, n))
+            grams.append(z @ z.T + n * np.eye(n))
+    path = tmp_path / f"cat_gram_{self_dual}_{gram_seed}.cplx"
+    complexes.write_complex_file(path, cc, rep, grams, self_dual=self_dual)
     return path
 
 
@@ -92,6 +95,23 @@ def test_torsion_file_self_duality_is_declared(tmp_path):
     code, out, _ = run_cli(["torsion", "--input", str(declared)])
     assert code == EXIT_OK
     assert "det_relation_2_residual" in out
+
+
+def test_written_cat_torus_declares_self_duality_at_the_unit_metric(tmp_path):
+    # the det-1 cell complex is self-dual at the unit metric only: written
+    # with random Gram blocks it declares nothing and reports no relation (2)
+    metric = _cat_torus_gram_file(tmp_path, self_dual=None)
+    assert metric.read_text().splitlines()[0] == "complex top=3 rank=1"
+    code, out, _ = run_cli(["torsion", "--input", str(metric)])
+    assert code == EXIT_OK
+    assert "det_relation_2_residual" not in out
+    unit = _cat_torus_gram_file(tmp_path, self_dual=None, gram_seed=None)
+    assert unit.read_text().splitlines()[0] == "complex top=3 rank=1 self_dual=1"
+    code, out, _ = run_cli(["torsion", "--input", str(unit)])
+    assert code == EXIT_OK
+    residual = [line for line in out.splitlines()
+                if line.startswith("det_relation_2_residual ")]
+    assert len(residual) == 1 and float(residual[0].split()[1]) < 1e-14
 
 
 def test_torsion_factorises_each_differential_once(monkeypatch):

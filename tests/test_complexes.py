@@ -294,6 +294,28 @@ def test_rank_r_cat_twists_report_relation_2(r):
         assert det_relations_report(mapping_torus_complex(a, 0.9)).relation2 is None
 
 
+def test_gram_blocks_are_declared_self_dual_only_by_the_caller(tmp_path):
+    cc = mapping_torus_cell_complex([[2, 1], [1, 1]])
+    rep = character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(2.0j)})
+    rng = np.random.default_rng(5)
+    grams = []
+    for n in cc.counts:
+        z = rng.normal(size=(n, n))
+        grams.append(z @ z.T + n * np.eye(n))
+    assert build_twisted_complex(cc, rep).poincare_self_dual
+    assert build_twisted_complex(cc, rep, grams=[None] * 4).poincare_self_dual
+    assert not build_twisted_complex(cc, rep, grams=grams).poincare_self_dual
+    assert build_twisted_complex(cc, rep, grams=grams,
+                                 poincare_self_dual=True).poincare_self_dual
+    # a file's declaration covers its Gram blocks and survives a round trip
+    path, again = tmp_path / "declared.cplx", tmp_path / "again.cplx"
+    write_complex_file(path, cc, rep, grams, self_dual=True)
+    cc2, rep2, grams2 = read_complex_file(path)
+    assert cc2.self_dual
+    write_complex_file(again, cc2, rep2, grams2, self_dual=cc2.self_dual)
+    assert again.read_text() == path.read_text()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 40])
 def test_stacked_phase_fixed_qr_is_haar_unitary(n):
     rng = np.random.default_rng(n)
