@@ -26,8 +26,8 @@ and random contractions take their ranks from that record.  A contraction
 reads its degree dimensions off the shapes of iota, validates itself once, on
 construction, and carries its kernel splits: per degree the kernel of iota_k
 and its orthogonal complement, which its validation and gauge read.  The
-unitary-normalised constructors (Hodge, random, suspension, homotopy families)
-build only iota and leave a = iota^dagger to ``Contraction.unitary``.  A
+constructors (Hodge, random, suspension, homotopy families) build only iota:
+a contraction is defined by it and derives a = iota^dagger itself.  A
 random contraction hands over the Haar-random splits it is drawn from, so
 neither iota_k nor its kernel is factorised; the Hodge and Reeb contractions
 find theirs on construction, by one SVD of iota_k for the kernel and one of
@@ -67,7 +67,7 @@ part of the upper triangle of that side's Gram matrix, which is never formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -268,18 +268,18 @@ Split = Tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class Contraction:
-    """Square-zero degree -1 map with a normalised complement injection.
+    """Square-zero degree -1 map iota, with complement injection a = iota^dagger.
 
     ``iota[k]`` maps C^k to C^(k-1) (entry 0 is the zero map out of C^0), so
-    the degree dimensions ``dims`` are read off its shapes; ``a_maps[k]``
-    injects C^k into C^(k+1) with iota o a = id on ker iota (entry n is the
-    zero map out of the top degree).  The gauge-independence theorems of the
-    test suite cover the unitary-normalised class a = iota^dagger (iota a
-    partial isometry), which ``Contraction.unitary`` builds from iota;
-    validation checks iota o a = id on ker iota, so the normalisation
-    sdet(iota o a) = 1 holds for every valid instance.  A
-    contraction validates itself once, on construction, and raises
-    DegenerateContractionError when invalid.  It owns both families and its
+    the degree dimensions ``dims`` are read off its shapes.  Construction
+    derives the read-only ``a_maps``: ``a_maps[k]`` = iota_(k+1)^dagger
+    injects C^k into C^(k+1) (entry n is the zero map out of the top degree).
+    The gauge-independence theorems of the test suite cover this
+    unitary-normalised class, iota a partial isometry; validation checks
+    iota o a = iota iota^dagger = id on ker iota, so the normalisation
+    sdet(iota o a) = 1 holds for every valid instance and a non-coisometric
+    iota is refused.  A contraction validates itself once, on construction,
+    and raises DegenerateContractionError when invalid.  It owns its maps and
     splits and marks their arrays read-only, so the splits cannot go stale.
 
     Every map may carry one leading sample axis of a common length: the
@@ -296,24 +296,18 @@ class Contraction:
     """
 
     iota: Sequence[np.ndarray]
-    a_maps: Sequence[np.ndarray]
     splits: Optional[Sequence[Split]] = None
+    a_maps: Tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
         self.iota = tuple(read_only(np.asarray(m)) for m in self.iota)
-        self.a_maps = tuple(read_only(np.asarray(m)) for m in self.a_maps)
+        top = self.iota[-1]
+        self.a_maps = tuple(read_only(m) for m in [_adjoint(m) for m in self.iota[1:]]
+                            + [np.zeros(top.shape[:-2] + (0, top.shape[-1]))])
         if self.splits is not None:
             self.splits = tuple((read_only(np.asarray(ker)), read_only(np.asarray(perp)))
                                 for ker, perp in self.splits)
         self._validate()
-
-    @classmethod
-    def unitary(cls, iota: Sequence[np.ndarray],
-                splits: Optional[Sequence[Split]] = None) -> "Contraction":
-        """The unitary-normalised contraction: a_k = iota_(k+1)^dagger."""
-        a_maps = [_adjoint(m) for m in iota[1:]]
-        a_maps.append(np.zeros(iota[-1].shape[:-2] + (0, iota[-1].shape[-1])))
-        return cls(iota, a_maps, splits)
 
     @property
     def dims(self) -> Tuple[int, ...]:
@@ -328,12 +322,10 @@ class Contraction:
         tol = 1e-12
         dims, lead = self.dims, self.sample_shape
         n = len(dims) - 1
-        # iota_k: C^k -> C^(k-1) and a_k: C^k -> C^(k+1), zero maps at the ends
-        below, above = (0,) + dims[:-1], dims[1:] + (0,)
-        if len(lead) > 1 or len(self.a_maps) != n + 1 or any(
-                (i.shape, a.shape) != (lead + (lo, d), lead + (hi, d))
-                for i, a, lo, d, hi in zip(self.iota, self.a_maps, below, dims, above)):
-            raise DegenerateContractionError("contraction has wrong arity or shapes")
+        # iota_k: C^k -> C^(k-1), the zero map out of C^0
+        if len(lead) > 1 or any(m.shape != lead + (lo, d)
+                                for m, lo, d in zip(self.iota, (0,) + dims[:-1], dims)):
+            raise DegenerateContractionError("contraction has wrong shapes")
         scale = np.maximum.reduce([np.ones(lead)] + [_norm(m) for m in self.iota])
         for k in range(1, n):
             _refuse(_norm(self.iota[k] @ self.iota[k + 1]) > tol * scale ** 2,
@@ -409,7 +401,7 @@ def _hodge_iota(tc: TwistedComplex) -> List[np.ndarray]:
 def hodge_contraction(tc: TwistedComplex) -> Contraction:
     """Polar-isometry contraction: iota_(k+1) is the adjoint of the partial
     isometry part of d_k (initial space coexact, final space exact)."""
-    return Contraction.unitary(_hodge_iota(tc))
+    return Contraction(_hodge_iota(tc))
 
 
 def random_contraction(tc: TwistedComplex, rng: np.random.Generator,
@@ -452,7 +444,7 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator,
     # iota_0 is the zero map, so its kernel is all of C^0
     d0 = tc.dims[0]
     splits = [(np.broadcast_to(np.eye(d0), lead + (d0, d0)), np.zeros(lead + (d0, 0)))]
-    return Contraction.unitary(iota, splits + list(zip(kernels[1:], perps[1:])))
+    return Contraction(iota, splits + list(zip(kernels[1:], perps[1:])))
 
 
 def suspension_contraction(tc: TwistedComplex) -> Contraction:
@@ -467,7 +459,7 @@ def suspension_contraction(tc: TwistedComplex) -> Contraction:
         for src, dst in tc.suspension[k]:
             m[dst, src] = 1.0
         iota.append(m)
-    return Contraction.unitary(iota)
+    return Contraction(iota)
 
 
 def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
@@ -711,7 +703,7 @@ def unitary_contraction_family(tc: TwistedComplex,
     base = _hodge_iota(tc)
     gens = []
     for d in tc.dims:
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        z = ginibre(rng, d)
         k = (z - z.conj().T) / 2.0
         norm = np.linalg.norm(k)
         gens.append(k / norm if norm > 0 else k)
@@ -722,6 +714,6 @@ def unitary_contraction_family(tc: TwistedComplex,
         iota = [np.zeros(t.shape[:-2] + (0, tc.dims[0]))]
         for k in range(1, tc.top_degree + 1):
             iota.append(us[k - 1] @ base[k] @ _adjoint(us[k]))
-        return Contraction.unitary(iota)
+        return Contraction(iota)
 
     return family

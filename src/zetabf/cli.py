@@ -168,20 +168,17 @@ OPTIONS = {
 def load_config_file(path, command: str) -> dict:
     """Parsed values of the key=value lines of a config file for ``command``."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(lineno, f"expected key=value, got {stripped!r}")
-            key, value = (s.strip() for s in stripped.split("=", 1))
-            if key not in _COMMANDS[command][1]:
-                raise ParseError(lineno, f"{command} reads no config key {key!r}")
-            try:
-                out[key] = OPTIONS[key].parse(value)
-            except argparse.ArgumentTypeError as exc:
-                raise ParseError(lineno, f"{key} {exc}")
+    for lineno, line in orbits.content_lines(path):
+        stripped = line.strip()
+        if "=" not in stripped:
+            raise ParseError(lineno, f"expected key=value, got {stripped!r}")
+        key, value = (s.strip() for s in stripped.split("=", 1))
+        if key not in _COMMANDS[command][1]:
+            raise ParseError(lineno, f"{command} reads no config key {key!r}")
+        try:
+            out[key] = OPTIONS[key].parse(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ParseError(lineno, f"{key} {exc}")
     return out
 
 

@@ -49,7 +49,7 @@ from .errors import (
     RelatorViolationError,
     ZetaBFError,
 )
-from .orbits import ToralAutomorphism, g17
+from .orbits import ToralAutomorphism, content_lines, g17
 
 # Relative singular-value cutoff separating kernel from cokernel.
 RANK_TOL = 1e-9
@@ -109,19 +109,14 @@ def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     """The Haar unitary of a Ginibre matrix ``z``: Q of z = QR, each column
-    times the phase of its diagonal entry of R.  ``z`` may carry a leading
-    stack axis: one stacked QR then factorises every member, each exactly as
-    it would be alone."""
+    times the phase of its diagonal entry of R (Mezzadri, "How to generate
+    random matrices from the classical compact groups", Notices AMS 54, 2007,
+    arXiv:math-ph/0609050).  ``z`` may carry a leading stack axis: one
+    stacked QR then factorises every member, each exactly as it would be
+    alone."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-random n x n unitary: ``phase_fixed_qr`` of a ``ginibre`` draw
-    (Mezzadri, "How to generate random matrices from the classical compact
-    groups", Notices AMS 54, 2007, arXiv:math-ph/0609050)."""
-    return phase_fixed_qr(ginibre(rng, n))
 
 
 def fox_derivative(word: Word, gen: int) -> Entry:
@@ -548,12 +543,13 @@ def circle_cell_complex() -> CellComplex:
         coboundaries=(((entry,),),),
         generators=("g",),
         name="circle",
+        self_dual=True,
     )
 
 
 def circle_complex(theta: float) -> TwistedComplex:
     rep = character_rep({"g": cmath.exp(1j * theta)})
-    return build_twisted_complex(circle_cell_complex(), rep, poincare_self_dual=True)
+    return build_twisted_complex(circle_cell_complex(), rep)
 
 
 def torus_cell_complex() -> CellComplex:
@@ -569,12 +565,13 @@ def torus_cell_complex() -> CellComplex:
         generators=("a", "b"),
         relators=(commutator,),
         name="torus",
+        self_dual=True,
     )
 
 
 def torus_complex(alpha: float, beta: float) -> TwistedComplex:
     rep = character_rep({"a": cmath.exp(1j * alpha), "b": cmath.exp(1j * beta)})
-    return build_twisted_complex(torus_cell_complex(), rep, poincare_self_dual=True)
+    return build_twisted_complex(torus_cell_complex(), rep)
 
 
 def _power_word(gen: int, power: int) -> Word:
@@ -721,7 +718,8 @@ def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
 
     ``self_dual`` is the header's declaration; it defaults to the one that
     ``build_twisted_complex(cc, rep, grams)`` makes, so a file with Gram
-    blocks is declared self-dual only when the caller says so.
+    blocks is declared self-dual only when the caller says so.  Reeb pairs
+    take one ``reeb k cell:base ...`` line per degree k >= 1.
     """
     if self_dual is None:
         self_dual = cc.self_dual and _unit_metric(grams)
@@ -738,20 +736,14 @@ def write_complex_file(path, cc: CellComplex, rep: UnitaryRep,
         lines.append(f"boundary {k}")
         for row in block:
             lines.append("  " + " ; ".join(_entry_to_str(e, names) for e in row))
-    for name in cc.generators:
-        lines.append(f"rep {name}")
-        mat = rep.images[name]
-        for row in mat:
-            lines.append("  " + " ".join(f"{g17(z.real)},{g17(z.imag)}"
-                                         for z in row))
-    if grams is not None:
-        for k, g in enumerate(grams):
-            if g is None:
-                continue
-            lines.append(f"gram {k}")
-            for row in np.asarray(g, dtype=complex):
-                lines.append("  " + " ".join(f"{g17(z.real)},{g17(z.imag)}"
-                                             for z in row))
+    for k, pairs in enumerate((cc.suspension or ())[1:], start=1):
+        lines.append(" ".join([f"reeb {k}"] + [f"{i}:{j}" for i, j in pairs]))
+    matrices = [(f"rep {name}", rep.images[name]) for name in cc.generators]
+    matrices += [(f"gram {k}", g) for k, g in enumerate(grams or ()) if g is not None]
+    for header, mat in matrices:
+        lines.append(header)
+        for row in np.asarray(mat, dtype=complex):
+            lines.append("  " + " ".join(f"{g17(z.real)},{g17(z.imag)}" for z in row))
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -806,58 +798,63 @@ def _parse_entry(text: str, gen_index: Dict[str, int], lineno: int) -> Entry:
     return tuple(terms)
 
 
-def _parse_complex_row(text: str, lineno: int) -> List[complex]:
-    out = []
-    for tok in text.split():
-        if "," not in tok:
-            raise ParseError(lineno, f"expected re,im pair, got {tok!r}")
-        re_s, im_s = tok.split(",", 1)
-        try:
-            out.append(complex(float(re_s), float(im_s)))
-        except ValueError:
-            raise ParseError(lineno, f"bad float in {tok!r}")
-    return out
+def _square_matrix(what: str, header: int, rows: List[Tuple[int, str]], n: int) -> np.ndarray:
+    """The n x n complex matrix of a ``rep`` or ``gram`` block's (line, text)
+    rows of re,im pairs: a ParseError at a bad pair's line, or at the block's
+    header line for the wrong size."""
+    mat = []
+    for lineno, text in rows:
+        row = []
+        for tok in text.split():
+            if "," not in tok:
+                raise ParseError(lineno, f"expected re,im pair, got {tok!r}")
+            re_s, im_s = tok.split(",", 1)
+            try:
+                row.append(complex(float(re_s), float(im_s)))
+            except ValueError:
+                raise ParseError(lineno, f"bad float in {tok!r}")
+        mat.append(row)
+    if len(mat) != n or any(len(r) != n for r in mat):
+        raise ParseError(header, f"{what}: expected a {n}x{n} matrix")
+    return np.array(mat, dtype=complex)
+
+
+# block directive -> what its argument names: a degree, or None for a generator
+_BLOCKS = {"boundary": "boundary degree", "rep": None, "gram": "gram degree"}
 
 
 def read_complex_file(path):
     """Parse the twisted-complex format; returns (CellComplex, UnitaryRep, grams).
-    A repeated directive, block or generator name is a ParseError at its line
-    that names the line of the first.  A ``self_dual=1`` header declares the
+    A repeated directive, block, generator name or Reeb degree is a ParseError
+    at its line that names the line of the first.  ``reeb`` lines set the
+    cell complex's ``suspension``.  A ``self_dual=1`` header declares the
     complex self-dual at the file's metric, Gram blocks included: pass
     ``cc.self_dual`` on as ``build_twisted_complex``'s ``poincare_self_dual``
     (and ``write_complex_file``'s ``self_dual``) to keep that declaration."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-
     top = rank = None
     self_dual = False
     counts: Optional[Tuple[int, ...]] = None
     generators: List[str] = []
-    # relators as (line, word); blocks as (header line, rows)
-    relator_words: List[Tuple[int, str]] = []
-    boundary_rows: Dict[int, Tuple[int, List[str]]] = {}
-    rep_rows: Dict[str, Tuple[int, List[str]]] = {}
-    gram_rows: Dict[int, Tuple[int, List[str]]] = {}
+    relator_words: List[Tuple[int, str]] = []          # (line, word)
+    reeb: Dict[int, Tuple[int, Tuple[Tuple[int, int], ...]]] = {}   # degree -> (line, pairs)
+    blocks: Dict[Tuple[str, object], tuple] = {}   # (directive, argument) -> (line, rows)
     first_lines: Dict[str, int] = {}      # "counts", "rep t", "generator a", ... -> line
-    section = None
+    rows = None                           # the open block's rows
 
     def once(what: str, lineno: int):
         if what in first_lines:
             raise ParseError(lineno, f"repeated {what!r}, first at line {first_lines[what]}")
         first_lines[what] = lineno
 
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in content_lines(path):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        indented = line.startswith((" ", "\t"))
-        if indented:
-            if section is None:
+        if line.startswith((" ", "\t")):
+            if rows is None:
                 raise ParseError(lineno, "data row outside any block")
-            section[1].append((lineno, stripped))
+            rows.append((lineno, stripped))
             continue
         fields = stripped.split()
-        key, section = fields[0], None      # a block directive opens a new section
+        key, rows = fields[0], None         # a directive closes the open block
         if key in ("complex", "counts", "generators"):
             once(key, lineno)
         if key == "complex":
@@ -884,21 +881,21 @@ def read_complex_file(path):
             _integer(idx, lineno, "label index")
         elif key == "relator":
             relator_words.append((lineno, _argument(fields, lineno)))
-        elif key == "boundary":
-            k = _integer(_argument(fields, lineno), lineno, "boundary degree")
-            once(f"boundary {k}", lineno)
-            boundary_rows[k] = (lineno, [])
-            section = ("boundary", boundary_rows[k][1])
-        elif key == "rep":
-            name = _argument(fields, lineno)
-            once(f"rep {name}", lineno)
-            rep_rows[name] = (lineno, [])
-            section = ("rep", rep_rows[name][1])
-        elif key == "gram":
-            k = _integer(_argument(fields, lineno), lineno, "gram degree")
-            once(f"gram {k}", lineno)
-            gram_rows[k] = (lineno, [])
-            section = ("gram", gram_rows[k][1])
+        elif key == "reeb":         # reeb k cell:base ...
+            k = _integer(fields[1] if len(fields) > 1 else "", lineno, "reeb degree")
+            once(f"reeb {k}", lineno)
+            pairs = [tok.split(":") for tok in fields[2:]]
+            if any(len(pair) != 2 for pair in pairs):
+                raise ParseError(lineno, "a reeb pair must read cell:base")
+            reeb[k] = (lineno, tuple(tuple(_integer(x, lineno, "reeb cell") for x in pair)
+                                     for pair in pairs))
+        elif key in _BLOCKS:
+            arg = _argument(fields, lineno)
+            if _BLOCKS[key]:
+                arg = _integer(arg, lineno, _BLOCKS[key])
+            once(f"{key} {arg}", lineno)
+            rows = []
+            blocks[key, arg] = (lineno, rows)
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
 
@@ -911,31 +908,34 @@ def read_complex_file(path):
     gen_index = {name: i + 1 for i, name in enumerate(generators)}
     cobs = []
     for k in range(top):
-        if k not in boundary_rows:
+        if ("boundary", k) not in blocks:
             raise ParseError(None, f"missing boundary {k} block")
-        header, rows = boundary_rows[k][0], []
-        for lineno, row in boundary_rows[k][1]:
-            entries = [
-                _parse_entry(cell, gen_index, lineno) for cell in row.split(";")
-            ]
+        header, rows = blocks["boundary", k]
+        cob = []
+        for lineno, row in rows:
+            entries = [_parse_entry(cell, gen_index, lineno) for cell in row.split(";")]
             if len(entries) != counts[k]:
                 raise ParseError(lineno, f"expected {counts[k]} entries per row")
-            rows.append(tuple(entries))
-        if len(rows) != counts[k + 1]:
+            cob.append(tuple(entries))
+        if len(cob) != counts[k + 1]:
             raise ParseError(header, f"boundary {k}: expected {counts[k + 1]} rows")
-        cobs.append(tuple(rows))
+        cobs.append(tuple(cob))
 
-    for name, (header, _) in rep_rows.items():
-        if name not in gen_index:
+    for k, (lineno, pairs) in reeb.items():
+        if not 1 <= k <= top or not all(0 <= i < counts[k] and 0 <= j < counts[k - 1]
+                                        for i, j in pairs):
+            raise ParseError(lineno, f"reeb {k}: degree or cell index out of range")
+    suspension = tuple(reeb.get(k, (0, ()))[1] for k in range(top + 1)) if reeb else None
+
+    for (kind, name), (header, _) in blocks.items():
+        if kind == "rep" and name not in gen_index:
             raise ParseError(header, f"rep {name}: {name!r} is not a generator")
     images = {}
     for name in generators:
-        if name not in rep_rows:
+        if ("rep", name) not in blocks:
             raise ParseError(None, f"missing rep block for generator {name!r}")
-        header, rows = rep_rows[name]
-        mat = [_parse_complex_row(row, lineno) for lineno, row in rows]
-        if len(mat) != rank or any(len(r) != rank for r in mat):
-            raise ParseError(header, f"rep {name}: expected a {rank}x{rank} matrix")
+        header, rows = blocks["rep", name]
+        mat = _square_matrix(f"rep {name}", header, rows, rank)
         try:
             images.update(UnitaryRep(rank, {name: mat}).images)
         except ValueError as exc:
@@ -944,22 +944,20 @@ def read_complex_file(path):
     relators = tuple(_parse_word(w, gen_index, lineno) for lineno, w in relator_words)
     cc = CellComplex(counts=counts, coboundaries=tuple(cobs),
                      generators=tuple(generators), relators=relators, name="file",
-                     self_dual=self_dual)
+                     self_dual=self_dual, suspension=suspension)
     rep = UnitaryRep(rank, images)
 
     grams = None
-    if gram_rows:
+    gram_blocks = [(k, block) for (kind, k), block in blocks.items() if kind == "gram"]
+    if gram_blocks:
         grams = [None] * (top + 1)
-        for k, (header, rows) in gram_rows.items():
+        for k, (header, rows) in gram_blocks:
             if not 0 <= k <= top:
                 raise ParseError(header, f"gram {k}: degree outside 0..{top}")
             n = counts[k] * rank
-            mat = [_parse_complex_row(row, lineno) for lineno, row in rows]
-            if len(mat) != n or any(len(r) != n for r in mat):
-                raise ParseError(header, f"gram {k}: expected a {n}x{n} matrix")
+            grams[k] = _square_matrix(f"gram {k}", header, rows, n)
             try:
-                _gram_root(mat, n)
+                _gram_root(grams[k], n)
             except ValueError as exc:
                 raise ParseError(header, f"gram {k}: {exc}")
-            grams[k] = np.array(mat)
     return cc, rep, grams

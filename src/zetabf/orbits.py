@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,6 +267,19 @@ def g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def content_lines(path) -> Iterator[Tuple[int, str]]:
+    """(line number, line) for each line of the UTF-8 file at ``path`` that is
+    neither blank nor a ``#`` comment: the scanner of all three text formats.
+    The file is read and closed before the first line is yielded, so a reader
+    that stops at a bad line leaves no file open."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
+
+
 def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
                          theta: Optional[float] = None):
     """Canonical writer; rows sorted by (length, holonomy phase).
@@ -288,32 +301,28 @@ def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
 def load_orbit_spectrum(path) -> OrbitData:
     """Parse and validate an orbit-spectrum file; exact duplicates merge."""
     records: List[OrbitRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) != 7:
-                raise ParseError(lineno, f"expected 7 fields, got {len(fields)}")
-            try:
-                length = float(fields[0])
-                flag = int(fields[1])
-                hol = complex(float(fields[2]), float(fields[3]))
-                eig1 = float(fields[4])
-                eig2 = float(fields[5])
-                count = int(fields[6])
-            except ValueError as exc:
-                raise ParseError(lineno, f"malformed number: {exc}")
-            if flag != 1:
-                raise ValidationError("primitive_flag", "only primitive records are supported",
-                                      line=lineno)
-            try:
-                records.append(OrbitRecord(length=length, count=count,
-                                           eig_expanding=eig1, eig_contracting=eig2,
-                                           holonomy=hol))
-            except ValidationError as exc:
-                raise ValidationError(exc.field, exc.detail, line=lineno) from None
+    for lineno, line in content_lines(path):
+        fields = line.split()
+        if len(fields) != 7:
+            raise ParseError(lineno, f"expected 7 fields, got {len(fields)}")
+        try:
+            length = float(fields[0])
+            flag = int(fields[1])
+            hol = complex(float(fields[2]), float(fields[3]))
+            eig1 = float(fields[4])
+            eig2 = float(fields[5])
+            count = int(fields[6])
+        except ValueError as exc:
+            raise ParseError(lineno, f"malformed number: {exc}")
+        if flag != 1:
+            raise ValidationError("primitive_flag", "only primitive records are supported",
+                                  line=lineno)
+        try:
+            records.append(OrbitRecord(length=length, count=count,
+                                       eig_expanding=eig1, eig_contracting=eig2,
+                                       holonomy=hol))
+        except ValidationError as exc:
+            raise ValidationError(exc.field, exc.detail, line=lineno) from None
     # insertion order keeps each merged record where it first appeared
     merged: Dict[Tuple[float, complex, float, float], OrbitRecord] = {}
     for rec in records:

@@ -155,14 +155,15 @@ def criterion_1_lefschetz() -> Outcome:
 
 
 def criterion_2_per_orbit_identity() -> Outcome:
-    aut = orbits.ToralAutomorphism(2, 1, 1, 1)
+    # det(I - P^j) = sum_k (-1)^k tr Lambda^k P^j, signed: for tr A < 0 it is
+    # positive at odd j
     worst = 0.0
-    for j in range(1, 13):
-        traces = [orbits.poincare_data(aut, j, k)[0] for k in range(3)]
-        det = orbits.poincare_data(aut, j, 0)[1]
-        lhs = -abs(det)
-        rhs = traces[0] - traces[1] + traces[2]
-        worst = max(worst, abs(lhs - rhs))
+    for a in ((2, 1, 1, 1), (-2, -1, -1, -1), (-4, -1, -3, -1), (-3, 1, 1, 0), (3, 1, 1, 0)):
+        aut = orbits.ToralAutomorphism(*a)
+        for j in range(1, 13):
+            traces = [orbits.poincare_data(aut, j, k)[0] for k in range(3)]
+            det = orbits.poincare_data(aut, j, 0)[1]
+            worst = max(worst, abs(det - (traces[0] - traces[1] + traces[2])))
     ok = worst < 1e-12
     return "per-orbit linear-algebra identity", ok, f"max residual {worst:.3e}"
 
@@ -374,11 +375,11 @@ def _criterion_12_matrices():
             yield s @ d @ np.linalg.inv(s)
         elif kind == 2:
             # hermitian positive definite
-            z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            z = complexes.ginibre(rng, n)
             yield z @ z.conj().T / n + 0.3 * np.eye(n)
         else:
             # complex spectrum in the right half plane
-            a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+            a = complexes.ginibre(rng, n) / math.sqrt(n)
             a = a + (1.2 + float(rng.uniform(0, 2))) * np.eye(n)
             shift = np.min(np.linalg.eigvals(a).real)
             if shift < 0.1:

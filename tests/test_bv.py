@@ -33,9 +33,10 @@ from zetabf.complexes import (
     analytic_torsion,
     build_twisted_complex,
     circle_complex,
-    haar_unitary,
+    ginibre,
     mapping_torus_cell_complex,
     mapping_torus_complex,
+    phase_fixed_qr,
     random_twisted_complex,
     schwarz_partition,
     torus_complex,
@@ -160,9 +161,7 @@ def test_metric_gauge_isotropy_random():
 def test_contraction_gauge_unit_scalar_circle():
     tc = circle_complex(math.pi)
     fs = build_bf_fields(tc)
-    iota = [np.zeros((0, 1)), np.array([[1.0 + 0.0j]])]
-    a_maps = [np.array([[1.0 + 0.0j]]), np.zeros((0, 1))]
-    c = Contraction(iota, a_maps)
+    c = Contraction([np.zeros((0, 1)), np.array([[1.0 + 0.0j]])])
     gs = contraction_gauge(fs, c)
     assert is_lagrangian(fs, gs).ok
     assert partition_function(fs, gs) == pytest.approx(2.0, rel=1e-12)
@@ -254,7 +253,7 @@ def _cat_rank_twist(r, rng):
     """Cat-map mapping torus twisted by a random rank-r unitary on t
     (dimension 8r), with eigenphases kept away from 0."""
     thetas = rng.uniform(0.3, 2 * math.pi - 0.3, size=r)
-    q = haar_unitary(rng, r)
+    q = phase_fixed_qr(ginibre(rng, r))
     eye = np.eye(r)
     rep = UnitaryRep(r, {"a": eye, "b": eye, "t": (q * np.exp(1j * thetas)) @ q.conj().T})
     return build_twisted_complex(mapping_torus_cell_complex(CAT), rep)
@@ -385,7 +384,7 @@ def test_rank_r_twist_has_a_reeb_gauge_with_the_zeta_factors(r):
     # Z = tau, and per degree |det L_k| = prod_j |zeta_k(theta_j)(0)|
     rng = np.random.default_rng(40 + r)
     thetas = rng.uniform(0.3, 2 * math.pi - 0.3, size=r)
-    q = haar_unitary(rng, r)
+    q = phase_fixed_qr(ginibre(rng, r))
     eye = np.eye(r)
     rep = UnitaryRep(r, {"t": (q * np.exp(1j * thetas)) @ q.conj().T, "a": eye, "b": eye})
     tc = build_twisted_complex(mapping_torus_cell_complex(CAT), rep)
@@ -399,33 +398,30 @@ def test_rank_r_twist_has_a_reeb_gauge_with_the_zeta_factors(r):
         assert abs(abs(np.linalg.det(m)) / want - 1.0) < 1e-12
 
 
-def test_non_coisometric_normalised_contraction_deviates():
-    # iota a = id holds but |iota| != 1: outside the unitary-normalised class,
-    # the declared Jacobian 1 no longer matches the parametrisation volume
-    tc = circle_complex(math.pi)
-    fs = build_bf_fields(tc)
-    iota = [np.zeros((0, 1)), np.array([[2.0 + 0.0j]])]
-    a_maps = [np.array([[0.5 + 0.0j]]), np.zeros((0, 1))]
-    c = Contraction(iota, a_maps)
-    z = partition_function(fs, contraction_gauge(fs, c))
-    assert abs(z / 2.0 - 1.0) > 0.3
+def test_non_coisometric_contraction_is_refused():
+    # |iota| != 1: outside the unitary-normalised class the declared Jacobian 1
+    # would not match the parametrisation volume (with a = iota^-1, Z on the
+    # circle read 1 against the torsion 2), so iota iota^dagger = 4 on
+    # ker iota_0 = C^1 is refused
+    with pytest.raises(DegenerateContractionError, match="iota o a != id"):
+        Contraction([np.zeros((0, 1)), np.array([[2.0 + 0.0j]])])
 
 
-@pytest.mark.parametrize("a_maps", [
-    [np.array([[2.0]]), np.zeros((0, 1))],     # iota o a = 2 on ker iota_0 = C^1
-    [np.array([[1.0]]), np.zeros((0, 2))],     # top zero map out of C^2, not C^1
-    [np.array([[1.0]])],                        # one map short
-])
-def test_contraction_validates_on_construction(a_maps):
+@pytest.mark.parametrize("iota", [
+    [np.zeros((0, 1)), np.array([[math.sqrt(2)]])],        # iota o a = 2 on C^1
+    [np.zeros((0, 2)), np.array([[1.0]])],                  # iota_1 out of C^1, not C^2
+    [np.zeros((0, 1)), np.array([[1.0, 0.0]]), np.array([[1.0], [0.0]])],   # iota^2 != 0
+], ids=["not-coisometric", "shapes-do-not-chain", "not-square-zero"])
+def test_contraction_validates_on_construction(iota):
     with pytest.raises(DegenerateContractionError):
-        Contraction([np.zeros((0, 1)), np.array([[1.0]])], a_maps)
+        Contraction(iota)
 
 
 def test_contraction_gauge_rejects_mismatched_dims():
     # a valid contraction of C^2 -> C^2 offered to the (1, 1) circle space:
     # the arity matches, the shapes do not
     fs = build_bf_fields(circle_complex(math.pi))
-    c = Contraction([np.zeros((0, 2)), np.eye(2)], [np.eye(2), np.zeros((0, 2))])
+    c = Contraction([np.zeros((0, 2)), np.eye(2)])
     with pytest.raises(DegenerateContractionError):
         contraction_gauge(fs, c)
 
@@ -447,14 +443,21 @@ def test_contraction_validated_once(monkeypatch):
 
 
 def test_contraction_gauge_degeneracy_is_the_rank_cut():
-    # |iota| = 4e9 and a = 1/4e9: the one action block is 2 / 4e9 = 5e-10,
-    # below RANK_TOL * max(5e-10, 1)
-    fs = build_bf_fields(circle_complex(math.pi))
-    c = Contraction([np.zeros((0, 1)), np.array([[4e9]])],
-                    [np.array([[1 / 4e9]]), np.zeros((0, 1))])
-    with pytest.raises(DegenerateContractionError) as err:
-        partition_function(fs, contraction_gauge(fs, c))
-    assert err.value.degree == 0
+    # at phi = 3 pi/4 + delta the rotating family's action block is
+    # cos(phi) + sin(phi) = -sqrt(2) sin(delta): 5e-10 sits below
+    # RANK_TOL * max(5e-10, 1), 2e-9 above it, where Z is the torsion
+    fs = _rotating_fields()
+    for block in (5e-10, 2e-9):
+        gs = contraction_gauge(fs, _rotating_family(
+            0.75 + math.asin(block / math.sqrt(2)) / math.pi))
+        assert abs(restricted_action_blocks(fs, gs)[0][0, 0]) == pytest.approx(block, rel=1e-6)
+        if block < 1e-9:
+            with pytest.raises(DegenerateContractionError) as err:
+                partition_function(fs, gs)
+            assert err.value.degree == 0
+        else:
+            assert partition_function(fs, gs) == pytest.approx(analytic_torsion(fs.base),
+                                                               rel=1e-6)
 
 
 @pytest.mark.parametrize("theta", [1e-5, 1e-6, 1e-7])
@@ -523,7 +526,7 @@ def test_bad_kernel_split_is_refused(how, message):
     k = 1                                   # kernel and complement both nonempty here
     assert 0 < c.splits[k][0].shape[1] < tc.dims[k]
     with pytest.raises(DegenerateContractionError, match=message):
-        Contraction.unitary(c.iota, _bad_split(c.splits, k, how))
+        Contraction(c.iota, _bad_split(c.splits, k, how))
 
 
 # Constant of the first-order rounding bound on Z below.  Forming a block M
@@ -563,7 +566,7 @@ def _assert_found_splits_pass_checks(c):
         image = m @ perp
         gram = image.conj().swapaxes(-1, -2) @ image
         assert np.all(norm(gram - np.eye(perp.shape[-1])) <= tol * scale ** 2)
-    Contraction(c.iota, c.a_maps, c.splits)
+    Contraction(c.iota, c.splits)
 
 
 def test_found_splits_pass_the_given_split_checks():
@@ -572,7 +575,7 @@ def test_found_splits_pass_the_given_split_checks():
                random_twisted_complex(rng, top_degree=4, max_cells=4, rank=2)):
         hodge = hodge_contraction(tc)
         _assert_found_splits_pass_checks(hodge)
-        _assert_found_splits_pass_checks(Contraction.unitary(random_contraction(tc, rng).iota))
+        _assert_found_splits_pass_checks(Contraction(random_contraction(tc, rng).iota))
         fam = unitary_contraction_family(tc, rng)
         stack = fam(np.linspace(0.0, 1.0, 10))
         assert stack.sample_shape == (10,)
@@ -584,7 +587,7 @@ def test_found_splits_pass_the_given_split_checks():
 def _split_matches_svd_path(tc, c):
     """Kernel and complement projectors and Z of a random contraction against
     the same iota factorised by SVD, Z within the rounding of both gauges."""
-    by_svd = Contraction.unitary(c.iota)
+    by_svd = Contraction(c.iota)
     _assert_found_splits_pass_checks(by_svd)
     for pairs in zip(c.splits, by_svd.splits):
         for given, found in zip(*pairs):
@@ -769,12 +772,11 @@ def test_stacked_contraction_is_its_members():
             for found, alone in zip(stacked.splits[k], single.splits[k]):
                 assert np.array_equal(found[i], alone)
         assert zs[i].hex() == partition_function(fs, contraction_gauge(fs, single)).hex()
-    # explicit a_maps and kernel splits stack too
+    # explicit kernel splits stack too
     draws = [random_contraction(tc, rng) for _ in range(2)]
     iota = [np.stack(m) for m in zip(*(c.iota for c in draws))]
-    a_maps = [np.stack(m) for m in zip(*(c.a_maps for c in draws))]
     splits = [tuple(np.stack(b) for b in zip(*pairs)) for pairs in zip(*(c.splits for c in draws))]
-    stacked = Contraction(iota, a_maps, splits)
+    stacked = Contraction(iota, splits)
     zs = partition_function(fs, contraction_gauge(fs, stacked))
     for z, c in zip(zs, draws):
         assert z.hex() == partition_function(fs, contraction_gauge(fs, c)).hex()
@@ -782,13 +784,14 @@ def test_stacked_contraction_is_its_members():
     ker, perp = splits[1]
     ker = ker * np.array([1.0, 1.001])[:, None, None]
     with pytest.raises(DegenerateContractionError, match="not orthonormal") as err:
-        Contraction(iota, a_maps, splits[:1] + [(ker, perp)] + splits[2:])
+        Contraction(iota, splits[:1] + [(ker, perp)] + splits[2:])
     assert err.value.member == 1
 
 
 def _zero_middle_complex(rng):
     """(2,2,3,3) acyclic complex whose middle differential d_1 is zero."""
-    return TwistedComplex([haar_unitary(rng, 2), np.zeros((3, 2)), haar_unitary(rng, 3)])
+    return TwistedComplex([phase_fixed_qr(ginibre(rng, 2)), np.zeros((3, 2)),
+                           phase_fixed_qr(ginibre(rng, 3))])
 
 
 @pytest.mark.parametrize("samples", [1, 5])
@@ -820,7 +823,7 @@ def test_stacked_random_draw_names_its_degenerate_member():
     iota = [np.array(m) for m in drawn.iota]
     for m, bad in zip(iota, degenerate.iota):
         m[3] = bad
-    stacked = Contraction.unitary(iota)
+    stacked = Contraction(iota)
     with pytest.raises(DegenerateContractionError) as err:
         partition_function(fs, contraction_gauge(fs, stacked))
     assert err.value.member == 3
@@ -886,7 +889,7 @@ def test_long_scan_runs_in_bounded_passes(monkeypatch):
 
 def _stack(c, ts):
     """The constant family's members at ``ts``: ``c`` repeated along a sample axis."""
-    return Contraction.unitary([np.broadcast_to(m, np.shape(ts) + m.shape) for m in c.iota])
+    return Contraction([np.broadcast_to(m, np.shape(ts) + m.shape) for m in c.iota])
 
 
 def test_homotopy_scan_constant_family():
@@ -906,9 +909,7 @@ def _rotating_family(ts):
     phi = np.asarray(ts) * math.pi        # crosses phi = 3*pi/4 where cos+sin = 0
     row = np.stack([np.cos(phi), np.sin(phi)], axis=-1)[..., None, :]
     ker = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)[..., :, None]
-    iota = [np.zeros(phi.shape + (0, 1)), row, ker]   # iota_2 maps C^2 onto ker(iota_1)
-    a_maps = [np.conj(m).swapaxes(-1, -2) for m in iota[1:]] + [np.zeros(phi.shape + (0, 1))]
-    return Contraction(iota, a_maps)
+    return Contraction([np.zeros(phi.shape + (0, 1)), row, ker])   # iota_2 onto ker(iota_1)
 
 
 def _rotating_fields():
@@ -925,31 +926,26 @@ def test_homotopy_scan_degenerate_crossing():
     assert err.value.t == 0.75
 
 
-def _scaled_from(t_bad, row_scale, a_scale):
-    """The rotating family with, from ``t_bad`` on, iota_1 scaled by
-    ``row_scale`` and a_0 by ``a_scale``."""
+def _scaled_from(t_bad, row_scale):
+    """The rotating family with, from ``t_bad`` on, iota_1 scaled by ``row_scale``."""
     def family(ts):
-        c = _rotating_family(ts)
+        iota = list(_rotating_family(ts).iota)
         late = (np.asarray(ts) >= t_bad)[..., None, None]
-        iota = list(c.iota)
         iota[1] = np.where(late, row_scale * iota[1], iota[1])
-        a_maps = list(c.a_maps)
-        a_maps[0] = np.where(late, a_scale * a_maps[0], a_maps[0])
-        return Contraction(iota, a_maps)
+        return Contraction(iota)
     return family
 
 
-@pytest.mark.parametrize("t_bad, row_scale, a_scale, t_named, message", [
+@pytest.mark.parametrize("t_bad, row_scale, t_named, message", [
     # invalid (iota o a = 2) after the crossing at 0.75: the crossing is named
-    (1.0, 1.0, 2.0, 0.75, "degenerate"),
-    (0.5, 1.0, 2.0, 0.5, "iota o a != id"),
+    (1.0, math.sqrt(2), 0.75, "degenerate"),
+    (0.5, math.sqrt(2), 0.5, "iota o a != id"),
     # iota_1 below the rank cut: its kernel grows, which a stack cannot hold
-    (0.25, 1e-13, 1e13, 0.25, "rank of iota changes"),
-])
-def test_homotopy_scan_names_the_first_failing_sample(t_bad, row_scale, a_scale, t_named,
-                                                      message):
+    (0.25, 1e-13, 0.25, "rank of iota changes"),
+], ids=["invalid-after-crossing", "invalid", "rank-change"])
+def test_homotopy_scan_names_the_first_failing_sample(t_bad, row_scale, t_named, message):
     fs = _rotating_fields()
-    family = _scaled_from(t_bad, row_scale, a_scale)
+    family = _scaled_from(t_bad, row_scale)
     with pytest.raises(DegenerateContractionError, match=message) as err:
         homotopy_scan(fs, family, 5)
     assert err.value.t == t_named

@@ -350,6 +350,55 @@ def test_complex_file_errors_name_their_line(tmp_path, anchor, offset, new):
     assert f"parse error: line {named + 1}:" in err
 
 
+# Each model at the unit metric: its cell complex, its generator images as
+# the model builds them, and its --model flags.
+WRITTEN_MODELS = {
+    "circle": (complexes.circle_cell_complex(), {"g": cmath.exp(1j * math.pi)},
+               ["--model", "circle", "--theta", PI]),
+    "torus": (complexes.torus_cell_complex(),
+              {"a": cmath.exp(1j * 1.0), "b": cmath.exp(1j * 0.5)},
+              ["--model", "torus", "--alpha", "1", "--beta", "0.5"]),
+    "cat": (complexes.mapping_torus_cell_complex([[2, 1], [1, 1]]),
+            {"a": 1.0, "b": 1.0, "t": cmath.exp(1j * 2.0)},
+            ["--model", "cat", "--theta", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", ["torsion", "bf"])
+@pytest.mark.parametrize("model", sorted(WRITTEN_MODELS))
+def test_written_model_reads_back_as_the_model(tmp_path, model, command):
+    # the file keeps the self-duality (relation (2)) and the Reeb pairs
+    # (Z_reeb_contraction) that the model declares
+    cc, images, flags = WRITTEN_MODELS[model]
+    path = tmp_path / f"{model}.cplx"
+    complexes.write_complex_file(path, cc, complexes.character_rep(images))
+    want = run_cli([command] + flags)
+    assert want[0] == EXIT_OK
+    assert run_cli([command, "--input", str(path)]) == want
+
+
+@pytest.mark.parametrize("new, offset, message", [
+    ("reeb 2 1:0 2:1\nreeb 2 1:0", 1, "repeated 'reeb 2', first at line {line}"),
+    ("reeb 4 0:0", 0, "reeb 4: degree or cell index out of range"),
+    ("reeb 2 1:0 3:1", 0, "reeb 2: degree or cell index out of range"),
+    ("reeb 2 1:-1", 0, "reeb 2: degree or cell index out of range"),
+    ("reeb 2 1-0", 0, "a reeb pair must read cell:base"),
+    ("reeb 2 1:x", 0, "reeb cell must be an integer, got 'x'"),
+], ids=["repeated", "degree", "cell", "base-cell", "not-a-pair", "not-an-integer"])
+def test_bad_reeb_line_is_a_parse_error_at_its_line(tmp_path, new, offset, message):
+    path = tmp_path / "cat.cplx"
+    cc, images, _ = WRITTEN_MODELS["cat"]
+    complexes.write_complex_file(path, cc, complexes.character_rep(images))
+    lines = path.read_text().splitlines()
+    named = lines.index("reeb 2 1:0 2:1")
+    lines[named] = new
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["torsion", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (f"parse error: line {named + 1 + offset}: "
+                   f"{message.format(line=named + 1)}\n")
+
+
 @pytest.mark.parametrize("row, field", [
     ("1.0 1 1.0 0.0 2.0 0.4 1", "poincare_eigs"),
     ("1.0 1 1.0 0.0 2.0 0.5 0", "count"),

@@ -19,7 +19,6 @@ from zetabf.complexes import (
     UnitaryRep,
     det_relations_report,
     ginibre,
-    haar_unitary,
     mapping_torus_cell_complex,
     mapping_torus_complex,
     phase_fixed_qr,
@@ -282,7 +281,7 @@ def test_rank_r_cat_twists_report_relation_2(r):
     # the cell complex declares self-duality, so a twist built from it at any
     # rank reports relation (2); a det A = -1 torus declares none
     rng = np.random.default_rng(r)
-    q = haar_unitary(rng, r)
+    q = phase_fixed_qr(ginibre(rng, r))
     u = (q * np.exp(1j * rng.uniform(0.3, 2 * math.pi - 0.3, size=r))) @ q.conj().T
     eye = np.eye(r)
     cc = mapping_torus_cell_complex([[2, 1], [1, 1]])
@@ -319,7 +318,7 @@ def test_gram_blocks_are_declared_self_dual_only_by_the_caller(tmp_path):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 40])
 def test_stacked_phase_fixed_qr_is_haar_unitary(n):
     rng = np.random.default_rng(n)
-    lone = [haar_unitary(rng, n) for _ in range(4)]
+    lone = [phase_fixed_qr(ginibre(rng, n)) for _ in range(4)]
     state = rng.bit_generator.state
     rng = np.random.default_rng(n)
     stacked = phase_fixed_qr(np.stack([ginibre(rng, n) for _ in range(4)]))
@@ -409,6 +408,32 @@ def test_complex_file_roundtrip_bit_exact(tmp_path):
     tc2 = build_twisted_complex(cc2, rep2)
     for d1, d2 in zip(tc1.diffs, tc2.diffs):
         assert np.array_equal(d1, d2)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_complex_file_keeps_the_reeb_pairs(tmp_path, r):
+    # one reeb line per degree 1..N, read back into the cell complex, which
+    # carries them into the twist at its rank
+    cc = mapping_torus_cell_complex([[2, 1], [1, 1]])
+    eye = np.eye(r)
+    rep = UnitaryRep(r, {"a": eye, "b": eye, "t": np.exp(0.7j) * eye})
+    path = tmp_path / "cat.cplx"
+    write_complex_file(path, cc, rep)
+    lines = path.read_text().splitlines()
+    assert [line for line in lines if line.startswith("reeb ")] == \
+        ["reeb 1 2:0", "reeb 2 1:0 2:1", "reeb 3 0:0"]
+    cc2, rep2, grams = read_complex_file(path)
+    assert cc2.suspension == cc.suspension
+    assert build_twisted_complex(cc2, rep2).suspension == build_twisted_complex(cc, rep).suspension
+    again = tmp_path / "again.cplx"
+    write_complex_file(again, cc2, rep2, grams)
+    assert again.read_bytes() == path.read_bytes()
+    # without reeb lines there is no suspension; a missing degree holds no pairs
+    del lines[lines.index("reeb 1 2:0")]
+    path.write_text("\n".join(lines) + "\n")
+    assert read_complex_file(path)[0].suspension == ((), (), ((1, 0), (2, 1)), ((0, 0),))
+    golden = Path(__file__).parent / "golden" / "cat_gram.cplx"
+    assert read_complex_file(golden)[0].suspension is None
 
 
 def test_complex_file_label_lines_are_checked_and_dropped(tmp_path):

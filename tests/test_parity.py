@@ -115,7 +115,7 @@ def _twisted_complexes():
     cc = complexes.mapping_torus_cell_complex(CAT_MAP)
     out = []
     for r in (1, 3):
-        q = complexes.haar_unitary(rng, r)
+        q = complexes.phase_fixed_qr(complexes.ginibre(rng, r))
         u = (q * np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=r))) @ q.conj().T
         eye = np.eye(r)
         rep = complexes.UnitaryRep(r, {"t": u, "a": eye, "b": eye})
