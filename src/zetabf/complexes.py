@@ -819,10 +819,6 @@ def _square_matrix(what: str, header: int, rows: List[Tuple[int, str]], n: int) 
     return np.array(mat, dtype=complex)
 
 
-# block directive -> what its argument names: a degree, or None for a generator
-_BLOCKS = {"boundary": "boundary degree", "rep": None, "gram": "gram degree"}
-
-
 def read_complex_file(path):
     """Parse the twisted-complex format; returns (CellComplex, UnitaryRep, grams).
     A repeated directive, block, generator name or Reeb degree is a ParseError
@@ -889,10 +885,10 @@ def read_complex_file(path):
                 raise ParseError(lineno, "a reeb pair must read cell:base")
             reeb[k] = (lineno, tuple(tuple(_integer(x, lineno, "reeb cell") for x in pair)
                                      for pair in pairs))
-        elif key in _BLOCKS:
+        elif key in ("boundary", "rep", "gram"):     # blocks of a degree or a generator
             arg = _argument(fields, lineno)
-            if _BLOCKS[key]:
-                arg = _integer(arg, lineno, _BLOCKS[key])
+            if key != "rep":
+                arg = _integer(arg, lineno, f"{key} degree")
             once(f"{key} {arg}", lineno)
             rows = []
             blocks[key, arg] = (lineno, rows)
