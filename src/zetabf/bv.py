@@ -526,7 +526,10 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     the subspace."""
     sub = (gs.a_bases, gs.b_bases)
     comp = ([np.conj(b) for b in gs.b_bases], [np.conj(a) for a in gs.a_bases])
-    iso_sub, iso_comp = _isotropy(*sub), _isotropy(*comp)
+    # the swap's slot blocks _dots(conj a_k, conj b_k) are the conjugate
+    # transposes of _dots(b_k, a_k), term for term, so the isotropy of the
+    # complement is the subspace's, bit for bit
+    iso_sub = iso_comp = _isotropy(*sub)
 
     # the swap keeps the column count, so the cross Gram matrix is square
     if any(m.shape[1] for side in sub for m in side):

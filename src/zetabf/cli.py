@@ -285,7 +285,8 @@ def cmd_zeta(cfg: argparse.Namespace) -> int:
     if cfg.closed_form:
         value = abs(zeta.zeta_value_at_zero(aut, cfg.theta)) ** -1
         lines.append(f"closed_form_abs_zeta0_inverse {g17(value)}")
-        lines.append(f"fried_residual {g17(zeta.fried_residual(cfg.a_matrix, cfg.theta, sign=-cfg.sigma))}")
+        residual = verification.fried_residual(cfg.a_matrix, cfg.theta, sign=-cfg.sigma)
+        lines.append(f"fried_residual {g17(residual)}")
     data = orbits.suspension_orbits(aut, cfg.J)
     lams = [complex(x, cfg.lambda_imag) for x in
             np.linspace(cfg.lambda_start, cfg.lambda_stop, cfg.lambda_steps)]

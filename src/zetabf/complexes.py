@@ -140,6 +140,13 @@ def _entry_augmentation(entry: Entry) -> int:
     return sum(c for c, _ in entry)
 
 
+def _reeb_fits(counts: Sequence[int], k: int, pairs) -> bool:
+    """Whether degree k holds the Reeb pairs: 1 <= k <= top, each cell x I
+    in C^k and its base cell in C^(k-1)."""
+    return 1 <= k < len(counts) and all(0 <= i < counts[k] and 0 <= j < counts[k - 1]
+                                        for i, j in pairs)
+
+
 @dataclass
 class CellComplex:
     """Cell counts plus group-ring-valued coboundary entries.
@@ -151,7 +158,9 @@ class CellComplex:
     metric may break it); read from a file, it is the header's ``self_dual=1``
     field, which declares it at the file's metric.  ``suspension`` holds a
     mapping torus's Reeb pairs: per degree k, the (cell x I in C^k, base cell
-    in C^(k-1)) cell indices.
+    in C^(k-1)) cell indices, none in degree 0.  Construction checks every
+    index: cells, Reeb pairs and the letters of every word, which must name
+    one of the distinct generators.
     """
 
     counts: Tuple[int, ...]
@@ -172,6 +181,17 @@ class CellComplex:
             for row in block:
                 if len(row) != self.counts[k]:
                     raise ValueError(f"coboundary {k}: wrong column count")
+        if len(set(self.generators)) != len(self.generators):
+            raise ValueError(f"repeated generator name in {self.generators}")
+        words = list(self.relators) + [w for block in self.coboundaries for row in block
+                                       for entry in row for _, w in entry]
+        if not all(0 < abs(x) <= len(self.generators) for w in words for x in w):
+            raise ValueError(f"a word names a letter outside +-1..{len(self.generators)}")
+        s = self.suspension
+        if s is not None and (len(s) != n or s[0] or not all(
+                _reeb_fits(self.counts, k, pairs) for k, pairs in enumerate(s[1:], start=1))):
+            raise ValueError("suspension needs one tuple of Reeb pairs per degree, "
+                             "none in degree 0, each cell index in range")
         for k in range(len(self.coboundaries) - 1):
             prod = self.incidence(k + 1) @ self.incidence(k)
             if np.any(prod != 0):
@@ -822,7 +842,9 @@ def _square_matrix(what: str, header: int, rows: List[Tuple[int, str]], n: int) 
 def read_complex_file(path):
     """Parse the twisted-complex format; returns (CellComplex, UnitaryRep, grams).
     A repeated directive, block, generator name or Reeb degree is a ParseError
-    at its line that names the line of the first.  ``reeb`` lines set the
+    at its line that names the line of the first, as is a block that is never
+    read: a boundary degree outside 0..top-1, a gram degree outside 0..top,
+    or a rep of a name outside the generators.  ``reeb`` lines set the
     cell complex's ``suspension``.  A ``self_dual=1`` header declares the
     complex self-dual at the file's metric, Gram blocks included: pass
     ``cc.self_dual`` on as ``build_twisted_complex``'s ``poincare_self_dual``
@@ -902,6 +924,13 @@ def read_complex_file(path):
                          f"counts has {len(counts)} entries, expected {top + 1}")
 
     gen_index = {name: i + 1 for i, name in enumerate(generators)}
+    # every block must be one that is read below
+    last = {"boundary": top - 1, "gram": top}
+    for (kind, arg), (header, _) in blocks.items():
+        if kind == "rep" and arg not in gen_index:
+            raise ParseError(header, f"rep {arg}: {arg!r} is not a generator")
+        if kind != "rep" and not 0 <= arg <= last[kind]:
+            raise ParseError(header, f"{kind} {arg}: degree outside 0..{last[kind]}")
     cobs = []
     for k in range(top):
         if ("boundary", k) not in blocks:
@@ -918,14 +947,10 @@ def read_complex_file(path):
         cobs.append(tuple(cob))
 
     for k, (lineno, pairs) in reeb.items():
-        if not 1 <= k <= top or not all(0 <= i < counts[k] and 0 <= j < counts[k - 1]
-                                        for i, j in pairs):
+        if not _reeb_fits(counts, k, pairs):
             raise ParseError(lineno, f"reeb {k}: degree or cell index out of range")
     suspension = tuple(reeb.get(k, (0, ()))[1] for k in range(top + 1)) if reeb else None
 
-    for (kind, name), (header, _) in blocks.items():
-        if kind == "rep" and name not in gen_index:
-            raise ParseError(header, f"rep {name}: {name!r} is not a generator")
     images = {}
     for name in generators:
         if ("rep", name) not in blocks:
@@ -948,8 +973,6 @@ def read_complex_file(path):
     if gram_blocks:
         grams = [None] * (top + 1)
         for k, (header, rows) in gram_blocks:
-            if not 0 <= k <= top:
-                raise ParseError(header, f"gram {k}: degree outside 0..{top}")
             n = counts[k] * rank
             grams[k] = _square_matrix(f"gram {k}", header, rows, n)
             try:

@@ -179,7 +179,10 @@ class OrbitData:
     ``aut`` is set for complete suspension spectra, in which case sharp
     collapsed tail bounds (via the Lefschetz counts) are available.
     ``complete_to``, required with ``aut``, is the period up to which the records
-    are complete; the certificate of ``zetabf.zeta`` reads it.
+    are complete; the certificate of ``zetabf.zeta`` reads it.  The one
+    cache is ``term_tables``, the orbit-term tables of ``zetabf.zeta`` keyed
+    by truncation J, a plain dict so that this module imports nothing to hold
+    them.
     """
 
     records: Tuple[OrbitRecord, ...]
@@ -198,12 +201,6 @@ class OrbitData:
     def term_tables(self) -> dict:
         """The orbit-term tables of ``zetabf.zeta``, one per truncation J."""
         return {}
-
-    @cached_property
-    def record_tails(self):
-        """The per-record tail arrays of ``zetabf.zeta``, built on first use."""
-        from .zeta import RecordTails
-        return RecordTails(self.records)
 
 
 def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[OrbitRecord]:

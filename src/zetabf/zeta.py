@@ -35,10 +35,10 @@ values are bit for bit those of a term-by-term Python loop:
   degree k are formed before its amplitude is used, so a failing degree
   raises on every call.
 
-The tail certificate of an ingested spectrum reads per-record arrays built
-once per OrbitData (``OrbitData.record_tails``), with libm exp and pow per
-record and the terms added by sum() in record order, as the scalar loop
-adds them.
+The tail certificate of an ingested spectrum reads per-record arrays that
+the term table builds with itself (``_TermTable.record_tails``), in the
+file's record order, with libm exp and pow per record and the terms added by
+sum() in that order, as the scalar loop adds them.
 
 The mirrored arithmetic is that of CPython 3.10 to 3.13, in which a real
 operand of a complex product enters as (x, 0.0) and sum() adds complex numbers
@@ -56,7 +56,6 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .complexes import analytic_torsion, mapping_torus_complex
 from .errors import (
     DivergentRegionError,
     NotAcyclicError,
@@ -167,7 +166,7 @@ def _tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
     if data.is_suspension:
         tail = _suspension_tail(data, lam, k, J)
     else:
-        tail = data.record_tails.tail(lam, k, J + 1)
+        tail = _term_table(data, J).record_tails.tail(lam, k, J + 1)
     if not math.isfinite(tail):
         raise DivergentRegionError(lam)
     return tail
@@ -264,7 +263,10 @@ class _TermTable:
     by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
     The holonomy powers are kept for the last theta and the amplitude for the
     last (theta, lambda), so a sweep holds one array pair; the Poincare
-    weights are added per degree k on first use.
+    weights are added per degree k on first use.  ``record_tails`` holds an
+    ingested spectrum's ``RecordTails`` in the file's record order, and None
+    for a suspension.  The table keeps no reference to its OrbitData, which
+    caches it.
     """
 
     def __init__(self, data: OrbitData, J: int):
@@ -276,6 +278,7 @@ class _TermTable:
         self.size = self.rec.size
         self.length = np.array([r.length for r in self.records], dtype=float)
         self.neg_count = np.array([float(-r.count) for r in self.records])
+        self.record_tails = None if data.is_suspension else RecordTails(data.records)
         self._holonomy = (None, None)     # (theta key, powers)
         self._amplitude = (None, None)    # ((theta, lambda) key, amplitude)
         self._weights = {}
@@ -578,20 +581,6 @@ def zeta_value_at_zero(aut: ToralAutomorphism, theta: float) -> complex:
                                          f"theta = {g17(theta)}: flat determinant "
                                          "undefined")
     return zs.full
-
-
-def fried_residual(a_matrix, theta: float, sign: int = -1) -> float:
-    """| |zeta(0)|^((-1)^n) * tau^sign - 1 | for the suspension model.
-
-    The zeta side comes from the closed-form continuation, the torsion side
-    from the combinatorial mapping-torus complex; the convention exponent
-    sign = -1 was frozen on the theta = pi cat-map anchor (4/5 vs 5/4).
-    """
-    aut = ToralAutomorphism.from_matrix(a_matrix)
-    zeta0 = zeta_value_at_zero(aut, theta)
-    zeta_side = abs(zeta0) ** ((-1) ** TRANSVERSE_RANK)
-    tau = analytic_torsion(mapping_torus_complex(aut.matrix, theta))
-    return abs(zeta_side * tau ** sign - 1.0)
 
 
 # -- zeta grid export -----------------------------------------------------------

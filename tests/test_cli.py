@@ -307,14 +307,21 @@ def test_repeated_header_field_is_a_parse_error(tmp_path, header, field):
     assert err == f"parse error: line 1: repeated 'header field {field}', first at line 1\n"
 
 
-def test_rep_block_of_an_unknown_generator_is_a_parse_error(tmp_path):
-    # a non-unitary image of a name outside generators used to be ignored
+@pytest.mark.parametrize("block, message", [
+    (["rep z", "  5,0"], "rep z: 'z' is not a generator"),
+    (["boundary 7", "  garbage here ; x"], "boundary 7: degree outside 0..2"),
+    (["boundary -1"], "boundary -1: degree outside 0..2"),
+    (["gram 9"], "gram 9: degree outside 0..3"),
+], ids=["rep", "boundary-above", "boundary-below", "gram"])
+def test_rep_block_of_an_unknown_generator_is_a_parse_error(tmp_path, block, message):
+    # a block the reader never reads (a non-unitary image of a name outside
+    # generators, a boundary beyond the top degree) used to be ignored
     lines = (GOLDEN / "cat_gram.cplx").read_text().splitlines()
-    path = tmp_path / "extra_rep.cplx"
-    path.write_text("\n".join(lines + ["rep z", "  5,0"]) + "\n")
+    path = tmp_path / "extra_block.cplx"
+    path.write_text("\n".join(lines + block) + "\n")
     code, out, err = run_cli(["torsion", "--input", str(path)])
     assert (code, out) == (EXIT_PARSE, "")
-    assert err == f"parse error: line {len(lines) + 1}: rep z: 'z' is not a generator\n"
+    assert err == f"parse error: line {len(lines) + 1}: {message}\n"
 
 
 @pytest.mark.parametrize("a, flag", [(((3, 1), (1, 0)), "--A=3,1,1,0"),

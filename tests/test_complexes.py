@@ -1,6 +1,7 @@
 """Twisted complex assembly, torsion routes, Schwarz resolution, file format."""
 
 import cmath
+import dataclasses
 import math
 from pathlib import Path
 
@@ -362,6 +363,22 @@ def test_bad_labelling_raises():
     rep = character_rep({"a": 1j, "b": -1.0})
     with pytest.raises(NotAComplexError):
         build_twisted_complex(bad, rep)
+
+
+# the circle's one entry g - 1 with the letter of a second generator
+_OFF_LETTER_ENTRY = ((1, (2,)), (-1, ()))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"suspension": ((), ((5, 0),))}, "Reeb pairs"),
+    ({"relators": ((3,),)}, "letter outside"),
+    ({"coboundaries": (((_OFF_LETTER_ENTRY,),),)}, "letter outside"),
+    ({"generators": ("g", "g")}, "repeated generator"),
+], ids=["reeb-cell", "relator-letter", "entry-letter", "repeated-generator"])
+def test_cell_complex_checks_its_indices(change, message):
+    # each used to build, then end in a bare IndexError or KeyError, or not at all
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(circle_cell_complex(), **change)
 
 
 @pytest.mark.parametrize("images", [{"h": 1j}, {"g": -1.0, "h": 1j}],

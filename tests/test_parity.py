@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zetabf import bv, complexes, orbits, zeta
+from zetabf import bv, complexes, orbits, verification, zeta
 from zetabf.verification import (
     CAT_MAP,
     FRIED_MATRICES,
@@ -188,7 +188,7 @@ def parity_groups():
                 groups["log_zeta_k"] += [ev.value, ev.truncation_error_bound]
     for a in FRIED_MATRICES:
         for theta in FRIED_THETAS:
-            groups["log_zeta_k"].append(zeta.fried_residual(a, theta))
+            groups["log_zeta_k"].append(verification.fried_residual(a, theta))
 
     # criterion 5: the cycle expansion at lambda = 0
     for a, theta in CYCLE_CASES:
