@@ -12,7 +12,10 @@ map (d for the metric gauge, the complement injection a for a contraction).
 The declared complement of a gauge is its side swap and is not stored.
 Partition functions are superdeterminants of the gauge-restricted action,
 corrected by the declared parametrisation Jacobian (|sdet d*| for the metric
-parametrisation B = d* eta, and 1 for normalised contractions).
+parametrisation B = d* eta, and 1 for normalised contractions).  The BF
+action S = sum_k B_(k+1)(d_k A_k) enters only through those restrictions,
+``restricted_action_blocks``.  ``gauge_polarization`` gives a gauge's
+``DarbouxChart``, whose variable table is built once, from ``a_degrees``.
 
 Everything here reads the base complex's stored differentials, which
 ``TwistedComplex`` keeps in their isometric presentation, and the Reeb
@@ -115,13 +118,6 @@ class BFFieldSpace:
     def a_parity(self, k: int) -> int:
         """Parity of the degree-k A slot; its B partner has the other one."""
         return self.a_degrees[k] % 2
-
-    def action(self, f: BFField) -> complex:
-        """S_BF = sum_k B_(k+1)(d_k A_k)."""
-        total = 0.0 + 0.0j
-        for k in range(self.n):
-            total += f.b[k + 1] @ (self.base.diffs[k] @ f.a[k])
-        return total
 
     def omega(self, v: BFField, w: BFField):
         """Odd symplectic pairing, the package's one statement of its sign
@@ -480,8 +476,7 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
 @dataclass
 class LagrangianReport:
     ok: bool
-    isotropy_subspace: float
-    isotropy_complement: float
+    isotropy: float
     cross_pairing_min_sv: float
 
 
@@ -519,17 +514,17 @@ def _isotropy(a_bases, b_bases):
 
 
 def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
-    """Isotropy of the subspace and its declared complement, one per-slot
-    block each (``_isotropy``), and perfection of the pairing between them:
-    the smallest singular value of their cross Gram matrix, ``omega`` of the
-    two sides' stacked fields.  The declared complement is the side swap of
-    the subspace."""
+    """Isotropy of the subspace, from its per-slot blocks (``_isotropy``),
+    and perfection of the pairing with its declared complement, the side
+    swap: the smallest singular value of their cross Gram matrix, ``omega``
+    of the two sides' stacked fields.  The swap's isotropy is the
+    subspace's, so the report holds one."""
     sub = (gs.a_bases, gs.b_bases)
     comp = ([np.conj(b) for b in gs.b_bases], [np.conj(a) for a in gs.a_bases])
     # the swap's slot blocks _dots(conj a_k, conj b_k) are the conjugate
     # transposes of _dots(b_k, a_k), term for term, so the isotropy of the
     # complement is the subspace's, bit for bit
-    iso_sub = iso_comp = _isotropy(*sub)
+    iso = _isotropy(*sub)
 
     # the swap keeps the column count, so the cross Gram matrix is square
     if any(m.shape[1] for side in sub for m in side):
@@ -537,8 +532,8 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
         min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
     else:
         min_sv = np.inf
-    ok = iso_sub < ISOTROPY_TOL and iso_comp < ISOTROPY_TOL and min_sv > 1e-8
-    return LagrangianReport(ok, iso_sub, iso_comp, min_sv)
+    ok = iso < ISOTROPY_TOL and min_sv > 1e-8
+    return LagrangianReport(ok, iso, min_sv)
 
 
 def restricted_action_blocks(fs: BFFieldSpace, gs: GaugeSubspace) -> List[np.ndarray]:
@@ -676,7 +671,7 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
         # one pair (a_k_i, b_k_i) per cell coordinate: field degree 1 - k, antifield k - 2
         slot = [(f"a{k}_{i}", f"b{k}_{i}") for i in range(fs.dims[k])]
         pairs += slot
-        degrees += [1 - k] * fs.dims[k]
+        degrees += [fs.a_degrees[k]] * fs.dims[k]
         names += [a for a, _ in slot[:na]] + [b for _, b in slot[na:]]
     return DarbouxChart(tuple(pairs), tuple(degrees), max_word_length), tuple(names)
 

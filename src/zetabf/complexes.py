@@ -472,11 +472,11 @@ def analytic_torsion(tc: TwistedComplex) -> float:
     """Analytic torsion prod_k det_flat(Delta_k)^(k/2 * (-1)^(k+1)).
 
     Also evaluates Schwarz's coexact form prod_k det_flat(d_k* d_k)^((-1)^k/2)
-    and insists the two agree to 1e-10; the reciprocal convention is the
-    caller's ``** -1``.
+    and insists the two agree to 1e-10, so a NaN route fails the check; the
+    reciprocal convention is the caller's ``** -1``.
     """
     laplace, coexact = torsion_routes(tc)
-    if abs(math.log(laplace) - math.log(coexact)) > \
+    if not abs(math.log(laplace) - math.log(coexact)) <= \
             TORSION_XCHECK_TOL * max(1.0, abs(math.log(coexact))):
         raise ZetaBFError(
             "torsion cross-check failed: laplacian route "
@@ -537,18 +537,24 @@ class DetRelationsReport:
     coexact_logdets: Tuple[float, ...]
 
 
+def _worst(residuals) -> float:
+    """The largest residual (0 for none), NaN if any is: ``max`` may drop it."""
+    return float(np.max(list(residuals), initial=0.0))
+
+
 def det_relations_report(tc: TwistedComplex) -> DetRelationsReport:
     """Every det read off the spectral record, but relation (1)'s det(d_k d_k*):
-    from its own SVD of d_k*, over its largest rank d_k singular values."""
+    from its own SVD of d_k*, over its largest rank d_k singular values.  A
+    NaN log-determinant makes its relation's residual NaN."""
     tc.require_acyclic()
     n, spec = tc.top_degree, tc.spectrum
     ell = spec.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
-    res1 = max(0.0, *(abs(_logdet_top_sq(d.conj().T, r) - e)
-                      for d, r, e in zip(tc.diffs, spec.ranks, ell)))
+    res1 = _worst(abs(_logdet_top_sq(d.conj().T, r) - e)
+                  for d, r, e in zip(tc.diffs, spec.ranks, ell))
     ends = (0.0,) + ell + (0.0,)        # ends[k] + ends[k + 1]: relation (3)'s target at k
-    res3 = max(0.0, *(abs(lap - (ends[k] + ends[k + 1]))
-                      for k, lap in enumerate(spec.laplacian_logdets)))
-    res2 = (max(0.0, *(abs(ell[k - 1] - ell[n - k]) for k in range(1, n + 1)))
+    res3 = _worst(abs(lap - (ends[k] + ends[k + 1]))
+                  for k, lap in enumerate(spec.laplacian_logdets))
+    res2 = (_worst(abs(ell[k - 1] - ell[n - k]) for k in range(1, n + 1))
             if tc.poincare_self_dual else None)
     return DetRelationsReport(res1, res3, res2, tuple(ell))
 

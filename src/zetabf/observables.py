@@ -8,7 +8,8 @@ derivatives in the first slot and left derivatives in the second.  Gaussian
 expectations integrate even coordinates by Wick pairing against the inverse
 of the weight's Hessian and odd coordinates by Berezin extraction of the top
 monomial; odd variables integrate in descending order, so that
-int d(xi_n) ... d(xi_1) xi_1 ... xi_n = 1.
+int d(xi_n) ... d(xi_1) xi_1 ... xi_n = 1.  A chart stores its variable table
+(names and parities), which every derivative, sign and Berezin split reads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ class DarbouxChart:
 
     The antifield of a degree-d field has degree -1-d, so each pair has one
     even and one odd member.  ``max_word_length`` caps the polynomial degree
-    the chart supports.
+    the chart supports.  Construction stores the chart's variable table:
+    ``variables`` lists variable 2i, the field of pair i, before variable
+    2i+1, its antifield, and ``parities`` their degrees mod 2.  Equality and
+    hashing read the three declared fields only.
     """
 
     pairs: Tuple[Tuple[str, str], ...]
@@ -41,31 +45,26 @@ class DarbouxChart:
     def __post_init__(self):
         if len(self.pairs) != len(self.field_degrees):
             raise ValueError("need one degree per pair")
-        names = [v for p in self.pairs for v in p]
+        names = tuple(v for p in self.pairs for v in p)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(v for p in self.pairs for v in p)
+        object.__setattr__(self, "variables", names)
+        object.__setattr__(self, "parities",
+                           tuple(p for d in self.field_degrees for p in (d % 2, (-1 - d) % 2)))
 
     def index(self, name: str) -> int:
         return self.variables.index(name)
 
-    def degree_of(self, idx: int) -> int:
-        pair, member = divmod(idx, 2)
-        d = self.field_degrees[pair]
-        return d if member == 0 else -1 - d
-
     def parity_of(self, idx: int) -> int:
-        return self.degree_of(idx) % 2
+        return self.parities[idx]
 
     def pair_indices(self) -> List[Tuple[int, int]]:
         return [(2 * i, 2 * i + 1) for i in range(len(self.pairs))]
 
 
 class PolyObservable:
-    """Complex polynomial in the chart's graded coordinates."""
+    """Complex polynomial in the chart's graded coordinates.  It adds and
+    subtracts observables only, and multiplies by observables or scalars."""
 
     def __init__(self, chart: DarbouxChart, terms: Optional[Dict[Monomial, complex]] = None):
         self.chart = chart
@@ -115,18 +114,17 @@ class PolyObservable:
 
     # -- algebra ---------------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def __add__(self, other: "PolyObservable") -> "PolyObservable":
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0.0) + v
         return PolyObservable(self.chart, out)
 
-    def __sub__(self, other):
-        return self + (self._coerce(other) * (-1.0))
+    def __sub__(self, other: "PolyObservable") -> "PolyObservable":
+        return self + other * (-1.0)
 
     def __mul__(self, other):
-        if np.isscalar(other):
+        if not isinstance(other, PolyObservable):
             return PolyObservable(self.chart,
                                   {k: v * other for k, v in self.terms.items()})
         out: Dict[Monomial, complex] = {}
@@ -146,11 +144,6 @@ class PolyObservable:
         return prod
 
     __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, PolyObservable):
-            return other
-        return PolyObservable.constant(self.chart, other)
 
     # -- derivatives -------------------------------------------------------------
 
@@ -195,8 +188,7 @@ class PolyObservable:
                 raise ValueError("exp_nilpotent requires a purely odd-generated input")
         result = PolyObservable.constant(self.chart, 1.0)
         power = PolyObservable.constant(self.chart, 1.0)
-        n_odd = len([v for v in range(len(self.chart.variables))
-                     if self.chart.parity_of(v) == 1])
+        n_odd = sum(self.chart.parities)
         for m in range(1, n_odd // 2 + 1):
             power = power * self
             if power.is_zero():
@@ -232,7 +224,9 @@ def _merge(ev1, od1, ev2, od2) -> Tuple[Monomial, int]:
 def random_observable(chart: DarbouxChart, rng: np.random.Generator,
                       degree: int = 3, terms: int = 6,
                       parity: Optional[int] = None) -> PolyObservable:
-    """Random polynomial built from products of chart variables."""
+    """Random polynomial built from products of chart variables.  With
+    ``parity`` p it keeps only the products of parity p, so the result is
+    homogeneous of parity p (or zero)."""
     vars_ = chart.variables
     out = PolyObservable.constant(chart, 0.0)
     for _ in range(terms):
@@ -345,7 +339,8 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     """
     chart = p.chart
     on = [chart.index(v) for v in lagrangian_vars]
-    off = [v for v in chart.variables if chart.index(v) not in set(on)]
+    on_set = set(on)
+    off = [v for i, v in enumerate(chart.variables) if i not in on_set]
     even_vars = [v for v in on if chart.parity_of(v) == 0]
     odd_vars = sorted(v for v in on if chart.parity_of(v) == 1)
 

@@ -37,6 +37,7 @@ from zetabf.errors import (
     NotHyperbolicError,
     ParseError,
     RelatorViolationError,
+    ZetaBFError,
 )
 from zetabf.verification import SEED, _random_complexes
 
@@ -120,6 +121,47 @@ def test_mapping_torus_torsion_quarter_turn():
     tc = mapping_torus_complex(a, math.pi / 2)
     assert analytic_torsion(tc) ** -1 == pytest.approx(
         milnor_oracle(a, math.pi / 2), rel=1e-12)
+
+
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _split_scale_complex(big):
+    """Acyclic C^2 -> C^4 -> C^2 with tau = 1 and singular values (big,
+    1/big) in both differentials: Delta_1's two small eigenvalues, about
+    1/big^2, sit near eigvalsh's resolution of about eps * big^2."""
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    rot = np.zeros((4, 4))
+    rot[:2, :2], rot[2:, 2:] = _rotation(0.3), _rotation(0.2)
+    u1 = hadamard @ rot
+    s = np.diag([big, 1.0 / big])
+    return TwistedComplex([u1[:, :2] @ s @ _rotation(0.4).T,
+                           _rotation(0.9) @ s @ u1[:, 2:].T])
+
+
+def test_nan_laplacian_route_fails_the_cross_check():
+    # eigvalsh reads one small eigenvalue of Delta_1 as negative, so the
+    # Laplacian route is NaN: the check and relation (3) must not pass it
+    tc = _split_scale_complex(1e4)
+    with np.errstate(invalid="ignore"):
+        laplace, coexact = torsion_routes(tc)
+        assert math.isnan(laplace) and coexact == pytest.approx(1.0, rel=1e-6)
+        with pytest.raises(ZetaBFError, match="cross-check"):
+            analytic_torsion(tc)
+        assert not det_relations_report(tc).relation3 < 1e-6
+
+
+def test_inaccurate_laplacian_route_fails_the_cross_check():
+    # at 3000 the Laplacian route reads 1.0001258 against 1.0000000003
+    with pytest.raises(ZetaBFError, match="cross-check"):
+        analytic_torsion(_split_scale_complex(3000.0))
+
+
+def test_cross_check_refuses_a_nan_route(monkeypatch):
+    monkeypatch.setattr("zetabf.complexes.torsion_routes", lambda tc: (math.nan, 1.0))
+    with pytest.raises(ZetaBFError, match="cross-check"):
+        analytic_torsion(circle_complex(math.pi))
 
 
 def test_torsion_requires_acyclicity():

@@ -13,6 +13,8 @@ from zetabf.errors import (
     DeterminantRangeError,
     MellinDivergenceError,
     QuadratureBudgetError,
+    QuadratureFailureError,
+    ShapeMismatchError,
     ValidationError,
 )
 from zetabf.graded import flat_det
@@ -117,6 +119,19 @@ def test_mellin_mode_agreement_property():
         a = s @ d @ np.linalg.inv(s)
         r = flat_det(a)
         assert abs(r.mellin_value - r.value) < 1e-6 * abs(r.value)
+
+
+def test_flat_det_refuses_a_non_square_matrix():
+    with pytest.raises(ShapeMismatchError):
+        flat_det(np.ones((2, 3)))
+
+
+def test_flat_det_refuses_heat_traces_off_their_estimate(monkeypatch):
+    traces = graded._heat_traces
+    monkeypatch.setattr(graded, "_heat_traces", lambda m, t: traces(m, t) + 1e-3)
+    with pytest.raises(QuadratureFailureError) as err:
+        flat_det(np.diag([1.0, 2.0, 3.0]))
+    assert err.value.residual > err.value.estimate
 
 
 def test_flat_det_stacks_heat_traces(monkeypatch):

@@ -151,3 +151,71 @@ def test_damped_laplacian_on_gauge_charts():
             g = bv_laplacian(h, weight=q)
             val, scale = gaussian_expectation(g, on_vars, q)
             assert abs(val) <= 1e-10 * max(scale, 1.0)
+
+
+PAIRS2 = DarbouxChart((("x", "xi"), ("y", "eta")), (0, 0), max_word_length=8)
+
+
+def test_gaussian_off_diagonal_even_weight():
+    # q = a x^2 + b y^2 + c x y has covariance [[2b, -c], [-c, 2a]] / (4ab - c^2)
+    a, b, c = 0.7, 1.3, 0.4
+    x, y = var(PAIRS2, "x"), var(PAIRS2, "y")
+    q = x * x * a + y * y * b + x * y * c
+    det = 4 * a * b - c * c
+
+    def moment(p):
+        return gaussian_expectation(p, ["x", "y"], q)[0]
+
+    assert moment(x * y) == pytest.approx(-c / det, rel=1e-14)
+    assert moment(x * y) == pytest.approx(-0.1149425287356322, rel=1e-14)
+    assert moment(x * x) == pytest.approx(2 * b / det, rel=1e-14)
+    want = moment(x * x) * moment(y * y) + 2 * moment(x * y) ** 2
+    assert moment(x * x * y * y) == pytest.approx(want, rel=1e-14)
+
+
+WITH_ODD = DarbouxChart((("x", "xi"), ("y", "eta"), ("c", "cb"), ("d", "db")),
+                        (0, 0, 1, 1), max_word_length=8)
+
+
+def _v(name):
+    return var(WITH_ODD, name)
+
+
+ALL_ON = ["x", "y", "c", "d"]
+
+
+@pytest.mark.parametrize("weight, on, error, match", [
+    (lambda: _v("x") * _v("x") * _v("x"), ALL_ON, ValueError, "purely quadratic"),
+    (lambda: _v("x") * _v("c"), ALL_ON, ValueError, "mixes parities"),
+    (lambda: _v("y") * _v("y"), ["x", "c", "d"], ValueError, "non-Lagrangian"),
+    (lambda: _v("x") * _v("y"), ["x", "c", "d"], ValueError, "non-Lagrangian"),
+    (lambda: _v("c") * _v("xi"), ALL_ON, ValueError, "non-Lagrangian"),
+    (lambda: _v("x") * _v("x") * (0.5 + 0.1j), ALL_ON, IndefiniteWeightError, "real"),
+], ids=["cubic", "mixed", "even-off", "pair-off", "odd-off", "complex"])
+def test_gaussian_refuses_a_malformed_weight(weight, on, error, match):
+    one = PolyObservable.constant(WITH_ODD, 1.0)
+    with pytest.raises(error, match=match):
+        gaussian_expectation(one, on, weight())
+
+
+@pytest.mark.parametrize("pairs, degrees, match", [
+    ((("x", "xi"), ("y", "eta")), (0,), "one degree per pair"),
+    ((("x", "xi"), ("y", "x")), (0, 1), "distinct"),
+])
+def test_chart_refuses_a_malformed_table(pairs, degrees, match):
+    with pytest.raises(ValueError, match=match):
+        DarbouxChart(pairs, degrees)
+
+
+def test_chart_table():
+    degrees = (0, 1, -2, 3)
+    chart = DarbouxChart(tuple((f"f{i}", f"af{i}") for i in range(4)), degrees)
+    assert chart.variables == ("f0", "af0", "f1", "af1", "f2", "af2", "f3", "af3")
+    for i, name in enumerate(chart.variables):
+        assert chart.index(name) == i
+    for i, d in enumerate(degrees):
+        assert chart.parity_of(2 * i) == d % 2
+        assert chart.parity_of(2 * i + 1) == (-1 - d) % 2
+    # the table is derived: equality and hashing read the declared fields
+    twin = DarbouxChart(chart.pairs, degrees)
+    assert twin == chart and hash(twin) == hash(chart)

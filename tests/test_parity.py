@@ -128,8 +128,8 @@ def _twisted_complexes():
 def _gauge_values(fs, gs, groups):
     groups["Z"].append(bv.partition_function(fs, gs))
     rep = bv.is_lagrangian(fs, gs)
-    groups["is_lagrangian"] += [rep.isotropy_subspace, rep.isotropy_complement,
-                                rep.cross_pairing_min_sv]
+    # twice: once for the subspace, once for its side swap, whose isotropy it is too
+    groups["is_lagrangian"] += [rep.isotropy, rep.isotropy, rep.cross_pairing_min_sv]
 
 
 def parity_groups():
