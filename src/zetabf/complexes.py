@@ -8,6 +8,15 @@ though its plain integer incidence matrix is zero.  ``build_twisted_complex``
 is where the two meet, once: it also carries a mapping-torus cell complex's
 Reeb pairs into the twist, at any rank.
 
+A term of an entry is ``(coeff, word, cut)``: coeff times the prefix
+word[:cut].  The Fox derivatives of one relator all cut that one word, so a
+cell complex holds each relator once however many terms read it, and the
+twist walks each distinct word (one tuple object) once, with the running
+product rho(w[:i+1]) = rho(w[:i]) u_(w[i]) from the identity.  That is the
+product order of multiplying every prefix out on its own, so the
+differentials are the same to the bit, in time and memory linear in the
+total word length: a mapping torus of A costs O(|a_ij|), not its square.
+
 Torsion is computed two ways and cross-checked: the alternating product of
 flat determinants of the Laplacians, and Schwarz's coexact product over
 det(d_k* d_k).  The resolution-based partition function assembles the
@@ -37,7 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,8 +74,12 @@ RELATOR_TOL = 1e-10
 D_SQUARE_TOL = 1e-12
 ISOMETRIC_D_SQUARE_TOL = 1e-9
 
+# Mapping-torus cell complexes kept, one per A: theta sweeps repeat A.
+MAPPING_TORI_KEPT = 8
+
 Word = Tuple[int, ...]            # signed 1-based generator indices
-Entry = Tuple[Tuple[int, Word], ...]   # integer combination of words
+Term = Tuple[int, Word, int]      # (coeff, word, cut): coeff * word[:cut]
+Entry = Tuple[Term, ...]          # integer combination of word prefixes
 # per degree k, the (cell x I in C^k, base cell in C^(k-1)) index pairs
 Suspension = Tuple[Tuple[Tuple[int, int], ...], ...]
 
@@ -120,15 +133,15 @@ def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
 
 
 def fox_derivative(word: Word, gen: int) -> Entry:
-    """Free Fox derivative d(word)/d(gen) as an integer combination of words."""
+    """Free Fox derivative d(word)/d(gen) as an integer combination of
+    prefixes of ``word``: +word[:i] for each letter gen at i, -word[:i+1]
+    for each letter gen^-1.  Every term holds ``word`` itself, not a copy."""
     terms = []
-    prefix: List[int] = []
-    for letter in word:
+    for i, letter in enumerate(word):
         if letter == gen:
-            terms.append((1, tuple(prefix)))
+            terms.append((1, word, i))
         elif letter == -gen:
-            terms.append((-1, tuple(prefix) + (letter,)))
-        prefix.append(letter)
+            terms.append((-1, word, i + 1))
     return tuple(terms)
 
 
@@ -137,7 +150,16 @@ def _invert_word(word: Word) -> Word:
 
 
 def _entry_augmentation(entry: Entry) -> int:
-    return sum(c for c, _ in entry)
+    return sum(c for c, _, _ in entry)
+
+
+def _as_term(term) -> Term:
+    """A term as (coeff, word, cut): a plain (coeff, word) reads its whole word."""
+    if len(term) == 2:
+        return term[0], term[1], len(term[1])
+    if len(term) != 3:
+        raise ValueError(f"a term is (coeff, word) or (coeff, word, cut), got {term!r}")
+    return term
 
 
 def _reeb_fits(counts: Sequence[int], k: int, pairs) -> bool:
@@ -147,20 +169,29 @@ def _reeb_fits(counts: Sequence[int], k: int, pairs) -> bool:
                                         for i, j in pairs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellComplex:
     """Cell counts plus group-ring-valued coboundary entries.
 
     ``coboundaries[k][i][j]`` is the entry pairing the i-th (k+1)-cell with
-    the j-th k-cell.  ``incidence(k)`` returns the integer augmentation (the
+    the j-th k-cell: a tuple of terms (coeff, word, cut), each coeff times
+    the prefix word[:cut]; a plain (coeff, word) term is stored as (coeff,
+    word, len(word)).  Terms that cut one shared word (the same tuple, as
+    ``fox_derivative`` gives them) share its walk: construction checks each
+    distinct word once and stores the plan that ``build_twisted_complex``
+    follows, ``walks`` (each distinct word with its cuts, ascending) and the
+    slot, an index into the prefixes in walk order, of each relator
+    (``relator_slots``, its whole word) and of each term (``term_slots``, in
+    term order).  ``incidence(k)`` returns the integer augmentation (the
     plain CW incidence matrix), which must square to zero exactly.
     ``self_dual`` declares Poincare self-duality at the unit metric (a Gram
     metric may break it); read from a file, it is the header's ``self_dual=1``
     field, which declares it at the file's metric.  ``suspension`` holds a
     mapping torus's Reeb pairs: per degree k, the (cell x I in C^k, base cell
     in C^(k-1)) cell indices, none in degree 0.  Construction checks every
-    index: cells, Reeb pairs and the letters of every word, which must name
-    one of the distinct generators.
+    index: cells, Reeb pairs, cuts and the letters of every word, which must
+    name one of the distinct generators.  The complex is immutable, so one
+    instance may serve every twist of it.
     """
 
     counts: Tuple[int, ...]
@@ -181,12 +212,34 @@ class CellComplex:
             for row in block:
                 if len(row) != self.counts[k]:
                     raise ValueError(f"coboundary {k}: wrong column count")
+        object.__setattr__(self, "coboundaries", tuple(
+            tuple(tuple(tuple(_as_term(t) for t in entry) for entry in row) for row in block)
+            for block in self.coboundaries))
         if len(set(self.generators)) != len(self.generators):
             raise ValueError(f"repeated generator name in {self.generators}")
-        words = list(self.relators) + [w for block in self.coboundaries for row in block
-                                       for entry in row for _, w in entry]
-        if not all(0 < abs(x) <= len(self.generators) for w in words for x in w):
+        # every prefix read: each relator whole, then each term, in term order
+        reads = [(w, len(w)) for w in self.relators] + [
+            (w, cut) for block in self.coboundaries for row in block for entry in row
+            for _, w, cut in entry]
+        cuts: Dict[int, Tuple[Word, set]] = {}          # id(w) -> (w, cuts read)
+        for w, cut in reads:
+            if not 0 <= cut <= len(w):
+                raise ValueError(f"a term cuts its word of length {len(w)} at {cut}")
+            cuts.setdefault(id(w), (w, set()))[1].add(cut)
+        if not all(0 < abs(x) <= len(self.generators) for w, _ in cuts.values() for x in w):
             raise ValueError(f"a word names a letter outside +-1..{len(self.generators)}")
+        # the walk plan: each distinct word once, its cuts ascending; slot s
+        # is the s-th prefix the walks reach, and each read names its slot
+        slot: Dict[Tuple[int, int], int] = {}
+        walks = []
+        for key, (w, read) in cuts.items():
+            walks.append((w, tuple(sorted(read))))
+            for cut in walks[-1][1]:
+                slot[key, cut] = len(slot)
+        slots = [slot[id(w), cut] for w, cut in reads]
+        object.__setattr__(self, "walks", tuple(walks))
+        object.__setattr__(self, "relator_slots", tuple(slots[:len(self.relators)]))
+        object.__setattr__(self, "term_slots", tuple(slots[len(self.relators):]))
         s = self.suspension
         if s is not None and (len(s) != n or s[0] or not all(
                 _reeb_fits(self.counts, k, pairs) for k, pairs in enumerate(s[1:], start=1))):
@@ -398,11 +451,14 @@ def _unit_metric(grams: Optional[Sequence[Optional[np.ndarray]]]) -> bool:
 def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
                           grams: Optional[Sequence[Optional[np.ndarray]]] = None,
                           poincare_self_dual: Optional[bool] = None) -> TwistedComplex:
-    """Assemble the twisted differentials by applying ``rep`` to each entry word.
+    """Assemble the twisted differentials by applying ``rep`` to each entry term.
 
     ``rep`` must image exactly the complex's generators (else ValueError);
     each signed letter is paired with its image (u, or u* if inverse) once.
-    Reeb pairs go to rank r as the blocks do: cell i spans i*r .. i*r + r - 1.
+    Each distinct word is walked once, by the plan ``cc.walks``; the relator
+    checks read their slots' products, and each entry adds coeff *
+    rho(w[:cut]) over its terms in term order, from zero.  Reeb pairs go to
+    rank r as the blocks do: cell i spans i*r .. i*r + r - 1.
     ``poincare_self_dual`` defaults to ``cc.self_dual`` at the unit metric and
     to False under Gram blocks, which only the caller can declare dual.
     """
@@ -413,26 +469,33 @@ def build_twisted_complex(cc: CellComplex, rep: UnitaryRep,
     for i, name in enumerate(cc.generators, start=1):
         letters[i], letters[-i] = rep.images[name], rep.images[name].conj().T
     r = rep.rank
+    # rho(w[:i+1]) = rho(w[:i]) @ u_(w[i]) from the identity: the order in
+    # which reduce(np.matmul, ..., eye) multiplies each prefix out alone, the
+    # leading eye @ u_(w[0]) included (it can change the sign of a zero)
+    eye = np.eye(r, dtype=complex)
+    products = []                                   # one per slot
+    for word, cuts in cc.walks:
+        product, at = eye, 0
+        for cut in cuts:
+            for letter in word[at:cut]:
+                product = np.matmul(product, letters[letter])
+            products.append(product)
+            at = cut
 
-    def evaluate(word: Word) -> np.ndarray:        # I @ u1 @ u2 ...
-        return reduce(np.matmul, (letters[x] for x in word), np.eye(r, dtype=complex))
-
-    for word in cc.relators:
-        err = np.linalg.norm(evaluate(word) - np.eye(r))
+    for word, s in zip(cc.relators, cc.relator_slots):
+        err = np.linalg.norm(products[s] - eye)
         if err >= RELATOR_TOL:
             raise RelatorViolationError(
                 f"relator {word} maps {err:.3e} away from the identity")
+    slots = iter(cc.term_slots)
     diffs = []
     for k, block in enumerate(cc.coboundaries):
-        rows = cc.counts[k + 1] * r
-        cols = cc.counts[k] * r
-        d = np.zeros((rows, cols), dtype=complex)
+        d = np.zeros((cc.counts[k + 1] * r, cc.counts[k] * r), dtype=complex)
         for i, row in enumerate(block):
             for j, entry in enumerate(row):
-                acc = np.zeros((r, r), dtype=complex)
-                for coeff, word in entry:
-                    acc += coeff * evaluate(word)
-                d[i * r:(i + 1) * r, j * r:(j + 1) * r] = acc
+                acc = d[i * r:(i + 1) * r, j * r:(j + 1) * r]     # a view, from zero
+                for coeff, _, _ in entry:
+                    acc += coeff * products[next(slots)]
         diffs.append(d)
     if poincare_self_dual is None:
         poincare_self_dual = cc.self_dual and _unit_metric(grams)
@@ -457,31 +520,38 @@ def torsion_routes(tc: TwistedComplex) -> Tuple[float, float]:
     """
     tc.require_acyclic()
     spec = tc.spectrum
-
-    log_coexact = 0.0
-    for k, ell in enumerate(spec.coexact_logdets):
-        log_coexact += 0.5 * (-1) ** k * ell
-
     log_laplace = 0.0
     for k in range(1, tc.top_degree + 1):
         log_laplace += 0.5 * k * (-1) ** (k + 1) * spec.laplacian_logdets[k]
-    return math.exp(log_laplace), math.exp(log_coexact)
+    return math.exp(log_laplace), math.exp(_log_coexact_torsion(spec))
+
+
+def _log_coexact_torsion(spec: SpectralRecord) -> float:
+    """log prod_k det_flat(d_k* d_k)^((-1)^k/2), from the spectral record."""
+    out = 0.0
+    for k, ell in enumerate(spec.coexact_logdets):
+        out += 0.5 * (-1) ** k * ell
+    return out
+
+
+def _cross_check(route: str, value: float, coexact: float):
+    """Raise ZetaBFError unless log ``value`` lies within TORSION_XCHECK_TOL *
+    max(1, |log tau|) of log tau, tau the coexact route; a NaN fails."""
+    if not abs(math.log(value) - math.log(coexact)) <= \
+            TORSION_XCHECK_TOL * max(1.0, abs(math.log(coexact))):
+        raise ZetaBFError(
+            f"torsion cross-check failed: {route} route {value!r} vs coexact route {coexact!r}")
 
 
 def analytic_torsion(tc: TwistedComplex) -> float:
     """Analytic torsion prod_k det_flat(Delta_k)^(k/2 * (-1)^(k+1)).
 
     Also evaluates Schwarz's coexact form prod_k det_flat(d_k* d_k)^((-1)^k/2)
-    and insists the two agree to 1e-10, so a NaN route fails the check; the
-    reciprocal convention is the caller's ``** -1``.
+    and insists the two agree (``_cross_check``), so a NaN route fails the
+    check; the reciprocal convention is the caller's ``** -1``.
     """
     laplace, coexact = torsion_routes(tc)
-    if not abs(math.log(laplace) - math.log(coexact)) <= \
-            TORSION_XCHECK_TOL * max(1.0, abs(math.log(coexact))):
-        raise ZetaBFError(
-            "torsion cross-check failed: laplacian route "
-            f"{laplace!r} vs coexact route {coexact!r}"
-        )
+    _cross_check("laplacian", laplace, coexact)
     return coexact
 
 
@@ -495,7 +565,9 @@ def schwarz_partition(tc: TwistedComplex) -> float:
 
     For a one-degree complex the resolution degenerates and the coexact
     product is returned directly.  Each block keeps its largest values, as
-    many as the spectral record's ranks give it.
+    many as the spectral record's ranks give it.  The result is held to the
+    coexact route as ``analytic_torsion`` holds the Laplacian route
+    (``_cross_check``): beyond that, ZetaBFError.
     """
     tc.require_acyclic()
     n = tc.top_degree
@@ -518,7 +590,9 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     towers += [(d[k + 1].T, ranks[k + 1]) for k in range(2, n - 1)]
     for k, (t_k, rank) in enumerate(towers, start=1):
         log_z += 0.5 * (-1) ** (k + 1) * _logdet_top_sq(t_k, rank)
-    return math.exp(log_z)
+    z = math.exp(log_z)
+    _cross_check("schwarz", z, math.exp(_log_coexact_torsion(tc.spectrum)))
+    return z
 
 
 @dataclass
@@ -612,32 +686,34 @@ def mapping_torus_cell_complex(a_matrix) -> CellComplex:
     exactly when det A = 1.
 
     A must be a hyperbolic element of GL(2,Z), as ``ToralAutomorphism``
-    decides; otherwise NotHyperbolicError.
+    decides; otherwise NotHyperbolicError.  The complex is shared: the last
+    MAPPING_TORI_KEPT matrices' complexes are kept, keyed by A's entries, so
+    a theta sweep over one A builds its cells once.
     """
     aut = ToralAutomorphism.from_matrix(a_matrix)
-    a, det = aut.matrix, aut.det
+    return _mapping_torus_cells(aut.a11, aut.a12, aut.a21, aut.a22)
 
+
+@lru_cache(maxsize=MAPPING_TORI_KEPT)
+def _mapping_torus_cells(a11: int, a12: int, a21: int, a22: int) -> CellComplex:
+    det = a11 * a22 - a12 * a21
     commutator: Word = (1, 2, -1, -2)
     # Images of the generators under A (columns give the words).
-    w_a = _power_word(1, a[0, 0]) + _power_word(2, a[1, 0])
-    w_b = _power_word(1, a[0, 1]) + _power_word(2, a[1, 1])
+    w_a = _power_word(1, a11) + _power_word(2, a21)
+    w_b = _power_word(1, a12) + _power_word(2, a22)
     r_a: Word = (3,) + (1,) + (-3,) + _invert_word(w_a)
     r_b: Word = (3,) + (2,) + (-3,) + _invert_word(w_b)
 
     d0 = tuple(
         (((1, (g,)), (-1, _EMPTY)),) for g in (1, 2, 3)
     )
-    d1 = (
-        (fox_derivative(commutator, 1), fox_derivative(commutator, 2),
-         fox_derivative(commutator, 3)),
-        (fox_derivative(r_a, 1), fox_derivative(r_a, 2), fox_derivative(r_a, 3)),
-        (fox_derivative(r_b, 1), fox_derivative(r_b, 2), fox_derivative(r_b, 3)),
-    )
+    d1 = tuple(tuple(fox_derivative(w, g) for g in (1, 2, 3))
+               for w in (commutator, r_a, r_b))
     # 3-cell F x I: monodromy acts on F by det(A); the (dF) x I terms carry
     # the negated Fox derivatives of the commutator (they augment to zero).
     f_col: Entry = ((det, (3,)), (-1, _EMPTY))
-    ra_col: Entry = tuple((-c, w) for c, w in fox_derivative(commutator, 1))
-    rb_col: Entry = tuple((-c, w) for c, w in fox_derivative(commutator, 2))
+    ra_col, rb_col = (tuple((-c, w, cut) for c, w, cut in fox_derivative(commutator, g))
+                      for g in (1, 2))
     d2 = ((f_col, ra_col, rb_col),)
 
     return CellComplex(
@@ -657,7 +733,8 @@ def mapping_torus_cell_complex(a_matrix) -> CellComplex:
 def mapping_torus_complex(a_matrix, theta: float) -> TwistedComplex:
     """Mapping torus of a hyperbolic A in GL(2,Z) twisted by e^(i theta) on
     the suspension generator; acyclic for theta not in 2*pi*Z.  Poincare
-    self-dual as its cell complex declares: for det A = 1 only."""
+    self-dual as its cell complex declares: for det A = 1 only.  Every theta
+    twists A's one shared cell complex."""
     rep = character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(1j * theta)})
     return build_twisted_complex(mapping_torus_cell_complex(a_matrix), rep)
 
@@ -731,9 +808,9 @@ def _entry_to_str(entry: Entry, names: Dict[int, str]) -> str:
     if not entry:
         return "0"
     parts = []
-    for coeff, word in entry:
+    for coeff, word, cut in entry:
         sign = "+" if coeff >= 0 else "-"
-        parts.append(f"{sign}{abs(coeff)}*{_word_to_str(word, names)}")
+        parts.append(f"{sign}{abs(coeff)}*{_word_to_str(word[:cut], names)}")
     return " ".join(parts)
 
 

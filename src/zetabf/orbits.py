@@ -210,7 +210,9 @@ def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[Orbit
     so j N(j) = F(j) - sum_(d|j, d<j) d N(d); each j N(j), once known, is
     added into the sums of its multiples.  The fixed-point counts F(j) read
     one sweep of exact powers A^j = A^(j-1) A, j = 1..j_max, rather than a
-    fresh power per j as ``count_fixed_points`` forms it.
+    fresh power per j as ``count_fixed_points`` forms it.  A period whose
+    eigenvalue power mu^j leaves the float range is a ValidationError of J
+    that names it.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -229,10 +231,15 @@ def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[Orbit
         n_j = rest // j
         if n_j == 0:
             continue
+        try:
+            mu_j = mu ** j
+        except OverflowError:
+            raise ValidationError("J", f"at period {j} the eigenvalue power "
+                                       f"{mu!r}^{j} overflows a float") from None
         records.append(OrbitRecord(
             length=j * aut.roof,
             count=n_j,
-            eig_expanding=mu ** j,
+            eig_expanding=mu_j,
             eig_contracting=(aut.det / mu) ** j,
             period=j,
         ))

@@ -782,6 +782,40 @@ def test_model_reads_its_own_options(tmp_path):
         assert run_cli(["torsion"] + argv)[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("command", [["zeta", "--theta", "1"], ["orbits"]])
+def test_overflowing_eigenvalue_power_is_a_domain_error(command):
+    # mu^62 of A = [[1e5, 1], [1e5 - 1, 1]] leaves the float range: this
+    # used to end in a bare OverflowError traceback, exit 1
+    code, out, err = run_cli(command + ["--A", "100000,1,99999,1", "--J", "64"])
+    assert code == EXIT_DOMAIN
+    assert "ValidationError" in err and "period 62" in err
+
+
+# Peak RSS of `torsion` at A = [[1e4, 1], [1e4 - 1, 1]]: 41 MB measured on a
+# 2-vCPU x86-64 VM; multiplying every Fox prefix out on its own took 1.6 GB.
+LARGE_A_PEAK_RSS_MB = 128
+
+
+def test_large_entry_torsion_runs_in_bounded_memory():
+    """A large-entry A builds its mapping torus in linear time and memory: the
+    run ends, with a torsion or the typed cross-check refusal, in a child
+    whose peak RSS (read by a wrapper process, so no other child of the test
+    run counts) stays under LARGE_A_PEAK_RSS_MB."""
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = ("import resource, subprocess, sys\n"
+              "done = subprocess.run([sys.executable, '-m', 'zetabf', 'torsion', '--A',\n"
+              "                       '10000,1,9999,1', '--theta', '1'],\n"
+              "                      capture_output=True, timeout=60)\n"
+              "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True, timeout=90)
+    code, peak_kb = map(int, done.stdout.split())
+    assert code in (EXIT_OK, EXIT_DOMAIN)
+    assert peak_kb / 1024 < LARGE_A_PEAK_RSS_MB
+
+
 def test_cli_import_leaves_scipy_out():
     """The anchor torsion run, criterion 5 of verify and the README zeta grid
     never import scipy (its import is most of the start-up time); only the

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from zetabf.complexes import (
     torus_cell_complex,
     write_complex_file,
 )
+from zetabf import complexes
 from zetabf.errors import (
     NotAComplexError,
     NotAcyclicError,
@@ -39,7 +41,7 @@ from zetabf.errors import (
     RelatorViolationError,
     ZetaBFError,
 )
-from zetabf.verification import SEED, _random_complexes
+from zetabf.verification import SEED, _random_complexes, milnor_mapping_torus_torsion
 
 
 def circle_torsion_oracle(theta):
@@ -156,6 +158,17 @@ def test_inaccurate_laplacian_route_fails_the_cross_check():
     # at 3000 the Laplacian route reads 1.0001258 against 1.0000000003
     with pytest.raises(ZetaBFError, match="cross-check"):
         analytic_torsion(_split_scale_complex(3000.0))
+
+
+@pytest.mark.parametrize("big", [1e3, 1e4])
+def test_schwarz_is_held_to_the_coexact_route(big):
+    # the resolution's blocks square the split scales: at 1e4 it read 0.8785
+    # for tau = 1, at 1e3 0.99997, and both passed unchecked
+    tc = _split_scale_complex(big)
+    with np.errstate(invalid="ignore"):
+        assert torsion_routes(tc)[1] == pytest.approx(1.0, rel=1e-6)
+    with pytest.raises(ZetaBFError, match="cross-check failed: schwarz route"):
+        schwarz_partition(tc)
 
 
 def test_cross_check_refuses_a_nan_route(monkeypatch):
@@ -532,3 +545,128 @@ def test_complex_file_parse_errors(tmp_path):
     path.write_text("nonsense\n")
     with pytest.raises(ParseError):
         read_complex_file(path)
+
+
+# -- the linear-time walk -----------------------------------------------------
+
+
+def _prefix_by_prefix(cc, rep):
+    """The differentials with every term's prefix multiplied out alone from
+    the identity, in the order reduce(np.matmul, ..., eye) takes."""
+    letters = {}
+    for i, name in enumerate(cc.generators, start=1):
+        letters[i], letters[-i] = rep.images[name], rep.images[name].conj().T
+    r = rep.rank
+    diffs = []
+    for k, block in enumerate(cc.coboundaries):
+        d = np.zeros((cc.counts[k + 1] * r, cc.counts[k] * r), dtype=complex)
+        for i, row in enumerate(block):
+            for j, entry in enumerate(row):
+                acc = np.zeros((r, r), dtype=complex)
+                for coeff, word, cut in entry:
+                    acc += coeff * reduce(np.matmul, (letters[x] for x in word[:cut]),
+                                          np.eye(r, dtype=complex))
+                d[i * r:(i + 1) * r, j * r:(j + 1) * r] = acc
+        diffs.append(d)
+    return diffs
+
+
+def _float_hex(d):
+    """Every entry's real and imaginary parts as float hex: signed zeros differ."""
+    return [(float(z.real).hex(), float(z.imag).hex()) for z in np.ravel(d)]
+
+
+def _rank_three_cat_twist():
+    rng = np.random.default_rng(3)
+    q = phase_fixed_qr(ginibre(rng, 3))
+    u = (q * np.exp(1j * rng.uniform(0.3, 6.0, size=3))) @ q.conj().T
+    return (mapping_torus_cell_complex([[2, 1], [1, 1]]),
+            UnitaryRep(3, {"a": np.eye(3), "b": np.eye(3), "t": u}))
+
+
+def _theta_twist(a, theta):
+    return (mapping_torus_cell_complex(a),
+            character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(1j * theta)}))
+
+
+WALK_CASES = {
+    "cat": lambda: _theta_twist([[2, 1], [1, 1]], 2.0),
+    "det-minus-one": lambda: _theta_twist([[3, 1], [1, 0]], 0.9),
+    "negative-trace": lambda: _theta_twist([[-4, -1], [-3, -1]], 1e-6),
+    "rank-3": _rank_three_cat_twist,
+    "n300": lambda: _theta_twist([[300, 1], [299, 1]], 1.0),
+    "cat-gram-file": lambda: read_complex_file(
+        Path(__file__).parent / "golden" / "cat_gram.cplx")[:2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_matches_prefix_by_prefix_products_bit_for_bit(case):
+    cc, rep = WALK_CASES[case]()
+    got = build_twisted_complex(cc, rep).diffs
+    want = _prefix_by_prefix(cc, rep)
+    assert [_float_hex(d) for d in got] == [_float_hex(d) for d in want]
+
+
+class _CountingNumpy:
+    """numpy, with its matmul calls counted."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b):
+        self.products += 1
+        return np.matmul(a, b)
+
+
+def test_walk_forms_linearly_many_products(monkeypatch):
+    # one r x r product per letter walked: r_a = t a t' (a^n b^(n-1))^-1 is
+    # 2n + 2 letters long, so the count is 2n + const; prefix by prefix it
+    # was quadratic in n
+    counts = {}
+    for n in (10, 100, 1000):
+        cc = mapping_torus_cell_complex([[n, 1], [n - 1, 1]])
+        rep = character_rep({"a": 1.0, "b": 1.0, "t": cmath.exp(1j)})
+        counter = _CountingNumpy()
+        monkeypatch.setattr(complexes, "np", counter)
+        build_twisted_complex(cc, rep)
+        monkeypatch.undo()
+        counts[n] = counter.products
+    assert counts[100] - counts[10] == 2 * 90
+    assert counts[1000] - counts[100] == 2 * 900
+
+
+def test_large_entry_torus_keeps_its_coexact_torsion():
+    # the n = 1000 build took seconds prefix by prefix; the coexact route
+    # meets the cohomological oracle, the Laplacian route reads 4.2e-10 off
+    a = [[1000, 1], [999, 1]]
+    tc = mapping_torus_complex(a, 1.0)
+    coexact = torsion_routes(tc)[1]
+    assert coexact * milnor_mapping_torus_torsion(a, 1.0) == pytest.approx(1.0, abs=1e-12)
+    try:
+        assert analytic_torsion(tc) == coexact
+    except ZetaBFError as exc:
+        assert "cross-check" in str(exc)
+
+
+def test_mapping_torus_cells_are_shared_per_matrix():
+    cc = mapping_torus_cell_complex([[2, 1], [1, 1]])
+    assert mapping_torus_cell_complex(np.array([[2, 1], [1, 1]])) is cc
+    assert mapping_torus_cell_complex([[3, 1], [2, 1]]) is not cc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cc.name = "renamed"
+    # every Fox term of a relator holds the relator itself
+    r_a = cc.relators[1]
+    assert all(w is r_a for entry in cc.coboundaries[1][1] for _, w, _ in entry)
+
+
+def test_plain_terms_read_their_whole_word():
+    entry = ((1, (1,), 1), (-1, (), 0))
+    assert circle_cell_complex().coboundaries == (((entry,),),)
+    for term, message in (((1, (1,), 2), "cuts its word"), ((1, (1,), 1, 0), "a term is")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(circle_cell_complex(),
+                                coboundaries=((((term, (-1, (), 0)),),),))

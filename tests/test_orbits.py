@@ -106,6 +106,14 @@ def test_lattice_oracle_refuses_int64_overflow(aut, j):
         lattice_fixed_point_count(aut, j)
 
 
+def test_overflowing_eigenvalue_power_names_its_period():
+    # mu ~ 1e5: mu^61 is a float, mu^62 overflows
+    aut = ToralAutomorphism(100000, 1, 99999, 1)
+    assert len(enumerate_primitive_orbits(aut, 61)) == 61
+    with pytest.raises(ValidationError, match="period 62"):
+        enumerate_primitive_orbits(aut, 62)
+
+
 def test_not_hyperbolic_rejected():
     with pytest.raises(NotHyperbolicError):
         ToralAutomorphism(1, 1, 0, 1)
