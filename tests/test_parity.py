@@ -28,7 +28,10 @@ are matched by name) and the det A = -1 mapping tori, through both torsion
 routes, Schwarz, relations (1) and (3), and the metric, Hodge, one random and,
 on the mapping tori, the Reeb gauge; it was generated at commit 283ed5a,
 before the builder paired each generator with its image once and carried the
-cell complex's Reeb pairs to every twist.
+cell complex's Reeb pairs to every twist.  The ``flat_det`` group covers
+criterion 12's 50 matrices: the spectral and Mellin values and the quadrature
+estimate; it was generated at commit aa28ca3, before the heat traces and the
+unitary contraction family shared one matrix exponential.
 
 Regenerate the file (only for a change meant to move digits) with
 
@@ -44,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from zetabf import bv, complexes, orbits, verification, zeta
+from zetabf.graded import flat_det
 from zetabf.verification import (
     CAT_MAP,
     FRIED_MATRICES,
@@ -138,7 +142,7 @@ def parity_groups():
                                     "is_lagrangian", "scan", "log_zeta_k", "cycle_zeta",
                                     "flat_trace", "loaded_spectrum", "poincare",
                                     "primitive_orbits", "chart", "rank_cut",
-                                    "twists")}
+                                    "twists", "flat_det")}
     tori = _mapping_tori()
 
     # criteria 6 and 7: torsion routes, Schwarz and the determinant relations
@@ -277,6 +281,11 @@ def parity_groups():
         values += [bv.partition_function(fs, bv.contraction_gauge(fs, c))
                    for c in contractions]
         groups["twists"] += values
+
+    # criterion 12: both flat-determinant routes and the quadrature estimate
+    for a in verification._criterion_12_matrices():
+        r = flat_det(a)
+        groups["flat_det"] += [r.value, r.mellin_value, r.quadrature_error_estimate]
     return groups
 
 
