@@ -52,8 +52,9 @@ products, SVDs (LAPACK runs once per member, as for a lone matrix) and 1-D
 per-member sums.  ``random_contraction(..., samples=N)`` draws N random
 contractions as one stack, with the RNG calls in the lone calls' order and
 one stacked QR per Haar slot.  ``homotopy_scan`` asks its family for all
-samples at once, so per degree it takes one stacked ``expm``, one SVD for
-the kernels, one for the complements and one per restricted action block.
+samples at once, so per degree it takes one stacked matrix exponential
+(``graded.exp_stack``, the Pade kernel of the heat traces), one SVD for the
+kernels, one for the complements and one per restricted action block.
 Either way each member's digits are those of its own single contraction,
 bit for bit.
 
@@ -80,6 +81,7 @@ from .errors import (
     DegenerateContractionError,
     DegenerateGaugeError,
 )
+from .graded import exp_stack
 
 ISOTROPY_TOL = 1e-12
 # Degree-summed matrix entries of one homotopy-scan stack (samples times
@@ -676,27 +678,22 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
     return DarbouxChart(tuple(pairs), tuple(degrees), max_word_length), tuple(names)
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on first call: scipy stays off the import
-    path of every command that draws no unitary family.  A stack of matrices
-    is exponentiated slice by slice, each as it would be alone."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
-
-
 def unitary_contraction_family(tc: TwistedComplex,
                                rng: np.random.Generator) -> Callable[[np.ndarray], Contraction]:
     """Family t -> U(t) iota U(t)^dagger of the Hodge contraction's iota,
     with U(t) = exp(t K), K random skew-Hermitian of unit Frobenius norm per
     degree.  Stays inside the unitary-normalised class, and starts at the
-    Hodge contraction.
+    Hodge contraction: within rounding, for the Pade kernel's U(0) may sit a
+    rounding off the identity, so Z at t = 0 can differ from the Hodge
+    contraction's Z in the last digit.
 
     The family takes a float t, giving one contraction, or a 1-D array of
     them, giving the stacked contraction of all members: per degree one
-    stacked ``expm`` and stacked products, each member bit-identical to the
-    contraction at its own t.  Members are given no kernel split, so each
-    finds its own by SVD; the stack takes those SVDs once per degree.
-    Drawing the family takes none.
+    ``graded.exp_stack`` call, the package's one matrix exponential, which
+    also gives the heat traces of ``flat_det``, and stacked products, each
+    member bit-identical to the contraction at its own t.  Members are given
+    no kernel split, so each finds its own by SVD; the stack takes those SVDs
+    once per degree.  Drawing the family takes none.
     """
     base = _hodge_iota(tc)
     gens = []
@@ -707,9 +704,9 @@ def unitary_contraction_family(tc: TwistedComplex,
         gens.append(k / norm if norm > 0 else k)
 
     def family(t) -> Contraction:
-        t = np.asarray(t, dtype=float)[..., None, None]
-        us = [expm(t * g) for g in gens]
-        iota = [np.zeros(t.shape[:-2] + (0, tc.dims[0]))]
+        t = np.asarray(t, dtype=float)
+        us = [exp_stack(-g, t.ravel()).reshape(t.shape + g.shape) for g in gens]
+        iota = [np.zeros(t.shape + (0, tc.dims[0]))]
         for k in range(1, tc.top_degree + 1):
             iota.append(us[k - 1] @ base[k] @ _adjoint(us[k]))
         return Contraction(iota)

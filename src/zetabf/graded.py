@@ -31,10 +31,15 @@ scales.  Every node's matrix -t A is a multiple of M = A / ||A||_1, so the
 powers M^0..M^13 are formed once; node t is scaled by 2^(-s) with
 s = max(0, ceil(log2(t ||A||_1 / theta_13))), its Pade numerator and
 denominator are combinations of those powers, and it is squared s times.  The
-nodes run in chunks of ``_CHUNK_ENTRIES`` matrix entries, which bounds the
-kernel's memory.  A diagonal A takes the exact sum of exp(-t a_ii).  For
-finite matrices the two routes must agree; the disagreement is the package's
-basic quadrature diagnostic.
+kernel returns the stacked matrices e^(-t A) and the heat traces take their
+traces; the nodes run in chunks of ``_CHUNK_ENTRIES`` matrix entries, which
+bounds the kernel's memory.  A diagonal A takes the exact sum of
+exp(-t a_ii).  For finite matrices the two routes must agree; the
+disagreement is the package's basic quadrature diagnostic.
+
+The same kernel, through ``exp_stack``, exponentiates the skew-Hermitian
+generators of ``bv.unitary_contraction_family``: it is the package's one
+matrix exponential, and it needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -115,25 +120,46 @@ def _heat_traces(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
     diag = np.diagonal(m)
     if not np.any(m - np.diag(diag)):
         return np.exp(-np.outer(ts, diag)).sum(axis=1)
+    terms, norm = _pade_terms(m)
+    step = max(1, _CHUNK_ENTRIES // m.size)
+    return np.concatenate([np.trace(_pade_exp(terms, norm * ts[i:i + step]), axis1=1, axis2=2)
+                           for i in range(0, len(ts), step)])
+
+
+def exp_stack(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """e^(-x m) at every x >= 0 of ``xs``, stacked along a leading axis: one
+    unchunked call of the heat traces' Pade kernel.  Each slice takes its own
+    scaling, Pade solve and squarings, as a call at that x alone would.  At
+    x = 0 the solve of b_0 I against b_0 I may leave the diagonal a rounding
+    off 1 (LAPACK gave 1 - 2^-53 on numpy 2.4); a zero or empty m gives the
+    exact identity at every x."""
+    n = m.shape[0]
+    if not np.any(m):
+        return np.broadcast_to(np.eye(n, dtype=complex), (len(xs), n, n)).copy()
+    terms, norm = _pade_terms(m)
+    return _pade_exp(terms, norm * np.asarray(xs, dtype=float))
+
+
+def _pade_terms(m: np.ndarray):
+    """(``terms``, ||m||_1) with ``terms[k]`` = b_k M^k (k = 0..13) for
+    M = m / ||m||_1, so no power can overflow; m must be nonzero."""
     n = m.shape[0]
     norm = np.linalg.norm(m, 1)
-    # b_k M^k for M = m / ||m||_1: no power can overflow
     terms = np.empty((14, n, n), dtype=complex)
     terms[0] = np.eye(n)
     terms[1] = m / norm
     for k in range(2, 14):
         terms[k] = terms[k - 1] @ terms[1]
     terms *= _PADE13[:, None, None]
-    step = max(1, _CHUNK_ENTRIES // m.size)
-    return np.concatenate([_heat_trace_chunk(terms, norm * ts[i:i + step])
-                           for i in range(0, len(ts), step)])
+    return terms, norm
 
 
-def _heat_trace_chunk(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """tr e^(-x M) at every x > 0, given ``terms[k]`` = b_k M^k (k = 0..13)
-    with ||M||_1 = 1."""
+def _pade_exp(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """e^(-x M) at every x >= 0, stacked in the order of ``xs``, given
+    ``terms[k]`` = b_k M^k (k = 0..13) with ||M||_1 = 1."""
     n = terms.shape[1]
-    s = np.maximum(0, np.ceil(np.log2(xs / _THETA13))).astype(int)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0, np.ceil(np.log2(xs / _THETA13))).astype(int)
     order = np.argsort(s, kind="stable")
     s = s[order]
     c = np.ldexp(-xs[order], -s)
@@ -145,9 +171,9 @@ def _heat_trace_chunk(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
     for j in range(1, s[-1] + 1):
         k = np.searchsorted(s, j)
         e[k:] = e[k:] @ e[k:]
-    traces = np.empty(len(xs), dtype=complex)
-    traces[order] = np.trace(e, axis1=1, axis2=2)
-    return traces
+    out = np.empty_like(e)
+    out[order] = e
+    return out
 
 
 def _as_square(matrix) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +46,7 @@ from zetabf.errors import (
     DegenerateContractionError,
     NotAcyclicError,
 )
+from zetabf.graded import exp_stack
 from zetabf.orbits import ToralAutomorphism
 from zetabf.verification import SEED, _random_complexes, milnor_mapping_torus_torsion
 from zetabf.zeta import closed_form_suspension
@@ -698,6 +700,84 @@ def test_homotopy_scan_matches_per_sample_reference():
         _assert_scan_matches_reference(tc, rng, 10)
     rng = np.random.default_rng(14)
     _assert_scan_matches_reference(_cat_rank_twist(4, rng), rng, 7)
+
+
+def _scan_exponentials(monkeypatch):
+    """(m, xs, e^(-x m) as computed) for every ``exp_stack`` call of the
+    unitary families of criterion 9 and of the five golden ``bf`` scans, each
+    family evaluated once on its scan's t grid."""
+    calls = []
+
+    def recording(m, xs):
+        e = exp_stack(m, xs)
+        calls.append((m, xs, e))
+        return e
+
+    monkeypatch.setattr(bv, "exp_stack", recording)
+    rng = np.random.default_rng(SEED + 3)
+    families = []
+    for _ in range(20):
+        tc = random_twisted_complex(rng, top_degree=int(rng.integers(2, 5)), max_cells=4,
+                                    rank=int(rng.integers(1, 3)))
+        families.append((unitary_contraction_family(tc, rng), 10))
+    for tc, seed, samples in _golden_bf_scans():
+        families.append((unitary_contraction_family(tc, np.random.default_rng(seed)), samples))
+    for family, samples in families:
+        family(np.array([i / (samples - 1) for i in range(samples)]))
+    return calls
+
+
+def _oracle_exponentials(m, xs):
+    """e^(-x m) to 40 digits at the grid xs[i] = i / (len(xs) - 1) of
+    doubles: one ``mpmath.expm`` at h = xs[1], its powers, and for the
+    rounding x_i - i h (a few 1e-16) the Taylor terms through second order,
+    which leave an error below 1e-45 for ||m|| <= 3."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(float(xs[1]))
+        mm = mpmath.matrix(m.tolist())
+        step = mpmath.expm(-h * mm)
+        eye = mpmath.eye(m.shape[0])
+        square = mm * mm
+        power, out = eye, []
+        for i, x in enumerate(xs):
+            delta = mpmath.mpf(float(x)) - i * h
+            assert abs(delta) < 1e-15
+            out.append(power * (eye - delta * mm + delta ** 2 / 2 * square) if delta else power)
+            power = power * step
+        return np.array([[[complex(e[r, c]) for c in range(m.shape[1])]
+                          for r in range(m.shape[0])] for e in out])
+
+
+def test_exp_stack_against_a_40_digit_oracle(monkeypatch):
+    """The Pade kernel exponentiates the scans' skew-Hermitian generators
+    as accurately as scipy's expm, against a 40-digit mpmath oracle, and
+    gives unitary matrices."""
+    from scipy.linalg import expm
+
+    calls = [(m, xs, e) for m, xs, e in _scan_exponentials(monkeypatch) if m.size]
+    assert len(calls) == 95      # the nonempty degrees of 25 complexes
+    ours = theirs = unitarity = 0.0
+    for m, xs, e in calls:
+        assert np.linalg.norm(m, 2) <= 3.0
+        exact = _oracle_exponentials(m, xs)
+        ours = max(ours, np.max(np.abs(e - exact)))
+        theirs = max(theirs, np.max(np.abs(expm(-xs[:, None, None] * m) - exact)))
+        gram = _adjoint_stack(e) @ e - np.eye(m.shape[0])
+        unitarity = max(unitarity, np.max(np.linalg.norm(gram, 2, axis=(1, 2))))
+    assert ours <= 2 * theirs + 1e-15
+    assert unitarity <= 1e-14
+
+
+def _adjoint_stack(e):
+    return np.conj(np.swapaxes(e, -1, -2))
+
+
+def test_exp_stack_of_zero_is_the_identity():
+    xs = np.array([0.0, 0.5, 3.0])
+    for n in (0, 1, 3):
+        e = exp_stack(np.zeros((n, n), dtype=complex), xs)
+        assert e.shape == (3, n, n)
+        assert np.array_equal(e, np.broadcast_to(np.eye(n), e.shape))
 
 
 def test_homotopy_scan_isotropy_is_the_lagrangian_report():

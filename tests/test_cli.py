@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetabf import complexes, orbits, zeta
+from zetabf import cli, complexes, orbits, zeta
 from zetabf.errors import ParseError, ValidationError
 from zetabf.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, OPTIONS, CLIUsageError,
                         build_parser, g17, main, make_config)
@@ -817,14 +817,19 @@ def test_large_entry_torsion_runs_in_bounded_memory():
 
 
 def test_cli_import_leaves_scipy_out():
-    """The anchor torsion run, criterion 5 of verify and the README zeta grid
-    never import scipy (its import is most of the start-up time); only the
-    unitary scans load it."""
+    """No subcommand imports scipy (its import is most of the start-up time
+    and of the peak memory): not the anchor torsion run, not the bf run with
+    its unitary homotopy scan, not the README zeta grid or orbit table, and
+    not a full verify, whose criterion 9 scans and criterion 12 heat traces
+    share numpy's one matrix exponential in ``graded``."""
     runs = ((["torsion", "--model", "cat", "--theta", "2.0"], "betti 0 0 0 0"),
-            (["verify", "--criteria", "5"], "[PASS] criterion  5: "),
+            (["bf", "--model", "cat", "--theta", "3.141592653589793"], "torsion 0.7"),
             (["zeta", "--A", "2,1,1,1", "--theta", "3.141592653589793",
               "--lambda-start", "2", "--lambda-stop", "5", "--lambda-steps", "7",
-              "--closed-form"], "closed_form_abs_zeta0_inverse 0.8"))
+              "--closed-form"], "closed_form_abs_zeta0_inverse 0.8"),
+            (["orbits", "--A", "2,1,1,1", "--J", "12"], "period count length"),
+            (["verify"], "[PASS] criterion  1: "))
+    assert {argv[0] for argv, _ in runs} == set(cli._COMMANDS)
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -136,13 +136,13 @@ def test_flat_det_refuses_heat_traces_off_their_estimate(monkeypatch):
 
 def test_flat_det_stacks_heat_traces(monkeypatch):
     calls = []
-    chunk = graded._heat_trace_chunk
+    chunk = graded._pade_exp
 
     def counting(terms, xs):
         calls.append(len(xs))
         return chunk(terms, xs)
 
-    monkeypatch.setattr(graded, "_heat_trace_chunk", counting)
+    monkeypatch.setattr(graded, "_pade_exp", counting)
     a = np.array([[1.0, 0.3, 0.0], [0.1, 2.0, 0.2], [0.0, 0.4, 3.0]])
     r = flat_det(a)
     assert r.mellin_value == pytest.approx(r.value, rel=1e-6)
