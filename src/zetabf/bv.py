@@ -39,15 +39,15 @@ the kernel for the complement.  A homotopy family rotates the Hodge iota
 those two SVDs once per degree for all its samples: the factorisations behind
 the Z and isotropy digits that ``bf`` prints.  The restricted action blocks are
 L = iota d + d iota on ker iota (for a Reeb contraction, the zeta factors);
-their SVDs and that of the isotropy cross pairing stay separate: they are the
-checks that the gauge-fixed side reproduces the torsion.  The metric gauge's
-blocks (d_k c_k)* d_k c_k, c_k the record's coexact basis, have the record's
-kept s_i^2 as singular values; ``nonzero_mask`` cuts only what the record
-does not fix, the kernels of iota and the contraction gauges' blocks.
+their SVDs and those of ``is_lagrangian``'s basis Grams stay separate: they
+are the checks that the gauge-fixed side reproduces the torsion.  The metric
+gauge's blocks (d_k c_k)* d_k c_k, c_k the record's coexact basis, have the
+record's kept s_i^2 as singular values; ``nonzero_mask`` cuts only what the
+record does not fix, the kernels of iota and the contraction gauges' blocks.
 
 Stacked draws and scans: every map of a contraction may carry one leading
-sample axis, and the contraction, its gauge, ``partition_function`` and the
-isotropy residual then work per member in the same code, through stacked
+sample axis, and the contraction, its gauge, ``partition_function`` and
+``is_lagrangian`` then work per member in the same code, through stacked
 products, SVDs (LAPACK runs once per member, as for a lone matrix) and 1-D
 per-member sums.  ``random_contraction(..., samples=N)`` draws N random
 contractions as one stack, with the RNG calls in the lone calls' order and
@@ -58,14 +58,12 @@ kernels, one for the complements and one per restricted action block.
 Either way each member's digits are those of its own single contraction,
 bit for bit.
 
-Fields may be stacked: a ``BFField`` whose slot components are d_k x N
-matrices holds N fields as columns, and ``omega`` of two stacked fields is the
-matrix of their pairings.  ``is_lagrangian`` stacks each side's basis columns
-as one field, each column zero outside its own slot, and takes its cross
-Gram matrix from ``omega``, the one statement of the pairing.  The isotropy
-of a side, in ``is_lagrangian`` and in the scan, is one helper,
-``_isotropy``: the largest modulus of the per-slot blocks, the only nonzero
-part of the upper triangle of that side's Gram matrix, which is never formed.
+Omega pairs A slot k only with B slot k, so ``is_lagrangian`` certifies a
+gauge slot by slot and forms no Gram matrix of all its columns: per slot
+A and B columns number d_k, the blocks of ``_isotropy`` (also the scan's
+residual) vanish, and the basis Grams a_k^H a_k and b_k^H b_k, its pairing
+with the side swap, are nonsingular.  ``omega``, the pairing itself, is the
+tests' reference for all three.
 """
 
 from __future__ import annotations
@@ -84,6 +82,9 @@ from .errors import (
 from .graded import exp_stack
 
 ISOTROPY_TOL = 1e-12
+# Smallest singular value of a gauge's pairing with its side swap that
+# ``is_lagrangian`` accepts as transverse.
+TRANSVERSALITY_TOL = 1e-8
 # Degree-summed matrix entries of one homotopy-scan stack (samples times
 # sum_k dim_k^2).  A stack's heap peak was measured at 65 bytes per entry,
 # about 70 MB at this bound, so longer scans run in several stacked passes.
@@ -477,21 +478,14 @@ def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:
 
 @dataclass
 class LagrangianReport:
+    """``is_lagrangian``'s certificate, one entry per member for a stacked
+    gauge: ``ok``, the largest |Omega| between two gauge columns, and the
+    smallest singular value of the pairing with the side swap (inf for a
+    gauge without columns)."""
+
     ok: bool
     isotropy: float
     cross_pairing_min_sv: float
-
-
-def _stacked_field(a_bases, b_bases) -> BFField:
-    """The columns of one gauge side as one stacked field: the A columns of
-    every slot, then the B columns, each zero outside its own slot (complex,
-    so that every pairing is a complex dot product)."""
-    bases = list(a_bases) + list(b_bases)
-    starts = np.cumsum([0] + [m.shape[1] for m in bases])
-    slots = [np.zeros((m.shape[0], starts[-1]), dtype=complex) for m in bases]
-    for i, m in enumerate(bases):
-        slots[i][:, starts[i]:starts[i + 1]] = m
-    return BFField(tuple(slots[:len(a_bases)]), tuple(slots[len(a_bases):]))
 
 
 def _isotropy(a_bases, b_bases):
@@ -499,43 +493,46 @@ def _isotropy(a_bases, b_bases):
     ``a_bases``, B columns ``b_bases``), per member for stacked bases.
 
     This is the largest modulus in the upper triangle of the side's Gram
-    matrix, ``omega`` of its ``_stacked_field`` with itself.  With every A
-    column ordered before every B column, that triangle is zero but for one
-    block per slot, the slot term sign * _dots(b_k, a_k)^T, and the sign and
-    the transpose leave its moduli as they are; so the largest |entry| of
-    the blocks _dots(b_k, a_k) is bit-identical to it, and the Gram matrix
-    is never formed.  Moduli come from hypot, as scalar abs does.
+    matrix, ``omega`` of its columns (each a field zero outside its own
+    slot), A columns first.  That triangle is zero but for one block per
+    slot, the slot term sign * _dots(b_k, a_k)^T, and the sign and the
+    transpose leave its moduli as they are; so the largest |entry| of the
+    blocks _dots(b_k, a_k) is bit-identical to it, and the Gram matrix is
+    never formed.  Moduli come from hypot, as scalar abs does.
     """
     worst = 0.0
     for a, b in zip(a_bases, b_bases):
-        # complex, as in a stacked field: a real dot product may round differently
+        # complex, as in a field: a real dot product may round differently
         block = _dots(np.asarray(b, dtype=complex), np.asarray(a, dtype=complex))
         worst = np.maximum(worst, np.max(np.hypot(block.real, block.imag),
                                          axis=(-2, -1), initial=0.0))
     return float(worst) if np.ndim(worst) == 0 else worst
 
 
-def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
-    """Isotropy of the subspace, from its per-slot blocks (``_isotropy``),
-    and perfection of the pairing with its declared complement, the side
-    swap: the smallest singular value of their cross Gram matrix, ``omega``
-    of the two sides' stacked fields.  The swap's isotropy is the
-    subspace's, so the report holds one."""
-    sub = (gs.a_bases, gs.b_bases)
-    comp = ([np.conj(b) for b in gs.b_bases], [np.conj(a) for a in gs.a_bases])
-    # the swap's slot blocks _dots(conj a_k, conj b_k) are the conjugate
-    # transposes of _dots(b_k, a_k), term for term, so the isotropy of the
-    # complement is the subspace's, bit for bit
-    iso = _isotropy(*sub)
+def _unbalanced_slot(fs: BFFieldSpace, gs: GaugeSubspace) -> Optional[int]:
+    """The first slot k whose A and B columns do not number d_k, or None."""
+    counts = [a.shape[-1] + b.shape[-1] for a, b in zip(gs.a_bases, gs.b_bases)]
+    return next((k for k, (c, d) in enumerate(zip(counts, fs.dims)) if c != d), None)
 
-    # the swap keeps the column count, so the cross Gram matrix is square
-    if any(m.shape[1] for side in sub for m in side):
-        cross = fs.omega(_stacked_field(*sub), _stacked_field(*comp))
-        min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
-    else:
-        min_sv = np.inf
-    ok = iso < ISOTROPY_TOL and min_sv > 1e-8
-    return LagrangianReport(ok, iso, min_sv)
+
+def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
+    """ok when every slot is half-dimensional, the isotropy (``_isotropy``)
+    is below ISOTROPY_TOL and the pairing with the declared complement, the
+    side swap, has its smallest singular value above TRANSVERSALITY_TOL.
+
+    That pairing's Gram matrix is, up to order and signs, the direct sum of
+    the per-slot Grams a_k^H a_k and b_k^H b_k (A columns meet the swap's
+    conj(a_k), B columns its conj(b_k)), so its singular values are theirs,
+    from one values-only SVD each.  The swap's isotropy is the gauge's.
+    """
+    iso = _isotropy(gs.a_bases, gs.b_bases)
+    lowest = [np.linalg.svd(_adjoint(m) @ m, compute_uv=False)[..., -1]
+              for m in [*gs.a_bases, *gs.b_bases] if m.shape[-1]]
+    min_sv = np.min(lowest + [np.full(gs.a_bases[0].shape[:-2], np.inf)], axis=0)
+    ok = (_unbalanced_slot(fs, gs) is None) & (iso < ISOTROPY_TOL) & (min_sv > TRANSVERSALITY_TOL)
+    if np.ndim(min_sv):
+        return LagrangianReport(ok, iso, min_sv)
+    return LagrangianReport(bool(ok), iso, float(min_sv))
 
 
 def restricted_action_blocks(fs: BFFieldSpace, gs: GaugeSubspace) -> List[np.ndarray]:
@@ -665,11 +662,12 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
     """
     from .observables import DarbouxChart
 
+    k = _unbalanced_slot(fs, gs)
+    if k is not None:
+        raise DegenerateGaugeError(k, "gauge subspace is not half-dimensional")
     pairs, degrees, names = [], [], []
-    for k, (a_basis, b_basis) in enumerate(zip(gs.a_bases, gs.b_bases)):
-        na, nb = a_basis.shape[1], b_basis.shape[1]
-        if na + nb != fs.dims[k]:
-            raise DegenerateGaugeError(k, "gauge subspace is not half-dimensional")
+    for k, a_basis in enumerate(gs.a_bases):
+        na = a_basis.shape[1]
         # one pair (a_k_i, b_k_i) per cell coordinate: field degree 1 - k, antifield k - 2
         slot = [(f"a{k}_{i}", f"b{k}_{i}") for i in range(fs.dims[k])]
         pairs += slot

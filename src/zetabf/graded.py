@@ -132,7 +132,7 @@ def exp_stack(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
     scaling, Pade solve and squarings, as a call at that x alone would.  At
     x = 0 the solve of b_0 I against b_0 I may leave the diagonal a rounding
     off 1 (LAPACK gave 1 - 2^-53 on numpy 2.4); a zero or empty m gives the
-    exact identity at every x."""
+    exact identity at every x, and an empty ``xs`` an empty stack."""
     n = m.shape[0]
     if not np.any(m):
         return np.broadcast_to(np.eye(n, dtype=complex), (len(xs), n, n)).copy()
@@ -168,7 +168,7 @@ def _pade_exp(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
                 @ terms.reshape(14, n * n)).reshape(2, len(xs), n, n)
     e = np.linalg.solve(den, num)
     # nodes are sorted by s: the ones still to square form a suffix
-    for j in range(1, s[-1] + 1):
+    for j in range(1, s.max(initial=0) + 1):
         k = np.searchsorted(s, j)
         e[k:] = e[k:] @ e[k:]
     out = np.empty_like(e)
@@ -190,7 +190,7 @@ def _spectral_split(matrix: np.ndarray, lam: complex):
     eigensolve of a flat-determinant evaluation."""
     m = matrix + lam * np.eye(matrix.shape[0])
     eigs = np.linalg.eigvals(m)
-    kernel = np.abs(eigs) <= KERNEL_TOL * np.max(np.abs(eigs))
+    kernel = np.abs(eigs) <= KERNEL_TOL * np.max(np.abs(eigs), initial=0.0)
     return m, eigs[~kernel], int(np.count_nonzero(kernel))
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from zetabf import bv
 from zetabf.bv import (
     ISOTROPY_TOL,
+    TRANSVERSALITY_TOL,
     BFField,
     Contraction,
     LagrangianReport,
@@ -44,6 +45,7 @@ from zetabf.complexes import (
 )
 from zetabf.errors import (
     DegenerateContractionError,
+    DegenerateGaugeError,
     NotAcyclicError,
 )
 from zetabf.graded import exp_stack
@@ -187,8 +189,29 @@ def _reference_report(fs, gs):
         min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
     else:
         min_sv = np.inf
-    ok = iso_sub < ISOTROPY_TOL and min_sv > 1e-8
+    half = all(a.shape[1] + b.shape[1] == d for a, b, d in zip(gs.a_bases, gs.b_bases, fs.dims))
+    ok = half and iso_sub < ISOTROPY_TOL and min_sv > TRANSVERSALITY_TOL
     return LagrangianReport(ok, iso_sub, min_sv)
+
+
+# ``is_lagrangian`` reads the cross pairing's singular values off the per-slot
+# Grams a_k^H a_k and b_k^H b_k, the reference off the full cross Gram matrix
+# of single-field pairings: the same entries, each a length-d_k dot product
+# summed in another order, so the two differ by rounding of the order of one
+# such dot product of unit columns, d_k eps.  The largest difference seen on
+# the gauges below is 0.5 eps max_k d_k; the bound allows twice that.
+CROSS_PAIRING_ROUNDING = 1.0
+
+
+def _assert_matches_reference(fs, gs):
+    """ok and isotropy exactly as the reference gives them, the cross
+    pairing's smallest singular value within CROSS_PAIRING_ROUNDING."""
+    rep, ref = is_lagrangian(fs, gs), _reference_report(fs, gs)
+    assert (rep.ok, rep.isotropy) == (ref.ok, ref.isotropy)
+    bound = CROSS_PAIRING_ROUNDING * np.finfo(float).eps * max(fs.dims)
+    assert abs(rep.cross_pairing_min_sv - ref.cross_pairing_min_sv) <= \
+        bound * ref.cross_pairing_min_sv
+    return rep
 
 
 def _skewed(fs, c):
@@ -204,9 +227,44 @@ def test_skewed_subspace_is_not_lagrangian():
     tc = mapping_torus_complex(CAT, math.pi)
     fs = build_bf_fields(tc)
     gs = _skewed(fs, hodge_contraction(tc))
-    rep = is_lagrangian(fs, gs)
+    rep = _assert_matches_reference(fs, gs)
     assert not rep.ok
-    assert rep == _reference_report(fs, gs)
+
+
+def _drop_an_a_column(gs):
+    k = next(k for k, a in enumerate(gs.a_bases) if a.shape[1])
+    gs.a_bases[k] = gs.a_bases[k][:, 1:]
+    return k
+
+
+def _empty_every_basis(gs):
+    gs.a_bases = [a[:, :0] for a in gs.a_bases]
+    gs.b_bases = [b[:, :0] for b in gs.b_bases]
+    return 0
+
+
+def _repeat_a_b_column(gs):
+    # d_k + 1 columns in slot k, still isotropic
+    k = next(k for k, b in enumerate(gs.b_bases) if b.shape[1])
+    gs.b_bases[k] = np.concatenate([gs.b_bases[k], gs.b_bases[k][:, :1]], axis=1)
+    return k
+
+
+@pytest.mark.parametrize("edit", [_drop_an_a_column, _empty_every_basis, _repeat_a_b_column],
+                         ids=["a-column-dropped", "all-bases-empty", "slot-overfull"])
+def test_a_gauge_that_is_not_half_dimensional_is_not_lagrangian(edit):
+    fs = build_bf_fields(mapping_torus_complex(CAT, 2.0))
+    gs = metric_gauge(fs)
+    k = edit(gs)
+    rep = is_lagrangian(fs, gs)
+    assert rep.isotropy < ISOTROPY_TOL
+    assert not rep.ok
+    if edit is not _repeat_a_b_column:
+        # only the half-dimension rule refuses these two
+        assert rep.cross_pairing_min_sv > TRANSVERSALITY_TOL
+    with pytest.raises(DegenerateGaugeError, match="not half-dimensional") as err:
+        gauge_polarization(fs, gs)
+    assert err.value.degree == k
 
 
 def _cat_rank_twist(r, rng):
@@ -231,15 +289,59 @@ def test_is_lagrangian_matches_single_field_pairings():
                   contraction_gauge(fs, random_contraction(tc, rng)),
                   contraction_gauge(fs, family(0.6)), _skewed(fs, hodge)]
         for gs in gauges:
-            assert is_lagrangian(fs, gs) == _reference_report(fs, gs)
+            _assert_matches_reference(fs, gs)
     # a rank-30 cat twist: dimension 240, many columns per slot
     tc = _cat_rank_twist(30, rng)
     fs = build_bf_fields(tc)
     assert sum(fs.dims) == 240
     for gs in (metric_gauge(fs), contraction_gauge(fs, hodge_contraction(tc))):
-        rep = is_lagrangian(fs, gs)
+        rep = _assert_matches_reference(fs, gs)
         assert rep.ok
-        assert rep == _reference_report(fs, gs)
+
+
+def test_stacked_gauge_is_certified_per_member():
+    # each member's report is its lone gauge's, bit for bit
+    rng = np.random.default_rng(24)
+    for tc in (random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2),
+               _cat_rank_twist(3, rng)):
+        fs = build_bf_fields(tc)
+        state = rng.bit_generator.state
+        drawn = random_contraction(tc, rng, samples=3)
+        rng.bit_generator.state = state
+        lone = [random_contraction(tc, rng) for _ in range(3)]
+        family = unitary_contraction_family(tc, rng)
+        ts = np.array([0.0, 0.5, 1.0])
+        for stack, members in ((drawn, lone), (family(ts), [family(t) for t in ts])):
+            rep = is_lagrangian(fs, contraction_gauge(fs, stack))
+            assert rep.ok.shape == rep.isotropy.shape == rep.cross_pairing_min_sv.shape == (3,)
+            for i, c in enumerate(members):
+                want = is_lagrangian(fs, contraction_gauge(fs, c))
+                assert rep.ok[i] == want.ok
+                assert rep.isotropy[i].hex() == want.isotropy.hex()
+                assert rep.cross_pairing_min_sv[i].hex() == want.cross_pairing_min_sv.hex()
+
+
+def test_is_lagrangian_factorises_one_slot_basis_at_a_time(monkeypatch):
+    rng = np.random.default_rng(25)
+    tc = _cat_rank_twist(3, rng)
+    fs = build_bf_fields(tc)
+    gauges = [metric_gauge(fs), contraction_gauge(fs, hodge_contraction(tc)),
+              contraction_gauge(fs, random_contraction(tc, rng))]
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for gs in gauges:
+        shapes.clear()
+        assert is_lagrangian(fs, gs).ok
+        bases = [m for m in gs.a_bases + gs.b_bases if m.shape[1]]
+        # one Gram per nonempty basis, none wider than the widest basis
+        assert len(shapes) == len(bases)
+        assert max(max(s) for s in shapes) <= max(m.shape[1] for m in bases) < sum(fs.dims)
 
 
 def _projector(basis):
@@ -774,6 +876,12 @@ def test_exp_stack_of_zero_is_the_identity():
         e = exp_stack(np.zeros((n, n), dtype=complex), xs)
         assert e.shape == (3, n, n)
         assert np.array_equal(e, np.broadcast_to(np.eye(n), e.shape))
+
+
+def test_exp_stack_of_no_parameters_is_an_empty_stack():
+    # as for a zero generator
+    for m in (np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), np.zeros((2, 2))):
+        assert exp_stack(m, np.array([])).shape == (0, 2, 2)
 
 
 def test_homotopy_scan_isotropy_is_the_lagrangian_report():

@@ -52,6 +52,14 @@ def test_flat_det_kernel_excluded():
     assert (r.value, r.mellin_value, r.kernel_dim) == (1.0, 1.0, 2)
 
 
+def test_flat_det_of_the_empty_matrix_is_the_empty_product():
+    # as for the zero matrix, whose nonzero eigenvalues are none too
+    for mode in ("spectral", "both"):
+        r = flat_det(np.zeros((0, 0)), mode=mode)
+        assert (r.value, r.kernel_dim) == (1.0, 0)
+    assert r.mellin_value == flat_det(np.zeros((2, 2))).mellin_value == 1.0
+
+
 def test_flat_det_shifted():
     r = flat_det(np.diag([1.0, 2.0, 3.0]), lam=1.0)
     assert r.value == pytest.approx(24.0)
