@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -512,7 +513,7 @@ def _isotropy(a_bases, b_bases):
 def _unbalanced_slot(fs: BFFieldSpace, gs: GaugeSubspace) -> Optional[int]:
     """The first slot k whose A and B columns do not number d_k, or None."""
     counts = [a.shape[-1] + b.shape[-1] for a, b in zip(gs.a_bases, gs.b_bases)]
-    return next((k for k, (c, d) in enumerate(zip(counts, fs.dims)) if c != d), None)
+    return next((k for k, (c, d) in enumerate(zip_longest(counts, fs.dims)) if c != d), None)
 
 
 def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
@@ -521,9 +522,8 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     side swap, has its smallest singular value above TRANSVERSALITY_TOL.
 
     That pairing's Gram matrix is, up to order and signs, the direct sum of
-    the per-slot Grams a_k^H a_k and b_k^H b_k (A columns meet the swap's
-    conj(a_k), B columns its conj(b_k)), so its singular values are theirs,
-    from one values-only SVD each.  The swap's isotropy is the gauge's.
+    the per-slot Grams a_k^H a_k and b_k^H b_k, so its singular values come
+    from one values-only SVD of each.  The swap's isotropy is the gauge's.
     """
     iso = _isotropy(gs.a_bases, gs.b_bases)
     lowest = [np.linalg.svd(_adjoint(m) @ m, compute_uv=False)[..., -1]

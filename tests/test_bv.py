@@ -243,6 +243,11 @@ def _empty_every_basis(gs):
     return 0
 
 
+def _drop_the_top_slot(gs):
+    gs.a_bases, gs.b_bases = gs.a_bases[:-1], gs.b_bases[:-1]
+    return len(gs.a_bases)
+
+
 def _repeat_a_b_column(gs):
     # d_k + 1 columns in slot k, still isotropic
     k = next(k for k, b in enumerate(gs.b_bases) if b.shape[1])
@@ -250,8 +255,10 @@ def _repeat_a_b_column(gs):
     return k
 
 
-@pytest.mark.parametrize("edit", [_drop_an_a_column, _empty_every_basis, _repeat_a_b_column],
-                         ids=["a-column-dropped", "all-bases-empty", "slot-overfull"])
+@pytest.mark.parametrize("edit", [_drop_an_a_column, _empty_every_basis, _drop_the_top_slot,
+                                  _repeat_a_b_column],
+                         ids=["a-column-dropped", "all-bases-empty", "top-slot-missing",
+                              "slot-overfull"])
 def test_a_gauge_that_is_not_half_dimensional_is_not_lagrangian(edit):
     fs = build_bf_fields(mapping_torus_complex(CAT, 2.0))
     gs = metric_gauge(fs)
@@ -260,7 +267,7 @@ def test_a_gauge_that_is_not_half_dimensional_is_not_lagrangian(edit):
     assert rep.isotropy < ISOTROPY_TOL
     assert not rep.ok
     if edit is not _repeat_a_b_column:
-        # only the half-dimension rule refuses these two
+        # only the half-dimension rule refuses these
         assert rep.cross_pairing_min_sv > TRANSVERSALITY_TOL
     with pytest.raises(DegenerateGaugeError, match="not half-dimensional") as err:
         gauge_polarization(fs, gs)
@@ -314,6 +321,7 @@ def test_stacked_gauge_is_certified_per_member():
         for stack, members in ((drawn, lone), (family(ts), [family(t) for t in ts])):
             rep = is_lagrangian(fs, contraction_gauge(fs, stack))
             assert rep.ok.shape == rep.isotropy.shape == rep.cross_pairing_min_sv.shape == (3,)
+            assert rep.ok.all()
             for i, c in enumerate(members):
                 want = is_lagrangian(fs, contraction_gauge(fs, c))
                 assert rep.ok[i] == want.ok
