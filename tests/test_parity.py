@@ -31,7 +31,13 @@ before the builder paired each generator with its image once and carried the
 cell complex's Reeb pairs to every twist.  The ``flat_det`` group covers
 criterion 12's 50 matrices: the spectral and Mellin values and the quadrature
 estimate; it was generated at commit aa28ca3, before the heat traces and the
-unitary contraction family shared one matrix exponential.
+unitary contraction family shared one matrix exponential.  The ``observables``
+group covers criterion 10: its monomial basis and the Laplacian of each basis
+element, its seeded products, Laplacians and antibrackets, both gauge charts'
+weights, damped Laplacians and Gaussian expectations, and the criterion's own
+result; each monomial is rendered by its variable names and powers, so the
+group does not depend on how a key is stored.  It was generated at commit
+22c10c3, before a monomial key became one sorted word of variable indices.
 
 Regenerate the file (only for a change meant to move digits) with
 
@@ -46,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zetabf import bv, complexes, orbits, verification, zeta
+from zetabf import bv, complexes, observables, orbits, verification, zeta
 from zetabf.graded import flat_det
 from zetabf.verification import (
     CAT_MAP,
@@ -136,13 +142,65 @@ def _gauge_values(fs, gs, groups):
     groups["is_lagrangian"] += [rep.isotropy, rep.isotropy, rep.cross_pairing_min_sv]
 
 
+def _monomial(chart, key):
+    """``key`` as its variable names with powers, in chart order ("1" for the
+    constant)."""
+    evens, odds = key
+    powers = dict(evens)
+    powers.update((v, 1) for v in odds)
+    return "*".join(chart.variables[v] + (f"^{e}" if e > 1 else "")
+                    for v, e in sorted(powers.items())) or "1"
+
+
+def _terms(p):
+    """An observable's term count, then each monomial and its coefficient,
+    in the order the terms are stored."""
+    out = [str(len(p.terms))]
+    for key, coeff in p.terms.items():
+        out += [_monomial(p.chart, key), coeff]
+    return out
+
+
+def _observable_values():
+    """Criterion 10's numbers, on its chart, seeds and gauges."""
+    d, br = observables.bv_laplacian, observables.antibracket
+    chart = observables.DarbouxChart(
+        (("x", "xi"), ("c", "cb"), ("y", "eta")), (0, 1, -2), max_word_length=12)
+    values = []
+    for m in observables.monomial_basis(chart, 4):
+        values += _terms(m) + _terms(d(m))
+    rng = np.random.default_rng(SEED + 4)
+    for _ in range(40):
+        pf, pg = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+        f = observables.random_observable(chart, rng, degree=3, terms=5, parity=pf)
+        g = observables.random_observable(chart, rng, degree=3, terms=5, parity=pg)
+        sf = (-1) ** pf
+        id1 = d(f * g) - (d(f) * g + f * d(g) * sf + br(f, g) * sf)
+        id2 = d(br(f, g)) - (br(d(f), g) + br(f, d(g)) * (-sf))
+        for p in (f, g, f * g, d(f), d(g), br(f, g), id1, id2):
+            values += _terms(p)
+    tc = complexes.mapping_torus_complex(CAT_MAP, math.pi)
+    fs = bv.build_bf_fields(tc)
+    for gauge in (bv.metric_gauge(fs), bv.contraction_gauge(fs, bv.hodge_contraction(tc))):
+        chart_g, on_vars = bv.gauge_polarization(fs, gauge, max_word_length=10)
+        weight = verification._damping_weight(chart_g, on_vars, rng)
+        values += _terms(weight)
+        for _ in range(25):
+            h = observables.random_observable(chart_g, rng, degree=3, terms=5)
+            g_obs = d(h, weight=weight)
+            values += _terms(h) + _terms(g_obs)
+            values += list(observables.gaussian_expectation(g_obs, on_vars, weight))
+    name, ok, detail = verification.criterion_10_bv_identities()
+    return values + [name, str(ok), detail]
+
+
 def parity_groups():
     """Group name -> the numbers of that group, in a fixed order."""
     groups = {name: [] for name in ("torsion_routes", "schwarz", "det_relations", "Z",
                                     "is_lagrangian", "scan", "log_zeta_k", "cycle_zeta",
                                     "flat_trace", "loaded_spectrum", "poincare",
                                     "primitive_orbits", "chart", "rank_cut",
-                                    "twists", "flat_det")}
+                                    "twists", "flat_det", "observables")}
     tori = _mapping_tori()
 
     # criteria 6 and 7: torsion routes, Schwarz and the determinant relations
@@ -286,6 +344,9 @@ def parity_groups():
     for a in verification._criterion_12_matrices():
         r = flat_det(a)
         groups["flat_det"] += [r.value, r.mellin_value, r.quadrature_error_estimate]
+
+    # criterion 10: the BV algebra and the damped Gaussian expectations
+    groups["observables"] = _observable_values()
     return groups
 
 
