@@ -1,13 +1,23 @@
 """Polynomial observables on odd symplectic Darboux charts.
 
-Monomials are kept in a canonical normal order (even variables as exponent
-maps, odd variables as ascending index tuples with Koszul signs tracked on
-every reordering).  The BV Laplacian is the mixed second derivative over
-conjugate pairs with the sign (-1)^{|field|}; the antibracket uses right
-derivatives in the first slot and left derivatives in the second.  Gaussian
-expectations integrate even coordinates by Wick pairing against the inverse
-of the weight's Hessian and odd coordinates by Berezin extraction of the top
-monomial; odd variables integrate in descending order, so that
+A monomial is stored as its word of variable indices in ascending order: an
+even variable repeats once per power and an odd one appears at most once, so
+the constant is () and variable i is (i,).  One rule gives every Koszul sign
+(``_koszul``): an odd variable moving past a run of letters picks up (-1) to
+the number of odd letters in the run.  A product sorts the two words together
+and takes that sign for each odd letter of the right factor past the left
+factor's letters above it (a repeated odd letter gives zero); a derivative
+removes one occurrence of its letter, an even letter with its count as
+factor, an odd one with the sign over the letters before it (left) or after
+it (right).  Terms keep their insertion order, so every coefficient sum runs
+in the order its terms arose.
+
+The BV Laplacian is the mixed second derivative over conjugate pairs with the
+sign (-1)^{|field|}; the antibracket uses right derivatives in the first slot
+and left derivatives in the second.  Gaussian expectations integrate even
+coordinates by Wick pairing against the inverse of the weight's Hessian and
+odd coordinates by Berezin extraction of the top monomial; odd variables
+integrate in descending order, so that
 int d(xi_n) ... d(xi_1) xi_1 ... xi_n = 1.  A chart stores its variable table
 (names and parities), which every derivative, sign and Berezin split reads.
 """
@@ -22,8 +32,9 @@ import numpy as np
 
 from .errors import DegreeOverflowError, IndefiniteWeightError
 
-# monomial key: (evens, odds) with evens = ((var, exp), ...) and odds = (var, ...)
-Monomial = Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]
+# monomial key: the word of variable indices in ascending order, an even
+# variable once per power, an odd one at most once
+Monomial = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -76,16 +87,11 @@ class PolyObservable:
 
     @classmethod
     def constant(cls, chart: DarbouxChart, value: complex) -> "PolyObservable":
-        return cls(chart, {((), ()): complex(value)})
+        return cls(chart, {(): complex(value)})
 
     @classmethod
     def variable(cls, chart: DarbouxChart, name: str) -> "PolyObservable":
-        idx = chart.index(name)
-        if chart.parity_of(idx) == 0:
-            key: Monomial = (((idx, 1),), ())
-        else:
-            key = ((), (idx,))
-        return cls(chart, {key: 1.0 + 0.0j})
+        return cls(chart, {(chart.index(name),): 1.0 + 0.0j})
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -93,21 +99,14 @@ class PolyObservable:
         return not self.terms
 
     def word_length(self) -> int:
-        out = 0
-        for evens, odds in self.terms:
-            out = max(out, sum(e for _, e in evens) + len(odds))
-        return out
+        return max(map(len, self.terms), default=0)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def parity(self) -> Optional[int]:
         """Mod-2 parity if homogeneous, else None."""
-        seen = set()
-        for evens, odds in self.terms:
-            p = sum(self.chart.parity_of(v) * e for v, e in evens)
-            p += sum(self.chart.parity_of(v) for v in odds)
-            seen.add(p % 2)
+        seen = {sum(self.chart.parities[v] for v in key) % 2 for key in self.terms}
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
@@ -128,13 +127,12 @@ class PolyObservable:
             return PolyObservable(self.chart,
                                   {k: v * other for k, v in self.terms.items()})
         out: Dict[Monomial, complex] = {}
-        for (ev1, od1), c1 in self.terms.items():
-            for (ev2, od2), c2 in other.terms.items():
-                key, sign = _merge(ev1, od1, ev2, od2)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key, sign = _merge(k1, k2, self.chart.parities)
                 if sign == 0:
                     continue
-                coeff = c1 * c2 * sign
-                out[key] = out.get(key, 0.0) + coeff
+                out[key] = out.get(key, 0.0) + c1 * c2 * sign
         prod = PolyObservable(self.chart, out)
         if prod.word_length() > self.chart.max_word_length:
             raise DegreeOverflowError(
@@ -149,43 +147,29 @@ class PolyObservable:
 
     def _derivative(self, idx: int, from_left: bool) -> "PolyObservable":
         out: Dict[Monomial, complex] = {}
-        odd = self.chart.parity_of(idx) == 1
-        for (evens, odds), coeff in self.terms.items():
-            if odd:
-                if idx not in odds:
-                    continue
-                pos = odds.index(idx)
-                sign = (-1) ** pos if from_left else (-1) ** (len(odds) - 1 - pos)
-                key = (evens, odds[:pos] + odds[pos + 1:])
-                out[key] = out.get(key, 0.0) + coeff * sign
+        parities = self.chart.parities
+        for word, coeff in self.terms.items():
+            if idx not in word:
+                continue
+            pos = word.index(idx)
+            if parities[idx]:
+                factor = _koszul(parities, word[:pos] if from_left else word[pos + 1:])
             else:
-                ev = dict(evens)
-                if idx not in ev:
-                    continue
-                e = ev[idx]
-                if e == 1:
-                    del ev[idx]
-                else:
-                    ev[idx] = e - 1
-                key = (tuple(sorted(ev.items())), odds)
-                out[key] = out.get(key, 0.0) + coeff * e
+                factor = word.count(idx)
+            key = word[:pos] + word[pos + 1:]
+            out[key] = out.get(key, 0.0) + coeff * factor
         return PolyObservable(self.chart, out)
 
     def substitute_zero(self, names: Iterable[str]) -> "PolyObservable":
         """Set the listed variables to zero."""
         idxs = {self.chart.index(n) for n in names}
-        out = {}
-        for (evens, odds), coeff in self.terms.items():
-            if any(v in idxs for v, _ in evens) or any(v in idxs for v in odds):
-                continue
-            out[(evens, odds)] = coeff
-        return PolyObservable(self.chart, out)
+        return PolyObservable(self.chart, {key: coeff for key, coeff in self.terms.items()
+                                           if idxs.isdisjoint(key)})
 
     def exp_nilpotent(self) -> "PolyObservable":
         """exp of a polynomial with no even variables (finite series)."""
-        for evens, _ in self.terms:
-            if evens:
-                raise ValueError("exp_nilpotent requires a purely odd-generated input")
+        if any(self.chart.parities[v] == 0 for key in self.terms for v in key):
+            raise ValueError("exp_nilpotent requires a purely odd-generated input")
         result = PolyObservable.constant(self.chart, 1.0)
         power = PolyObservable.constant(self.chart, 1.0)
         n_odd = sum(self.chart.parities)
@@ -197,28 +181,23 @@ class PolyObservable:
         return result
 
 
-def _merge(ev1, od1, ev2, od2) -> Tuple[Monomial, int]:
-    """Normal-ordered product of two monomial keys with its Koszul sign."""
-    ev = dict(ev1)
-    for v, e in ev2:
-        ev[v] = ev.get(v, 0) + e
-    # merge odd tuples, counting inversions; repeated odd variable kills it
-    merged: List[int] = []
+def _koszul(parities: Sequence[int], letters: Iterable[int]) -> int:
+    """The sign an odd variable picks up moving past ``letters``: (-1) to the
+    number of odd letters among them."""
+    return -1 if sum(parities[v] for v in letters) % 2 else 1
+
+
+def _merge(a: Monomial, b: Monomial, parities: Sequence[int]) -> Tuple[Monomial, int]:
+    """The product of two monomial words and its Koszul sign: each odd letter
+    of ``b`` moves past the letters of ``a`` above it.  A repeated odd letter
+    gives sign 0."""
     sign = 1
-    i = j = 0
-    a, b = list(od1), list(od2)
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return ((), ()), 0
-        if a[i] < b[j]:
-            merged.append(a[i]); i += 1
-        else:
-            # b[j] moves past the remaining len(a)-i odd letters
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            merged.append(b[j]); j += 1
-    merged.extend(a[i:]); merged.extend(b[j:])
-    return (tuple(sorted(ev.items())), tuple(merged)), sign
+    for y in b:
+        if parities[y]:
+            if y in a:
+                return (), 0
+            sign *= _koszul(parities, (x for x in a if x > y))
+    return tuple(sorted(a + b)), sign
 
 
 def random_observable(chart: DarbouxChart, rng: np.random.Generator,
@@ -292,35 +271,27 @@ def _wick(cov: np.ndarray, idx: List[int]) -> float:
 def _quadratic_data(weight: PolyObservable, even_vars: List[int], odd_vars: List[int]):
     """Split a quadratic weight into its even Hessian and odd pairing parts."""
     chart = weight.chart
-    n_e, n_o = len(even_vars), len(odd_vars)
     epos = {v: i for i, v in enumerate(even_vars)}
-    opos = {v: i for i, v in enumerate(odd_vars)}
-    hess = np.zeros((n_e, n_e))
+    on = (set(even_vars), set(odd_vars))
+    hess = np.zeros((len(even_vars), len(even_vars)))
     odd_part = PolyObservable.constant(chart, 0.0)
-    for (evens, odds), coeff in weight.terms.items():
-        length = sum(e for _, e in evens) + len(odds)
-        if length != 2:
+    for key, coeff in weight.terms.items():
+        if len(key) != 2:
             raise ValueError("weight must be purely quadratic")
-        if odds and evens:
+        v1, v2 = key
+        odd = chart.parities[v1]
+        if chart.parities[v2] != odd:
             raise ValueError("weight mixes parities within one monomial")
-        if evens:
-            if abs(coeff.imag) > 1e-14:
-                raise IndefiniteWeightError("even weight must be real")
-            if len(evens) == 1 and evens[0][1] == 2:
-                v = evens[0][0]
-                if v not in epos:
-                    raise ValueError("weight involves a non-Lagrangian variable")
-                hess[epos[v], epos[v]] += 2.0 * coeff.real
-            else:
-                (v1, _), (v2, _) = evens
-                if v1 not in epos or v2 not in epos:
-                    raise ValueError("weight involves a non-Lagrangian variable")
-                hess[epos[v1], epos[v2]] += coeff.real
-                hess[epos[v2], epos[v1]] += coeff.real
+        if not odd and abs(coeff.imag) > 1e-14:
+            raise IndefiniteWeightError("even weight must be real")
+        if not on[odd].issuperset(key):
+            raise ValueError("weight involves a non-Lagrangian variable")
+        if odd:
+            odd_part = odd_part + PolyObservable(chart, {key: coeff})
         else:
-            if any(v not in opos for v in odds):
-                raise ValueError("weight involves a non-Lagrangian variable")
-            odd_part = odd_part + PolyObservable(chart, {(evens, odds): coeff})
+            # x^2 adds its coefficient twice to one entry: exactly 2c
+            hess[epos[v1], epos[v2]] += coeff.real
+            hess[epos[v2], epos[v1]] += coeff.real
     return hess, odd_part
 
 
@@ -357,7 +328,6 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
 
     odd_factor = (odd_part * (-1.0)).exp_nilpotent()
     damped = p.substitute_zero(off) * odd_factor
-    normal = odd_factor
 
     epos = {v: i for i, v in enumerate(even_vars)}
     top = tuple(odd_vars)
@@ -365,20 +335,18 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     def integrate(poly: PolyObservable):
         total = 0.0 + 0.0j
         scale = 0.0
-        for (evens, odds), coeff in poly.terms.items():
-            if odds != top:
+        for key, coeff in poly.terms.items():
+            if tuple(v for v in key if chart.parities[v]) != top:
                 continue
-            idx = []
-            for v, e in evens:
-                if v not in epos:
-                    raise ValueError("stray non-Lagrangian variable survived")
-                idx.extend([epos[v]] * e)
+            idx = [epos.get(v) for v in key if not chart.parities[v]]
+            if None in idx:
+                raise ValueError("stray non-Lagrangian variable survived")
             moment = coeff * _wick(cov, idx)
             total += moment
             scale = max(scale, abs(moment))
         return total, scale
 
-    z_odd, _ = integrate(normal)
+    z_odd, _ = integrate(odd_factor)
     if abs(z_odd) < 1e-300:
         raise IndefiniteWeightError("odd part of the weight is degenerate")
     value, scale = integrate(damped)
@@ -386,24 +354,23 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
 
 
 def monomial_basis(chart: DarbouxChart, max_degree: int) -> List[PolyObservable]:
-    """All normal-ordered monomials of word length <= max_degree."""
-    variables = chart.variables
+    """All monomials of word length <= max_degree, each with coefficient 1,
+    layer by layer: each word of one layer extended by each chart variable."""
+    if max_degree > chart.max_word_length:
+        raise DegreeOverflowError(f"basis degree {max_degree} exceeds cap "
+                                  f"{chart.max_word_length}")
     basis: List[PolyObservable] = [PolyObservable.constant(chart, 1.0)]
-    seen = {((), ())}
-    frontier = [PolyObservable.constant(chart, 1.0)]
+    layer: List[Monomial] = [()]
+    seen = set(layer)
     for _ in range(max_degree):
-        new_frontier = []
-        for mono in frontier:
-            for name in variables:
-                prod = mono * PolyObservable.variable(chart, name)
-                if prod.is_zero():
-                    continue
-                key = next(iter(prod.terms))
-                if key in seen:
+        next_layer = []
+        for word in layer:
+            for v, odd in enumerate(chart.parities):
+                key = tuple(sorted(word + (v,)))
+                if (odd and v in word) or key in seen:
                     continue
                 seen.add(key)
-                normalized = PolyObservable(chart, {key: 1.0})
-                basis.append(normalized)
-                new_frontier.append(normalized)
-        frontier = new_frontier
+                next_layer.append(key)
+        layer = next_layer
+        basis += [PolyObservable(chart, {key: 1.0}) for key in layer]
     return basis

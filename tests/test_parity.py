@@ -48,6 +48,7 @@ import hashlib
 import math
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -145,11 +146,8 @@ def _gauge_values(fs, gs, groups):
 def _monomial(chart, key):
     """``key`` as its variable names with powers, in chart order ("1" for the
     constant)."""
-    evens, odds = key
-    powers = dict(evens)
-    powers.update((v, 1) for v in odds)
     return "*".join(chart.variables[v] + (f"^{e}" if e > 1 else "")
-                    for v, e in sorted(powers.items())) or "1"
+                    for v, e in sorted(Counter(key).items())) or "1"
 
 
 def _terms(p):
