@@ -510,8 +510,21 @@ def _isotropy(a_bases, b_bases):
     return float(worst) if np.ndim(worst) == 0 else worst
 
 
+def _check_heights(fs: BFFieldSpace, gs: GaugeSubspace) -> None:
+    """Raise DegenerateGaugeError, naming the slot and both heights, at the
+    first slot k whose A basis, B basis or B parameters do not have d_k rows:
+    such columns are not vectors of that slot."""
+    for k, (d, *mats) in enumerate(zip(fs.dims, gs.a_bases, gs.b_bases, gs.b_params)):
+        for name, m in zip(("a_bases", "b_bases", "b_params"), mats):
+            if m.shape[-2] != d:
+                raise DegenerateGaugeError(k, f"{name}[{k}] has {m.shape[-2]} rows, "
+                                              f"but slot {k} has dimension {d}")
+
+
 def _unbalanced_slot(fs: BFFieldSpace, gs: GaugeSubspace) -> Optional[int]:
-    """The first slot k whose A and B columns do not number d_k, or None."""
+    """The first slot k whose A and B columns do not number d_k, or None;
+    a basis of the wrong height raises (``_check_heights``)."""
+    _check_heights(fs, gs)
     counts = [a.shape[-1] + b.shape[-1] for a, b in zip(gs.a_bases, gs.b_bases)]
     return next((k for k, (c, d) in enumerate(zip_longest(counts, fs.dims)) if c != d), None)
 
@@ -525,11 +538,12 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     the per-slot Grams a_k^H a_k and b_k^H b_k, so its singular values come
     from one values-only SVD of each.  The swap's isotropy is the gauge's.
     """
+    unbalanced = _unbalanced_slot(fs, gs)
     iso = _isotropy(gs.a_bases, gs.b_bases)
     lowest = [np.linalg.svd(_adjoint(m) @ m, compute_uv=False)[..., -1]
               for m in [*gs.a_bases, *gs.b_bases] if m.shape[-1]]
     min_sv = np.min(lowest + [np.full(gs.a_bases[0].shape[:-2], np.inf)], axis=0)
-    ok = (_unbalanced_slot(fs, gs) is None) & (iso < ISOTROPY_TOL) & (min_sv > TRANSVERSALITY_TOL)
+    ok = (unbalanced is None) & (iso < ISOTROPY_TOL) & (min_sv > TRANSVERSALITY_TOL)
     if np.ndim(min_sv):
         return LagrangianReport(ok, iso, min_sv)
     return LagrangianReport(bool(ok), iso, float(min_sv))
@@ -548,6 +562,7 @@ def _fixed_action(fs: BFFieldSpace, gs: GaugeSubspace):
     value below the rank cut raises DegenerateContractionError, so the second
     is the gauge's distance to a degenerate one; the metric gauge's blocks
     have the record's kept s_i^2 as values and are not cut again."""
+    _check_heights(fs, gs)
     lead = gs.a_bases[0].shape[:-2]
     log_z, smallest = np.zeros(lead), np.full(lead, np.inf)
     for k, m in enumerate(restricted_action_blocks(fs, gs)):

@@ -274,6 +274,19 @@ def test_a_gauge_that_is_not_half_dimensional_is_not_lagrangian(edit):
     assert err.value.degree == k
 
 
+@pytest.mark.parametrize("entry", [is_lagrangian, partition_function, gauge_polarization],
+                         ids=["is_lagrangian", "partition_function", "gauge_polarization"])
+def test_a_gauge_basis_of_the_wrong_height_is_refused(entry):
+    fs = build_bf_fields(mapping_torus_complex(CAT, 2.0))
+    gs = metric_gauge(fs)
+    a = gs.a_bases[1]
+    gs.a_bases[1] = np.concatenate([a, np.zeros((1, a.shape[1]))])
+    with pytest.raises(DegenerateGaugeError,
+                       match=r"a_bases\[1\] has 4 rows, but slot 1 has dimension 3") as err:
+        entry(fs, gs)
+    assert err.value.degree == 1
+
+
 def _cat_rank_twist(r, rng):
     """Cat-map mapping torus twisted by a random rank-r unitary on t
     (dimension 8r), with eigenphases kept away from 0."""
