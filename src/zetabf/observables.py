@@ -269,7 +269,8 @@ def _wick(cov: np.ndarray, idx: List[int]) -> float:
 
 
 def _quadratic_data(weight: PolyObservable, even_vars: List[int], odd_vars: List[int]):
-    """Split a quadratic weight into its even Hessian and odd pairing parts."""
+    """Split a quadratic weight into its even Hessian and odd pairing parts.
+    An even coefficient must be real to 1e-14 of its modulus."""
     chart = weight.chart
     epos = {v: i for i, v in enumerate(even_vars)}
     on = (set(even_vars), set(odd_vars))
@@ -282,7 +283,7 @@ def _quadratic_data(weight: PolyObservable, even_vars: List[int], odd_vars: List
         odd = chart.parities[v1]
         if chart.parities[v2] != odd:
             raise ValueError("weight mixes parities within one monomial")
-        if not odd and abs(coeff.imag) > 1e-14:
+        if not odd and abs(coeff.imag) > 1e-14 * abs(coeff):
             raise IndefiniteWeightError("even weight must be real")
         if not on[odd].issuperset(key):
             raise ValueError("weight involves a non-Lagrangian variable")

@@ -1,5 +1,7 @@
 """Polynomial BV engine: Laplacian, antibracket, Gaussian/Berezin integrals."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ def test_indefinite_weight_rejected():
     x = var(PAIR, "x")
     with pytest.raises(IndefiniteWeightError):
         gaussian_expectation(x, ["x"], x * x * (-0.5))
+
+
+def test_even_weight_realness_is_relative():
+    # the imaginary part is held to 1e-14 of the coefficient's modulus
+    x = var(PAIR, "x")
+    with pytest.raises(IndefiniteWeightError, match="real"):
+        gaussian_expectation(x * x, ["x"], x * x * (1e-20 + 1e-15j))
+    # <x^2> under e^(-a x^2) is 1 / (2a)
+    assert gaussian_expectation(x * x, ["x"], x * x * (1e20 + 1e5j))[0] == \
+        pytest.approx(5e-21, rel=1e-14)
 
 
 def test_degenerate_odd_weight_rejected():
@@ -221,3 +233,45 @@ def test_chart_table():
     # the table is derived: equality and hashing read the declared fields
     twin = DarbouxChart(chart.pairs, degrees)
     assert twin == chart and hash(twin) == hash(chart)
+
+
+@pytest.mark.parametrize("chart", [MIXED, WITH_ODD], ids=["MIXED", "WITH_ODD"])
+def test_products_of_variables_carry_the_koszul_sign(chart):
+    # x_{l_1} ... x_{l_n} in a random order is its sorted word times (-1) to
+    # the inversions among its odd letters, and zero when an odd letter repeats
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        letters = [int(i) for i in rng.integers(len(chart.variables), size=rng.integers(1, 7))]
+        got = PolyObservable.constant(chart, 1.0)
+        for i in letters:
+            got = got * var(chart, chart.variables[i])
+        odd = [i for i in letters if chart.parity_of(i)]
+        if len(set(odd)) < len(odd):
+            assert got.is_zero()
+            continue
+        inversions = sum(a > b for j, a in enumerate(odd) for b in odd[j + 1:])
+        want = PolyObservable.constant(chart, (-1.0) ** inversions)
+        for i in sorted(letters):
+            want = want * var(chart, chart.variables[i])
+        assert got.terms == want.terms == {tuple(sorted(letters)): (-1.0) ** inversions}
+
+
+@pytest.mark.parametrize("chart", [PAIR, MIXED, WITH_ODD], ids=["PAIR", "MIXED", "WITH_ODD"])
+def test_monomial_basis_count_is_closed_form(chart):
+    # k distinct odd letters and a multiset of at most D - k even letters
+    n_odd = sum(chart.parities)
+    n_even = len(chart.variables) - n_odd
+    for degree in range(6):
+        basis = monomial_basis(chart, degree)
+        keys = {key for m in basis for key in m.terms}
+        want = sum(comb(n_odd, k) * comb(n_even + degree - k, degree - k)
+                   for k in range(min(n_odd, degree) + 1))
+        assert len(basis) == len(keys) == want
+        assert all(len(m.terms) == 1 and m.word_length() <= degree for m in basis)
+    assert len(monomial_basis(MIXED, 4)) == 129
+
+
+def test_monomial_basis_beyond_the_cap_overflows():
+    assert len(monomial_basis(PAIR, PAIR.max_word_length)) == 2 * PAIR.max_word_length + 1
+    with pytest.raises(DegreeOverflowError):
+        monomial_basis(PAIR, PAIR.max_word_length + 1)
