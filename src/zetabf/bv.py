@@ -537,6 +537,7 @@ def is_lagrangian(fs: BFFieldSpace, gs: GaugeSubspace) -> LagrangianReport:
     That pairing's Gram matrix is, up to order and signs, the direct sum of
     the per-slot Grams a_k^H a_k and b_k^H b_k, so its singular values come
     from one values-only SVD of each.  The swap's isotropy is the gauge's.
+    A basis without d_k rows in slot k raises DegenerateGaugeError.
     """
     unbalanced = _unbalanced_slot(fs, gs)
     iso = _isotropy(gs.a_bases, gs.b_bases)
@@ -588,7 +589,8 @@ def partition_function(fs: BFFieldSpace, gs: GaugeSubspace) -> float:
     the base.  Contraction gauge: equals |sdet(L restricted to ker iota)| with
     L = iota d + d iota, whose degree-k block is restricted_action_blocks[k]
     for a unitary-normalised contraction.  A stacked contraction gauge gives
-    one Z per member; only a contraction gauge is tested for degeneracy.
+    one Z per member; only a contraction gauge is tested for degeneracy.  A
+    basis without d_k rows in slot k raises DegenerateGaugeError.
     """
     return _fixed_action(fs, gs)[0]
 

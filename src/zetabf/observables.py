@@ -331,13 +331,13 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     damped = p.substitute_zero(off) * odd_factor
 
     epos = {v: i for i, v in enumerate(even_vars)}
-    top = tuple(odd_vars)
 
     def integrate(poly: PolyObservable):
         total = 0.0 + 0.0j
         scale = 0.0
         for key, coeff in poly.terms.items():
-            if tuple(v for v in key if chart.parities[v]) != top:
+            # only the top odd monomial survives Berezin integration
+            if [v for v in key if chart.parities[v]] != odd_vars:
                 continue
             idx = [epos.get(v) for v in key if not chart.parities[v]]
             if None in idx:
