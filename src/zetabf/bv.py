@@ -22,28 +22,32 @@ Everything here reads the base complex's stored differentials, which
 contraction of a mapping torus reads the complex's ``suspension`` pairs, which
 ``build_twisted_complex`` carries from the cell complex at any rank.
 
-Shared factorisations: the metric gauge and the Hodge contraction read the
-same exact/coexact bases (``TwistedComplex.hodge_bases``, one SVD with
-vectors per differential, cut at the rank of the complex's spectral record),
-and random contractions take their ranks from that record.  A contraction
-reads its degree dimensions off the shapes of iota, validates itself once, on
-construction, and carries its kernel splits: per degree the kernel of iota_k
-and its orthogonal complement, which its validation and gauge read.  The
-constructors (Hodge, random, suspension, homotopy families) build only iota:
-a contraction is defined by it and derives a = iota^dagger itself.  A
-random contraction hands over the Haar-random splits it is drawn from, so
-neither iota_k nor its kernel is factorised; the Hodge and Reeb contractions
-find theirs on construction, by one SVD of iota_k for the kernel and one of
-the kernel for the complement.  A homotopy family rotates the Hodge iota
-(``_hodge_iota``) without building the Hodge contraction, and its stack takes
-those two SVDs once per degree for all its samples: the factorisations behind
-the Z and isotropy digits that ``bf`` prints.  The restricted action blocks are
-L = iota d + d iota on ker iota (for a Reeb contraction, the zeta factors);
-their SVDs and those of ``is_lagrangian``'s basis Grams stay separate: they
-are the checks that the gauge-fixed side reproduces the torsion.  The metric
-gauge's blocks (d_k c_k)* d_k c_k, c_k the record's coexact basis, have the
-record's kept s_i^2 as singular values; ``nonzero_mask`` cuts only what the
-record does not fix, the kernels of iota and the contraction gauges' blocks.
+Shared factorisations: the metric gauge and the Hodge contraction, its
+iota and its kernel splits, read the same exact/coexact bases
+(``TwistedComplex.hodge_bases``, one SVD with vectors per differential, cut
+at the rank of the complex's spectral record), and random contractions take
+their ranks from that record.  A contraction reads its degree dimensions off
+the shapes of iota, validates itself once, on construction, and carries its
+kernel splits: per degree the kernel of iota_k and its orthogonal
+complement, which its validation and gauge read.  The constructors (Hodge,
+random, suspension, homotopy families) build iota, and a contraction derives
+a = iota^dagger itself.  A constructor that knows its splits hands them
+over, and construction checks them by matrix products alone: the Hodge
+contraction the coexact/exact bases, the Reeb contraction coordinate
+columns, a random contraction the Haar-random splits it is drawn from; none
+of them factorises iota_k or its kernel.  Only the homotopy family and a bare
+``Contraction(iota)`` find their splits by SVD, on construction: one of
+iota_k for the kernel and one of the kernel for the complement.  A homotopy
+family rotates the Hodge iota (``_hodge_iota``) without building the Hodge
+contraction, and its stack takes those two SVDs once per degree for all its
+samples: the factorisations behind the scan digits that ``bf`` prints.  The
+restricted action blocks are L = iota d + d iota on ker iota (for a Reeb
+contraction, the zeta factors); their SVDs and those of ``is_lagrangian``'s
+basis Grams stay separate: they are the checks that the gauge-fixed side
+reproduces the torsion.  The metric gauge's blocks (d_k c_k)* d_k c_k, c_k
+the record's coexact basis, have the record's kept s_i^2 as singular values;
+``nonzero_mask`` cuts only what the record does not fix, the kernels of iota
+and the contraction gauges' blocks.
 
 Stacked draws and scans: every map of a contraction may carry one leading
 sample axis, and the contraction, its gauge, ``partition_function`` and
@@ -400,8 +404,20 @@ def _hodge_iota(tc: TwistedComplex) -> List[np.ndarray]:
 
 def hodge_contraction(tc: TwistedComplex) -> Contraction:
     """Polar-isometry contraction: iota_(k+1) is the adjoint of the partial
-    isometry part of d_k (initial space coexact, final space exact)."""
-    return Contraction(_hodge_iota(tc))
+    isometry part of d_k (initial space coexact, final space exact).
+
+    Its kernel splits come from the same ``hodge_bases`` and take no SVD:
+    ker iota_k is the coexact subspace of C^k and its complement the exact
+    one, im d_(k-1); in degree 0 the kernel is all of C^0 (the identity), in
+    the top degree it is empty.  The gauge therefore has the metric gauge's
+    bases in every degree but 0."""
+    iota = _hodge_iota(tc)
+    bases = tc.hodge_bases
+    d0 = tc.dims[0]
+    splits = [(np.eye(d0), np.zeros((d0, 0)))]
+    splits += [(c, e) for (_, c), (e, _) in zip(bases[1:], bases)]
+    splits.append((np.zeros((tc.dims[-1], 0)), bases[-1][0]))
+    return Contraction(iota, splits)
 
 
 def random_contraction(tc: TwistedComplex, rng: np.random.Generator,
@@ -450,16 +466,26 @@ def random_contraction(tc: TwistedComplex, rng: np.random.Generator,
 def suspension_contraction(tc: TwistedComplex) -> Contraction:
     """The Reeb-direction contraction of a mapping-torus complex: iota kills
     base cells and sends each (cell x I) to its base cell, as the complex's
-    ``suspension`` pairs them (the cell complex's pairs, at the twist's rank)."""
+    ``suspension`` pairs them (the cell complex's pairs, at the twist's rank).
+
+    Its kernel splits are coordinate columns and take no SVD: per degree,
+    ker iota_k is spanned by the cells that are not a (cell x I), its
+    complement by those that are."""
     if tc.suspension is None:
         raise DegenerateContractionError("complex carries no suspension structure")
     iota = [np.zeros((0, tc.dims[0]))]
-    for k in range(1, tc.top_degree + 1):
-        m = np.zeros((tc.dims[k - 1], tc.dims[k]))
-        for src, dst in tc.suspension[k]:
-            m[dst, src] = 1.0
-        iota.append(m)
-    return Contraction(iota)
+    splits = []
+    for k, d in enumerate(tc.dims):
+        lifted = np.zeros(d, dtype=bool)
+        if k:
+            m = np.zeros((tc.dims[k - 1], d))
+            for src, dst in tc.suspension[k]:
+                m[dst, src] = 1.0
+                lifted[src] = True
+            iota.append(m)
+        eye = np.eye(d)
+        splits.append((eye[:, ~lifted], eye[:, lifted]))
+    return Contraction(iota, splits)
 
 
 def contraction_gauge(fs: BFFieldSpace, c: Contraction) -> GaugeSubspace:

@@ -19,10 +19,12 @@ total word length: a mapping torus of A costs O(|a_ij|), not its square.
 
 Torsion is computed two ways and cross-checked: the alternating product of
 flat determinants of the Laplacians, and Schwarz's coexact product over
-det(d_k* d_k).  The resolution-based partition function assembles the
-resolution operators explicitly, with the second field tower living in the
-dual complex (transposed differentials), which is what the manifold picture
-degenerates to once Hodge duality is stripped away.
+det(d_k* d_k).  The resolution-based partition function reads the
+resolution operators as block-diagonal matrices, with the second field tower
+living in the dual complex (transposed differentials), which is what the
+manifold picture degenerates to once Hodge duality is stripped away; it
+factorises each diagonal block on its own and merges their values, so no
+block-diagonal assembly is ever factorised.
 
 A complex with Gram matrices is stored in its isometric presentation
 G^(1/2) d G^(-1/2), the only way torsion and the partition functions see the
@@ -34,11 +36,12 @@ values of each d_k (``nonzero_mask``) is the complex's one rank decision:
 Betti numbers, acyclicity, both torsion routes, the Schwarz blocks, relations
 (1) and (3) and the bases of the BV gauges read its ranks.  Factorisations of
 other matrices stay separate because they are cross-checks (relation (1)
-takes its own SVD of d_k*, the Schwarz resolution factorises the blocks it
-assembles), but each keeps its largest values, as many as the record's ranks
-give it, and cuts nothing again.  The exact/coexact bases of the BV gauges
-come from a second, with-vectors SVD (``hodge_bases``), cut at the record's
-rank.
+takes its own SVD of d_k*, the Schwarz resolution factorises the diagonal
+blocks of its operators: d_1* d_1 and its dual twin, d_0 and d_2^T), but
+each keeps its largest values, as many as the record's ranks give it, and
+cuts nothing again.  The exact/coexact bases of the BV gauges (the metric
+gauge's, and the Hodge contraction's iota and kernel splits) come from a
+second, with-vectors SVD (``hodge_bases``), cut at the record's rank.
 """
 
 from __future__ import annotations
@@ -102,17 +105,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it (for arrays that caches depend on)."""
     a.setflags(write=False)
     return a
-
-
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix of 2-D blocks, in the dtype they promote to."""
-    rows, cols = (sum(b.shape[i] for b in blocks) for i in (0, 1))
-    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
 
 
 def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -314,9 +306,12 @@ def _log_sum(x: np.ndarray) -> float:
     return float(np.sum(np.log(x)))
 
 
-def _logdet_top_sq(matrix: np.ndarray, count: int) -> float:
-    """Sum of log(sigma^2) over the largest ``count`` singular values."""
-    return 2.0 * _log_sum(np.linalg.svd(matrix, compute_uv=False)[:count])
+def _logdet_top_sq(blocks: Sequence[np.ndarray], count: int) -> float:
+    """Sum of log(sigma^2) over the largest ``count`` singular values of the
+    block-diagonal matrix of ``blocks``, from one values-only SVD per block,
+    merged descending as the SVD of one block gives them."""
+    s = -np.sort(-np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
+    return 2.0 * _log_sum(s[:count])
 
 
 def _gram_root(g: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -558,16 +553,19 @@ def analytic_torsion(tc: TwistedComplex) -> float:
 def schwarz_partition(tc: TwistedComplex) -> float:
     """Partition function of the resolution of the BF action kernel.
 
-    Assembles T, T_1, ..., T_k as explicit block matrices (the B tower in the
-    dual complex, i.e. transposed differentials) and returns
+    The operators T^2, T_1, ..., T_k are block-diagonal (the B tower in the
+    dual complex, i.e. transposed differentials); the result is
 
         det_flat(T^2)^(-1/4) * prod_k det_flat(T_k T_k*)^((-1)^(k+1)/2).
 
     For a one-degree complex the resolution degenerates and the coexact
-    product is returned directly.  Each block keeps its largest values, as
-    many as the spectral record's ranks give it.  The result is held to the
-    coexact route as ``analytic_torsion`` holds the Laplacian route
-    (``_cross_check``): beyond that, ZetaBFError.
+    product is returned directly.  Each diagonal block is factorised on its
+    own (eigvalsh for the blocks of T^2, a values-only SVD for those of T_k)
+    and the blocks' values are merged, so no block-diagonal matrix is
+    assembled.  Each operator keeps its largest merged values, as many as the
+    spectral record's ranks give it.  The result is held to the coexact route
+    as ``analytic_torsion`` holds the Laplacian route (``_cross_check``):
+    beyond that, ZetaBFError.
     """
     tc.require_acyclic()
     n = tc.top_degree
@@ -578,18 +576,18 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     ranks = tc.spectrum.ranks
     d = tc.diffs
 
-    # T^2 = diag(d_1* d_1, dual twin): eigvalsh ascends, so the kept values
-    # are its last 2 rank d_1.
-    t_sq = _block_diag(d[1].conj().T @ d[1], np.conj(d[1]) @ d[1].T)
-    log_z = -0.25 * _log_sum(np.linalg.eigvalsh(t_sq)[len(t_sq) - 2 * ranks[1]:])
+    # T^2 = diag(d_1* d_1, dual twin): the merged values ascend, so the kept
+    # ones are the last 2 rank d_1.
+    t_sq = np.sort(np.concatenate([np.linalg.eigvalsh(d[1].conj().T @ d[1]),
+                                   np.linalg.eigvalsh(np.conj(d[1]) @ d[1].T)]))
+    log_z = -0.25 * _log_sum(t_sq[len(t_sq) - 2 * ranks[1]:])
 
-    # Ghost towers (T_k, rank), the dual tower's differentials d^T:
+    # Ghost towers (blocks of T_k, rank), the dual tower's differentials d^T:
     # T_1 = diag(d_0, d_2^T) (d_2^T for N >= 3), T_k = d_(k+1)^T for 2 <= k <= N-2.
-    towers = [(_block_diag(d[0], d[2].T), ranks[0] + ranks[2]) if n >= 3
-              else (_block_diag(d[0]), ranks[0])]
-    towers += [(d[k + 1].T, ranks[k + 1]) for k in range(2, n - 1)]
-    for k, (t_k, rank) in enumerate(towers, start=1):
-        log_z += 0.5 * (-1) ** (k + 1) * _logdet_top_sq(t_k, rank)
+    towers = [((d[0], d[2].T), ranks[0] + ranks[2]) if n >= 3 else ((d[0],), ranks[0])]
+    towers += [((d[k + 1].T,), ranks[k + 1]) for k in range(2, n - 1)]
+    for k, (blocks, rank) in enumerate(towers, start=1):
+        log_z += 0.5 * (-1) ** (k + 1) * _logdet_top_sq(blocks, rank)
     z = math.exp(log_z)
     _cross_check("schwarz", z, math.exp(_log_coexact_torsion(tc.spectrum)))
     return z
@@ -623,7 +621,7 @@ def det_relations_report(tc: TwistedComplex) -> DetRelationsReport:
     tc.require_acyclic()
     n, spec = tc.top_degree, tc.spectrum
     ell = spec.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
-    res1 = _worst(abs(_logdet_top_sq(d.conj().T, r) - e)
+    res1 = _worst(abs(_logdet_top_sq([d.conj().T], r) - e)
                   for d, r, e in zip(tc.diffs, spec.ranks, ell))
     ends = (0.0,) + ell + (0.0,)        # ends[k] + ends[k + 1]: relation (3)'s target at k
     res3 = _worst(abs(lap - (ends[k] + ends[k + 1]))

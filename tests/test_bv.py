@@ -726,15 +726,14 @@ def test_split_contraction_gauge_takes_no_svd(monkeypatch):
     gs = contraction_gauge(fs, random_contraction(tc, rng))
     assert calls == []
     assert is_lagrangian(fs, gs).ok
-    # without a split, two SVDs per degree find it: none in degree 0, whose
-    # kernel fills C^0, and no complement SVD in the top degree, whose kernel
-    # is empty
+    # the Hodge contraction reads its split off the complex's hodge_bases:
+    # C^0 whole in degree 0, an empty kernel in the top degree
     tc.hodge_bases                        # the Hodge iota's own SVDs
     calls.clear()
     hodge = hodge_contraction(tc)
     assert hodge.splits[0][1].shape == (tc.dims[0], 0)
     assert hodge.splits[-1][0].shape == (tc.dims[-1], 0)
-    assert len(calls) == 2 * tc.top_degree - 1
+    assert calls == []
 
 
 def test_gauge_independence_random():

@@ -115,23 +115,30 @@ def test_written_cat_torus_declares_self_duality_at_the_unit_metric(tmp_path):
 
 
 def test_torsion_factorises_each_differential_once(monkeypatch):
-    # three differentials: one SVD each for the spectral record, three for
-    # relation (1) and one Schwarz block; four Laplacians and Schwarz's T^2
-    calls = Counter()
+    # SVDs: each d_k for the spectral record, each d_k* for relation (1) and
+    # Schwarz's T_1 blocks d_0 and d_2^T; eigvalsh: the four Laplacians and
+    # the two blocks of Schwarz's T^2.  No block-diagonal assembly is
+    # factorised: no matrix is larger than the complex's largest degree.
+    shapes = {"svd": [], "eigvalsh": []}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
             if sys._getframe(1).f_globals.get("__name__") == "zetabf.complexes":
-                calls[name] += 1
+                shapes[name].append(args[0].shape)
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("svd", "eigvalsh"):
+    for name in shapes:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     code, _, _ = run_cli(["torsion", "--model", "cat", "--theta", "2.0"])
     assert code == EXIT_OK
-    assert calls["svd"] <= 7
-    assert calls["eigvalsh"] <= 5
+    d = complexes.mapping_torus_complex([[2, 1], [1, 1]], 2.0).diffs
+    dims = [m.shape[1] for m in d] + [d[-1].shape[0]]
+    want_svd = [m.shape for m in d] + [m.T.shape for m in d] + [d[0].shape, d[2].T.shape]
+    want_eig = [(n, n) for n in dims] + [(dims[1], dims[1])] * 2
+    assert Counter(shapes["svd"]) == Counter(want_svd)
+    assert Counter(shapes["eigvalsh"]) == Counter(want_eig)
+    assert max(max(s) for s in shapes["svd"] + shapes["eigvalsh"]) <= max(dims)
 
 
 def test_zeta_grid_builds_one_term_table(monkeypatch):
