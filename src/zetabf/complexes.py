@@ -72,6 +72,9 @@ TORSION_XCHECK_TOL = 1e-10
 # Declared relators must map within this of the identity.
 RELATOR_TOL = 1e-10
 
+# A Gram matrix must be Hermitian to this fraction of its norm.
+GRAM_HERMITIAN_TOL = 1e-12
+
 # d_(k+1) d_k must vanish to this fraction of max(max_k |d_k|^2, 1): in the
 # presentation a complex is given in, then in its isometric one.
 D_SQUARE_TOL = 1e-12
@@ -317,14 +320,16 @@ def _logdet_top_sq(blocks: Sequence[np.ndarray], count: int) -> float:
 def _gram_root(g: Optional[np.ndarray], n: int) -> np.ndarray:
     """Hermitian square root of an n x n Gram matrix (None is the identity).
 
-    The one Gram validation: raises ValueError unless ``g`` is Hermitian to
-    1e-12, of shape (n, n) and positive definite.
+    The one Gram validation: raises ValueError unless ``g`` is of shape
+    (n, n), Hermitian to GRAM_HERMITIAN_TOL relative to its norm, and
+    positive definite.
     """
     if g is None:
         g = np.eye(n)
     else:
         g = np.array(g, dtype=complex)
-        if g.shape != (n, n) or np.linalg.norm(g - g.conj().T) > 1e-12:
+        if g.shape != (n, n) or \
+                np.linalg.norm(g - g.conj().T) > GRAM_HERMITIAN_TOL * np.linalg.norm(g):
             raise ValueError("Gram matrices must be Hermitian of matching size")
     w, v = np.linalg.eigh(g)
     if np.min(w, initial=np.inf) <= 0:

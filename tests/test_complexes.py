@@ -324,6 +324,36 @@ def test_gram_validation():
             TwistedComplex(tc.diffs, grams=grams)
 
 
+def _cat_grams(tc, s):
+    """Seeded Grams s (X X^H + I/2) on each degree of ``tc``."""
+    rng = np.random.default_rng(3)
+    out = []
+    for n in tc.dims:
+        x = ginibre(rng, n)
+        out.append(s * (x @ x.conj().T + 0.5 * np.eye(n)))
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e5])
+def test_gram_hermitian_check_is_relative(scale):
+    # at 1e5 rounding leaves X X^H asymmetric by 5e-11, about 1e-16 of its
+    # norm: an absolute 1e-12 bound refused it.  On dims (1, 3, 3, 1) the
+    # metric law's exponent sum_k (-1)^(k+1) d_k is 0, so tau does not move
+    tc = mapping_torus_complex([[2, 1], [1, 1]], 2.0)
+    tau = analytic_torsion(TwistedComplex(tc.diffs, grams=_cat_grams(tc, 1.0)))
+    scaled = TwistedComplex(tc.diffs, grams=_cat_grams(tc, scale))
+    assert analytic_torsion(scaled) == pytest.approx(tau, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e5])
+def test_gram_asymmetric_to_1e_6_is_refused_at_every_scale(scale):
+    tc = mapping_torus_complex([[2, 1], [1, 1]], 2.0)
+    grams = _cat_grams(tc, scale)
+    grams[1][0, 1] += 1e-6 * np.linalg.norm(grams[1])
+    with pytest.raises(ValueError, match="Hermitian"):
+        TwistedComplex(tc.diffs, grams=grams)
+
+
 def test_det_relations_dual_pairs():
     for tc in (circle_complex(2 * math.pi / 3),
                torus_complex(math.pi / 2, 0.0),
