@@ -167,28 +167,24 @@ def _single_fields(fs, a_bases, b_bases):
 
 
 def _reference_report(fs, gs):
-    """LagrangianReport from one single-field omega call per pair."""
+    """LagrangianReport from the single-field pairings: the basis columns as
+    single fields, stacked, in one ``omega`` call per side and one across
+    (each entry the dot products of its own pair of single fields)."""
     sub = _single_fields(fs, gs.a_bases, gs.b_bases)
     comp = _single_fields(fs, [np.conj(b) for b in gs.b_bases],
                           [np.conj(a) for a in gs.a_bases])
-
-    def max_pairing(fields):
-        worst = 0.0
-        for i, v in enumerate(fields):
-            for w in fields[i:]:
-                worst = max(worst, abs(fs.omega(v, w)))
-        return worst
-
-    iso_sub, iso_comp = max_pairing(sub), max_pairing(comp)
-    # the side swap's isotropy is the subspace's, bit for bit
-    assert iso_sub == iso_comp
     # the declared complement is the side swap: it has as many columns
     assert len(sub) == len(comp)
     if sub:
-        cross = np.array([[fs.omega(v, w) for w in comp] for v in sub])
+        sub, comp = _stacked(fs, sub), _stacked(fs, comp)
+        iso_sub, iso_comp = (_max_modulus_upper(fs.omega(f, f)) for f in (sub, comp))
+        cross = fs.omega(sub, comp)
         min_sv = float(np.linalg.svd(cross, compute_uv=False)[-1])
     else:
+        iso_sub = iso_comp = 0.0
         min_sv = np.inf
+    # the side swap's isotropy is the subspace's, bit for bit
+    assert iso_sub == iso_comp
     half = all(a.shape[1] + b.shape[1] == d for a, b, d in zip(gs.a_bases, gs.b_bases, fs.dims))
     ok = half and iso_sub < ISOTROPY_TOL and min_sv > TRANSVERSALITY_TOL
     return LagrangianReport(ok, iso_sub, min_sv)
@@ -734,6 +730,86 @@ def test_split_contraction_gauge_takes_no_svd(monkeypatch):
     assert hodge.splits[0][1].shape == (tc.dims[0], 0)
     assert hodge.splits[-1][0].shape == (tc.dims[-1], 0)
     assert calls == []
+
+
+def _cat_twist_at(r, theta, rng):
+    """Cat-map mapping torus twisted on t by Q diag(e^(i(theta + j))) Q^H,
+    j < r, Q seeded Haar: at rank 1 the plain cat complex at theta."""
+    q = phase_fixed_qr(ginibre(rng, r))
+    eye = np.eye(r)
+    u = (q * np.exp(1j * (theta + np.arange(r)))) @ q.conj().T
+    rep = UnitaryRep(r, {"a": eye, "b": eye, "t": u})
+    return build_twisted_complex(mapping_torus_cell_complex(CAT), rep)
+
+
+def _relative(z, ref):
+    return abs(z / ref - 1.0)
+
+
+def test_reeb_split_is_coordinate_columns(monkeypatch):
+    # no SVD, a kernel of base cells and a complement of (cell x I) cells,
+    # isotropy exactly 0, and Z as the SVD path finds it
+    rng = np.random.default_rng(41)
+    real_svd = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    for r in (1, 3):
+        for theta in (math.pi, 2.0, 0.3):
+            tc = _cat_twist_at(r, theta, rng)
+            fs = build_bf_fields(tc)
+            monkeypatch.setattr(np.linalg, "svd", counting)
+            reeb = suspension_contraction(tc)
+            monkeypatch.setattr(np.linalg, "svd", real_svd)
+            assert calls == []
+            for k, ((ker, perp), d) in enumerate(zip(reeb.splits, tc.dims)):
+                lifted = sorted(src for src, _ in tc.suspension[k])
+                kept = sorted(set(range(d)) - set(lifted))
+                assert np.array_equal(ker, np.eye(d)[:, kept])
+                assert np.array_equal(perp, np.eye(d)[:, lifted])
+            gs = contraction_gauge(fs, reeb)
+            assert is_lagrangian(fs, gs).isotropy == 0.0
+            z_ref = partition_function(fs, contraction_gauge(fs, Contraction(reeb.iota)))
+            assert _relative(partition_function(fs, gs), z_ref) < 1e-14
+
+
+def _svd_path_hodge_z(tc):
+    """Z of the Hodge iota with its kernel split found by SVD."""
+    fs = build_bf_fields(tc)
+    return partition_function(fs, contraction_gauge(fs, Contraction(bv._hodge_iota(tc))))
+
+
+def _assembled_schwarz(tc):
+    """Schwarz's partition function with T^2 and T_1 assembled block-diagonal
+    and each factorised whole."""
+    from scipy.linalg import block_diag
+
+    d, ranks, n = tc.diffs, tc.spectrum.ranks, tc.top_degree
+    if n == 1:
+        return math.exp(0.5 * tc.spectrum.coexact_logdets[0])
+    t_sq = block_diag(d[1].conj().T @ d[1], np.conj(d[1]) @ d[1].T)
+    log_z = -0.25 * np.sum(np.log(np.linalg.eigvalsh(t_sq)[len(t_sq) - 2 * ranks[1]:]))
+    towers = [(block_diag(d[0], d[2].T), ranks[0] + ranks[2]) if n >= 3 else (d[0], ranks[0])]
+    towers += [(d[k + 1].T, ranks[k + 1]) for k in range(2, n - 1)]
+    for k, (t_k, rank) in enumerate(towers, start=1):
+        s = np.linalg.svd(t_k, compute_uv=False)[:rank]
+        log_z += (-1) ** (k + 1) * np.sum(np.log(s))
+    return math.exp(log_z)
+
+
+def test_hodge_z_and_schwarz_match_their_factorise_whole_references():
+    # criterion 6's complexes, then rank-10 and rank-30 cat twists
+    rng = np.random.default_rng(44)
+    inputs = _random_complexes(100, np.random.default_rng(SEED))
+    inputs += [_cat_rank_twist(10, rng), _cat_rank_twist(30, rng)]
+    for tc in inputs:
+        fs = build_bf_fields(tc)
+        z = partition_function(fs, contraction_gauge(fs, hodge_contraction(tc)))
+        assert _relative(z, _svd_path_hodge_z(tc)) < 1e-13
+        assert _relative(schwarz_partition(tc), _assembled_schwarz(tc)) < 1e-13
 
 
 def test_gauge_independence_random():

@@ -32,8 +32,9 @@ from zetabf.complexes import (
     torus_cell_complex,
     write_complex_file,
 )
-from zetabf import complexes
+from zetabf import bv, complexes
 from zetabf.errors import (
+    DegenerateContractionError,
     NotAComplexError,
     NotAcyclicError,
     NotHyperbolicError,
@@ -140,6 +141,41 @@ def _split_scale_complex(big):
     s = np.diag([big, 1.0 / big])
     return TwistedComplex([u1[:, :2] @ s @ _rotation(0.4).T,
                            _rotation(0.9) @ s @ u1[:, 2:].T])
+
+
+def _hodge_verdicts(tc):
+    """What the Hodge contraction with its split from ``hodge_bases``, and the
+    same iota with its split found by SVD, say of ``tc``: "ok" or the error."""
+    out = []
+    for build in (bv.hodge_contraction, lambda t: bv.Contraction(bv._hodge_iota(t))):
+        try:
+            build(tc)
+            out.append("ok")
+        except DegenerateContractionError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_hodge_split_refuses_what_the_svd_path_refuses():
+    ok = ["ok", "ok"]
+    for big in (1.0, 10.0, 100.0):
+        assert _hodge_verdicts(_split_scale_complex(big)) == ok
+    # refused on both paths before any split is read: the iota^2 check holds
+    # |iota_1 iota_2| to 1e-12 absolute while the error of the Hodge bases
+    # grows with s_1/s_r of the differentials (the Contraction._validate
+    # bullet of ROADMAP item 16, still open)
+    for big in (300.0, 1e3):
+        assert _hodge_verdicts(_split_scale_complex(big)) == ["iota^2 != 0 at degree 2"] * 2
+    for theta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        assert _hodge_verdicts(mapping_torus_complex([[2, 1], [1, 1]], theta)) == ok
+    for n in (10, 100, 1000):
+        for theta in (2.0, 0.3):
+            assert _hodge_verdicts(mapping_torus_complex([[n, 1], [n - 1, 1]], theta)) == ok
+    rng = np.random.default_rng(31)
+    for tc in complexes.random_twisted_complexes(
+            rng, 300, lambda r: (int(r.integers(2, 5)), 4, int(r.integers(1, 3)))):
+        for scale in (1e-6, 1.0, 1e3, 1e6):
+            assert _hodge_verdicts(TwistedComplex([scale * d for d in tc.diffs])) == ok
 
 
 def test_nan_laplacian_route_fails_the_cross_check():
