@@ -474,16 +474,15 @@ def suspension_contraction(tc: TwistedComplex) -> Contraction:
     if tc.suspension is None:
         raise DegenerateContractionError("complex carries no suspension structure")
     iota = [np.zeros((0, tc.dims[0]))]
+    for k in range(1, tc.top_degree + 1):
+        m = np.zeros((tc.dims[k - 1], tc.dims[k]))
+        for src, dst in tc.suspension[k]:
+            m[dst, src] = 1.0
+        iota.append(m)
     splits = []
-    for k, d in enumerate(tc.dims):
-        lifted = np.zeros(d, dtype=bool)
-        if k:
-            m = np.zeros((tc.dims[k - 1], d))
-            for src, dst in tc.suspension[k]:
-                m[dst, src] = 1.0
-                lifted[src] = True
-            iota.append(m)
-        eye = np.eye(d)
+    for m in iota:
+        lifted = m.any(axis=0)            # the (cell x I) columns
+        eye = np.eye(m.shape[1])
         splits.append((eye[:, ~lifted], eye[:, lifted]))
     return Contraction(iota, splits)
 

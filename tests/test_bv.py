@@ -283,10 +283,12 @@ def test_a_gauge_basis_of_the_wrong_height_is_refused(entry):
     assert err.value.degree == 1
 
 
-def _cat_rank_twist(r, rng):
+def _cat_rank_twist(r, rng, thetas=None):
     """Cat-map mapping torus twisted by a random rank-r unitary on t
-    (dimension 8r), with eigenphases kept away from 0."""
-    thetas = rng.uniform(0.3, 2 * math.pi - 0.3, size=r)
+    (dimension 8r), with eigenphases ``thetas``, by default drawn away
+    from 0."""
+    if thetas is None:
+        thetas = rng.uniform(0.3, 2 * math.pi - 0.3, size=r)
     q = phase_fixed_qr(ginibre(rng, r))
     eye = np.eye(r)
     rep = UnitaryRep(r, {"a": eye, "b": eye, "t": (q * np.exp(1j * thetas)) @ q.conj().T})
@@ -732,16 +734,6 @@ def test_split_contraction_gauge_takes_no_svd(monkeypatch):
     assert calls == []
 
 
-def _cat_twist_at(r, theta, rng):
-    """Cat-map mapping torus twisted on t by Q diag(e^(i(theta + j))) Q^H,
-    j < r, Q seeded Haar: at rank 1 the plain cat complex at theta."""
-    q = phase_fixed_qr(ginibre(rng, r))
-    eye = np.eye(r)
-    u = (q * np.exp(1j * (theta + np.arange(r)))) @ q.conj().T
-    rep = UnitaryRep(r, {"a": eye, "b": eye, "t": u})
-    return build_twisted_complex(mapping_torus_cell_complex(CAT), rep)
-
-
 def _relative(z, ref):
     return abs(z / ref - 1.0)
 
@@ -759,7 +751,7 @@ def test_reeb_split_is_coordinate_columns(monkeypatch):
 
     for r in (1, 3):
         for theta in (math.pi, 2.0, 0.3):
-            tc = _cat_twist_at(r, theta, rng)
+            tc = _cat_rank_twist(r, rng, thetas=theta + np.arange(r))
             fs = build_bf_fields(tc)
             monkeypatch.setattr(np.linalg, "svd", counting)
             reeb = suspension_contraction(tc)
