@@ -29,25 +29,19 @@ at the rank of the complex's spectral record), and random contractions take
 their ranks from that record.  A contraction reads its degree dimensions off
 the shapes of iota, validates itself once, on construction, and carries its
 kernel splits: per degree the kernel of iota_k and its orthogonal
-complement, which its validation and gauge read.  The constructors (Hodge,
-random, suspension, homotopy families) build iota, and a contraction derives
-a = iota^dagger itself.  A constructor that knows its splits hands them
-over, and construction checks them by matrix products alone: the Hodge
-contraction the coexact/exact bases, the Reeb contraction coordinate
-columns, a random contraction the Haar-random splits it is drawn from; none
-of them factorises iota_k or its kernel.  Only the homotopy family and a bare
-``Contraction(iota)`` find their splits by SVD, on construction: one of
-iota_k for the kernel and one of the kernel for the complement.  A homotopy
-family rotates the Hodge iota (``_hodge_iota``) without building the Hodge
-contraction, and its stack takes those two SVDs once per degree for all its
-samples: the factorisations behind the scan digits that ``bf`` prints.  The
-restricted action blocks are L = iota d + d iota on ker iota (for a Reeb
-contraction, the zeta factors); their SVDs and those of ``is_lagrangian``'s
-basis Grams stay separate: they are the checks that the gauge-fixed side
-reproduces the torsion.  The metric gauge's blocks (d_k c_k)* d_k c_k, c_k
-the record's coexact basis, have the record's kept s_i^2 as singular values;
-``nonzero_mask`` cuts only what the record does not fix, the kernels of iota
-and the contraction gauges' blocks.
+complement, which its validation and gauge read.  Every constructor builds
+iota and hands over its splits, and a contraction derives a = iota^dagger
+itself and checks the splits by matrix products alone: the Hodge contraction
+the coexact/exact bases, the Reeb contraction coordinate columns, a random
+contraction the Haar-random splits it is drawn from, a homotopy family the
+Hodge splits rotated by the unitaries that rotate its iota.  No contraction
+factorises iota_k or its kernel to find its split.  The restricted action
+blocks are L = iota d + d iota on ker iota (for a Reeb contraction, the zeta
+factors); their SVDs and those of ``is_lagrangian``'s basis Grams are the
+checks that the gauge-fixed side reproduces the torsion.  The metric gauge's
+blocks (d_k c_k)* d_k c_k, c_k the record's coexact basis, have the record's
+kept s_i^2 as singular values; ``nonzero_mask`` cuts only what the record
+does not fix, the contraction gauges' blocks.
 
 Stacked draws and scans: every map of a contraction may carry one leading
 sample axis, and the contraction, its gauge, ``partition_function`` and
@@ -57,10 +51,9 @@ per-member sums.  ``random_contraction(..., samples=N)`` draws N random
 contractions as one stack, with the RNG calls in the lone calls' order and
 one stacked QR per Haar slot.  ``homotopy_scan`` asks its family for all
 samples at once, so per degree it takes one stacked matrix exponential
-(``graded.exp_stack``, the Pade kernel of the heat traces), one SVD for the
-kernels, one for the complements and one per restricted action block.
-Either way each member's digits are those of its own single contraction,
-bit for bit.
+(``graded.exp_stack``, the Pade kernel of the heat traces) and one SVD per
+restricted action block, and no kernel or complement SVD.  Either way each
+member's digits are those of its own single contraction, bit for bit.
 
 Omega pairs A slot k only with B slot k, so ``is_lagrangian`` certifies a
 gauge slot by slot and forms no Gram matrix of all its columns: per slot
@@ -87,12 +80,16 @@ from .errors import (
 from .graded import exp_stack
 
 ISOTROPY_TOL = 1e-12
+# Relative bound of a contraction's validation residuals; each scales with
+# the size of its checked product (d, |iota| or |iota|^2).
+CONTRACTION_TOL = 1e-12
 # Smallest singular value of a gauge's pairing with its side swap that
 # ``is_lagrangian`` accepts as transverse.
 TRANSVERSALITY_TOL = 1e-8
 # Degree-summed matrix entries of one homotopy-scan stack (samples times
-# sum_k dim_k^2).  A stack's heap peak was measured at 65 bytes per entry,
-# about 70 MB at this bound, so longer scans run in several stacked passes.
+# sum_k dim_k^2).  A stack's heap peak (tracemalloc, rank-20 cat twist, 131
+# samples) was measured at 79 bytes per entry, about 79 MiB at this bound, so
+# longer scans run in several stacked passes.
 SCAN_STACK_ENTRIES = 2 ** 20
 
 
@@ -288,19 +285,18 @@ class Contraction:
 
     Every map may carry one leading sample axis of a common length: the
     contraction is then a stack of members (a homotopy family at several
-    parameters), validated and factorised together by stacked products and
-    one stacked SVD per basis.  The members must share their kernel ranks; a
-    member whose rank differs from the first one's, or that fails
-    validation, raises with its index as ``member``.
+    parameters), validated together by stacked products; a member that fails
+    validation raises with its index as ``member``.
 
     ``splits`` holds per degree an orthonormal pair (K^k, P^k) with K^k
     spanning ker(iota_k) and P^k its orthogonal complement, on which iota_k
-    must be isometric.  A given split is checked with matrix products and used
-    as given; without one, construction finds each by ``_split``.
+    must be isometric.  Every constructor hands its split over; it is checked
+    with matrix products and used as given, so a stack's kernel ranks are the
+    shapes of its split.
     """
 
     iota: Sequence[np.ndarray]
-    splits: Optional[Sequence[Split]] = None
+    splits: Sequence[Split]
     a_maps: Tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
@@ -308,9 +304,8 @@ class Contraction:
         top = self.iota[-1]
         self.a_maps = tuple(read_only(m) for m in [_adjoint(m) for m in self.iota[1:]]
                             + [np.zeros(top.shape[:-2] + (0, top.shape[-1]))])
-        if self.splits is not None:
-            self.splits = tuple((read_only(np.asarray(ker)), read_only(np.asarray(perp)))
-                                for ker, perp in self.splits)
+        self.splits = tuple((read_only(np.asarray(ker)), read_only(np.asarray(perp)))
+                            for ker, perp in self.splits)
         self._validate()
 
     @property
@@ -323,7 +318,6 @@ class Contraction:
         return self.iota[0].shape[:-2]
 
     def _validate(self):
-        tol = 1e-12
         dims, lead = self.dims, self.sample_shape
         n = len(dims) - 1
         # iota_k: C^k -> C^(k-1), the zero map out of C^0
@@ -332,23 +326,20 @@ class Contraction:
             raise DegenerateContractionError("contraction has wrong shapes")
         scale = np.maximum.reduce([np.ones(lead)] + [_norm(m) for m in self.iota])
         for k in range(1, n):
-            _refuse(_norm(self.iota[k] @ self.iota[k + 1]) > tol * scale ** 2,
+            _refuse(_norm(self.iota[k] @ self.iota[k + 1]) > CONTRACTION_TOL * scale ** 2,
                     f"iota^2 != 0 at degree {k + 1}")
-        if self.splits is None:
-            self.splits = tuple(self._split(k) for k in range(n + 1))
-        else:
-            self._check_splits(tol, scale)
+        self._check_splits(scale)
         for k in range(n):
             ker = self.splits[k][0]
             if ker.shape[-1] == 0:
                 continue
             err = _norm(self.iota[k + 1] @ (self.a_maps[k] @ ker) - ker)
-            _refuse(err > tol * scale, f"iota o a != id on ker iota at degree {k}")
+            _refuse(err > CONTRACTION_TOL * scale, f"iota o a != id on ker iota at degree {k}")
 
-    def _check_splits(self, tol: float, scale):
+    def _check_splits(self, scale):
         """[K P] unitary, iota K = 0 and iota isometric on P, so that K spans
         exactly ker(iota), from matrix products alone; each residual is held
-        to ``tol`` times the size of its product (d, |iota|, |iota|^2)."""
+        to CONTRACTION_TOL times the size of its product (d, |iota|, |iota|^2)."""
         if len(self.splits) != len(self.iota):
             raise DegenerateContractionError("kernel splits have the wrong arity")
         for k, ((ker, perp), m) in enumerate(zip(self.splits, self.iota)):
@@ -357,49 +348,32 @@ class Contraction:
                     ker.shape[-1] + perp.shape[-1] != column[-1]:
                 raise DegenerateContractionError(f"kernel split has wrong shapes at degree {k}")
             q = np.concatenate([ker, perp], axis=-1)
-            _refuse(_norm(_adjoint(q) @ q - np.eye(column[-1])) > tol * max(1.0, column[-1]),
+            _refuse(_norm(_adjoint(q) @ q - np.eye(column[-1]))
+                    > CONTRACTION_TOL * max(1.0, column[-1]),
                     f"kernel split is not orthonormal at degree {k}")
-            _refuse(_norm(m @ ker) > tol * scale,
+            _refuse(_norm(m @ ker) > CONTRACTION_TOL * scale,
                     f"kernel split is not killed by iota at degree {k}")
             image = m @ perp
-            _refuse(_norm(_adjoint(image) @ image - np.eye(perp.shape[-1])) > tol * scale ** 2,
+            _refuse(_norm(_adjoint(image) @ image - np.eye(perp.shape[-1]))
+                    > CONTRACTION_TOL * scale ** 2,
                     f"iota is not isometric on the kernel complement at degree {k}")
 
-    def _identity(self, k: int) -> np.ndarray:
-        d = self.dims[k]
-        return np.broadcast_to(np.eye(d), self.sample_shape + (d, d))
 
-    def _split(self, k: int) -> Split:
-        """(orthonormal basis of ker(iota_k), of its orthogonal complement):
-        the kernel from one SVD of iota_k, the complement from one SVD of that
-        kernel basis, with no SVD where the kernel is all of C^k or empty."""
-        m = self.iota[k]
-        if m.shape[-2] == 0:
-            ker = self._identity(k)
-        else:
-            _, s, vh = np.linalg.svd(m, full_matrices=True)
-            ranks = nonzero_mask(s).sum(axis=-1)
-            rank = int(np.ravel(ranks)[0])
-            _refuse(ranks != rank, f"rank of iota changes across the stack at degree {k}")
-            ker = _adjoint(vh[..., rank:, :])
-        if ker.shape[-1] == 0:
-            perp = self._identity(k)
-        elif ker.shape[-1] == self.dims[k]:
-            perp = ker[..., :0]
-        else:
-            perp = np.linalg.svd(ker, full_matrices=True)[0][..., ker.shape[-1]:]
-        return read_only(ker), read_only(perp)
-
-
-def _hodge_iota(tc: TwistedComplex) -> List[np.ndarray]:
-    """The maps iota_k of ``hodge_contraction``, from the complex's
-    ``hodge_bases``; no contraction is built or validated."""
+def _hodge_maps(tc: TwistedComplex) -> Tuple[List[np.ndarray], List[Split]]:
+    """The maps iota_k of ``hodge_contraction`` and its kernel splits, both
+    read off the complex's ``hodge_bases``; no contraction is built or
+    validated."""
     tc.require_acyclic()
+    bases = tc.hodge_bases
     iota = [np.zeros((0, tc.dims[0]))]
-    for e_next, c_here in tc.hodge_bases:
+    for e_next, c_here in bases:
         w = e_next @ c_here.conj().T          # partial isometry C^k -> C^(k+1)
         iota.append(w.conj().T)
-    return iota
+    d0 = tc.dims[0]
+    splits = [(np.eye(d0), np.zeros((d0, 0)))]
+    splits += [(c, e) for (_, c), (e, _) in zip(bases[1:], bases)]
+    splits.append((np.zeros((tc.dims[-1], 0)), bases[-1][0]))
+    return iota, splits
 
 
 def hodge_contraction(tc: TwistedComplex) -> Contraction:
@@ -411,13 +385,7 @@ def hodge_contraction(tc: TwistedComplex) -> Contraction:
     one, im d_(k-1); in degree 0 the kernel is all of C^0 (the identity), in
     the top degree it is empty.  The gauge therefore has the metric gauge's
     bases in every degree but 0."""
-    iota = _hodge_iota(tc)
-    bases = tc.hodge_bases
-    d0 = tc.dims[0]
-    splits = [(np.eye(d0), np.zeros((d0, 0)))]
-    splits += [(c, e) for (_, c), (e, _) in zip(bases[1:], bases)]
-    splits.append((np.zeros((tc.dims[-1], 0)), bases[-1][0]))
-    return Contraction(iota, splits)
+    return Contraction(*_hodge_maps(tc))
 
 
 def random_contraction(tc: TwistedComplex, rng: np.random.Generator,
@@ -666,14 +634,13 @@ def homotopy_scan(fs: BFFieldSpace, family: Callable[[np.ndarray], Contraction],
     ``family`` maps a 1-D array of parameters t to the contraction with one
     member per t along a leading sample axis, as the families of
     ``unitary_contraction_family`` do; the whole scan is then one stacked
-    pass: per degree one SVD for the kernels, one for the complements and
-    one per restricted action block, with each member's digits bit-identical
-    to those of its own single contraction.  A stack holds at most
-    SCAN_STACK_ENTRIES // sum_k dim_k^2 samples, so a long scan of a large
-    complex takes several passes.  The isotropy residual is
-    ``_isotropy`` of the subspace.  Returns max |Z(t)/Z(0) - 1|; a degenerate
-    member, or one whose kernel ranks differ from the first member's, raises
-    DegenerateContractionError identifying the first failing sample.
+    pass with one SVD per restricted action block and none of a kernel, each
+    member's digits bit-identical to those of its own single contraction.  A
+    stack holds at most SCAN_STACK_ENTRIES // sum_k dim_k^2 samples, so a
+    long scan of a large complex takes several passes.  The isotropy residual
+    is ``_isotropy`` of the subspace.  Returns max |Z(t)/Z(0) - 1|; a degenerate
+    or invalid member raises DegenerateContractionError identifying the first
+    failing sample.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -721,22 +688,23 @@ def gauge_polarization(fs: BFFieldSpace, gs: GaugeSubspace,
 def unitary_contraction_family(tc: TwistedComplex,
                                rng: np.random.Generator) -> Callable[[np.ndarray], Contraction]:
     """Family t -> U(t) iota U(t)^dagger of the Hodge contraction's iota,
-    with U(t) = exp(t K), K random skew-Hermitian of unit Frobenius norm per
+    with U(t) = exp(t G), G random skew-Hermitian of unit Frobenius norm per
     degree.  Stays inside the unitary-normalised class, and starts at the
     Hodge contraction up to rounding: the Pade kernel's U(0) may sit a
     rounding off the identity, so Z at t = 0 can differ from the Hodge
-    contraction's Z in the last digits (by at most 6.7e-16 relative on the
+    contraction's Z in the last digits (by at most 3.3e-16 relative on the
     README's bf runs).
 
-    The family takes a float t, giving one contraction, or a 1-D array of
-    them, giving the stacked contraction of all members: per degree one
-    ``graded.exp_stack`` call, the package's one matrix exponential, which
-    also gives the heat traces of ``flat_det``, and stacked products, each
-    member bit-identical to the contraction at its own t.  Members are given
-    no kernel split, so each finds its own by SVD; the stack takes those SVDs
-    once per degree.  Drawing the family takes none.
+    Each member carries the Hodge kernel split (K_k, P_k) rotated by the
+    same unitaries, (U_k K_k, U_k P_k), so neither drawing nor evaluating the
+    family takes an SVD.  The family takes a float t, giving one contraction,
+    or a 1-D array of them, giving the stacked contraction of all members:
+    per degree one ``graded.exp_stack`` call, the package's one matrix
+    exponential, which also gives the heat traces of ``flat_det``, and
+    stacked products, each member bit-identical to the contraction at its own
+    t.
     """
-    base = _hodge_iota(tc)
+    base, splits = _hodge_maps(tc)
     gens = []
     for d in tc.dims:
         z = ginibre(rng, d)
@@ -750,6 +718,6 @@ def unitary_contraction_family(tc: TwistedComplex,
         iota = [np.zeros(t.shape + (0, tc.dims[0]))]
         for k in range(1, tc.top_degree + 1):
             iota.append(us[k - 1] @ base[k] @ _adjoint(us[k]))
-        return Contraction(iota)
+        return Contraction(iota, [(u @ ker, u @ perp) for u, (ker, perp) in zip(us, splits)])
 
     return family

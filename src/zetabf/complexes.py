@@ -96,8 +96,9 @@ def nonzero_mask(x: np.ndarray) -> np.ndarray:
     """The rank cut: entries of ``x`` above RANK_TOL * max(max(x), 1).
 
     For stacked values (one row per member), per row.  A complex cuts only
-    the singular values of its d_k, in ``SpectralRecord``; ``bv`` cuts the
-    contraction maps, which the record does not factorise.
+    the singular values of its d_k, in ``SpectralRecord``; ``bv`` cuts only
+    the contraction gauges' action blocks, which the record does not
+    factorise.
     """
     if x.size == 0:
         return np.zeros(x.shape, dtype=bool)

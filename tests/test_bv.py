@@ -38,6 +38,7 @@ from zetabf.complexes import (
     ginibre,
     mapping_torus_cell_complex,
     mapping_torus_complex,
+    nonzero_mask,
     phase_fixed_qr,
     random_twisted_complex,
     schwarz_partition,
@@ -54,6 +55,41 @@ from zetabf.verification import SEED, _random_complexes, milnor_mapping_torus_to
 from zetabf.zeta import closed_form_suspension
 
 CAT = [[2, 1], [1, 1]]
+
+
+def _svd_splits(iota):
+    """(orthonormal basis of ker(iota_k), of its orthogonal complement) per
+    degree k, found by SVD: the reference for the splits the constructors
+    hand over.  The kernel comes from one SVD of iota_k, cut by
+    ``nonzero_mask``, the complement from one SVD of that kernel basis, with
+    no SVD where the kernel is all of C^k or empty.  A stack's members must
+    share their kernel ranks; the first that does not is refused."""
+    lead = np.shape(iota[0])[:-2]
+    splits = []
+    for k, m in enumerate(iota):
+        d = m.shape[-1]
+        identity = np.broadcast_to(np.eye(d), lead + (d, d))
+        if m.shape[-2] == 0:
+            ker = identity
+        else:
+            _, s, vh = np.linalg.svd(m, full_matrices=True)
+            ranks = nonzero_mask(s).sum(axis=-1)
+            rank = int(np.ravel(ranks)[0])
+            bv._refuse(ranks != rank, f"rank of iota changes across the stack at degree {k}")
+            ker = bv._adjoint(vh[..., rank:, :])
+        if ker.shape[-1] == 0:
+            perp = identity
+        elif ker.shape[-1] == d:
+            perp = ker[..., :0]
+        else:
+            perp = np.linalg.svd(ker, full_matrices=True)[0][..., ker.shape[-1]:]
+        splits.append((ker, perp))
+    return splits
+
+
+def _svd_contraction(iota):
+    """The contraction of ``iota`` with its kernel splits found by SVD."""
+    return Contraction(iota, _svd_splits(iota))
 
 
 def _zero_field(fs):
@@ -121,7 +157,7 @@ def test_metric_gauge_isotropy_random():
 def test_contraction_gauge_unit_scalar_circle():
     tc = circle_complex(math.pi)
     fs = build_bf_fields(tc)
-    c = Contraction([np.zeros((0, 1)), np.array([[1.0 + 0.0j]])])
+    c = _svd_contraction([np.zeros((0, 1)), np.array([[1.0 + 0.0j]])])
     gs = contraction_gauge(fs, c)
     assert is_lagrangian(fs, gs).ok
     assert partition_function(fs, gs) == pytest.approx(2.0, rel=1e-12)
@@ -483,9 +519,10 @@ def test_non_coisometric_contraction_is_refused():
     # |iota| != 1: outside the unitary-normalised class the declared Jacobian 1
     # would not match the parametrisation volume (with a = iota^-1, Z on the
     # circle read 1 against the torsion 2), so iota iota^dagger = 4 on
-    # ker iota_0 = C^1 is refused
-    with pytest.raises(DegenerateContractionError, match="iota o a != id"):
-        Contraction([np.zeros((0, 1)), np.array([[2.0 + 0.0j]])])
+    # ker iota_0 = C^1 is refused: iota is not isometric on ker iota_1's
+    # complement, a check that runs before iota o a = id
+    with pytest.raises(DegenerateContractionError, match="not isometric on the kernel complement"):
+        _svd_contraction([np.zeros((0, 1)), np.array([[2.0 + 0.0j]])])
 
 
 @pytest.mark.parametrize("iota", [
@@ -495,14 +532,14 @@ def test_non_coisometric_contraction_is_refused():
 ], ids=["not-coisometric", "shapes-do-not-chain", "not-square-zero"])
 def test_contraction_validates_on_construction(iota):
     with pytest.raises(DegenerateContractionError):
-        Contraction(iota)
+        _svd_contraction(iota)
 
 
 def test_contraction_gauge_rejects_mismatched_dims():
     # a valid contraction of C^2 -> C^2 offered to the (1, 1) circle space:
     # the arity matches, the shapes do not
     fs = build_bf_fields(circle_complex(math.pi))
-    c = Contraction([np.zeros((0, 2)), np.eye(2)])
+    c = _svd_contraction([np.zeros((0, 2)), np.eye(2)])
     with pytest.raises(DegenerateContractionError):
         contraction_gauge(fs, c)
 
@@ -671,7 +708,7 @@ def test_found_splits_pass_the_given_split_checks():
                random_twisted_complex(rng, top_degree=4, max_cells=4, rank=2)):
         hodge = hodge_contraction(tc)
         _assert_found_splits_pass_checks(hodge)
-        _assert_found_splits_pass_checks(Contraction(random_contraction(tc, rng).iota))
+        _assert_found_splits_pass_checks(_svd_contraction(random_contraction(tc, rng).iota))
         fam = unitary_contraction_family(tc, rng)
         stack = fam(np.linspace(0.0, 1.0, 10))
         assert stack.sample_shape == (10,)
@@ -683,7 +720,7 @@ def test_found_splits_pass_the_given_split_checks():
 def _split_matches_svd_path(tc, c):
     """Kernel and complement projectors and Z of a random contraction against
     the same iota factorised by SVD, Z within the rounding of both gauges."""
-    by_svd = Contraction(c.iota)
+    by_svd = _svd_contraction(c.iota)
     _assert_found_splits_pass_checks(by_svd)
     for pairs in zip(c.splits, by_svd.splits):
         for given, found in zip(*pairs):
@@ -764,14 +801,15 @@ def test_reeb_split_is_coordinate_columns(monkeypatch):
                 assert np.array_equal(perp, np.eye(d)[:, lifted])
             gs = contraction_gauge(fs, reeb)
             assert is_lagrangian(fs, gs).isotropy == 0.0
-            z_ref = partition_function(fs, contraction_gauge(fs, Contraction(reeb.iota)))
+            z_ref = partition_function(fs, contraction_gauge(fs, _svd_contraction(reeb.iota)))
             assert _relative(partition_function(fs, gs), z_ref) < 1e-14
 
 
 def _svd_path_hodge_z(tc):
     """Z of the Hodge iota with its kernel split found by SVD."""
     fs = build_bf_fields(tc)
-    return partition_function(fs, contraction_gauge(fs, Contraction(bv._hodge_iota(tc))))
+    iota, _ = bv._hodge_maps(tc)
+    return partition_function(fs, contraction_gauge(fs, _svd_contraction(iota)))
 
 
 def _assembled_schwarz(tc):
@@ -1068,7 +1106,7 @@ def test_stacked_random_draw_names_its_degenerate_member():
     iota = [np.array(m) for m in drawn.iota]
     for m, bad in zip(iota, degenerate.iota):
         m[3] = bad
-    stacked = Contraction(iota)
+    stacked = _svd_contraction(iota)
     with pytest.raises(DegenerateContractionError) as err:
         partition_function(fs, contraction_gauge(fs, stacked))
     assert err.value.member == 3
@@ -1118,6 +1156,65 @@ def test_homotopy_scan_takes_no_cross_pairing_svd(monkeypatch):
         assert calls["svd"] == per_gauge
 
 
+def test_evaluating_a_family_takes_no_svd(monkeypatch):
+    # each member's kernel split is the Hodge split rotated by the member's
+    # unitaries, so neither a stack nor a lone member factorises anything
+    rng = np.random.default_rng(19)
+    tc = random_twisted_complex(rng, top_degree=3, max_cells=4, rank=2)
+    fam = unitary_contraction_family(tc, rng)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert fam(np.linspace(0.0, 1.0, 10)).sample_shape == (10,)
+    assert fam(0.5).sample_shape == ()
+    assert calls == []
+
+
+def test_homotopy_scan_factorises_only_its_action_blocks(monkeypatch):
+    # one stacked SVD per nonempty restricted action block, of the shape
+    # (samples, rank d_k, rank d_k): no kernel or complement is factorised
+    rng = np.random.default_rng(21)
+    cases = [mapping_torus_complex(CAT, 2.0), _cat_rank_twist(2, rng),
+             random_twisted_complex(rng, top_degree=4, max_cells=4, rank=2)]
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "zetabf.bv":
+            shapes.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    for tc in cases:
+        fs = build_bf_fields(tc)
+        fam = unitary_contraction_family(tc, rng)
+        shapes.clear()
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        homotopy_scan(fs, fam, samples=7)
+        monkeypatch.setattr(np.linalg, "svd", real_svd)
+        ranks = [tc.rank(k) for k in range(tc.top_degree)]
+        assert Counter(shapes) == Counter((7, r, r) for r in ranks if r)
+
+
+def test_family_starts_at_the_hodge_split():
+    # U(0) is the identity up to the Pade kernel's rounding, so the member at
+    # t = 0 carries the Hodge contraction's kernel split entrywise
+    rng = np.random.default_rng(22)
+    cases = [mapping_torus_complex(CAT, math.pi)]
+    cases += [random_twisted_complex(rng, top_degree=int(rng.integers(2, 5)), max_cells=4,
+                                     rank=int(rng.integers(1, 3))) for _ in range(10)]
+    for tc in cases:
+        start = unitary_contraction_family(tc, rng)(0.0)
+        for rotated, given in zip(start.splits, hodge_contraction(tc).splits):
+            for r, g in zip(rotated, given):
+                assert r.shape == g.shape
+                assert np.max(np.abs(r - g), initial=0.0) <= 1e-15
+
+
 def test_long_scan_runs_in_bounded_passes(monkeypatch):
     # three samples per pass: the digits and the first failing t across
     # passes stay those of the per-sample scan
@@ -1134,7 +1231,7 @@ def test_long_scan_runs_in_bounded_passes(monkeypatch):
 
 def _stack(c, ts):
     """The constant family's members at ``ts``: ``c`` repeated along a sample axis."""
-    return Contraction([np.broadcast_to(m, np.shape(ts) + m.shape) for m in c.iota])
+    return _svd_contraction([np.broadcast_to(m, np.shape(ts) + m.shape) for m in c.iota])
 
 
 def test_homotopy_scan_constant_family():
@@ -1154,7 +1251,7 @@ def _rotating_family(ts):
     phi = np.asarray(ts) * math.pi        # crosses phi = 3*pi/4 where cos+sin = 0
     row = np.stack([np.cos(phi), np.sin(phi)], axis=-1)[..., None, :]
     ker = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)[..., :, None]
-    return Contraction([np.zeros(phi.shape + (0, 1)), row, ker])   # iota_2 onto ker(iota_1)
+    return _svd_contraction([np.zeros(phi.shape + (0, 1)), row, ker])   # iota_2 onto ker(iota_1)
 
 
 def _rotating_fields():
@@ -1177,14 +1274,14 @@ def _scaled_from(t_bad, row_scale):
         iota = list(_rotating_family(ts).iota)
         late = (np.asarray(ts) >= t_bad)[..., None, None]
         iota[1] = np.where(late, row_scale * iota[1], iota[1])
-        return Contraction(iota)
+        return _svd_contraction(iota)
     return family
 
 
 @pytest.mark.parametrize("t_bad, row_scale, t_named, message", [
     # invalid (iota o a = 2) after the crossing at 0.75: the crossing is named
     (1.0, math.sqrt(2), 0.75, "degenerate"),
-    (0.5, math.sqrt(2), 0.5, "iota o a != id"),
+    (0.5, math.sqrt(2), 0.5, "iota is not isometric on the kernel complement"),
     # iota_1 below the rank cut: its kernel grows, which a stack cannot hold
     (0.25, 1e-13, 0.25, "rank of iota changes"),
 ], ids=["invalid-after-crossing", "invalid", "rank-change"])

@@ -44,6 +44,8 @@ from zetabf.errors import (
 )
 from zetabf.verification import SEED, _random_complexes, milnor_mapping_torus_torsion
 
+from test_bv import _svd_contraction
+
 
 def circle_torsion_oracle(theta):
     """|det(rho(gamma) - I)| for the twisted circle, computed directly."""
@@ -147,7 +149,7 @@ def _hodge_verdicts(tc):
     """What the Hodge contraction with its split from ``hodge_bases``, and the
     same iota with its split found by SVD, say of ``tc``: "ok" or the error."""
     out = []
-    for build in (bv.hodge_contraction, lambda t: bv.Contraction(bv._hodge_iota(t))):
+    for build in (bv.hodge_contraction, lambda t: _svd_contraction(bv._hodge_maps(t)[0])):
         try:
             build(tc)
             out.append("ok")
