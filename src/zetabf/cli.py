@@ -159,8 +159,7 @@ OPTIONS = {
     "closed_form": Option("--closed-form", False, _switch,
                           "include the lambda=0 closed form"),
     "out": Option("--out", None, str, "output path (default stdout)"),
-    "fmt": Option("--format", "csv", _choice(("csv", "json", "text")),
-                  "csv, json or text"),
+    "fmt": Option("--format", "csv", _choice(("csv", "json")), "csv or json"),
     "criteria": Option("--criteria", None, _criteria, "comma-separated criterion subset"),
 }
 

@@ -999,6 +999,20 @@ def test_json_refused_without_json_output(argv, tmp_path):
     assert f"line 1: {argv[0]} reads no config key 'fmt'" in err
 
 
+@pytest.mark.parametrize("command", ["torsion", "bf", "zeta"])
+def test_text_format_is_refused(command, tmp_path):
+    # csv, the default, and json are the two formats; text was a second
+    # name for csv
+    code, out, err = run_cli([command, "--format", "text"])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "must be one of csv/json, got 'text'" in err
+    config = tmp_path / "fmt.conf"
+    config.write_text("fmt = text\n")
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "line 1: fmt must be one of csv/json, got 'text'" in err
+
+
 GOLDEN_COMMANDS = {
     "torsion_circle_pi.txt": ["torsion", "--model", "circle", "--theta", PI],
     "bf_cat_pi.txt": ["bf", "--model", "cat", "--theta", PI, "--samples", "10"],
