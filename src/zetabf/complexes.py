@@ -42,6 +42,15 @@ each keeps its largest values, as many as the record's ranks give it, and
 cuts nothing again.  The exact/coexact bases of the BV gauges (the metric
 gauge's, and the Hodge contraction's iota and kernel splits) come from a
 second, with-vectors SVD (``hodge_bases``), cut at the record's rank.
+
+The random batches of the acceptance suite are factorised by shape:
+``random_twisted_complexes`` fills its complexes' records, and
+``schwarz_partitions`` and ``det_relations_reports`` factorise their blocks,
+with one stacked LAPACK call per matrix shape across the batch
+(``_values_by_shape``).  A stacked call factorises each member exactly as a
+lone call would, so every value keeps its bits; a batch of one complex makes
+the lone calls, one matrix at a time, and ``TwistedComplex.spectrum``,
+``schwarz_partition`` and ``det_relations_report`` are such batches.
 """
 
 from __future__ import annotations
@@ -112,8 +121,12 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """An n x n complex Ginibre matrix: real, then imaginary parts, from ``rng``."""
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    """An n x n complex Ginibre matrix: real, then imaginary parts, from ``rng``,
+    each draw written into the one complex array."""
+    z = np.empty((n, n), dtype=complex)
+    z.real = rng.normal(size=(n, n))
+    z.imag = rng.normal(size=(n, n))
+    return z
 
 
 def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
@@ -310,12 +323,42 @@ def _log_sum(x: np.ndarray) -> float:
     return float(np.sum(np.log(x)))
 
 
-def _logdet_top_sq(blocks: Sequence[np.ndarray], count: int) -> float:
-    """Sum of log(sigma^2) over the largest ``count`` singular values of the
-    block-diagonal matrix of ``blocks``, from one values-only SVD per block,
-    merged descending as the SVD of one block gives them."""
-    s = -np.sort(-np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
+def _logdet_top_sq(svals: Sequence[np.ndarray], count: int) -> float:
+    """Sum of log(sigma^2) over the largest ``count`` singular values of a
+    block-diagonal matrix, given each block's values-only SVD: merged
+    descending as the SVD of one block gives them."""
+    s = -np.sort(-np.concatenate(svals))
     return 2.0 * _log_sum(s[:count])
+
+
+def _values_by_shape(kernel: str, shapes: Sequence[Tuple[int, int]],
+                     build: Callable[[int], np.ndarray], stack: bool) -> List[np.ndarray]:
+    """The singular values (``kernel`` "svd") or the eigenvalues ("eigvalsh")
+    of the matrices build(0), build(1), ..., of shapes ``shapes``, in input
+    order.
+
+    With ``stack``, the matrices of one shape are built when their group
+    comes up and factorised in one stacked call, which factorises each member
+    exactly as a lone call would; a group of one is factorised alone.
+    Without it, each matrix is built and factorised alone, in input order:
+    a batch of one complex makes the calls of its lone form.
+    """
+    def values(a):
+        return np.linalg.svd(a, compute_uv=False) if kernel == "svd" else np.linalg.eigvalsh(a)
+
+    if not stack:
+        return [values(build(i)) for i in range(len(shapes))]
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    out: List[np.ndarray] = [None] * len(shapes)
+    for members in groups.values():
+        if len(members) == 1:
+            out[members[0]] = values(build(members[0]))
+        else:
+            for i, v in zip(members, values(np.stack([build(i) for i in members]))):
+                out[i] = v
+    return out
 
 
 def _gram_root(g: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -409,15 +452,11 @@ class TwistedComplex:
 
     @cached_property
     def spectrum(self) -> SpectralRecord:
-        """Spectral record of the stored differentials, computed on first use."""
-        # SVD values descend and eigvalsh ascends: keep a head, resp. a tail
-        svals = [np.linalg.svd(d, compute_uv=False) for d in self.diffs]
-        ranks = tuple(int(np.count_nonzero(nonzero_mask(s))) for s in svals)
-        coexact = tuple(2.0 * _log_sum(s[:r]) for s, r in zip(svals, ranks))
-        kept = [a + b for a, b in zip((0,) + ranks, ranks + (0,))]   # rank d_(k-1) + rank d_k
-        lap = tuple(_log_sum(np.linalg.eigvalsh(self.laplacian(k))[n - c:])
-                    for k, (n, c) in enumerate(zip(self.dims, kept)))
-        return SpectralRecord(ranks, coexact, lap)
+        """Spectral record of the stored differentials, computed on first use:
+        the batch of one of ``_spectral_records``, unless a batch has already
+        filled it (``random_twisted_complexes``, ``schwarz_partitions``,
+        ``det_relations_reports``)."""
+        return _spectral_records([self])[0]
 
     @cached_property
     def hodge_bases(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
@@ -443,6 +482,50 @@ class TwistedComplex:
         betti = self.betti_numbers()
         if any(betti):
             raise NotAcyclicError(betti)
+
+
+def _spectral_records(tcs: Sequence[TwistedComplex]) -> List[SpectralRecord]:
+    """The spectral record of each complex, in order: first the singular values
+    of every differential, then, with the ranks they give, the eigenvalues of
+    every Laplacian, each set factorised by ``_values_by_shape``, stacked
+    across a batch of more than one complex."""
+    stack = len(tcs) > 1
+    diffs = [d for tc in tcs for d in tc.diffs]
+    svals = iter(_values_by_shape("svd", [d.shape for d in diffs], diffs.__getitem__, stack))
+    heads = []                                  # per complex: (ranks, coexact log dets)
+    for tc in tcs:
+        # SVD values descend and eigvalsh ascends: keep a head, resp. a tail
+        s = [next(svals) for _ in tc.diffs]
+        ranks = tuple(int(np.count_nonzero(nonzero_mask(v))) for v in s)
+        heads.append((ranks, tuple(2.0 * _log_sum(v[:r]) for v, r in zip(s, ranks))))
+    laps = [(tc, k) for tc in tcs for k in range(len(tc.dims))]
+    eigs = iter(_values_by_shape("eigvalsh", [(tc.dims[k],) * 2 for tc, k in laps],
+                                 lambda i: laps[i][0].laplacian(laps[i][1]), stack))
+    out = []
+    for tc, (ranks, coexact) in zip(tcs, heads):
+        kept = [a + b for a, b in zip((0,) + ranks, ranks + (0,))]   # rank d_(k-1) + rank d_k
+        lap = tuple(_log_sum(next(eigs)[n - c:]) for n, c in zip(tc.dims, kept))
+        out.append(SpectralRecord(ranks, coexact, lap))
+    return out
+
+
+def _spectra(tcs: Sequence[TwistedComplex]):
+    """Fill the spectral record of every complex that lacks one, as one batch."""
+    todo = [tc for tc in tcs if "spectrum" not in vars(tc)]
+    for tc, record in zip(todo, _spectral_records(todo)):
+        vars(tc)["spectrum"] = record       # where cached_property keeps it
+
+
+def _acyclic_prefix(tcs: Sequence[TwistedComplex]
+                    ) -> Tuple[Sequence[TwistedComplex], Optional[NotAcyclicError]]:
+    """The complexes before the first non-acyclic one, and the NotAcyclicError
+    that one raises (None when every complex is acyclic)."""
+    for i, tc in enumerate(tcs):
+        try:
+            tc.require_acyclic()
+        except NotAcyclicError as exc:
+            return tcs[:i], exc
+    return tcs, None
 
 
 def _unit_metric(grams: Optional[Sequence[Optional[np.ndarray]]]) -> bool:
@@ -571,32 +654,63 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     assembled.  Each operator keeps its largest merged values, as many as the
     spectral record's ranks give it.  The result is held to the coexact route
     as ``analytic_torsion`` holds the Laplacian route (``_cross_check``):
-    beyond that, ZetaBFError.
+    beyond that, ZetaBFError.  The batch of one of ``schwarz_partitions``.
     """
-    tc.require_acyclic()
-    n = tc.top_degree
+    return schwarz_partitions([tc])[0]
 
-    if n == 1:
-        return math.exp(0.5 * tc.spectrum.coexact_logdets[0])
 
-    ranks = tc.spectrum.ranks
-    d = tc.diffs
+def _t_sq_block(d1: np.ndarray, dual: bool) -> np.ndarray:
+    """A diagonal block of T^2: d_1* d_1 on C^1, or its dual twin
+    conj(d_1) d_1^T on C^2."""
+    return np.conj(d1) @ d1.T if dual else d1.conj().T @ d1
 
-    # T^2 = diag(d_1* d_1, dual twin): the merged values ascend, so the kept
-    # ones are the last 2 rank d_1.
-    t_sq = np.sort(np.concatenate([np.linalg.eigvalsh(d[1].conj().T @ d[1]),
-                                   np.linalg.eigvalsh(np.conj(d[1]) @ d[1].T)]))
-    log_z = -0.25 * _log_sum(t_sq[len(t_sq) - 2 * ranks[1]:])
 
-    # Ghost towers (blocks of T_k, rank), the dual tower's differentials d^T:
-    # T_1 = diag(d_0, d_2^T) (d_2^T for N >= 3), T_k = d_(k+1)^T for 2 <= k <= N-2.
+def _ghost_towers(tc: TwistedComplex) -> List[Tuple[Tuple[np.ndarray, ...], int]]:
+    """(blocks of T_k, rank) for k = 1 .. N-2, the dual tower's differentials
+    d^T: T_1 = diag(d_0, d_2^T) (d_2^T for N >= 3), T_k = d_(k+1)^T for
+    2 <= k <= N-2."""
+    d, ranks, n = tc.diffs, tc.spectrum.ranks, tc.top_degree
     towers = [((d[0], d[2].T), ranks[0] + ranks[2]) if n >= 3 else ((d[0],), ranks[0])]
     towers += [((d[k + 1].T,), ranks[k + 1]) for k in range(2, n - 1)]
-    for k, (blocks, rank) in enumerate(towers, start=1):
-        log_z += 0.5 * (-1) ** (k + 1) * _logdet_top_sq(blocks, rank)
-    z = math.exp(log_z)
-    _cross_check("schwarz", z, math.exp(_log_coexact_torsion(tc.spectrum)))
-    return z
+    return towers
+
+
+def schwarz_partitions(tcs: Sequence[TwistedComplex]) -> List[float]:
+    """``schwarz_partition`` of each complex, in order, from one stacked
+    factorisation per matrix shape across the batch (``_values_by_shape``):
+    the spectral records that are missing, then the blocks of every T^2, then
+    those of every T_k, each value bit-identical to the lone call's.  The
+    complexes are then finished in order, so the batch raises what the first
+    failing lone call would: its NotAcyclicError or its cross-check
+    ZetaBFError.  An empty batch gives []."""
+    _spectra(tcs)
+    ready, not_acyclic = _acyclic_prefix(tcs)
+    stack = len(tcs) > 1
+    deep = [tc for tc in ready if tc.top_degree > 1]
+    t_sq = iter(_values_by_shape("eigvalsh", [(n, n) for tc in deep for n in tc.dims[1:3]],
+                                 lambda i: _t_sq_block(deep[i // 2].diffs[1], i % 2 == 1),
+                                 stack))
+    towers = [_ghost_towers(tc) if tc.top_degree > 1 else [] for tc in ready]
+    blocks = [b for tower in towers for bs, _ in tower for b in bs]
+    svals = iter(_values_by_shape("svd", [b.shape for b in blocks], blocks.__getitem__, stack))
+    out = []
+    for tc, tower in zip(ready, towers):
+        spec = tc.spectrum
+        if tc.top_degree == 1:
+            out.append(math.exp(0.5 * spec.coexact_logdets[0]))
+            continue
+        # T^2 = diag(d_1* d_1, dual twin): the merged values ascend, so the
+        # kept ones are the last 2 rank d_1.
+        t = np.sort(np.concatenate([next(t_sq), next(t_sq)]))
+        log_z = -0.25 * _log_sum(t[len(t) - 2 * spec.ranks[1]:])
+        for k, (bs, rank) in enumerate(tower, start=1):
+            log_z += 0.5 * (-1) ** (k + 1) * _logdet_top_sq([next(svals) for _ in bs], rank)
+        z = math.exp(log_z)
+        _cross_check("schwarz", z, math.exp(_log_coexact_torsion(spec)))
+        out.append(z)
+    if not_acyclic is not None:
+        raise not_acyclic
+    return out
 
 
 @dataclass
@@ -623,18 +737,38 @@ def _worst(residuals) -> float:
 def det_relations_report(tc: TwistedComplex) -> DetRelationsReport:
     """Every det read off the spectral record, but relation (1)'s det(d_k d_k*):
     from its own SVD of d_k*, over its largest rank d_k singular values.  A
-    NaN log-determinant makes its relation's residual NaN."""
-    tc.require_acyclic()
-    n, spec = tc.top_degree, tc.spectrum
-    ell = spec.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
-    res1 = _worst(abs(_logdet_top_sq([d.conj().T], r) - e)
-                  for d, r, e in zip(tc.diffs, spec.ranks, ell))
-    ends = (0.0,) + ell + (0.0,)        # ends[k] + ends[k + 1]: relation (3)'s target at k
-    res3 = _worst(abs(lap - (ends[k] + ends[k + 1]))
-                  for k, lap in enumerate(spec.laplacian_logdets))
-    res2 = (_worst(abs(ell[k - 1] - ell[n - k]) for k in range(1, n + 1))
-            if tc.poincare_self_dual else None)
-    return DetRelationsReport(res1, res3, res2, tuple(ell))
+    NaN log-determinant makes its relation's residual NaN.  The batch of one
+    of ``det_relations_reports``."""
+    return det_relations_reports([tc])[0]
+
+
+def det_relations_reports(tcs: Sequence[TwistedComplex]) -> List[DetRelationsReport]:
+    """``det_relations_report`` of each complex, in order, from one stacked
+    factorisation per matrix shape across the batch (``_values_by_shape``):
+    the spectral records that are missing, then every d_k* of relation (1),
+    each value bit-identical to the lone call's.  The batch raises the
+    NotAcyclicError of its first non-acyclic complex after reporting on the
+    ones before it.  An empty batch gives []."""
+    _spectra(tcs)
+    ready, not_acyclic = _acyclic_prefix(tcs)
+    diffs = [d for tc in ready for d in tc.diffs]
+    svals = iter(_values_by_shape("svd", [d.T.shape for d in diffs],
+                                  lambda i: diffs[i].conj().T, len(tcs) > 1))
+    out = []
+    for tc in ready:
+        n, spec = tc.top_degree, tc.spectrum
+        ell = spec.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
+        res1 = _worst(abs(_logdet_top_sq([next(svals)], r) - e)
+                      for r, e in zip(spec.ranks, ell))
+        ends = (0.0,) + ell + (0.0,)        # ends[k] + ends[k + 1]: relation (3)'s target at k
+        res3 = _worst(abs(lap - (ends[k] + ends[k + 1]))
+                      for k, lap in enumerate(spec.laplacian_logdets))
+        res2 = (_worst(abs(ell[k - 1] - ell[n - k]) for k in range(1, n + 1))
+                if tc.poincare_self_dual else None)
+        out.append(DetRelationsReport(res1, res3, res2, tuple(ell)))
+    if not_acyclic is not None:
+        raise not_acyclic
+    return out
 
 
 # -- model complexes ----------------------------------------------------------
@@ -754,7 +888,8 @@ def random_twisted_complexes(rng: np.random.Generator, count: int,
     ``count`` lone calls; then the Ginibre matrices of each size are
     factorised in one stacked QR, and released, and the complexes are
     assembled: each is bit-identical to its lone call, and ``rng`` ends in
-    the same state.
+    the same state.  Their spectral records come filled, factorised as one
+    batch: one stacked call per matrix shape when ``count`` > 1.
     """
     draws, by_size = [], {}
     for _ in range(count):
@@ -786,6 +921,7 @@ def random_twisted_complexes(rng: np.random.Generator, count: int,
             right = us[k][:, dims[k] - m:]
             diffs.append(left @ np.diag(s) @ right.conj().T)
         out.append(TwistedComplex(diffs))
+    _spectra(out)
     return out
 
 

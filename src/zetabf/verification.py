@@ -236,9 +236,9 @@ def _random_complexes(count: int, rng: np.random.Generator):
 def criterion_6_schwarz_equals_torsion() -> Outcome:
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for tc in _random_complexes(100, rng):
+    tcs = _random_complexes(100, rng)
+    for tc, z in zip(tcs, complexes.schwarz_partitions(tcs)):
         tau = complexes.analytic_torsion(tc)
-        z = complexes.schwarz_partition(tc)
         worst = max(worst, abs(z / tau - 1.0))
     ok = worst < 1e-10
     return ("schwarz resolution = analytic torsion (100 random)",
@@ -248,8 +248,7 @@ def criterion_6_schwarz_equals_torsion() -> Outcome:
 def criterion_7_det_relations() -> Outcome:
     rng = np.random.default_rng(SEED + 1)
     worst13 = 0.0
-    for tc in _random_complexes(100, rng):
-        rep = complexes.det_relations_report(tc)
+    for rep in complexes.det_relations_reports(_random_complexes(100, rng)):
         worst13 = max(worst13, rep.relation1, rep.relation3)
     worst2 = 0.0
     for tc in (complexes.circle_complex(math.pi),

@@ -956,22 +956,15 @@ def _scan_exponentials(monkeypatch):
 
 
 def _oracle_exponentials(m, xs):
-    """e^(-x m) to 40 digits at the grid xs[i] = i / (len(xs) - 1) of
-    doubles: one ``mpmath.expm`` at h = xs[1], its powers, and for the
-    rounding x_i - i h (a few 1e-16) the Taylor terms through second order,
-    which leave an error below 1e-45 for ||m|| <= 3."""
+    """e^(-x m) to 40 digits at each double x of xs, for a skew-Hermitian m:
+    i m is Hermitian, so one 40-digit ``mpmath.eighe`` of i m = V diag(lam) V^H
+    gives e^(-x m) = V diag(e^(i x lam)) V^H at every x."""
+    assert np.array_equal(m, -m.conj().T)
     with mpmath.workdps(40):
-        h = mpmath.mpf(float(xs[1]))
-        mm = mpmath.matrix(m.tolist())
-        step = mpmath.expm(-h * mm)
-        eye = mpmath.eye(m.shape[0])
-        square = mm * mm
-        power, out = eye, []
-        for i, x in enumerate(xs):
-            delta = mpmath.mpf(float(x)) - i * h
-            assert abs(delta) < 1e-15
-            out.append(power * (eye - delta * mm + delta ** 2 / 2 * square) if delta else power)
-            power = power * step
+        lam, v = mpmath.eighe(mpmath.matrix(m.tolist()) * 1j)
+        vh = v.H
+        out = [v * mpmath.diag([mpmath.expj(mpmath.mpf(float(x)) * e) for e in lam]) * vh
+               for x in xs]
         return np.array([[[complex(e[r, c]) for c in range(m.shape[1])]
                           for r in range(m.shape[0])] for e in out])
 

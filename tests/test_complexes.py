@@ -20,6 +20,7 @@ from zetabf.complexes import (
     circle_complex,
     UnitaryRep,
     det_relations_report,
+    det_relations_reports,
     ginibre,
     mapping_torus_cell_complex,
     mapping_torus_complex,
@@ -27,6 +28,7 @@ from zetabf.complexes import (
     random_twisted_complex,
     read_complex_file,
     schwarz_partition,
+    schwarz_partitions,
     torsion_routes,
     torus_complex,
     torus_cell_complex,
@@ -465,6 +467,82 @@ def test_batched_random_complexes_are_the_lone_draws(seed):
         for got, want in zip(tc.diffs, lone.diffs):
             assert np.array_equal(got, want)
     assert rng.bit_generator.state == state
+
+
+def _record_hex(tc):
+    spec = tc.spectrum
+    return spec.ranks, [x.hex() for x in spec.coexact_logdets + spec.laplacian_logdets]
+
+
+def _report_hex(rep):
+    return [x.hex() for x in (rep.relation1, rep.relation3) + rep.coexact_logdets]
+
+
+@pytest.mark.parametrize("seed", [SEED, SEED + 1])
+def test_batches_are_the_lone_calls_bit_for_bit(seed):
+    # criteria 6 and 7's batches against lone calls on fresh copies, which
+    # factorise every matrix on its own
+    tcs = _random_complexes(100, np.random.default_rng(seed))
+    fresh = [TwistedComplex(tc.diffs) for tc in tcs]
+    assert all("spectrum" in vars(tc) for tc in tcs)      # filled by the draw
+    assert not any("spectrum" in vars(tc) for tc in fresh)
+    assert [_record_hex(tc) for tc in tcs] == [_record_hex(tc) for tc in fresh]
+    assert [z.hex() for z in schwarz_partitions(tcs)] == \
+        [schwarz_partition(tc).hex() for tc in fresh]
+    assert [_report_hex(r) for r in det_relations_reports(tcs)] == \
+        [_report_hex(det_relations_report(tc)) for tc in fresh]
+    # a batch that fills the records itself reads the same bits
+    again = [TwistedComplex(tc.diffs) for tc in tcs]
+    assert [z.hex() for z in schwarz_partitions(again)] == \
+        [schwarz_partition(tc).hex() for tc in fresh]
+    assert [_record_hex(tc) for tc in again] == [_record_hex(tc) for tc in fresh]
+
+
+@pytest.mark.parametrize("batch", [schwarz_partitions, det_relations_reports])
+def test_a_batch_raises_at_its_first_non_acyclic_complex(batch):
+    tcs = _random_complexes(6, np.random.default_rng(3))
+    middle = tcs[:3] + [circle_complex(0.0)] + tcs[3:] + [torus_complex(0.0, 0.0)]
+    with pytest.raises(NotAcyclicError) as err:
+        batch(middle)
+    assert err.value.betti == (1, 1)
+
+
+def test_a_schwarz_batch_raises_what_its_first_failing_complex_raises():
+    # as the lone loop stops there: a cross-check failure before a
+    # non-acyclic complex, or the NotAcyclicError before a cross-check
+    tcs = _random_complexes(2, np.random.default_rng(3))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ZetaBFError, match="schwarz route"):
+            schwarz_partitions(tcs + [_split_scale_complex(1e4), circle_complex(0.0)])
+        with pytest.raises(NotAcyclicError):
+            schwarz_partitions(tcs + [circle_complex(0.0), _split_scale_complex(1e4)])
+
+
+def test_a_top_degree_one_complex_in_a_batch_takes_the_one_degree_branch():
+    tcs = _random_complexes(4, np.random.default_rng(4))
+    circle = circle_complex(2.0)
+    got = schwarz_partitions(tcs[:2] + [circle] + tcs[2:])
+    assert got[2] == math.exp(0.5 * circle.spectrum.coexact_logdets[0])
+    assert got[2] == pytest.approx(circle_torsion_oracle(2.0), rel=1e-14)
+    assert [z.hex() for z in got] == \
+        [schwarz_partition(TwistedComplex(tc.diffs)).hex() for tc in tcs[:2] + [circle] + tcs[2:]]
+
+
+def test_an_empty_batch_gives_no_values():
+    assert schwarz_partitions([]) == []
+    assert det_relations_reports([]) == []
+    assert complexes.random_twisted_complexes(
+        np.random.default_rng(0), 0, lambda r: (2, 3, 1)) == []
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 120])
+def test_ginibre_is_the_sum_of_its_two_draws(n):
+    # the reference: real part plus 1j times imaginary part, drawn in that order
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(3):
+        assert np.array_equal(ginibre(rng, n),
+                              ref.normal(size=(n, n)) + 1j * ref.normal(size=(n, n)))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_bad_labelling_raises():
