@@ -2,24 +2,38 @@
 
 A monomial is stored as its word of variable indices in ascending order: an
 even variable repeats once per power and an odd one appears at most once, so
-the constant is () and variable i is (i,).  One rule gives every Koszul sign
-(``_koszul``): an odd variable moving past a run of letters picks up (-1) to
-the number of odd letters in the run.  A product sorts the two words together
-and takes that sign for each odd letter of the right factor past the left
-factor's letters above it (a repeated odd letter gives zero); a derivative
+the constant is () and variable i is (i,).  Every Koszul sign is (-1) to the
+number of odd letters an odd letter moves past, read off the bit mask of a
+word's odd letters (bit i for odd variable i).  A product of words a and b is
+zero when their masks meet (a repeated odd letter); otherwise it sorts the
+two words together, each odd letter y of b passing the odd letters of a above
+y, so the sign is the parity of popcount(mask(a) & w(b)), where bit x of w(b)
+is set when an odd number of b's odd letters lie below x.  A derivative
 removes one occurrence of its letter, an even letter with its count as
-factor, an odd one with the sign over the letters before it (left) or after
-it (right).  Terms keep their insertion order, so every coefficient sum runs
-in the order its terms arose.
+factor, an odd one with the sign over the odd letters below it (left) or
+above it (right).
+
+Terms keep their insertion order, so every coefficient sum runs in the order
+its terms arose.  A sum copies its left terms once and adds the right ones in
+place: each touched coefficient is normalised (0.0 + c turns a -0.0 part into
++0.0), and one that reaches 0 leaves the dict, to re-enter at the end if a
+later sum brings it back.  Each coefficient comes from the same IEEE
+operations, in the same order, as in a kernel that merges words letter by
+letter and rebuilds every sum.
 
 The BV Laplacian is the mixed second derivative over conjugate pairs with the
 sign (-1)^{|field|}; the antibracket uses right derivatives in the first slot
-and left derivatives in the second.  Gaussian expectations integrate even
-coordinates by Wick pairing against the inverse of the weight's Hessian and
-odd coordinates by Berezin extraction of the top monomial; odd variables
-integrate in descending order, so that
-int d(xi_n) ... d(xi_1) xi_1 ... xi_n = 1.  A chart stores its variable table
-(names and parities), which every derivative, sign and Berezin split reads.
+and left derivatives in the second.  Both visit only the pairs whose letters
+occur in their arguments (any other pair contributes no term) and add into
+one dict.  Gaussian expectations integrate even coordinates by Wick pairing
+against the inverse of the weight's Hessian and odd coordinates by Berezin
+extraction of the top monomial; odd variables integrate in descending order,
+so that int d(xi_n) ... d(xi_1) xi_1 ... xi_n = 1.  The odd pairing is
+degenerate when its Berezin normalisation (a Pfaffian) is at most
+``ODD_DEGENERACY_TOL`` times its Hadamard bound; a pairing far from unit
+scale is first brought near it by an exact power-of-two rescaling of the odd
+variables.  A chart stores its variable table (names, parities and odd-letter
+bits), which every derivative, sign and Berezin split reads.
 """
 
 from __future__ import annotations
@@ -31,6 +45,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegreeOverflowError, IndefiniteWeightError
+
+# an odd pairing whose Berezin normalisation is at most this fraction of its
+# Hadamard bound prod_v |A_v|^(1/2) (A_v: row v of the pairing) is degenerate
+ODD_DEGENERACY_TOL = 1e-12
+# the odd variables are rescaled by a power of two when that bound lies
+# outside 2^(+-ODD_RESCALE_BITS), so the normalisation stays a normal float
+ODD_RESCALE_BITS = 128
 
 # monomial key: the word of variable indices in ascending order, an even
 # variable once per power, an odd one at most once
@@ -45,7 +66,9 @@ class DarbouxChart:
     even and one odd member.  ``max_word_length`` caps the polynomial degree
     the chart supports.  Construction stores the chart's variable table:
     ``variables`` lists variable 2i, the field of pair i, before variable
-    2i+1, its antifield, and ``parities`` their degrees mod 2.  Equality and
+    2i+1, its antifield, and ``parities`` their degrees mod 2.  For an odd
+    variable i, ``odd_bits[i]`` is 1 << i and ``odd_above[i]`` the (negative)
+    mask of every bit above i; both are 0 for an even variable.  Equality and
     hashing read the three declared fields only.
     """
 
@@ -60,8 +83,12 @@ class DarbouxChart:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "parities",
-                           tuple(p for d in self.field_degrees for p in (d % 2, (-1 - d) % 2)))
+        parities = tuple(p for d in self.field_degrees for p in (d % 2, (-1 - d) % 2))
+        object.__setattr__(self, "parities", parities)
+        object.__setattr__(self, "odd_bits",
+                           tuple(p << i for i, p in enumerate(parities)))
+        object.__setattr__(self, "odd_above",
+                           tuple(-(p << i + 1) for i, p in enumerate(parities)))
 
     def index(self, name: str) -> int:
         return self.variables.index(name)
@@ -115,9 +142,8 @@ class PolyObservable:
 
     def __add__(self, other: "PolyObservable") -> "PolyObservable":
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return PolyObservable(self.chart, out)
+        _add_into(out, other.terms)
+        return _observable(self.chart, out)
 
     def __sub__(self, other: "PolyObservable") -> "PolyObservable":
         return self + other * (-1.0)
@@ -126,18 +152,31 @@ class PolyObservable:
         if not isinstance(other, PolyObservable):
             return PolyObservable(self.chart,
                                   {k: v * other for k, v in self.terms.items()})
+        chart = self.chart
+        bits, above = chart.odd_bits, chart.odd_above
+        right = []
+        for k2, c2 in other.terms.items():
+            # bit x of w2 is set when an odd number of k2's odd letters lie
+            # below x, so popcount(m1 & w2) is odd when the sign is -1
+            w2 = 0
+            for y in k2:
+                w2 ^= above[y]
+            right.append((k2, c2, _odd_mask(k2, bits), w2, k2[0] if k2 else len(bits)))
         out: Dict[Monomial, complex] = {}
+        get = out.get
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key, sign = _merge(k1, k2, self.chart.parities)
-                if sign == 0:
+            m1 = _odd_mask(k1, bits)
+            last1 = k1[-1] if k1 else 0
+            for k2, c2, m2, w2, first2 in right:
+                if m1 & m2:
                     continue
-                out[key] = out.get(key, 0.0) + c1 * c2 * sign
-        prod = PolyObservable(self.chart, out)
-        if prod.word_length() > self.chart.max_word_length:
+                key = k1 + k2 if last1 <= first2 else tuple(sorted(k1 + k2))
+                out[key] = get(key, 0.0) + c1 * c2 * (-1 if (m1 & w2).bit_count() & 1 else 1)
+        prod = PolyObservable(chart, out)
+        if prod.word_length() > chart.max_word_length:
             raise DegreeOverflowError(
                 f"product degree {prod.word_length()} exceeds cap "
-                f"{self.chart.max_word_length}"
+                f"{chart.max_word_length}"
             )
         return prod
 
@@ -146,19 +185,25 @@ class PolyObservable:
     # -- derivatives -------------------------------------------------------------
 
     def _derivative(self, idx: int, from_left: bool) -> "PolyObservable":
+        # removing one occurrence of a letter is injective on words, so no
+        # two terms meet and each coefficient is 0.0 + coeff * factor
         out: Dict[Monomial, complex] = {}
-        parities = self.chart.parities
+        bits = self.chart.odd_bits
+        odd = bits[idx]
+        # the odd letters an odd idx passes: those below it (left) or above it
+        passed = odd - 1 if from_left else -(odd << 1)
         for word, coeff in self.terms.items():
             if idx not in word:
                 continue
             pos = word.index(idx)
-            if parities[idx]:
-                factor = _koszul(parities, word[:pos] if from_left else word[pos + 1:])
+            if odd:
+                factor = -1 if (_odd_mask(word, bits) & passed).bit_count() & 1 else 1
             else:
                 factor = word.count(idx)
-            key = word[:pos] + word[pos + 1:]
-            out[key] = out.get(key, 0.0) + coeff * factor
-        return PolyObservable(self.chart, out)
+            value = 0.0 + coeff * factor
+            if value != 0:
+                out[word[:pos] + word[pos + 1:]] = value
+        return _observable(self.chart, out)
 
     def substitute_zero(self, names: Iterable[str]) -> "PolyObservable":
         """Set the listed variables to zero."""
@@ -181,23 +226,28 @@ class PolyObservable:
         return result
 
 
-def _koszul(parities: Sequence[int], letters: Iterable[int]) -> int:
-    """The sign an odd variable picks up moving past ``letters``: (-1) to the
-    number of odd letters among them."""
-    return -1 if sum(parities[v] for v in letters) % 2 else 1
+def _odd_mask(word: Monomial, bits: Sequence[int]) -> int:
+    """The word's odd letters as a bit mask."""
+    return sum(map(bits.__getitem__, word))
 
 
-def _merge(a: Monomial, b: Monomial, parities: Sequence[int]) -> Tuple[Monomial, int]:
-    """The product of two monomial words and its Koszul sign: each odd letter
-    of ``b`` moves past the letters of ``a`` above it.  A repeated odd letter
-    gives sign 0."""
-    sign = 1
-    for y in b:
-        if parities[y]:
-            if y in a:
-                return (), 0
-            sign *= _koszul(parities, (x for x in a if x > y))
-    return tuple(sorted(a + b)), sign
+def _observable(chart: DarbouxChart, terms: Dict[Monomial, complex]) -> PolyObservable:
+    """An observable on terms that are already normalised and nonzero."""
+    out = PolyObservable.__new__(PolyObservable)
+    out.chart, out.terms = chart, terms
+    return out
+
+
+def _add_into(out: Dict[Monomial, complex], terms: Dict[Monomial, complex]) -> None:
+    """Add normalised terms into ``out`` in place: each touched sum is
+    normalised, and a sum that reaches 0 leaves ``out``."""
+    get = out.get
+    for k, v in terms.items():
+        s = get(k, 0.0) + v
+        if s != 0:
+            out[k] = 0.0 + s
+        else:
+            del out[k]
 
 
 def random_observable(chart: DarbouxChart, rng: np.random.Generator,
@@ -222,6 +272,10 @@ def random_observable(chart: DarbouxChart, rng: np.random.Generator,
 # -- BV operators ------------------------------------------------------------------
 
 
+def _letters(p: PolyObservable) -> set:
+    return set().union(*p.terms)
+
+
 def bv_laplacian(p: PolyObservable, weight: Optional[PolyObservable] = None) -> PolyObservable:
     """Odd Laplacian Delta p = sum_i (-1)^{|x_i|} d/dx_i d/dxi_i p.
 
@@ -232,25 +286,32 @@ def bv_laplacian(p: PolyObservable, weight: Optional[PolyObservable] = None) -> 
     chart = p.chart
     if p.word_length() > chart.max_word_length:
         raise DegreeOverflowError("observable exceeds the chart degree cap")
-    out = PolyObservable.constant(chart, 0.0)
+    letters = _letters(p)
+    out: Dict[Monomial, complex] = {}
     for f_idx, af_idx in chart.pair_indices():
-        sign = (-1) ** chart.parity_of(f_idx)
-        term = p._derivative(af_idx, from_left=True)._derivative(f_idx, from_left=True)
-        out = out + term * complex(sign)
+        if f_idx in letters and af_idx in letters:
+            sign = (-1) ** chart.parity_of(f_idx)
+            term = p._derivative(af_idx, from_left=True)._derivative(f_idx, from_left=True)
+            _add_into(out, (term * complex(sign)).terms)
+    out_p = _observable(chart, out)
     if weight is not None:
-        out = out - antibracket(weight, p)
-    return out
+        out_p = out_p - antibracket(weight, p)
+    return out_p
 
 
 def antibracket(f: PolyObservable, g: PolyObservable) -> PolyObservable:
     """(f, g) = sum_i [ (df/dx_i)_R (dg/dxi_i)_L - (df/dxi_i)_R (dg/dx_i)_L ]."""
     chart = f.chart
-    out = PolyObservable.constant(chart, 0.0)
+    f_letters, g_letters = _letters(f), _letters(g)
+    out: Dict[Monomial, complex] = {}
     for f_idx, af_idx in chart.pair_indices():
-        t1 = f._derivative(f_idx, from_left=False) * g._derivative(af_idx, from_left=True)
-        t2 = f._derivative(af_idx, from_left=False) * g._derivative(f_idx, from_left=True)
-        out = out + t1 - t2
-    return out
+        if f_idx in f_letters and af_idx in g_letters:
+            t1 = f._derivative(f_idx, from_left=False) * g._derivative(af_idx, from_left=True)
+            _add_into(out, t1.terms)
+        if af_idx in f_letters and f_idx in g_letters:
+            t2 = f._derivative(af_idx, from_left=False) * g._derivative(f_idx, from_left=True)
+            _add_into(out, (t2 * (-1.0)).terms)
+    return _observable(chart, out)
 
 
 # -- Gaussian / Berezin expectations -------------------------------------------------
@@ -296,6 +357,29 @@ def _quadratic_data(weight: PolyObservable, even_vars: List[int], odd_vars: List
     return hess, odd_part
 
 
+def _log2_hadamard_bound(odd_part: PolyObservable, odd_vars: List[int]) -> float:
+    """log2 of prod_v |A_v|^(1/2) over the rows A_v of the odd pairing matrix,
+    a bound on its Pfaffian: -inf when some odd variable is unpaired."""
+    rows: Dict[int, List[float]] = {v: [] for v in odd_vars}
+    for (u, v), coeff in odd_part.terms.items():
+        rows[u].append(abs(coeff))
+        rows[v].append(abs(coeff))
+    norms = [math.hypot(*row) for row in rows.values()]
+    return sum(math.log2(h) if h else -math.inf for h in norms) / 2
+
+
+def _times_per_odd_letter(p: PolyObservable, step: float) -> PolyObservable:
+    """p with each coefficient multiplied by ``step`` once per odd letter."""
+    parities = p.chart.parities
+    out = {}
+    for key, coeff in p.terms.items():
+        for v in key:
+            if parities[v]:
+                coeff = coeff * step
+        out[key] = coeff
+    return PolyObservable(p.chart, out)
+
+
 def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
                          weight: PolyObservable):
     """(normalised expectation of p over the coordinate Lagrangian, scale).
@@ -303,8 +387,11 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     The Lagrangian is the span of ``lagrangian_vars`` (the conjugate
     coordinates are set to zero).  Even coordinates integrate against
     e^(-weight_even) by Wick pairing (the Hessian must be positive definite),
-    odd coordinates by Berezin rules with e^(-weight_odd) expanded; a
-    degenerate odd pairing makes the normalisation vanish and raises.
+    odd coordinates by Berezin rules with e^(-weight_odd) expanded.  An odd
+    pairing whose normalisation is at most ``ODD_DEGENERACY_TOL`` times its
+    Hadamard bound raises ``IndefiniteWeightError``; one whose bound lies
+    outside 2^(+-``ODD_RESCALE_BITS``) is computed on odd variables rescaled
+    by a power of two, which leaves the normalised value unchanged.
 
     The scale is the magnitude of the largest intermediate moment, for
     relative-error reporting.
@@ -327,8 +414,17 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     else:
         cov = np.zeros((0, 0))
 
+    p_on = p.substitute_zero(off)
+    log2_bound = _log2_hadamard_bound(odd_part, odd_vars)
+    shift = 0
+    if math.isfinite(log2_bound) and abs(log2_bound) > ODD_RESCALE_BITS:
+        # xi -> 2^shift xi for every odd variable brings the bound near 1:
+        # each odd letter of a word multiplies its coefficient by 2^shift
+        shift = -round(log2_bound / len(odd_vars))
+        step = math.ldexp(1.0, shift)
+        odd_part, p_on = (_times_per_odd_letter(q, step) for q in (odd_part, p_on))
     odd_factor = (odd_part * (-1.0)).exp_nilpotent()
-    damped = p.substitute_zero(off) * odd_factor
+    damped = p_on * odd_factor
 
     epos = {v: i for i, v in enumerate(even_vars)}
 
@@ -348,7 +444,7 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
         return total, scale
 
     z_odd, _ = integrate(odd_factor)
-    if abs(z_odd) < 1e-300:
+    if abs(z_odd) <= ODD_DEGENERACY_TOL * 2.0 ** (log2_bound + shift * len(odd_vars)):
         raise IndefiniteWeightError("odd part of the weight is degenerate")
     value, scale = integrate(damped)
     return value / z_odd, scale / abs(z_odd)

@@ -314,8 +314,9 @@ def criterion_10_bv_identities() -> Outcome:
         sf = (-1) ** pf
         d = observables.bv_laplacian
         br = observables.antibracket
-        id1 = d(f * g) - (d(f) * g + f * d(g) * sf + br(f, g) * sf)
-        id2 = d(br(f, g)) - (br(d(f), g) + br(f, d(g)) * (-sf))
+        df, dg, bfg = d(f), d(g), br(f, g)
+        id1 = d(f * g) - (df * g + f * dg * sf + bfg * sf)
+        id2 = d(bfg) - (br(df, g) + br(f, dg) * (-sf))
         worst_alg = max(worst_alg, id1.max_abs_coeff(), id2.max_abs_coeff())
 
     # damped expectations of Delta_mu h over both gauge kinds

@@ -129,6 +129,40 @@ def test_degenerate_odd_weight_rejected():
         gaussian_expectation(one, ["c", "d"], q)
 
 
+FOUR_ODD = DarbouxChart((("c", "cb"), ("d", "db"), ("e", "eb"), ("f", "fb")), (1, 1, 1, 1),
+                        max_word_length=8)
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-150, 1e-160, 1e-200])
+def test_odd_degeneracy_is_relative_to_the_pairing(s):
+    # q = s cd + s ef is nondegenerate at every scale: <cd> = -1/s
+    c, d, e, f = (var(FOUR_ODD, n) for n in ("c", "d", "e", "f"))
+    q = c * d * s + e * f * s
+    val, scale = gaussian_expectation(c * d, ["c", "d", "e", "f"], q)
+    assert val == pytest.approx(-1 / s, rel=1e-14)
+    assert scale == pytest.approx(1 / s, rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])
+def test_an_unpaired_odd_variable_is_degenerate(s):
+    c, d = var(FOUR_ODD, "c"), var(FOUR_ODD, "d")
+    with pytest.raises(IndefiniteWeightError, match="degenerate"):
+        gaussian_expectation(c * d, ["c", "d", "e", "f"], c * d * s)
+
+
+def test_a_nearly_singular_odd_pairing_is_degenerate():
+    # q = cd + (1 + delta) ce + fd + fe has Pfaffian delta and Hadamard bound 2
+    c, d, e, f = (var(FOUR_ODD, n) for n in ("c", "d", "e", "f"))
+    for delta, want in ((1e-6, 1e6), (2.0 ** -50, None)):
+        q = c * d + c * e * (1 + delta) + f * d + f * e
+        if want is None:
+            with pytest.raises(IndefiniteWeightError, match="degenerate"):
+                gaussian_expectation(c * d, ["c", "d", "e", "f"], q)
+        else:
+            val, _ = gaussian_expectation(c * d, ["c", "d", "e", "f"], q)
+            assert val == pytest.approx(want, rel=1e-9)
+
+
 def test_damped_laplacian_integrals_vanish():
     chart = DarbouxChart((("x", "xi"), ("c", "cb"), ("d", "db")), (0, 1, 1),
                          max_word_length=12)
