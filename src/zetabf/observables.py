@@ -66,9 +66,8 @@ class DarbouxChart:
     even and one odd member.  ``max_word_length`` caps the polynomial degree
     the chart supports.  Construction stores the chart's variable table:
     ``variables`` lists variable 2i, the field of pair i, before variable
-    2i+1, its antifield, and ``parities`` their degrees mod 2.  For an odd
-    variable i, ``odd_bits[i]`` is 1 << i and ``odd_above[i]`` the (negative)
-    mask of every bit above i; both are 0 for an even variable.  Equality and
+    2i+1, its antifield, ``parities`` their degrees mod 2 and ``odd_bits``
+    the bit 1 << i of each odd variable i (0 for an even one).  Equality and
     hashing read the three declared fields only.
     """
 
@@ -87,8 +86,6 @@ class DarbouxChart:
         object.__setattr__(self, "parities", parities)
         object.__setattr__(self, "odd_bits",
                            tuple(p << i for i, p in enumerate(parities)))
-        object.__setattr__(self, "odd_above",
-                           tuple(-(p << i + 1) for i, p in enumerate(parities)))
 
     def index(self, name: str) -> int:
         return self.variables.index(name)
@@ -153,14 +150,15 @@ class PolyObservable:
             return PolyObservable(self.chart,
                                   {k: v * other for k, v in self.terms.items()})
         chart = self.chart
-        bits, above = chart.odd_bits, chart.odd_above
+        bits = chart.odd_bits
         right = []
         for k2, c2 in other.terms.items():
-            # bit x of w2 is set when an odd number of k2's odd letters lie
-            # below x, so popcount(m1 & w2) is odd when the sign is -1
+            # -(bit << 1) sets every bit above y, so bit x of w2 is set when an
+            # odd number of k2's odd letters lie below x: popcount(m1 & w2)
+            # is then odd exactly when the sign is -1
             w2 = 0
             for y in k2:
-                w2 ^= above[y]
+                w2 ^= -(bits[y] << 1)
             right.append((k2, c2, _odd_mask(k2, bits), w2, k2[0] if k2 else len(bits)))
         out: Dict[Monomial, complex] = {}
         get = out.get
@@ -170,6 +168,7 @@ class PolyObservable:
             for k2, c2, m2, w2, first2 in right:
                 if m1 & m2:
                     continue
+                # words that do not interleave just concatenate
                 key = k1 + k2 if last1 <= first2 else tuple(sorted(k1 + k2))
                 out[key] = get(key, 0.0) + c1 * c2 * (-1 if (m1 & w2).bit_count() & 1 else 1)
         prod = PolyObservable(chart, out)
@@ -272,10 +271,6 @@ def random_observable(chart: DarbouxChart, rng: np.random.Generator,
 # -- BV operators ------------------------------------------------------------------
 
 
-def _letters(p: PolyObservable) -> set:
-    return set().union(*p.terms)
-
-
 def bv_laplacian(p: PolyObservable, weight: Optional[PolyObservable] = None) -> PolyObservable:
     """Odd Laplacian Delta p = sum_i (-1)^{|x_i|} d/dx_i d/dxi_i p.
 
@@ -286,7 +281,7 @@ def bv_laplacian(p: PolyObservable, weight: Optional[PolyObservable] = None) -> 
     chart = p.chart
     if p.word_length() > chart.max_word_length:
         raise DegreeOverflowError("observable exceeds the chart degree cap")
-    letters = _letters(p)
+    letters = set().union(*p.terms)
     out: Dict[Monomial, complex] = {}
     for f_idx, af_idx in chart.pair_indices():
         if f_idx in letters and af_idx in letters:
@@ -302,7 +297,7 @@ def bv_laplacian(p: PolyObservable, weight: Optional[PolyObservable] = None) -> 
 def antibracket(f: PolyObservable, g: PolyObservable) -> PolyObservable:
     """(f, g) = sum_i [ (df/dx_i)_R (dg/dxi_i)_L - (df/dxi_i)_R (dg/dx_i)_L ]."""
     chart = f.chart
-    f_letters, g_letters = _letters(f), _letters(g)
+    f_letters, g_letters = set().union(*f.terms), set().union(*g.terms)
     out: Dict[Monomial, complex] = {}
     for f_idx, af_idx in chart.pair_indices():
         if f_idx in f_letters and af_idx in g_letters:
