@@ -282,16 +282,16 @@ def bv_laplacian(p: PolyObservable, weight: Optional[PolyObservable] = None) -> 
     if p.word_length() > chart.max_word_length:
         raise DegreeOverflowError("observable exceeds the chart degree cap")
     letters = set().union(*p.terms)
-    out: Dict[Monomial, complex] = {}
+    terms: Dict[Monomial, complex] = {}
     for f_idx, af_idx in chart.pair_indices():
         if f_idx in letters and af_idx in letters:
             sign = (-1) ** chart.parity_of(f_idx)
             term = p._derivative(af_idx, from_left=True)._derivative(f_idx, from_left=True)
-            _add_into(out, (term * complex(sign)).terms)
-    out_p = _observable(chart, out)
+            _add_into(terms, (term * complex(sign)).terms)
+    out = _observable(chart, terms)
     if weight is not None:
-        out_p = out_p - antibracket(weight, p)
-    return out_p
+        out = out - antibracket(weight, p)
+    return out
 
 
 def antibracket(f: PolyObservable, g: PolyObservable) -> PolyObservable:
