@@ -1,6 +1,7 @@
 """Orbit enumeration, exact counts, Poincare data and the spectrum format."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from zetabf.orbits import (
 from zetabf.verification import lattice_fixed_point_count
 
 CAT = ToralAutomorphism(2, 1, 1, 1)
+GOLDEN = Path(__file__).parent / "golden"
 
 # frozen from the lattice brute-force oracle (re-verified below)
 CAT_COUNTS = [1, 5, 16, 45, 121, 320, 841, 2205, 5776, 15125, 39601, 103680]
@@ -357,3 +359,26 @@ def test_holonomy_is_stored_complex(holonomy):
                       holonomy=holonomy)
     assert type(rec.holonomy) is complex
     assert rec.holonomy == holonomy
+
+
+def _multiflow_records():
+    """Three suspension flows of equal roof, so each length recurs with the
+    same holonomy and different eigenvalues; one written twice over, so the
+    file holds exact duplicates; and hand records at one length spread over
+    holonomy phases, both signs of a zero imaginary part included."""
+    records = []
+    for matrix in ((2, 1, 1, 1), (3, 1, 2, 1), (2, 1, 1, 1), (3, 1, 1, 0)):
+        records += enumerate_primitive_orbits(ToralAutomorphism(*matrix, roof=0.5), 6)
+    for hol in (1j, complex(-1.0, 0.0), -0.6 - 0.8j, 1.0, complex(-1.0, -0.0),
+                0.6 - 0.8j, 1j):
+        records.append(OrbitRecord(length=2.0, count=2, eig_expanding=3.0,
+                                   eig_contracting=1 / 3.0, holonomy=hol))
+    return records
+
+
+def test_spectrum_writer_golden(tmp_path):
+    # rows sorted by (length, holonomy phase), ties in input order; the bytes
+    # were recorded by the writer that sorted by np.angle
+    path = tmp_path / "multiflow.txt"
+    write_orbit_spectrum(path, _multiflow_records(), theta=2.4)
+    assert path.read_bytes() == (GOLDEN / "orbits_multiflow_spectrum.txt").read_bytes()
