@@ -38,13 +38,14 @@ bits), which every derivative, sign and Berezin split reads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegreeOverflowError, IndefiniteWeightError
+from .errors import DegreeOverflowError, DeterminantRangeError, IndefiniteWeightError
 
 # an odd pairing whose Berezin normalisation is at most this fraction of its
 # Hadamard bound prod_v |A_v|^(1/2) (A_v: row v of the pairing) is degenerate
@@ -389,7 +390,8 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     by a power of two, which leaves the normalised value unchanged.
 
     The scale is the magnitude of the largest intermediate moment, for
-    relative-error reporting.
+    relative-error reporting.  An expectation or scale beyond the float range
+    raises ``DeterminantRangeError`` with log10 |<p>|.
     """
     chart = p.chart
     on = [chart.index(v) for v in lagrangian_vars]
@@ -409,7 +411,7 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     else:
         cov = np.zeros((0, 0))
 
-    p_on = p.substitute_zero(off)
+    p_on = p_plain = p.substitute_zero(off)
     log2_bound = _log2_hadamard_bound(odd_part, odd_vars)
     shift = 0
     if math.isfinite(log2_bound) and abs(log2_bound) > ODD_RESCALE_BITS:
@@ -442,7 +444,27 @@ def gaussian_expectation(p: PolyObservable, lagrangian_vars: Sequence[str],
     if abs(z_odd) <= ODD_DEGENERACY_TOL * 2.0 ** (log2_bound + shift * len(odd_vars)):
         raise IndefiniteWeightError("odd part of the weight is degenerate")
     value, scale = integrate(damped)
-    return value / z_odd, scale / abs(z_odd)
+    value, scale = value / z_odd, scale / abs(z_odd)
+    if not (cmath.isfinite(value) and math.isfinite(scale)):
+        raise DeterminantRangeError(_log10_abs_beyond_range(
+            p_plain, shift, lambda q: integrate(q * odd_factor)[0] / z_odd))
+    return value, scale
+
+
+def _log10_abs_beyond_range(p: PolyObservable, shift: int, expectation) -> float:
+    """log10 |<p>| for an expectation beyond the float range, inf where it
+    cannot be formed.  ``expectation`` is linear in p, so it is taken of p
+    with each coefficient, times 2^shift per odd letter, divided by 2^t, t the
+    largest binary exponent that reaches, and t is added back in log form."""
+    odd = {key: sum(p.chart.parities[v] for v in key) for key in p.terms}
+    t = max(math.frexp(abs(c))[1] + shift * odd[key] for key, c in p.terms.items())
+    scaled = expectation(PolyObservable(p.chart, {
+        key: complex(math.ldexp(c.real, shift * odd[key] - t),
+                     math.ldexp(c.imag, shift * odd[key] - t))
+        for key, c in p.terms.items()}))
+    if not (cmath.isfinite(scaled) and scaled):
+        return math.inf
+    return math.log10(abs(scaled)) + t * math.log10(2.0)
 
 
 def monomial_basis(chart: DarbouxChart, max_degree: int) -> List[PolyObservable]:

@@ -5,7 +5,9 @@ Orbit counts are exact: fixed points of A^j on the 2-torus are counted as
 the divisor-sum recursion j N(j) = F(j) - sum_(d|j, d<j) d N(d), and the
 exterior-power traces of the linearised Poincare maps are read off exact
 powers of A.  A plain text format ingests externally computed orbit spectra
-(e.g. geodesic length spectra) with validation.
+(e.g. geodesic length spectra) with validation.  Each group of orbits is an
+``OrbitRecord``, a tuple of its fields checked when it is built, since a
+spectrum holds thousands of them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -118,9 +121,15 @@ def count_fixed_points(aut: ToralAutomorphism, j: int) -> int:
     return _fixed_points(aut.power(j))
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(namedtuple("_OrbitFields", "length count eig_expanding eig_contracting "
+                                             "holonomy period")):
     """One group of primitive orbits sharing length, holonomy and linearisation.
+
+    A named tuple that is validated when it is made: the constructor, and so
+    ``_make``, ``_replace``, copies and pickles, run the checks.  It costs
+    about half what a frozen dataclass does to build, and a spectrum holds
+    thousands.  Equal records are equal tuples, equal also to the plain tuple
+    of their fields, and hash alike.
 
     ``period`` is the primitive period of a suspension orbit, a positive
     integer: its turns round the suspension direction, so theta twists it by
@@ -128,41 +137,44 @@ class OrbitRecord:
     instead, a complex number.
     """
 
-    length: float
-    count: int
-    eig_expanding: float
-    eig_contracting: float
-    holonomy: Optional[complex] = None
-    period: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("length", "eig_expanding", "eig_contracting", "holonomy"):
-            value = getattr(self, name)
+    def __new__(cls, length: float, count: int, eig_expanding: float,
+                eig_contracting: float, holonomy: Optional[complex] = None,
+                period: Optional[int] = None):
+        for name, value in (("length", length), ("eig_expanding", eig_expanding),
+                            ("eig_contracting", eig_contracting), ("holonomy", holonomy)):
             if value is not None and not cmath.isfinite(value):
                 raise ValidationError(name, f"must be finite, got {value}")
-        if self.length <= 0:
-            raise ValidationError("length", f"must be positive, got {self.length}")
-        if self.count < 1:
-            raise ValidationError("count", f"must be >= 1, got {self.count}")
-        prod = self.eig_expanding * self.eig_contracting
+        if length <= 0:
+            raise ValidationError("length", f"must be positive, got {length}")
+        if count < 1:
+            raise ValidationError("count", f"must be >= 1, got {count}")
+        prod = eig_expanding * eig_contracting
         if abs(abs(prod) - 1.0) > 1e-6:
             raise ValidationError(
                 "poincare_eigs", f"eigenvalue product {prod} not of modulus 1"
             )
-        if not abs(self.eig_contracting) < 1.0 < abs(self.eig_expanding):
+        if not abs(eig_contracting) < 1.0 < abs(eig_expanding):
             raise ValidationError(
                 "poincare_eigs", "need |eig_contracting| < 1 < |eig_expanding|, got "
-                f"{self.eig_expanding} and {self.eig_contracting}"
+                f"{eig_expanding} and {eig_contracting}"
             )
-        if self.holonomy is not None:      # one type for every holonomy
-            object.__setattr__(self, "holonomy", complex(self.holonomy))
-        if self.holonomy is not None and abs(abs(self.holonomy) - 1.0) > 1e-9:
-            raise ValidationError("holonomy", f"|holonomy| = {abs(self.holonomy)} != 1")
-        if self.holonomy is None and self.period is None:
+        if holonomy is not None:      # one type for every holonomy
+            holonomy = complex(holonomy)
+            if abs(abs(holonomy) - 1.0) > 1e-9:
+                raise ValidationError("holonomy", f"|holonomy| = {abs(holonomy)} != 1")
+        elif period is None:
             raise ValidationError("holonomy", "record needs a holonomy or a period")
-        if self.period is not None and not (isinstance(self.period, numbers.Integral)
-                                            and self.period >= 1):
-            raise ValidationError("period", f"must be a positive integer, got {self.period!r}")
+        if period is not None and not (isinstance(period, numbers.Integral)
+                                       and period >= 1):
+            raise ValidationError("period", f"must be a positive integer, got {period!r}")
+        return tuple.__new__(cls, (length, count, eig_expanding, eig_contracting,
+                                   holonomy, period))
+
+    @classmethod
+    def _make(cls, fields) -> "OrbitRecord":
+        return cls(*fields)
 
     def holonomy_at(self, theta: float) -> complex:
         """The holonomy under the twist theta: the stored one, or
@@ -236,13 +248,7 @@ def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[Orbit
         except OverflowError:
             raise ValidationError("J", f"at period {j} the eigenvalue power "
                                        f"{mu!r}^{j} overflows a float") from None
-        records.append(OrbitRecord(
-            length=j * aut.roof,
-            count=n_j,
-            eig_expanding=mu_j,
-            eig_contracting=(aut.det / mu) ** j,
-            period=j,
-        ))
+        records.append(OrbitRecord(j * aut.roof, n_j, mu_j, (aut.det / mu) ** j, period=j))
     return records
 
 
@@ -293,10 +299,15 @@ def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
     """
     if theta is None and any(r.holonomy is None for r in records):
         raise ValidationError("holonomy", "period-only record needs theta to be written")
-    materialised = [(r, r.holonomy_at(theta)) for r in records]
+    holonomies = [r.holonomy_at(theta) for r in records]
+    # np.angle of the whole array is bit for bit np.angle of each scalar;
+    # cmath.phase, libm's atan2, differs from numpy's in the last bit on some
+    # machines, which would reorder rows whose phases are an ulp apart
+    phases = np.angle(np.array(holonomies, dtype=complex)).tolist()
+    order = sorted(range(len(records)), key=lambda i: (records[i].length, phases[i]))
     rows = [" ".join([g17(r.length), "1", g17(h.real), g17(h.imag),
                       g17(r.eig_expanding), g17(r.eig_contracting), str(r.count)])
-            for r, h in sorted(materialised, key=lambda p: (p[0].length, np.angle(p[1])))]
+            for r, h in ((records[i], holonomies[i]) for i in order)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_HEADER + "\n")
         fh.write("\n".join(rows) + ("\n" if rows else ""))
@@ -304,7 +315,8 @@ def write_orbit_spectrum(path, records: Sequence[OrbitRecord],
 
 def load_orbit_spectrum(path) -> OrbitData:
     """Parse and validate an orbit-spectrum file; exact duplicates merge."""
-    records: List[OrbitRecord] = []
+    # insertion order keeps each merged record where it first appeared
+    merged: Dict[Tuple[float, complex, float, float], OrbitRecord] = {}
     for lineno, line in content_lines(path):
         fields = line.split()
         if len(fields) != 7:
@@ -322,15 +334,10 @@ def load_orbit_spectrum(path) -> OrbitData:
             raise ValidationError("primitive_flag", "only primitive records are supported",
                                   line=lineno)
         try:
-            records.append(OrbitRecord(length=length, count=count,
-                                       eig_expanding=eig1, eig_contracting=eig2,
-                                       holonomy=hol))
+            rec = OrbitRecord(length, count, eig1, eig2, hol)
         except ValidationError as exc:
             raise ValidationError(exc.field, exc.detail, line=lineno) from None
-    # insertion order keeps each merged record where it first appeared
-    merged: Dict[Tuple[float, complex, float, float], OrbitRecord] = {}
-    for rec in records:
-        key = (rec.length, rec.holonomy, rec.eig_expanding, rec.eig_contracting)
+        key = (length, hol, eig1, eig2)
         prev = merged.get(key)
-        merged[key] = rec if prev is None else replace(prev, count=prev.count + rec.count)
+        merged[key] = rec if prev is None else prev._replace(count=prev.count + count)
     return OrbitData(tuple(merged.values()))

@@ -38,7 +38,10 @@ values are bit for bit those of a term-by-term Python loop:
 The tail certificate of an ingested spectrum reads per-record arrays that
 the term table builds with itself (``_TermTable.record_tails``), in the
 file's record order, with libm exp and pow per record and the terms added by
-sum() in that order, as the scalar loop adds them.
+sum() in that order, as the scalar loop adds them.  They keep the tails of
+their last lambda, one per degree class (k = 0 and 2 share one, k = 1 and
+full have their own), keyed by the exact bits of its real part, the one part
+a tail reads; a k = 0, 1, 2, full sweep with the Mellin route forms three.
 
 The mirrored arithmetic is that of CPython 3.10 to 3.13, in which a real
 operand of a complex product enters as (x, 0.0) and sum() adds complex numbers
@@ -115,6 +118,12 @@ class RecordTails:
     exp and pow are libm's, one call per record, and the terms are added by
     sum() in record order.  Counts beyond the float range stay integers and
     are converted where the loop would multiply them, raising as it does.
+
+    A tail reads only the real part of lambda and, of k, its degree class:
+    k = 0 and k = 2 share their ratio and weight, k = 1 and ``full`` have
+    their own.  The tails of the last (Re lambda, j_min) are kept, one per
+    class, keyed by the exact bits of Re lambda; a tail that raises is not
+    kept, so it raises again on every call.
     """
 
     def __init__(self, records):
@@ -127,10 +136,23 @@ class RecordTails:
             self.count = np.array(counts, dtype=float)
         except OverflowError:
             self.count = counts
+        self._last = (None, {})       # ((Re lambda, j_min) key, tail per class)
 
     def tail(self, lam: complex, k: DegreeSpec, j_min: int) -> float:
         """Sum over records of count * weight * ratio^j_min / (j_min (1 - ratio)),
         the tail of the repetition sums j >= j_min."""
+        key = (float(lam.real).hex(), j_min)
+        if self._last[0] != key:
+            self._last = (key, {})
+        tails = self._last[1]
+        degree_class = k if k == 1 or k == "full" else 0
+        hit = tails.get(degree_class)
+        if hit is None:
+            hit = tails[degree_class] = self._sum(lam, k, j_min)
+        return hit
+
+    def _sum(self, lam: complex, k: DegreeSpec, j_min: int) -> float:
+        """The tail of ``tail``, formed afresh."""
         n = self.length.size
         x = -lam.real * self.length
         # exp(709) >= 1 already marks a record divergent; the clip keeps

@@ -1,11 +1,12 @@
 """Polynomial BV engine: Laplacian, antibracket, Gaussian/Berezin integrals."""
 
+import math
 from math import comb
 
 import numpy as np
 import pytest
 
-from zetabf.errors import DegreeOverflowError, IndefiniteWeightError
+from zetabf.errors import DegreeOverflowError, DeterminantRangeError, IndefiniteWeightError
 from zetabf.observables import (
     DarbouxChart,
     PolyObservable,
@@ -133,7 +134,7 @@ FOUR_ODD = DarbouxChart((("c", "cb"), ("d", "db"), ("e", "eb"), ("f", "fb")), (1
                         max_word_length=8)
 
 
-@pytest.mark.parametrize("s", [1e-100, 1e-150, 1e-160, 1e-200])
+@pytest.mark.parametrize("s", [1e-100, 1e-150, 1e-160, 1e-200, 1e-300])
 def test_odd_degeneracy_is_relative_to_the_pairing(s):
     # q = s cd + s ef is nondegenerate at every scale: <cd> = -1/s
     c, d, e, f = (var(FOUR_ODD, n) for n in ("c", "d", "e", "f"))
@@ -141,6 +142,15 @@ def test_odd_degeneracy_is_relative_to_the_pairing(s):
     val, scale = gaussian_expectation(c * d, ["c", "d", "e", "f"], q)
     assert val == pytest.approx(-1 / s, rel=1e-14)
     assert scale == pytest.approx(1 / s, rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [1e-310, 1e-320])
+def test_an_expectation_beyond_the_float_range_raises(s):
+    # <cd> = -1/s leaves the float range; it came back as (nan+nanj), 0.0
+    c, d, e, f = (var(FOUR_ODD, n) for n in ("c", "d", "e", "f"))
+    with pytest.raises(DeterminantRangeError) as err:
+        gaussian_expectation(c * d, ["c", "d", "e", "f"], c * d * s + e * f * s)
+    assert err.value.log10_abs == pytest.approx(-math.log10(s), rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])

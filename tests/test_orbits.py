@@ -1,7 +1,12 @@
 """Orbit enumeration, exact counts, Poincare data and the spectrum format."""
 
+import cmath
+import copy
 import math
+import pickle
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -320,14 +325,21 @@ def test_spectrum_non_finite_rejected(tmp_path, row):
 
 
 def test_spectrum_duplicates_merge(tmp_path):
+    # only rows equal in length, holonomy and both eigenvalues merge, their
+    # counts summed, each merged record where its first row stood
     path = tmp_path / "dup.txt"
-    row = "1.0 1 1.0 0.0 2.618033988749895 0.3819660112501051 1\n"
+    row = "1.0 1 1.0 0.0 2.618033988749895 0.3819660112501051 {}\n"
     other = "2.0 1 -1.0 0.0 6.854101966249685 0.14589803375031546 3\n"
-    path.write_text(row + other + row)
+    near = ["1.0000000000000002 1 1.0 0.0 2.618033988749895 0.3819660112501051 1\n",
+            "1.0 1 -1.0 0.0 2.618033988749895 0.3819660112501051 1\n",
+            "1.0 1 1.0 0.0 2.6180339887498953 0.3819660112501051 1\n"]
+    path.write_text(row.format(1) + other + near[0] + row.format(4) + near[1] + near[2]
+                    + row.format(2) + other)
     data = load_orbit_spectrum(path)
-    assert len(data.records) == 2
-    assert data.records[0].count == 2
-    assert (data.records[1].length, data.records[1].count) == (2.0, 3)
+    summary = [(r.length, r.holonomy, r.eig_expanding, r.count) for r in data.records]
+    assert summary == [(1.0, 1, 2.618033988749895, 7), (2.0, -1, 6.854101966249685, 6),
+                       (1.0000000000000002, 1, 2.618033988749895, 1),
+                       (1.0, -1, 2.618033988749895, 1), (1.0, 1, 2.6180339887498953, 1)]
 
 
 def test_spectrum_parse_error(tmp_path):
@@ -351,6 +363,40 @@ def test_suspension_data_needs_complete_to():
     with pytest.raises(ValidationError) as err:
         OrbitData(suspension_orbits(CAT, 3).records, aut=CAT)
     assert err.value.field == "complete_to"
+
+
+def test_orbit_record_contract():
+    # keyword or positional construction, the fields in order, read-only
+    fields = ("length", "count", "eig_expanding", "eig_contracting", "holonomy", "period")
+    values = (1.5, 3, 2.5, 0.4, 0.6 + 0.8j, None)
+    rec = OrbitRecord(**dict(zip(fields, values)))
+    assert OrbitRecord._fields == fields
+    assert tuple(getattr(rec, name) for name in fields) == values
+    assert OrbitRecord(*values) == rec
+    assert repr(rec) == ("OrbitRecord(length=1.5, count=3, eig_expanding=2.5, "
+                         "eig_contracting=0.4, holonomy=(0.6+0.8j), period=None)")
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 2)
+    # equal records are equal and hash alike; a record is its tuple of fields
+    twin = OrbitRecord(1.5, 3, 2.5, 0.4, holonomy=0.6 + 0.8j)
+    assert twin == rec and hash(twin) == hash(rec) and rec == values
+    assert rec != OrbitRecord(1.5, 4, 2.5, 0.4, holonomy=0.6 + 0.8j)
+    # replacements, copies and pickles are rebuilt through the checks
+    assert rec._replace(count=4) == (1.5, 4, 2.5, 0.4, 0.6 + 0.8j, None)
+    with pytest.raises(ValidationError, match="count"):
+        rec._replace(count=0)
+    assert copy.copy(rec) == rec and pickle.loads(pickle.dumps(rec)) == rec
+    suspension = OrbitRecord(2.0, 1, 2.5, 0.4, period=3)
+    assert pickle.loads(pickle.dumps(suspension)) == suspension
+
+
+def test_holonomy_at():
+    stored = OrbitRecord(2.0, 1, 2.5, 0.4, holonomy=-1)
+    suspension = OrbitRecord(2.0, 1, 2.5, 0.4, period=3)
+    for theta in (0.0, 0.7, -2.0):
+        assert stored.holonomy_at(theta) == -1 and type(stored.holonomy_at(theta)) is complex
+        assert suspension.holonomy_at(theta) == cmath.exp(1j * theta * 3)
 
 
 @pytest.mark.parametrize("holonomy", [1, -1.0, 0.6 - 0.8j])
@@ -382,3 +428,17 @@ def test_spectrum_writer_golden(tmp_path):
     path = tmp_path / "multiflow.txt"
     write_orbit_spectrum(path, _multiflow_records(), theta=2.4)
     assert path.read_bytes() == (GOLDEN / "orbits_multiflow_spectrum.txt").read_bytes()
+
+
+def test_spectrum_rows_sort_by_numpys_phase(tmp_path):
+    # two holonomies an ulp apart in phase: libm's atan2 orders them, numpy's
+    # (SIMD on some machines) may call them equal; the writer keeps np.angle's
+    # order, as it always has, on every machine
+    hols = [0.8552282718390818 - 0.5182514862951555j, 0.8552282718390817 - 0.5182514862951555j]
+    for order in (hols, hols[::-1]):
+        records = [OrbitRecord(1.0, n, 2.5, 0.4, holonomy=h) for n, h in enumerate(order, 1)]
+        path = tmp_path / "ties.txt"
+        write_orbit_spectrum(path, records)
+        want = sorted(records, key=lambda r: float(np.angle(r.holonomy)))
+        got = [int(line.split()[-1]) for line in path.read_text().splitlines()[1:]]
+        assert got == [r.count for r in want]

@@ -568,6 +568,32 @@ def test_term_table_computes_each_value_once(monkeypatch):
     assert pows == [2 * table.size, 0, 0]
 
 
+def test_record_tails_formed_once_per_lambda_and_degree_class(tmp_path, monkeypatch):
+    # on a loaded spectrum a k = 0, 1, 2, full sweep with the Mellin route at
+    # one lambda forms three record-tail sums, k = 0 and 2 sharing one; a new
+    # lambda forms them again.  At J = 130 the Poincare powers overflow after
+    # the tail is formed, as they do on the benchmark's ingested spectrum.
+    formed = []
+    real_sum = zeta.RecordTails._sum
+
+    def counting_sum(self, lam, k, j_min):
+        formed.append(k)
+        return real_sum(self, lam, k, j_min)
+
+    monkeypatch.setattr(zeta.RecordTails, "_sum", counting_sum)
+    path = tmp_path / "spectrum.txt"
+    write_orbit_spectrum(path, suspension_orbits(CAT, 6).records, theta=0.7)
+    data = load_orbit_spectrum(path)
+    for J, failure in ((12, None), (130, OverflowError)):
+        for lam in (3.0 + 0j, 4.5 + 0j, 4.5 + 1j, 3.0 + 0j):
+            formed.clear()
+            got = [outcome(log_zeta_k, data, 0.4, lam, k, J) for k in (0, 1, 2)]
+            got += [outcome(log_zeta_full, data, 0.4, lam, J)]
+            got += [outcome(mellin_log_zeta, data, 0.4, lam, k, J) for k in (0, 1, 2)]
+            assert formed == ([] if lam == 4.5 + 1j else [0, 1, "full"]), (J, lam)
+            assert [g for g in got if isinstance(g, type)] == [failure] * (6 if failure else 0)
+
+
 def test_term_table_cached_per_truncation():
     data = suspension_orbits(CAT, 20)
     log_zeta_k(data, 0.5, 3.0, 1, J=20)
