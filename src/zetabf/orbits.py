@@ -127,8 +127,8 @@ class OrbitRecord(namedtuple("_OrbitFields", "length count eig_expanding eig_con
 
     A named tuple that is validated when it is made: the constructor, and so
     ``_make``, ``_replace``, copies and pickles, run the checks.  It costs
-    about half what a frozen dataclass does to build, and a spectrum holds
-    thousands.  Equal records are equal tuples, equal also to the plain tuple
+    about two thirds of what a frozen dataclass does to build, and a
+    spectrum holds thousands.  Equal records are equal tuples, equal also to the plain tuple
     of their fields, and hash alike.
 
     ``period`` is the primitive period of a suspension orbit, a positive

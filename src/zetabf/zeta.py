@@ -119,11 +119,9 @@ class RecordTails:
     sum() in record order.  Counts beyond the float range stay integers and
     are converted where the loop would multiply them, raising as it does.
 
-    A tail reads only the real part of lambda and, of k, its degree class:
-    k = 0 and k = 2 share their ratio and weight, k = 1 and ``full`` have
-    their own.  The tails of the last (Re lambda, j_min) are kept, one per
-    class, keyed by the exact bits of Re lambda; a tail that raises is not
-    kept, so it raises again on every call.
+    The tails of the last (Re lambda, j_min) are kept, one per degree class
+    (k = 0 and 2 share ratio and weight, k = 1 and ``full`` have their own);
+    a tail that raises is not kept, so it raises again on every call.
     """
 
     def __init__(self, records):

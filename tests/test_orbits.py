@@ -7,7 +7,6 @@ import pickle
 from pathlib import Path
 
 import numpy as np
-
 import pytest
 
 from zetabf import verification
@@ -424,7 +423,7 @@ def _multiflow_records():
 
 def test_spectrum_writer_golden(tmp_path):
     # rows sorted by (length, holonomy phase), ties in input order; the bytes
-    # were recorded by the writer that sorted by np.angle
+    # were recorded by the writer that took np.angle of one holonomy at a time
     path = tmp_path / "multiflow.txt"
     write_orbit_spectrum(path, _multiflow_records(), theta=2.4)
     assert path.read_bytes() == (GOLDEN / "orbits_multiflow_spectrum.txt").read_bytes()
