@@ -131,6 +131,8 @@ class OrbitRecord(namedtuple("_OrbitFields", "length count eig_expanding eig_con
     spectrum holds thousands.  Equal records are equal tuples, equal also to the plain tuple
     of their fields, and hash alike.
 
+    The length and the Poincare eigenvalues are finite real numbers and the
+    count an integer, so every record the writer writes its reader takes.
     ``period`` is the primitive period of a suspension orbit, a positive
     integer: its turns round the suspension direction, so theta twists it by
     e^(i theta period); file-based records carry an explicit holonomy
@@ -143,11 +145,20 @@ class OrbitRecord(namedtuple("_OrbitFields", "length count eig_expanding eig_con
                 eig_contracting: float, holonomy: Optional[complex] = None,
                 period: Optional[int] = None):
         for name, value in (("length", length), ("eig_expanding", eig_expanding),
-                            ("eig_contracting", eig_contracting), ("holonomy", holonomy)):
-            if value is not None and not cmath.isfinite(value):
+                            ("eig_contracting", eig_contracting)):
+            # numbers.Real refuses complex numbers, numpy's too; a float skips
+            # that slower check
+            if type(value) is not float and not isinstance(value, numbers.Real):
+                raise ValidationError(name, f"must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValidationError(name, f"must be finite, got {value}")
+        if holonomy is not None and not cmath.isfinite(holonomy):
+            raise ValidationError("holonomy", f"must be finite, got {holonomy}")
         if length <= 0:
             raise ValidationError("length", f"must be positive, got {length}")
+        if type(count) is not int and not isinstance(count, numbers.Integral):
+            # the file format writes and reads counts as integers
+            raise ValidationError("count", f"must be an integer, got {count!r}")
         if count < 1:
             raise ValidationError("count", f"must be >= 1, got {count}")
         prod = eig_expanding * eig_contracting

@@ -31,9 +31,10 @@ values are bit for bit those of a term-by-term Python loop:
 * sums run left to right with np.add.accumulate, carried across blocks, never
   with the pairwise np.sum;
 * Poincare eigenvalue powers are scalar **, so exactly the inputs that
-  overflow term by term raise the same OverflowError; the weights of a
-  degree k are formed before its amplitude is used, so a failing degree
-  raises on every call.
+  overflow term by term raise the same OverflowError.  A table sweeps the
+  powers once: a sweep that overflows is kept as the args of its
+  OverflowError, which every later weight raises at once, and the weights
+  are formed before any amplitude, so a failing table raises on every call.
 
 The tail certificate of an ingested spectrum reads per-record arrays that
 the term table builds with itself (``_TermTable.record_tails``), in the
@@ -53,6 +54,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -178,11 +180,26 @@ class RecordTails:
         return sum(terms)
 
 
-def _tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
-    """Truncation certificate of a J-term orbit sum; raises where it diverges.
-    Every truncated sum reads it first, so it also refuses J < 1."""
+def _check_point(theta: float, lam: complex = 0.0):
+    """Refuse a theta or a lambda that is not finite."""
+    if not math.isfinite(theta):
+        raise ValidationError("theta", f"must be finite, got {theta}")
+    if not cmath.isfinite(lam):
+        raise ValidationError("lambda", f"must be finite, got {lam}")
+
+
+def _check_sum_arguments(theta: float, lam: complex, J: int):
+    """Refuse what no truncated sum takes: a J that is not an integer >= 1,
+    and a theta or lambda that is not finite."""
+    if not isinstance(J, numbers.Integral):
+        raise ValidationError("J", f"truncation must be an integer, got {J!r}")
     if J < 1:
         raise ValidationError("J", f"truncation must be >= 1, got {J}")
+    _check_point(theta, lam)
+
+
+def _tail(data: OrbitData, lam: complex, k: DegreeSpec, J: int) -> float:
+    """Truncation certificate of a J-term orbit sum; raises where it diverges."""
     if data.is_suspension:
         tail = _suspension_tail(data, lam, k, J)
     else:
@@ -283,10 +300,11 @@ class _TermTable:
     by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
     The holonomy powers are kept for the last theta and the amplitude for the
     last (theta, lambda), so a sweep holds one array pair; the Poincare
-    weights are added per degree k on first use.  ``record_tails`` holds an
-    ingested spectrum's ``RecordTails`` in the file's record order, and None
-    for a suspension.  The table keeps no reference to its OrbitData, which
-    caches it.
+    weights are added per degree k on first use, from one sweep of the
+    eigenvalue powers per table, or the args of the OverflowError that sweep
+    raised.  ``record_tails`` holds an ingested spectrum's ``RecordTails``
+    in the file's record order, and None for a suspension.  The table keeps
+    no reference to its OrbitData, which caches it.
     """
 
     def __init__(self, data: OrbitData, J: int):
@@ -302,7 +320,8 @@ class _TermTable:
         self._holonomy = (None, None)     # (theta key, powers)
         self._amplitude = (None, None)    # ((theta, lambda) key, amplitude)
         self._weights = {}
-        self._poincare = None
+        self._poincare = None             # the two power arrays once formed
+        self._overflow = None             # or the args of the OverflowError they raised
 
     def blocks(self):
         """(slice, record index, float j) of each block of terms."""
@@ -354,12 +373,22 @@ class _TermTable:
         return out
 
     def weight(self, k: int) -> np.ndarray:
-        """``_poincare_weight`` per term."""
+        """``_poincare_weight`` per term.  The powers are swept once per table:
+        if the sweep overflows, this call and every later one raise an
+        OverflowError with the args of the scalar ``**`` that overflowed."""
         hit = self._weights.get(k)
         if hit is None:
+            if self._overflow is not None:
+                raise OverflowError(*self._overflow)
             if self._poincare is None:
-                self._poincare = (self._poincare_powers("eig_expanding"),
-                                  self._poincare_powers("eig_contracting"))
+                try:
+                    self._poincare = (self._poincare_powers("eig_expanding"),
+                                      self._poincare_powers("eig_contracting"))
+                except OverflowError as exc:
+                    # the args alone: the exception's traceback would keep
+                    # the caller's frames, and its OrbitData, alive
+                    self._overflow = exc.args
+                    raise
             hit = self._weights[k] = _poincare_weight(*self._poincare, k)
         return hit
 
@@ -386,6 +415,8 @@ def _term_table(data: OrbitData, J: int) -> _TermTable:
 
 def _log_zeta(data: OrbitData, theta: float, lam: complex, k: DegreeSpec,
               J: int) -> ZetaEvaluation:
+    """Every truncated sum: the checks, the certificate, then the sum."""
+    _check_sum_arguments(theta, lam, J)
     tail = _tail(data, lam, k, J)
     with np.errstate(all="ignore"):
         value = _term_table(data, J).log_zeta(theta, lam, k)
@@ -435,8 +466,10 @@ class BumpSpec:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not math.isfinite(self.center):
+            raise ValidationError("center", f"must be finite, got {self.center}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValidationError("width", f"must be positive and finite, got {self.width}")
 
     @property
     def support(self) -> Tuple[float, float]:
@@ -457,6 +490,7 @@ def flat_trace_pairing(data: OrbitData, theta: float, k: int,
     orbits the records may miss, (complete_to + 1) * roof.
     """
     k = form_degree(k)
+    _check_point(theta)
     lo, hi = bump.support
     if lo <= 0.0:
         raise SupportTooWideError(
@@ -549,6 +583,7 @@ def cycle_zeta(data: OrbitData, theta: float, lam: complex) -> CycleZetas:
     if data.aut is None or any(r.period is None for r in data.records):
         raise ValidationError("aut", "a cycle expansion needs a suspension "
                                      "spectrum with periods")
+    _check_point(theta, lam)
     top, rank = data.complete_to, 2 * TRANSVERSE_RANK
     if top <= rank:
         raise ValidationError("complete_to", f"the recurrence needs periods up to "
@@ -586,6 +621,7 @@ def zeta_value_at_zero(aut: ToralAutomorphism, theta: float) -> complex:
     mapping torus is not acyclic; it raises NotAcyclicError, carrying the
     Betti numbers of that mapping torus, instead of a huge value.
     """
+    _check_point(theta)
     if abs(cmath.exp(1j * theta) - 1.0) < ZETA_ZERO_TOL:
         # the untwisted mapping torus: H^2 and H^3 survive only if A preserves orientation
         betti = (1, 1, 1, 1) if aut.det == 1 else (1, 1, 0, 0)

@@ -225,6 +225,33 @@ def test_orbit_record_validation():
                     eig_contracting=0.7, holonomy=1.0)
 
 
+@pytest.mark.parametrize("fields, field", [
+    ((1.0, 1, 2j, 0.5j), "eig_expanding"),
+    ((1.0, 1, 2.0, 0.5 + 0j), "eig_contracting"),
+    ((1.0, 1, 2.0, np.complex64(0.5)), "eig_contracting"),
+    ((1.0 + 0j, 1, 2.0, 0.5), "length"),
+    ((1.0, 1, "2.0", 0.5), "eig_expanding"),
+    ((1.0, 1.5, 2.0, 0.5), "count"),
+    ((1.0, 2.0, 2.0, 0.5), "count"),
+    ((1.0, 1 + 0j, 2.0, 0.5), "count"),
+], ids=["complex_eigs", "complex_contracting", "numpy_complex", "complex_length",
+        "string_eig", "fractional_count", "float_count", "complex_count"])
+def test_orbit_record_needs_real_fields_and_an_integer_count(fields, field):
+    # complex eigenvalues ended log_zeta_k in a bare TypeError, and a count
+    # of 1.5 was written as "1.5", which the spectrum reader refuses
+    with pytest.raises(ValidationError) as err:
+        OrbitRecord(*fields, holonomy=1)
+    assert err.value.field == field
+
+
+def test_orbit_record_takes_numpy_reals_and_integers(tmp_path):
+    rec = OrbitRecord(np.float64(1.5), np.int64(3), np.float32(2.5), 0.4, holonomy=1)
+    assert rec == (1.5, 3, 2.5, 0.4, 1 + 0j, None)
+    path = tmp_path / "numpy.txt"
+    write_orbit_spectrum(path, [rec])
+    assert load_orbit_spectrum(path).records == (rec,)
+
+
 def test_orbit_record_needs_a_holonomy_or_a_period():
     with pytest.raises(ValidationError) as err:
         OrbitRecord(length=1.0, count=1, eig_expanding=2.0, eig_contracting=0.5)

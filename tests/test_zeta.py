@@ -1,7 +1,9 @@
 """Ruelle zeta evaluations against closed-form resummation oracles."""
 
 import cmath
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -568,6 +570,13 @@ def test_term_table_computes_each_value_once(monkeypatch):
     assert pows == [2 * table.size, 0, 0]
 
 
+def loaded_cat_spectrum(tmp_path):
+    """The period-6 cat-map spectrum written and read back, at theta = 0.7."""
+    path = tmp_path / "spectrum.txt"
+    write_orbit_spectrum(path, suspension_orbits(CAT, 6).records, theta=0.7)
+    return load_orbit_spectrum(path)
+
+
 def test_record_tails_formed_once_per_lambda_and_degree_class(tmp_path, monkeypatch):
     # on a loaded spectrum a k = 0, 1, 2, full sweep with the Mellin route at
     # one lambda forms three record-tail sums, k = 0 and 2 sharing one; a new
@@ -581,9 +590,7 @@ def test_record_tails_formed_once_per_lambda_and_degree_class(tmp_path, monkeypa
         return real_sum(self, lam, k, j_min)
 
     monkeypatch.setattr(zeta.RecordTails, "_sum", counting_sum)
-    path = tmp_path / "spectrum.txt"
-    write_orbit_spectrum(path, suspension_orbits(CAT, 6).records, theta=0.7)
-    data = load_orbit_spectrum(path)
+    data = loaded_cat_spectrum(tmp_path)
     for J, failure in ((12, None), (130, OverflowError)):
         for lam in (3.0 + 0j, 4.5 + 0j, 4.5 + 1j, 3.0 + 0j):
             formed.clear()
@@ -592,6 +599,65 @@ def test_record_tails_formed_once_per_lambda_and_degree_class(tmp_path, monkeypa
             got += [outcome(mellin_log_zeta, data, 0.4, lam, k, J) for k in (0, 1, 2)]
             assert formed == ([] if lam == 4.5 + 1j else [0, 1, "full"]), (J, lam)
             assert [g for g in got if isinstance(g, type)] == [failure] * (6 if failure else 0)
+
+
+def test_poincare_powers_swept_once_per_table(tmp_path, monkeypatch):
+    # at J = 130 the eigenvalue powers overflow.  The first evaluation that
+    # needs them sweeps them up to the term that overflows; every later one
+    # raises at once, with the args of the scalar ** that overflowed.  The
+    # record tails raise to J + 1, so only powers j <= J are counted.
+    J = 130
+    swept = []
+
+    def counting_pow(base, exp):
+        if exp <= J:
+            swept.append(exp)
+        return pow(base, exp)
+
+    data = loaded_cat_spectrum(tmp_path)
+    with pytest.raises(OverflowError) as scalar:
+        pow(max(r.eig_expanding for r in data.records), J)
+    monkeypatch.setattr(zeta, "pow", counting_pow, raising=False)
+    routes = [lambda lam, k=k: log_zeta_k(data, 0.4, lam, k, J) for k in (0, 1, 2)]
+    routes += [lambda lam: log_zeta_full(data, 0.4, lam, J)]
+    routes += [lambda lam, k=k: mellin_log_zeta(data, 0.4, lam, k, J) for k in (0, 1, 2)]
+    sweeps, raised = [], []
+    for lam in (3.0 + 0j, 4.5 + 0j, 4.5 + 1j):
+        for route in routes:
+            swept.clear()
+            try:
+                route(lam)
+                raised.append(None)
+            except OverflowError as exc:
+                raised.append(exc.args)
+            sweeps.append(len(swept))
+    want = scalar.value.args
+    assert want == (34, "Numerical result out of range")
+    assert raised == [want, want, want, None, want, want, want] * 3
+    assert 0 < sweeps[0] < len(data.records) * J
+    assert sweeps[1:] == [0] * (len(sweeps) - 1)
+
+
+def test_a_raising_evaluation_keeps_no_traceback(tmp_path):
+    # a kept exception would hold its traceback's frames, and through them
+    # the OrbitData that caches the table: a cycle that only gc breaks
+    data = loaded_cat_spectrum(tmp_path)
+    ref = weakref.ref(data)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in (0, 1, 0):
+            try:
+                log_zeta_k(data, 0.4, 3.0 + 0j, k, 130)
+            except OverflowError:
+                pass
+            else:
+                pytest.fail("the Poincare powers did not overflow")
+        del data
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_term_table_cached_per_truncation():
@@ -614,6 +680,63 @@ def test_truncation_below_one_is_refused(route, J):
     with pytest.raises(ValidationError, match="J: truncation must be >= 1"):
         route(J)
     assert route(1) is not None
+
+
+@pytest.mark.parametrize("theta, lam, J, field", [
+    (math.nan, 3.0, 12, "theta"),
+    (-math.inf, 3.0, 12, "theta"),
+    (0.4, math.nan, 12, "lambda"),
+    (0.4, math.inf, 12, "lambda"),
+    (0.4, complex(3.0, math.nan), 12, "lambda"),
+    (0.4, complex(3.0, math.inf), 12, "lambda"),
+    (0.4, 3.0, 12.5, "J"),
+    (0.4, 3.0, 12.0, "J"),
+], ids=["theta_nan", "theta_inf", "lam_nan", "lam_inf", "lam_imag_nan", "lam_imag_inf",
+        "J_fraction", "J_float"])
+@pytest.mark.parametrize("route", [
+    lambda *a: zeta.log_zeta_k(a[0], a[1], a[2], 1, a[3]),
+    lambda *a: zeta.log_zeta_full(*a),
+    lambda *a: zeta.mellin_log_zeta(a[0], a[1], a[2], 1, a[3]),
+    lambda *a: zeta.decomposition_residual(*a),
+], ids=["log_zeta_k", "log_zeta_full", "mellin_log_zeta", "decomposition_residual"])
+def test_truncated_sums_refuse_non_finite_points(route, theta, lam, J, field):
+    # these returned nan + nan i with a finite certificate, a nan residual, a
+    # DivergentRegionError (lambda = nan) or a numpy TypeError (J = 12.5)
+    data = suspension_orbits(CAT, 12)
+    with pytest.raises(ValidationError) as err:
+        route(data, theta, lam, J)
+    assert err.value.field == field
+    assert route(data, 0.4, 3.0, 12) is not None
+
+
+@pytest.mark.parametrize("route, field", [
+    (lambda: flat_trace_pairing(DATA, math.nan, 0, BumpSpec(2.0, 0.1)), "theta"),
+    (lambda: zeta.cycle_zeta(DATA, math.nan, 0.0), "theta"),
+    (lambda: zeta.cycle_zeta(DATA, 0.4, complex(math.nan, 0.0)), "lambda"),
+    (lambda: zeta_value_at_zero(CAT, math.inf), "theta"),
+], ids=["flat_trace", "cycle_theta", "cycle_lambda", "value_at_zero"])
+def test_other_routes_refuse_a_non_finite_point(route, field):
+    # these returned nan + nan i; the cycle expansion certified its nan
+    # factors with a residual of 0 or 8e-16
+    with pytest.raises(ValidationError) as err:
+        route()
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("center, width, field", [
+    (math.nan, 0.2, "center"),
+    (math.inf, 0.2, "center"),
+    (2.0, math.nan, "width"),
+    (2.0, math.inf, "width"),
+    (2.0, 0.0, "width"),
+    (2.0, -0.1, "width"),
+])
+def test_bump_refuses_non_finite_or_non_positive_parameters(center, width, field):
+    # BumpSpec(nan, 0.2) paired to 0j, and an infinite centre never ended
+    # the repetition loop on an ingested spectrum
+    with pytest.raises(ValidationError) as err:
+        BumpSpec(center, width)
+    assert err.value.field == field
 
 
 # -- the cycle expansion ----------------------------------------------------------
