@@ -43,14 +43,13 @@ cuts nothing again.  The exact/coexact bases of the BV gauges (the metric
 gauge's, and the Hodge contraction's iota and kernel splits) come from a
 second, with-vectors SVD (``hodge_bases``), cut at the record's rank.
 
-The random batches of the acceptance suite are factorised by shape:
+Every factorisation groups its matrices by shape, with one stacked LAPACK
+call per shape (``_values_by_shape``), for one complex or a hundred:
 ``random_twisted_complexes`` fills its complexes' records, and
 ``schwarz_partitions`` and ``det_relations_reports`` factorise their blocks,
-with one stacked LAPACK call per matrix shape across the batch
-(``_values_by_shape``).  A stacked call factorises each member exactly as a
-lone call would, so every value keeps its bits; a batch of one complex makes
-the lone calls, one matrix at a time, and ``TwistedComplex.spectrum``,
-``schwarz_partition`` and ``det_relations_report`` are such batches.
+across the batch; ``TwistedComplex.spectrum``, ``schwarz_partition`` and
+``det_relations_report`` are batches of one.  A stacked call factorises each
+member exactly as a lone call would, so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -332,22 +331,18 @@ def _logdet_top_sq(svals: Sequence[np.ndarray], count: int) -> float:
 
 
 def _values_by_shape(kernel: str, shapes: Sequence[Tuple[int, int]],
-                     build: Callable[[int], np.ndarray], stack: bool) -> List[np.ndarray]:
+                     build: Callable[[int], np.ndarray]) -> List[np.ndarray]:
     """The singular values (``kernel`` "svd") or the eigenvalues ("eigvalsh")
     of the matrices build(0), build(1), ..., of shapes ``shapes``, in input
     order.
 
-    With ``stack``, the matrices of one shape are built when their group
-    comes up and factorised in one stacked call, which factorises each member
-    exactly as a lone call would; a group of one is factorised alone.
-    Without it, each matrix is built and factorised alone, in input order:
-    a batch of one complex makes the calls of its lone form.
+    The matrices of one shape are built when their group comes up and
+    factorised in one stacked call, which factorises each member exactly as
+    a lone call would; a group of one is factorised alone.
     """
     def values(a):
         return np.linalg.svd(a, compute_uv=False) if kernel == "svd" else np.linalg.eigvalsh(a)
 
-    if not stack:
-        return [values(build(i)) for i in range(len(shapes))]
     groups: Dict[Tuple[int, ...], List[int]] = {}
     for i, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(i)
@@ -452,9 +447,10 @@ class TwistedComplex:
 
     @cached_property
     def spectrum(self) -> SpectralRecord:
-        """Spectral record of the stored differentials, computed on first use:
-        the batch of one of ``_spectral_records``, unless a batch has already
-        filled it (``random_twisted_complexes``, ``schwarz_partitions``,
+        """Spectral record of the stored differentials, computed on first use
+        as a batch of one of ``_spectral_records`` (its same-shape matrices
+        share a stacked call), unless a batch has already filled it
+        (``random_twisted_complexes``, ``schwarz_partitions``,
         ``det_relations_reports``)."""
         return _spectral_records([self])[0]
 
@@ -487,11 +483,10 @@ class TwistedComplex:
 def _spectral_records(tcs: Sequence[TwistedComplex]) -> List[SpectralRecord]:
     """The spectral record of each complex, in order: first the singular values
     of every differential, then, with the ranks they give, the eigenvalues of
-    every Laplacian, each set factorised by ``_values_by_shape``, stacked
-    across a batch of more than one complex."""
-    stack = len(tcs) > 1
+    every Laplacian, each set factorised by ``_values_by_shape``, stacked by
+    shape across the complexes."""
     diffs = [d for tc in tcs for d in tc.diffs]
-    svals = iter(_values_by_shape("svd", [d.shape for d in diffs], diffs.__getitem__, stack))
+    svals = iter(_values_by_shape("svd", [d.shape for d in diffs], diffs.__getitem__))
     heads = []                                  # per complex: (ranks, coexact log dets)
     for tc in tcs:
         # SVD values descend and eigvalsh ascends: keep a head, resp. a tail
@@ -500,7 +495,7 @@ def _spectral_records(tcs: Sequence[TwistedComplex]) -> List[SpectralRecord]:
         heads.append((ranks, tuple(2.0 * _log_sum(v[:r]) for v, r in zip(s, ranks))))
     laps = [(tc, k) for tc in tcs for k in range(len(tc.dims))]
     eigs = iter(_values_by_shape("eigvalsh", [(tc.dims[k],) * 2 for tc, k in laps],
-                                 lambda i: laps[i][0].laplacian(laps[i][1]), stack))
+                                 lambda i: laps[i][0].laplacian(laps[i][1])))
     out = []
     for tc, (ranks, coexact) in zip(tcs, heads):
         kept = [a + b for a, b in zip((0,) + ranks, ranks + (0,))]   # rank d_(k-1) + rank d_k
@@ -514,18 +509,6 @@ def _spectra(tcs: Sequence[TwistedComplex]):
     todo = [tc for tc in tcs if "spectrum" not in vars(tc)]
     for tc, record in zip(todo, _spectral_records(todo)):
         vars(tc)["spectrum"] = record       # where cached_property keeps it
-
-
-def _acyclic_prefix(tcs: Sequence[TwistedComplex]
-                    ) -> Tuple[Sequence[TwistedComplex], Optional[NotAcyclicError]]:
-    """The complexes before the first non-acyclic one, and the NotAcyclicError
-    that one raises (None when every complex is acyclic)."""
-    for i, tc in enumerate(tcs):
-        try:
-            tc.require_acyclic()
-        except NotAcyclicError as exc:
-            return tcs[:i], exc
-    return tcs, None
 
 
 def _unit_metric(grams: Optional[Sequence[Optional[np.ndarray]]]) -> bool:
@@ -654,7 +637,9 @@ def schwarz_partition(tc: TwistedComplex) -> float:
     assembled.  Each operator keeps its largest merged values, as many as the
     spectral record's ranks give it.  The result is held to the coexact route
     as ``analytic_torsion`` holds the Laplacian route (``_cross_check``):
-    beyond that, ZetaBFError.  The batch of one of ``schwarz_partitions``.
+    beyond that, ZetaBFError.  The batch of one of ``schwarz_partitions``, so
+    blocks of one shape (the two of T^2 when dim C^1 = dim C^2, say) share a
+    stacked call.
     """
     return schwarz_partitions([tc])[0]
 
@@ -679,22 +664,21 @@ def schwarz_partitions(tcs: Sequence[TwistedComplex]) -> List[float]:
     """``schwarz_partition`` of each complex, in order, from one stacked
     factorisation per matrix shape across the batch (``_values_by_shape``):
     the spectral records that are missing, then the blocks of every T^2, then
-    those of every T_k, each value bit-identical to the lone call's.  The
-    complexes are then finished in order, so the batch raises what the first
-    failing lone call would: its NotAcyclicError or its cross-check
-    ZetaBFError.  An empty batch gives []."""
+    those of every T_k, each value bit-identical to a lone factorisation's.
+    The complexes are then finished in order, each checked acyclic first, so
+    the batch raises what the first failing complex raises: its
+    NotAcyclicError or its cross-check ZetaBFError.  An empty batch gives
+    []."""
     _spectra(tcs)
-    ready, not_acyclic = _acyclic_prefix(tcs)
-    stack = len(tcs) > 1
-    deep = [tc for tc in ready if tc.top_degree > 1]
+    deep = [tc for tc in tcs if tc.top_degree > 1]
     t_sq = iter(_values_by_shape("eigvalsh", [(n, n) for tc in deep for n in tc.dims[1:3]],
-                                 lambda i: _t_sq_block(deep[i // 2].diffs[1], i % 2 == 1),
-                                 stack))
-    towers = [_ghost_towers(tc) if tc.top_degree > 1 else [] for tc in ready]
+                                 lambda i: _t_sq_block(deep[i // 2].diffs[1], i % 2 == 1)))
+    towers = [_ghost_towers(tc) if tc.top_degree > 1 else [] for tc in tcs]
     blocks = [b for tower in towers for bs, _ in tower for b in bs]
-    svals = iter(_values_by_shape("svd", [b.shape for b in blocks], blocks.__getitem__, stack))
+    svals = iter(_values_by_shape("svd", [b.shape for b in blocks], blocks.__getitem__))
     out = []
-    for tc, tower in zip(ready, towers):
+    for tc, tower in zip(tcs, towers):
+        tc.require_acyclic()
         spec = tc.spectrum
         if tc.top_degree == 1:
             out.append(math.exp(0.5 * spec.coexact_logdets[0]))
@@ -708,8 +692,6 @@ def schwarz_partitions(tcs: Sequence[TwistedComplex]) -> List[float]:
         z = math.exp(log_z)
         _cross_check("schwarz", z, math.exp(_log_coexact_torsion(spec)))
         out.append(z)
-    if not_acyclic is not None:
-        raise not_acyclic
     return out
 
 
@@ -746,16 +728,17 @@ def det_relations_reports(tcs: Sequence[TwistedComplex]) -> List[DetRelationsRep
     """``det_relations_report`` of each complex, in order, from one stacked
     factorisation per matrix shape across the batch (``_values_by_shape``):
     the spectral records that are missing, then every d_k* of relation (1),
-    each value bit-identical to the lone call's.  The batch raises the
-    NotAcyclicError of its first non-acyclic complex after reporting on the
-    ones before it.  An empty batch gives []."""
+    each value bit-identical to a lone factorisation's.  The complexes are
+    then finished in order, each checked acyclic first, so the batch raises
+    the NotAcyclicError of its first non-acyclic complex.  An empty batch
+    gives []."""
     _spectra(tcs)
-    ready, not_acyclic = _acyclic_prefix(tcs)
-    diffs = [d for tc in ready for d in tc.diffs]
+    diffs = [d for tc in tcs for d in tc.diffs]
     svals = iter(_values_by_shape("svd", [d.T.shape for d in diffs],
-                                  lambda i: diffs[i].conj().T, len(tcs) > 1))
+                                  lambda i: diffs[i].conj().T))
     out = []
-    for tc in ready:
+    for tc in tcs:
+        tc.require_acyclic()
         n, spec = tc.top_degree, tc.spectrum
         ell = spec.coexact_logdets          # log det(d_k* d_k), k = 0..N-1
         res1 = _worst(abs(_logdet_top_sq([next(svals)], r) - e)
@@ -766,8 +749,6 @@ def det_relations_reports(tcs: Sequence[TwistedComplex]) -> List[DetRelationsRep
         res2 = (_worst(abs(ell[k - 1] - ell[n - k]) for k in range(1, n + 1))
                 if tc.poincare_self_dual else None)
         out.append(DetRelationsReport(res1, res3, res2, tuple(ell)))
-    if not_acyclic is not None:
-        raise not_acyclic
     return out
 
 
@@ -889,7 +870,7 @@ def random_twisted_complexes(rng: np.random.Generator, count: int,
     factorised in one stacked QR, and released, and the complexes are
     assembled: each is bit-identical to its lone call, and ``rng`` ends in
     the same state.  Their spectral records come filled, factorised as one
-    batch: one stacked call per matrix shape when ``count`` > 1.
+    batch: one stacked call per matrix shape.
     """
     draws, by_size = [], {}
     for _ in range(count):

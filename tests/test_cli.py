@@ -119,12 +119,14 @@ def test_torsion_factorises_each_differential_once(monkeypatch):
     # Schwarz's T_1 blocks d_0 and d_2^T; eigvalsh: the four Laplacians and
     # the two blocks of Schwarz's T^2.  No block-diagonal assembly is
     # factorised: no matrix is larger than the complex's largest degree.
+    # Each member of a stacked call counts under its own 2-D shape.
     shapes = {"svd": [], "eigvalsh": []}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
             if sys._getframe(1).f_globals.get("__name__") == "zetabf.complexes":
-                shapes[name].append(args[0].shape)
+                a = args[0]
+                shapes[name] += [a.shape[-2:]] * math.prod(a.shape[:-2])
             return real(*args, **kwargs)
         return wrapper
 

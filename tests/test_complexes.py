@@ -46,7 +46,7 @@ from zetabf.errors import (
 )
 from zetabf.verification import SEED, _random_complexes, milnor_mapping_torus_torsion
 
-from test_bv import _svd_contraction
+from test_bv import CAT, _cat_rank_twist, _svd_contraction
 
 
 def circle_torsion_oracle(theta):
@@ -469,33 +469,102 @@ def test_batched_random_complexes_are_the_lone_draws(seed):
     assert rng.bit_generator.state == state
 
 
-def _record_hex(tc):
-    spec = tc.spectrum
-    return spec.ranks, [x.hex() for x in spec.coexact_logdets + spec.laplacian_logdets]
+# -- the per-matrix reference of the factorisations ---------------------------
+# The complex layer as it read when a lone complex factorised each matrix on
+# its own: one values-only SVD per differential, one eigvalsh per Laplacian,
+# and each of Schwarz's blocks and relation (1)'s d_k* alone.  The package
+# now groups the matrices of one complex, as of a batch, by shape, so these
+# loops are the reference that its stacked calls must match bit for bit.
 
 
-def _report_hex(rep):
-    return [x.hex() for x in (rep.relation1, rep.relation3) + rep.coexact_logdets]
+def _ref_log_sum(x):
+    return float(np.sum(np.log(x)))
+
+
+def _ref_top_sq(svals, count):
+    s = -np.sort(-np.concatenate(svals))
+    return 2.0 * _ref_log_sum(s[:count])
+
+
+def _ref_record(tc):
+    svals = [np.linalg.svd(d, compute_uv=False) for d in tc.diffs]
+    ranks = tuple(int(np.count_nonzero(complexes.nonzero_mask(v))) for v in svals)
+    coexact = tuple(2.0 * _ref_log_sum(v[:r]) for v, r in zip(svals, ranks))
+    kept = [a + b for a, b in zip((0,) + ranks, ranks + (0,))]
+    lap = tuple(_ref_log_sum(np.linalg.eigvalsh(tc.laplacian(k))[n - c:])
+                for k, (n, c) in enumerate(zip(tc.dims, kept)))
+    return ranks, coexact, lap
+
+
+def _ref_schwarz(tc, ranks, coexact):
+    d, n = tc.diffs, tc.top_degree
+    if n == 1:
+        return math.exp(0.5 * coexact[0])
+    t = np.sort(np.concatenate([np.linalg.eigvalsh(d[1].conj().T @ d[1]),
+                                np.linalg.eigvalsh(np.conj(d[1]) @ d[1].T)]))
+    log_z = -0.25 * _ref_log_sum(t[len(t) - 2 * ranks[1]:])
+    towers = [((d[0], d[2].T), ranks[0] + ranks[2]) if n >= 3 else ((d[0],), ranks[0])]
+    towers += [((d[k + 1].T,), ranks[k + 1]) for k in range(2, n - 1)]
+    for k, (blocks, rank) in enumerate(towers, start=1):
+        log_z += 0.5 * (-1) ** (k + 1) * _ref_top_sq(
+            [np.linalg.svd(b, compute_uv=False) for b in blocks], rank)
+    return math.exp(log_z)
+
+
+def _reference_hex(tc):
+    """(record, Schwarz value, relations report) of ``tc`` in ``float.hex``,
+    from the per-matrix reference."""
+    ranks, ell, lap = _ref_record(tc)
+    res1 = max((abs(_ref_top_sq([np.linalg.svd(d.conj().T, compute_uv=False)], r) - e)
+                for d, r, e in zip(tc.diffs, ranks, ell)), default=0.0)
+    ends = (0.0,) + ell + (0.0,)
+    res3 = max((abs(x - (ends[k] + ends[k + 1])) for k, x in enumerate(lap)), default=0.0)
+    return ((ranks, [x.hex() for x in ell + lap]),
+            _ref_schwarz(tc, ranks, ell).hex(),
+            [x.hex() for x in (res1, res3) + ell])
+
+
+def _package_hex(tcs, batch):
+    """What ``_reference_hex`` gives, from the package: as batches, or as
+    lone calls, one complex at a time."""
+    if batch:
+        zs, reports = schwarz_partitions(tcs), det_relations_reports(tcs)
+    else:
+        zs = [schwarz_partition(tc) for tc in tcs]
+        reports = [det_relations_report(tc) for tc in tcs]
+    out = []
+    for tc, z, rep in zip(tcs, zs, reports):
+        spec = tc.spectrum
+        out.append(((spec.ranks, [x.hex() for x in spec.coexact_logdets + spec.laplacian_logdets]),
+                    z.hex(),
+                    [x.hex() for x in (rep.relation1, rep.relation3) + rep.coexact_logdets]))
+    return out
 
 
 @pytest.mark.parametrize("seed", [SEED, SEED + 1])
 def test_batches_are_the_lone_calls_bit_for_bit(seed):
-    # criteria 6 and 7's batches against lone calls on fresh copies, which
-    # factorise every matrix on its own
+    # criteria 6 and 7's batches, and lone calls on fresh copies, against the
+    # per-matrix reference
     tcs = _random_complexes(100, np.random.default_rng(seed))
-    fresh = [TwistedComplex(tc.diffs) for tc in tcs]
     assert all("spectrum" in vars(tc) for tc in tcs)      # filled by the draw
-    assert not any("spectrum" in vars(tc) for tc in fresh)
-    assert [_record_hex(tc) for tc in tcs] == [_record_hex(tc) for tc in fresh]
-    assert [z.hex() for z in schwarz_partitions(tcs)] == \
-        [schwarz_partition(tc).hex() for tc in fresh]
-    assert [_report_hex(r) for r in det_relations_reports(tcs)] == \
-        [_report_hex(det_relations_report(tc)) for tc in fresh]
+    want = [_reference_hex(tc) for tc in tcs]
+    assert _package_hex(tcs, batch=True) == want
+    assert _package_hex([TwistedComplex(tc.diffs) for tc in tcs], batch=False) == want
     # a batch that fills the records itself reads the same bits
-    again = [TwistedComplex(tc.diffs) for tc in tcs]
-    assert [z.hex() for z in schwarz_partitions(again)] == \
-        [schwarz_partition(tc).hex() for tc in fresh]
-    assert [_record_hex(tc) for tc in again] == [_record_hex(tc) for tc in fresh]
+    assert _package_hex([TwistedComplex(tc.diffs) for tc in tcs], batch=True) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mapping_torus_complex(CAT, 2.0),
+    lambda: _cat_rank_twist(4, np.random.default_rng(4)),
+], ids=["cat_theta_2", "cat_rank_4"])
+def test_a_lone_complex_stacks_its_same_shape_matrices_bit_for_bit(make):
+    # dims (r, 3r, 3r, r): the two 3r x 3r Laplacians, the two 3r x 3r blocks
+    # of T^2, and T_1's blocks d_0 and d_2^T (both 3r x r) share stacked calls
+    tc = make()
+    r = tc.dims[0]
+    assert tc.dims == (r, 3 * r, 3 * r, r)
+    assert _package_hex([tc], batch=False) == [_reference_hex(tc)]
 
 
 @pytest.mark.parametrize("batch", [schwarz_partitions, det_relations_reports])

@@ -1,10 +1,10 @@
-"""The complex layer factorises each random batch by shape.
+"""The complex layer factorises by shape, one complex or a batch alike.
 
 The scan parses ``src/zetabf/complexes.py`` and lists each call of a
 ``linalg`` function other than ``norm`` with the function that makes it, as
 ``tests/test_bv_factorisations.py`` does for ``bv``.  Every values-only SVD
 and every eigvalsh goes through ``_values_by_shape``, which stacks the
-matrices of one shape across a batch of complexes; a per-complex
+matrices of one shape, within a lone complex as across a batch; a
 factorisation elsewhere fails the pin until ALLOWED names it with a reason.
 """
 
