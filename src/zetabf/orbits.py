@@ -31,15 +31,18 @@ TRANSVERSE_RANK = 1
 
 
 def form_degree(k: int) -> int:
-    """k, checked to be a form degree of the transverse bundle."""
-    if not 0 <= k <= 2 * TRANSVERSE_RANK:
-        raise ValueError(f"k must lie in [0, {2 * TRANSVERSE_RANK}]")
+    """k, checked to be a form degree of the transverse bundle: an integer in
+    [0, 2 * TRANSVERSE_RANK], else ValidationError."""
+    if not (isinstance(k, numbers.Integral) and 0 <= k <= 2 * TRANSVERSE_RANK):
+        raise ValidationError("k", f"must be an integer in [0, {2 * TRANSVERSE_RANK}], "
+                                   f"got {k!r}")
     return k
 
 
 @dataclass(frozen=True)
 class ToralAutomorphism:
-    """Hyperbolic element of GL(2,Z) with |det| = 1, plus a constant roof."""
+    """Hyperbolic element of GL(2,Z) with |det| = 1, plus a constant roof,
+    positive and finite (else ValidationError)."""
 
     a11: int
     a12: int
@@ -52,8 +55,10 @@ class ToralAutomorphism:
             raise NotHyperbolicError(f"|det A| = {abs(self.det)} != 1")
         if abs(self.trace) <= 2:
             raise NotHyperbolicError(f"|tr A| = {abs(self.trace)} <= 2")
-        if self.roof <= 0:
-            raise ValueError("roof must be positive")
+        if not (isinstance(self.roof, numbers.Real) and math.isfinite(self.roof)
+                and self.roof > 0):
+            raise ValidationError("roof", "must be a positive finite real number, "
+                                          f"got {self.roof!r}")
 
     @classmethod
     def from_matrix(cls, matrix, roof: float = 1.0) -> "ToralAutomorphism":
@@ -270,8 +275,8 @@ def suspension_orbits(aut: ToralAutomorphism, j_max: int) -> OrbitData:
 
 def poincare_data(aut: ToralAutomorphism, j: int, k: int) -> Tuple[int, int]:
     """(tr Lambda^k P^j, det(I - P^j)) as exact integers.  P^j is read off
-    the exact power A^j, so j outside [0, 64] raises ValueError, as does a
-    k outside the form degrees."""
+    the exact power A^j, so j outside [0, 64] raises ValueError; a k that is
+    not a form degree raises ValidationError."""
     k = form_degree(k)
     a, _, _, d = aut.power(j)
     t_j, det_j = a + d, aut.det ** j

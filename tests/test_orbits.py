@@ -129,6 +129,17 @@ def test_not_hyperbolic_rejected():
         ToralAutomorphism.from_matrix([[2.5, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("roof", [math.nan, math.inf, 0.0, -1.0, 2j, "1"])
+def test_roof_must_be_positive_and_finite(roof):
+    # a NaN or infinite roof used to give a NaN zeta value at zero and
+    # NaN closed-form factors; a roof <= 0 a bare ValueError, and a complex
+    # or string roof a TypeError
+    with pytest.raises(ValidationError, match="roof"):
+        ToralAutomorphism(2, 1, 1, 1, roof=roof)
+    with pytest.raises(ValidationError, match="roof"):
+        ToralAutomorphism.from_matrix([[2, 1], [1, 1]], roof=roof)
+
+
 def test_primitive_orbit_counts():
     records = enumerate_primitive_orbits(CAT, 3)
     by_period = {r.period: r.count for r in records}

@@ -149,7 +149,7 @@ def test_flat_trace_bump_at_two():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("k", [-1, 3, 5])
+@pytest.mark.parametrize("k", [-1, 3, 5, 1.5, "1"])
 @pytest.mark.parametrize("route", [
     lambda k: flat_trace_pairing(suspension_orbits(CAT, 8), 0.3, k, BumpSpec(0.5, 0.04)),
     lambda k: log_zeta_k(DATA, 0.3, 3.0, k),
@@ -158,7 +158,7 @@ def test_flat_trace_bump_at_two():
 ], ids=["flat_trace_pairing", "log_zeta_k", "mellin_log_zeta", "poincare_data"])
 def test_degree_outside_the_forms_is_refused(route, k):
     # the bump at 0.5 holds no orbit time, so no term would check k
-    with pytest.raises(ValueError, match="k must lie in"):
+    with pytest.raises(ValidationError, match="k: must be an integer in"):
         route(k)
 
 
