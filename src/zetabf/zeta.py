@@ -9,32 +9,43 @@ Euler product outside its half-plane.
 The orbit sums read one term table per (OrbitData, J), cached on the
 OrbitData: the record order and repetition cut-off, each term's record and
 repetition j, and per-record constants, with the holonomy powers of the last
-theta and, per k on first use, only the weights
-w_k = tr Lambda^k P^j / |det(I - P^j)|, from ``_poincare_weight`` as in the
-flat trace.  The table also keeps the amplitude of its last (theta, lambda),
-the part of a term that no k changes, -count hol^j e^(-lambda j l); a k = 0,
-1, 2, full sweep forms it once and applies only the weight and the divide
-per k.  The key is the exact bits of theta and of both parts of lambda, and
-whether lambda is a complex: a float lambda takes the real exponential path
-and a complex one with zero imaginary part the complex product, and the two
-amplitudes can differ in the signs of their zeros, as can those of imaginary
-parts +0.0 and -0.0.  The table is read in blocks of _BLOCK terms.  Its
-values are bit for bit those of a term-by-term Python loop:
+theta and, formed together on first use, the weights
+w_k = tr Lambda^k P^j / |det(I - P^j)| of every k, from ``_poincare_weight``
+as in the flat trace.  Every sum is one sweep of the table
+(``_TermTable.sums``) over some lambdas and degrees.  Per block of _BLOCK
+terms it forms each lambda's amplitude, the part of a term that no k
+changes, -count hol^j e^(-lambda j l), once; it stacks the weight rows of
+the degrees (1.0 for full), and weights, divides by j and adds every
+(lambda, k) row in one pass.  The table keeps the sums of its last sweep,
+per point, and every call reads its value there.  A lone call that misses
+sweeps its point over full and every degree whose weight the table holds,
+so the other degrees and the Mellin route at that point are lookups; the
+decomposition residual sweeps its point once, and the grid all its rows
+that converge before it reads them.  A point's key is the exact bits of
+theta and of both parts of lambda, and whether lambda is a complex: a float
+lambda takes the real exponential path and a complex one with zero
+imaginary part the complex product, and the two amplitudes can differ in
+the signs of their zeros, as can those of imaginary parts +0.0 and -0.0.
+The sums are bit for bit those of a term-by-term Python loop:
 
 * exp and pow are libm's, called once per term (math.exp, or cmath.exp when
-  lambda has a nonzero imaginary part, and pow); numpy's vectorised exp and
-  power differ from libm in the last bit on some machines;
+  lambda has a nonzero imaginary part, and pow), on each lambda's own path;
+  numpy's vectorised exp and power differ from libm in the last bit on some
+  machines;
 * complex products follow CPython's formula on real and imaginary arrays, a
-  real factor entering as (x, 0.0), and so does division by a real;
+  real factor entering as (x, 0.0), and so does division by a real; stacking
+  rows changes no element's operations;
 * holonomies are raised to the power j by CPython's binary exponentiation for
   j <= 100, and by scalar ** above;
-* sums run left to right with np.add.accumulate, carried across blocks, never
-  with the pairwise np.sum;
+* sums run left to right with np.add.accumulate along the terms of each row,
+  carried across blocks, never with the pairwise np.sum;
 * Poincare eigenvalue powers are scalar **, so exactly the inputs that
   overflow term by term raise the same OverflowError.  A table sweeps the
   powers once: a sweep that overflows is kept as the args of its
-  OverflowError, which every later weight raises at once, and the weights
-  are formed before any amplitude, so a failing table raises on every call.
+  OverflowError, which every later weight raises at once.  Each degree's
+  tail and weight are formed in a lone call's order, before any amplitude,
+  so a failing table raises on every call but still sums ``full``, and a
+  grid raises where its first failing row would.
 
 The tail certificate of an ingested spectrum reads per-record arrays that
 the term table builds with itself (``_TermTable.record_tails``), in the
@@ -43,6 +54,7 @@ sum() in that order, as the scalar loop adds them.  They keep the tails of
 their last lambda, one per degree class (k = 0 and 2 share one, k = 1 and
 full have their own), keyed by the exact bits of its real part, the one part
 a tail reads; a k = 0, 1, 2, full sweep with the Mellin route forms three.
+Every call forms or reads its own tail, lookups of a kept point included.
 
 The mirrored arithmetic is that of CPython 3.10 to 3.13, in which a real
 operand of a complex product enters as (x, 0.0) and sum() adds complex numbers
@@ -274,16 +286,6 @@ def _part(x, s: slice):
     return x[s] if isinstance(x, np.ndarray) else x
 
 
-def _running_sum(carry: float, x: np.ndarray) -> float:
-    """carry + x[0] + x[1] + ... added left to right, as a Python loop adds.
-
-    np.sum adds pairwise and can differ in the last bit.
-    """
-    if x.size == 0:
-        return carry
-    return float(np.add.accumulate(np.concatenate(([carry], x)))[-1])
-
-
 def _exact_key(theta: float, lam: complex):
     """(theta, lambda) by their bits: a float and a complex lambda take
     different _exp_neg paths, and the sign of a zero imaginary part reaches
@@ -292,19 +294,33 @@ def _exact_key(theta: float, lam: complex):
             float(lam.real).hex(), float(lam.imag).hex())
 
 
+# A sweep sums at most this many (lambda, degree) rows at once, so that its
+# temporaries hold at most _SWEEP_ROWS * _BLOCK terms.
+_SWEEP_ROWS = 16
+
+
+def _carried(carry: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """carry + x[:, 0] + x[:, 1] + ... per row, added left to right as a
+    Python loop adds, as a column; np.sum adds pairwise and can differ in
+    the last bit.  Overwrites x."""
+    x[:, 0] = carry[:, 0] + x[:, 0]
+    return np.add.accumulate(x, axis=1)[:, -1:]
+
+
 class _TermTable:
     """The (record, repetition) terms of one truncation J as flat arrays.
 
     Records are sorted by (length, count); for suspension data the repetition
     index is truncated by total period j * period <= J, for ingested spectra
     by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
-    The holonomy powers are kept for the last theta and the amplitude for the
-    last (theta, lambda), so a sweep holds one array pair; the Poincare
-    weights are added per degree k on first use, from one sweep of the
-    eigenvalue powers per table, or the args of the OverflowError that sweep
-    raised.  ``record_tails`` holds an ingested spectrum's ``RecordTails``
-    in the file's record order, and None for a suspension.  The table keeps
-    no reference to its OrbitData, which caches it.
+    The holonomy powers are kept for the last theta, and the sums of the
+    points (theta, lambda) of the last sweep, one per degree.  The
+    Poincare weights of every degree are formed together on first use, from
+    one sweep of the eigenvalue powers per table, or the args of the
+    OverflowError that sweep raised are kept.  ``record_tails`` holds an
+    ingested spectrum's ``RecordTails`` in the file's record order, and None
+    for a suspension.  The table keeps no reference to its OrbitData, which
+    caches it.
     """
 
     def __init__(self, data: OrbitData, J: int):
@@ -318,10 +334,9 @@ class _TermTable:
         self.neg_count = np.array([float(-r.count) for r in self.records])
         self.record_tails = None if data.is_suspension else RecordTails(data.records)
         self._holonomy = (None, None)     # (theta key, powers)
-        self._amplitude = (None, None)    # ((theta, lambda) key, amplitude)
-        self._weights = {}
-        self._poincare = None             # the two power arrays once formed
-        self._overflow = None             # or the args of the OverflowError they raised
+        self._points = {}                 # (theta, lambda) key -> sum per degree
+        self._weights = {}                # weight per degree, all formed together
+        self._overflow = None             # or the args of the OverflowError the powers raised
 
     def blocks(self):
         """(slice, record index, float j) of each block of terms."""
@@ -349,19 +364,6 @@ class _TermTable:
         hr, hi = self.holonomy_powers(theta)
         return _mul(c, 0.0, hr[s], hi[s])
 
-    def amplitude(self, theta: float, lam: complex):
-        """(re, im) per term of -count hol^j e^(-lam j l), the weight-free part
-        of a term, formed as CPython forms it."""
-        key = _exact_key(theta, lam)
-        if self._amplitude[0] != key:
-            re, im = np.empty(self.size), np.empty(self.size)
-            for s, rec, jf in self.blocks():
-                damp = _exp_neg(lam, jf, self.length[rec])
-                re[s], im[s] = _mul(*self._times_holonomy(self.neg_count[rec], s, theta),
-                                    *damp)
-            self._amplitude = (key, (re, im))
-        return self._amplitude[1]
-
     def _poincare_powers(self, name: str) -> np.ndarray:
         """Per term, the record's eigenvalue ``name`` to the power j, as scalar
         ``**`` so that an overflow raises as it does term by term."""
@@ -373,36 +375,80 @@ class _TermTable:
         return out
 
     def weight(self, k: int) -> np.ndarray:
-        """``_poincare_weight`` per term.  The powers are swept once per table:
-        if the sweep overflows, this call and every later one raise an
-        OverflowError with the args of the scalar ``**`` that overflowed."""
-        hit = self._weights.get(k)
-        if hit is None:
+        """``_poincare_weight`` per term.  The powers are swept once per table
+        and the weights of every degree formed from them: if the sweep
+        overflows, this call and every later one raise an OverflowError with
+        the args of the scalar ``**`` that overflowed."""
+        if not self._weights:
             if self._overflow is not None:
                 raise OverflowError(*self._overflow)
-            if self._poincare is None:
-                try:
-                    self._poincare = (self._poincare_powers("eig_expanding"),
-                                      self._poincare_powers("eig_contracting"))
-                except OverflowError as exc:
-                    # the args alone: the exception's traceback would keep
-                    # the caller's frames, and its OrbitData, alive
-                    self._overflow = exc.args
-                    raise
-            hit = self._weights[k] = _poincare_weight(*self._poincare, k)
-        return hit
+            try:
+                powers = (self._poincare_powers("eig_expanding"),
+                          self._poincare_powers("eig_contracting"))
+            except OverflowError as exc:
+                # the args alone: the exception's traceback would keep
+                # the caller's frames, and its OrbitData, alive
+                self._overflow = exc.args
+                raise
+            with np.errstate(all="ignore"):
+                self._weights = {d: _poincare_weight(*powers, d)
+                                 for d in range(2 * TRANSVERSE_RANK + 1)}
+        return self._weights[k]
 
-    def log_zeta(self, theta: float, lam: complex, k: DegreeSpec) -> complex:
-        """-sum (1/j) count hol^j e^(-lam j l) weight over the table."""
-        weight = 1.0 if k == "full" else self.weight(k)
-        ar, ai = self.amplitude(theta, lam)
-        total_re = total_im = 0.0
-        for s, _, jf in self.blocks():
-            re, im = _mul(ar[s], ai[s], _part(weight, s), 0.0)
-            re, im = _div_real(re, im, jf)
-            total_re = _running_sum(total_re, re)
-            total_im = _running_sum(total_im, im)
-        return complex(total_re, total_im)
+    def sums(self, theta: float, lams, ks) -> np.ndarray:
+        """-sum (1/j) count hol^j e^(-lam j l) w_k over the table, as a complex
+        array with a row per lambda of ``lams`` and a column per degree of
+        ``ks`` (w = 1.0 for ``full``).
+
+        Per block, each lambda's amplitude -count hol^j e^(-lam j l) is
+        formed once, on its own ``_exp_neg`` path; the weight rows of ``ks``
+        are stacked, and every (lambda, k) row is weighted, divided by j and
+        added left to right in one pass, carried across blocks.  The lambdas
+        go in chunks of at most _SWEEP_ROWS rows."""
+        weights = [1.0 if k == "full" else self.weight(k) for k in ks]
+        n_k = len(ks)
+        per = max(1, _SWEEP_ROWS // n_k)               # lambdas per chunk
+        total_re = np.zeros((len(lams) * n_k, 1))
+        total_im = np.zeros((len(lams) * n_k, 1))
+        with np.errstate(all="ignore"):
+            for s, rec, jf in self.blocks():
+                cr, ci = self._times_holonomy(self.neg_count[rec], s, theta)
+                w = np.empty((n_k, jf.size))
+                for i, x in enumerate(weights):
+                    w[i] = _part(x, s)
+                for a in range(0, len(lams), per):
+                    chunk = lams[a:a + per]
+                    dr, di = np.empty((2, len(chunk), jf.size))
+                    for i, lam in enumerate(chunk):
+                        dr[i], di[i] = _exp_neg(lam, jf, self.length[rec])
+                    ar, ai = _mul(cr, ci, dr, di)
+                    re, im = _mul(ar[:, None], ai[:, None], w, 0.0)
+                    re, im = _div_real(re, im, jf)
+                    rows = slice(a * n_k, (a + len(chunk)) * n_k)
+                    total_re[rows] = _carried(total_re[rows], re.reshape(-1, jf.size))
+                    total_im[rows] = _carried(total_im[rows], im.reshape(-1, jf.size))
+        out = np.empty((len(lams), n_k), dtype=complex)
+        out.real, out.imag = total_re.reshape(out.shape), total_im.reshape(out.shape)
+        return out
+
+    def keep(self, theta: float, lams, ks):
+        """Sweep the points (theta, lambda) of ``lams`` over ``ks`` and keep
+        their sums, in place of the points kept before."""
+        self._points = {_exact_key(theta, lam): dict(zip(ks, row))
+                        for lam, row in zip(lams, self.sums(theta, lams, ks).tolist())}
+
+    def point(self, theta: float, lam: complex, k: DegreeSpec) -> complex:
+        """The sum of degree k at (theta, lambda), read from the kept points.
+        A point or degree the table does not keep is one sweep of that point
+        over ``full`` and every degree whose weight the table holds; k's
+        weight is formed first, so an overflowing table raises before any
+        amplitude is."""
+        key = _exact_key(theta, lam)
+        if k not in self._points.get(key, ()):
+            if k != "full":
+                self.weight(k)
+            self.keep(theta, [lam], ["full", *self._weights])
+        return self._points[key][k]
 
 
 def _term_table(data: OrbitData, J: int) -> _TermTable:
@@ -418,8 +464,7 @@ def _log_zeta(data: OrbitData, theta: float, lam: complex, k: DegreeSpec,
     """Every truncated sum: the checks, the certificate, then the sum."""
     _check_sum_arguments(theta, lam, J)
     tail = _tail(data, lam, k, J)
-    with np.errstate(all="ignore"):
-        value = _term_table(data, J).log_zeta(theta, lam, k)
+    value = _term_table(data, J).point(theta, lam, k)
     return ZetaEvaluation(lam=lam, k=k, value=value, J=J,
                           truncation_error_bound=tail)
 
@@ -446,11 +491,18 @@ def decomposition_residual(data: OrbitData, theta: float, lam: complex,
 
     The identity (-1)^n |det(I - P^j)| = sum_k (-1)^k tr Lambda^k P^j holds
     per orbit only where det(I - P^j) < 0, which means tr A > 0; there the
-    residual is pure floating error.
+    residual is pure floating error.  The full sum and each k are certified
+    in that order, as lone calls are, then summed in one sweep of the point.
     """
-    full = log_zeta_full(data, theta, lam, J).value
-    alternating = sum((-1) ** k * log_zeta_k(data, theta, lam, k, J).value
-                      for k in range(2 * TRANSVERSE_RANK + 1))
+    _check_sum_arguments(theta, lam, J)
+    degrees = range(2 * TRANSVERSE_RANK + 1)
+    for k in ("full", *degrees):
+        _tail(data, lam, k, J)
+        if k != "full":
+            _term_table(data, J).weight(k)
+    table = _term_table(data, J)
+    full = table.point(theta, lam, "full")
+    alternating = sum((-1) ** k * table.point(theta, lam, k) for k in degrees)
     return abs((-1) ** TRANSVERSE_RANK * full - alternating)
 
 
@@ -480,14 +532,43 @@ class BumpSpec:
         return math.exp(-0.5 * ((t - self.center) / self.width) ** 2)
 
 
+# A flat-trace pairing visits at most this many (record, repetition) terms
+# inside the bump's support, about 0.1 s of the walk.  The pairings of the
+# zeta_cli benchmark's ingested spectra visit at most 222 (seeds 1-39); a
+# record of length 1e-5 under a bump of support [1.4, 2.6] would visit 120,001.
+FLAT_TRACE_TERM_BUDGET = 10 ** 5
+
+
+def _repetitions_inside(length: float, lo: float, hi: float) -> range:
+    """The repetitions j >= 1 whose times j * length lie in [lo, hi], for
+    0 < lo; the times are formed as the term-by-term walk forms them."""
+    if hi / length >= 2.0 ** 53:
+        raise SupportTooWideError(f"support [{lo:.3g}, {hi:.3g}] needs repetitions "
+                                  f"above 2^53 of length {length:.3g}")
+    first = max(1, math.ceil(lo / length))
+    while first > 1 and (first - 1) * length >= lo:
+        first -= 1
+    while first * length < lo:
+        first += 1
+    last = math.floor(hi / length)
+    while last * length > hi:
+        last -= 1
+    while (last + 1) * length <= hi:
+        last += 1
+    return range(first, last + 1)
+
+
 def flat_trace_pairing(data: OrbitData, theta: float, k: int,
                        bump: BumpSpec) -> complex:
     """Pair the distributional flat trace of e^(-t L_k) with a bump function.
 
     The trace formula collapses to a weighted sum over orbit times j*l(gamma);
-    only times inside the bump's support contribute.  On a suspension
-    spectrum those times must stay below the first period whose primitive
-    orbits the records may miss, (complete_to + 1) * roof.
+    only times inside the bump's support contribute, and each record's walk
+    starts at its first repetition there.  On a suspension spectrum those
+    times must stay below the first period whose primitive orbits the
+    records may miss, (complete_to + 1) * roof.  A pairing that would visit
+    more than FLAT_TRACE_TERM_BUDGET terms raises SupportTooWideError before
+    it evaluates any.
     """
     k = form_degree(k)
     _check_point(theta)
@@ -501,16 +582,25 @@ def flat_trace_pairing(data: OrbitData, theta: float, k: int,
             f"support [{lo:.3g}, {hi:.3g}] reaches period {data.complete_to + 1}, "
             f"beyond the orbits complete to period {data.complete_to}"
         )
-    total = 0.0 + 0.0j
+    walks, visits = [], 0
     for rec in sorted(data.records, key=lambda r: (r.length, r.count)):
-        j = 1
-        while j * rec.length <= hi:
+        if rec.length > hi:
+            break                   # every later record is as long
+        reps = _repetitions_inside(rec.length, lo, hi)
+        visits += len(reps)
+        if visits > FLAT_TRACE_TERM_BUDGET:
+            raise SupportTooWideError(
+                f"support [{lo:.3g}, {hi:.3g}] holds more than "
+                f"{FLAT_TRACE_TERM_BUDGET} orbit times"
+            )
+        walks.append((rec, reps))
+    total = 0.0 + 0.0j
+    for rec, reps in walks:
+        for j in reps:
             t = j * rec.length
-            if t >= lo:
-                weight = _poincare_weight(rec.eig_expanding ** j, rec.eig_contracting ** j, k)
-                total += (rec.count * rec.length * bump(t)
-                          * rec.holonomy_at(theta) ** j * weight)
-            j += 1
+            weight = _poincare_weight(rec.eig_expanding ** j, rec.eig_contracting ** j, k)
+            total += (rec.count * rec.length * bump(t)
+                      * rec.holonomy_at(theta) ** j * weight)
     return total
 
 
@@ -645,9 +735,37 @@ GRID_HEADER = ("re_lambda", "im_lambda", "k", "re_log_zeta", "im_log_zeta", "tai
                "J", "status")
 
 
+def _keep_grid(data: OrbitData, theta: float, lams, ks, J: int):
+    """Sum the rows of a grid that converge in one sweep of the term table,
+    which keeps them as its points.  Each row is checked and certified, and
+    each degree's weight formed, in grid order as the lone calls do, so a
+    row that fails raises here as its call would."""
+    points, degrees = [], {}
+    for lam in lams:
+        summed = False
+        for k in ks:
+            degree = k if k == "full" else form_degree(k)
+            _check_sum_arguments(theta, lam, J)
+            try:
+                _tail(data, lam, degree, J)
+            except DivergentRegionError:
+                continue
+            if degree != "full":
+                _term_table(data, J).weight(degree)
+            degrees[degree] = summed = True
+        if summed:
+            points.append(lam)
+    if points:
+        _term_table(data, J).keep(theta, points, list(degrees))
+
+
 def zeta_grid_rows(data: OrbitData, theta: float, lams, ks, J: int):
     """Rows over a lambda grid, each a tuple of the GRID_HEADER fields as
-    strings; divergent points are flagged rows."""
+    strings; divergent points are flagged rows.  Each row is the lone call's
+    evaluation; the rows that converge are summed beforehand in one sweep
+    (``_keep_grid``), so each call reads its kept point."""
+    lams = list(lams)
+    _keep_grid(data, theta, lams, ks, J)
     rows = []
     for lam in lams:
         for k in ks:

@@ -145,28 +145,30 @@ def test_torsion_factorises_each_differential_once(monkeypatch):
 
 def test_zeta_grid_builds_one_term_table(monkeypatch):
     # the README grid: 7 lambdas x 4 degrees read one table of the orbit data
-    tables, evaluations = Counter(), Counter()
-    real_init = zeta._TermTable.__init__
+    # and form each lambda's amplitude once, in one exponential pass
+    tables, exponentials = Counter(), []
+    real_init, real_exp_neg = zeta._TermTable.__init__, zeta._exp_neg
 
     def counting_init(self, data, J):
         tables[J] += 1
         real_init(self, data, J)
 
-    def counting(name):
-        real = getattr(zeta, name)
-
-        def wrapper(*args, **kwargs):
-            evaluations[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
+    def counting_exp_neg(lam, *factors):
+        exponentials.append(lam)
+        return real_exp_neg(lam, *factors)
 
     monkeypatch.setattr(zeta._TermTable, "__init__", counting_init)
-    for name in ("log_zeta_k", "log_zeta_full"):
-        monkeypatch.setattr(zeta, name, counting(name))
-    code, _, _ = run_cli(GOLDEN_COMMANDS["zeta_grid_closed_form.txt"])
+    monkeypatch.setattr(zeta, "_exp_neg", counting_exp_neg)
+    code, out, _ = run_cli(GOLDEN_COMMANDS["zeta_grid_closed_form.txt"])
     assert code == EXIT_OK
-    assert evaluations == {"log_zeta_k": 21, "log_zeta_full": 7}
     assert tables == {40: 1}
+    # the table's terms fit one block, so each lambda takes one pass
+    data = orbits.suspension_orbits(orbits.ToralAutomorphism(2, 1, 1, 1), 40)
+    assert sum(40 // r.period for r in data.records) <= zeta._BLOCK
+    grid = [complex(float(f[0]), float(f[1])) for f in
+            (line.split(",") for line in out.splitlines()) if len(f) == 8 and f[7] == "ok"]
+    assert exponentials == list(dict.fromkeys(grid))
+    assert len(exponentials) == 7
 
 
 @pytest.mark.parametrize("argv", [["zeta", "--A", "2,1,1,1", "--J", "80"],

@@ -3,6 +3,7 @@
 import cmath
 import gc
 import math
+import time
 import weakref
 from collections import Counter
 
@@ -18,6 +19,7 @@ from zetabf.orbits import (
     OrbitRecord,
     ToralAutomorphism,
     load_orbit_spectrum,
+    g17,
     poincare_data,
     suspension_orbits,
     write_orbit_spectrum,
@@ -180,6 +182,68 @@ def test_flat_trace_refuses_times_beyond_the_complete_periods(tmp_path):
     write_orbit_spectrum(path, suspension_orbits(CAT, 8).records, theta=0.3)
     val = flat_trace_pairing(load_orbit_spectrum(path), 0.3, 0, bump)
     assert val == pytest.approx(-0.004593896480999609 - 0.0012808678013834847j, abs=1e-15)
+
+
+def reference_flat_trace(data, theta, k, bump):
+    """The pairing as the walk from j = 1 that skips times below the support."""
+    lo, hi = bump.support
+    total = 0.0 + 0.0j
+    for rec in sorted(data.records, key=lambda r: (r.length, r.count)):
+        j = 1
+        while j * rec.length <= hi:
+            t = j * rec.length
+            if t >= lo:
+                total += (rec.count * rec.length * bump(t)
+                          * reference_holonomy(rec, theta) ** j * reference_weight(rec, j, k))
+            j += 1
+    return total
+
+
+def short_record(length):
+    return OrbitRecord(length, 1, 1.000001, 1 / 1.000001, holonomy=cmath.exp(0.3j))
+
+
+def test_flat_trace_walk_starts_inside_the_support():
+    # each record's walk starts at its first repetition inside the support:
+    # the same times in the same order as the walk from j = 1, bit for bit.
+    # Around [1.4, 2.6], the four lengths near 1.4/35, 1.4/51, 2.6/61 and
+    # 2.6/67 put a time an ulp from an end, where ceil(lo / l) or
+    # floor(hi / l) is one repetition off and is corrected
+    bump = BumpSpec(2.0, 0.1)
+    records = tuple(map(short_record, (0.039999999999999994, 0.02745098039215686,
+                                       0.042622950819672135, 0.038805970149253737,
+                                       3e-4, 1e-3, 0.1, 5.0)))
+    data = OrbitData(records + HAND_RECORDS)
+    for k in (0, 1, 2):
+        for theta in (0.0, 1.1):
+            assert bits(flat_trace_pairing(data, theta, k, bump)) == bits(
+                reference_flat_trace(data, theta, k, bump)), (k, theta)
+    data = suspension_orbits(CAT, 20)
+    for bump in (BumpSpec(2.0, 0.05), BumpSpec(7.3, 0.4), BumpSpec(12.0, 1.0)):
+        assert bits(flat_trace_pairing(data, 0.3, 1, bump)) == bits(
+            reference_flat_trace(data, 0.3, 1, bump))
+
+
+def test_flat_trace_refuses_too_many_orbit_times():
+    # a record of length 1e-6 puts 1,200,001 times in [1.4, 2.6]: its walk
+    # took 2 s (0.17 s at 1e-5), and hours on shorter records
+    bump = BumpSpec(2.0, 0.1)
+    for length in (1e-5, 1e-6, 1e-12):
+        start = time.perf_counter()
+        with pytest.raises(SupportTooWideError, match="more than 100000 orbit times"):
+            flat_trace_pairing(OrbitData((short_record(length),)), 0.0, 0, bump)
+        assert time.perf_counter() - start < 0.05
+    # the budget counts the times of every record together
+    lo, hi = bump.support
+    per_record = len(range(math.ceil(lo / 1e-4), math.floor(hi / 1e-4) + 1))
+    fits = zeta.FLAT_TRACE_TERM_BUDGET // per_record
+    records = tuple(short_record(1e-4 * (1 + 1e-12 * i)) for i in range(fits + 1))
+    assert flat_trace_pairing(OrbitData(records[:1]), 0.0, 0, bump) != 0
+    with pytest.raises(SupportTooWideError, match="orbit times"):
+        flat_trace_pairing(OrbitData(records), 0.0, 0, bump)
+    # past 2^53 repetitions the times j * length are no longer apart
+    with pytest.raises(SupportTooWideError, match="2\\^53"):
+        flat_trace_pairing(OrbitData((short_record(1e-300),)), 0.0, 0, bump)
 
 
 def test_mellin_route_matches_direct():
@@ -397,25 +461,82 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def caught(fn, *args):
+    """fn's value, or the OverflowError or DivergentRegionError it raised."""
+    try:
+        return fn(*args)
+    except (OverflowError, DivergentRegionError) as exc:
+        return exc
+
+
+def same_failure(got, want):
+    return type(got) is type(want) and got.args == want.args
+
+
+def grid_row(lam, k, J, want):
+    """The zeta_grid_rows row of one reference outcome."""
+    if isinstance(want, DivergentRegionError):
+        fields = ("nan", "nan", "inf", str(J), "divergent")
+    else:
+        value, tail = want
+        fields = (g17(value.real), g17(value.imag), g17(tail), str(J), "ok")
+    return (g17(lam.real), g17(lam.imag), str(k), *fields)
+
+
+def reference_grid(lams, ks, J, wants):
+    """zeta_grid_rows from the loop's outcomes ``wants[lambda index, k]``:
+    its rows, or its first OverflowError in (lambda, k) order."""
+    rows = []
+    for i, lam in enumerate(lams):
+        for k in ks:
+            want = wants[i, k]
+            if isinstance(want, OverflowError):
+                return want
+            rows.append(grid_row(lam, k, J, want))
+    return rows
+
+
 def check_table_against_loop(data, thetas, lams, Js):
+    """Lone calls, the Mellin route, the grid and the decomposition residual
+    against the term-by-term loop, bit for bit, failures included."""
     for J in Js:
         for theta in thetas:
-            for lam in lams:
+            wants = {}
+            for i, lam in enumerate(lams):
                 for k in (0, 1, 2, "full"):
-                    want = outcome(reference_log_zeta, data, theta, lam, k, J)
-                    ev = outcome(zeta._log_zeta, data, theta, lam, k, J)
-                    if isinstance(want, type):
-                        assert ev is want, (J, theta, lam, k)
+                    want = wants[i, k] = caught(reference_log_zeta, data, theta, lam, k, J)
+                    ev = caught(zeta._log_zeta, data, theta, lam, k, J)
+                    if isinstance(want, Exception):
+                        assert same_failure(ev, want), (J, theta, lam, k)
                     else:
                         assert bits(ev.value) == bits(want[0]), (J, theta, lam, k)
                         assert ev.truncation_error_bound == want[1]
                     if k == "full":
                         continue
-                    got = outcome(mellin_log_zeta, data, theta, lam, k, J)
-                    if isinstance(want, type):
-                        assert got is want, (J, theta, lam, k)
+                    got = caught(mellin_log_zeta, data, theta, lam, k, J)
+                    if isinstance(want, Exception):
+                        assert same_failure(got, want), (J, theta, lam, k)
                     else:
                         assert bits(got) == bits(ev.value), (J, theta, lam, k)
+            for ks in ((0, 1, 2, "full"), ("full", 2, 1, 0)):
+                want = reference_grid(lams, ks, J, wants)
+                got = caught(zeta_grid_rows, data, theta, lams, ks, J)
+                if isinstance(want, OverflowError):
+                    assert same_failure(got, want), (J, theta, ks)
+                else:
+                    assert got == want, (J, theta, ks)
+            for i, lam in enumerate(lams):
+                # the first failure of full, 0, 1, 2, else the residual of
+                # the loop's sums, formed as the package forms it
+                failures = [wants[i, k] for k in ("full", 0, 1, 2)
+                            if isinstance(wants[i, k], Exception)]
+                got = caught(decomposition_residual, data, theta, lam, J)
+                if failures:
+                    assert same_failure(got, failures[0]), (J, theta, lam)
+                else:
+                    alternating = sum((-1) ** k * wants[i, k][0] for k in (0, 1, 2))
+                    want = abs(-1 * wants[i, "full"][0] - alternating)
+                    assert got.hex() == want.hex(), (J, theta, lam)
 
 
 POOL = [(2, 1, 1, 1), (3, 1, 2, 1), (3, 1, 1, 0), (4, 1, 1, 0)]
@@ -522,18 +643,19 @@ def test_term_table_caches_follow_any_call_order(monkeypatch):
     for data in (suspension_orbits(CAT, 40), OrbitData(HAND_RECORDS)):
         check_table_against_loop(data, thetas, lams, (40, 12, 40))
         check_table_against_loop(data, thetas[::-1], lams[::-1], (12,))
-    # the kept amplitudes themselves, signs of zeros included, against fresh
-    # tables: a float and a complex lambda, and imaginary parts +0.0 and -0.0,
-    # differ there for real holonomies
+    # the kept point's sums themselves, signs of zeros included, against
+    # fresh tables: a float and a complex lambda, and imaginary parts +0.0
+    # and -0.0, take different amplitude paths for real holonomies
     data = OrbitData(HAND_RECORDS + (
         OrbitRecord(length=1.3, count=1, eig_expanding=3.0, eig_contracting=1 / 3.0,
                     holonomy=complex(-1.0, -0.0)),))
     table = zeta._term_table(data, 40)
     for theta in thetas:
         for lam in lams:
-            got = table.amplitude(theta, lam)
-            want = zeta._TermTable(data, 40).amplitude(theta, lam)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            for k in ("full", 0, 1, 2):
+                got = table.point(theta, lam, k)
+                want = zeta._TermTable(data, 40).point(theta, lam, k)
+                assert bits(got) == bits(want), (theta, lam, k)
 
 
 def test_term_table_computes_each_value_once(monkeypatch):
@@ -568,6 +690,29 @@ def test_term_table_computes_each_value_once(monkeypatch):
         assert calls["exp_neg"] == (1 if len(pows) < 3 else 0)
     # two Poincare powers per term, all in the first sweep
     assert pows == [2 * table.size, 0, 0]
+
+
+def test_decomposition_sweeps_its_point_once(monkeypatch):
+    # the residual certifies full, 0, 1, 2 and sums them in one sweep of
+    # its point, which the Mellin route and the lone calls then read
+    exponentials = []
+    exp_neg = zeta._exp_neg
+
+    def counting_exp_neg(*args):
+        exponentials.append(args[0])
+        return exp_neg(*args)
+
+    monkeypatch.setattr(zeta, "_exp_neg", counting_exp_neg)
+    data = suspension_orbits(CAT, 40)
+    assert zeta._term_table(data, 40).size <= zeta._BLOCK
+    for lam in (3.0 + 0j, 2.5 - 1j):
+        exponentials.clear()
+        decomposition_residual(data, 0.9, lam, J=40)
+        for k in (0, 1, 2):
+            mellin_log_zeta(data, 0.9, lam, k, J=40)
+            log_zeta_k(data, 0.9, lam, k, J=40)
+        log_zeta_full(data, 0.9, lam, J=40)
+        assert exponentials == [lam]
 
 
 def loaded_cat_spectrum(tmp_path):
@@ -636,6 +781,45 @@ def test_poincare_powers_swept_once_per_table(tmp_path, monkeypatch):
     assert raised == [want, want, want, None, want, want, want] * 3
     assert 0 < sweeps[0] < len(data.records) * J
     assert sweeps[1:] == [0] * (len(sweeps) - 1)
+
+
+def test_grid_raises_the_loops_overflow_at_its_first_row(tmp_path, monkeypatch):
+    # at J = 130 the Poincare powers overflow.  At lambda = 0.5 the k = 1 row
+    # diverges and the full row converges, so the first row to overflow is
+    # (0.5, 0); the grid certifies its rows in (lambda, k) order and raises
+    # there, with the loop's args, before it sums any row
+    J, lams, ks = 130, (0.5 + 0j, 3.0 + 0j), ("full", 1, 0, 2)
+    data = loaded_cat_spectrum(tmp_path)
+    first = None
+    for lam in lams:
+        for k in ks:
+            want = caught(reference_log_zeta, data, 0.4, lam, k, J)
+            if isinstance(want, DivergentRegionError):
+                assert (lam, k) == (0.5, 1)
+            elif isinstance(want, OverflowError):
+                first = first or (lam, k, want)
+    assert first[:2] == (0.5, 0)
+    certified, exponentials = [], []
+    real_tail, real_exp_neg = zeta._tail, zeta._exp_neg
+
+    def recording_tail(data, lam, k, J):
+        certified.append((lam, k))
+        return real_tail(data, lam, k, J)
+
+    def counting_exp_neg(*args):
+        exponentials.append(args[0])
+        return real_exp_neg(*args)
+
+    monkeypatch.setattr(zeta, "_tail", recording_tail)
+    monkeypatch.setattr(zeta, "_exp_neg", counting_exp_neg)
+    got = caught(zeta_grid_rows, data, 0.4, lams, ks, J)
+    assert same_failure(got, first[2])
+    assert certified == [(0.5, "full"), (0.5, 1), (0.5, 0)]
+    assert exponentials == []
+    # without the overflowing degrees the grid sums the full rows
+    rows = zeta_grid_rows(data, 0.4, lams, ["full"], J)
+    assert [r[-1] for r in rows] == ["ok", "ok"]
+    assert exponentials == list(lams)
 
 
 def test_a_raising_evaluation_keeps_no_traceback(tmp_path):
