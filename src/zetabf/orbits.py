@@ -41,8 +41,9 @@ def form_degree(k: int) -> int:
 
 @dataclass(frozen=True)
 class ToralAutomorphism:
-    """Hyperbolic element of GL(2,Z) with |det| = 1, plus a constant roof,
-    positive and finite (else ValidationError)."""
+    """Hyperbolic element of GL(2,Z) with |det| = 1, plus a constant roof.
+    The entries are integers, numpy's included and kept as Python integers,
+    and the roof is positive and finite, else ValidationError."""
 
     a11: int
     a12: int
@@ -51,6 +52,12 @@ class ToralAutomorphism:
     roof: float = 1.0
 
     def __post_init__(self):
+        for name in ("a11", "a12", "a21", "a22"):
+            entry = getattr(self, name)
+            if not isinstance(entry, numbers.Integral):
+                raise ValidationError(name, f"must be an integer, got {entry!r}")
+            # a numpy integer would run the exact counts in int64, which wraps
+            object.__setattr__(self, name, int(entry))
         if abs(self.det) != 1:
             raise NotHyperbolicError(f"|det A| = {abs(self.det)} != 1")
         if abs(self.trace) <= 2:
@@ -104,9 +111,10 @@ class ToralAutomorphism:
             yield m
 
     def power(self, j: int) -> Tuple[int, int, int, int]:
-        """Exact entries of A^j (Python integers, j >= 0)."""
-        if not 0 <= j <= _MAX_POWER:
-            raise ValueError(f"power {j} outside guarded range [0, {_MAX_POWER}]")
+        """Exact entries of A^j (Python integers); a j that is not an integer
+        in [0, 64] raises ValidationError."""
+        if not (isinstance(j, numbers.Integral) and 0 <= j <= _MAX_POWER):
+            raise ValidationError("j", f"power {j!r} outside guarded range [0, {_MAX_POWER}]")
         m = (1, 0, 0, 1)
         for m in self.powers(j):
             pass
@@ -120,9 +128,10 @@ def _fixed_points(m: Tuple[int, int, int, int]) -> int:
 
 
 def count_fixed_points(aut: ToralAutomorphism, j: int) -> int:
-    """|det(A^j - I)| in exact integer arithmetic (Lefschetz count)."""
+    """|det(A^j - I)| in exact integer arithmetic (Lefschetz count); j
+    outside [1, 64] raises ValidationError."""
     if j < 1:
-        raise ValueError("j must be >= 1")
+        raise ValidationError("j", f"must be >= 1, got {j}")
     return _fixed_points(aut.power(j))
 
 
@@ -275,8 +284,8 @@ def suspension_orbits(aut: ToralAutomorphism, j_max: int) -> OrbitData:
 
 def poincare_data(aut: ToralAutomorphism, j: int, k: int) -> Tuple[int, int]:
     """(tr Lambda^k P^j, det(I - P^j)) as exact integers.  P^j is read off
-    the exact power A^j, so j outside [0, 64] raises ValueError; a k that is
-    not a form degree raises ValidationError."""
+    the exact power A^j, so j outside [0, 64] raises ValidationError, as
+    does a k that is not a form degree."""
     k = form_degree(k)
     a, _, _, d = aut.power(j)
     t_j, det_j = a + d, aut.det ** j

@@ -129,6 +129,45 @@ def test_not_hyperbolic_rejected():
         ToralAutomorphism.from_matrix([[2.5, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("entry", [2.0, 2.5, np.float64(2.0), "2", None])
+def test_matrix_entries_must_be_integers(entry):
+    # a float entry passed the det and trace checks and ran the orbit counts
+    # in floats: count_fixed_points gave 3461475205120.0 at j = 30 for 2.0,
+    # against the exact 3461452808000
+    for position in range(4):
+        entries = [2, 1, 1, 1]
+        entries[position] = entry
+        with pytest.raises(ValidationError) as err:
+            ToralAutomorphism(*entries)
+        assert err.value.field == ("a11", "a12", "a21", "a22")[position]
+
+
+def test_numpy_integer_entries_count_exactly():
+    # numpy integers are taken, and kept as Python integers, so the counts
+    # stay exact where int64 products would wrap
+    aut = ToralAutomorphism(np.int64(2), np.int32(1), np.uint8(1), np.int64(1))
+    assert aut == CAT and hash(aut) == hash(CAT)
+    assert all(type(getattr(aut, name)) is int for name in ("a11", "a12", "a21", "a22"))
+    assert count_fixed_points(aut, 30) == 3461452808000
+    assert count_fixed_points(aut, 64) == count_fixed_points(CAT, 64)
+    assert ToralAutomorphism.from_matrix(np.array([[2, 1], [1, 1]])) == CAT
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CAT.power(-1),
+    lambda: CAT.power(65),
+    lambda: CAT.power(2.0),
+    lambda: count_fixed_points(CAT, 0),
+    lambda: count_fixed_points(CAT, -3),
+    lambda: count_fixed_points(CAT, 65),
+], ids=["power_-1", "power_65", "power_float", "count_0", "count_-3", "count_65"])
+def test_periods_outside_the_exact_range_are_refused_typed(call):
+    # these raised a bare ValueError (a float power a TypeError)
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.value.field == "j"
+
+
 @pytest.mark.parametrize("roof", [math.nan, math.inf, 0.0, -1.0, 2j, "1"])
 def test_roof_must_be_positive_and_finite(roof):
     # a NaN or infinite roof used to give a NaN zeta value at zero and
@@ -191,8 +230,9 @@ def test_poincare_data_exact():
 @pytest.mark.parametrize("j", [-2, -1, 65])
 def test_poincare_data_refuses_powers_outside_the_exact_range(j):
     # j = -2 used to read tr A^-2 as 3 (it is 7) and det(I - A^-2) as -1
-    with pytest.raises(ValueError, match="guarded range"):
+    with pytest.raises(ValidationError, match="guarded range") as err:
         poincare_data(CAT, j, 1)
+    assert err.value.field == "j"
     a, _, _, d = CAT.power(64)
     assert poincare_data(CAT, 64, 1)[0] == a + d
 
