@@ -89,15 +89,15 @@ class ToralAutomorphism:
     def trace(self) -> int:
         return self.a11 + self.a22
 
-    @property
+    @cached_property
     def expanding_eigenvalue(self) -> float:
-        """The eigenvalue of modulus > 1."""
+        """The eigenvalue of modulus > 1, formed once per automorphism."""
         t, d = self.trace, self.det
         disc = math.sqrt(t * t - 4 * d)
         roots = ((t + disc) / 2.0, (t - disc) / 2.0)
         return max(roots, key=abs)
 
-    @property
+    @cached_property
     def contracting_eigenvalue(self) -> float:
         return self.det / self.expanding_eigenvalue
 
@@ -247,12 +247,14 @@ def enumerate_primitive_orbits(aut: ToralAutomorphism, j_max: int) -> List[Orbit
     so j N(j) = F(j) - sum_(d|j, d<j) d N(d); each j N(j), once known, is
     added into the sums of its multiples.  The fixed-point counts F(j) read
     one sweep of exact powers A^j = A^(j-1) A, j = 1..j_max, rather than a
-    fresh power per j as ``count_fixed_points`` forms it.  A period whose
-    eigenvalue power mu^j leaves the float range is a ValidationError of J
-    that names it.
+    fresh power per j as ``count_fixed_points`` forms it.  A j_max that is
+    not an integer in [1, 64], and a period whose eigenvalue power mu^j leaves
+    the float range, are ValidationErrors of J; the second names the period.
     """
+    if not isinstance(j_max, numbers.Integral):
+        raise ValidationError("J", f"truncation must be an integer, got {j_max!r}")
     if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+        raise ValidationError("J", f"truncation must be >= 1, got {j_max}")
     if j_max > _MAX_POWER:
         raise ValidationError("J", f"periods above {_MAX_POWER} leave the guarded "
                                    f"range of exact powers, got {j_max}")

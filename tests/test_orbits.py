@@ -168,6 +168,24 @@ def test_periods_outside_the_exact_range_are_refused_typed(call):
     assert err.value.field == "j"
 
 
+@pytest.mark.parametrize("j_max", [0, -3, 2.5, "4"])
+@pytest.mark.parametrize("route", [enumerate_primitive_orbits, suspension_orbits])
+def test_orbit_enumeration_refuses_a_truncation_below_one_typed(route, j_max):
+    # these raised a bare ValueError (0, -3) or a TypeError (2.5, "4")
+    with pytest.raises(ValidationError, match="truncation must be") as err:
+        route(CAT, j_max)
+    assert err.value.field == "J"
+
+
+def test_eigenvalues_are_formed_once_and_leave_equality_alone():
+    aut, twin = ToralAutomorphism(3, 1, 2, 1), ToralAutomorphism(3, 1, 2, 1)
+    mu = aut.expanding_eigenvalue
+    assert aut.expanding_eigenvalue is mu
+    assert mu == (4 + math.sqrt(12)) / 2 and aut.contracting_eigenvalue == 1 / mu
+    assert aut == twin and hash(aut) == hash(twin)
+    assert pickle.loads(pickle.dumps(aut)) == twin
+
+
 @pytest.mark.parametrize("roof", [math.nan, math.inf, 0.0, -1.0, 2j, "1"])
 def test_roof_must_be_positive_and_finite(roof):
     # a NaN or infinite roof used to give a NaN zeta value at zero and
