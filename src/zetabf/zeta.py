@@ -12,11 +12,14 @@ repetition j, and per-record constants, with the holonomy powers of the last
 theta and, formed together on first use, the weights
 w_k = tr Lambda^k P^j / |det(I - P^j)| of every k, from ``_poincare_weight``
 as in the flat trace.  Every sum is one sweep of the table
-(``_TermTable.sums``) over some lambdas and degrees.  Per block of _BLOCK
-terms it forms each lambda's amplitude, the part of a term that no k
-changes, -count hol^j e^(-lambda j l), once; it stacks the weight rows of
-the degrees (1.0 for full), and weights, divides by j and adds every
-(lambda, k) row in one pass.  The table keeps the sums of its last sweep,
+(``_TermTable.sums``) over some lambdas and degrees.  A table longer than
+one block forms only the terms that can change a sum: per record, the
+repetitions whose bound reaches a small fraction of the largest first term,
+checked as below.  Per slice of at most _BLOCK kept terms the sweep forms
+each lambda's amplitude, the part of a term that no k changes,
+-count hol^j e^(-lambda j l), once; it stacks the weight rows of the degrees
+(1.0 for full), and weights, divides by j and adds every (lambda, k) row in
+one pass.  The table keeps the sums of its last sweep,
 per point, and every call reads its value there.  A lone call that misses
 sweeps its point over full and every degree whose weight the table holds,
 so the other degrees and the Mellin route at that point are lookups; the
@@ -28,10 +31,10 @@ imaginary part the complex product, and the two amplitudes can differ in
 the signs of their zeros, as can those of imaginary parts +0.0 and -0.0.
 The sums are bit for bit those of a term-by-term Python loop:
 
-* exp and pow are libm's, called once per term (math.exp, or cmath.exp when
-  lambda has a nonzero imaginary part, and pow), on each lambda's own path;
-  numpy's vectorised exp and power differ from libm in the last bit on some
-  machines;
+* exp and pow are libm's, called once per term formed (math.exp, or
+  cmath.exp when lambda has a nonzero imaginary part, and pow), on each
+  lambda's own path; numpy's vectorised exp and power differ from libm in the
+  last bit on some machines, and serve only the bounds of skipped terms;
 * complex products follow CPython's formula on real and imaginary arrays, a
   real factor entering as (x, 0.0), and so does division by a real; stacking
   rows changes no element's operations;
@@ -39,6 +42,14 @@ The sums are bit for bit those of a term-by-term Python loop:
   j <= 100, and by scalar ** above;
 * sums run left to right with np.add.accumulate along the terms of each row,
   carried across blocks, never with the pairwise np.sum;
+* a term is skipped only where adding it changes no bit: a record's skipped
+  repetitions j > n_r are each bounded by
+  B_r(n_r + 1) = 2 |count| H W exp(-Re lambda l (n_r + 1)) / (n_r + 1), with H
+  and W its largest holonomy power (|Re| + |Im|) and weight, and B_r must lie
+  below a quarter spacing of the running sum, real and imaginary, of every
+  row at the record's last kept term; a record that fails is kept whole, and
+  a zero or non-finite sum, Re lambda <= 0 and a table of at most one block
+  skip nothing;
 * Poincare eigenvalue powers are scalar **, so exactly the inputs that
   overflow term by term raise the same OverflowError.  A table sweeps the
   powers once: a sweep that overflows is kept as the args of its
@@ -299,12 +310,39 @@ def _exact_key(theta: float, lam: complex):
 _SWEEP_ROWS = 16
 
 
-def _carried(carry: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """carry + x[:, 0] + x[:, 1] + ... per row, added left to right as a
-    Python loop adds, as a column; np.sum adds pairwise and can differ in
-    the last bit.  Overwrites x."""
-    x[:, 0] = carry[:, 0] + x[:, 0]
-    return np.add.accumulate(x, axis=1)[:, -1:]
+def _running(carry: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The running sums carry, carry + x[:, 0], carry + x[:, 0] + x[:, 1], ...
+    per row, added left to right as a Python loop adds; np.sum adds pairwise
+    and can differ in the last bit."""
+    out = np.concatenate([carry, x], axis=1)
+    return np.add.accumulate(out, axis=1, out=out)
+
+
+# A sweep of a table longer than one block keeps, per record, the repetitions
+# whose term bound is at least this fraction of the largest first-term bound;
+# a quarter spacing of a running sum is 2^-54 to 2^-55 of it.
+_CUT_RATIO = 2.0 ** -60
+
+# Floors of the term bound: libm's exp of a subnormal result is within the
+# smallest normal of 0, and every term formed in the subnormal range is within
+# _SUBNORMAL_SLACK * max(1, W) of its exact product.
+_TINY = 2.0 ** -1022
+_SUBNORMAL_SLACK = 2.0 ** -1060
+
+# The spacing of the floats in the top binade.
+_TOP_SPACING = 2.0 ** 971
+
+
+def _ranges(first, count) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for every i, in order."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _term_bound(scale, floor, lam: complex, j, length):
+    """B(j) = 2 scale max(exp(-Re lam j l), 2^-1022) / j, at least ``floor``,
+    with the exponent formed as ``_exp_neg`` forms its real part."""
+    e = np.maximum(np.exp(-lam.real * j * length), _TINY)
+    return np.maximum(2.0 * scale * e / j, floor)
 
 
 class _TermTable:
@@ -312,37 +350,45 @@ class _TermTable:
 
     Records are sorted by (length, count); for suspension data the repetition
     index is truncated by total period j * period <= J, for ingested spectra
-    by j <= J.  ``rec`` and ``j`` hold each term's record and repetition.
+    by j <= J.  ``rec`` and ``j`` hold each term's record and repetition, and
+    record r's terms sit at positions ``start[r]`` to ``end[r] - 1``.
     The holonomy powers are kept for the last theta, and the sums of the
     points (theta, lambda) of the last sweep, one per degree.  The
     Poincare weights of every degree are formed together on first use, from
     one sweep of the eigenvalue powers per table, or the args of the
-    OverflowError that sweep raised are kept.  ``record_tails`` holds an
-    ingested spectrum's ``RecordTails`` in the file's record order, and None
-    for a suspension.  The table keeps no reference to its OrbitData, which
-    caches it.
+    OverflowError that sweep raised are kept.  Per record, the largest
+    |Re h^j| + |Im h^j| of the last theta's powers and the largest |w_k| of
+    each degree are kept for the term bounds of ``sums``.  ``record_tails``
+    holds an ingested spectrum's ``RecordTails`` in the file's record order,
+    and None for a suspension.  The table keeps no reference to its
+    OrbitData, which caches it.
     """
 
     def __init__(self, data: OrbitData, J: int):
         self.records = sorted(data.records, key=lambda r: (r.length, r.count))
-        reps = [max(0, J // r.period if data.is_suspension and r.period is not None
-                    else J) for r in self.records]
-        self.rec = np.repeat(np.arange(len(reps)), reps)
-        self.j = np.arange(self.rec.size) - np.repeat(np.cumsum(reps) - reps, reps) + 1
+        self.reps = np.array([max(0, J // r.period if data.is_suspension
+                                  and r.period is not None else J)
+                              for r in self.records], dtype=int)
+        self.end = np.cumsum(self.reps)
+        self.start = self.end - self.reps
+        self.rec = np.repeat(np.arange(self.reps.size), self.reps)
+        self.j = np.arange(self.rec.size) - np.repeat(self.start, self.reps) + 1
         self.size = self.rec.size
         self.length = np.array([r.length for r in self.records], dtype=float)
         self.neg_count = np.array([float(-r.count) for r in self.records])
         self.record_tails = None if data.is_suspension else RecordTails(data.records)
         self._holonomy = (None, None)     # (theta key, powers)
+        self._holonomy_max = (None, None)  # (theta key, largest |Re| + |Im| per record)
         self._points = {}                 # (theta, lambda) key -> sum per degree
         self._weights = {}                # weight per degree, all formed together
+        self._weight_max = {}             # largest |weight| per record, per degree
         self._overflow = None             # or the args of the OverflowError the powers raised
 
     def blocks(self):
-        """(slice, record index, float j) of each block of terms."""
+        """(slice, record index) of each block of terms."""
         for a in range(0, self.size, _BLOCK):
             s = slice(a, a + _BLOCK)
-            yield s, self.rec[s], self.j[s].astype(float)
+            yield s, self.rec[s]
 
     def holonomy_powers(self, theta: float):
         """(re, im) of holonomy ** j per term."""
@@ -351,7 +397,7 @@ class _TermTable:
             bases = [r.holonomy_at(theta) for r in self.records]
             b = np.array(bases, dtype=complex)
             re, im = np.empty(self.size), np.empty(self.size)
-            for s, rec, _ in self.blocks():
+            for s, rec in self.blocks():
                 re[s], im[s] = _powi(b.real[rec], b.imag[rec], self.j[s])
             for i in np.flatnonzero(self.j > _POWI_MAX).tolist():
                 h = bases[self.rec[i]] ** int(self.j[i])
@@ -360,7 +406,7 @@ class _TermTable:
         return self._holonomy[1]
 
     def _times_holonomy(self, c, s, theta: float):
-        """c * holonomy ** j on block s, formed as CPython forms it."""
+        """c * holonomy ** j at the positions s, formed as CPython forms it."""
         hr, hi = self.holonomy_powers(theta)
         return _mul(c, 0.0, hr[s], hi[s])
 
@@ -369,7 +415,7 @@ class _TermTable:
         ``**`` so that an overflow raises as it does term by term."""
         eigs = [getattr(r, name) for r in self.records]
         out = np.empty(self.size)
-        for s, rec, _ in self.blocks():
+        for s, rec in self.blocks():
             out[s] = np.fromiter(map(pow, map(eigs.__getitem__, rec.tolist()),
                                      self.j[s].tolist()), float, rec.size)
         return out
@@ -395,40 +441,207 @@ class _TermTable:
                                  for d in range(2 * TRANSVERSE_RANK + 1)}
         return self._weights[k]
 
+    def _record_max(self, values) -> np.ndarray:
+        """Per record, the largest of ``values(s)`` over its terms, block s
+        by block s; NaN if one is NaN, 0.0 for a record without terms."""
+        out = np.zeros(self.reps.size)
+        for s, rec in self.blocks():
+            np.maximum.at(out, rec, values(s))
+        return out
+
+    def _cut(self, theta: float, lams, ks):
+        """(n, bound) of a sweep of ``lams`` over ``ks``: per record the
+        repetitions j <= n_r it keeps, and per lambda and record the bound
+        B_r(n_r + 1) of the first one it skips.  None where it keeps every
+        term: a table of at most one block, a lambda with Re lambda <= 0, or
+        a first-term bound that is not finite.
+
+        B_r(j) = 2 |count| H W max(exp(-Re lambda j l), 2^-1022) / j bounds
+        each term of record r at repetition j or above: H is the largest
+        |Re h^j| + |Im h^j| of its holonomy powers and W the largest |w_k| of
+        its terms over ``ks`` (1 for full).  The factor 2 covers numpy's exp
+        against libm's and the rounding of the term's products; the floor
+        _SUBNORMAL_SLACK max(1, W) covers the rounding of a term formed in
+        the subnormal range.  A record keeps the repetitions whose bound,
+        without its floors, reaches _CUT_RATIO times the largest first-term
+        bound; a chunk keeps the most any of its lambdas keeps."""
+        if self.size <= _BLOCK or min(lam.real for lam in lams) <= 0.0:
+            return None
+        key = float(theta).hex()
+        if self._holonomy_max[0] != key:
+            hr, hi = self.holonomy_powers(theta)
+            self._holonomy_max = (key, self._record_max(
+                lambda s: np.abs(hr[s]) + np.abs(hi[s])))
+        maxima = []
+        for k in ks:
+            if k == "full":
+                maxima.append(np.ones(self.reps.size))
+                continue
+            if k not in self._weight_max:
+                self._weight_max[k] = self._record_max(
+                    lambda s: np.abs(self._weights[k][s]))
+            maxima.append(self._weight_max[k])
+        w = np.maximum.reduce(maxima)
+        scale = np.abs(self.neg_count) * self._holonomy_max[1] * w
+        floor = _SUBNORMAL_SLACK * np.maximum(w, 1.0)
+        n = np.zeros(self.reps.size, dtype=int)
+        for lam in lams:
+            top = _term_bound(scale, floor, lam, 1.0, self.length).max()
+            if not math.isfinite(top):
+                return None
+            # 2 scale e^(-a j) / j >= T for j up to the root of a x + ln x = L;
+            # x = L/a lies above it, the next step below, the one after above
+            a = lam.real * self.length
+            big = np.log(2.0 * scale / (_CUT_RATIO * top))
+            x = np.maximum(big / a, 1.0)
+            x = np.maximum((big - np.log(x)) / a, 1.0)
+            x = (big - np.log(x)) / a
+            kept = np.where(big < a, 0.0, np.fmin(np.floor(x), self.reps))
+            n = np.maximum(n, kept.astype(int))
+        if np.array_equal(n, self.reps):
+            return None
+        jn = (n + 1).astype(float)
+        return n, np.array([_term_bound(scale, floor, lam, jn, self.length)
+                            for lam in lams])
+
+    def _terms(self, p: np.ndarray, theta: float, lams, weights, run: dict):
+        """The terms at positions p of every (lambda, k) row, as (re, im)
+        rows: each lambda's amplitude -count hol^j e^(-lam j l), on its own
+        ``_exp_neg`` path, times the stacked weight rows, divided by j.  The
+        parts no lambda changes are kept in ``run``, the sweep's, for its
+        last run of consecutive positions, which each chunk of a sweep of a
+        table of one block reads again."""
+        key = None
+        if p.size and p[-1] - p[0] + 1 == p.size:
+            p = slice(int(p[0]), int(p[-1]) + 1)    # a run of terms: views, not copies
+            key = (p.start, p.stop)
+        if key is None or key not in run:
+            rec = self.rec[p]
+            cr, ci = self._times_holonomy(self.neg_count[rec], p, theta)
+            w = np.empty((len(weights), rec.size))
+            for i, x in enumerate(weights):
+                w[i] = _part(x, p)
+            run.clear()
+            run[key] = (self.j[p].astype(float), self.length[rec], cr, ci, w)
+        jf, length, cr, ci, w = run[key]
+        dr, di = np.empty((2, len(lams), jf.size))
+        for i, lam in enumerate(lams):
+            dr[i], di[i] = _exp_neg(lam, jf, length)
+        ar, ai = _mul(cr, ci, dr, di)
+        re, im = _mul(ar[:, None], ai[:, None], w, 0.0)
+        re, im = _div_real(re, im, jf)
+        shape = (len(lams) * len(weights), jf.size)
+        return re.reshape(shape), im.reshape(shape)
+
+    def _chunk_sums(self, theta: float, lams, weights, ks, run: dict):
+        """The sums of the (lambda, k) rows of one chunk of lambdas, as (re,
+        im) columns.
+
+        The kept terms go in slices of at most _BLOCK, each added to the
+        carried sums in one ``_running`` pass.  After each slice, every record
+        that skips repetitions and whose last term precedes the next kept
+        term is checked: B_r(n_r + 1) must lie below a quarter spacing of the
+        running sum at its last kept term, real and imaginary, in every row.
+        Each skipped term is then below half the gap from that sum to either
+        neighbour, so adding it, as the loop does, changes no bit of the sum,
+        and the next skipped term meets the same sum.  A sum of zero (whose
+        quarter spacing is 0) or one that is not finite admits no skip.
+
+        The records that fail are kept whole.  The sums go back to the check
+        of the first; the new terms of as many of them as fit in a slice with
+        the slice's terms between them are formed, merged with those terms,
+        formed already, and added and checked again."""
+        n_k = len(ks)
+        cut = self._cut(theta, lams, ks)
+        n, bound = (self.reps, None) if cut is None else cut
+        carry_re = np.zeros((len(lams) * n_k, 1))
+        carry_im = np.zeros((len(lams) * n_k, 1))
+        # (positions, re, im) of the kept terms still to add, the next last;
+        # re and im are None for terms not formed yet
+        todo = [(np.arange(self.size) if bound is None else _ranges(self.start, n),
+                 None, None)]
+        last = -1                           # the position of the last term added
+        while todo:
+            p, re, im = todo.pop()
+            if re is None:
+                if p.size > _BLOCK:
+                    todo.append((p[_BLOCK:], None, None))
+                    p = p[:_BLOCK]
+                re, im = self._terms(p, theta, lams, weights, run)
+            run_re, run_im = _running(carry_re, re), _running(carry_im, im)
+            fail = ()
+            if bound is not None:
+                after = todo[-1][0][0] if todo else self.size
+                fail, col = self._failures(p, last, after, n, bound, run_re, run_im)
+            c = col[0] if len(fail) else p.size
+            carry_re, carry_im = run_re[:, c:c + 1], run_im[:, c:c + 1]
+            if c:
+                last = p[c - 1]
+            if not len(fail):
+                continue
+            # the columns of a merged slice up to each failing record
+            grow = np.cumsum(self.reps[fail] - n[fail]) + col - c
+            take = max(1, int(np.searchsorted(grow, _BLOCK, "right")))
+            fail, end = fail[:take], col[take - 1]
+            new = _ranges(self.start[fail] + n[fail], self.reps[fail] - n[fail])
+            n[fail] = self.reps[fail]
+            if end < p.size:
+                todo.append((p[end:], re[:, end:], im[:, end:]))
+            if new.size > _BLOCK:               # one record, with no terms of p inside
+                todo.append((new, None, None))
+                continue
+            new_re, new_im = self._terms(new, theta, lams, weights, run)
+            pos = np.concatenate([new, p[c:end]])
+            order = np.argsort(pos)
+            todo.append((pos[order], np.concatenate([new_re, re[:, c:end]], axis=1)[:, order],
+                         np.concatenate([new_im, im[:, c:end]], axis=1)[:, order]))
+        return carry_re, carry_im
+
+    def _failures(self, p, last, after, n, bound, run_re, run_im):
+        """(records, columns of their checks) of the records, with their last
+        term between positions ``last`` and ``after``, whose skipped terms
+        fail the check of ``_chunk_sums``, in table order."""
+        r = np.arange(np.searchsorted(self.end, last, "right"),
+                      np.searchsorted(self.end, after, "right"))
+        r = r[n[r] < self.reps[r]]
+        if not r.size:
+            return r, r
+        col = np.searchsorted(p, self.end[r])       # kept terms of p before r ends
+        spacing = np.minimum(np.spacing(np.abs(run_re[:, col])),
+                             np.spacing(np.abs(run_im[:, col])))
+        # the spacing of the top binade, where np.spacing of the largest float is inf
+        quarter = np.minimum(spacing, _TOP_SPACING) / 4.0
+        quarter = quarter.reshape(len(bound), -1, r.size).min(axis=1)
+        bad = ~(bound[:, r] < quarter).all(axis=0)
+        return r[bad], col[bad]
+
     def sums(self, theta: float, lams, ks) -> np.ndarray:
         """-sum (1/j) count hol^j e^(-lam j l) w_k over the table, as a complex
         array with a row per lambda of ``lams`` and a column per degree of
-        ``ks`` (w = 1.0 for ``full``).
+        ``ks`` (w = 1.0 for ``full``), bit for bit the term-by-term loop's.
 
-        Per block, each lambda's amplitude -count hol^j e^(-lam j l) is
-        formed once, on its own ``_exp_neg`` path; the weight rows of ``ks``
-        are stacked, and every (lambda, k) row is weighted, divided by j and
-        added left to right in one pass, carried across blocks.  The lambdas
-        go in chunks of at most _SWEEP_ROWS rows."""
+        The lambdas go in chunks of at most _SWEEP_ROWS (lambda, k) rows.  A
+        chunk forms only the terms that can change a sum (``_cut``) and
+        proves, as it adds them, that every term it skips would change no bit
+        (``_chunk_sums``).  Per slice of kept terms, each lambda's amplitude
+        -count hol^j e^(-lam j l) is formed once, on its own ``_exp_neg``
+        path; the weight rows of ``ks`` are stacked, and every (lambda, k)
+        row is weighted, divided by j and added left to right in one pass,
+        carried across slices.  Each term's exponential is formed at most
+        once per sweep."""
         weights = [1.0 if k == "full" else self.weight(k) for k in ks]
         n_k = len(ks)
         per = max(1, _SWEEP_ROWS // n_k)               # lambdas per chunk
-        total_re = np.zeros((len(lams) * n_k, 1))
-        total_im = np.zeros((len(lams) * n_k, 1))
+        out_re = np.empty((len(lams) * n_k, 1))
+        out_im = np.empty((len(lams) * n_k, 1))
+        run = {}
         with np.errstate(all="ignore"):
-            for s, rec, jf in self.blocks():
-                cr, ci = self._times_holonomy(self.neg_count[rec], s, theta)
-                w = np.empty((n_k, jf.size))
-                for i, x in enumerate(weights):
-                    w[i] = _part(x, s)
-                for a in range(0, len(lams), per):
-                    chunk = lams[a:a + per]
-                    dr, di = np.empty((2, len(chunk), jf.size))
-                    for i, lam in enumerate(chunk):
-                        dr[i], di[i] = _exp_neg(lam, jf, self.length[rec])
-                    ar, ai = _mul(cr, ci, dr, di)
-                    re, im = _mul(ar[:, None], ai[:, None], w, 0.0)
-                    re, im = _div_real(re, im, jf)
-                    rows = slice(a * n_k, (a + len(chunk)) * n_k)
-                    total_re[rows] = _carried(total_re[rows], re.reshape(-1, jf.size))
-                    total_im[rows] = _carried(total_im[rows], im.reshape(-1, jf.size))
+            for a in range(0, len(lams), per):
+                chunk = lams[a:a + per]
+                rows = slice(a * n_k, (a + len(chunk)) * n_k)
+                out_re[rows], out_im[rows] = self._chunk_sums(theta, chunk, weights, ks, run)
         out = np.empty((len(lams), n_k), dtype=complex)
-        out.real, out.imag = total_re.reshape(out.shape), total_im.reshape(out.shape)
+        out.real, out.imag = out_re.reshape(out.shape), out_im.reshape(out.shape)
         return out
 
     def keep(self, theta: float, lams, ks):

@@ -7,6 +7,7 @@ import time
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.special import rgamma
 
@@ -713,6 +714,183 @@ def test_decomposition_sweeps_its_point_once(monkeypatch):
             log_zeta_k(data, 0.9, lam, k, J=40)
         log_zeta_full(data, 0.9, lam, J=40)
         assert exponentials == [lam]
+
+
+# -- the cut-off: a sweep forms only the terms that can change a sum -------------
+
+
+def recording_exp_neg(monkeypatch):
+    """Record (lambda, [(j, length), ...]) of every _exp_neg call."""
+    calls = []
+    exp_neg = zeta._exp_neg
+
+    def recording(lam, jf, length):
+        calls.append((lam, list(zip(jf.tolist(), length.tolist()))))
+        return exp_neg(lam, jf, length)
+
+    monkeypatch.setattr(zeta, "_exp_neg", recording)
+    return calls
+
+
+def formed_per_lambda(calls, n):
+    """The (j, length) of the terms formed for each of a chunk's n lambdas,
+    whose calls alternate."""
+    return [[term for _, terms in calls[i::n] for term in terms] for i in range(n)]
+
+
+def check_full_sweep_against_loop(data, theta, lams, J):
+    """One sweep of ``lams`` over full, each sum against the loop's in float.hex."""
+    sums = zeta._TermTable(data, J).sums(theta, list(lams), ["full"])
+    for lam, got in zip(lams, sums[:, 0].tolist()):
+        assert bits(got) == bits(reference_log_zeta(data, theta, lam, "full", J)[0]), lam
+
+
+def hyperbolic_record(length, count, holonomy):
+    return OrbitRecord(length=length, count=count, eig_expanding=3.0,
+                       eig_contracting=1 / 3.0, holonomy=holonomy)
+
+
+# A pair of records of equal length and count with holonomies h and -h, then
+# records so long that their terms lie far below the pair's
+CANCELLING = (hyperbolic_record(1.0, 2, cmath.exp(0.3j)),
+              hyperbolic_record(1.0, 2, -cmath.exp(0.3j))) + tuple(
+    hyperbolic_record(30.0 * i, 1, cmath.exp(0.7j * i)) for i in range(1, 5))
+
+
+def test_cut_off_keeps_a_record_whose_sum_cancels_to_zero(monkeypatch):
+    # with J = 1 the pair's terms are exact negatives and the running sum
+    # returns to +0.0, where any term would change its bits: the long
+    # records, whose terms lie far below the cut, fail their checks there;
+    # the first two are formed (a slice of two), and the others then lie
+    # below a quarter spacing of the sum
+    monkeypatch.setattr(zeta, "_BLOCK", 2)
+    data = OrbitData(CANCELLING)
+    calls = recording_exp_neg(monkeypatch)
+    check_full_sweep_against_loop(data, 0.0, (2.0, 2.0 + 0j), 1)
+    for terms in formed_per_lambda(calls, 2):
+        assert terms == [(1.0, 1.0), (1.0, 1.0), (1.0, 30.0), (1.0, 60.0)]
+    check_table_against_loop(data, (0.0, 1.0), LAMS, (1,))
+
+
+def test_cut_off_keeps_a_record_whose_sum_cancels_near_zero(monkeypatch):
+    # at J = 40 and lambda = 5 the pair's odd repetitions cancel: after the
+    # second record's kept terms the sum is near e^-5 of its first term, the
+    # record fails its check and every repetition of it is formed
+    monkeypatch.setattr(zeta, "_BLOCK", 16)
+    data = OrbitData(CANCELLING)
+    calls = recording_exp_neg(monkeypatch)
+    check_full_sweep_against_loop(data, 0.0, (5.0, 5.0 + 0j), 40)
+    for terms in formed_per_lambda(calls, 2):
+        pair = Counter(j for j, length in terms if length == 1.0)
+        assert set(pair) == set(range(1, 41)) and pair[40] == 1
+        assert len(terms) < zeta._TermTable(data, 40).size
+    check_table_against_loop(data, (0.0, 1.0), (5.0, 5 + 3j, 4.0), (40,))
+
+
+def test_cut_off_bounds_a_record_by_its_largest_weight(monkeypatch):
+    # the cancelling pair with eigenvalues near 1, whose weights reach about
+    # 1e4 at j = 1: a bound without them skips terms that change the bits of
+    # a grid's single-degree sums (at lambda = 8)
+    monkeypatch.setattr(zeta, "_BLOCK", 16)
+    pair = tuple(OrbitRecord(length=1.0, count=2, eig_expanding=1.01,
+                             eig_contracting=1 / 1.01, holonomy=h)
+                 for h in (cmath.exp(0.3j), -cmath.exp(0.3j)))
+    data = OrbitData(pair + CANCELLING[2:])
+    check_table_against_loop(data, (0.0,), (5.0, 8.0, 8 + 3j), (40,))
+    lams = (8.0, 8.5)
+    for k in (0, 1, 2):
+        wants = {(i, k): caught(reference_log_zeta, data, 0.0, lam, k, 40)
+                 for i, lam in enumerate(lams)}
+        assert zeta_grid_rows(data, 0.0, lams, [k], 40) == reference_grid(lams, [k], 40, wants)
+
+
+def test_cut_off_skips_nothing_while_an_imaginary_sum_is_zero(monkeypatch):
+    # real holonomies at a float lambda: every imaginary part is +-0.0, so
+    # the imaginary running sum stays a zero whose sign any term may change
+    monkeypatch.setattr(zeta, "_BLOCK", 7)
+    records = tuple(hyperbolic_record(length, count, complex(sign, 0.0))
+                    for length, count, sign in ((0.8, 1, 1.0), (1.1, 3, -1.0),
+                                                (9.0, 2, 1.0), (17.0, 1, -1.0)))
+    data = OrbitData(records)
+    calls = recording_exp_neg(monkeypatch)
+    check_full_sweep_against_loop(data, 0.0, (3.0, 6.5), 40)
+    for terms in formed_per_lambda(calls, 2):
+        assert len(terms) == zeta._TermTable(data, 40).size
+    check_table_against_loop(data, (0.0,), (3.0, 6.5), (40,))
+
+
+def loaded_pool_spectrum(tmp_path, periods, roofs):
+    """The POOL's suspension records at the given roofs, written and read back
+    at theta = 2.2; the roofs keep every (length, j) of the table apart."""
+    records = []
+    for i, matrix in enumerate(POOL):
+        for roof in roofs:
+            aut = ToralAutomorphism(*matrix, roof=roof + 0.0131 * i)
+            records += suspension_orbits(aut, periods).records
+    path = tmp_path / "spectrum.txt"
+    write_orbit_spectrum(path, records, theta=2.2)
+    return load_orbit_spectrum(path)
+
+
+def test_cut_off_matches_loop_at_complex_lambdas(tmp_path, monkeypatch):
+    # complex lambdas, imaginary parts +0.0 and -0.0 among them, each on its
+    # own amplitude path, with terms skipped
+    monkeypatch.setattr(zeta, "_BLOCK", 64)
+    data = loaded_pool_spectrum(tmp_path, 6, (1.0,))
+    lams = (3 + 0j, complex(3.0, -0.0), 3 + 2j, 2.5 - 1j)
+    calls = recording_exp_neg(monkeypatch)
+    check_full_sweep_against_loop(data, 0.4, lams, 12)
+    for terms in formed_per_lambda(calls, len(lams)):
+        assert 0 < len(terms) < zeta._TermTable(data, 12).size
+    check_table_against_loop(data, (0.4,), lams, (12,))
+
+
+def test_a_grid_chunk_keeps_the_most_repetitions_of_its_lambdas(tmp_path, monkeypatch):
+    # four lambdas of four degrees fill one chunk: it keeps, per record, the
+    # most repetitions any of its lambdas keeps alone, and forms the same
+    # terms for each
+    monkeypatch.setattr(zeta, "_BLOCK", 64)
+    data = loaded_pool_spectrum(tmp_path, 6, (1.0,))
+    lams, ks, J = (6.0, 2.5 + 0j, 4.0 + 1j, 3.0), (0, 1, 2, "full"), 12
+    size = zeta._term_table(data, J).size
+    assert size > zeta._BLOCK
+    wants = {(i, k): caught(reference_log_zeta, data, 0.4, lam, k, J)
+             for i, lam in enumerate(lams) for k in ks}
+    calls = recording_exp_neg(monkeypatch)
+    assert zeta_grid_rows(data, 0.4, lams, ks, J) == reference_grid(lams, ks, J, wants)
+    assert [lam for lam, _ in calls] == list(lams) * (len(calls) // len(lams))
+    formed = formed_per_lambda(calls, len(lams))
+    assert all(terms == formed[0] for terms in formed) and len(formed[0]) < size
+    table = zeta._term_table(data, J)
+    kept, _ = table._cut(0.4, list(lams), list(ks))
+    alone = [table._cut(0.4, [lam], list(ks))[0] for lam in lams]
+    assert kept.tolist() == np.maximum.reduce(alone).tolist()
+    assert len(set(alone[0].tolist())) > 1 and alone[1].tolist() != alone[0].tolist()
+
+
+def test_full_sweep_of_a_loaded_spectrum_forms_few_terms_once(tmp_path, monkeypatch):
+    # above one block a full sweep at lambda = 3.5 passes under a tenth of
+    # the table's terms to _exp_neg, none twice, and sums the loop's bits
+    data = loaded_pool_spectrum(tmp_path, 12, (1.0, 1.3, 1.6))
+    table = zeta._term_table(data, 40)
+    assert table.size > zeta._BLOCK
+    positions, passed = [], []
+    terms, exp_neg = zeta._TermTable._terms, zeta._exp_neg
+
+    def recording_terms(self, p, *args):
+        positions.extend(p.tolist())
+        return terms(self, p, *args)
+
+    def counting_exp_neg(lam, jf, length):
+        passed.append(jf.size)
+        return exp_neg(lam, jf, length)
+
+    monkeypatch.setattr(zeta._TermTable, "_terms", recording_terms)
+    monkeypatch.setattr(zeta, "_exp_neg", counting_exp_neg)
+    ev = log_zeta_full(data, 0.4, 3.5 + 0j, 40)
+    assert sum(passed) == len(positions) < table.size / 10
+    assert len(set(positions)) == len(positions)
+    assert bits(ev.value) == bits(reference_log_zeta(data, 0.4, 3.5 + 0j, "full", 40)[0])
 
 
 def loaded_cat_spectrum(tmp_path):
